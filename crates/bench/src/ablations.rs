@@ -8,29 +8,19 @@
 //! * A5 — skewed (Zipf) access load: delivery concentration
 //!
 //! Runs at `min(OSCAR_SCALE, 4000)` — ablations need many full growths.
-//!
-//! ```sh
-//! cargo run --release -p oscar-bench --bin repro_ablations
-//! ```
 
+use crate::experiments::{run_growth_experiment, GrowthRunResult};
+use crate::registry::RunResult;
+use crate::report::Report;
+use crate::scale::Scale;
 use oscar_analytics::Series;
-use oscar_bench::{run_growth_experiment, Report, Scale};
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::ConstantDegrees;
 use oscar_keydist::{GnutellaKeys, QueryWorkload};
 use oscar_sim::{kill_fraction, run_query_batch, FaultModel, Network, RoutePolicy};
 use oscar_types::SeedTree;
 
-fn ablation_scale() -> Scale {
-    let mut scale = Scale::from_env_or_exit();
-    if scale.target > 4000 {
-        scale.target = 4000;
-        scale.step = 400;
-    }
-    scale
-}
-
-fn grow_with(config: OscarConfig, scale: &Scale, label: &str) -> oscar_bench::GrowthRunResult {
+fn grow_with(config: OscarConfig, scale: &Scale, label: &str) -> GrowthRunResult {
     let builder = OscarBuilder::new(config);
     run_growth_experiment(
         &builder,
@@ -40,13 +30,6 @@ fn grow_with(config: OscarConfig, scale: &Scale, label: &str) -> oscar_bench::Gr
         label,
     )
     .expect("growth run")
-}
-
-fn final_cost(r: &oscar_bench::GrowthRunResult) -> f64 {
-    r.cost_by_size
-        .last()
-        .map(|(_, s)| s.mean_cost)
-        .unwrap_or(0.0)
 }
 
 fn a1_power_of_two(scale: &Scale) -> std::io::Result<()> {
@@ -62,16 +45,16 @@ fn a1_power_of_two(scale: &Scale) -> std::io::Result<()> {
     util.push(0.0, without.final_utilization);
     util.push(1.0, with.final_utilization);
     let mut cost = Series::new("final mean search cost");
-    cost.push(0.0, final_cost(&without));
-    cost.push(1.0, final_cost(&with));
+    cost.push(0.0, without.final_cost());
+    cost.push(1.0, with.final_cost());
     report.add_series(util);
     report.add_series(cost);
     report.add_note(format!(
         "utilisation: off {:.1}% -> on {:.1}%; cost: off {:.2} -> on {:.2}",
         without.final_utilization * 100.0,
         with.final_utilization * 100.0,
-        final_cost(&without),
-        final_cost(&with)
+        without.final_cost(),
+        with.final_cost()
     ));
     report.emit("ablation_a1_power_of_two")?;
     Ok(())
@@ -87,7 +70,7 @@ fn a2_sample_size(scale: &Scale) -> std::io::Result<()> {
             ..OscarConfig::default()
         };
         let run = grow_with(cfg, scale, "sweep");
-        cost.push(s as f64, final_cost(&run));
+        cost.push(s as f64, run.final_cost());
         let steps = run.network.metrics.get(oscar_sim::MsgKind::WalkStep) as f64
             / run.network.len() as f64
             / 1000.0;
@@ -116,13 +99,13 @@ fn a3_oracle_medians(scale: &Scale) -> std::io::Result<()> {
         "variant (0 = sampled, 1 = oracle)",
     );
     let mut cost = Series::new("final mean search cost");
-    cost.push(0.0, final_cost(&sampled));
-    cost.push(1.0, final_cost(&oracle));
+    cost.push(0.0, sampled.final_cost());
+    cost.push(1.0, oracle.final_cost());
     report.add_series(cost);
     report.add_note(format!(
         "sampled {:.2} vs oracle {:.2}: the gap is the price of 12-point median estimation",
-        final_cost(&sampled),
-        final_cost(&oracle)
+        sampled.final_cost(),
+        oracle.final_cost()
     ));
     report.emit("ablation_a3_oracle_medians")?;
     Ok(())
@@ -210,9 +193,13 @@ fn a5_skewed_access(scale: &Scale) -> std::io::Result<()> {
     Ok(())
 }
 
-fn main() -> std::io::Result<()> {
-    oscar_bench::reject_unused_knobs_or_exit(&[]);
-    let scale = ablation_scale();
+/// The `ablations` experiment: A1–A5 in order, one CSV each.
+pub fn run(scale: &Scale) -> RunResult {
+    let mut scale = scale.clone();
+    if scale.target > 4000 {
+        scale.target = 4000;
+        scale.step = 400;
+    }
     eprintln!(
         "running ablations at scale {} (step {}, seed {})",
         scale.target, scale.step, scale.seed

@@ -1,11 +1,12 @@
-//! One driver per paper figure, shared by the `repro_*` binaries and
-//! `repro_all` (which reuses the heavy growth runs across figures).
+//! One driver per paper figure, shared by the per-figure experiments and
+//! `all` (which reuses the heavy growth runs across figures).
 
 use crate::experiments::{
     grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies, run_churn_experiment,
     run_growth_experiment, run_phase_diagram_experiment, run_steady_churn_experiment,
     standard_churn_schedules, GrowthRunResult, PhaseCell, SteadyChurnResult, PHASE_SUCC_LENS,
 };
+use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::Scale;
@@ -231,20 +232,14 @@ pub fn mercury_compare_report(suite: &Fig1Suite, scale: &Scale) -> Report {
         }
         report.add_series(s);
     }
-    let last = |r: &GrowthRunResult| {
-        r.cost_by_size
-            .last()
-            .map(|(_, s)| s.mean_cost)
-            .unwrap_or(0.0)
-    };
     report.add_note(format!(
         "final size: oscar {:.2} vs mercury {:.2} (paper [8]: Oscar significantly outperforms Mercury)",
-        last(oscar_constant),
-        last(&suite.mercury_run)
+        oscar_constant.final_cost(),
+        suite.mercury_run.final_cost()
     ));
     report.add_note(format!(
         "chord-fingers control: {:.2} — key-space-metric fingers collapse under skew (utilisation {:.1}%)",
-        last(&suite.chord_run),
+        suite.chord_run.final_cost(),
         suite.chord_run.final_utilization * 100.0
     ));
     report
@@ -370,6 +365,71 @@ pub fn steady_churn_reports(results: &[SteadyChurnResult]) -> Vec<(&'static str,
         ("churn_steady_population", population),
         ("churn_steady_cost_stderr", stderr),
     ]
+}
+
+/// Wall-clock and fault bookkeeping of one steady-churn run, for
+/// [`steady_churn_summary`].
+pub struct ChurnTiming {
+    /// Substrate growth time (0 for the machine engine, whose fleets
+    /// bootstrap by real joins inside the timed run).
+    pub grow_secs: f64,
+    /// Time in the churn engine alone, so `windows_per_sec` tracks the
+    /// engine — a growth/join-path slowdown must not masquerade as an
+    /// engine one.
+    pub engine_secs: f64,
+    /// [`oscar_protocol::ProtocolEvent::Fault`] count (always 0 for the
+    /// oracle engine, which hosts no machines).
+    pub faults: u64,
+}
+
+/// The `BENCH_churn*.json` summary of a steady-churn run: windows/sec
+/// throughput plus the steady-state means per churn level.
+pub fn steady_churn_summary(
+    bench: &str,
+    scale: &Scale,
+    results: &[SteadyChurnResult],
+    timing: &ChurnTiming,
+) -> Object {
+    let total_windows: usize = results.iter().map(|r| r.windows.len()).sum();
+    let windows_per_level = results.first().map_or(0, |r| r.windows.len());
+    let levels = results
+        .iter()
+        .map(|r| {
+            Object::new()
+                .str("level", r.label.as_str())
+                .float(
+                    "steady_mean_cost",
+                    r.steady_mean(|w| w.queries.mean_cost),
+                    3,
+                )
+                .float(
+                    "steady_mean_wasted",
+                    r.steady_mean(|w| w.queries.mean_wasted),
+                    3,
+                )
+                .float(
+                    "steady_success_rate",
+                    r.steady_mean(|w| w.queries.success_rate),
+                    4,
+                )
+                .float("steady_live", r.steady_mean(|w| w.live_at_end as f64), 0)
+        })
+        .collect();
+    Object::new()
+        .str("bench", bench)
+        .int("n_peers", scale.target)
+        .int("seed", scale.seed)
+        .int("windows_per_level", windows_per_level)
+        .int("total_windows", total_windows)
+        .float("grow_secs", timing.grow_secs, 2)
+        .float("engine_secs", timing.engine_secs, 2)
+        .float(
+            "windows_per_sec",
+            total_windows as f64 / timing.engine_secs.max(1e-9),
+            2,
+        )
+        .int("faults", timing.faults)
+        .rows("levels", levels)
 }
 
 /// Runs the full churn phase diagram (Oscar, Gnutella keys, constant

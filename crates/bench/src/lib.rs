@@ -1,18 +1,33 @@
-//! # oscar-bench — experiment harness for the paper's figures
+//! # oscar-bench — the experiment harness
 //!
-//! Shared machinery for the `repro_*` binaries (full paper-scale figure
-//! regeneration) and the Criterion benches (bounded-size performance
-//! measurements). Every experiment is a pure function of a [`Scale`] and
-//! a seed, so the binaries, the benches and the tests all drive the same
-//! code.
+//! One binary, `oscar-repro <experiment>`, regenerates the paper's
+//! figures and the stress experiments built around them; everything it
+//! runs is a library function here, so the binary and the tests drive the
+//! same code. [`registry`] is the table of experiments (names, knobs,
+//! entry points); [`figures`] and [`experiments`] hold the paper's
+//! figures and the churn/growth drivers behind them, [`storm`] the
+//! machine-fleet query storms (saturation, fault sweep), [`scenario`]
+//! the multi-phase campaigns, [`ablations`] the A1–A5 knock-outs. Every
+//! experiment is a pure function of a [`Scale`] (size, seed, thread
+//! budget); CSVs go through [`Report`], `BENCH_<name>.json` summaries
+//! through [`json::Object`].
+//!
+//! Performance is *not* measured here: the repository's benchmark is
+//! `BENCHMARK.json` + `benchmarks/`. The wall-clock fields the summaries
+//! carry are context for a human reading a CI log; what this harness
+//! gates is behaviour (delivery, amplification, machine faults, scenario
+//! checks), by exit code.
 
-pub mod baseline;
+pub mod ablations;
 pub mod experiments;
 pub mod figures;
+pub mod json;
 pub mod parallel;
+pub mod registry;
 pub mod report;
 pub mod scale;
 pub mod scenario;
+pub mod storm;
 
 pub use experiments::{
     churn_schedule_for, grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies,
@@ -23,7 +38,7 @@ pub use experiments::{
 };
 pub use parallel::{run_tasks, Task};
 pub use report::Report;
-pub use scale::{reject_unused_knobs, reject_unused_knobs_or_exit, MachineKnobs, Scale};
+pub use scale::{reject_unused_knobs, MachineKnobs, Scale};
 pub use scenario::{
     machine_phases_for, render_scenario_report, run_all_scenarios, run_scenario, scenario_tag,
     standard_scenarios, write_scenario_csv, write_scenario_report, Check, CheckOutcome, DegreeKind,

@@ -1,0 +1,548 @@
+//! The experiment registry: the one table `oscar-repro` is built on.
+//!
+//! Every experiment is a row of [`EXPERIMENTS`] — its command-line name,
+//! a one-line description, the `OSCAR_*` knobs it reads beyond the base
+//! set, and the function that runs it. Dispatch, knob rejection
+//! ([`crate::reject_unused_knobs`] over [`Experiment::knobs`]),
+//! `oscar-repro --list` ([`render_list`]) and the knob table of
+//! `ARCHITECTURE.md` ([`render_knob_table`], held to the document by
+//! `tests/registry.rs`) all read that table, so a knob an experiment
+//! reads without declaring is refused at start-up rather than honoured
+//! undocumented, and an experiment cannot be added without being listed.
+
+use crate::experiments::{
+    grow_steady_churn_substrate, run_machine_churn_experiment, run_steady_churn_on,
+    standard_churn_schedules, time_growth_decades, SteadyChurnResult,
+};
+use crate::figures::{
+    fig1a_report, fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports,
+    run_fig1_suite, run_phase_suite, steady_churn_reports, steady_churn_summary, ChurnTiming,
+    Fig1Suite,
+};
+use crate::json::Object;
+use crate::parallel::{run_tasks, Task};
+use crate::report::Report;
+use crate::scale::{MachineKnobs, Scale, BASE_KNOBS};
+use crate::scenario::{
+    run_all_scenarios, scenario_suite_summary, write_scenario_csv, write_scenario_report,
+};
+use oscar_core::{OscarBuilder, OscarConfig};
+use oscar_degree::{ConstantDegrees, SpikyDegrees};
+use oscar_keydist::GnutellaKeys;
+use std::time::Instant;
+
+/// How an experiment ends: `Ok` is exit 0; an
+/// [`oscar_types::Error::InvalidConfig`] (a malformed knob) is exit 2;
+/// any other error — an I/O failure, a failed behavioural gate — is
+/// exit 1.
+pub type RunResult = Result<(), Box<dyn std::error::Error>>;
+
+/// Fails a seeded run in which any machine tripped an invariant: a
+/// `ProtocolEvent::Fault` is a protocol bug, never data.
+pub(crate) fn gate_machine_faults(faults: u64) -> RunResult {
+    if faults > 0 {
+        return Err(format!(
+            "{faults} protocol fault(s) fired — machine invariants violated; a seeded run \
+             must be fault-free"
+        )
+        .into());
+    }
+    Ok(())
+}
+
+/// One runnable experiment.
+pub struct Experiment {
+    /// Command-line name: `oscar-repro <name>`.
+    pub name: &'static str,
+    /// One line for `--list`.
+    pub about: &'static str,
+    /// The `OSCAR_*` knobs it reads beyond [`BASE_KNOBS`]; any other
+    /// `OSCAR_*` variable in the environment is refused.
+    pub knobs: &'static [&'static str],
+    /// Runs it at `scale`, writing artifacts under the results dir.
+    pub run: fn(&Scale) -> RunResult,
+}
+
+const CHURN_WINDOWS: &str = "OSCAR_CHURN_WINDOWS";
+
+/// Every experiment, in `--list` order.
+pub static EXPERIMENTS: [Experiment; 15] = [
+    Experiment {
+        name: "fig1a",
+        about: "Figure 1(a): the synthetic spiky node-degree pdf",
+        knobs: &[],
+        run: fig1a,
+    },
+    Experiment {
+        name: "fig1b",
+        about: "Figure 1(b): relative degree load, three in-degree distributions (+ Mercury, E3)",
+        knobs: &[],
+        run: fig1b,
+    },
+    Experiment {
+        name: "fig1c",
+        about: "Figure 1(c): search cost vs network size, three in-degree distributions",
+        knobs: &[],
+        run: fig1c,
+    },
+    Experiment {
+        name: "fig2a",
+        about: "Figure 2(a): search cost under 0/10/33% crashes, constant in-degrees",
+        knobs: &[],
+        run: fig2a,
+    },
+    Experiment {
+        name: "fig2b",
+        about: "Figure 2(b): search cost under 0/10/33% crashes, realistic in-degrees",
+        knobs: &[],
+        run: fig2b,
+    },
+    Experiment {
+        name: "mercury-compare",
+        about: "E7: Oscar vs Mercury (and a Chord control) on the skewed Gnutella keys",
+        knobs: &[],
+        run: mercury_compare,
+    },
+    Experiment {
+        name: "all",
+        about: "every figure above in one run, sharing the growth suite across figures",
+        knobs: &[],
+        run: all,
+    },
+    Experiment {
+        name: "churn",
+        about: "steady-state Poisson churn ladder on the oracle engine (BENCH_churn.json)",
+        knobs: &[CHURN_WINDOWS],
+        run: churn,
+    },
+    Experiment {
+        name: "churn-machine",
+        about: "the same ladder through PeerMachine fleets on the DES; fails on any machine \
+                fault (BENCH_churn_machine.json)",
+        knobs: &[
+            CHURN_WINDOWS,
+            "OSCAR_DEDUP_WINDOW",
+            "OSCAR_MAX_RETRIES",
+            "OSCAR_REPAIR_K",
+        ],
+        run: churn_machine,
+    },
+    Experiment {
+        name: "phase",
+        about: "churn phase diagram: level x repair policy x successor-list length, \
+                unstabilised ring",
+        knobs: &[CHURN_WINDOWS],
+        run: phase,
+    },
+    Experiment {
+        name: "growth",
+        about: "substrate growth wall time per decade of OSCAR_SCALE (BENCH_growth.json)",
+        knobs: &[],
+        run: growth,
+    },
+    Experiment {
+        name: "saturation",
+        about: "query storm on the threaded actor runtime; fails on any machine fault \
+                (BENCH_saturation.json)",
+        knobs: &["OSCAR_SAT_QUERIES"],
+        run: crate::storm::saturation,
+    },
+    Experiment {
+        name: "faults",
+        about: "loss/duplication/jitter sweep on both drivers; fails under 99% delivery, over \
+                3.0 retry amplification, or on any machine fault (BENCH_faults.json)",
+        knobs: &["OSCAR_FAULT_QUERIES"],
+        run: crate::storm::faults,
+    },
+    Experiment {
+        name: "scenarios",
+        about: "six multi-phase stress campaigns with pass/fail checks; fails on a red check \
+                (BENCH_scenarios.json)",
+        knobs: &[],
+        run: scenarios,
+    },
+    Experiment {
+        name: "ablations",
+        about: "A1-A5: power-of-two choices, sample size, oracle medians, ring stabilisation, \
+                access skew",
+        knobs: &[],
+        run: crate::ablations::run,
+    },
+];
+
+/// The experiment named `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Documentation of one `OSCAR_*` knob; who accepts it is derived from
+/// [`EXPERIMENTS`].
+struct KnobDoc {
+    name: &'static str,
+    default: &'static str,
+    meaning: &'static str,
+}
+
+/// Every knob the harness parses: [`BASE_KNOBS`] first, then the extras.
+const KNOB_DOCS: [KnobDoc; 10] = [
+    KnobDoc {
+        name: "OSCAR_SCALE",
+        default: "10000",
+        meaning: "target network size, floored at 100 (paper scale = 10⁴; CI smoke = 2000); \
+                  `ablations` caps it at 4000",
+    },
+    KnobDoc {
+        name: "OSCAR_SEED",
+        default: "42",
+        meaning: "root of every `SeedTree`; same seed ⇒ byte-identical artifacts",
+    },
+    KnobDoc {
+        name: "OSCAR_THREADS",
+        default: "all cores",
+        meaning: "fan-out budget, and the actor runtime's worker count (floored at 2); \
+                  1 = sequential; no CSV or report depends on it",
+    },
+    KnobDoc {
+        name: "OSCAR_RESULTS_DIR",
+        default: "`results/`",
+        meaning: "where CSVs, reports and `BENCH_*.json` land",
+    },
+    KnobDoc {
+        name: CHURN_WINDOWS,
+        default: "8",
+        meaning: "measurement windows per churn level / phase cell (>= 2)",
+    },
+    KnobDoc {
+        name: "OSCAR_DEDUP_WINDOW",
+        default: "`PeerConfig` (128)",
+        meaning: "per-peer duplicate-suppression window, messages",
+    },
+    KnobDoc {
+        name: "OSCAR_MAX_RETRIES",
+        default: "`PeerConfig` (3)",
+        meaning: "retry budget per reliable operation (0 disables retries)",
+    },
+    KnobDoc {
+        name: "OSCAR_REPAIR_K",
+        default: "level's policy",
+        meaning: "ring-probe depth of an already-reactive repair policy",
+    },
+    KnobDoc {
+        name: "OSCAR_FAULT_QUERIES",
+        default: "2",
+        meaning: "queries per peer per cell of the fault sweep",
+    },
+    KnobDoc {
+        name: "OSCAR_SAT_QUERIES",
+        default: "4",
+        meaning: "queries per peer in the saturation storm",
+    },
+];
+
+/// The knob table of `ARCHITECTURE.md`, as markdown.
+pub fn render_knob_table() -> String {
+    let mut out = String::from("| knob | default | accepted by | meaning |\n|---|---|---|---|\n");
+    for k in &KNOB_DOCS {
+        let accepted_by = if BASE_KNOBS.contains(&k.name) {
+            "all experiments".to_string()
+        } else {
+            let names: Vec<String> = EXPERIMENTS
+                .iter()
+                .filter(|e| e.knobs.contains(&k.name))
+                .map(|e| format!("`{}`", e.name))
+                .collect();
+            names.join(", ")
+        };
+        out.push_str(&format!(
+            "| `{}` | {} | {accepted_by} | {} |\n",
+            k.name, k.default, k.meaning
+        ));
+    }
+    out
+}
+
+/// What `oscar-repro --list` prints: every experiment, then the knobs.
+pub fn render_list() -> String {
+    let mut out = String::from("usage: oscar-repro <experiment>\n\nexperiments:\n");
+    for e in &EXPERIMENTS {
+        out.push_str(&format!("  {:<16} {}\n", e.name, e.about));
+    }
+    out.push_str(
+        "\nknobs (environment; an OSCAR_* variable the experiment does not read is an error):\n\n",
+    );
+    out.push_str(&render_knob_table());
+    out
+}
+
+// ---------------------------------------------------------------------
+// The paper's figures
+// ---------------------------------------------------------------------
+
+fn fig1a(scale: &Scale) -> RunResult {
+    fig1a_report(scale).emit("fig1a_degree_pdf")?;
+    Ok(())
+}
+
+fn fig1b(scale: &Scale) -> RunResult {
+    fig1b_report(&run_fig1_suite(scale)?).emit("fig1b_degree_load")?;
+    Ok(())
+}
+
+fn fig1c(scale: &Scale) -> RunResult {
+    fig1c_report(&run_fig1_suite(scale)?, scale).emit("fig1c_search_cost")?;
+    Ok(())
+}
+
+fn fig2a(scale: &Scale) -> RunResult {
+    fig2_report(scale, &ConstantDegrees::paper(), "constant")?.emit("fig2a_churn_constant")?;
+    Ok(())
+}
+
+fn fig2b(scale: &Scale) -> RunResult {
+    fig2_report(scale, &SpikyDegrees::paper(), "realistic")?.emit("fig2b_churn_realistic")?;
+    Ok(())
+}
+
+fn mercury_compare(scale: &Scale) -> RunResult {
+    mercury_compare_report(&run_fig1_suite(scale)?, scale).emit("mercury_compare")?;
+    Ok(())
+}
+
+/// Regenerates every figure in one run. The three heavy, mutually
+/// independent computations — the Figure 1 growth suite (itself 5
+/// parallel growths) and the two churn figures — run concurrently under
+/// the thread budget; reports are then emitted in a fixed order, so
+/// stdout and every CSV are byte-identical to a sequential run.
+fn all(scale: &Scale) -> RunResult {
+    enum Piece {
+        Suite(Box<Fig1Suite>),
+        Fig(Report),
+    }
+    eprintln!(
+        "regenerating all figures at scale {} (step {}, seed {}, {} threads)",
+        scale.target,
+        scale.step,
+        scale.seed,
+        scale.thread_count()
+    );
+    let t0 = Instant::now();
+    fig1a(scale)?;
+    let tasks: Vec<Task<oscar_types::Result<Piece>>> = vec![
+        Box::new(|| Ok(Piece::Suite(Box::new(run_fig1_suite(scale)?)))),
+        Box::new(|| fig2_report(scale, &ConstantDegrees::paper(), "constant").map(Piece::Fig)),
+        Box::new(|| fig2_report(scale, &SpikyDegrees::paper(), "realistic").map(Piece::Fig)),
+    ];
+    let mut pieces = run_tasks(scale.thread_count(), tasks).into_iter();
+    let (Some(Piece::Suite(suite)), Some(Piece::Fig(fig2a)), Some(Piece::Fig(fig2b))) = (
+        pieces.next().transpose()?,
+        pieces.next().transpose()?,
+        pieces.next().transpose()?,
+    ) else {
+        unreachable!("task 0 is the fig1 suite, tasks 1 and 2 the churn figures");
+    };
+    fig1b_report(&suite).emit("fig1b_degree_load")?;
+    fig1c_report(&suite, scale).emit("fig1c_search_cost")?;
+    mercury_compare_report(&suite, scale).emit("mercury_compare")?;
+    fig2a.emit("fig2a_churn_constant")?;
+    fig2b.emit("fig2b_churn_realistic")?;
+    eprintln!("all figures regenerated in {:.1?}", t0.elapsed());
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Beyond the paper: continuous churn, growth timing, scenarios
+// ---------------------------------------------------------------------
+
+/// Steady-state continuous churn on the oracle engine: grow one Oscar
+/// overlay, then run `oscar_sim::run_continuous_churn` per level of the
+/// standard ladder. Failure detection is free (the engine knows who
+/// died) and repairs are builder calls.
+fn churn(scale: &Scale) -> RunResult {
+    let windows = Scale::churn_windows_from_env()?;
+    let keys = GnutellaKeys::default();
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let degrees = ConstantDegrees::paper();
+    let schedules = standard_churn_schedules(scale);
+    eprintln!(
+        "[churn-engine] growing to {} then running {windows} windows x {} churn levels...",
+        scale.target,
+        schedules.len()
+    );
+    let t_grow = Instant::now();
+    let net = grow_steady_churn_substrate(&builder, &keys, &degrees, scale)?;
+    let grow_secs = t_grow.elapsed().as_secs_f64();
+    let t_engine = Instant::now();
+    let results = run_steady_churn_on(&net, &builder, &keys, &degrees, scale, &schedules, windows)?;
+    let timing = ChurnTiming {
+        grow_secs,
+        engine_secs: t_engine.elapsed().as_secs_f64(),
+        faults: 0,
+    };
+    emit_steady_churn(
+        "",
+        "steady_churn",
+        "BENCH_churn.json",
+        scale,
+        &results,
+        &timing,
+    )
+}
+
+/// The shared tail of both churn experiments: the four steady-state CSVs
+/// (names prefixed with `csv_prefix`) and the JSON summary.
+fn emit_steady_churn(
+    csv_prefix: &str,
+    bench: &str,
+    json_file: &str,
+    scale: &Scale,
+    results: &[SteadyChurnResult],
+    timing: &ChurnTiming,
+) -> RunResult {
+    for (name, report) in steady_churn_reports(results) {
+        report.emit(&format!("{csv_prefix}{name}"))?;
+    }
+    steady_churn_summary(bench, scale, results, timing).write(json_file)?;
+    eprintln!(
+        "steady churn [{bench}]: grew in {:.1}s; engine ran {:.1}s",
+        timing.grow_secs, timing.engine_secs
+    );
+    Ok(())
+}
+
+/// The same ladder through the protocol stack: each level bootstraps a
+/// `PeerMachine` fleet on its own DES by real joins and runs
+/// `oscar_sim::run_machine_churn`, where death must be *detected* (ring
+/// probes, bounced sends) and every repair is messages. Honours the
+/// [`MachineKnobs`]; fails if any `ProtocolEvent::Fault` fires.
+fn churn_machine(scale: &Scale) -> RunResult {
+    let windows = Scale::churn_windows_from_env()?;
+    let knobs = MachineKnobs::from_env()?;
+    let schedules = standard_churn_schedules(scale);
+    eprintln!(
+        "[churn-machine] bootstrapping {}-peer machine fleets, then {windows} windows x {} \
+         churn levels...",
+        scale.target,
+        schedules.len()
+    );
+    let t_engine = Instant::now();
+    let (results, faults) =
+        run_machine_churn_experiment(&GnutellaKeys::default(), scale, &schedules, windows, knobs)?;
+    let timing = ChurnTiming {
+        grow_secs: 0.0,
+        engine_secs: t_engine.elapsed().as_secs_f64(),
+        faults,
+    };
+    emit_steady_churn(
+        "machine_",
+        "steady_churn_machine",
+        "BENCH_churn_machine.json",
+        scale,
+        &results,
+        &timing,
+    )?;
+    gate_machine_faults(faults)
+}
+
+/// The churn phase diagram — where does delivery actually break? Sweeps
+/// churn level (2–20% of the population per window) × repair policy
+/// (none, whole-network sweep, reactive k=2, probe-triggered) ×
+/// successor-list length (1, 2, 4) on one grown overlay under the
+/// unstabilised ring, and prints a steady-state table per cell.
+fn phase(scale: &Scale) -> RunResult {
+    let windows = Scale::churn_windows_from_env()?;
+    let t0 = Instant::now();
+    let cells = run_phase_suite(scale, windows)?;
+    let secs = t0.elapsed().as_secs_f64();
+    for (name, report) in phase_reports(&cells) {
+        report.emit(name)?;
+    }
+    println!("\n==== steady-state phase cells ====\n");
+    println!("| level | policy | succ | success | cost | wasted | repairs/win | repair msgs/win |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for c in &cells {
+        println!(
+            "| {} | {} | {} | {:.3} | {:.2} | {:.2} | {:.0} | {:.0} |",
+            c.level,
+            c.policy,
+            c.succ_list_len,
+            c.steady_mean(|w| w.queries.success_rate),
+            c.steady_mean(|w| w.queries.mean_cost),
+            c.steady_mean(|w| w.queries.mean_wasted),
+            c.steady_mean(|w| w.repairs as f64),
+            c.steady_mean(|w| w.repair_cost as f64),
+        );
+    }
+    eprintln!(
+        "phase diagram: {} cells x {windows} windows in {secs:.1}s",
+        cells.len()
+    );
+    Ok(())
+}
+
+/// Growth-loop timing per decade of the configured scale
+/// ([`time_growth_decades`]): seconds per decade plus top-level
+/// `d<N>_ns_per_join` keys.
+fn growth(scale: &Scale) -> RunResult {
+    eprintln!(
+        "[growth] timing substrate growth per decade up to {} (seed {})...",
+        scale.target, scale.seed
+    );
+    let timed = time_growth_decades(scale)?;
+    println!("| n_peers | secs | ns/join |");
+    println!("|---|---|---|");
+    let mut doc = Object::new()
+        .str("bench", "growth")
+        .int("seed", scale.seed)
+        .int("max_target", scale.target)
+        .rows(
+            "decades",
+            timed
+                .iter()
+                .map(|&(n, secs)| Object::new().int("n_peers", n).float("secs", secs, 3))
+                .collect(),
+        );
+    for &(n, secs) in &timed {
+        let ns_per_join = secs * 1e9 / n as f64;
+        println!("| {n} | {secs:.3} | {ns_per_join:.0} |");
+        doc = doc.float(format!("d{n}_ns_per_join"), ns_per_join, 0);
+    }
+    doc.write("BENCH_growth.json")?;
+    Ok(())
+}
+
+/// The scenario suite: per scenario a per-window CSV and a markdown
+/// report, plus the suite summary. Fails if any scenario check is red: a
+/// red scenario is a regression in the overlay's resilience story.
+fn scenarios(scale: &Scale) -> RunResult {
+    eprintln!(
+        "[scenarios] growing {}-peer substrates and running the scenario suite...",
+        scale.target
+    );
+    let t = Instant::now();
+    let outcomes = run_all_scenarios(scale)?;
+    let secs = t.elapsed().as_secs_f64();
+    for out in &outcomes {
+        let csv = write_scenario_csv(out)?;
+        let report = write_scenario_report(out)?;
+        println!(
+            "scenario {:<16} {:>2} windows  min delivery {:.4}  final {:.4}  {}  ({}, {})",
+            out.name,
+            out.rows.len(),
+            out.min_delivery(),
+            out.final_delivery(),
+            if out.passed() { "pass" } else { "FAIL" },
+            csv.display(),
+            report.display()
+        );
+    }
+    scenario_suite_summary(&outcomes, scale, secs).write("BENCH_scenarios.json")?;
+    let failed = outcomes.iter().filter(|o| !o.passed()).count();
+    if failed > 0 {
+        return Err(format!(
+            "{failed} scenario(s) failed their checks — see the reports under {}/reports/",
+            Report::results_dir().display()
+        )
+        .into());
+    }
+    Ok(())
+}

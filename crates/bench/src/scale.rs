@@ -6,16 +6,37 @@
 //! up for the large-scale smokes the order-statistic ring enables:
 //!
 //! ```sh
-//! OSCAR_SCALE=2000 cargo run --release -p oscar-bench --bin repro_fig1c
-//! OSCAR_SCALE=100000 cargo run --release -p oscar-bench --bin repro_fig1c
+//! OSCAR_SCALE=2000 cargo run --release -p oscar-bench -- fig1c
+//! OSCAR_SCALE=100000 cargo run --release -p oscar-bench -- fig1c
 //! ```
 //!
-//! A malformed `OSCAR_SCALE`/`OSCAR_SEED` is a hard error, not a silent
-//! fallback: a typo like `OSCAR_SCALE=2k` used to run the full paper
-//! schedule for minutes and then be mistaken for the intended quick run.
+//! A malformed `OSCAR_*` value is a hard error, not a silent fallback: a
+//! typo like `OSCAR_SCALE=2k` used to run the full paper schedule for
+//! minutes and then be mistaken for the intended quick run. Which
+//! experiment reads which knob is declared in [`crate::registry`].
 
 use oscar_protocol::PeerConfig;
-use oscar_types::Error;
+use oscar_types::{Error, Result};
+use std::str::FromStr;
+
+/// Reads the knob `name` from the environment: unset is `None`; a value
+/// that parses as `T` and passes `valid` is `Some`; anything else is
+/// [`Error::InvalidConfig`] naming the knob and what it `expects`.
+pub fn knob<T: FromStr>(
+    name: &str,
+    expects: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>> {
+    let Ok(raw) = std::env::var(name) else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<T>() {
+        Ok(v) if valid(&v) => Ok(Some(v)),
+        _ => Err(Error::InvalidConfig(format!(
+            "{name} must be {expects}, got {raw:?}"
+        ))),
+    }
+}
 
 /// Scale and seed of an experiment run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,67 +85,38 @@ impl Scale {
     }
 
     /// Scale from the environment: `OSCAR_SCALE` (target size; step is
-    /// target/10) and `OSCAR_SEED`. Defaults to [`Scale::paper`] when the
-    /// variables are unset; set-but-unparsable values are
-    /// [`Error::InvalidConfig`] so a typo cannot silently run the full
-    /// paper schedule.
-    pub fn from_env() -> oscar_types::Result<Self> {
+    /// target/10), `OSCAR_SEED` and `OSCAR_THREADS`. Defaults to
+    /// [`Scale::paper`] when the variables are unset.
+    pub fn from_env() -> Result<Self> {
         let mut scale = Scale::paper();
-        if let Ok(s) = std::env::var("OSCAR_SCALE") {
-            let target = s.trim().parse::<usize>().map_err(|e| {
-                Error::InvalidConfig(format!(
-                    "OSCAR_SCALE must be a positive integer peer count, got {s:?} ({e})"
-                ))
-            })?;
-            if target == 0 {
-                return Err(Error::InvalidConfig(
-                    "OSCAR_SCALE must be a positive integer peer count, got 0".into(),
-                ));
-            }
+        if let Some(target) = knob(
+            "OSCAR_SCALE",
+            "a positive integer peer count",
+            |&n: &usize| n >= 1,
+        )? {
             if target < 100 {
                 // The schedule floor, announced rather than silent.
-                eprintln!("oscar-bench: OSCAR_SCALE={target} below the 100-peer floor; using 100");
+                eprintln!("oscar-repro: OSCAR_SCALE={target} below the 100-peer floor; using 100");
             }
-            let target = target.max(100);
-            scale.target = target;
-            scale.step = (target / 10).max(50);
+            scale.target = target.max(100);
+            scale.step = (scale.target / 10).max(50);
         }
-        if let Ok(s) = std::env::var("OSCAR_SEED") {
-            scale.seed = s.trim().parse::<u64>().map_err(|e| {
-                Error::InvalidConfig(format!(
-                    "OSCAR_SEED must be an unsigned 64-bit integer, got {s:?} ({e})"
-                ))
-            })?;
+        if let Some(seed) = knob("OSCAR_SEED", "an unsigned 64-bit integer", |_: &u64| true)? {
+            scale.seed = seed;
         }
-        if let Ok(s) = std::env::var("OSCAR_THREADS") {
-            let threads = s.trim().parse::<usize>().map_err(|e| {
-                Error::InvalidConfig(format!(
-                    "OSCAR_THREADS must be a positive thread count, got {s:?} ({e})"
-                ))
-            })?;
-            if threads == 0 {
-                return Err(Error::InvalidConfig(
-                    "OSCAR_THREADS must be >= 1 (unset it for all cores)".into(),
-                ));
-            }
+        if let Some(threads) = knob(
+            "OSCAR_THREADS",
+            "a thread count >= 1 (unset it for all cores)",
+            |&t: &usize| t >= 1,
+        )? {
             scale.threads = threads;
         }
         Ok(scale)
     }
 
-    /// [`Scale::from_env`] for the repro binaries: prints the
-    /// configuration error and exits non-zero instead of running the wrong
-    /// experiment.
-    pub fn from_env_or_exit() -> Self {
-        Self::from_env().unwrap_or_else(|e| {
-            eprintln!("oscar-bench: {e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// Reduced scale for tests and Criterion benches (sequential by
-    /// default: tests assert on single-run behaviour, and determinism
-    /// tests opt in to threads explicitly).
+    /// Reduced scale for tests (sequential by default: tests assert on
+    /// single-run behaviour, and determinism tests opt in to threads
+    /// explicitly).
     pub fn small(target: usize, seed: u64) -> Self {
         Scale {
             target,
@@ -134,31 +126,17 @@ impl Scale {
         }
     }
 
-    /// Steady-churn measurement windows per level from the environment
-    /// (`OSCAR_CHURN_WINDOWS`; default 8) — used by both `repro_churn`
-    /// (windows per churn level) and `repro_phase` (windows per phase
-    /// cell). Must be >= 2 — the steady-state aggregate is the last half
-    /// of the windows — and a malformed value is a hard error like the
-    /// other knobs.
-    pub fn churn_windows_from_env() -> oscar_types::Result<usize> {
-        match std::env::var("OSCAR_CHURN_WINDOWS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n >= 2 => Ok(n),
-                _ => Err(Error::InvalidConfig(format!(
-                    "OSCAR_CHURN_WINDOWS must be an integer >= 2, got {s:?}"
-                ))),
-            },
-            Err(_) => Ok(8),
-        }
-    }
-
-    /// [`Scale::churn_windows_from_env`] for the repro binaries: prints
-    /// the configuration error and exits non-zero.
-    pub fn churn_windows_from_env_or_exit() -> usize {
-        Self::churn_windows_from_env().unwrap_or_else(|e| {
-            eprintln!("oscar-bench: {e}");
-            std::process::exit(2);
-        })
+    /// Steady-churn measurement windows per level (`churn`,
+    /// `churn-machine`) or per phase cell (`phase`) from
+    /// `OSCAR_CHURN_WINDOWS`; default 8. Must be >= 2 — the steady-state
+    /// aggregate is the last half of the windows.
+    pub fn churn_windows_from_env() -> Result<usize> {
+        Ok(
+            knob("OSCAR_CHURN_WINDOWS", "an integer >= 2", |&n: &usize| {
+                n >= 2
+            })?
+            .unwrap_or(8),
+        )
     }
 
     /// The checkpoint sizes: `step, 2·step, …, target`.
@@ -181,30 +159,24 @@ impl Scale {
     }
 }
 
-/// The knobs every repro binary accepts implicitly: the [`Scale`]
-/// family (parsed by every binary's `Scale::from_env`) plus the output
-/// and gating knobs that configure routing rather than the experiment.
-const BASE_KNOBS: [&str; 5] = [
+/// The knobs every experiment accepts: the [`Scale`] family plus the
+/// output directory.
+pub const BASE_KNOBS: [&str; 4] = [
     "OSCAR_SCALE",
     "OSCAR_SEED",
     "OSCAR_THREADS",
     "OSCAR_RESULTS_DIR",
-    "OSCAR_BENCH_TOLERANCE",
 ];
 
-/// Rejects `OSCAR_*` environment variables the calling binary would
-/// silently ignore. `extra` lists the knobs the binary reads beyond
-/// the base set of `OSCAR_SCALE`/`OSCAR_SEED`/`OSCAR_THREADS`/
-/// `OSCAR_RESULTS_DIR`/`OSCAR_BENCH_TOLERANCE` (e.g.
-/// `OSCAR_CHURN_WINDOWS` for `repro_churn`).
+/// Rejects `OSCAR_*` environment variables the experiment would
+/// silently ignore. `extra` lists the knobs it reads beyond
+/// [`BASE_KNOBS`] — its [`crate::registry::Experiment::knobs`].
 ///
 /// An exported-but-unread knob used to be a silent no-op: setting
-/// `OSCAR_CHURN_WINDOWS` for `repro_fig1a`, or typo'ing
-/// `OSCAR_CHURN_WINDOW`, ran the default experiment and was then
-/// mistaken for the tuned one. Like the parse errors above, ignoring
-/// is worse than refusing — the full knob table lives in
-/// `ARCHITECTURE.md`.
-pub fn reject_unused_knobs(extra: &[&str]) -> oscar_types::Result<()> {
+/// `OSCAR_CHURN_WINDOWS` for `fig1a`, or typo'ing `OSCAR_CHURN_WINDOW`,
+/// ran the default experiment and was then mistaken for the tuned one.
+/// Like the parse errors above, ignoring is worse than refusing.
+pub fn reject_unused_knobs(extra: &[&str]) -> Result<()> {
     let mut unused: Vec<String> = std::env::vars()
         .map(|(k, _)| k)
         .filter(|k| {
@@ -218,35 +190,25 @@ pub fn reject_unused_knobs(extra: &[&str]) -> oscar_types::Result<()> {
     }
     unused.sort();
     Err(Error::InvalidConfig(format!(
-        "this binary does not read {}: unset it, or check ARCHITECTURE.md's \
-         OSCAR_* knob table for which binary does",
+        "this experiment does not read {}: unset it, or see `oscar-repro --list` \
+         (the knob table of ARCHITECTURE.md) for which experiment does",
         unused.join(", ")
     )))
 }
 
-/// [`reject_unused_knobs`] for the repro binaries: prints the
-/// configuration error and exits non-zero before running the wrong
-/// experiment.
-pub fn reject_unused_knobs_or_exit(extra: &[&str]) {
-    if let Err(e) = reject_unused_knobs(extra) {
-        eprintln!("oscar-bench: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Protocol-machine tunables from the environment, for the binaries that
-/// drive [`oscar_protocol::PeerMachine`] fleets (`repro_faults`,
-/// `repro_saturation`, `repro_churn` in machine mode):
+/// Protocol-machine tunables from the environment, read by the one
+/// experiment that declares them — `churn-machine`, whose
+/// [`oscar_protocol::PeerMachine`] fleets they retune:
 ///
 /// * `OSCAR_DEDUP_WINDOW` — per-peer duplicate-suppression window
 ///   (messages remembered; default [`PeerConfig::default`]'s 128);
-/// * `OSCAR_MAX_RETRIES` — retry budget per reliable op (default 3,
-///   though several binaries override it for lossy sweeps);
+/// * `OSCAR_MAX_RETRIES` — retry budget per reliable op (default 3);
 /// * `OSCAR_REPAIR_K` — ring-probe depth for the reactive repair policy
-///   (applies only when the run's policy is `ReactiveK`).
+///   (applies only when the level's policy is `ReactiveK`).
 ///
-/// Unset knobs leave the binary's own configuration untouched; a
-/// malformed value is a hard error like every other `OSCAR_*` knob.
+/// `faults` and `saturation` fix their own machine configuration and
+/// reject all three, as does the oracle-engine `churn`, which has no
+/// machines to tune. Unset knobs leave the base configuration untouched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineKnobs {
     /// Override for [`PeerConfig::dedup_window`].
@@ -258,59 +220,24 @@ pub struct MachineKnobs {
 }
 
 impl MachineKnobs {
-    /// Reads the three knobs from the environment. Unset means `None`;
-    /// set-but-unparsable is [`Error::InvalidConfig`].
-    pub fn from_env() -> oscar_types::Result<Self> {
-        let mut knobs = MachineKnobs::default();
-        if let Ok(s) = std::env::var("OSCAR_DEDUP_WINDOW") {
-            let w = s
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&w| w >= 1)
-                .ok_or_else(|| {
-                    Error::InvalidConfig(format!(
-                        "OSCAR_DEDUP_WINDOW must be a positive message count, got {s:?}"
-                    ))
-                })?;
-            knobs.dedup_window = Some(w);
-        }
-        if let Ok(s) = std::env::var("OSCAR_MAX_RETRIES") {
-            let r = s.trim().parse::<u32>().map_err(|e| {
-                Error::InvalidConfig(format!(
-                    "OSCAR_MAX_RETRIES must be a retry count (0 disables retries), got {s:?} ({e})"
-                ))
-            })?;
-            knobs.max_retries = Some(r);
-        }
-        if let Ok(s) = std::env::var("OSCAR_REPAIR_K") {
-            let k = s
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&k| k >= 1)
-                .ok_or_else(|| {
-                    Error::InvalidConfig(format!(
-                        "OSCAR_REPAIR_K must be a positive probe depth, got {s:?}"
-                    ))
-                })?;
-            knobs.repair_k = Some(k);
-        }
-        Ok(knobs)
-    }
-
-    /// [`MachineKnobs::from_env`] for the repro binaries: prints the
-    /// configuration error and exits non-zero.
-    pub fn from_env_or_exit() -> Self {
-        Self::from_env().unwrap_or_else(|e| {
-            eprintln!("oscar-bench: {e}");
-            std::process::exit(2);
+    /// Reads the three knobs from the environment. Unset means `None`.
+    pub fn from_env() -> Result<Self> {
+        Ok(MachineKnobs {
+            dedup_window: knob("OSCAR_DEDUP_WINDOW", "a positive message count", |&w| {
+                w >= 1
+            })?,
+            max_retries: knob(
+                "OSCAR_MAX_RETRIES",
+                "a retry count (0 disables retries)",
+                |_| true,
+            )?,
+            repair_k: knob("OSCAR_REPAIR_K", "a positive probe depth", |&k| k >= 1)?,
         })
     }
 
-    /// Applies the set knobs on top of a binary's base `PeerConfig`.
-    /// `repair_k` only retunes an already-reactive policy — it never
-    /// changes *which* policy a run uses, only how deep it probes.
+    /// Applies the set knobs on top of a base `PeerConfig`. `repair_k`
+    /// only retunes an already-reactive policy — it never changes
+    /// *which* policy a run uses, only how deep it probes.
     pub fn apply(&self, mut cfg: PeerConfig) -> PeerConfig {
         if let Some(w) = self.dedup_window {
             cfg.dedup_window = w;
@@ -387,7 +314,7 @@ mod tests {
         // zero parses but is not a runnable peer count
         std::env::set_var("OSCAR_SCALE", "0");
         let err = Scale::from_env().unwrap_err();
-        assert!(err.to_string().contains("got 0"), "{err}");
+        assert!(err.to_string().contains("got \"0\""), "{err}");
 
         std::env::set_var("OSCAR_SCALE", "2000");
         std::env::set_var("OSCAR_SEED", "-1");
@@ -467,15 +394,20 @@ mod tests {
     #[test]
     fn unused_knobs_error_loudly() {
         let _lock = crate::env_guard::lock();
-        let _cleanup =
-            crate::env_guard::RemoveOnDrop(&["OSCAR_CHURN_WINDOWS", "OSCAR_CHURN_WINDOW"]);
+        let _cleanup = crate::env_guard::RemoveOnDrop(&[
+            "OSCAR_CHURN_WINDOWS",
+            "OSCAR_CHURN_WINDOW",
+            "OSCAR_DEDUP_WINDOW",
+            "OSCAR_MAX_RETRIES",
+            "OSCAR_REPAIR_K",
+        ]);
         std::env::remove_var("OSCAR_CHURN_WINDOWS");
         std::env::remove_var("OSCAR_CHURN_WINDOW");
         // Base knobs and declared extras pass.
         reject_unused_knobs(&[]).unwrap();
         std::env::set_var("OSCAR_CHURN_WINDOWS", "12");
         reject_unused_knobs(&["OSCAR_CHURN_WINDOWS"]).unwrap();
-        // A knob the binary does not read is refused, not ignored.
+        // A knob the experiment does not read is refused, not ignored.
         let err = reject_unused_knobs(&[]).unwrap_err();
         assert!(err.to_string().contains("OSCAR_CHURN_WINDOWS"), "{err}");
         std::env::remove_var("OSCAR_CHURN_WINDOWS");
@@ -483,6 +415,24 @@ mod tests {
         std::env::set_var("OSCAR_CHURN_WINDOW", "12");
         let err = reject_unused_knobs(&["OSCAR_CHURN_WINDOWS"]).unwrap_err();
         assert!(err.to_string().contains("OSCAR_CHURN_WINDOW"), "{err}");
+        std::env::remove_var("OSCAR_CHURN_WINDOW");
+
+        // The machine knobs tune PeerMachine fleets: the oracle-engine
+        // `churn` has none, so accepting one would be the silent no-op
+        // this function exists to prevent; `churn-machine` reads them.
+        let knobs_of = |name: &str| crate::registry::find(name).unwrap().knobs;
+        for (var, value) in [
+            ("OSCAR_DEDUP_WINDOW", "256"),
+            ("OSCAR_MAX_RETRIES", "0"),
+            ("OSCAR_REPAIR_K", "4"),
+        ] {
+            std::env::set_var(var, value);
+            let err = reject_unused_knobs(knobs_of("churn")).unwrap_err();
+            assert!(err.to_string().contains(var), "{err}");
+            reject_unused_knobs(knobs_of("churn-machine")).unwrap();
+            assert_ne!(MachineKnobs::from_env().unwrap(), MachineKnobs::default());
+            std::env::remove_var(var);
+        }
     }
 
     #[test]

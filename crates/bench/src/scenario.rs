@@ -31,6 +31,7 @@
 //! legacy-only.
 
 use crate::experiments::{churn_schedule_for, steady_mean_of};
+use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::Scale;
@@ -370,6 +371,21 @@ impl ScenarioOutcome {
     /// Whether every check passed.
     pub fn passed(&self) -> bool {
         self.checks.iter().all(|c| c.passed)
+    }
+
+    /// Lowest per-window delivery rate of the run.
+    pub fn min_delivery(&self) -> f64 {
+        self.rows
+            .iter()
+            .map(|r| r.stats.queries.success_rate)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Delivery rate of the last window (0 for an empty run).
+    pub fn final_delivery(&self) -> f64 {
+        self.rows
+            .last()
+            .map_or(0.0, |r| r.stats.queries.success_rate)
     }
 
     /// Tail-mean of `f` over the windows of phase `p` (last half of a
@@ -1143,6 +1159,40 @@ pub fn write_scenario_report(out: &ScenarioOutcome) -> std::io::Result<PathBuf> 
     let path = dir.join(format!("{}.md", out.name));
     std::fs::write(&path, render_scenario_report(out))?;
     Ok(path)
+}
+
+/// The `BENCH_scenarios.json` suite summary: windows/sec over the
+/// suite's wall time `secs`, plus per-scenario delivery and verdicts.
+pub fn scenario_suite_summary(outcomes: &[ScenarioOutcome], scale: &Scale, secs: f64) -> Object {
+    let total_windows: usize = outcomes.iter().map(|o| o.rows.len()).sum();
+    let results = outcomes
+        .iter()
+        .map(|out| {
+            Object::new()
+                .str("scenario", out.name)
+                .int("windows", out.rows.len())
+                .float("min_delivery", out.min_delivery(), 4)
+                .float("final_delivery", out.final_delivery(), 4)
+                .int(
+                    "checks_passed",
+                    out.checks.iter().filter(|c| c.passed).count(),
+                )
+                .int("checks_total", out.checks.len())
+        })
+        .collect();
+    Object::new()
+        .str("bench", "scenarios")
+        .int("n_peers", scale.target)
+        .int("seed", scale.seed)
+        .int("scenarios", outcomes.len())
+        .int("total_windows", total_windows)
+        .float("suite_secs", secs, 2)
+        .float("windows_per_sec", total_windows as f64 / secs.max(1e-9), 2)
+        .int(
+            "failed_scenarios",
+            outcomes.iter().filter(|o| !o.passed()).count(),
+        )
+        .rows("results", results)
 }
 
 #[cfg(test)]

@@ -1,0 +1,521 @@
+//! Query storms over a directly bootstrapped [`PeerMachine`] ring: the
+//! saturation run and the fault sweep.
+//!
+//! Both experiments skip the join protocol — every peer is handed its
+//! ring neighbourhood by `Command::Bootstrap` — grow long links through
+//! real MH walk traffic, then fire queries from all peers at once:
+//!
+//! * [`run_saturation`] times the storm on the threaded actor runtime
+//!   with every worker busy (wall-clock queries/second);
+//! * [`run_fault_sweep`] repeats it for every cell of loss {0, 2, 5, 10}%
+//!   × jitter {0, 3 ticks} on the virtual-time DES, plus the loss axis on
+//!   the runtime (which collapses delay jitter by design — mailboxes are
+//!   FIFO), under a blackholing [`FaultPlan`] with duplication at half
+//!   the loss rate, and asks whether the timeout/retry machines still
+//!   deliver — and at what retry cost.
+//!
+//! [`PeerMachine`]: oscar_protocol::PeerMachine
+
+use crate::json::Object;
+use crate::registry::{gate_machine_faults, RunResult};
+use crate::scale::{knob, Scale};
+use oscar_protocol::{Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent};
+use oscar_runtime::{Runtime, RuntimeConfig};
+use oscar_sim::DesDriver;
+use oscar_types::labels::bench_storm::{LBL_IDS, LBL_KEYS};
+use oscar_types::{Id, SeedTree};
+use rand::Rng;
+use std::collections::BTreeSet;
+use std::time::Instant;
+
+/// Successor-list length handed to every bootstrapped peer.
+const SUCC_LEN: usize = 8;
+/// Round budget for each settle phase; the retry state machine converges
+/// in `max_retries + 1` rounds per op, so this is generous headroom.
+const SETTLE_ROUNDS: u64 = 200;
+
+/// The deterministic id population of a storm, sorted for ring
+/// construction.
+fn ring_ids(seed: u64, n: usize) -> Vec<Id> {
+    let mut rng = SeedTree::new(seed).child(LBL_IDS).rng();
+    let mut ids: BTreeSet<Id> = BTreeSet::new();
+    while ids.len() < n {
+        ids.insert(Id::new(rng.gen::<u64>()));
+    }
+    ids.into_iter().collect()
+}
+
+/// Spawns one machine per id, hands each its ring neighbourhood, and asks
+/// each for three long-link walks. The caller settles the driver.
+fn bootstrap_ring(driver: &mut impl ProtocolDriver, ids: &[Id]) {
+    let n = ids.len();
+    for &id in ids {
+        driver.spawn_peer(id);
+    }
+    for (i, &id) in ids.iter().enumerate() {
+        let pred = ids[(i + n - 1) % n];
+        let succs: Vec<Id> = (1..=SUCC_LEN).map(|k| ids[(i + k) % n]).collect();
+        let mut known = succs.clone();
+        known.push(pred);
+        driver.inject(id, Command::Bootstrap { pred, succs, known });
+    }
+    for &id in ids {
+        driver.inject(id, Command::BuildLinks { walks: 3 });
+    }
+}
+
+/// Every peer fires `per_peer` queries to random keys (the same key
+/// stream whatever the driver). Returns the number injected.
+fn inject_storm(driver: &mut impl ProtocolDriver, ids: &[Id], per_peer: usize, seed: u64) -> usize {
+    let mut krng = SeedTree::new(seed).child(LBL_KEYS).rng();
+    let mut qid = 0u64;
+    for &id in ids {
+        for _ in 0..per_peer {
+            let key = Id::new(krng.gen::<u64>());
+            driver.inject(id, Command::StartQuery { qid, key });
+            qid += 1;
+        }
+    }
+    ids.len() * per_peer
+}
+
+/// Worker threads of a storm's runtime: storms are meaningless
+/// single-threaded, so the floor is 2 even on one-core runners (the
+/// report's `active_workers` shows both fed).
+fn storm_workers(scale: &Scale) -> usize {
+    scale.thread_count().max(2)
+}
+
+/// Reads a positive queries-per-peer knob, `default` when unset.
+fn queries_per_peer(name: &str, default: usize) -> oscar_types::Result<usize> {
+    Ok(knob(name, "a positive integer", |&q: &usize| q >= 1)?.unwrap_or(default))
+}
+
+// ---------------------------------------------------------------------
+// Saturation
+// ---------------------------------------------------------------------
+
+/// What one saturation run measured.
+#[derive(Clone, Debug)]
+pub struct Saturation {
+    /// Worker threads of the runtime.
+    pub workers: usize,
+    /// Workers that processed at least one message.
+    pub active_workers: usize,
+    /// Queries fired (and, asserted, completed).
+    pub queries: usize,
+    /// Wall time of bootstrap + link building.
+    pub build_secs: f64,
+    /// Wall time of the storm alone.
+    pub query_secs: f64,
+    /// Fraction of queries that reached their owner.
+    pub success_rate: f64,
+    /// Summed worker busy time over the storm's wall time.
+    pub cores_busy: f64,
+    /// Messages delivered over the runtime's lifetime.
+    pub delivered: u64,
+    /// [`ProtocolEvent::Fault`] count (gated to zero).
+    pub faults: u64,
+}
+
+impl Saturation {
+    /// Queries per wall-clock second over the storm.
+    pub fn queries_per_sec(&self) -> f64 {
+        self.queries as f64 / self.query_secs.max(1e-9)
+    }
+}
+
+/// Bootstraps a `scale.target`-peer ring on the actor runtime, builds
+/// long links, then times a storm of `per_peer` queries from every peer.
+pub fn run_saturation(scale: &Scale, per_peer: usize) -> Saturation {
+    let workers = storm_workers(scale);
+    let ids = ring_ids(scale.seed, scale.target);
+    let mut rt = Runtime::new(RuntimeConfig::new(scale.seed).with_workers(workers));
+    let t_build = Instant::now();
+    bootstrap_ring(&mut rt, &ids);
+    rt.quiesce();
+    rt.drain_events();
+    let build_secs = t_build.elapsed().as_secs_f64();
+
+    let stats0 = rt.stats();
+    let t_query = Instant::now();
+    let queries = inject_storm(&mut rt, &ids, per_peer, scale.seed);
+    rt.quiesce();
+    let query_secs = t_query.elapsed().as_secs_f64();
+    let stats1 = rt.stats();
+
+    let outcome = StormOutcome::of(&rt.drain_events());
+    assert_eq!(outcome.completed, queries, "every query must terminate");
+    let storm_busy_ns: u64 = stats1
+        .busy_ns
+        .iter()
+        .zip(&stats0.busy_ns)
+        .map(|(a, b)| a - b)
+        .sum();
+    Saturation {
+        workers,
+        active_workers: stats1.active_workers(),
+        queries,
+        build_secs,
+        query_secs,
+        success_rate: outcome.succeeded as f64 / queries as f64,
+        cores_busy: storm_busy_ns as f64 / (query_secs * 1e9).max(1.0),
+        delivered: stats1.delivered,
+        faults: rt.fault_count(),
+    }
+}
+
+/// The `saturation` experiment: [`run_saturation`] at
+/// `OSCAR_SAT_QUERIES` queries per peer (default 4), summarised into
+/// `BENCH_saturation.json`. Fails on any machine fault.
+pub fn saturation(scale: &Scale) -> RunResult {
+    let per_peer = queries_per_peer("OSCAR_SAT_QUERIES", 4)?;
+    let n = scale.target;
+    eprintln!(
+        "[saturation] {n} peers, {} workers, {per_peer} queries/peer on the actor runtime...",
+        storm_workers(scale)
+    );
+    let s = run_saturation(scale, per_peer);
+    Object::new()
+        .str("bench", "saturation")
+        .int("n_peers", n)
+        .int("seed", scale.seed)
+        .int("workers", s.workers)
+        .int("active_workers", s.active_workers)
+        .int("queries", s.queries)
+        .float("build_secs", s.build_secs, 2)
+        .float("query_secs", s.query_secs, 3)
+        .float("queries_per_sec", s.queries_per_sec(), 0)
+        .float("success_rate", s.success_rate, 4)
+        .float("cores_busy", s.cores_busy, 2)
+        .int("delivered_msgs", s.delivered)
+        .int("faults", s.faults)
+        .write("BENCH_saturation.json")?;
+    eprintln!(
+        "saturation: built in {:.1}s; {} queries in {:.2}s ({:.0} q/s, {:.2} cores busy, \
+         {}/{} workers active, success {:.4})",
+        s.build_secs,
+        s.queries,
+        s.query_secs,
+        s.queries_per_sec(),
+        s.cores_busy,
+        s.active_workers,
+        s.workers,
+        s.success_rate
+    );
+    gate_machine_faults(s.faults)
+}
+
+// ---------------------------------------------------------------------
+// Fault sweep
+// ---------------------------------------------------------------------
+
+/// Loss rates swept, in percent. Cells at or below `STEADY_MAX_LOSS`
+/// feed the headlines; the 10% cells document degradation.
+const LOSS_PCT: [u32; 4] = [0, 2, 5, 10];
+const STEADY_MAX_LOSS: u32 = 5;
+/// Extra-delay ceilings (virtual ticks) swept on the DES.
+const JITTERS: [u64; 2] = [0, 3];
+
+/// Query-phase metrics distilled from a drained event stream.
+struct StormOutcome {
+    succeeded: usize,
+    completed: usize,
+    retried: usize,
+    gave_up: usize,
+    /// `hops + wasted` of each successful query, the total message cost.
+    costs: Vec<u64>,
+}
+
+impl StormOutcome {
+    fn of(events: &[ProtocolEvent]) -> Self {
+        let mut out = StormOutcome {
+            succeeded: 0,
+            completed: 0,
+            retried: 0,
+            gave_up: 0,
+            costs: Vec::new(),
+        };
+        for ev in events {
+            match ev {
+                ProtocolEvent::QueryCompleted(r) => {
+                    out.completed += 1;
+                    if r.success {
+                        out.succeeded += 1;
+                        out.costs.push(r.hops as u64 + r.wasted as u64);
+                    }
+                }
+                ProtocolEvent::Retried {
+                    op: OpKind::Query, ..
+                } => out.retried += 1,
+                ProtocolEvent::GaveUp {
+                    op: OpKind::Query, ..
+                } => out.gave_up += 1,
+                _ => {}
+            }
+        }
+        out
+    }
+}
+
+/// Nearest-rank p95 over the successful-query costs.
+fn p95(costs: &mut [u64]) -> u64 {
+    if costs.is_empty() {
+        return 0;
+    }
+    costs.sort_unstable();
+    let rank = (costs.len() as f64 * 0.95).ceil() as usize;
+    costs[rank.saturating_sub(1).min(costs.len() - 1)]
+}
+
+/// Protocol tunables for the sweep: a much deeper retry budget than the
+/// default 3, because per-issue failure grows with path length. At
+/// n = 2000 a query chain is ~12-25 envelopes, so 5% loss kills an
+/// individual issue ~55% of the time; eleven total issues leave
+/// 0.55^11 < 0.2% of queries dead, comfortably over the 99% delivery
+/// gate, while the *mean* issue count stays near 1/(1-0.55) ~ 2.3 —
+/// under the amplification bound of 3.
+fn sweep_peer_cfg() -> PeerConfig {
+    PeerConfig {
+        max_retries: 10,
+        ..PeerConfig::default()
+    }
+}
+
+/// The per-cell fault plan: duplication rides at half the loss rate so a
+/// lossy network is also a duplicating one, and crashes blackhole
+/// (silent loss) rather than bounce — the harsher detection regime.
+fn plan_for(scale_seed: u64, idx: usize, loss_pct: u32, jitter: u64) -> FaultPlan {
+    let plan_seed = scale_seed ^ ((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let loss = loss_pct as f64 / 100.0;
+    FaultPlan::new(plan_seed)
+        .with_drop(loss)
+        .with_duplication(loss / 2.0)
+        .with_delay_jitter(jitter)
+        .with_blackhole(true)
+}
+
+/// One cell of the sweep.
+#[derive(Clone, Debug)]
+pub struct FaultCell {
+    /// `"des"` or `"runtime"`.
+    pub driver: &'static str,
+    /// Injected message loss, percent.
+    pub loss_pct: u32,
+    /// Extra-delay ceiling, virtual ticks (always 0 on the runtime).
+    pub jitter: u64,
+    /// Queries that reached their owner, percent of those fired.
+    pub delivery_pct: f64,
+    /// Mean query re-issues per fired query.
+    pub retries_per_query: f64,
+    /// Nearest-rank p95 of `hops + wasted` over delivered queries.
+    pub p95_cost: u64,
+    /// Queries whose retry budget ran out.
+    pub gave_up: usize,
+    /// The storm's settle length: virtual rounds elapsed on the DES,
+    /// timer rounds fired on the runtime.
+    pub rounds: u64,
+    /// Wall time of the cell (build + storm).
+    pub secs: f64,
+    /// Machine invariant violations (`ProtocolEvent::Fault`). Injected
+    /// network loss must never surface as one of these.
+    pub faults: u64,
+}
+
+/// Runs one cell on `driver`: bootstrap, settle, storm, settle.
+fn run_cell<D: ProtocolDriver>(
+    mut driver: D,
+    name: &'static str,
+    (loss_pct, jitter): (u32, u64),
+    ids: &[Id],
+    per_peer: usize,
+    seed: u64,
+) -> FaultCell {
+    let t = Instant::now();
+    bootstrap_ring(&mut driver, ids);
+    driver.settle(SETTLE_ROUNDS);
+    driver.drain_events(); // build-phase events are not the storm's metrics
+
+    let total = inject_storm(&mut driver, ids, per_peer, seed);
+    let round0 = driver.round();
+    let timer_rounds = driver.settle(SETTLE_ROUNDS);
+    let mut outcome = StormOutcome::of(&driver.drain_events());
+    assert_eq!(
+        outcome.completed, total,
+        "{name} loss={loss_pct}% jitter={jitter}: every query must terminate exactly once"
+    );
+    FaultCell {
+        driver: name,
+        loss_pct,
+        jitter,
+        delivery_pct: outcome.succeeded as f64 / total as f64 * 100.0,
+        retries_per_query: outcome.retried as f64 / total as f64,
+        p95_cost: p95(&mut outcome.costs),
+        gave_up: outcome.gave_up,
+        rounds: if name == "des" {
+            driver.round() - round0
+        } else {
+            timer_rounds
+        },
+        secs: t.elapsed().as_secs_f64(),
+        faults: driver.fault_count(),
+    }
+}
+
+/// The finished sweep: every cell, DES first.
+#[derive(Clone, Debug)]
+pub struct FaultSweep {
+    /// Queries each peer fired per cell.
+    pub per_peer: usize,
+    /// Worker threads of the runtime cells.
+    pub workers: usize,
+    /// DES cells (jitter-major, loss-minor), then the runtime cells.
+    pub cells: Vec<FaultCell>,
+}
+
+impl FaultSweep {
+    /// Worst delivery (percent) and worst mean issues-per-query (1 first
+    /// issue + retries) over the steady cells (loss ≤ 5%) — of the DES
+    /// alone, or of both drivers.
+    fn worst_steady(&self, des_only: bool) -> (f64, f64) {
+        self.cells
+            .iter()
+            .filter(|c| c.loss_pct <= STEADY_MAX_LOSS && (!des_only || c.driver == "des"))
+            .fold((f64::INFINITY, 0.0), |(delivery, amp), c| {
+                (
+                    delivery.min(c.delivery_pct),
+                    amp.max(1.0 + c.retries_per_query),
+                )
+            })
+    }
+
+    /// Headline: the worst delivery over the steady DES cells. A pure
+    /// function of the seed — in the DES every retry decision flows from
+    /// token streams and the content-keyed fault plan.
+    pub fn steady_delivery_pct(&self) -> f64 {
+        self.worst_steady(true).0
+    }
+
+    /// Headline: the worst mean issues-per-query over the steady DES
+    /// cells; deterministic like [`FaultSweep::steady_delivery_pct`].
+    pub fn retry_amplification(&self) -> f64 {
+        self.worst_steady(true).1
+    }
+
+    /// Machine faults summed over every cell.
+    pub fn faults(&self) -> u64 {
+        self.cells.iter().map(|c| c.faults).sum()
+    }
+}
+
+/// Runs the whole sweep at `scale.target` peers, `per_peer` queries per
+/// peer per cell. Every cell shares one id population, so only the fault
+/// plan varies.
+pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
+    let workers = storm_workers(scale);
+    let ids = ring_ids(scale.seed, scale.target);
+    let des_axes = JITTERS
+        .iter()
+        .flat_map(|&jitter| LOSS_PCT.iter().map(move |&loss| (loss, jitter)));
+    let mut cells = Vec::new();
+    for axes @ (loss, jitter) in des_axes {
+        let plan = plan_for(scale.seed, cells.len(), loss, jitter);
+        let des = DesDriver::new_with_faults(scale.seed, sweep_peer_cfg(), plan);
+        cells.push(run_cell(des, "des", axes, &ids, per_peer, scale.seed));
+    }
+    for loss in LOSS_PCT {
+        let rt = Runtime::new(
+            RuntimeConfig::new(scale.seed)
+                .with_workers(workers)
+                .with_peer_cfg(sweep_peer_cfg())
+                .with_fault_plan(plan_for(scale.seed, cells.len(), loss, 0)),
+        );
+        cells.push(run_cell(
+            rt,
+            "runtime",
+            (loss, 0),
+            &ids,
+            per_peer,
+            scale.seed,
+        ));
+    }
+    FaultSweep {
+        per_peer,
+        workers,
+        cells,
+    }
+}
+
+/// The `faults` experiment: [`run_fault_sweep`] at `OSCAR_FAULT_QUERIES`
+/// queries per peer (default 2), summarised into `BENCH_faults.json`.
+///
+/// Self-gating over BOTH drivers' steady cells: delivery below 99% or
+/// amplification above 3.0 fails the run, as does any machine fault. The
+/// runtime cells drift a few tenths of a percent with worker scheduling
+/// (their link tables build under concurrent interleaving), so the JSON
+/// headlines come from the DES cells alone; the 10% cells are reported
+/// but never gated.
+pub fn faults(scale: &Scale) -> RunResult {
+    let per_peer = queries_per_peer("OSCAR_FAULT_QUERIES", 2)?;
+    let n = scale.target;
+    eprintln!(
+        "[faults] {n} peers, {per_peer} queries/peer; sweeping loss {LOSS_PCT:?}% x jitter \
+         {JITTERS:?} on the DES and loss {LOSS_PCT:?}% on the {}-worker runtime...",
+        storm_workers(scale)
+    );
+    let sweep = run_fault_sweep(scale, per_peer);
+    for c in &sweep.cells {
+        eprintln!(
+            "  {:7} loss={:2}% jitter={} delivery={:6.2}% retries/q={:.3} p95_cost={} \
+             gave_up={} rounds={} ({:.2}s)",
+            c.driver,
+            c.loss_pct,
+            c.jitter,
+            c.delivery_pct,
+            c.retries_per_query,
+            c.p95_cost,
+            c.gave_up,
+            c.rounds,
+            c.secs
+        );
+    }
+    let cells = sweep
+        .cells
+        .iter()
+        .map(|c| {
+            Object::new()
+                .str("driver", c.driver)
+                .int("loss_pct", c.loss_pct)
+                .int("jitter", c.jitter)
+                .float("delivery_pct", c.delivery_pct, 2)
+                .float("retries_per_query", c.retries_per_query, 3)
+                .int("p95_cost", c.p95_cost)
+                .int("gave_up", c.gave_up)
+                .int("rounds", c.rounds)
+                .float("secs", c.secs, 2)
+        })
+        .collect();
+    Object::new()
+        .str("bench", "faults")
+        .int("n_peers", n)
+        .int("seed", scale.seed)
+        .int("queries_per_peer", per_peer)
+        .int("workers", sweep.workers)
+        .float("steady_delivery_pct", sweep.steady_delivery_pct(), 2)
+        .float("retry_amplification", sweep.retry_amplification(), 3)
+        .int("faults", sweep.faults())
+        .rows("cells", cells)
+        .write("BENCH_faults.json")?;
+    let (both_delivery, both_amp) = sweep.worst_steady(false);
+    eprintln!(
+        "faults: steady delivery {:.2}% DES / {both_delivery:.2}% both drivers (gate >= 99%), \
+         retry amplification {:.3} DES / {both_amp:.3} both (gate <= 3.0) over loss <= \
+         {STEADY_MAX_LOSS}% cells",
+        sweep.steady_delivery_pct(),
+        sweep.retry_amplification(),
+    );
+    if both_delivery < 99.0 || both_amp > 3.0 {
+        return Err("robustness contract violated — see the cells above".into());
+    }
+    gate_machine_faults(sweep.faults())
+}

@@ -45,7 +45,7 @@ fn fig2_churn_csvs_identical_across_thread_counts() {
 
 #[test]
 fn steady_churn_csvs_identical_across_thread_counts() {
-    // The repro_churn acceptance criterion: every steady-state CSV must be
+    // The `churn` acceptance criterion: every steady-state CSV must be
     // byte-identical whether the per-level engine runs execute
     // sequentially or fan out over worker threads.
     let csvs = |threads: usize| {
@@ -63,7 +63,7 @@ fn steady_churn_csvs_identical_across_thread_counts() {
 
 #[test]
 fn phase_diagram_csvs_identical_across_thread_counts() {
-    // The repro_phase acceptance criterion: the 3-axis sweep (churn level
+    // The `phase` acceptance criterion: the 3-axis sweep (churn level
     // × repair policy × successor-list length) fans its cells over
     // `OSCAR_THREADS` on owned clones, and every rendered CSV must be
     // byte-identical whether the cells run sequentially or on 4 workers.
@@ -108,7 +108,7 @@ fn steady_churn_windows_identical_across_thread_counts() {
 
 #[test]
 fn scenario_suite_artifacts_identical_across_thread_counts() {
-    // The repro_scenarios acceptance criterion: the whole scenario suite
+    // The `scenarios` acceptance criterion: the whole scenario suite
     // fans one scenario per worker, and both rendered artifacts — the
     // per-window CSV body and the markdown report — must be
     // byte-identical at any thread count. Scenario streams are keyed by

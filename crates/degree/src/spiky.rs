@@ -17,7 +17,7 @@
 //!   so the three experimental distributions are directly comparable.
 //!
 //! The pmf itself is exported ([`SpikyDegrees::pmf_points`]) — that is what
-//! the `repro_fig1a` harness plots.
+//! `oscar-repro fig1a` plots.
 
 use crate::{DegreeCaps, DegreeDistribution, DiscretePmf};
 use rand::RngCore;

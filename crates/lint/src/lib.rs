@@ -1,9 +1,7 @@
 //! `oscar-lint` — the workspace determinism & concurrency gate.
 //!
-//! Companion to the hand-rolled `bench_check` regression gate: where
-//! that one guards committed *artifacts*, this one guards the *source*
-//! invariants those artifacts depend on. Zero external dependencies; a
-//! lightweight tokenizer ([`lexer`]) feeds a small rule set ([`rules`]),
+//! Guards the *source* invariants every seeded artifact depends on.
+//! Zero external dependencies; a lightweight tokenizer ([`lexer`]) feeds a small rule set ([`rules`]),
 //! a registry checker ([`registry`]) and a workspace walker
 //! ([`workspace`]). The binary front-end lives in `src/main.rs` and is
 //! wired into CI next to clippy.
@@ -82,7 +80,7 @@ pub fn render_table(findings: &[Finding]) -> String {
 }
 
 /// Machine-readable findings, one JSON object with a `findings` array.
-/// Hand-rolled like `oscar_bench`'s baseline writer — no serde.
+/// Hand-rolled — no serde.
 pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -204,7 +202,7 @@ fn stray_labels(src: &str) -> Vec<Label> {
 
 /// Mechanical derivation-scope name for a file:
 /// `crates/sim/src/overlay.rs` → `sim_overlay`,
-/// `crates/bench/src/bin/repro_saturation.rs` → `bench_repro_saturation`,
+/// `crates/bench/src/storm.rs` → `bench_storm`,
 /// `src/lib.rs` → `oscar`.
 pub fn scope_for(ctx: &FileCtx) -> String {
     let rel = ctx
@@ -214,7 +212,7 @@ pub fn scope_for(ctx: &FileCtx) -> String {
     let rel = rel.strip_suffix(".rs").unwrap_or(rel);
     let parts: Vec<&str> = rel
         .split('/')
-        .filter(|p| !matches!(*p, "src" | "bin" | "benches"))
+        .filter(|p| !matches!(*p, "src" | "bin"))
         .collect();
     match parts.as_slice() {
         [] | ["lib"] => "oscar".to_string(),
@@ -243,11 +241,8 @@ mod tests {
             "runtime"
         );
         assert_eq!(
-            scope_for(&ctx(
-                "crates/bench/src/bin/repro_saturation.rs",
-                FileKind::Bin
-            )),
-            "bench_repro_saturation"
+            scope_for(&ctx("crates/bench/src/storm.rs", FileKind::Lib)),
+            "bench_storm"
         );
         assert_eq!(scope_for(&ctx("src/lib.rs", FileKind::Lib)), "oscar");
     }

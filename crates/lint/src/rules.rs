@@ -57,12 +57,11 @@ pub const RULE_NAMES: &[&str] = &[
 pub enum FileKind {
     /// Crate library code — the full rule set applies.
     Lib,
-    /// `src/bin/` entry point: owns a root seed, may time itself.
+    /// `src/main.rs` or `src/bin/` entry point: owns a root seed, may
+    /// time itself.
     Bin,
     /// `tests/` integration harness.
     TestHarness,
-    /// `benches/` bench.
-    Bench,
     /// `examples/` demo.
     Example,
 }

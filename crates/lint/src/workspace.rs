@@ -2,7 +2,7 @@
 //! files, and classify each into a [`FileCtx`].
 //!
 //! The layout is fixed by convention, not read from Cargo metadata:
-//! `crates/<dir>/{src,tests,benches}` plus the root facade's
+//! `crates/<dir>/{src,tests}` plus the root facade's
 //! `src`/`tests`/`examples`. `vendor/` (dependency stubs), `target/`,
 //! and the lint fixture corpus are never linted.
 
@@ -46,7 +46,6 @@ pub fn workspace_files(root: &Path) -> Vec<(FileCtx, PathBuf)> {
             let crate_name = format!("oscar-{dir_name}");
             collect_tree(root, &dir.join("src"), &crate_name, &mut out);
             collect_tree(root, &dir.join("tests"), &crate_name, &mut out);
-            collect_tree(root, &dir.join("benches"), &crate_name, &mut out);
         }
     }
     // Root facade package.
@@ -57,8 +56,8 @@ pub fn workspace_files(root: &Path) -> Vec<(FileCtx, PathBuf)> {
     out
 }
 
-/// Recursively collects `.rs` files under `base` (a src/tests/benches
-/// dir) into `out`, skipping the fixture corpus.
+/// Recursively collects `.rs` files under `base` (a src/tests dir)
+/// into `out`, skipping the fixture corpus.
 fn collect_tree(root: &Path, base: &Path, crate_name: &str, out: &mut Vec<(FileCtx, PathBuf)>) {
     let mut stack = vec![base.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -97,10 +96,8 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Path-convention classification (see [`FileKind`]).
 pub fn classify(rel: &str) -> FileKind {
-    if rel.contains("/src/bin/") {
+    if rel.contains("/src/bin/") || rel.ends_with("/src/main.rs") {
         FileKind::Bin
-    } else if rel.contains("/benches/") {
-        FileKind::Bench
     } else if rel.starts_with("examples/") || rel.contains("/examples/") {
         FileKind::Example
     } else if rel.starts_with("tests/") || rel.contains("/tests/") {
@@ -117,16 +114,12 @@ mod tests {
     #[test]
     fn classification_by_path() {
         assert_eq!(classify("crates/sim/src/overlay.rs"), FileKind::Lib);
-        assert_eq!(
-            classify("crates/bench/src/bin/repro_fig1a.rs"),
-            FileKind::Bin
-        );
+        assert_eq!(classify("crates/bench/src/main.rs"), FileKind::Bin);
         assert_eq!(
             classify("crates/runtime/tests/shutdown_stress.rs"),
             FileKind::TestHarness
         );
         assert_eq!(classify("tests/determinism.rs"), FileKind::TestHarness);
-        assert_eq!(classify("crates/bench/benches/figures.rs"), FileKind::Bench);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
     }

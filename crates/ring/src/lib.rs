@@ -18,10 +18,10 @@
 //! queries via rank arithmetic — runs in O(log n) expected, which keeps
 //! bootstrap-and-grow linearithmic and makes 10⁵–10⁶-peer simulations
 //! feasible. The previous sorted-`Vec` representation (O(n) memmove per
-//! membership change, Θ(n²) growth) survives as [`reference::VecRing`]:
-//! the oracle for the equivalence property tests and the baseline for the
-//! `ring_scale` bench in `oscar-bench`.
+//! membership change, Θ(n²) growth) survives as the test-only
+//! `reference::VecRing`, the oracle for the equivalence property tests.
 
+#[cfg(test)]
 pub mod reference;
 pub mod ring;
 pub mod stabilize;

@@ -2,17 +2,11 @@
 //!
 //! [`VecRing`] is the implementation `Ring` shipped with before the
 //! order-statistic treap rewrite: a sorted `Vec<Id>` with binary search for
-//! queries and O(n) memmove for insert/remove. It stays in the tree for two
-//! jobs only:
-//!
-//! * **oracle** — the equivalence property tests in `crate::ring` drive
-//!   random operation interleavings through both structures and demand
-//!   identical answers;
-//! * **baseline** — the `ring_scale` criterion bench in `oscar-bench`
-//!   measures the treap's construction speedup against it.
-//!
-//! Production code must use [`crate::Ring`]; nothing outside tests and
-//! benches should depend on this type.
+//! queries and O(n) memmove for insert/remove. It stays in the tree as the
+//! **oracle** of the equivalence property tests in `crate::ring`, which
+//! drive random operation interleavings through both structures and demand
+//! identical answers — and is compiled under `cfg(test)` only, so nothing
+//! else can depend on it.
 
 use oscar_types::{Arc, Id};
 

@@ -9,10 +9,9 @@ use oscar_types::{Arc, Id};
 /// membership, rank/select, neighbour and owner lookups are all O(log n)
 /// expected, and the arc queries reduce to rank arithmetic on subtree
 /// counts. This is what lets `Network` growth scale far past the paper's
-/// 10k peers — the previous sorted-`Vec` representation (preserved as
-/// [`crate::reference::VecRing`], the property-test oracle and bench
-/// baseline) paid an O(n) memmove per membership change, making
-/// bootstrap-and-grow Θ(n²).
+/// 10k peers — the previous sorted-`Vec` representation (preserved as the
+/// test-only `crate::reference::VecRing`, the property-test oracle) paid
+/// an O(n) memmove per membership change, making bootstrap-and-grow Θ(n²).
 ///
 /// Invariants (enforced by construction, checked by property tests against
 /// the oracle):

@@ -39,16 +39,6 @@ pub struct WalkConfig {
     /// Apply the Metropolis–Hastings degree correction (on by default;
     /// turning it off is ablation material — hubs get oversampled).
     pub metropolis_hastings: bool,
-    /// Serve walk proposals from the network's sorted walk-adjacency
-    /// cache (on by default): restricted degree and uniform neighbour
-    /// pick become O(log deg) binary searches instead of an O(deg)
-    /// collect-and-filter per step. Both paths run the *same chain* —
-    /// uniform proposal over the restricted neighbours, same MH ratio —
-    /// but enumerate neighbours in different orders, so they produce
-    /// different (equally valid) realisations from the same seed. The
-    /// knob exists for the `join_cost` bench to measure the fast path
-    /// against the recollect-and-retain baseline.
-    pub cached: bool,
     /// Chained sampling: `0` (default) gives every sample of
     /// [`Walker::sample_many`] its own fresh `burn_in`-step walk from the
     /// start peer; `t > 0` walks one burn-in and then emits each further
@@ -63,7 +53,6 @@ impl Default for WalkConfig {
         WalkConfig {
             burn_in: 24,
             metropolis_hastings: true,
-            cached: true,
             chain_thin: 0,
         }
     }
@@ -75,24 +64,12 @@ impl WalkConfig {
         self.chain_thin = thin;
         self
     }
-
-    /// Same config with the walk-adjacency cache disabled — the bench
-    /// baseline; the chain is the same, only slower (see
-    /// [`WalkConfig::cached`]).
-    pub fn without_cache(mut self) -> Self {
-        self.cached = false;
-        self
-    }
 }
 
 /// A reusable sampler bound to a network snapshot.
-///
-/// Holds workhorse buffers so repeated sampling does not allocate.
 pub struct Walker<'a> {
     net: &'a Network,
     cfg: WalkConfig,
-    buf_cur: Vec<PeerIdx>,
-    buf_deg: Vec<PeerIdx>,
     /// Walk steps consumed since the last [`Walker::take_steps`] call.
     steps: u64,
 }
@@ -100,13 +77,7 @@ pub struct Walker<'a> {
 impl<'a> Walker<'a> {
     /// New sampler over `net`.
     pub fn new(net: &'a Network, cfg: WalkConfig) -> Self {
-        Walker {
-            net,
-            cfg,
-            buf_cur: Vec::with_capacity(64),
-            buf_deg: Vec::with_capacity(64),
-            steps: 0,
-        }
+        Walker { net, cfg, steps: 0 }
     }
 
     /// Steps consumed since last drained; the caller credits them to
@@ -116,57 +87,19 @@ impl<'a> Walker<'a> {
         std::mem::take(&mut self.steps)
     }
 
-    /// Collects the live walk-neighbours of `p` that satisfy the arc
-    /// restriction into `buf`, returning the restricted degree — the
-    /// uncached baseline path.
-    fn collect_restricted(
-        net: &Network,
-        p: PeerIdx,
-        arc: Option<&Arc>,
-        buf: &mut Vec<PeerIdx>,
-    ) -> usize {
-        net.walk_neighbors_into(p, buf);
-        buf.retain(|&c| {
-            net.is_alive(c)
-                && match arc {
-                    Some(a) => a.contains(net.peer(c).id),
-                    None => true,
-                }
-        });
-        buf.len()
-    }
-
     /// Advances the walk by `steps` Metropolis–Hastings steps from
-    /// `(current, cur_deg)`. On the uncached path `buf_cur` must hold
-    /// `current`'s restricted neighbours on entry and holds the returned
-    /// peer's on exit; the cached path proposes straight off the network's
-    /// sorted adjacency cache and touches no buffers.
+    /// `current`, proposing straight off the network's sorted
+    /// walk-adjacency cache: the current position's arc runs are resolved
+    /// once per move, every proposal is a direct index into the cached
+    /// adjacency, and the candidate's runs — computed for the MH ratio —
+    /// are promoted wholesale on acceptance. O(log deg) per step.
     fn advance(
-        &mut self,
-        current: PeerIdx,
-        cur_deg: usize,
-        arc: Option<&Arc>,
-        steps: u32,
-        rng: &mut SmallRng,
-    ) -> (PeerIdx, usize) {
-        if self.cfg.cached {
-            return self.advance_cached(current, arc, steps, rng);
-        }
-        self.advance_uncached(current, cur_deg, arc, steps, rng)
-    }
-
-    /// Cached fast path: the current position's arc runs are resolved
-    /// once per move, every proposal is a direct index into the sorted
-    /// cached adjacency, and the candidate's runs — computed for the MH
-    /// ratio — are promoted wholesale on acceptance. O(log deg) per step,
-    /// no buffers.
-    fn advance_cached(
         &mut self,
         mut current: PeerIdx,
         arc: Option<&Arc>,
         steps: u32,
         rng: &mut SmallRng,
-    ) -> (PeerIdx, usize) {
+    ) -> PeerIdx {
         let mut runs = self.net.walk_runs(current, arc);
         for _ in 0..steps {
             self.steps += 1;
@@ -191,50 +124,11 @@ impl<'a> Walker<'a> {
                 runs = cand_runs;
             }
         }
-        (current, runs.count)
+        current
     }
 
-    /// Uncached baseline: collect-and-retain per visited peer, with the
-    /// buffer swap promoting the accepted candidate's list.
-    fn advance_uncached(
-        &mut self,
-        mut current: PeerIdx,
-        mut cur_deg: usize,
-        arc: Option<&Arc>,
-        steps: u32,
-        rng: &mut SmallRng,
-    ) -> (PeerIdx, usize) {
-        for _ in 0..steps {
-            self.steps += 1;
-            if cur_deg == 0 {
-                continue;
-            }
-            let k = logic::uniform_index(cur_deg, rng);
-            let cand = self.buf_cur[k];
-            let cand_deg = Self::collect_restricted(self.net, cand, arc, &mut self.buf_deg);
-            let accept = if self.cfg.metropolis_hastings {
-                logic::mh_accept(cur_deg, cand_deg, || rng.gen::<f64>())
-            } else {
-                true
-            };
-            if accept && cand_deg > 0 {
-                // The candidate's restricted neighbours were just computed
-                // for the MH ratio; the swap promotes them instead of
-                // recomputing.
-                current = cand;
-                cur_deg = cand_deg;
-                std::mem::swap(&mut self.buf_cur, &mut self.buf_deg);
-            }
-        }
-        (current, cur_deg)
-    }
-
-    /// Validates the walk start and returns its restricted degree (on the
-    /// uncached path, also primes `buf_cur` with its neighbours; the
-    /// cached path resolves the start's runs itself in
-    /// [`Walker::advance_cached`], so the returned degree is unused and
-    /// not computed).
-    fn start_walk(&mut self, start: PeerIdx, arc: Option<&Arc>) -> Result<usize> {
+    /// Validates the walk start: live, and inside the arc.
+    fn check_start(&self, start: PeerIdx, arc: Option<&Arc>) -> Result<()> {
         if !self.net.is_alive(start) {
             return Err(Error::PeerDead(start.as_usize()));
         }
@@ -245,11 +139,7 @@ impl<'a> Walker<'a> {
                 });
             }
         }
-        Ok(if self.cfg.cached {
-            0 // unused: advance_cached re-derives the start's runs
-        } else {
-            Self::collect_restricted(self.net, start, arc, &mut self.buf_cur)
-        })
+        Ok(())
     }
 
     /// One (near-)uniform sample from the peers of `arc` (or the whole
@@ -263,9 +153,8 @@ impl<'a> Walker<'a> {
         arc: Option<&Arc>,
         rng: &mut SmallRng,
     ) -> Result<PeerIdx> {
-        let cur_deg = self.start_walk(start, arc)?;
-        let (current, _) = self.advance(start, cur_deg, arc, self.cfg.burn_in, rng);
-        Ok(current)
+        self.check_start(start, arc)?;
+        Ok(self.advance(start, arc, self.cfg.burn_in, rng))
     }
 
     /// `count` samples from one start. With `chain_thin == 0` each sample
@@ -288,17 +177,16 @@ impl<'a> Walker<'a> {
             }
             return Ok(out);
         }
+        // Validate even for zero samples: callers treat an Ok return as
+        // "start usable".
+        self.check_start(start, arc)?;
         if count == 0 {
-            // Still validate: callers treat an Ok return as "start usable".
-            self.start_walk(start, arc)?;
             return Ok(out);
         }
-        let mut cur_deg = self.start_walk(start, arc)?;
-        let mut current = start;
-        (current, cur_deg) = self.advance(current, cur_deg, arc, self.cfg.burn_in, rng);
+        let mut current = self.advance(start, arc, self.cfg.burn_in, rng);
         out.push(current);
         for _ in 1..count {
-            (current, cur_deg) = self.advance(current, cur_deg, arc, self.cfg.chain_thin, rng);
+            current = self.advance(current, arc, self.cfg.chain_thin, rng);
             out.push(current);
         }
         Ok(out)
@@ -517,45 +405,38 @@ mod tests {
     }
 
     #[test]
-    fn uncached_baseline_runs_the_same_chain() {
-        // The bench-baseline path (collect-and-retain) runs the same
-        // Metropolis–Hastings chain as the cached fast path: same step
-        // accounting, and the same uniformity over the restricted
-        // population, even though the two enumerate neighbours in
-        // different orders.
+    fn restricted_walk_among_corpses_is_accounted_live_and_uniform() {
+        // Coverage of the walk under a restriction with corpses inside
+        // it: exact step accounting, every sample live and in the arc,
+        // and near-uniformity over the restricted population.
         let mut net = test_net(64, 4, 21);
         for v in [3u32, 9, 27] {
             net.kill(PeerIdx(v)).unwrap();
         }
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
-        for cfg in [WalkConfig::default(), WalkConfig::default().without_cache()] {
-            let mut walker = Walker::new(&net, cfg);
-            let mut rng = SeedTree::new(22).rng();
-            let mut counts = std::collections::HashMap::new();
-            let trials = 3000;
-            for _ in 0..trials {
-                let s = walker.sample(PeerIdx(0), Some(&arc), &mut rng).unwrap();
-                assert!(net.is_alive(s));
-                assert!(arc.contains(net.peer(s).id));
-                *counts.entry(s).or_insert(0u32) += 1;
-            }
-            assert_eq!(walker.take_steps(), trials * cfg.burn_in as u64);
-            // ~29 live members in the half arc → ~100 samples each.
-            assert!(counts.len() >= 26, "cached={}: starved", cfg.cached);
-            assert!(
-                counts.values().all(|&c| c < 400),
-                "cached={}: hub bias",
-                cfg.cached
-            );
+        let cfg = WalkConfig::default();
+        let mut walker = Walker::new(&net, cfg);
+        let mut rng = SeedTree::new(22).rng();
+        let mut counts = std::collections::HashMap::new();
+        let trials = 3000;
+        for _ in 0..trials {
+            let s = walker.sample(PeerIdx(0), Some(&arc), &mut rng).unwrap();
+            assert!(net.is_alive(s));
+            assert!(arc.contains(net.peer(s).id));
+            *counts.entry(s).or_insert(0u32) += 1;
         }
+        assert_eq!(walker.take_steps(), trials * cfg.burn_in as u64);
+        // ~29 live members in the half arc → ~100 samples each.
+        assert!(counts.len() >= 26, "starved");
+        assert!(counts.values().all(|&c| c < 400), "hub bias");
     }
 
     #[test]
     fn cache_sees_membership_and_link_changes() {
         // Mutations between walks must invalidate the cache: after each
         // mutation kind, the cached degree/pick view must agree with a
-        // fresh uncached collection for every live peer (walks in between
-        // warm the cache so staleness would be visible).
+        // fresh `walk_neighbors_into` collection for every live peer (walks
+        // in between warm the cache so staleness would be visible).
         let mut net = test_net(32, 3, 23);
         let check = |net: &Network, seed: u64| {
             let mut walker = Walker::new(net, WalkConfig::default());
@@ -566,7 +447,9 @@ mod tests {
             }
             let mut plain = Vec::new();
             for p in net.all_peers().filter(|&p| net.is_alive(p)) {
-                let deg = Walker::collect_restricted(net, p, None, &mut plain);
+                net.walk_neighbors_into(p, &mut plain);
+                plain.retain(|&c| net.is_alive(c));
+                let deg = plain.len();
                 assert_eq!(net.walk_degree(p, None), deg, "peer {p:?}");
                 let mut picks: Vec<PeerIdx> = (0..deg).map(|k| net.walk_pick(p, None, k)).collect();
                 picks.sort_unstable();

@@ -3,10 +3,9 @@
 //! `LBL_REWIRE` exists in two scopes (`sim_overlay` = 11,
 //! `sim_churn_engine` = 7). That is deliberate — the scopes root at
 //! different `SeedTree` nodes — but the values are part of the
-//! reproduction contract: every committed CSV and `BENCH_*.json`
-//! baseline was produced through these exact labels, so this test pins
-//! them and proves the two rewire streams never collapsed onto one
-//! another.
+//! reproduction contract: every seeded CSV and report is produced
+//! through these exact labels, so this test pins them and proves the two
+//! rewire streams never collapsed onto one another.
 
 use oscar_types::labels::{sim_churn_engine, sim_overlay};
 use oscar_types::SeedTree;

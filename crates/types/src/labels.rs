@@ -26,22 +26,6 @@ pub mod bench_experiments {
     pub const LBL_MACHINE: u64 = 6;
 }
 
-/// Seed-tree labels of derivation scope `bench_repro_faults`.
-pub mod bench_repro_faults {
-    /// Label `LBL_IDS` (= 469).
-    pub const LBL_IDS: u64 = 0x1D5;
-    /// Label `LBL_KEYS` (= 20037).
-    pub const LBL_KEYS: u64 = 0x4E45;
-}
-
-/// Seed-tree labels of derivation scope `bench_repro_saturation`.
-pub mod bench_repro_saturation {
-    /// Label `LBL_IDS` (= 469).
-    pub const LBL_IDS: u64 = 0x1D5;
-    /// Label `LBL_KEYS` (= 20037).
-    pub const LBL_KEYS: u64 = 0x4E45;
-}
-
 /// Seed-tree labels of derivation scope `bench_scenario`.
 pub mod bench_scenario {
     /// Label `LBL_RUN` (= 1).
@@ -52,6 +36,14 @@ pub mod bench_scenario {
     pub const LBL_WINDOW: u64 = 3;
     /// Label `LBL_GROW` (= 4).
     pub const LBL_GROW: u64 = 4;
+}
+
+/// Seed-tree labels of derivation scope `bench_storm`.
+pub mod bench_storm {
+    /// Label `LBL_IDS` (= 469).
+    pub const LBL_IDS: u64 = 0x1D5;
+    /// Label `LBL_KEYS` (= 20037).
+    pub const LBL_KEYS: u64 = 0x4E45;
 }
 
 /// Seed-tree labels of derivation scope `protocol_machine`.

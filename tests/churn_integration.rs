@@ -219,7 +219,7 @@ fn churn_engine_under_unstabilized_ring_degrades_monotonically_in_succ_list() {
 #[test]
 fn reactive_repair_matches_sweep_delivery_at_strictly_lower_cost() {
     // The per-event repair acceptance criterion (its full-scale variant —
-    // OSCAR_SCALE=2000, 2%/window — is visible in repro_phase's
+    // OSCAR_SCALE=2000, 2%/window — is visible in `oscar-repro phase`'s
     // churn_phase_*.csv; this is the same protocol at test scale): at
     // 2%/window turnover, `Reactive { neighbors_k: 2 }` must reach steady
     // delivery at least as good as the sweep baseline while recording

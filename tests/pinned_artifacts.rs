@@ -42,11 +42,10 @@ fn sim_growth_digest_is_pinned() {
 }
 
 /// Machine churn backend: Poisson join/crash/depart with reactive-k2
-/// detection and repair on the DES, the machinery behind the committed
-/// `BENCH_churn_machine.json`. The digest folds every window's books
+/// detection and repair on the DES, the machinery behind
+/// `oscar-repro churn-machine`. The digest folds every window's books
 /// and every survivor's link tables, so a drift in the churn engine's
-/// seed streams, the repair path, or the P² aggregation fails here
-/// before it surfaces as a baseline diff.
+/// seed streams, the repair path, or the P² aggregation fails here.
 #[test]
 fn machine_churn_digest_is_pinned() {
     use oscar::keydist::UniformKeys;
