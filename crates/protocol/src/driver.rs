@@ -11,10 +11,13 @@
 //!
 //! The trait lives here (not in a driver crate) so both worlds can
 //! implement it without a dependency cycle: `oscar-sim` and
-//! `oscar-runtime` already depend on `oscar-protocol`.
+//! `oscar-runtime` already depend on `oscar-protocol`. So does
+//! [`TimerIndex`], the deadline index both worlds answer "which machines
+//! are due?" from.
 
 use crate::message::{Command, ProtocolEvent};
 use oscar_types::Id;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A world that can host peer machines and move their envelopes.
 ///
@@ -61,4 +64,148 @@ pub trait ProtocolDriver {
     /// drained events this is a lifetime counter: harnesses gate runs on
     /// it staying zero.
     fn fault_count(&self) -> u64;
+}
+
+/// Which machines are waiting on a timer, keyed for the one question a
+/// driver asks at every quiescent point: *who is due?*
+///
+/// A driver keeps one index beside its machines and re-indexes a peer
+/// with [`TimerIndex::set`] whenever it has run that peer's machine (or
+/// added or removed it), passing the machine's
+/// [`next_deadline`](crate::PeerMachine::next_deadline). The next timer
+/// round is then [`TimerIndex::earliest`] and the peers to tick are
+/// [`TimerIndex::due`] — O(log n) and O(due · log n), where asking every
+/// machine was O(n) per round, most rounds finding nobody.
+///
+/// Both collections are ordered (`BTreeSet`/`BTreeMap`), so nothing a
+/// driver reads from the index depends on hash order.
+#[derive(Clone, Debug, Default)]
+pub struct TimerIndex {
+    /// One `(deadline, peer)` entry per waiting peer, earliest first.
+    by_deadline: BTreeSet<(u64, Id)>,
+    /// Each waiting peer's indexed deadline: what `set` must take out of
+    /// `by_deadline` when that peer's deadline moves or clears.
+    indexed: BTreeMap<Id, u64>,
+}
+
+impl TimerIndex {
+    /// An empty index: nobody is waiting.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `deadline` as `id`'s earliest pending deadline, replacing
+    /// whatever was indexed for it; `None` takes `id` out of the index
+    /// (its operations completed, or the peer is gone). Setting the
+    /// deadline already indexed, or clearing an absent peer, is a no-op.
+    pub fn set(&mut self, id: Id, deadline: Option<u64>) {
+        let old = match deadline {
+            Some(d) => self.indexed.insert(id, d),
+            None => self.indexed.remove(&id),
+        };
+        if old == deadline {
+            return;
+        }
+        if let Some(o) = old {
+            self.by_deadline.remove(&(o, id));
+        }
+        if let Some(d) = deadline {
+            self.by_deadline.insert((d, id));
+        }
+    }
+
+    /// The earliest indexed deadline; `None` when nobody is waiting.
+    pub fn earliest(&self) -> Option<u64> {
+        self.by_deadline.first().map(|&(deadline, _)| deadline)
+    }
+
+    /// The peers whose indexed deadline is at or before `now`, in
+    /// ascending [`Id`] order whatever their deadlines — the order a
+    /// sorted walk over the fleet would find them in. Drivers inject
+    /// `TimerTick` in this order and key each injection's RNG stream by
+    /// a running nonce, so the order is part of every seeded outcome.
+    pub fn due(&self, now: u64) -> Vec<Id> {
+        let mut due: Vec<Id> = self
+            .by_deadline
+            .range(..=(now, Id::MAX))
+            .map(|&(_, id)| id)
+            .collect();
+        due.sort_unstable();
+        due
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn id(raw: u64) -> Id {
+        Id::new(raw)
+    }
+
+    #[test]
+    fn set_replaces_and_clears_one_entry_per_peer() {
+        let mut idx = TimerIndex::new();
+        assert_eq!(idx.earliest(), None);
+
+        idx.set(id(7), Some(40));
+        idx.set(id(3), Some(25));
+        assert_eq!(idx.earliest(), Some(25));
+
+        // Replacing moves the peer's single entry, later or earlier.
+        idx.set(id(3), Some(90));
+        assert_eq!(idx.earliest(), Some(40));
+        assert_eq!(idx.due(89), vec![id(7)], "the old entry for 3 is gone");
+        idx.set(id(3), Some(10));
+        assert_eq!(idx.earliest(), Some(10));
+
+        // Re-setting the indexed deadline changes nothing.
+        idx.set(id(3), Some(10));
+        assert_eq!(idx.due(u64::MAX), vec![id(3), id(7)]);
+
+        idx.set(id(3), None);
+        assert_eq!(idx.earliest(), Some(40));
+        idx.set(id(7), None);
+        assert_eq!(idx.earliest(), None);
+        assert!(idx.due(u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn clearing_an_absent_peer_is_a_no_op() {
+        let mut idx = TimerIndex::new();
+        idx.set(id(1), None);
+        assert_eq!(idx.earliest(), None);
+        idx.set(id(2), Some(5));
+        idx.set(id(1), None);
+        assert_eq!(idx.due(u64::MAX), vec![id(2)]);
+        assert_eq!(idx.earliest(), Some(5));
+    }
+
+    #[test]
+    fn due_is_id_ordered_whatever_the_deadline_order() {
+        let mut idx = TimerIndex::new();
+        // Deadlines descend as ids ascend, plus a tie and a late one.
+        idx.set(id(10), Some(30));
+        idx.set(id(20), Some(20));
+        idx.set(id(30), Some(10));
+        idx.set(id(40), Some(10));
+        idx.set(id(5), Some(31));
+        assert_eq!(idx.due(9), Vec::<Id>::new());
+        assert_eq!(idx.due(10), vec![id(30), id(40)]);
+        assert_eq!(idx.due(20), vec![id(20), id(30), id(40)]);
+        assert_eq!(idx.due(30), vec![id(10), id(20), id(30), id(40)]);
+        assert_eq!(idx.due(31), vec![id(5), id(10), id(20), id(30), id(40)]);
+        // Reading does not consume: the driver clears by re-indexing.
+        assert_eq!(idx.due(31).len(), 5);
+    }
+
+    #[test]
+    fn extreme_ids_and_deadlines_are_indexed_like_any_other() {
+        let mut idx = TimerIndex::new();
+        idx.set(Id::MAX, Some(u64::MAX));
+        idx.set(Id::ZERO, Some(0));
+        assert_eq!(idx.earliest(), Some(0));
+        assert_eq!(idx.due(0), vec![Id::ZERO]);
+        assert_eq!(idx.due(u64::MAX), vec![Id::ZERO, Id::MAX]);
+    }
 }

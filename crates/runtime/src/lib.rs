@@ -16,7 +16,11 @@
 //! * an atomic in-flight message counter backs [`Runtime::quiesce`],
 //!   which blocks until the network has gone silent;
 //! * sends to unknown/removed peers synchronously invoke the sender's
-//!   `on_delivery_failure` — the same failure surface the DES presents.
+//!   `on_delivery_failure` — the same failure surface the DES presents;
+//! * a shared [`TimerIndex`] holds every machine's earliest deadline;
+//!   whichever thread ran a machine updates it, under that machine's
+//!   lock and only when the deadline moved, so a timer round finds who
+//!   is due without visiting a single actor.
 //!
 //! Determinism: the protocol's token-carried RNG makes walk and query
 //! outcomes scheduling-independent, so a serialized command sequence
@@ -26,7 +30,7 @@
 
 use oscar_protocol::{
     machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
-    ProtocolDriver, ProtocolEvent,
+    ProtocolDriver, ProtocolEvent, TimerIndex,
 };
 use oscar_types::labels::runtime::{LBL_GOSSIP, LBL_WORKER};
 use oscar_types::{Id, SeedTree};
@@ -84,9 +88,22 @@ impl RuntimeConfig {
 /// One peer actor: machine + mailbox + scheduling flag.
 struct Actor {
     id: Id,
-    machine: Mutex<PeerMachine>,
+    slot: Mutex<Slot>,
     mailbox: Mutex<VecDeque<(Id, Message)>>,
     scheduled: AtomicBool,
+}
+
+/// What an actor's mutex guards: the machine, and what the shared
+/// [`TimerIndex`] currently holds for it. Keeping the indexed deadline
+/// here lets whoever just ran the machine see, without another lock,
+/// whether the index needs telling.
+struct Slot {
+    machine: PeerMachine,
+    /// The deadline `Shared::timers` holds for this peer.
+    indexed: Option<u64>,
+    /// Set once the actor has left the actor table: a worker still
+    /// finishing its mail must not put the corpse back in the index.
+    retired: bool,
 }
 
 /// State shared between the handle and the worker threads.
@@ -104,6 +121,11 @@ struct Shared {
     stop: AtomicBool,
     inject_nonce: AtomicU64,
     events: Mutex<Vec<ProtocolEvent>>,
+    /// Every live machine's earliest deadline. Written by whichever
+    /// thread ran a machine, and only when that machine's earliest
+    /// deadline moved (lock order: actor slot, then this); read alone by
+    /// the timer rounds, at quiescence.
+    timers: Mutex<TimerIndex>,
     plan: FaultPlan,
     /// Current timer round (virtual failure-detection time); advanced
     /// only at quiescent points via [`Runtime::tick_timers`].
@@ -186,6 +208,7 @@ impl Runtime {
             stop: AtomicBool::new(false),
             inject_nonce: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
+            timers: Mutex::new(TimerIndex::new()),
             plan: cfg.plan.clone(),
             round: AtomicU64::new(0),
             sent: AtomicU64::new(0),
@@ -225,15 +248,32 @@ impl Runtime {
         self.workers.len()
     }
 
-    /// Registers a pre-built machine as an actor.
+    /// Registers a pre-built machine as an actor, replacing any actor
+    /// already under its id. Timers the machine already carries are
+    /// indexed.
     pub fn spawn_machine(&self, machine: PeerMachine) {
+        let id = machine.id();
+        let indexed = machine.next_deadline();
         let actor = Arc::new(Actor {
-            id: machine.id(),
-            machine: Mutex::new(machine),
+            id,
+            slot: Mutex::new(Slot {
+                machine,
+                indexed,
+                retired: false,
+            }),
             mailbox: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
         });
-        self.shared.actors.write().unwrap().insert(actor.id, actor);
+        // The table lock is held across the index writes so that a
+        // concurrent spawn or remove of the same id cannot interleave
+        // with them.
+        let mut actors = self.shared.actors.write().unwrap();
+        if let Some(replaced) = actors.insert(id, actor) {
+            self.shared.retire(&replaced);
+        }
+        if indexed.is_some() {
+            self.shared.timers.lock().unwrap().set(id, indexed);
+        }
     }
 
     /// Spawns a fresh solo peer with the canonical derived seed (the DES
@@ -247,10 +287,18 @@ impl Runtime {
         ));
     }
 
-    /// Removes a peer outright (a crash): queued mail is discarded, and
-    /// future sends to it surface as delivery failures at the senders.
+    /// Removes a peer outright (a crash): queued mail is discarded,
+    /// its armed timers die with it, and future sends to it surface as
+    /// delivery failures at the senders.
     pub fn remove_peer(&self, id: Id) -> bool {
-        let removed = self.shared.actors.write().unwrap().remove(&id);
+        let removed = {
+            let mut actors = self.shared.actors.write().unwrap();
+            let removed = actors.remove(&id);
+            if let Some(actor) = &removed {
+                self.shared.retire(actor);
+            }
+            removed
+        };
         if let Some(actor) = removed {
             let dropped = actor.mailbox.lock().unwrap().len();
             // Mail queued to the corpse counts as dropped, so the
@@ -276,8 +324,8 @@ impl Runtime {
     /// Runs `f` against one peer's machine (read-only access pattern).
     pub fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
         let actor = self.shared.actors.read().unwrap().get(&id).cloned()?;
-        let machine = actor.machine.lock().unwrap();
-        Some(f(&machine))
+        let slot = actor.slot.lock().unwrap();
+        Some(f(&slot.machine))
     }
 
     /// Delivers a command to one peer on the calling thread; resulting
@@ -292,9 +340,9 @@ impl Runtime {
         // lint:allow(rng-discipline, inject streams are keyed by nonce so thread interleaving cannot reorder draws)
         let mut rng = SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng();
         let outs = {
-            let mut m = actor.machine.lock().unwrap();
-            let outs = m.on_command(cmd, &mut rng);
-            self.shared.collect_events(&mut m);
+            let mut slot = actor.slot.lock().unwrap();
+            let outs = slot.machine.on_command(cmd, &mut rng);
+            self.shared.after_step(id, &mut slot);
             outs
         };
         for o in outs {
@@ -335,8 +383,62 @@ impl Runtime {
     }
 
     /// The earliest pending deadline across all machines, if any
-    /// operation anywhere is still awaiting completion.
+    /// operation anywhere is still awaiting completion. Read from the
+    /// deadline index; at a quiescent point, debug builds check it
+    /// against a scan of every machine.
     pub fn next_timer_round(&self) -> Option<u64> {
+        let next = self.shared.timers.lock().unwrap().earliest();
+        debug_assert!(
+            !self.is_quiescent() || next == self.scan_deadlines().into_iter().map(|(_, d)| d).min(),
+            "timer index out of step with the machines"
+        );
+        next
+    }
+
+    /// Advances the timer round to the earliest pending deadline and
+    /// ticks every machine whose deadline has come due; false when no
+    /// machine is waiting. Call only after [`Runtime::quiesce`]: with
+    /// the network silent, all loss is final, so an expired deadline is
+    /// a genuine loss — identical semantics to the DES's `tick_timers`.
+    ///
+    /// The due set comes from the deadline index alone — no actor is
+    /// locked to find it — in ascending [`Id`] order, the order the DES
+    /// ticks in, so both drivers hand out the same injection nonces.
+    /// Debug builds check the set against a scan of every machine.
+    pub fn tick_timers(&self) -> bool {
+        let Some(min) = self.next_timer_round() else {
+            return false;
+        };
+        let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
+        let now = prev.max(min);
+        let due = self.shared.timers.lock().unwrap().due(now);
+        debug_assert!(
+            !self.is_quiescent()
+                || due
+                    == self
+                        .scan_deadlines()
+                        .into_iter()
+                        .filter(|&(_, d)| d <= now)
+                        .map(|(id, _)| id)
+                        .collect::<Vec<Id>>(),
+            "timer index disagrees with the machines on who is due"
+        );
+        for id in due {
+            self.inject(id, Command::TimerTick { now });
+        }
+        true
+    }
+
+    /// True when no message is in flight: every machine has finished
+    /// its last step, index update included.
+    fn is_quiescent(&self) -> bool {
+        self.shared.pending.load(Ordering::SeqCst) == 0
+    }
+
+    /// The debug oracle of the deadline index: every live machine asked
+    /// for its earliest deadline, in id order. Release builds never call
+    /// it.
+    fn scan_deadlines(&self) -> Vec<(Id, u64)> {
         let actors: Vec<Arc<Actor>> = self
             .shared
             .actors
@@ -347,46 +449,11 @@ impl Runtime {
             .collect();
         actors
             .iter()
-            .filter_map(|a| a.machine.lock().unwrap().next_deadline())
-            .min()
-    }
-
-    /// Advances the timer round to the earliest pending deadline and
-    /// ticks every machine whose deadline has come due; false when no
-    /// machine is waiting. Call only after [`Runtime::quiesce`]: with
-    /// the network silent, all loss is final, so an expired deadline is
-    /// a genuine loss — identical semantics to the DES's `tick_timers`.
-    pub fn tick_timers(&self) -> bool {
-        let Some(min) = self.next_timer_round() else {
-            return false;
-        };
-        let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
-        let now = prev.max(min);
-        let due: Vec<Id> = {
-            let actors: Vec<Arc<Actor>> = self
-                .shared
-                .actors
-                .read()
-                .unwrap()
-                .values()
-                .cloned()
-                .collect();
-            actors
-                .iter()
-                .filter(|a| {
-                    a.machine
-                        .lock()
-                        .unwrap()
-                        .next_deadline()
-                        .is_some_and(|d| d <= now)
-                })
-                .map(|a| a.id)
-                .collect()
-        };
-        for id in due {
-            self.inject(id, Command::TimerTick { now });
-        }
-        true
+            .filter_map(|a| {
+                let deadline = a.slot.lock().unwrap().machine.next_deadline()?;
+                Some((a.id, deadline))
+            })
+            .collect()
     }
 
     /// Alternates [`Runtime::quiesce`] with timer rounds until every
@@ -570,9 +637,9 @@ impl Shared {
                 self.bounced.fetch_add(copies, Ordering::Relaxed);
                 for _ in 0..copies {
                     let outs = {
-                        let mut m = from.machine.lock().unwrap();
-                        let outs = m.on_delivery_failure(out.to, out.msg.clone());
-                        self.collect_events(&mut m);
+                        let mut slot = from.slot.lock().unwrap();
+                        let outs = slot.machine.on_delivery_failure(out.to, out.msg.clone());
+                        self.after_step(from.id, &mut slot);
                         outs
                     };
                     for o in outs {
@@ -591,8 +658,17 @@ impl Shared {
         }
     }
 
-    fn collect_events(&self, m: &mut PeerMachine) {
-        let evs = m.drain_events();
+    /// Books what one call into a machine left behind, under that
+    /// machine's lock: its events, and its earliest deadline if that
+    /// moved. Most steps leave the deadline where it was and never touch
+    /// the shared index.
+    fn after_step(&self, id: Id, slot: &mut Slot) {
+        let deadline = slot.machine.next_deadline();
+        if deadline != slot.indexed && !slot.retired {
+            slot.indexed = deadline;
+            self.timers.lock().unwrap().set(id, deadline);
+        }
+        let evs = slot.machine.drain_events();
         if !evs.is_empty() {
             let faults = evs
                 .iter()
@@ -602,6 +678,17 @@ impl Shared {
                 self.faults.fetch_add(faults, Ordering::Relaxed);
             }
             self.events.lock().unwrap().extend(evs);
+        }
+    }
+
+    /// Takes an actor that has left the actor table out of the deadline
+    /// index, for good: a worker may still be running its machine, and
+    /// `after_step` leaves a retired slot alone.
+    fn retire(&self, actor: &Actor) {
+        let mut slot = actor.slot.lock().unwrap();
+        slot.retired = true;
+        if slot.indexed.take().is_some() {
+            self.timers.lock().unwrap().set(actor.id, None);
         }
     }
 
@@ -652,9 +739,9 @@ fn worker_loop(shared: Arc<Shared>, widx: usize, mut rng: SmallRng) {
             }
             for (from, msg) in batch {
                 let outs = {
-                    let mut m = actor.machine.lock().unwrap();
-                    let outs = m.on_message(from, msg, &mut rng);
-                    shared.collect_events(&mut m);
+                    let mut slot = actor.slot.lock().unwrap();
+                    let outs = slot.machine.on_message(from, msg, &mut rng);
+                    shared.after_step(actor.id, &mut slot);
                     outs
                 };
                 for o in outs {

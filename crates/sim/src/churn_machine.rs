@@ -62,10 +62,23 @@ use oscar_types::labels::sim_churn_machine::{
 use oscar_types::{Error, Id, P2Quantile, Result, SeedTree};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Timer-round budget for one settle: far above any single membership
-/// event's retry chains, so a hit means a protocol livelock, not churn.
+/// event's retry chains, so a hit means a protocol livelock, not churn
+/// — [`settle`] reports it as [`Error::Livelock`].
 const SETTLE_ROUNDS: u64 = 4096;
+
+/// Settles the driver after `during`, failing if that took the whole
+/// [`SETTLE_ROUNDS`] budget: the fleet is then still not idle, and
+/// whatever the engine measured next would be measured mid-operation.
+fn settle<D: ProtocolDriver>(driver: &mut D, during: &'static str) -> Result<()> {
+    let rounds = driver.settle(SETTLE_ROUNDS);
+    if rounds >= SETTLE_ROUNDS {
+        return Err(Error::Livelock { during, rounds });
+    }
+    Ok(())
+}
 
 /// Shape of the machine fleet a churn run is driven against.
 #[derive(Clone, Debug)]
@@ -292,12 +305,15 @@ fn bootstrap_fleet<D: ProtocolDriver>(
         ));
     }
     let mut boot = seed.child(LBL_BOOT).rng();
+    // Join order is draw order (`ids`); `taken` answers "drawn before?"
+    // in O(log n) where searching `ids` made the loop quadratic.
     let mut ids: Vec<Id> = Vec::with_capacity(cfg.initial_peers);
+    let mut taken: BTreeSet<Id> = BTreeSet::new();
     while ids.len() < cfg.initial_peers {
         let mut placed = false;
         for _ in 0..1000 {
             let id = keys.sample(&mut boot);
-            if !ids.contains(&id) {
+            if taken.insert(id) {
                 ids.push(id);
                 placed = true;
                 break;
@@ -313,7 +329,7 @@ fn bootstrap_fleet<D: ProtocolDriver>(
     for &id in &ids[1..] {
         driver.spawn_peer(id);
         driver.inject(id, Command::Join { contact: ids[0] });
-        driver.settle(SETTLE_ROUNDS);
+        settle(driver, "a bootstrap join")?;
     }
     // One settle per peer, here and in the probe/sweep handlers below:
     // concurrent walks read each other's half-built link tables in
@@ -328,7 +344,7 @@ fn bootstrap_fleet<D: ProtocolDriver>(
                 walks: cfg.build_walks,
             },
         );
-        driver.settle(SETTLE_ROUNDS);
+        settle(driver, "a bootstrap link build")?;
     }
     driver.drain_events(); // bootstrap milestones are not window data
     Ok(())
@@ -350,7 +366,7 @@ fn machine_join<D: ProtocolDriver>(
             let contact = live[jrng.gen_range(0..live.len())];
             driver.spawn_peer(id);
             driver.inject(id, Command::Join { contact });
-            driver.settle(SETTLE_ROUNDS);
+            settle(driver, "a join")?;
             // Links only after the splice: a walk needs the joiner's
             // ring links to leave from.
             driver.inject(
@@ -359,8 +375,7 @@ fn machine_join<D: ProtocolDriver>(
                     walks: cfg.build_walks,
                 },
             );
-            driver.settle(SETTLE_ROUNDS);
-            return Ok(());
+            return settle(driver, "a joiner's link build");
         }
     }
     Err(Error::InvalidConfig(
@@ -477,7 +492,7 @@ fn churn_span<D: ProtocolDriver>(
                 if live.len() > schedule.min_live {
                     let victim = live[depart_pick.gen_range(0..live.len())];
                     driver.inject(victim, Command::Depart);
-                    driver.settle(SETTLE_ROUNDS);
+                    settle(driver, "a departure")?;
                     driver.remove_peer(victim);
                     w.departs += 1;
                     w.repairs += absorb_repairs(driver);
@@ -493,7 +508,7 @@ fn churn_span<D: ProtocolDriver>(
                 let before = driver.sent();
                 for id in driver.peer_ids() {
                     driver.inject(id, Command::ProbeRing);
-                    driver.settle(SETTLE_ROUNDS);
+                    settle(driver, "a ring probe")?;
                 }
                 w.repair_cost += driver.sent() - before;
                 w.repairs += absorb_repairs(driver);
@@ -509,7 +524,7 @@ fn churn_span<D: ProtocolDriver>(
                             walks: cfg.build_walks,
                         },
                     );
-                    driver.settle(SETTLE_ROUNDS);
+                    settle(driver, "a sweep rewire")?;
                 }
                 w.rewires += 1;
                 w.repairs += live.len() as u64;
@@ -552,7 +567,7 @@ fn churn_span<D: ProtocolDriver>(
                     );
                     issued += 1;
                 }
-                driver.settle(SETTLE_ROUNDS);
+                settle(driver, "a window's query batch")?;
                 let (mut reports, batch_repairs) = split_events(driver.drain_events());
                 // The P² estimators are observation-order sensitive; qid
                 // order is the one ordering every driver agrees on.
@@ -760,6 +775,66 @@ mod tests {
         assert!(
             rc < sc,
             "reactive maintenance ({rc} msgs) must undercut sweeps ({sc} msgs)"
+        );
+    }
+
+    /// A DES whose fleet is never seen idle: every settle reports its
+    /// whole budget spent, as a livelocked protocol would.
+    struct Restless(DesDriver);
+
+    impl ProtocolDriver for Restless {
+        fn spawn_peer(&mut self, id: Id) {
+            ProtocolDriver::spawn_peer(&mut self.0, id);
+        }
+        fn remove_peer(&mut self, id: Id) {
+            ProtocolDriver::remove_peer(&mut self.0, id);
+        }
+        fn inject(&mut self, id: Id, cmd: Command) {
+            ProtocolDriver::inject(&mut self.0, id, cmd);
+        }
+        fn settle(&mut self, max_rounds: u64) -> u64 {
+            ProtocolDriver::settle(&mut self.0, max_rounds);
+            max_rounds
+        }
+        fn advance_to(&mut self, round: u64) {
+            ProtocolDriver::advance_to(&mut self.0, round);
+        }
+        fn round(&self) -> u64 {
+            ProtocolDriver::round(&self.0)
+        }
+        fn peer_ids(&self) -> Vec<Id> {
+            ProtocolDriver::peer_ids(&self.0)
+        }
+        fn drain_events(&mut self) -> Vec<ProtocolEvent> {
+            ProtocolDriver::drain_events(&mut self.0)
+        }
+        fn sent(&self) -> u64 {
+            ProtocolDriver::sent(&self.0)
+        }
+        fn fault_count(&self) -> u64 {
+            ProtocolDriver::fault_count(&self.0)
+        }
+    }
+
+    #[test]
+    fn an_exhausted_settle_budget_ends_the_run_with_an_error() {
+        let schedule = small_schedule(RepairPolicy::Reactive { neighbors_k: 2 });
+        let mut restless = Restless(des_for(&schedule, 5));
+        let err = run_machine_churn(
+            &mut restless,
+            &UniformKeys,
+            &phase_cfg(),
+            &schedule,
+            1,
+            SeedTree::new(5),
+        )
+        .expect_err("a fleet that never settles must not be measured");
+        assert_eq!(
+            err,
+            Error::Livelock {
+                during: "a bootstrap join",
+                rounds: SETTLE_ROUNDS
+            }
         );
     }
 

@@ -16,6 +16,7 @@ use crate::events::EventQueue;
 use oscar_protocol::machine::peer_seed;
 use oscar_protocol::{
     Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
+    TimerIndex,
 };
 use oscar_types::labels::sim_protocol_des::LBL_CMD;
 use oscar_types::{Id, SeedTree};
@@ -32,9 +33,31 @@ pub struct Envelope {
     pub msg: Message,
 }
 
+/// One hosted machine and the deadline `DesDriver::timers` holds for it:
+/// a step that leaves the deadline where it was never touches the index.
+struct Slot {
+    machine: PeerMachine,
+    indexed: Option<u64>,
+}
+
+impl Slot {
+    /// Re-indexes the machine after a call into it.
+    fn reindex(&mut self, id: Id, timers: &mut TimerIndex) {
+        let deadline = self.machine.next_deadline();
+        if deadline != self.indexed {
+            self.indexed = deadline;
+            timers.set(id, deadline);
+        }
+    }
+}
+
 /// The DES world: peer machines plus one event queue of envelopes.
 pub struct DesDriver {
-    peers: BTreeMap<Id, PeerMachine>,
+    peers: BTreeMap<Id, Slot>,
+    /// Every machine's earliest deadline, re-indexed after each call into
+    /// a machine and on spawn/remove: timer rounds read this, never the
+    /// fleet.
+    timers: TimerIndex,
     queue: EventQueue<Envelope>,
     seed: u64,
     peer_cfg: PeerConfig,
@@ -67,6 +90,7 @@ impl DesDriver {
     pub fn new_with_faults(seed: u64, peer_cfg: PeerConfig, plan: FaultPlan) -> Self {
         DesDriver {
             peers: BTreeMap::new(),
+            timers: TimerIndex::new(),
             queue: EventQueue::new(),
             seed,
             peer_cfg,
@@ -90,20 +114,25 @@ impl DesDriver {
 
     /// Registers a fresh solo peer with the canonical derived seed.
     pub fn spawn_peer(&mut self, id: Id) {
-        self.peers.insert(
+        self.spawn_machine(PeerMachine::new(
             id,
-            PeerMachine::new(id, peer_seed(self.seed, id), self.peer_cfg.clone()),
-        );
+            peer_seed(self.seed, id),
+            self.peer_cfg.clone(),
+        ));
     }
 
-    /// Registers a pre-built machine.
+    /// Registers a pre-built machine, replacing any machine already
+    /// under its id. Timers the machine already carries are indexed.
     pub fn spawn_machine(&mut self, machine: PeerMachine) {
-        self.peers.insert(machine.id(), machine);
+        let (id, indexed) = (machine.id(), machine.next_deadline());
+        self.timers.set(id, indexed);
+        self.peers.insert(id, Slot { machine, indexed });
     }
 
     /// Removes a peer outright (a crash). Mail already queued to it will
-    /// bounce at delivery time.
+    /// bounce at delivery time, and its armed timers die with it.
     pub fn remove_peer(&mut self, id: Id) -> bool {
+        self.timers.set(id, None);
         self.peers.remove(&id).is_some()
     }
 
@@ -114,7 +143,7 @@ impl DesDriver {
 
     /// Read access to one peer's machine.
     pub fn peer(&self, id: Id) -> Option<&PeerMachine> {
-        self.peers.get(&id)
+        self.peers.get(&id).map(|slot| &slot.machine)
     }
 
     /// Envelopes handed to the transport so far (fault copies included).
@@ -179,8 +208,9 @@ impl DesDriver {
         let Some(peer) = self.peers.get_mut(&id) else {
             return false;
         };
-        let outs = peer.on_command(cmd, &mut rng);
-        let evs = peer.drain_events();
+        let outs = peer.machine.on_command(cmd, &mut rng);
+        peer.reindex(id, &mut self.timers);
+        let evs = peer.machine.drain_events();
         self.absorb_events(evs);
         self.enqueue_all(id, outs);
         true
@@ -200,9 +230,19 @@ impl DesDriver {
     }
 
     /// The earliest pending deadline across all machines, if any
-    /// operation anywhere is still awaiting completion.
+    /// operation anywhere is still awaiting completion. Read from the
+    /// deadline index; debug builds check it against a scan of the fleet.
     pub fn next_timer_round(&self) -> Option<u64> {
-        self.peers.values().filter_map(|m| m.next_deadline()).min()
+        let next = self.timers.earliest();
+        debug_assert_eq!(
+            next,
+            self.peers
+                .values()
+                .filter_map(|slot| slot.machine.next_deadline())
+                .min(),
+            "timer index out of step with the machines"
+        );
+        next
     }
 
     /// Advances the timer round to the earliest pending deadline and
@@ -210,18 +250,28 @@ impl DesDriver {
     /// machine is waiting. Call only at quiescent points (empty queue):
     /// there, all in-flight loss is final, so an expired deadline is a
     /// genuine loss — never a message still in the queue.
+    ///
+    /// The due set comes from the deadline index in ascending [`Id`]
+    /// order — the order a walk over the sorted fleet finds it in, which
+    /// every injection nonce (and so every seeded outcome) depends on —
+    /// at a cost that grows with the machines due, not with the fleet.
+    /// Debug builds check the set against that walk.
     pub fn tick_timers(&mut self) -> bool {
         let Some(min) = self.next_timer_round() else {
             return false;
         };
         self.round = self.round.max(min);
         let now = self.round;
-        let due: Vec<Id> = self
-            .peers
-            .iter()
-            .filter(|(_, m)| m.next_deadline().is_some_and(|d| d <= now))
-            .map(|(&id, _)| id)
-            .collect();
+        let due = self.timers.due(now);
+        debug_assert_eq!(
+            due,
+            self.peers
+                .iter()
+                .filter(|(_, slot)| slot.machine.next_deadline().is_some_and(|d| d <= now))
+                .map(|(&id, _)| id)
+                .collect::<Vec<Id>>(),
+            "timer index disagrees with the machines on who is due"
+        );
         for id in due {
             self.inject(id, Command::TimerTick { now });
         }
@@ -317,8 +367,9 @@ impl DesDriver {
             let mut rng = SeedTree::new(self.seed)
                 .child2(LBL_CMD, self.cmd_nonce)
                 .rng();
-            let outs = peer.on_message(env.from, env.msg, &mut rng);
-            let evs = peer.drain_events();
+            let outs = peer.machine.on_message(env.from, env.msg, &mut rng);
+            peer.reindex(env.to, &mut self.timers);
+            let evs = peer.machine.drain_events();
             self.absorb_events(evs);
             self.enqueue_all(env.to, outs);
         } else if self.plan.blackhole_on_crash() {
@@ -332,8 +383,9 @@ impl DesDriver {
             let Some(sender) = self.peers.get_mut(&env.from) else {
                 return; // both ends gone; the message evaporates
             };
-            let outs = sender.on_delivery_failure(env.to, env.msg);
-            let evs = sender.drain_events();
+            let outs = sender.machine.on_delivery_failure(env.to, env.msg);
+            sender.reindex(env.from, &mut self.timers);
+            let evs = sender.machine.drain_events();
             self.absorb_events(evs);
             self.enqueue_all(env.from, outs);
         }
@@ -481,6 +533,69 @@ mod tests {
             .expect("query must terminate");
         assert!(report.wasted > 0, "corpse probe must be charged");
         assert!(des.bounced() > 0);
+    }
+
+    /// Two joined peers under a plan that swallows mail to corpses, so
+    /// only timers can notice a crash.
+    fn blackholed_pair() -> (DesDriver, Id, Id) {
+        let plan = FaultPlan::new(0xB1AC).with_blackhole(true);
+        let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), plan);
+        let (a, b) = (Id::new(100), Id::new(200));
+        des.spawn_peer(a);
+        assert!(des.join_and_wait(b, a));
+        des.drain_events();
+        assert_eq!(
+            des.next_timer_round(),
+            None,
+            "a settled pair waits on nothing"
+        );
+        (des, a, b)
+    }
+
+    #[test]
+    fn crashing_a_peer_takes_its_armed_timers_out_of_the_index() {
+        let (mut des, a, _) = blackholed_pair();
+        des.inject(a, Command::ProbeRing);
+        assert!(
+            des.next_timer_round().is_some(),
+            "an unanswered ping must be waiting on its timer"
+        );
+        assert!(des.remove_peer(a));
+        // A leaked entry would name a round with nobody to tick, and
+        // settle would spin through its whole budget on it.
+        assert_eq!(des.next_timer_round(), None);
+        assert_eq!(ProtocolDriver::settle(&mut des, 64), 0);
+        assert_eq!(des.next_timer_round(), None);
+    }
+
+    #[test]
+    fn spawning_a_machine_indexes_the_timers_it_already_carries() {
+        let (mut des, _, b) = blackholed_pair();
+        let c = Id::new(300);
+        let mut machine = PeerMachine::new(c, peer_seed(3, c), PeerConfig::default());
+        let mut rng = SeedTree::new(3).rng();
+        machine.on_command(
+            Command::Bootstrap {
+                pred: b,
+                succs: vec![b],
+                known: vec![b],
+            },
+            &mut rng,
+        );
+        // Pings that were never sent: their timers can only expire.
+        machine.on_command(Command::ProbeRing, &mut rng);
+        let armed = machine.next_deadline();
+        assert!(armed.is_some());
+        des.spawn_machine(machine);
+        assert_eq!(des.next_timer_round(), armed);
+        assert!(ProtocolDriver::settle(&mut des, 64) > 0, "the timers fire");
+        assert_eq!(des.next_timer_round(), None);
+
+        // Re-spawning over a waiting peer replaces its index entry too.
+        des.inject(c, Command::ProbeRing);
+        assert!(des.next_timer_round().is_some());
+        des.spawn_peer(c);
+        assert_eq!(des.next_timer_round(), None);
     }
 
     #[test]

@@ -37,6 +37,15 @@ pub enum Error {
     },
     /// Invalid experiment or overlay configuration.
     InvalidConfig(String),
+    /// A protocol driver was still not idle after its whole timer-round
+    /// budget: some operation keeps re-arming its timer and never
+    /// completes or gives up.
+    Livelock {
+        /// What the engine had just asked of the fleet.
+        during: &'static str,
+        /// Timer rounds spent, i.e. the budget.
+        rounds: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -58,6 +67,10 @@ impl fmt::Display for Error {
                 write!(f, "sampling failed: {reason}")
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            Error::Livelock { during, rounds } => write!(
+                f,
+                "protocol livelock: the fleet was still not idle {rounds} timer rounds after {during}"
+            ),
         }
     }
 }
@@ -87,6 +100,13 @@ mod tests {
                     reason: "empty interval",
                 },
                 "sampling failed: empty interval",
+            ),
+            (
+                Error::Livelock {
+                    during: "a join",
+                    rounds: 4096,
+                },
+                "protocol livelock: the fleet was still not idle 4096 timer rounds after a join",
             ),
         ];
         for (err, expected) in cases {

@@ -167,18 +167,57 @@ fn bootstrap_trace(ids: &[Id]) -> Vec<(Id, Command)> {
         .collect()
 }
 
-fn run_des_faulted(ids: &[Id]) -> (LinkTables, Vec<QueryReport>, u64) {
+/// What a faulted run leaves behind. `timer_rounds` is the driver's
+/// `next_timer_round()` at every quiescent point of every settle, in
+/// order: the drivers must agree not only on where the trace ends up but
+/// on which deadline is next each time the network falls silent.
+struct FaultedRun {
+    tables: LinkTables,
+    reports: Vec<QueryReport>,
+    retried: u64,
+    timer_rounds: Vec<Option<u64>>,
+}
+
+/// `DesDriver::run_until_settled`, noting the next timer round at every
+/// quiescent point on the way.
+fn settle_des(des: &mut DesDriver, max_rounds: u64, timer_rounds: &mut Vec<Option<u64>>) {
+    des.run_until_idle();
+    timer_rounds.push(des.next_timer_round());
+    for _ in 0..max_rounds {
+        if !des.tick_timers() {
+            break;
+        }
+        des.run_until_idle();
+        timer_rounds.push(des.next_timer_round());
+    }
+}
+
+/// `Runtime::settle`, noting the same.
+fn settle_actor(rt: &Runtime, max_rounds: u64, timer_rounds: &mut Vec<Option<u64>>) {
+    rt.quiesce();
+    timer_rounds.push(rt.next_timer_round());
+    for _ in 0..max_rounds {
+        if !rt.tick_timers() {
+            break;
+        }
+        rt.quiesce();
+        timer_rounds.push(rt.next_timer_round());
+    }
+}
+
+fn run_des_faulted(ids: &[Id]) -> FaultedRun {
     let mut des = DesDriver::new_with_faults(SEED, PeerConfig::default(), fault_plan());
+    let mut timer_rounds = Vec::new();
     for &id in ids {
         des.spawn_peer(id);
     }
     for (id, cmd) in bootstrap_trace(ids) {
         des.inject(id, cmd);
     }
-    des.run_until_settled(64);
+    settle_des(&mut des, 64, &mut timer_rounds);
     for &id in ids {
         des.inject(id, Command::BuildLinks { walks: 3 });
-        des.run_until_settled(64);
+        settle_des(&mut des, 64, &mut timer_rounds);
     }
     let mut retried = 0u64;
     for e in des.drain_events() {
@@ -189,7 +228,7 @@ fn run_des_faulted(ids: &[Id]) -> (LinkTables, Vec<QueryReport>, u64) {
     let mut reports = Vec::new();
     for &(origin, qid, key) in &query_trace(ids) {
         des.inject(origin, Command::StartQuery { qid, key });
-        des.run_until_settled(64);
+        settle_des(&mut des, 64, &mut timer_rounds);
         for e in des.drain_events() {
             match e {
                 ProtocolEvent::QueryCompleted(r) => reports.push(r),
@@ -203,10 +242,16 @@ fn run_des_faulted(ids: &[Id]) -> (LinkTables, Vec<QueryReport>, u64) {
         .map(|&id| (id, des.peer(id).unwrap().fingerprint()))
         .collect();
     reports.sort_by_key(|r| r.qid);
-    (tables, reports, retried)
+    FaultedRun {
+        tables,
+        reports,
+        retried,
+        timer_rounds,
+    }
 }
 
-fn run_actor_faulted(ids: &[Id], workers: usize) -> (LinkTables, Vec<QueryReport>, u64) {
+fn run_actor_faulted(ids: &[Id], workers: usize) -> FaultedRun {
+    let mut timer_rounds = Vec::new();
     let mut rt = Runtime::new(
         RuntimeConfig::new(SEED)
             .with_workers(workers)
@@ -218,10 +263,10 @@ fn run_actor_faulted(ids: &[Id], workers: usize) -> (LinkTables, Vec<QueryReport
     for (id, cmd) in bootstrap_trace(ids) {
         rt.inject(id, cmd);
     }
-    rt.settle(64);
+    settle_actor(&rt, 64, &mut timer_rounds);
     for &id in ids {
         rt.inject(id, Command::BuildLinks { walks: 3 });
-        rt.settle(64);
+        settle_actor(&rt, 64, &mut timer_rounds);
     }
     let mut retried = 0u64;
     for e in rt.drain_events() {
@@ -232,7 +277,7 @@ fn run_actor_faulted(ids: &[Id], workers: usize) -> (LinkTables, Vec<QueryReport
     let mut reports = Vec::new();
     for &(origin, qid, key) in &query_trace(ids) {
         rt.inject(origin, Command::StartQuery { qid, key });
-        rt.settle(64);
+        settle_actor(&rt, 64, &mut timer_rounds);
         for e in rt.drain_events() {
             match e {
                 ProtocolEvent::QueryCompleted(r) => reports.push(r),
@@ -247,18 +292,33 @@ fn run_actor_faulted(ids: &[Id], workers: usize) -> (LinkTables, Vec<QueryReport
         .collect();
     reports.sort_by_key(|r| r.qid);
     rt.shutdown();
-    (tables, reports, retried)
+    FaultedRun {
+        tables,
+        reports,
+        retried,
+        timer_rounds,
+    }
 }
 
 #[test]
 fn des_and_actor_runtime_agree_under_the_same_fault_plan() {
     let ids = peer_ids(48);
-    let (des_tables, des_reports, des_retried) = run_des_faulted(&ids);
-    let (rt_tables, rt_reports, _) = run_actor_faulted(&ids, 4);
+    let des = run_des_faulted(&ids);
+    let rt = run_actor_faulted(&ids, 4);
+    let (des_tables, des_reports) = (des.tables, des.reports);
+    let (rt_tables, rt_reports) = (rt.tables, rt.reports);
 
     assert!(
-        des_retried > 0,
+        des.retried > 0,
         "the plan must actually exercise the retry path"
+    );
+    assert!(
+        des.timer_rounds.iter().any(|r| r.is_some()),
+        "some quiescent point must have a deadline pending"
+    );
+    assert_eq!(
+        des.timer_rounds, rt.timer_rounds,
+        "the drivers disagree on the next timer round at a quiescent point"
     );
     assert_eq!(des_tables.len(), rt_tables.len());
     for (id, des_fp) in &des_tables {
