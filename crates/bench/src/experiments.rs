@@ -352,13 +352,13 @@ pub fn run_steady_churn_on<B: OverlayBuilder + Sync + ?Sized>(
         .collect()
 }
 
-/// The steady-state churn protocol through the **machine backend**: every
+/// The steady-state churn protocol through the **machine world**: every
 /// churn level of `schedules` runs on its own [`DesDriver`]-hosted
 /// [`oscar_protocol::PeerMachine`] fleet (bootstrapped to `scale.target`
 /// peers by real joins), with the level's repair policy mapped onto the
 /// machines via [`machine_repair_policy`] and retuned by `knobs`.
 ///
-/// Unlike the oracle engine there is no pre-grown substrate and no free
+/// Unlike the oracle world there is no pre-grown substrate and no free
 /// failure detection — every repair in the window books is protocol
 /// messages. Levels are independent (each owns its driver and derives all
 /// randomness from its own seed-tree child), so they fan out over

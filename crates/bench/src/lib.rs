@@ -40,7 +40,7 @@ pub use parallel::{run_tasks, Task};
 pub use report::Report;
 pub use scale::{reject_unused_knobs, MachineKnobs, Scale};
 pub use scenario::{
-    machine_phases_for, render_scenario_report, run_all_scenarios, run_scenario, scenario_tag,
+    render_scenario_report, run_all_scenarios, run_phases, run_scenario, scenario_tag,
     standard_scenarios, write_scenario_csv, write_scenario_report, Check, CheckOutcome, DegreeKind,
     PhaseSpec, Scenario, ScenarioOutcome, ScenarioRow,
 };

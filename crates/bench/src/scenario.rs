@@ -21,14 +21,14 @@
 //! Phase `p` draws from `child2(LBL_PHASE, p)`, window `w` within it
 //! from `child2(LBL_WINDOW, w)` (scope `bench_scenario`).
 //!
-//! Backends: phases execute on the oracle engine
-//! ([`oscar_sim::run_continuous_churn_with`] plus the
-//! [`oscar_sim::scenario_hooks`] shocks). The subset of phases the
-//! protocol machines support translates via [`machine_phases_for`] into
-//! [`MachinePhase`]s runnable on any `ProtocolDriver` through
-//! [`oscar_sim::run_machine_phases`] — partition masks and
-//! targeted-degree kills need the oracle's global view and stay
-//! legacy-only.
+//! Worlds: [`run_phases`] is the one interpreter of [`PhaseSpec`]s, over
+//! any [`oscar_sim::ChurnWorld`] — every measured window is a one-window
+//! [`oscar_sim::run_churn`] span, every shock an [`oscar_sim::Shock`] the
+//! world applies itself. [`run_scenario`] runs the committed suite on an
+//! [`oscar_sim::OracleWorld`] over a grown Oscar overlay; the same phases
+//! run unchanged on an [`oscar_sim::MachineWorld`] over any
+//! `ProtocolDriver`, except that partition masks, targeted-degree kills
+//! and heals need the oracle's global view and are an error there.
 
 use crate::experiments::{churn_schedule_for, steady_mean_of};
 use crate::json::Object;
@@ -38,12 +38,9 @@ use crate::scale::Scale;
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees};
 use oscar_keydist::{GnutellaKeys, QueryWorkload};
-use oscar_sim::scenario_hooks::{
-    burst_joins, kill_ring_arc, kill_top_degree, reactive_heal, sever_arc_links,
-};
 use oscar_sim::{
-    run_continuous_churn_with, ChurnSchedule, ChurnWindowStats, FaultModel, GrowthConfig,
-    GrowthDriver, MachinePhase, Network, PeerIdx, RepairPolicy,
+    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, FaultModel, GrowthConfig, GrowthDriver,
+    Network, OracleWorld, RepairPolicy, Shock, ShockReport,
 };
 use oscar_types::labels::bench_scenario::{LBL_GROW, LBL_PHASE, LBL_RUN, LBL_WINDOW};
 use oscar_types::{Result, SeedTree};
@@ -423,23 +420,134 @@ fn scenario_schedule(turnover: f64, scale: &Scale) -> ChurnSchedule {
     }
 }
 
-/// Runs one engine window and returns its books.
-#[allow(clippy::too_many_arguments)]
-fn one_window(
-    net: &mut Network,
-    builder: &OscarBuilder,
-    keys: &GnutellaKeys,
-    degrees: &dyn DegreeDistribution,
-    schedule: &ChurnSchedule,
-    workload: &QueryWorkload,
-    wseed: SeedTree,
-) -> Result<ChurnWindowStats> {
-    let mut windows =
-        run_continuous_churn_with(net, builder, keys, degrees, schedule, workload, 1, wseed)?;
-    Ok(windows.pop().expect("asked for exactly one window"))
+/// Runs `phases` in order on `world`: one [`ScenarioRow`] per measured
+/// window, globally indexed.
+///
+/// Phase `p` draws from `seed.child2(LBL_PHASE, p)`: its shock (if it is
+/// one) from that node directly, its window `w` from the node's
+/// `child2(LBL_WINDOW, w)`. Every window is its own one-window engine
+/// span, so the clock restarts at zero and repairs still pending when a
+/// window closes are dropped with it. A shock a world cannot express is
+/// that world's error.
+pub fn run_phases<W: ChurnWorld + ?Sized>(
+    world: &mut W,
+    phases: &[PhaseSpec],
+    scale: &Scale,
+    seed: &SeedTree,
+) -> Result<Vec<ScenarioRow>> {
+    let mut rows: Vec<ScenarioRow> = Vec::new();
+    let uniform = QueryWorkload::UniformPeers;
+    for (p, phase) in phases.iter().enumerate() {
+        let pseed = seed.child2(LBL_PHASE, p as u64);
+        // Measures window `w` of this phase at `turnover`, patching a
+        // preceding shock's membership and repair deltas into its books.
+        let mut measure = |world: &mut W,
+                           w: usize,
+                           turnover: f64,
+                           workload: &QueryWorkload,
+                           shock: ShockReport,
+                           note: String|
+         -> Result<()> {
+            let schedule = scenario_schedule(turnover, scale);
+            let wseed = pseed.child2(LBL_WINDOW, w as u64);
+            if let Some(mut stats) = run_churn(world, &schedule, workload, 1, wseed)?.pop() {
+                stats.window = rows.len();
+                stats.joins += shock.joined;
+                stats.crashes += shock.killed;
+                stats.repairs += shock.upkeep.repairs;
+                stats.repair_cost += shock.upkeep.repair_cost;
+                rows.push(ScenarioRow {
+                    window: stats.window,
+                    phase: p,
+                    phase_label: phase.label(),
+                    stats,
+                    note,
+                });
+            }
+            Ok(())
+        };
+        let quiet = ShockReport::default();
+        let shock = match *phase {
+            PhaseSpec::Churn {
+                turnover, windows, ..
+            } => {
+                for w in 0..windows {
+                    measure(world, w, turnover, &uniform, quiet, String::new())?;
+                }
+                continue;
+            }
+            PhaseSpec::Diurnal {
+                mean,
+                amplitude,
+                period,
+                windows,
+                ..
+            } => {
+                for w in 0..windows {
+                    let angle = std::f64::consts::TAU * w as f64 / period.max(1) as f64;
+                    let turnover = mean * (1.0 + amplitude * angle.sin());
+                    let note = format!("turnover {:.2}%", turnover * 100.0);
+                    measure(world, w, turnover, &uniform, quiet, note)?;
+                }
+                continue;
+            }
+            PhaseSpec::QueryStorm {
+                turnover,
+                windows,
+                width,
+                hot_fraction,
+                ..
+            } => {
+                for w in 0..windows {
+                    let center = w as f64 / windows.max(1) as f64;
+                    let workload = QueryWorkload::Hotspot {
+                        center,
+                        width,
+                        hot_fraction,
+                    };
+                    let note = format!("hotspot center {center:.3}");
+                    measure(world, w, turnover, &workload, quiet, note)?;
+                }
+                continue;
+            }
+            // The burst is sized here, at shock time, from whoever is
+            // alive now — not from the grown size.
+            PhaseSpec::MassJoin { fraction, .. } => Shock::MassJoin {
+                count: ((world.live() as f64 * fraction).ceil() as usize).max(1),
+            },
+            PhaseSpec::KillArc {
+                start, fraction, ..
+            } => Shock::KillArc {
+                start,
+                fraction,
+                neighbors_k: NEIGHBORS_K,
+            },
+            PhaseSpec::TargetedKill { fraction, .. } => Shock::TargetedKill {
+                fraction,
+                neighbors_k: NEIGHBORS_K,
+            },
+            PhaseSpec::Partition {
+                start, fraction, ..
+            } => Shock::Partition { start, fraction },
+            PhaseSpec::Heal { .. } => Shock::Heal,
+        };
+        // A shock phase: the shock, then one zero-churn aftermath window.
+        let report = world.shock(&shock, &pseed)?;
+        let note = match shock {
+            Shock::MassJoin { .. } => format!("{} joined at once", report.joined),
+            Shock::KillArc { .. } => format!("killed {} contiguous peers", report.killed),
+            Shock::TargetedKill { .. } => {
+                format!("killed {} highest-degree peers", report.killed)
+            }
+            Shock::Partition { .. } => format!("severed {} crossing links", report.severed),
+            Shock::Heal => format!("rewired {} peers", report.upkeep.repairs),
+        };
+        measure(world, 0, 0.0, &uniform, report, note)?;
+    }
+    Ok(rows)
 }
 
-/// Runs `sc` at `scale` on the oracle backend and evaluates its checks.
+/// Runs `sc` at `scale` on the oracle world and evaluates its checks.
 ///
 /// Grows a fresh Oscar overlay to `scale.target` under the stabilised
 /// ring, then flips to [`FaultModel::UnstabilizedRing`] with a
@@ -470,191 +578,8 @@ pub fn run_scenario(sc: &Scenario, scale: &Scale) -> Result<ScenarioOutcome> {
     net.set_fault_model(FaultModel::UnstabilizedRing);
     net.set_succ_list_len(SUCC_LIST_LEN);
 
-    let mut rows: Vec<ScenarioRow> = Vec::new();
-    // Survivors bordering un-healed damage, accumulated across shocks
-    // and consumed by the next Heal phase.
-    let mut pending_repairs: Vec<PeerIdx> = Vec::new();
-    let zero = scenario_schedule(0.0, scale);
-
-    for (p, phase) in sc.phases.iter().enumerate() {
-        let pseed = seed.child2(LBL_PHASE, p as u64);
-        let push = |stats: ChurnWindowStats, note: String, rows: &mut Vec<ScenarioRow>| {
-            let mut stats = stats;
-            stats.window = rows.len();
-            rows.push(ScenarioRow {
-                window: stats.window,
-                phase: p,
-                phase_label: phase.label(),
-                stats,
-                note,
-            });
-        };
-        match phase {
-            PhaseSpec::Churn {
-                turnover, windows, ..
-            } => {
-                let schedule = scenario_schedule(*turnover, scale);
-                for w in 0..*windows {
-                    let stats = one_window(
-                        &mut net,
-                        &builder,
-                        &keys,
-                        degrees.as_ref(),
-                        &schedule,
-                        &QueryWorkload::UniformPeers,
-                        pseed.child2(LBL_WINDOW, w as u64),
-                    )?;
-                    push(stats, String::new(), &mut rows);
-                }
-            }
-            PhaseSpec::Diurnal {
-                mean,
-                amplitude,
-                period,
-                windows,
-                ..
-            } => {
-                for w in 0..*windows {
-                    let angle = std::f64::consts::TAU * w as f64 / (*period).max(1) as f64;
-                    let turnover = mean * (1.0 + amplitude * angle.sin());
-                    let schedule = scenario_schedule(turnover, scale);
-                    let stats = one_window(
-                        &mut net,
-                        &builder,
-                        &keys,
-                        degrees.as_ref(),
-                        &schedule,
-                        &QueryWorkload::UniformPeers,
-                        pseed.child2(LBL_WINDOW, w as u64),
-                    )?;
-                    push(
-                        stats,
-                        format!("turnover {:.2}%", turnover * 100.0),
-                        &mut rows,
-                    );
-                }
-            }
-            PhaseSpec::QueryStorm {
-                turnover,
-                windows,
-                width,
-                hot_fraction,
-                ..
-            } => {
-                let schedule = scenario_schedule(*turnover, scale);
-                for w in 0..*windows {
-                    let center = w as f64 / (*windows).max(1) as f64;
-                    let workload = QueryWorkload::Hotspot {
-                        center,
-                        width: *width,
-                        hot_fraction: *hot_fraction,
-                    };
-                    let stats = one_window(
-                        &mut net,
-                        &builder,
-                        &keys,
-                        degrees.as_ref(),
-                        &schedule,
-                        &workload,
-                        pseed.child2(LBL_WINDOW, w as u64),
-                    )?;
-                    push(stats, format!("hotspot center {center:.3}"), &mut rows);
-                }
-            }
-            PhaseSpec::MassJoin { fraction, .. } => {
-                let count = ((net.live_count() as f64 * fraction).ceil() as usize).max(1);
-                let joined =
-                    burst_joins(&mut net, &builder, &keys, degrees.as_ref(), count, &pseed)?;
-                let mut stats = one_window(
-                    &mut net,
-                    &builder,
-                    &keys,
-                    degrees.as_ref(),
-                    &zero,
-                    &QueryWorkload::UniformPeers,
-                    pseed.child2(LBL_WINDOW, 0),
-                )?;
-                stats.joins += joined.len() as u64;
-                push(stats, format!("{} joined at once", joined.len()), &mut rows);
-            }
-            PhaseSpec::KillArc {
-                start, fraction, ..
-            } => {
-                let damage = kill_ring_arc(&mut net, *start, *fraction, NEIGHBORS_K)?;
-                pending_repairs.extend_from_slice(&damage.repair_set);
-                let mut stats = one_window(
-                    &mut net,
-                    &builder,
-                    &keys,
-                    degrees.as_ref(),
-                    &zero,
-                    &QueryWorkload::UniformPeers,
-                    pseed.child2(LBL_WINDOW, 0),
-                )?;
-                stats.crashes += damage.victims.len() as u64;
-                push(
-                    stats,
-                    format!("killed {} contiguous peers", damage.victims.len()),
-                    &mut rows,
-                );
-            }
-            PhaseSpec::TargetedKill { fraction, .. } => {
-                let damage = kill_top_degree(&mut net, *fraction, NEIGHBORS_K)?;
-                pending_repairs.extend_from_slice(&damage.repair_set);
-                let mut stats = one_window(
-                    &mut net,
-                    &builder,
-                    &keys,
-                    degrees.as_ref(),
-                    &zero,
-                    &QueryWorkload::UniformPeers,
-                    pseed.child2(LBL_WINDOW, 0),
-                )?;
-                stats.crashes += damage.victims.len() as u64;
-                push(
-                    stats,
-                    format!("killed {} highest-degree peers", damage.victims.len()),
-                    &mut rows,
-                );
-            }
-            PhaseSpec::Partition {
-                start, fraction, ..
-            } => {
-                let damage = sever_arc_links(&mut net, *start, *fraction)?;
-                pending_repairs.extend_from_slice(&damage.repair_set);
-                let stats = one_window(
-                    &mut net,
-                    &builder,
-                    &keys,
-                    degrees.as_ref(),
-                    &zero,
-                    &QueryWorkload::UniformPeers,
-                    pseed.child2(LBL_WINDOW, 0),
-                )?;
-                push(
-                    stats,
-                    format!("severed {} crossing links", damage.severed),
-                    &mut rows,
-                );
-            }
-            PhaseSpec::Heal { .. } => {
-                let (repairs, cost) = reactive_heal(&mut net, &builder, &pending_repairs, &pseed)?;
-                pending_repairs.clear();
-                let mut stats = one_window(
-                    &mut net,
-                    &builder,
-                    &keys,
-                    degrees.as_ref(),
-                    &zero,
-                    &QueryWorkload::UniformPeers,
-                    pseed.child2(LBL_WINDOW, 0),
-                )?;
-                stats.repairs += repairs;
-                stats.repair_cost += cost;
-                push(stats, format!("rewired {repairs} peers"), &mut rows);
-            }
-        }
-    }
+    let mut world = OracleWorld::new(&mut net, &builder, &keys, degrees.as_ref())?;
+    let rows = run_phases(&mut world, &sc.phases, scale, &seed)?;
 
     let mut outcome = ScenarioOutcome {
         name: sc.name,
@@ -943,90 +868,6 @@ pub fn run_all_scenarios(scale: &Scale) -> Result<Vec<ScenarioOutcome>> {
     run_tasks(scale.thread_count(), tasks).into_iter().collect()
 }
 
-/// Translates the machine-runnable subset of a scenario's phases into
-/// [`MachinePhase`]s for [`oscar_sim::run_machine_phases`] (any
-/// `ProtocolDriver`). Diurnal and query-storm phases unroll into
-/// per-window spans; partition masks, targeted-degree kills and heal
-/// phases need the oracle's global view and return `None`.
-pub fn machine_phases_for(sc: &Scenario, scale: &Scale) -> Option<Vec<MachinePhase>> {
-    let mut out = Vec::new();
-    for phase in &sc.phases {
-        match phase {
-            PhaseSpec::Churn {
-                turnover, windows, ..
-            } => out.push(MachinePhase::Churn {
-                schedule: scenario_schedule(*turnover, scale),
-                workload: QueryWorkload::UniformPeers,
-                windows: *windows,
-            }),
-            PhaseSpec::Diurnal {
-                mean,
-                amplitude,
-                period,
-                windows,
-                ..
-            } => {
-                for w in 0..*windows {
-                    let angle = std::f64::consts::TAU * w as f64 / (*period).max(1) as f64;
-                    out.push(MachinePhase::Churn {
-                        schedule: scenario_schedule(mean * (1.0 + amplitude * angle.sin()), scale),
-                        workload: QueryWorkload::UniformPeers,
-                        windows: 1,
-                    });
-                }
-            }
-            PhaseSpec::QueryStorm {
-                turnover,
-                windows,
-                width,
-                hot_fraction,
-                ..
-            } => {
-                for w in 0..*windows {
-                    out.push(MachinePhase::Churn {
-                        schedule: scenario_schedule(*turnover, scale),
-                        workload: QueryWorkload::Hotspot {
-                            center: w as f64 / (*windows).max(1) as f64,
-                            width: *width,
-                            hot_fraction: *hot_fraction,
-                        },
-                        windows: 1,
-                    });
-                }
-            }
-            PhaseSpec::MassJoin { fraction, .. } => {
-                out.push(MachinePhase::MassJoin {
-                    count: ((scale.target as f64 * fraction).ceil() as usize).max(1),
-                });
-                out.push(MachinePhase::Churn {
-                    schedule: scenario_schedule(0.0, scale),
-                    workload: QueryWorkload::UniformPeers,
-                    windows: 1,
-                });
-            }
-            PhaseSpec::KillArc {
-                start, fraction, ..
-            } => {
-                out.push(MachinePhase::KillArc {
-                    start: *start,
-                    fraction: *fraction,
-                });
-                out.push(MachinePhase::Churn {
-                    schedule: scenario_schedule(0.0, scale),
-                    workload: QueryWorkload::UniformPeers,
-                    windows: 1,
-                });
-            }
-            PhaseSpec::TargetedKill { .. }
-            | PhaseSpec::Partition { .. }
-            | PhaseSpec::Heal { .. } => {
-                return None;
-            }
-        }
-    }
-    Some(out)
-}
-
 /// Renders a float with a fixed number of decimals — the one float
 /// formatting the CSV and report use, so artifacts are byte-stable.
 fn fmt(v: f64, decimals: usize) -> String {
@@ -1255,31 +1096,32 @@ mod tests {
     }
 
     #[test]
-    fn machine_translation_covers_the_machine_runnable_subset() {
+    fn per_window_phases_lower_turnover_and_workload_window_by_window() {
         let suite = standard_scenarios();
-        let scale = tiny();
         let by_name = |n: &str| suite.iter().find(|s| s.name == n).unwrap();
-        // flash_crowd: churn + mass-join + churn → 2 extra aftermath spans.
-        let phases = machine_phases_for(by_name("flash_crowd"), &scale).unwrap();
-        assert_eq!(phases.len(), 4);
-        assert!(matches!(phases[1], MachinePhase::MassJoin { count: 20 }));
-        // regional_outage has a Heal phase — oracle-only.
-        assert!(machine_phases_for(by_name("regional_outage"), &scale).is_none());
-        assert!(machine_phases_for(by_name("targeted_attack"), &scale).is_none());
-        assert!(machine_phases_for(by_name("partition_heal"), &scale).is_none());
-        // diurnal unrolls per window; hotspot_drift drifts per window.
+        // diurnal: one row per window, turnover on the sine.
+        let diurnal = run_scenario(by_name("diurnal"), &tiny()).unwrap();
+        assert_eq!(diurnal.rows.len(), 16);
+        assert_eq!(diurnal.rows[2].note, "turnover 1.80%", "the peak");
+        assert_eq!(diurnal.rows[6].note, "turnover 0.20%", "the trough");
+        // hotspot_drift: the hot region's centre laps the ring once.
+        let storm = run_scenario(by_name("hotspot_drift"), &tiny()).unwrap();
+        assert_eq!(storm.rows.len(), 12);
+        assert_eq!(storm.rows[6].note, "hotspot center 0.500");
+        // Shock phases measure exactly one aftermath window each.
+        let outage = run_scenario(by_name("regional_outage"), &tiny()).unwrap();
+        assert_eq!(outage.rows.len(), 3 + 1 + 1 + 5);
+        let live_before = outage.rows[2].stats.live_at_end;
+        let killed = (live_before as f64 * 0.15).ceil() as u64;
+        assert_eq!(outage.rows[3].stats.crashes, killed);
         assert_eq!(
-            machine_phases_for(by_name("diurnal"), &scale)
-                .unwrap()
-                .len(),
-            16
+            outage.rows[3].note,
+            format!("killed {killed} contiguous peers")
         );
-        let storm = machine_phases_for(by_name("hotspot_drift"), &scale).unwrap();
-        assert_eq!(storm.len(), 12);
-        let MachinePhase::Churn { workload, .. } = &storm[6] else {
-            panic!("storm windows are churn spans");
-        };
-        assert_eq!(workload.name(), "hotspot(c=0.500,w=0.05,f=0.8)");
+        assert!(
+            outage.rows[4].stats.repairs > 0,
+            "the heal's rewires are booked"
+        );
     }
 
     #[test]

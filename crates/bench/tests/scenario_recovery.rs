@@ -1,11 +1,11 @@
 //! Scenario-engine acceptance: the regional-outage campaign must
-//! actually recover, and the machine-runnable scenario subset must be
-//! bit-deterministic on a protocol driver.
+//! actually recover, and the same interpreter must run a campaign
+//! bit-deterministically on a protocol driver's fleet.
 
-use oscar_bench::{machine_phases_for, run_scenario, standard_scenarios, Scale, Scenario};
+use oscar_bench::{run_phases, run_scenario, standard_scenarios, PhaseSpec, Scale, Scenario};
 use oscar_keydist::GnutellaKeys;
 use oscar_protocol::{FaultPlan, PeerConfig, RepairPolicy};
-use oscar_sim::{run_machine_phases, DesDriver, MachineChurnConfig};
+use oscar_sim::{DesDriver, MachineChurnConfig, MachineWorld};
 use oscar_types::SeedTree;
 
 fn by_name(name: &str) -> Scenario {
@@ -55,47 +55,88 @@ fn regional_outage_recovers_to_pre_outage_delivery() {
     );
 }
 
+/// A 48-machine fleet on the DES under reactive-k2, handed to `script`
+/// as a bootstrapped [`MachineWorld`] with the seed it grew from.
+fn on_a_fleet<T>(
+    scale: &Scale,
+    script: impl FnOnce(&mut MachineWorld<'_, DesDriver>, &SeedTree) -> T,
+) -> T {
+    let peer_cfg = PeerConfig {
+        repair: RepairPolicy::ReactiveK { k: 2 },
+        ..PeerConfig::default()
+    };
+    let mut driver = DesDriver::new_with_faults(scale.seed, peer_cfg, FaultPlan::reliable());
+    let cfg = MachineChurnConfig {
+        initial_peers: scale.target,
+        build_walks: 3,
+        probe_every: 100,
+    };
+    let keys = GnutellaKeys::default();
+    let seed = SeedTree::new(scale.seed);
+    let mut world = MachineWorld::bootstrap(&mut driver, &keys, &cfg, &seed).unwrap();
+    script(&mut world, &seed)
+}
+
 #[test]
 fn machine_backend_runs_flash_crowd_deterministically() {
-    // The machine-runnable subset of a scenario translates into
-    // MachinePhases and runs on a protocol driver with bit-identical
-    // windows per (phases, seed) — the backend half of the scenario
-    // engine's determinism contract.
+    // `run_phases` is generic over the churned world: on a `MachineWorld`
+    // the same phases run through real protocol messages, with
+    // bit-identical windows per (phases, seed).
     let scale = Scale::small(48, 19);
-    let sc = by_name("flash_crowd");
-    let phases = machine_phases_for(&sc, &scale).unwrap();
+    // An outage first, so the crowd arrives at a fleet well off its
+    // bootstrapped size.
+    let mut phases = vec![PhaseSpec::KillArc {
+        label: "outage",
+        start: 0.0,
+        fraction: 0.3,
+    }];
+    phases.extend(by_name("flash_crowd").phases);
     let run = || {
-        let peer_cfg = PeerConfig {
-            repair: RepairPolicy::ReactiveK { k: 2 },
-            ..PeerConfig::default()
-        };
-        let mut driver = DesDriver::new_with_faults(scale.seed, peer_cfg, FaultPlan::reliable());
-        let cfg = MachineChurnConfig {
-            initial_peers: scale.target,
-            build_walks: 3,
-            probe_every: 100,
-        };
-        run_machine_phases(
-            &mut driver,
-            &GnutellaKeys::default(),
-            &cfg,
-            &phases,
-            SeedTree::new(scale.seed),
-        )
-        .unwrap()
+        on_a_fleet(&scale, |world, seed| {
+            run_phases(world, &phases, &scale, seed).unwrap()
+        })
     };
     let a = run();
     let b = run();
-    assert_eq!(a, b, "machine scenario runs must be bit-deterministic");
-    // Shape: steady span, burst (no windows), burst aftermath window,
-    // aftermath span.
-    assert_eq!(a.len(), 4);
-    assert!(a[1].is_empty(), "the mass-join phase measures nothing");
-    let steady_live = a[0].last().unwrap().live_at_end;
-    let after_burst = a[2][0].live_at_end;
+    let books = |rows: &[oscar_bench::ScenarioRow]| -> Vec<_> {
+        rows.iter().map(|r| (r.phase, r.stats.clone())).collect()
+    };
     assert_eq!(
-        after_burst,
-        steady_live + 5,
-        "ceil(48 * 0.10) = 5 peers must join in the burst"
+        books(&a),
+        books(&b),
+        "machine scenario runs must be bit-deterministic"
     );
+    // Shape: the outage's aftermath window, 3 steady windows, the burst's
+    // aftermath window, 5 aftermath windows — the rows the oracle world
+    // produces for the same phases.
+    assert_eq!(a.len(), 10);
+    assert_eq!(a[0].stats.crashes, 15, "ceil(48 * 0.3) killed");
+    assert_eq!(a[4].phase_label, "burst");
+    let steady_live = a[3].stats.live_at_end;
+    let after_burst = a[4].stats.live_at_end;
+    // The burst is a fraction of the *current live* population, not of
+    // the grown size (which would make it ceil(48 * 0.10) = 5).
+    let burst = (steady_live as f64 * 0.10).ceil() as usize;
+    assert_eq!(
+        burst, 4,
+        "{steady_live} peers were live when the crowd arrived"
+    );
+    assert_eq!(after_burst, steady_live + burst);
+    assert_eq!(a[4].stats.joins, burst as u64);
+    assert_eq!(a[4].note, format!("{burst} joined at once"));
+}
+
+#[test]
+fn phases_that_need_the_oracles_view_are_an_error_on_machines() {
+    // Partition masks, targeted-degree kills and heals read and cut links
+    // fleet-wide; a machine world says so instead of approximating.
+    let scale = Scale::small(48, 19);
+    for name in ["regional_outage", "targeted_attack", "partition_heal"] {
+        let sc = by_name(name);
+        let err = on_a_fleet(&scale, |world, seed| {
+            run_phases(world, &sc.phases, &scale, seed)
+        })
+        .expect_err("a Heal phase cannot run on machines");
+        assert!(err.to_string().contains("OracleWorld"), "{name}: {err}");
+    }
 }

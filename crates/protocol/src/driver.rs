@@ -5,8 +5,8 @@
 //! [`PeerMachine`](crate::PeerMachine) envelopes; they differ only in
 //! *when* (virtual FIFO rounds vs real threads) and *where* (one queue
 //! vs one mailbox per actor). This trait captures the surface the
-//! machine-backend churn engine needs, so one generic engine drives
-//! Poisson join/crash/depart through either world and produces the same
+//! churn engine's machine world needs, so one generic engine drives
+//! Poisson join/crash/depart through either driver and produces the same
 //! window statistics.
 //!
 //! The trait lives here (not in a driver crate) so both worlds can

@@ -1,41 +1,37 @@
-//! Continuous-churn engine: sustained join/crash/depart at a rate.
+//! The continuous-churn engine: sustained join/crash/depart at a rate,
+//! over any [`ChurnWorld`].
 //!
 //! The paper's churn experiments (Figure 2) are one-shot crash waves
 //! measured on post-wave snapshots; its harder open regime is a network
-//! under *sustained* membership change, measured at steady state. This
-//! engine drives [`Network::add_peer`] / [`Network::kill`] /
-//! [`Network::depart`] from independent Poisson processes on the
-//! discrete-event queue ([`EventQueue`]): each process draws exponential
-//! inter-arrival times from its own seed-tree stream, a [`RepairPolicy`]
-//! heals the damage (whole-network sweeps, reactive neighbour rewires, or
-//! probe-triggered rewires), and measurement windows of fixed virtual
-//! length aggregate cost, wasted traffic, success rate, repair traffic
-//! and the live population over time.
+//! under *sustained* membership change, measured at steady state.
+//! [`run_churn`] is that regime's one event loop: three independent
+//! Poisson processes on the discrete-event queue ([`EventQueue`]), each
+//! drawing exponential inter-arrival times from its own seed-tree stream,
+//! pre-scheduled window timers, the `min_live` floor and the window books
+//! ([`ChurnWindowStats`]). What is being churned is a plug-in: a
+//! [`ChurnWorld`] admits, crashes and retires peers, measures itself when
+//! a window closes, and may put its own upkeep events (rewire sweeps,
+//! repairs, probe rounds) on the engine's clock. Two worlds exist —
+//! [`OracleWorld`](crate::churn_oracle::OracleWorld), the snapshot
+//! [`Network`](crate::network::Network) running an
+//! [`OverlayBuilder`](crate::growth::OverlayBuilder)'s links, and
+//! [`MachineWorld`](crate::churn_machine::MachineWorld), a fleet of
+//! protocol machines on any driver.
 //!
 //! Everything derives from one [`SeedTree`], so a run is a pure function
-//! of `(network, schedule, windows, seed)` — the bench drivers fan
+//! of `(world, schedule, workload, windows, seed)` — the bench drivers fan
 //! independent runs over worker threads with byte-identical results.
 
 use crate::events::{EventQueue, VirtualTime};
-use crate::growth::{rewire_all_peers, OverlayBuilder};
-use crate::network::Network;
-use crate::peer::PeerIdx;
-use crate::routing::{run_query_batch, run_query_batch_observed, QueryBatchStats, RoutePolicy};
-use oscar_degree::DegreeDistribution;
-use oscar_keydist::{KeyDistribution, QueryWorkload};
+use crate::routing::QueryBatchStats;
+use oscar_keydist::QueryWorkload;
 use oscar_types::labels::sim_churn_engine::{
     LBL_CRASH_GAPS, LBL_CRASH_PICK, LBL_DEPART_GAPS, LBL_DEPART_PICK, LBL_JOIN, LBL_JOIN_GAPS,
-    LBL_MEASURE, LBL_REPAIR, LBL_REWIRE,
+    LBL_MEASURE,
 };
 use oscar_types::{Error, Result, SeedTree};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Failure-detection latency of the reactive policies, in ticks: a repair
-/// triggered by a crash/departure/corpse probe fires this much later on
-/// the event queue, after any same-tick measurement (window timers are
-/// pre-scheduled and win FIFO ties).
-const REPAIR_DELAY: u64 = 1;
 
 /// How a continuous-churn run heals churn damage.
 ///
@@ -223,7 +219,7 @@ impl ChurnSchedule {
 }
 
 /// What one measurement window observed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChurnWindowStats {
     /// 0-based window index.
     pub window: usize,
@@ -256,42 +252,218 @@ pub struct ChurnWindowStats {
 
 impl ChurnWindowStats {
     /// Zeroed accumulator for the window opening at `start`.
-    pub(crate) fn fresh(window: usize, start: VirtualTime) -> Self {
+    fn fresh(window: usize, start: VirtualTime) -> Self {
         ChurnWindowStats {
             window,
             start,
             end: start,
-            joins: 0,
-            crashes: 0,
-            departs: 0,
-            rewires: 0,
-            repairs: 0,
-            repair_cost: 0,
-            suppressed: 0,
-            live_at_end: 0,
-            queries: QueryBatchStats::default(),
+            ..Default::default()
         }
     }
 }
 
-/// The engine's event alphabet.
+/// Maintenance a world performed, booked by the engine to the window it
+/// happened in.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Maintenance {
+    /// Whole-population rewire sweeps.
+    pub rewires: u64,
+    /// Individual peer rewires (a sweep contributes one per live peer).
+    pub repairs: u64,
+    /// Messages the maintenance generated.
+    pub repair_cost: u64,
+}
+
+/// What a world reports when a window closes.
+#[derive(Clone, Debug)]
+pub struct Measured {
+    /// Live population at the measurement instant.
+    pub live: usize,
+    /// Maintenance since the previous measurement, closed *before* the
+    /// batch ran: repairs the batch itself triggers belong to the next
+    /// window.
+    pub upkeep: Maintenance,
+    /// The window's query batch.
+    pub queries: QueryBatchStats,
+}
+
+/// Uniform victim selection under the schedule's `min_live` floor — the
+/// one place the floor is applied. A world lists its population once,
+/// asks for a rank, and removes the peer of that rank.
+pub struct VictimPick {
+    floor: usize,
+    rng: SmallRng,
+}
+
+impl VictimPick {
+    /// Rank (in identifier order) of the victim among `live` peers, or
+    /// `None` while the population is at or below the floor.
+    pub fn rank(&mut self, live: usize) -> Option<usize> {
+        (live > self.floor).then(|| self.rng.gen_range(0..live))
+    }
+}
+
+/// What the engine's clock carries: the three arrival processes, the
+/// window timers, and whatever upkeep the world put there.
 #[derive(Copy, Clone, Debug)]
-enum EngineEvent {
+enum Tick<U> {
     Join,
     Crash,
     Depart,
-    Rewire,
-    /// Reactive repair of a single peer (scheduled by the `Reactive` and
-    /// `OnProbe` policies; a no-op if the target died in the meantime).
-    Repair(PeerIdx),
+    Upkeep(U),
     WindowEnd,
 }
 
+/// The span of churn a world's handler runs in: the schedule and seed of
+/// the run, and the engine's clock — on which a world can schedule its own
+/// upkeep events and nothing else.
+pub struct Span<'a, U> {
+    /// The run's schedule.
+    pub schedule: &'a ChurnSchedule,
+    /// The run's seed; worlds derive their own labelled children.
+    pub seed: &'a SeedTree,
+    /// 0-based index of the open window.
+    pub window: usize,
+    queue: EventQueue<Tick<U>>,
+}
+
+impl<U> Span<'_, U> {
+    /// Schedules `upkeep` `delay` ticks from now. Same-tick events fire
+    /// in scheduling order, after that tick's window timer.
+    pub fn after(&mut self, delay: u64, upkeep: U) {
+        self.queue.schedule_in(delay, Tick::Upkeep(upkeep));
+    }
+}
+
+/// A one-shot structural event the Poisson processes cannot express.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Shock {
+    /// A flash crowd: exactly `count` joins at once.
+    MassJoin {
+        /// Joins injected by the burst.
+        count: usize,
+    },
+    /// A regional outage: crashes the contiguous ring arc of
+    /// `fraction · live` peers starting at ring position `start` (a
+    /// fraction of the ring; values wrap), always leaving two survivors.
+    KillArc {
+        /// Ring position of the arc's first victim, as a fraction.
+        start: f64,
+        /// Fraction of the live population killed, in `(0, 1)`.
+        fraction: f64,
+        /// Surviving ring neighbours on each side of the hole that a
+        /// later [`Shock::Heal`] repairs.
+        neighbors_k: usize,
+    },
+    /// A targeted attack: crashes the `fraction · live` peers of highest
+    /// total long-link degree, ties broken by identifier.
+    TargetedKill {
+        /// Fraction of the live population killed, in `(0, 1)`.
+        fraction: f64,
+        /// Surviving ring neighbours of each victim that a later
+        /// [`Shock::Heal`] repairs.
+        neighbors_k: usize,
+    },
+    /// A partition mask: severs every long-range link crossing the
+    /// boundary of the ring arc `[start, start + fraction)`.
+    Partition {
+        /// Arc start as a ring fraction (wraps).
+        start: f64,
+        /// Arc width as a ring fraction, in `(0, 1)`.
+        fraction: f64,
+    },
+    /// Rewires the survivors bordering every shock since the last heal,
+    /// plus whoever holds a link to a corpse.
+    Heal,
+}
+
+/// What a [`Shock`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShockReport {
+    /// Peers admitted.
+    pub joined: u64,
+    /// Peers crashed.
+    pub killed: u64,
+    /// Directed long-range links severed.
+    pub severed: u64,
+    /// Peers rewired, and the messages that took.
+    pub upkeep: Maintenance,
+}
+
+/// Resolves an arc spec into `(first_rank, count)` over `n` live peers,
+/// keeping at least 2 peers out of the arc.
+pub(crate) fn resolve_arc(n: usize, start: f64, fraction: f64) -> Result<(usize, usize)> {
+    let count = resolve_kill_count(n, fraction)?;
+    let first = (start.rem_euclid(1.0) * n as f64) as usize % n;
+    Ok((first, count))
+}
+
+/// `ceil(n · fraction)` victims, keeping at least 2 of the `n` alive.
+pub(crate) fn resolve_kill_count(n: usize, fraction: f64) -> Result<usize> {
+    if n < 3 {
+        return Err(Error::InvalidConfig(format!(
+            "a kill or arc shock needs >= 3 live peers, got {n}"
+        )));
+    }
+    if !fraction.is_finite() || fraction <= 0.0 || fraction >= 1.0 {
+        return Err(Error::InvalidConfig(format!(
+            "a shock's fraction must be in (0, 1), got {fraction}"
+        )));
+    }
+    Ok(((n as f64 * fraction).ceil() as usize).clamp(1, n - 2))
+}
+
+/// A substrate the engine can churn.
+///
+/// The engine owns time, the arrival processes, the floor and the books;
+/// a world owns membership, links, detection and repair. Handlers run to
+/// completion: when one returns, the world is at rest and measurable.
+pub trait ChurnWorld {
+    /// World-private events on the engine's clock. A periodic one carries
+    /// its own period and re-arms itself from [`ChurnWorld::upkeep`].
+    type Upkeep;
+
+    /// Live population.
+    fn live(&self) -> usize;
+
+    /// Opens a span of churn: arms whatever periodic upkeep the
+    /// schedule's repair policy calls for. Runs after the engine scheduled
+    /// its window timers and arrival processes.
+    fn begin(&mut self, span: &mut Span<'_, Self::Upkeep>);
+
+    /// Admits one peer, drawing its identity (and whatever else the world
+    /// samples per joiner) from `rng`.
+    fn join(&mut self, rng: &mut SmallRng) -> Result<()>;
+
+    /// Crashes one uniformly picked peer: no farewell, its links dangle.
+    /// `Ok(false)` when `pick` held the floor.
+    fn crash(&mut self, pick: &mut VictimPick, span: &mut Span<'_, Self::Upkeep>) -> Result<bool>;
+
+    /// Retires one uniformly picked peer gracefully (links torn down).
+    /// `Ok(false)` when `pick` held the floor.
+    fn depart(&mut self, pick: &mut VictimPick, span: &mut Span<'_, Self::Upkeep>) -> Result<bool>;
+
+    /// Handles one of the world's own events.
+    fn upkeep(&mut self, event: Self::Upkeep, span: &mut Span<'_, Self::Upkeep>) -> Result<()>;
+
+    /// Closes a window: hands over the maintenance done since the last
+    /// call, then issues `query_budget.resolve(live)` queries from uniform
+    /// live sources at `workload` targets, drawing from `rng`.
+    fn measure(
+        &mut self,
+        workload: &QueryWorkload,
+        rng: &mut SmallRng,
+        span: &mut Span<'_, Self::Upkeep>,
+    ) -> Result<Measured>;
+
+    /// Applies a one-shot shock between spans, drawing from children of
+    /// `seed`. A world that cannot express a shock says so in the error.
+    fn shock(&mut self, shock: &Shock, seed: &SeedTree) -> Result<ShockReport>;
+}
+
 /// Draws an exponential inter-arrival gap (in whole ticks, >= 1) for a
-/// Poisson process with `rate` events per tick. Shared with the
-/// machine-backend engine (`churn_machine`) so both backends realise the
-/// same arrival process from the same gap streams.
-pub(crate) fn exponential_gap(rate: f64, rng: &mut SmallRng) -> u64 {
+/// Poisson process with `rate` events per tick.
+fn exponential_gap(rate: f64, rng: &mut SmallRng) -> u64 {
     let u: f64 = rng.gen(); // [0, 1)
                             // -ln(1-u)/rate, clamped into [1, 2^40] ticks: a gap of one tick is
                             // the event-queue resolution, and the upper clamp keeps a glacial
@@ -300,255 +472,134 @@ pub(crate) fn exponential_gap(rate: f64, rng: &mut SmallRng) -> u64 {
     (gap.ceil() as u64).clamp(1, 1 << 40)
 }
 
-/// Under the `Reactive` policy, schedules repair events for the k nearest
-/// live ring neighbours of `victim` on each side — the peers whose ring
-/// neighbourhood the imminent crash/departure changes. Must run *before*
-/// the victim is removed (its live-ring position is what locates them).
-fn schedule_reactive_repairs(
-    net: &Network,
-    queue: &mut EventQueue<EngineEvent>,
-    policy: &RepairPolicy,
-    victim: PeerIdx,
-) {
-    if let RepairPolicy::Reactive { neighbors_k } = *policy {
-        for n in net.live_ring_neighborhood(victim, neighbors_k) {
-            queue.schedule_in(REPAIR_DELAY, EngineEvent::Repair(n));
+/// One Poisson arrival process: its rate, its gap stream and the tick it
+/// puts on the clock.
+struct Arrivals {
+    rate: f64,
+    gaps: SmallRng,
+}
+
+impl Arrivals {
+    fn new(rate: f64, seed: &SeedTree, label: u64) -> Self {
+        Arrivals {
+            rate,
+            gaps: seed.child(label).rng(),
+        }
+    }
+
+    /// Schedules the next arrival; a zero rate never arrives.
+    fn arm<U>(&mut self, queue: &mut EventQueue<Tick<U>>, tick: Tick<U>) {
+        if self.rate > 0.0 {
+            queue.schedule_in(exponential_gap(self.rate, &mut self.gaps), tick);
         }
     }
 }
 
-/// Runs `windows` measurement windows of continuous churn on `net`.
+/// Runs `windows` measurement windows of continuous churn on `world`, its
+/// virtual clock starting at zero.
 ///
-/// Joins sample fresh identifiers from `keys` and caps from `degrees`,
-/// then build links through `builder` — exactly the growth driver's join
-/// protocol, but interleaved with failures on the virtual clock. Crash
-/// and depart victims are uniform over the live population.
+/// Joins, crashes and departures arrive as independent Poisson processes
+/// at the schedule's rates; crash and depart victims are uniform over the
+/// live population and fizzle at the `min_live` floor; every window closes
+/// with a query batch at `workload` targets, sized by the schedule's
+/// budget. This is the only code that pops the churn clock and the only
+/// producer of [`ChurnWindowStats`].
 ///
 /// Determinism: all randomness derives from `seed`; identical inputs give
 /// identical windows, regardless of what else the process is doing.
-pub fn run_continuous_churn<B: OverlayBuilder + ?Sized>(
-    net: &mut Network,
-    builder: &B,
-    keys: &dyn KeyDistribution,
-    degrees: &dyn DegreeDistribution,
-    schedule: &ChurnSchedule,
-    windows: usize,
-    seed: SeedTree,
-) -> Result<Vec<ChurnWindowStats>> {
-    run_continuous_churn_with(
-        net,
-        builder,
-        keys,
-        degrees,
-        schedule,
-        &QueryWorkload::UniformPeers,
-        windows,
-        seed,
-    )
-}
-
-/// [`run_continuous_churn`] with an explicit measurement workload: each
-/// window's query batch draws targets from `workload` instead of the
-/// default uniform-live-peers mix. The scenario engine uses this to run
-/// drifting-hotspot query storms; with `QueryWorkload::UniformPeers` the
-/// two entry points are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn run_continuous_churn_with<B: OverlayBuilder + ?Sized>(
-    net: &mut Network,
-    builder: &B,
-    keys: &dyn KeyDistribution,
-    degrees: &dyn DegreeDistribution,
+pub fn run_churn<W: ChurnWorld + ?Sized>(
+    world: &mut W,
     schedule: &ChurnSchedule,
     workload: &QueryWorkload,
     windows: usize,
     seed: SeedTree,
 ) -> Result<Vec<ChurnWindowStats>> {
     schedule.validate()?;
-    if net.live_count() < 2 {
-        return Err(Error::InvalidConfig(format!(
-            "continuous churn needs a running overlay (>= 2 live peers), got {}",
-            net.live_count()
-        )));
-    }
     let mut results = Vec::with_capacity(windows);
     if windows == 0 {
         return Ok(results);
     }
 
-    let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-    let mut join_gaps = seed.child(LBL_JOIN_GAPS).rng();
-    let mut crash_gaps = seed.child(LBL_CRASH_GAPS).rng();
-    let mut depart_gaps = seed.child(LBL_DEPART_GAPS).rng();
-    let mut crash_pick = seed.child(LBL_CRASH_PICK).rng();
-    let mut depart_pick = seed.child(LBL_DEPART_PICK).rng();
+    let mut span = Span {
+        schedule,
+        seed: &seed,
+        window: 0,
+        queue: EventQueue::new(),
+    };
+    let mut joins = Arrivals::new(schedule.join_rate, &seed, LBL_JOIN_GAPS);
+    let mut crashes = Arrivals::new(schedule.crash_rate, &seed, LBL_CRASH_GAPS);
+    let mut departs = Arrivals::new(schedule.depart_rate, &seed, LBL_DEPART_GAPS);
+    let mut crash_pick = VictimPick {
+        floor: schedule.min_live,
+        rng: seed.child(LBL_CRASH_PICK).rng(),
+    };
+    let mut depart_pick = VictimPick {
+        floor: schedule.min_live,
+        rng: seed.child(LBL_DEPART_PICK).rng(),
+    };
 
     // Every window timer is scheduled up front, before anything else, so
     // each WindowEnd carries a lower FIFO sequence than every membership
-    // event and rewire sweep (initial or rescheduled): an event landing
+    // event and upkeep event (initial or rescheduled): an event landing
     // exactly on a window boundary is always counted in the *next*
     // window, and a coinciding sweep repairs only *after* the books
     // close — a window reports the damage churn accumulated since the
-    // last repair, under any `rewire_every`/`window_ticks` ratio.
+    // last repair, under any sweep-period/`window_ticks` ratio.
     for k in 1..=windows as u64 {
-        queue.schedule(
-            VirtualTime(k * schedule.window_ticks),
-            EngineEvent::WindowEnd,
-        );
+        span.queue
+            .schedule(VirtualTime(k * schedule.window_ticks), Tick::WindowEnd);
     }
-    if schedule.join_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.join_rate, &mut join_gaps),
-            EngineEvent::Join,
-        );
-    }
-    if schedule.crash_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.crash_rate, &mut crash_gaps),
-            EngineEvent::Crash,
-        );
-    }
-    if schedule.depart_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.depart_rate, &mut depart_gaps),
-            EngineEvent::Depart,
-        );
-    }
-    if let RepairPolicy::SweepEvery(every) = schedule.repair {
-        if every > 0 {
-            queue.schedule_in(every, EngineEvent::Rewire);
-        }
-    }
+    joins.arm(&mut span.queue, Tick::Join);
+    crashes.arm(&mut span.queue, Tick::Crash);
+    departs.arm(&mut span.queue, Tick::Depart);
+    world.begin(&mut span);
 
-    // Lifetime counters for per-activity seed derivation; window counters
-    // reset at each measurement.
+    // An arrival process re-arms only after its handler ran, so upkeep a
+    // handler schedules (a crash's repairs) precedes the process's next
+    // arrival on a same-tick tie.
     let mut joins_total = 0u64;
-    let mut rewires_total = 0u64;
-    let mut repairs_total = 0u64;
-    let mut window_start = VirtualTime(0);
-    let mut w = ChurnWindowStats::fresh(0, window_start);
-
+    let mut w = ChurnWindowStats::fresh(0, VirtualTime(0));
     while results.len() < windows {
-        let (now, event) = queue
-            .pop()
-            .expect("an engine process or the window timer is always scheduled");
-        match event {
-            EngineEvent::Join => {
-                let join_seed = seed.child2(LBL_JOIN, joins_total);
+        let Some((now, tick)) = span.queue.pop() else {
+            break; // unreachable while a window timer is pending
+        };
+        match tick {
+            Tick::Join => {
+                let mut jrng = seed.child2(LBL_JOIN, joins_total).rng();
                 joins_total += 1;
-                let mut jrng = join_seed.rng();
-                let caps = degrees.sample(&mut jrng);
-                // Resample identifier collisions, like the growth driver.
-                let mut admitted = false;
-                for _ in 0..1000 {
-                    let id = keys.sample(&mut jrng);
-                    if net.idx_of(id).is_none() {
-                        let p = net.add_peer(id, caps)?;
-                        builder.build_links(net, p, &mut jrng)?;
-                        admitted = true;
-                        break;
-                    }
-                }
-                if !admitted {
-                    return Err(Error::InvalidConfig(
-                        "key distribution too degenerate: 1000 consecutive id collisions".into(),
-                    ));
-                }
+                world.join(&mut jrng)?;
                 w.joins += 1;
-                queue.schedule_in(
-                    exponential_gap(schedule.join_rate, &mut join_gaps),
-                    EngineEvent::Join,
-                );
+                joins.arm(&mut span.queue, Tick::Join);
             }
-            EngineEvent::Crash => {
-                if net.live_count() > schedule.min_live {
-                    let victim = net
-                        .random_live_peer(&mut crash_pick)
-                        .expect("live_count > min_live >= 1");
-                    schedule_reactive_repairs(net, &mut queue, &schedule.repair, victim);
-                    net.kill(victim)?;
+            Tick::Crash => {
+                if world.crash(&mut crash_pick, &mut span)? {
                     w.crashes += 1;
                 } else {
                     w.suppressed += 1;
                 }
-                queue.schedule_in(
-                    exponential_gap(schedule.crash_rate, &mut crash_gaps),
-                    EngineEvent::Crash,
-                );
+                crashes.arm(&mut span.queue, Tick::Crash);
             }
-            EngineEvent::Depart => {
-                if net.live_count() > schedule.min_live {
-                    let victim = net
-                        .random_live_peer(&mut depart_pick)
-                        .expect("live_count > min_live >= 1");
-                    schedule_reactive_repairs(net, &mut queue, &schedule.repair, victim);
-                    net.depart(victim)?;
+            Tick::Depart => {
+                if world.depart(&mut depart_pick, &mut span)? {
                     w.departs += 1;
                 } else {
                     w.suppressed += 1;
                 }
-                queue.schedule_in(
-                    exponential_gap(schedule.depart_rate, &mut depart_gaps),
-                    EngineEvent::Depart,
-                );
+                departs.arm(&mut span.queue, Tick::Depart);
             }
-            EngineEvent::Rewire => {
-                let before = net.metrics.total();
-                let swept = net.live_count() as u64;
-                rewire_all_peers(net, builder, seed.child2(LBL_REWIRE, rewires_total))?;
-                rewires_total += 1;
-                w.rewires += 1;
-                w.repairs += swept;
-                w.repair_cost += net.metrics.total() - before;
-                let RepairPolicy::SweepEvery(every) = schedule.repair else {
-                    unreachable!("Rewire events are only scheduled by SweepEvery")
-                };
-                queue.schedule_in(every, EngineEvent::Rewire);
-            }
-            EngineEvent::Repair(p) => {
-                // The target may have crashed or departed between failure
-                // detection and the repair firing; a corpse has no links
-                // to rebuild.
-                if net.is_alive(p) {
-                    let mut rrng = seed.child2(LBL_REPAIR, repairs_total).rng();
-                    repairs_total += 1;
-                    let before = net.metrics.total();
-                    builder.rewire(net, p, &mut rrng)?;
-                    w.repairs += 1;
-                    w.repair_cost += net.metrics.total() - before;
-                }
-            }
-            EngineEvent::WindowEnd => {
-                let widx = results.len();
-                let mut qrng = seed.child2(LBL_MEASURE, widx as u64).rng();
-                w.window = widx;
-                w.start = window_start;
+            Tick::Upkeep(event) => world.upkeep(event, &mut span)?,
+            Tick::WindowEnd => {
+                let mut qrng = seed.child2(LBL_MEASURE, span.window as u64).rng();
+                let measured = world.measure(workload, &mut qrng, &mut span)?;
                 w.end = now;
-                w.live_at_end = net.live_count();
-                let batch = schedule.query_budget.resolve(w.live_at_end);
-                w.queries = if matches!(schedule.repair, RepairPolicy::OnProbe) {
-                    // The measurement batch doubles as the failure
-                    // detector: every peer that probed a corpse schedules
-                    // its own rewire, which lands (after the books close)
-                    // in the next window.
-                    let mut probers = Vec::new();
-                    let stats = run_query_batch_observed(
-                        net,
-                        workload,
-                        batch,
-                        &RoutePolicy::default(),
-                        &mut qrng,
-                        &mut probers,
-                    );
-                    for p in probers {
-                        queue.schedule_in(REPAIR_DELAY, EngineEvent::Repair(p));
-                    }
-                    stats
-                } else {
-                    run_query_batch(net, workload, batch, &RoutePolicy::default(), &mut qrng)
-                };
-                results.push(w.clone());
-                window_start = now;
-                w = ChurnWindowStats::fresh(widx + 1, window_start);
+                w.live_at_end = measured.live;
+                w.rewires = measured.upkeep.rewires;
+                w.repairs = measured.upkeep.repairs;
+                w.repair_cost = measured.upkeep.repair_cost;
+                w.queries = measured.queries;
+                span.window += 1;
+                let next = ChurnWindowStats::fresh(span.window, now);
+                results.push(std::mem::replace(&mut w, next));
             }
         }
     }
@@ -558,206 +609,170 @@ pub fn run_continuous_churn_with<B: OverlayBuilder + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::FaultModel;
-    use crate::peer::{LinkError, PeerIdx};
-    use oscar_degree::ConstantDegrees;
-    use oscar_keydist::UniformKeys;
 
-    /// Toy builder: links to up to 4 random live peers.
-    struct RandomBuilder;
+    /// A world of nothing but a head count, recording what the engine
+    /// asked of it. A crash schedules a `"repair"` one tick later, like the
+    /// oracle world's `Reactive` policy.
+    struct Stub {
+        live: usize,
+        calls: Vec<&'static str>,
+    }
 
-    impl OverlayBuilder for RandomBuilder {
-        fn name(&self) -> &str {
-            "random"
+    impl ChurnWorld for Stub {
+        type Upkeep = &'static str;
+
+        fn live(&self) -> usize {
+            self.live
         }
-        fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
-            for _ in 0..16 {
-                if net.peer(p).out_degree() >= 4 {
-                    break;
-                }
-                if let Some(t) = net.random_live_peer(rng) {
-                    match net.try_link(p, t) {
-                        Ok(())
-                        | Err(LinkError::SelfLink)
-                        | Err(LinkError::Duplicate)
-                        | Err(LinkError::TargetFull) => {}
-                        Err(e) => panic!("unexpected {e:?}"),
-                    }
-                }
-            }
+        fn begin(&mut self, span: &mut Span<'_, &'static str>) {
+            self.calls.push("begin");
+            span.after(span.schedule.window_ticks, "sweep");
+        }
+        fn join(&mut self, _: &mut SmallRng) -> Result<()> {
+            self.calls.push("join");
+            self.live += 1;
             Ok(())
         }
+        fn crash(
+            &mut self,
+            pick: &mut VictimPick,
+            span: &mut Span<'_, &'static str>,
+        ) -> Result<bool> {
+            self.calls.push("crash");
+            let removed = pick.rank(self.live).is_some();
+            if removed {
+                self.live -= 1;
+                span.after(1, "repair");
+            }
+            Ok(removed)
+        }
+        fn depart(
+            &mut self,
+            pick: &mut VictimPick,
+            _: &mut Span<'_, &'static str>,
+        ) -> Result<bool> {
+            self.calls.push("depart");
+            let removed = pick.rank(self.live).is_some();
+            self.live -= removed as usize;
+            Ok(removed)
+        }
+        fn upkeep(&mut self, event: &'static str, _: &mut Span<'_, &'static str>) -> Result<()> {
+            self.calls.push(event);
+            Ok(())
+        }
+        fn measure(
+            &mut self,
+            _: &QueryWorkload,
+            _: &mut SmallRng,
+            span: &mut Span<'_, &'static str>,
+        ) -> Result<Measured> {
+            self.calls.push("measure");
+            Ok(Measured {
+                live: self.live,
+                upkeep: Maintenance::default(),
+                queries: QueryBatchStats {
+                    queries: span.schedule.query_budget.resolve(self.live),
+                    ..Default::default()
+                },
+            })
+        }
+        fn shock(&mut self, _: &Shock, _: &SeedTree) -> Result<ShockReport> {
+            Ok(ShockReport::default())
+        }
     }
 
-    fn grown(n: usize, seed: u64) -> Network {
-        use crate::growth::{GrowthConfig, GrowthDriver};
-        let mut net = Network::new(FaultModel::StabilizedRing);
-        GrowthDriver::new(GrowthConfig {
-            target_size: n,
-            seed_size: 4,
-            checkpoints: vec![],
-            rewire_at_checkpoints: false,
-        })
-        .run(
-            &mut net,
-            &RandomBuilder,
-            &UniformKeys,
-            &ConstantDegrees::new(8),
-            SeedTree::new(seed),
-            |_, _| Ok(()),
-        )
-        .unwrap();
-        net
-    }
-
-    fn run(
-        net: &mut Network,
+    fn run_stub(
         schedule: &ChurnSchedule,
         windows: usize,
-        seed: u64,
-    ) -> Vec<ChurnWindowStats> {
-        run_continuous_churn(
-            net,
-            &RandomBuilder,
-            &UniformKeys,
-            &ConstantDegrees::new(8),
+        live: usize,
+    ) -> (Stub, Vec<ChurnWindowStats>) {
+        let mut world = Stub {
+            live,
+            calls: Vec::new(),
+        };
+        let ws = run_churn(
+            &mut world,
             schedule,
+            &QueryWorkload::UniformPeers,
             windows,
-            SeedTree::new(seed),
+            SeedTree::new(5),
         )
-        .unwrap()
+        .unwrap();
+        (world, ws)
     }
 
     #[test]
-    fn windows_cover_the_virtual_timeline() {
-        let mut net = grown(120, 1);
+    fn same_tick_events_fire_window_timer_first_then_in_scheduling_order() {
+        // A rate this high clamps every gap to one tick: a crash per tick,
+        // each scheduling its repair for the next — so every tick from 2
+        // on is a Repair/Crash tie, and ticks 3 and 6 add the window
+        // timer and the sweep the world armed in `begin`.
+        let schedule = ChurnSchedule {
+            join_rate: 0.0,
+            crash_rate: 1e9,
+            window_ticks: 3,
+            min_live: 1,
+            ..ChurnSchedule::symmetric(0.0)
+        };
+        let (world, ws) = run_stub(&schedule, 2, 100);
+        let tick = ["repair", "crash"];
+        let mut expect = vec!["begin", "crash"]; // tick 1
+        expect.extend(tick); // tick 2
+                             // Tick 3: the pre-scheduled window timer, then the sweep armed
+                             // before any crash ran, then the repair a crash scheduled *before*
+                             // its process re-armed, then that re-armed crash.
+        expect.extend(["measure", "sweep"]);
+        expect.extend(tick);
+        // Ticks 4 and 5; tick 6 ends the run at its timer.
+        expect.extend(tick);
+        expect.extend(tick);
+        expect.push("measure");
+        assert_eq!(world.calls, expect);
+        assert_eq!(ws[0].crashes, 2, "the tick-3 crash is window 1's");
+        assert_eq!(ws[1].crashes, 3);
+        assert_eq!((ws[1].start, ws[1].end), (VirtualTime(3), VirtualTime(6)));
+    }
+
+    #[test]
+    fn the_floor_suppresses_removals_and_is_applied_by_the_pick() {
+        let schedule = ChurnSchedule {
+            join_rate: 0.0,
+            crash_rate: 0.05,
+            depart_rate: 0.05,
+            min_live: 90,
+            ..ChurnSchedule::symmetric(0.0)
+        };
+        let (world, ws) = run_stub(&schedule, 3, 100);
+        let last = ws.last().unwrap();
+        assert_eq!(world.live, 90, "floor must hold exactly");
+        assert_eq!(last.live_at_end, 90);
+        assert!(last.suppressed > 0, "floor suppressions must be counted");
+        let removed: u64 = ws.iter().map(|w| w.crashes + w.departs).sum();
+        assert_eq!(removed, 10);
+    }
+
+    #[test]
+    fn windows_cover_the_virtual_timeline_and_zero_windows_do_nothing() {
         let schedule = ChurnSchedule {
             window_ticks: 500,
-            query_budget: QueryBudget::Fixed(50),
+            query_budget: QueryBudget::SqrtLive { min: 8 },
             ..ChurnSchedule::symmetric(0.05)
         };
-        let ws = run(&mut net, &schedule, 4, 9);
+        let (_, ws) = run_stub(&schedule, 4, 120);
         assert_eq!(ws.len(), 4);
         for (i, w) in ws.iter().enumerate() {
             assert_eq!(w.window, i);
             assert_eq!(w.start, VirtualTime(i as u64 * 500));
             assert_eq!(w.end, VirtualTime((i as u64 + 1) * 500));
-            assert!(w.queries.queries > 0, "window {i} issued no queries");
-        }
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let schedule = ChurnSchedule::symmetric(0.08);
-        let mut a = grown(150, 2);
-        let mut b = grown(150, 2);
-        let wa = run(&mut a, &schedule, 3, 7);
-        let wb = run(&mut b, &schedule, 3, 7);
-        assert_eq!(wa, wb, "same seed, same windows");
-        let mut c = grown(150, 2);
-        let wc = run(&mut c, &schedule, 3, 8);
-        assert_ne!(wa, wc, "different engine seed diverges");
-    }
-
-    #[test]
-    fn symmetric_rates_hold_the_population() {
-        let mut net = grown(200, 3);
-        let ws = run(&mut net, &ChurnSchedule::symmetric(0.1), 6, 11);
-        for w in &ws {
-            assert!(
-                (100..=300).contains(&w.live_at_end),
-                "population drifted to {} in window {}",
-                w.live_at_end,
-                w.window
-            );
             assert!(w.joins > 0 && w.crashes > 0, "both processes must fire");
+            assert_eq!(
+                w.queries.queries,
+                schedule.query_budget.resolve(w.live_at_end)
+            );
         }
-    }
-
-    #[test]
-    fn join_only_grows_and_crash_only_shrinks_to_the_floor() {
-        let mut net = grown(100, 4);
-        let join_only = ChurnSchedule {
-            crash_rate: 0.0,
-            ..ChurnSchedule::symmetric(0.1)
-        };
-        let ws = run(&mut net, &join_only, 3, 13);
-        assert!(
-            ws.last().unwrap().live_at_end > 200,
-            "joins should compound"
-        );
-        assert!(ws.iter().all(|w| w.crashes == 0 && w.departs == 0));
-
-        let mut net = grown(100, 5);
-        let crash_only = ChurnSchedule {
-            join_rate: 0.0,
-            min_live: 40,
-            ..ChurnSchedule::symmetric(0.2)
-        };
-        let ws = run(&mut net, &crash_only, 4, 13);
-        let last = ws.last().unwrap();
-        assert_eq!(last.live_at_end, 40, "floor must hold exactly");
-        assert!(last.suppressed > 0, "floor suppressions must be counted");
-    }
-
-    #[test]
-    fn departures_leave_no_dangling_links() {
-        let mut net = grown(150, 6);
-        let depart_only = ChurnSchedule {
-            join_rate: 0.0,
-            crash_rate: 0.0,
-            depart_rate: 0.15,
-            repair: RepairPolicy::SweepEvery(0),
-            ..ChurnSchedule::symmetric(0.0)
-        };
-        let ws = run(&mut net, &depart_only, 3, 17);
-        assert!(ws.iter().map(|w| w.departs).sum::<u64>() > 0);
-        // Graceful departures tear links down cleanly: every remaining
-        // out-link targets a live peer, so queries waste nothing.
-        for p in net.live_peers().collect::<Vec<_>>() {
-            for &t in &net.peer(p).long_out {
-                assert!(net.is_alive(t), "departure left a dangling link");
-            }
-        }
-        assert_eq!(ws.last().unwrap().queries.mean_wasted, 0.0);
-    }
-
-    #[test]
-    fn rewire_sweeps_fire_on_schedule() {
-        let mut net = grown(100, 7);
-        let schedule = ChurnSchedule {
-            repair: RepairPolicy::SweepEvery(250),
-            window_ticks: 1000,
-            ..ChurnSchedule::symmetric(0.02)
-        };
-        let ws = run(&mut net, &schedule, 2, 19);
-        // Sweeps land at ticks 250, 500, 750, 1000, … — but at a window
-        // boundary the measurement wins the FIFO tie (it was scheduled a
-        // whole window earlier), so the boundary sweep is counted in the
-        // *next* window: 3 sweeps in window 0, then 4 per window.
-        assert_eq!(ws[0].rewires, 3);
-        assert_eq!(ws[1].rewires, 4);
-    }
-
-    #[test]
-    fn measurements_precede_sweeps_even_when_the_sweep_period_spans_windows() {
-        // Regression: with `rewire_every > window_ticks` the first sweep
-        // used to be enqueued (at init, t=0) with a lower FIFO sequence
-        // than the coinciding window timer (enqueued one window later),
-        // so the tick-200 measurement saw a freshly-swept network.
-        // Pre-scheduling every window timer makes the measurement win all
-        // same-tick ties: sweeps at 200, 400, 600 land *after* the books
-        // close, i.e. in windows 2, 4, 6.
-        let mut net = grown(100, 10);
-        let schedule = ChurnSchedule {
-            repair: RepairPolicy::SweepEvery(200),
-            window_ticks: 100,
-            query_budget: QueryBudget::Fixed(30),
-            ..ChurnSchedule::symmetric(0.02)
-        };
-        let ws = run(&mut net, &schedule, 7, 23);
-        let rewires: Vec<u64> = ws.iter().map(|w| w.rewires).collect();
-        assert_eq!(rewires, vec![0, 0, 1, 0, 1, 0, 1]);
+        let (world, ws) = run_stub(&schedule, 0, 60);
+        assert!(ws.is_empty());
+        assert!(world.calls.is_empty(), "no windows, no churn applied");
     }
 
     #[test]
@@ -778,23 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn sublinear_budgets_drive_real_windows() {
-        let mut net = grown(150, 77);
-        let schedule = ChurnSchedule {
-            query_budget: QueryBudget::SqrtLive { min: 8 },
-            ..ChurnSchedule::symmetric(0.02)
-        };
-        let ws = run(&mut net, &schedule, 3, 78);
-        for w in &ws {
-            let expect = schedule.query_budget.resolve(w.live_at_end);
-            assert_eq!(w.queries.queries, expect, "window {}", w.window);
-            assert!(w.queries.queries < 150, "sublinear at this scale");
-        }
-    }
-
-    #[test]
     fn invalid_schedules_are_config_errors() {
-        let mut net = grown(50, 8);
         let bad = [
             ChurnSchedule {
                 join_rate: -0.1,
@@ -840,12 +839,14 @@ mod tests {
             },
         ];
         for schedule in bad {
-            let r = run_continuous_churn(
-                &mut net,
-                &RandomBuilder,
-                &UniformKeys,
-                &ConstantDegrees::new(8),
+            let mut world = Stub {
+                live: 50,
+                calls: Vec::new(),
+            };
+            let r = run_churn(
+                &mut world,
                 &schedule,
+                &QueryWorkload::UniformPeers,
                 2,
                 SeedTree::new(1),
             );
@@ -853,156 +854,28 @@ mod tests {
                 matches!(r, Err(Error::InvalidConfig(_))),
                 "schedule {schedule:?} must be rejected"
             );
-        }
-        // An empty network is not a runnable overlay either.
-        let mut empty = Network::new(FaultModel::StabilizedRing);
-        assert!(matches!(
-            run_continuous_churn(
-                &mut empty,
-                &RandomBuilder,
-                &UniformKeys,
-                &ConstantDegrees::new(8),
-                &ChurnSchedule::symmetric(0.1),
-                1,
-                SeedTree::new(1),
-            ),
-            Err(Error::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn zero_windows_do_nothing() {
-        let mut net = grown(60, 9);
-        let before = net.live_count();
-        let ws = run(&mut net, &ChurnSchedule::symmetric(0.1), 0, 21);
-        assert!(ws.is_empty());
-        assert_eq!(net.live_count(), before, "no windows, no churn applied");
-    }
-
-    #[test]
-    fn sweeps_record_per_peer_repairs_and_cost() {
-        let mut net = grown(100, 30);
-        let schedule = ChurnSchedule {
-            repair: RepairPolicy::SweepEvery(1000),
-            ..ChurnSchedule::symmetric(0.02)
-        };
-        let ws = run(&mut net, &schedule, 2, 31);
-        // Sweep at tick 1000 lands in window 1 (the boundary measurement
-        // wins the FIFO tie); it rewires every peer live at sweep time —
-        // the whole population, give or take the churn since the window
-        // opened.
-        assert_eq!(ws[0].repairs, 0);
-        assert_eq!(ws[0].repair_cost, 0);
-        assert_eq!(ws[1].rewires, 1);
-        assert!(
-            ws[1].repairs > ws[1].live_at_end as u64 / 2,
-            "a sweep rewires the whole population: {} repairs, {} live",
-            ws[1].repairs,
-            ws[1].live_at_end
-        );
-        assert!(ws[1].repair_cost > 0, "a sweep generates link traffic");
-    }
-
-    #[test]
-    fn reactive_repairs_follow_membership_events() {
-        let mut net = grown(150, 32);
-        let schedule = ChurnSchedule {
-            repair: RepairPolicy::Reactive { neighbors_k: 2 },
-            ..ChurnSchedule::symmetric(0.05)
-        };
-        let ws = run(&mut net, &schedule, 3, 33);
-        let events: u64 = ws.iter().map(|w| w.crashes + w.departs).sum();
-        let repairs: u64 = ws.iter().map(|w| w.repairs).sum();
-        assert!(events > 0, "schedule must generate membership events");
-        assert!(repairs > 0, "reactive repairs must fire");
-        // At most 2k repairs per event (fewer when a scheduled target
-        // itself died before its repair fired); never a whole sweep.
-        assert!(
-            repairs <= 4 * events,
-            "repairs {repairs} exceed 2k per membership event ({events} events)"
-        );
-        assert!(
-            ws.iter().all(|w| w.rewires == 0),
-            "no sweeps under Reactive"
-        );
-        assert!(ws.iter().map(|w| w.repair_cost).sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn reactive_repair_is_cheaper_than_sweeping() {
-        // 2%/window turnover on 200 peers (the regime the policy is
-        // for): a sweep rewires all ~200 peers per window while reactive
-        // rewires ~4 per membership event. At extreme turnover (a large
-        // fraction of the population per window) the two converge.
-        let schedule_with = |repair: RepairPolicy| ChurnSchedule {
-            repair,
-            ..ChurnSchedule::symmetric(0.004)
-        };
-        let mut a = grown(200, 34);
-        let sweep = run(
-            &mut a,
-            &schedule_with(RepairPolicy::SweepEvery(1000)),
-            4,
-            35,
-        );
-        let mut b = grown(200, 34);
-        let reactive = run(
-            &mut b,
-            &schedule_with(RepairPolicy::Reactive { neighbors_k: 2 }),
-            4,
-            35,
-        );
-        let total = |ws: &[ChurnWindowStats]| ws.iter().map(|w| w.repair_cost).sum::<u64>();
-        assert!(
-            total(&reactive) * 4 < total(&sweep),
-            "reactive repair should cost a small fraction of sweeping: {} vs {}",
-            total(&reactive),
-            total(&sweep)
-        );
-    }
-
-    #[test]
-    fn on_probe_repairs_trail_corpse_probes() {
-        // Crashes with no sweeps leave dangling links; the window-end
-        // query batches probe them, so under OnProbe the probing peers
-        // rewire themselves early in the *next* window.
-        let mut net = grown(150, 36);
-        let schedule = ChurnSchedule {
-            join_rate: 0.0,
-            crash_rate: 0.08,
-            repair: RepairPolicy::OnProbe,
-            min_live: 40,
-            ..ChurnSchedule::symmetric(0.0)
-        };
-        let ws = run(&mut net, &schedule, 4, 37);
-        assert_eq!(
-            ws[0].repairs, 0,
-            "no probes happened before window 0 closed"
-        );
-        let later: u64 = ws[1..].iter().map(|w| w.repairs).sum();
-        assert!(later > 0, "corpse probes must trigger repairs: {ws:?}");
-        assert!(ws.iter().all(|w| w.rewires == 0), "no sweeps under OnProbe");
-    }
-
-    #[test]
-    fn every_policy_is_deterministic_under_seed() {
-        for repair in [
-            RepairPolicy::SweepEvery(700),
-            RepairPolicy::Reactive { neighbors_k: 2 },
-            RepairPolicy::OnProbe,
-        ] {
-            let schedule = ChurnSchedule {
-                repair: repair.clone(),
-                ..ChurnSchedule::symmetric(0.08)
-            };
-            let mut a = grown(150, 40);
-            let mut b = grown(150, 40);
-            assert_eq!(
-                run(&mut a, &schedule, 3, 41),
-                run(&mut b, &schedule, 3, 41),
-                "{repair:?} must be a pure function of the seed"
+            assert!(
+                world.calls.is_empty(),
+                "rejected before the world is touched"
             );
         }
+    }
+
+    #[test]
+    fn arc_specs_resolve_or_are_config_errors() {
+        assert_eq!(resolve_arc(100, 0.25, 0.10).unwrap(), (25, 10));
+        assert_eq!(
+            resolve_arc(100, 1.25, 0.10).unwrap(),
+            (25, 10),
+            "start wraps"
+        );
+        // A huge fraction clamps to leave 2 survivors rather than erroring.
+        assert_eq!(resolve_arc(50, 0.0, 0.99).unwrap(), (0, 48));
+        assert_eq!(resolve_kill_count(32, 0.2).unwrap(), 7);
+        for fraction in [0.0, 1.0, 1.5, f64::NAN] {
+            assert!(resolve_arc(50, 0.0, fraction).is_err());
+        }
+        assert!(resolve_arc(2, 0.0, 0.5).is_err(), "nobody left to survive");
     }
 
     #[test]

@@ -1,24 +1,24 @@
-//! Continuous churn through the protocol machines — the second backend.
+//! The machine world: the churn engine over a fleet of protocol machines.
 //!
-//! [`run_continuous_churn`](crate::churn_engine::run_continuous_churn)
-//! drives Poisson join/crash/depart against the oracle-backed
-//! [`Network`](crate::network::Network): repairs are `builder.rewire`
-//! calls and failure detection is free (the engine simply knows who is
-//! dead). This module runs the *same* [`ChurnSchedule`] against a fleet
-//! of [`PeerMachine`](oscar_protocol::PeerMachine)s hosted by any
+//! [`OracleWorld`](crate::churn_oracle::OracleWorld) churns the
+//! oracle-backed [`Network`](crate::network::Network): repairs are
+//! `builder.rewire` calls and failure detection is free (the world simply
+//! knows who is dead). [`MachineWorld`] puts a fleet of
+//! [`PeerMachine`](oscar_protocol::PeerMachine)s hosted by any
 //! [`ProtocolDriver`] — the discrete-event simulator or the threaded
-//! actor runtime — where death must be *discovered* (ring probes,
-//! bounced sends, retry give-ups) and every repair is real messages.
+//! actor runtime — under the *same* engine, where death must be
+//! *discovered* (ring probes, bounced sends, retry give-ups) and every
+//! repair is real messages.
 //!
 //! The engine owns the Poisson clock and the window books; the machines
 //! own detection and repair. Policy mapping
 //! ([`machine_repair_policy`]):
 //!
 //! * `SweepEvery(t)` → machines run `oscar_protocol::RepairPolicy::Off`; the
-//!   engine
+//!   world
 //!   injects [`Command::Rewire`] to every live peer every `t` ticks
 //!   (the checkpoint protocol: O(n) per sweep, no detection needed).
-//! * `Reactive { k }` → machines run `ReactiveK { k }`; the engine
+//! * `Reactive { k }` → machines run `ReactiveK { k }`; the world
 //!   injects [`Command::ProbeRing`] every `probe_every` ticks and the
 //!   machines rewire where probes find corpses — O(damage) repair.
 //! * `OnProbe` → machines run `OnProbe`; ring probes run at depth 1 and
@@ -27,58 +27,47 @@
 //!
 //! Window books ([`ChurnWindowStats`]): `repairs` counts
 //! [`ProtocolEvent::RepairFired`] (sweeps count one per swept peer,
-//! matching the legacy engine); `repair_cost` is the driver's `sent()`
+//! matching the oracle world); `repair_cost` is the driver's `sent()`
 //! delta across sweep and probe settles — honest maintenance traffic,
-//! including the failure-detection pings the oracle backend gets for
+//! including the failure-detection pings the oracle world gets for
 //! free. Repairs fired *by* a measurement batch (the `OnProbe` path)
-//! are booked to the next window, exactly like the legacy engine's
-//! delayed repair events. `OnProbe` repair walks ride the measurement
-//! settle, so their traffic lands in the query books rather than
-//! `repair_cost` — the sweep-vs-reactive comparison is unaffected.
+//! are booked to the next window, exactly like the oracle world's
+//! delayed repair events — and past the end of a span they stay on the
+//! world's books, so a following span's first window owns them. `OnProbe`
+//! repair walks ride the measurement settle, so their traffic lands in
+//! the query books rather than `repair_cost` — the sweep-vs-reactive
+//! comparison is unaffected.
 //!
-//! Multi-phase runs ([`run_machine_phases`]): a scenario is a sequence
-//! of [`MachinePhase`]s — churn/measurement spans, mass-join bursts and
-//! contiguous arc kills — over one bootstrapped fleet. Each phase
-//! derives its randomness from a `LBL_SPAN`-keyed child of the run
-//! seed, and each churn span restarts its virtual clock at zero (the
-//! scenario layer re-indexes windows globally). [`run_machine_churn`]
-//! is the single-span special case and derives exactly the same streams
-//! it always has, so committed machine baselines are unaffected.
+//! What the machines do *not* do yet is build Oscar's links: a joiner (and
+//! every rewire) acquires at most `max_long_out` links to **uniform**
+//! Metropolis–Hastings samples of the whole ring, not partition-median
+//! links under per-peer degree caps. The same schedule therefore routes
+//! at a higher cost here than on the oracle world.
 //!
 //! Determinism: every draw comes from a labelled child of the run seed
-//! (scope `sim_churn_machine`), walks and queries carry token RNGs, and
+//! (scope `sim_churn_engine`), walks and queries carry token RNGs, and
 //! query reports are aggregated in qid order — so a DES run and a
 //! threaded-runtime run at the same seed produce the same windows.
 
-use crate::churn_engine::{exponential_gap, ChurnSchedule, ChurnWindowStats, RepairPolicy};
-use crate::events::{EventQueue, VirtualTime};
-use crate::routing::QueryBatchStats;
+use crate::churn_engine::{
+    resolve_arc, run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, Maintenance, Measured,
+    RepairPolicy, Shock, ShockReport, Span, VictimPick,
+};
+use crate::growth::fresh_id;
+use crate::routing::BatchAccumulator;
 use oscar_keydist::{KeyDistribution, QueryTarget, QueryWorkload};
 use oscar_protocol::{Command, ProtocolDriver, ProtocolEvent, QueryReport};
-use oscar_types::labels::sim_churn_machine::{
-    LBL_BOOT, LBL_CRASH_GAPS, LBL_CRASH_PICK, LBL_DEPART_GAPS, LBL_DEPART_PICK, LBL_JOIN,
-    LBL_JOIN_GAPS, LBL_MEASURE, LBL_SPAN,
-};
-use oscar_types::{Error, Id, P2Quantile, Result, SeedTree};
+use oscar_types::labels::sim_churn_engine::LBL_BOOT;
+use oscar_types::labels::sim_churn_shock::LBL_BURST;
+use oscar_types::{Error, Id, Result, SeedTree};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 
 /// Timer-round budget for one settle: far above any single membership
 /// event's retry chains, so a hit means a protocol livelock, not churn
-/// — [`settle`] reports it as [`Error::Livelock`].
+/// — [`MachineWorld::settle`] reports it as [`Error::Livelock`].
 const SETTLE_ROUNDS: u64 = 4096;
-
-/// Settles the driver after `during`, failing if that took the whole
-/// [`SETTLE_ROUNDS`] budget: the fleet is then still not idle, and
-/// whatever the engine measured next would be measured mid-operation.
-fn settle<D: ProtocolDriver>(driver: &mut D, during: &'static str) -> Result<()> {
-    let rounds = driver.settle(SETTLE_ROUNDS);
-    if rounds >= SETTLE_ROUNDS {
-        return Err(Error::Livelock { during, rounds });
-    }
-    Ok(())
-}
 
 /// Shape of the machine fleet a churn run is driven against.
 #[derive(Clone, Debug)]
@@ -121,7 +110,7 @@ impl MachineChurnConfig {
 
 /// The machine-side repair policy a [`ChurnSchedule`] maps to. Callers
 /// must build their driver's `PeerConfig` with this before running —
-/// the engine cannot reconfigure machines after spawn.
+/// the world cannot reconfigure machines after spawn.
 pub fn machine_repair_policy(repair: &RepairPolicy) -> oscar_protocol::RepairPolicy {
     match repair {
         RepairPolicy::SweepEvery(_) => oscar_protocol::RepairPolicy::Off,
@@ -132,63 +121,288 @@ pub fn machine_repair_policy(repair: &RepairPolicy) -> oscar_protocol::RepairPol
     }
 }
 
-/// The engine's event alphabet (the machine analogue of the legacy
-/// engine's: sweeps become `Rewire` injections, reactive repair becomes
-/// probe rounds, and there is no oracle `Repair` event — machines fire
-/// their own).
+/// The machine world's events on the engine's clock, each re-armed
+/// `every` ticks after it ran. There is no oracle `Repair` event —
+/// machines fire their own.
 #[derive(Copy, Clone, Debug)]
-enum MachineEvent {
-    Join,
-    Crash,
-    Depart,
+pub enum MachineUpkeep {
     /// Ring-probe round across the live fleet (reactive policies).
-    Probe,
+    Probe {
+        /// The probe cadence.
+        every: u64,
+    },
     /// Whole-network rewire sweep (`SweepEvery`).
-    Sweep,
-    WindowEnd,
+    Sweep {
+        /// The sweep period.
+        every: u64,
+    },
 }
 
-/// One step of a multi-phase machine scenario run.
-#[derive(Clone, Debug)]
-pub enum MachinePhase {
-    /// A span of Poisson churn measured per window. Zero rates make it a
-    /// pure measurement span; `workload` picks what the window batches
-    /// target (`UniformPeers` reproduces the classic runs).
-    Churn {
-        /// Rates, repair policy and window geometry of the span.
-        schedule: ChurnSchedule,
-        /// Measurement workload of the span's window batches.
-        workload: QueryWorkload,
-        /// Measurement windows in the span.
-        windows: usize,
-    },
-    /// A flash crowd: exactly `count` serial joins through random live
-    /// contacts, links built immediately (no measurement of its own —
-    /// follow with a zero-rate `Churn` span to observe the aftermath).
-    MassJoin {
-        /// Joins injected by the burst.
-        count: usize,
-    },
-    /// A regional outage: crashes the contiguous arc of
-    /// `fraction · live` peers starting at ring position `start` (a
-    /// fraction of the sorted-identifier ring; values wrap). Survivors
-    /// must *discover* the hole — probes and queries in later phases do.
-    KillArc {
-        /// Ring position of the arc's first victim, as a fraction.
-        start: f64,
-        /// Fraction of the live fleet killed, in `(0, 1)`.
-        fraction: f64,
-    },
+/// A fleet of protocol machines on `driver`, as a [`ChurnWorld`].
+pub struct MachineWorld<'a, D: ProtocolDriver> {
+    driver: &'a mut D,
+    keys: &'a dyn KeyDistribution,
+    cfg: &'a MachineChurnConfig,
+    /// Maintenance since the last measurement. Whatever a span's last
+    /// measurement batch triggered stays here for the next span.
+    books: Maintenance,
+}
+
+impl<'a, D: ProtocolDriver> MachineWorld<'a, D> {
+    /// Bootstraps the fleet on `driver`, which must be empty so both
+    /// drivers (and every run) grow identical overlays from the seed:
+    /// serial joins through the first peer, then one serialized link
+    /// build per peer.
+    pub fn bootstrap(
+        driver: &'a mut D,
+        keys: &'a dyn KeyDistribution,
+        cfg: &'a MachineChurnConfig,
+        seed: &SeedTree,
+    ) -> Result<Self> {
+        cfg.validate()?;
+        if !driver.peer_ids().is_empty() {
+            return Err(Error::InvalidConfig(
+                "machine churn bootstraps its own fleet: the driver must start empty".into(),
+            ));
+        }
+        let mut world = MachineWorld {
+            driver,
+            keys,
+            cfg,
+            books: Maintenance::default(),
+        };
+        let mut boot = seed.child(LBL_BOOT).rng();
+        // Join order is draw order (`ids`); `taken` answers "drawn before?"
+        // in O(log n) where searching `ids` made the loop quadratic.
+        let mut ids: Vec<Id> = Vec::with_capacity(cfg.initial_peers);
+        let mut taken: BTreeSet<Id> = BTreeSet::new();
+        while ids.len() < cfg.initial_peers {
+            ids.push(fresh_id(keys, &mut boot, |id| !taken.insert(id))?);
+        }
+        world.driver.spawn_peer(ids[0]);
+        for &id in &ids[1..] {
+            world.driver.spawn_peer(id);
+            world.driver.inject(id, Command::Join { contact: ids[0] });
+            world.settle("a bootstrap join")?;
+        }
+        // One settle per peer, here and in the probe/sweep handlers below:
+        // concurrent walks read each other's half-built link tables in
+        // whatever order the driver interleaves them, which would make link
+        // state scheduling-dependent on the threaded runtime. Serialized
+        // injection keeps every link-mutating phase a pure function of the
+        // trace, so both drivers grow identical overlays.
+        for &id in &ids {
+            let walks = cfg.build_walks;
+            world.driver.inject(id, Command::BuildLinks { walks });
+            world.settle("a bootstrap link build")?;
+        }
+        world.driver.drain_events(); // bootstrap milestones are not window data
+        Ok(world)
+    }
+
+    /// Settles the driver after `during`, failing if that took the whole
+    /// [`SETTLE_ROUNDS`] budget: the fleet is then still not idle, and
+    /// whatever the engine measured next would be measured mid-operation.
+    fn settle(&mut self, during: &'static str) -> Result<()> {
+        let rounds = self.driver.settle(SETTLE_ROUNDS);
+        if rounds >= SETTLE_ROUNDS {
+            return Err(Error::Livelock { during, rounds });
+        }
+        Ok(())
+    }
+
+    /// Drains the driver's events and books the repairs that fired.
+    fn absorb_repairs(&mut self) {
+        self.books.repairs += self
+            .driver
+            .drain_events()
+            .iter()
+            .filter(|e| matches!(e, ProtocolEvent::RepairFired { .. }))
+            .count() as u64;
+    }
+}
+
+impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
+    type Upkeep = MachineUpkeep;
+
+    fn live(&self) -> usize {
+        self.driver.peer_ids().len()
+    }
+
+    fn begin(&mut self, span: &mut Span<'_, MachineUpkeep>) {
+        match span.schedule.repair {
+            RepairPolicy::SweepEvery(0) => {}
+            RepairPolicy::SweepEvery(every) => span.after(every, MachineUpkeep::Sweep { every }),
+            RepairPolicy::Reactive { .. } | RepairPolicy::OnProbe => {
+                let every = self.cfg.probe_every;
+                span.after(every, MachineUpkeep::Probe { every });
+            }
+        }
+    }
+
+    /// Samples a fresh identifier, joins through a uniformly random live
+    /// contact and builds links once the splice settled.
+    fn join(&mut self, rng: &mut SmallRng) -> Result<()> {
+        let live = self.driver.peer_ids();
+        let id = fresh_id(self.keys, rng, |id| live.binary_search(&id).is_ok())?;
+        let contact = live[rng.gen_range(0..live.len())];
+        self.driver.spawn_peer(id);
+        self.driver.inject(id, Command::Join { contact });
+        self.settle("a join")?;
+        // Links only after the splice: a walk needs the joiner's ring
+        // links to leave from.
+        let walks = self.cfg.build_walks;
+        self.driver.inject(id, Command::BuildLinks { walks });
+        self.settle("a joiner's link build")?;
+        self.absorb_repairs();
+        Ok(())
+    }
+
+    /// Abrupt: no farewell, mail to the corpse bounces (or blackholes,
+    /// per the fault plan). Survivors discover the hole at the next probe
+    /// round or query.
+    fn crash(&mut self, pick: &mut VictimPick, _: &mut Span<'_, MachineUpkeep>) -> Result<bool> {
+        let live = self.driver.peer_ids();
+        let Some(rank) = pick.rank(live.len()) else {
+            return Ok(false);
+        };
+        self.driver.remove_peer(live[rank]);
+        Ok(true)
+    }
+
+    fn depart(&mut self, pick: &mut VictimPick, _: &mut Span<'_, MachineUpkeep>) -> Result<bool> {
+        let live = self.driver.peer_ids();
+        let Some(rank) = pick.rank(live.len()) else {
+            return Ok(false);
+        };
+        self.driver.inject(live[rank], Command::Depart);
+        self.settle("a departure")?;
+        self.driver.remove_peer(live[rank]);
+        self.absorb_repairs();
+        Ok(true)
+    }
+
+    fn upkeep(&mut self, event: MachineUpkeep, span: &mut Span<'_, MachineUpkeep>) -> Result<()> {
+        match event {
+            MachineUpkeep::Probe { every } => {
+                let before = self.driver.sent();
+                for id in self.driver.peer_ids() {
+                    self.driver.inject(id, Command::ProbeRing);
+                    self.settle("a ring probe")?;
+                }
+                self.books.repair_cost += self.driver.sent() - before;
+                self.absorb_repairs();
+                span.after(every, event);
+            }
+            MachineUpkeep::Sweep { every } => {
+                let live = self.driver.peer_ids();
+                let before = self.driver.sent();
+                let walks = self.cfg.build_walks;
+                for &id in &live {
+                    self.driver.inject(id, Command::Rewire { walks });
+                    self.settle("a sweep rewire")?;
+                }
+                self.books.rewires += 1;
+                self.books.repairs += live.len() as u64;
+                self.books.repair_cost += self.driver.sent() - before;
+                self.driver.drain_events();
+                span.after(every, event);
+            }
+        }
+        Ok(())
+    }
+
+    fn measure(
+        &mut self,
+        workload: &QueryWorkload,
+        rng: &mut SmallRng,
+        span: &mut Span<'_, MachineUpkeep>,
+    ) -> Result<Measured> {
+        // Close the repair books before measuring: batch-triggered
+        // repairs (OnProbe) belong to the next window, like the oracle
+        // world's delayed repair events.
+        self.absorb_repairs();
+        let upkeep = std::mem::take(&mut self.books);
+        let live = self.driver.peer_ids();
+        let batch = span.schedule.query_budget.resolve(live.len());
+        // The window index in the high half keeps qids unique within the span.
+        let window = (span.window as u64) << 32;
+        let issued = if live.is_empty() { 0 } else { batch };
+        for q in 0..issued {
+            let src = live[rng.gen_range(0..live.len())];
+            let key = match workload.draw(live.len(), rng) {
+                QueryTarget::PeerRank(r) => live[r],
+                QueryTarget::Key(k) => k,
+            };
+            let qid = window | q as u64;
+            self.driver.inject(src, Command::StartQuery { qid, key });
+        }
+        self.settle("a window's query batch")?;
+        let mut reports: Vec<QueryReport> = Vec::new();
+        for e in self.driver.drain_events() {
+            match e {
+                ProtocolEvent::QueryCompleted(r) => reports.push(r),
+                ProtocolEvent::RepairFired { .. } => self.books.repairs += 1,
+                _ => {}
+            }
+        }
+        // The P² estimators are observation-order sensitive; qid order is
+        // the one ordering every driver agrees on.
+        reports.sort_by_key(|r| r.qid);
+        let mut acc = BatchAccumulator::new();
+        for r in &reports {
+            acc.observe(r.success, r.hops, r.wasted);
+        }
+        Ok(Measured {
+            live: live.len(),
+            upkeep,
+            queries: acc.finish(issued),
+        })
+    }
+
+    fn shock(&mut self, shock: &Shock, seed: &SeedTree) -> Result<ShockReport> {
+        let mut report = ShockReport::default();
+        match *shock {
+            // Serial joins through random live contacts, links built
+            // immediately.
+            Shock::MassJoin { count } => {
+                for i in 0..count {
+                    self.join(&mut seed.child2(LBL_BURST, i as u64).rng())?;
+                }
+                report.joined = count as u64;
+            }
+            // Abrupt, like `crash`. Survivors must *discover* the hole —
+            // probes and queries in later spans do; the machines' own
+            // `ReactiveK` reach decides who rewires, not `neighbors_k`.
+            Shock::KillArc {
+                start, fraction, ..
+            } => {
+                let live = self.driver.peer_ids();
+                let (first, count) = resolve_arc(live.len(), start, fraction)?;
+                for i in 0..count {
+                    self.driver.remove_peer(live[(first + i) % live.len()]);
+                }
+                report.killed = count as u64;
+            }
+            Shock::TargetedKill { .. } | Shock::Partition { .. } | Shock::Heal => {
+                return Err(Error::InvalidConfig(format!(
+                    "{shock:?} needs a global view of every peer's links, which only the \
+                     oracle world (`OracleWorld`) has: machines learn of damage through \
+                     their own probes and heal themselves"
+                )));
+            }
+        }
+        Ok(report)
+    }
 }
 
 /// Runs `windows` measurement windows of continuous churn against the
-/// machines hosted by `driver`, which must be empty (the engine
-/// bootstraps its own fleet so both drivers start from the same state).
+/// machines hosted by `driver`, which must be empty: the engine
+/// ([`run_churn`]) over a freshly bootstrapped [`MachineWorld`], measured
+/// with uniform live-peer targets.
 ///
 /// Joins sample fresh identifiers from `keys` and enter through a
-/// uniformly random live contact; crash and depart victims are uniform
-/// over the live population; every window closes with a query batch
-/// sized by the schedule's budget. Identical inputs give identical
+/// uniformly random live contact. Identical inputs give identical
 /// windows on either driver.
 pub fn run_machine_churn<D: ProtocolDriver>(
     driver: &mut D,
@@ -199,471 +413,19 @@ pub fn run_machine_churn<D: ProtocolDriver>(
     seed: SeedTree,
 ) -> Result<Vec<ChurnWindowStats>> {
     schedule.validate()?;
-    cfg.validate()?;
-    bootstrap_fleet(driver, keys, cfg, &seed)?;
-    let mut carry_repairs = 0u64;
-    churn_span(
-        driver,
-        keys,
-        cfg,
+    let mut world = MachineWorld::bootstrap(driver, keys, cfg, &seed)?;
+    run_churn(
+        &mut world,
         schedule,
         &QueryWorkload::UniformPeers,
         windows,
-        &seed,
-        &mut carry_repairs,
+        seed,
     )
-}
-
-/// Runs a sequence of [`MachinePhase`]s over one bootstrapped fleet —
-/// the machine backend of the scenario engine. Returns one
-/// `Vec<ChurnWindowStats>` per phase, empty for phases that measure
-/// nothing themselves (`MassJoin`, `KillArc`).
-///
-/// Phase `p` derives all randomness from `seed.child2(LBL_SPAN, p)`;
-/// repairs fired by a phase's trailing measurement batch carry into the
-/// next churn span's first window, mirroring the single-span engine's
-/// next-window booking. Works on any [`ProtocolDriver`] and is
-/// bit-deterministic per `(phases, seed)` on all of them.
-pub fn run_machine_phases<D: ProtocolDriver>(
-    driver: &mut D,
-    keys: &dyn KeyDistribution,
-    cfg: &MachineChurnConfig,
-    phases: &[MachinePhase],
-    seed: SeedTree,
-) -> Result<Vec<Vec<ChurnWindowStats>>> {
-    cfg.validate()?;
-    bootstrap_fleet(driver, keys, cfg, &seed)?;
-    let mut results = Vec::with_capacity(phases.len());
-    let mut carry_repairs = 0u64;
-    for (p, phase) in phases.iter().enumerate() {
-        let span_seed = seed.child2(LBL_SPAN, p as u64);
-        match phase {
-            MachinePhase::Churn {
-                schedule,
-                workload,
-                windows,
-            } => {
-                schedule.validate()?;
-                results.push(churn_span(
-                    driver,
-                    keys,
-                    cfg,
-                    schedule,
-                    workload,
-                    *windows,
-                    &span_seed,
-                    &mut carry_repairs,
-                )?);
-            }
-            MachinePhase::MassJoin { count } => {
-                for i in 0..*count {
-                    let mut jrng = span_seed.child2(LBL_JOIN, i as u64).rng();
-                    machine_join(driver, keys, cfg, &mut jrng)?;
-                    carry_repairs += absorb_repairs(driver);
-                }
-                results.push(Vec::new());
-            }
-            MachinePhase::KillArc { start, fraction } => {
-                let live = driver.peer_ids();
-                let n = live.len();
-                if n < 3 {
-                    return Err(Error::InvalidConfig(format!(
-                        "KillArc needs >= 3 live peers, got {n}"
-                    )));
-                }
-                if !fraction.is_finite() || *fraction <= 0.0 || *fraction >= 1.0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "KillArc fraction must be in (0, 1), got {fraction}"
-                    )));
-                }
-                let count = ((n as f64 * fraction).ceil() as usize).clamp(1, n - 2);
-                let first = (start.rem_euclid(1.0) * n as f64) as usize % n;
-                for i in 0..count {
-                    // Abrupt, like the Crash event: no farewell, mail to
-                    // the corpses bounces until survivors rewire.
-                    driver.remove_peer(live[(first + i) % n]);
-                }
-                results.push(Vec::new());
-            }
-        }
-    }
-    Ok(results)
-}
-
-/// Bootstraps the fleet: serial joins through the first peer, then one
-/// serialized link build per peer. The driver must start empty so both
-/// drivers (and every run) grow identical overlays from the seed.
-fn bootstrap_fleet<D: ProtocolDriver>(
-    driver: &mut D,
-    keys: &dyn KeyDistribution,
-    cfg: &MachineChurnConfig,
-    seed: &SeedTree,
-) -> Result<()> {
-    if !driver.peer_ids().is_empty() {
-        return Err(Error::InvalidConfig(
-            "machine churn bootstraps its own fleet: the driver must start empty".into(),
-        ));
-    }
-    let mut boot = seed.child(LBL_BOOT).rng();
-    // Join order is draw order (`ids`); `taken` answers "drawn before?"
-    // in O(log n) where searching `ids` made the loop quadratic.
-    let mut ids: Vec<Id> = Vec::with_capacity(cfg.initial_peers);
-    let mut taken: BTreeSet<Id> = BTreeSet::new();
-    while ids.len() < cfg.initial_peers {
-        let mut placed = false;
-        for _ in 0..1000 {
-            let id = keys.sample(&mut boot);
-            if taken.insert(id) {
-                ids.push(id);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(Error::InvalidConfig(
-                "key distribution too degenerate: 1000 consecutive id collisions".into(),
-            ));
-        }
-    }
-    driver.spawn_peer(ids[0]);
-    for &id in &ids[1..] {
-        driver.spawn_peer(id);
-        driver.inject(id, Command::Join { contact: ids[0] });
-        settle(driver, "a bootstrap join")?;
-    }
-    // One settle per peer, here and in the probe/sweep handlers below:
-    // concurrent walks read each other's half-built link tables in
-    // whatever order the driver interleaves them, which would make link
-    // state scheduling-dependent on the threaded runtime. Serialized
-    // injection keeps every link-mutating phase a pure function of the
-    // trace, so both drivers grow identical overlays.
-    for &id in &ids {
-        driver.inject(
-            id,
-            Command::BuildLinks {
-                walks: cfg.build_walks,
-            },
-        );
-        settle(driver, "a bootstrap link build")?;
-    }
-    driver.drain_events(); // bootstrap milestones are not window data
-    Ok(())
-}
-
-/// Admits one joiner: samples a fresh identifier (resampling collisions,
-/// like the legacy engine), joins through a uniformly random live
-/// contact and builds links once the splice settled.
-fn machine_join<D: ProtocolDriver>(
-    driver: &mut D,
-    keys: &dyn KeyDistribution,
-    cfg: &MachineChurnConfig,
-    jrng: &mut SmallRng,
-) -> Result<()> {
-    let live = driver.peer_ids();
-    for _ in 0..1000 {
-        let id = keys.sample(jrng);
-        if live.binary_search(&id).is_err() {
-            let contact = live[jrng.gen_range(0..live.len())];
-            driver.spawn_peer(id);
-            driver.inject(id, Command::Join { contact });
-            settle(driver, "a join")?;
-            // Links only after the splice: a walk needs the joiner's
-            // ring links to leave from.
-            driver.inject(
-                id,
-                Command::BuildLinks {
-                    walks: cfg.build_walks,
-                },
-            );
-            return settle(driver, "a joiner's link build");
-        }
-    }
-    Err(Error::InvalidConfig(
-        "key distribution too degenerate: 1000 consecutive id collisions".into(),
-    ))
-}
-
-/// One churn span: `windows` measurement windows of Poisson churn, all
-/// randomness derived from `span_seed`, virtual clock starting at zero.
-/// `carry_repairs` feeds repairs booked past the previous span's books
-/// into this span's first window and returns this span's own trailing
-/// batch repairs the same way.
-#[allow(clippy::too_many_arguments)]
-fn churn_span<D: ProtocolDriver>(
-    driver: &mut D,
-    keys: &dyn KeyDistribution,
-    cfg: &MachineChurnConfig,
-    schedule: &ChurnSchedule,
-    workload: &QueryWorkload,
-    windows: usize,
-    span_seed: &SeedTree,
-    carry_repairs: &mut u64,
-) -> Result<Vec<ChurnWindowStats>> {
-    let mut results = Vec::with_capacity(windows);
-    if windows == 0 {
-        return Ok(results);
-    }
-
-    // --- schedule: same pre-scheduled window timers as the legacy engine
-    // (a WindowEnd on a boundary tick always outranks same-tick churn).
-    let mut queue: EventQueue<MachineEvent> = EventQueue::new();
-    let mut join_gaps = span_seed.child(LBL_JOIN_GAPS).rng();
-    let mut crash_gaps = span_seed.child(LBL_CRASH_GAPS).rng();
-    let mut depart_gaps = span_seed.child(LBL_DEPART_GAPS).rng();
-    let mut crash_pick = span_seed.child(LBL_CRASH_PICK).rng();
-    let mut depart_pick = span_seed.child(LBL_DEPART_PICK).rng();
-    for k in 1..=windows as u64 {
-        queue.schedule(
-            VirtualTime(k * schedule.window_ticks),
-            MachineEvent::WindowEnd,
-        );
-    }
-    if schedule.join_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.join_rate, &mut join_gaps),
-            MachineEvent::Join,
-        );
-    }
-    if schedule.crash_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.crash_rate, &mut crash_gaps),
-            MachineEvent::Crash,
-        );
-    }
-    if schedule.depart_rate > 0.0 {
-        queue.schedule_in(
-            exponential_gap(schedule.depart_rate, &mut depart_gaps),
-            MachineEvent::Depart,
-        );
-    }
-    match schedule.repair {
-        RepairPolicy::SweepEvery(every) => {
-            if every > 0 {
-                queue.schedule_in(every, MachineEvent::Sweep);
-            }
-        }
-        RepairPolicy::Reactive { .. } | RepairPolicy::OnProbe => {
-            queue.schedule_in(cfg.probe_every, MachineEvent::Probe);
-        }
-    }
-
-    let mut joins_total = 0u64;
-    let mut window_start = VirtualTime(0);
-    let mut w = ChurnWindowStats::fresh(0, window_start);
-    w.repairs += *carry_repairs;
-    *carry_repairs = 0;
-
-    while results.len() < windows {
-        let (now, event) = queue
-            .pop()
-            .expect("an engine process or the window timer is always scheduled");
-        match event {
-            MachineEvent::Join => {
-                let join_seed = span_seed.child2(LBL_JOIN, joins_total);
-                joins_total += 1;
-                let mut jrng = join_seed.rng();
-                machine_join(driver, keys, cfg, &mut jrng)?;
-                w.joins += 1;
-                w.repairs += absorb_repairs(driver);
-                queue.schedule_in(
-                    exponential_gap(schedule.join_rate, &mut join_gaps),
-                    MachineEvent::Join,
-                );
-            }
-            MachineEvent::Crash => {
-                let live = driver.peer_ids();
-                if live.len() > schedule.min_live {
-                    let victim = live[crash_pick.gen_range(0..live.len())];
-                    // Abrupt: no farewell, mail to the corpse bounces (or
-                    // blackholes, per the fault plan). Survivors discover
-                    // the hole at the next probe round or query.
-                    driver.remove_peer(victim);
-                    w.crashes += 1;
-                } else {
-                    w.suppressed += 1;
-                }
-                queue.schedule_in(
-                    exponential_gap(schedule.crash_rate, &mut crash_gaps),
-                    MachineEvent::Crash,
-                );
-            }
-            MachineEvent::Depart => {
-                let live = driver.peer_ids();
-                if live.len() > schedule.min_live {
-                    let victim = live[depart_pick.gen_range(0..live.len())];
-                    driver.inject(victim, Command::Depart);
-                    settle(driver, "a departure")?;
-                    driver.remove_peer(victim);
-                    w.departs += 1;
-                    w.repairs += absorb_repairs(driver);
-                } else {
-                    w.suppressed += 1;
-                }
-                queue.schedule_in(
-                    exponential_gap(schedule.depart_rate, &mut depart_gaps),
-                    MachineEvent::Depart,
-                );
-            }
-            MachineEvent::Probe => {
-                let before = driver.sent();
-                for id in driver.peer_ids() {
-                    driver.inject(id, Command::ProbeRing);
-                    settle(driver, "a ring probe")?;
-                }
-                w.repair_cost += driver.sent() - before;
-                w.repairs += absorb_repairs(driver);
-                queue.schedule_in(cfg.probe_every, MachineEvent::Probe);
-            }
-            MachineEvent::Sweep => {
-                let live = driver.peer_ids();
-                let before = driver.sent();
-                for &id in &live {
-                    driver.inject(
-                        id,
-                        Command::Rewire {
-                            walks: cfg.build_walks,
-                        },
-                    );
-                    settle(driver, "a sweep rewire")?;
-                }
-                w.rewires += 1;
-                w.repairs += live.len() as u64;
-                w.repair_cost += driver.sent() - before;
-                driver.drain_events();
-                let RepairPolicy::SweepEvery(every) = schedule.repair else {
-                    unreachable!("Sweep events are only scheduled by SweepEvery")
-                };
-                queue.schedule_in(every, MachineEvent::Sweep);
-            }
-            MachineEvent::WindowEnd => {
-                let widx = results.len();
-                let mut qrng = span_seed.child2(LBL_MEASURE, widx as u64).rng();
-                w.window = widx;
-                w.start = window_start;
-                w.end = now;
-                // Close the repair books before measuring: batch-triggered
-                // repairs (OnProbe) belong to the next window, like the
-                // legacy engine's delayed repair events.
-                w.repairs += absorb_repairs(driver);
-                let live = driver.peer_ids();
-                w.live_at_end = live.len();
-                let batch = schedule.query_budget.resolve(w.live_at_end);
-                let mut issued = 0usize;
-                for q in 0..batch {
-                    if live.is_empty() {
-                        break;
-                    }
-                    let src = live[qrng.gen_range(0..live.len())];
-                    let key = match workload.draw(live.len(), &mut qrng) {
-                        QueryTarget::PeerRank(r) => live[r],
-                        QueryTarget::Key(k) => k,
-                    };
-                    driver.inject(
-                        src,
-                        Command::StartQuery {
-                            qid: ((widx as u64) << 32) | q as u64,
-                            key,
-                        },
-                    );
-                    issued += 1;
-                }
-                settle(driver, "a window's query batch")?;
-                let (mut reports, batch_repairs) = split_events(driver.drain_events());
-                // The P² estimators are observation-order sensitive; qid
-                // order is the one ordering every driver agrees on.
-                reports.sort_by_key(|r| r.qid);
-                w.queries = aggregate_reports(&reports, issued);
-                results.push(w.clone());
-                window_start = now;
-                w = ChurnWindowStats::fresh(widx + 1, window_start);
-                w.repairs += batch_repairs;
-            }
-        }
-    }
-    // Whatever the last measurement batch triggered was booked to the
-    // window that will never close in this span; hand it to the caller so
-    // a following span can own it instead of silently dropping it.
-    *carry_repairs = w.repairs;
-    Ok(results)
-}
-
-/// Drains the driver's events and counts the repairs that fired.
-fn absorb_repairs<D: ProtocolDriver>(driver: &mut D) -> u64 {
-    driver
-        .drain_events()
-        .iter()
-        .filter(|e| matches!(e, ProtocolEvent::RepairFired { .. }))
-        .count() as u64
-}
-
-/// Splits a measurement settle's events into query reports and the
-/// count of repairs the batch itself triggered.
-fn split_events(events: Vec<ProtocolEvent>) -> (Vec<QueryReport>, u64) {
-    let mut reports = Vec::new();
-    let mut repairs = 0u64;
-    for e in events {
-        match e {
-            ProtocolEvent::QueryCompleted(r) => reports.push(r),
-            ProtocolEvent::RepairFired { .. } => repairs += 1,
-            _ => {}
-        }
-    }
-    (reports, repairs)
-}
-
-/// Aggregates query reports with the same streaming math as the oracle
-/// backend's batch runner (`routing::run_query_batch`): wasted traffic
-/// over all issued queries, cost statistics over the successful ones.
-/// A query that produced no report (killed outright by the fault plan)
-/// counts as issued-and-failed with zero observed waste.
-fn aggregate_reports(reports: &[QueryReport], issued: usize) -> QueryBatchStats {
-    let mut p50 = P2Quantile::new(0.50);
-    let mut p95 = P2Quantile::new(0.95);
-    let mut cost_sum = 0.0f64;
-    let mut cost_sumsq = 0.0f64;
-    let mut max_cost = 0u32;
-    let mut hops_sum = 0u64;
-    let mut wasted_sum = 0u64;
-    let mut successes = 0usize;
-    for r in reports {
-        wasted_sum += r.wasted as u64;
-        if r.success {
-            successes += 1;
-            let c = r.cost();
-            let cf = c as f64;
-            cost_sum += cf;
-            cost_sumsq += cf * cf;
-            max_cost = max_cost.max(c);
-            p50.observe(cf);
-            p95.observe(cf);
-            hops_sum += r.hops as u64;
-        }
-    }
-    let mut stats = QueryBatchStats {
-        queries: issued,
-        ..Default::default()
-    };
-    stats.success_rate = successes as f64 / issued.max(1) as f64;
-    stats.mean_wasted = wasted_sum as f64 / issued.max(1) as f64;
-    if successes > 0 {
-        let m = successes as f64;
-        stats.mean_cost = cost_sum / m;
-        stats.mean_hops = hops_sum as f64 / m;
-        stats.max_cost = max_cost;
-        stats.p50_cost = p50.value();
-        stats.p95_cost = p95.value();
-        if successes > 1 {
-            let var = ((cost_sumsq - cost_sum * cost_sum / m) / (m - 1.0)).max(0.0);
-            stats.se_cost = (var / m).sqrt();
-        }
-    }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn_engine::QueryBudget;
     use crate::protocol_des::DesDriver;
     use oscar_keydist::UniformKeys;
     use oscar_protocol::{FaultPlan, PeerConfig};
@@ -838,19 +600,13 @@ mod tests {
         );
     }
 
-    fn measure_phase(windows: usize) -> MachinePhase {
-        MachinePhase::Churn {
-            schedule: ChurnSchedule {
-                join_rate: 0.0,
-                crash_rate: 0.0,
-                depart_rate: 0.0,
-                repair: RepairPolicy::Reactive { neighbors_k: 2 },
-                window_ticks: 400,
-                query_budget: QueryBudget::Fixed(40),
-                min_live: 8,
-            },
-            workload: QueryWorkload::UniformPeers,
-            windows,
+    /// A zero-rate span: probes run between windows, nothing else moves.
+    fn quiet() -> ChurnSchedule {
+        ChurnSchedule {
+            join_rate: 0.0,
+            crash_rate: 0.0,
+            depart_rate: 0.0,
+            ..small_schedule(RepairPolicy::Reactive { neighbors_k: 2 })
         }
     }
 
@@ -862,55 +618,70 @@ mod tests {
         }
     }
 
-    fn run_phases(phases: &[MachinePhase], seed: u64) -> Vec<Vec<ChurnWindowStats>> {
-        let schedule = small_schedule(RepairPolicy::Reactive { neighbors_k: 2 });
-        let mut des = des_for(&schedule, seed);
-        run_machine_phases(
-            &mut des,
-            &UniformKeys,
-            &phase_cfg(),
-            phases,
-            SeedTree::new(seed),
-        )
-        .unwrap()
+    /// One step of a scripted run: a shock, or a quiet span of so many
+    /// measured windows.
+    enum Step {
+        Shock(Shock),
+        Quiet(usize),
+    }
+    use Step::Quiet;
+
+    /// Bootstraps a 32-peer fleet, then applies `steps` in order; step `p`
+    /// draws from the root's child `p`. Returns each quiet span's windows.
+    fn play(steps: &[Step], seed: u64) -> Result<Vec<Vec<ChurnWindowStats>>> {
+        let mut des = des_for(&quiet(), seed);
+        let root = SeedTree::new(seed);
+        let cfg = phase_cfg();
+        let mut world = MachineWorld::bootstrap(&mut des, &UniformKeys, &cfg, &root)?;
+        let uniform = QueryWorkload::UniformPeers;
+        let mut spans = Vec::new();
+        for (p, step) in steps.iter().enumerate() {
+            let pseed = root.child2(77, p as u64);
+            match step {
+                Step::Shock(shock) => {
+                    world.shock(shock, &pseed)?;
+                }
+                Quiet(windows) => {
+                    spans.push(run_churn(&mut world, &quiet(), &uniform, *windows, pseed)?)
+                }
+            }
+        }
+        Ok(spans)
     }
 
     #[test]
-    fn phases_mass_join_grows_the_fleet() {
-        let phases = vec![
-            measure_phase(1),
-            MachinePhase::MassJoin { count: 16 },
-            measure_phase(1),
-        ];
-        let out = run_phases(&phases, 41);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].len(), 1);
-        assert!(out[1].is_empty(), "a burst phase has no windows");
-        assert_eq!(out[2][0].live_at_end, out[0][0].live_at_end + 16);
+    fn mass_join_grows_the_fleet() {
+        let out = play(
+            &[
+                Quiet(1),
+                Step::Shock(Shock::MassJoin { count: 16 }),
+                Quiet(1),
+            ],
+            41,
+        )
+        .unwrap();
+        assert_eq!(out[1][0].live_at_end, out[0][0].live_at_end + 16);
         assert!(
-            out[2][0].queries.success_rate > 0.9,
+            out[1][0].queries.success_rate > 0.9,
             "a 50% flash crowd must not break delivery, got {}",
-            out[2][0].queries.success_rate
+            out[1][0].queries.success_rate
         );
     }
 
     #[test]
-    fn phases_kill_arc_damages_then_probes_recover() {
-        let phases = vec![
-            measure_phase(1),
-            MachinePhase::KillArc {
-                start: 0.25,
-                fraction: 0.2,
-            },
-            // Two zero-rate spans: probes run between windows, so the
-            // second span measures the healed overlay.
-            measure_phase(4),
-        ];
-        let out = run_phases(&phases, 43);
+    fn kill_arc_damages_then_probes_recover() {
+        let outage = Shock::KillArc {
+            start: 0.25,
+            fraction: 0.2,
+            neighbors_k: 2,
+        };
+        // Probes run between windows, so the later windows of the second
+        // span measure the healed overlay.
+        let out = play(&[Quiet(1), Step::Shock(outage), Quiet(4)], 43).unwrap();
         let pre = out[0][0].queries.success_rate;
-        let post = out[2].last().unwrap().queries.success_rate;
-        assert_eq!(out[2][0].live_at_end, 32 - 7); // ceil(32 * 0.2) = 7
-        let repairs: u64 = out[2].iter().map(|w| w.repairs).sum();
+        let post = out[1].last().unwrap().queries.success_rate;
+        assert_eq!(out[1][0].live_at_end, 32 - 7); // ceil(32 * 0.2) = 7
+        let repairs: u64 = out[1].iter().map(|w| w.repairs).sum();
         assert!(repairs > 0, "probe rounds must discover the arc kill");
         assert!(
             post >= pre - 0.05,
@@ -919,29 +690,81 @@ mod tests {
     }
 
     #[test]
-    fn phases_are_deterministic_and_reject_bad_specs() {
-        let phases = vec![
-            measure_phase(1),
-            MachinePhase::MassJoin { count: 8 },
-            MachinePhase::KillArc {
+    fn shocked_runs_are_deterministic_and_reject_what_machines_cannot_do() {
+        let steps = [
+            Quiet(1),
+            Step::Shock(Shock::MassJoin { count: 8 }),
+            Step::Shock(Shock::KillArc {
                 start: 0.9,
                 fraction: 0.1,
-            },
-            measure_phase(2),
+                neighbors_k: 2,
+            }),
+            Quiet(2),
         ];
-        let a = run_phases(&phases, 47);
-        let b = run_phases(&phases, 47);
-        assert_eq!(a, b, "multi-phase machine runs must be bit-deterministic");
+        let a = play(&steps, 47).unwrap();
+        let b = play(&steps, 47).unwrap();
+        assert_eq!(a, b, "shocked machine runs must be bit-deterministic");
 
-        let schedule = small_schedule(RepairPolicy::Reactive { neighbors_k: 2 });
-        let mut des = des_for(&schedule, 1);
-        let bad = vec![MachinePhase::KillArc {
+        let bad = Shock::KillArc {
             start: 0.0,
             fraction: 1.5,
-        }];
+            neighbors_k: 2,
+        };
+        assert!(play(&[Step::Shock(bad)], 1).is_err());
+        for oracle_only in [
+            Shock::TargetedKill {
+                fraction: 0.1,
+                neighbors_k: 2,
+            },
+            Shock::Partition {
+                start: 0.0,
+                fraction: 0.5,
+            },
+            Shock::Heal,
+        ] {
+            let Err(Error::InvalidConfig(why)) = play(&[Step::Shock(oracle_only)], 1) else {
+                panic!("machines have no global view to apply this shock with");
+            };
+            assert!(why.contains("OracleWorld"), "{why}");
+        }
+    }
+
+    #[test]
+    fn repairs_a_spans_last_batch_fires_are_booked_to_the_next_span() {
+        // Under OnProbe a measurement query that bounces off a corpse
+        // rewires its prober. After an arc kill, the first quiet span's
+        // only batch finds the corpses; with no later window in that span
+        // to own those repairs, the next span's first window must.
+        let schedule = ChurnSchedule {
+            repair: RepairPolicy::OnProbe,
+            ..quiet()
+        };
+        let mut des = des_for(&schedule, 53);
+        let root = SeedTree::new(53);
+        let cfg = MachineChurnConfig {
+            probe_every: 10_000, // no probe round inside these spans
+            ..phase_cfg()
+        };
+        let mut world = MachineWorld::bootstrap(&mut des, &UniformKeys, &cfg, &root).unwrap();
+        let outage = Shock::KillArc {
+            start: 0.5,
+            fraction: 0.25,
+            neighbors_k: 2,
+        };
+        world.shock(&outage, &root).unwrap();
+        let uniform = QueryWorkload::UniformPeers;
+        let first = run_churn(&mut world, &schedule, &uniform, 1, root.child(1)).unwrap();
+        assert_eq!(first[0].repairs, 0, "the batch's repairs trail its books");
         assert!(
-            run_machine_phases(&mut des, &UniformKeys, &phase_cfg(), &bad, SeedTree::new(1))
-                .is_err()
+            first[0].queries.mean_wasted > 0.0,
+            "the batch must meet corpses"
         );
+        let carried = world.books.repairs;
+        assert!(
+            carried > 0,
+            "bounced queries must have rewired their probers"
+        );
+        let second = run_churn(&mut world, &schedule, &uniform, 1, root.child(2)).unwrap();
+        assert!(second[0].repairs >= carried);
     }
 }

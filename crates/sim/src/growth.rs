@@ -12,7 +12,7 @@ use crate::peer::PeerIdx;
 use oscar_degree::DegreeDistribution;
 use oscar_keydist::KeyDistribution;
 use oscar_types::labels::sim_growth::{LBL_IDS, LBL_JOIN, LBL_REWIRE, LBL_SHUFFLE};
-use oscar_types::{Error, Result, SeedTree};
+use oscar_types::{Error, Id, Result, SeedTree};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -133,7 +133,7 @@ impl GrowthDriver {
         // Bootstrap cohort: ids and caps only; links follow once all the
         // seeds exist (they need each other as targets).
         while net.len() < self.config.seed_size {
-            self.join_one(net, keys, degrees, &mut id_rng)?;
+            admit_peer(net, keys, degrees, &mut id_rng)?;
         }
         for (i, p) in net.all_peers().enumerate().collect::<Vec<_>>() {
             let mut rng = seed.child2(LBL_JOIN, i as u64).rng();
@@ -149,7 +149,7 @@ impl GrowthDriver {
 
         // Incremental growth.
         while net.len() < self.config.target_size {
-            let p = self.join_one(net, keys, degrees, &mut id_rng)?;
+            let p = admit_peer(net, keys, degrees, &mut id_rng)?;
             let mut rng = seed.child2(LBL_JOIN, p.as_usize() as u64).rng();
             builder.build_links(net, p, &mut rng)?;
             self.fire_checkpoints(
@@ -161,27 +161,6 @@ impl GrowthDriver {
             )?;
         }
         Ok(())
-    }
-
-    /// Adds one peer with a fresh identifier (resampling collisions —
-    /// key distributions are allowed to produce duplicates).
-    fn join_one(
-        &self,
-        net: &mut Network,
-        keys: &dyn KeyDistribution,
-        degrees: &dyn DegreeDistribution,
-        id_rng: &mut SmallRng,
-    ) -> Result<PeerIdx> {
-        let caps = degrees.sample(id_rng);
-        for _ in 0..1000 {
-            let id = keys.sample(id_rng);
-            if net.idx_of(id).is_none() {
-                return net.add_peer(id, caps);
-            }
-        }
-        Err(Error::InvalidConfig(
-            "key distribution too degenerate: 1000 consecutive id collisions".into(),
-        ))
     }
 
     fn fire_checkpoints<B, F>(
@@ -219,6 +198,39 @@ impl GrowthDriver {
     {
         rewire_all_peers(net, builder, seed)
     }
+}
+
+/// Samples an identifier no peer holds yet, resampling collisions (key
+/// distributions are allowed to produce duplicates). `taken` answers
+/// whether a draw is already in use.
+pub(crate) fn fresh_id(
+    keys: &dyn KeyDistribution,
+    rng: &mut SmallRng,
+    mut taken: impl FnMut(Id) -> bool,
+) -> Result<Id> {
+    for _ in 0..1000 {
+        let id = keys.sample(rng);
+        if !taken(id) {
+            return Ok(id);
+        }
+    }
+    Err(Error::InvalidConfig(
+        "key distribution too degenerate: 1000 consecutive id collisions".into(),
+    ))
+}
+
+/// Adds one peer with sampled degree caps and a fresh identifier; its
+/// links are the caller's to build. Shared by the growth driver and the
+/// churn engine's oracle world, so a join draws the same way in both.
+pub(crate) fn admit_peer(
+    net: &mut Network,
+    keys: &dyn KeyDistribution,
+    degrees: &dyn DegreeDistribution,
+    rng: &mut SmallRng,
+) -> Result<PeerIdx> {
+    let caps = degrees.sample(rng);
+    let id = fresh_id(keys, rng, |id| net.idx_of(id).is_some())?;
+    net.add_peer(id, caps)
 }
 
 /// Rewires every live peer's long-range links once, in a deterministically

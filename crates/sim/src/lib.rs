@@ -20,18 +20,22 @@
 //!   [`OverlayBuilder`] (Oscar and Mercury implement it), with checkpoint
 //!   callbacks for rewiring and measurement.
 //! * [`events`] — a small discrete-event queue with virtual time.
-//! * [`churn_engine`] — continuous churn: Poisson join/crash/depart
-//!   arrivals on the event queue, periodic rewire sweeps, steady-state
-//!   measurement windows.
-//! * [`churn_machine`] — the same churn schedules driven through
-//!   [`oscar_protocol::PeerMachine`] fleets on any `ProtocolDriver`
-//!   (the DES or the threaded runtime), where failure detection and
-//!   repair are real protocol messages; multi-phase scenario runs via
-//!   [`run_machine_phases`].
-//! * [`scenario_hooks`] — shock primitives for the scenario engine:
-//!   contiguous ring-arc kills, targeted top-degree kills, mass-join
-//!   bursts, partition (cross-arc link severing) and reactive healing,
-//!   all against the oracle-backed `Network`.
+//! * [`churn_engine`] — continuous churn, once: [`run_churn`] owns the
+//!   Poisson join/crash/depart arrivals on the event queue, the window
+//!   timers, the `min_live` floor and the window books, over any
+//!   [`ChurnWorld`] — the seam a churned substrate implements
+//!   (membership, upkeep events on the engine's clock, measurement,
+//!   [`Shock`]s). Exactly two worlds implement it:
+//! * [`churn_oracle`] — [`OracleWorld`]: the snapshot `Network` running
+//!   an `OverlayBuilder`'s links (for Oscar: partition-median links under
+//!   per-peer degree caps), repaired by direct rewires, and able to
+//!   express every shock (arc kills, top-degree kills, mass joins,
+//!   partition masks, heals).
+//! * [`churn_machine`] — [`MachineWorld`]: a fleet of
+//!   [`oscar_protocol::PeerMachine`]s on any `ProtocolDriver` (the DES or
+//!   the threaded runtime), where failure detection and repair are real
+//!   protocol messages. Its peers link to *uniform* walk samples, not
+//!   Oscar's partition medians — the gap that keeps `OracleWorld` alive.
 //! * [`metrics`] — message accounting by category.
 //!
 //! Each `Network` is single-threaded and allocation-conscious: a full
@@ -45,6 +49,7 @@
 pub mod churn;
 pub mod churn_engine;
 pub mod churn_machine;
+pub mod churn_oracle;
 pub mod events;
 pub mod growth;
 pub mod metrics;
@@ -53,17 +58,17 @@ pub mod overlay;
 pub mod peer;
 pub mod protocol_des;
 pub mod routing;
-pub mod scenario_hooks;
 pub mod walker;
 
 pub use churn::{kill_fraction, FaultModel};
 pub use churn_engine::{
-    run_continuous_churn, run_continuous_churn_with, ChurnSchedule, ChurnWindowStats, QueryBudget,
-    RepairPolicy,
+    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, Maintenance, Measured, QueryBudget,
+    RepairPolicy, Shock, ShockReport, Span, VictimPick,
 };
 pub use churn_machine::{
-    machine_repair_policy, run_machine_churn, run_machine_phases, MachineChurnConfig, MachinePhase,
+    machine_repair_policy, run_machine_churn, MachineChurnConfig, MachineUpkeep, MachineWorld,
 };
+pub use churn_oracle::{run_continuous_churn, OracleUpkeep, OracleWorld};
 pub use events::{Event, EventQueue, VirtualTime};
 pub use growth::{rewire_all_peers, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder};
 pub use metrics::{Metrics, MsgKind};
@@ -74,9 +79,5 @@ pub use protocol_des::{DesDriver, Envelope};
 pub use routing::{
     route_to_owner, run_query_batch, run_query_batch_observed, QueryBatchStats, RouteOutcome,
     RoutePolicy,
-};
-pub use scenario_hooks::{
-    burst_joins, kill_ring_arc, kill_top_degree, reactive_heal, sever_arc_links, PartitionDamage,
-    ShockDamage,
 };
 pub use walker::{sample_peers, WalkConfig, Walker};

@@ -858,6 +858,19 @@ mod tests {
     }
 
     #[test]
+    fn unlink_is_the_exact_inverse_of_try_link() {
+        let (mut net, idxs) = net_with(&[10, 20]);
+        let (a, b) = (idxs[0], idxs[1]);
+        net.try_link(a, b).unwrap();
+        assert!(net.unlink(a, b));
+        assert!(!net.unlink(a, b), "double-unlink reports absence");
+        assert!(net.peer(a).long_out.is_empty());
+        assert!(net.peer(b).long_in.is_empty());
+        // Budget released: the link can be re-opened.
+        net.try_link(a, b).unwrap();
+    }
+
+    #[test]
     fn kill_updates_views_and_budgets() {
         let (mut net, idxs) = net_with(&[10, 20, 30, 40]);
         net.try_link(idxs[0], idxs[2]).unwrap(); // 10 -> 30

@@ -7,7 +7,8 @@
 //! benchmarks treat both identically.
 
 use crate::churn::{kill_fraction, FaultModel};
-use crate::churn_engine::{run_continuous_churn, ChurnSchedule, ChurnWindowStats};
+use crate::churn_engine::{ChurnSchedule, ChurnWindowStats};
+use crate::churn_oracle::run_continuous_churn;
 use crate::growth::{rewire_all_peers, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder};
 use crate::network::Network;
 use crate::peer::PeerIdx;

@@ -257,6 +257,83 @@ pub fn run_query_batch_observed(
     stats
 }
 
+/// Streaming aggregate of one query batch: O(1) state regardless of
+/// batch size, which is what lets a million-peer window afford its
+/// measurement batch. The oracle batch runner and the machine fleet's
+/// report aggregation both fold their queries through this, so the two
+/// worlds' [`QueryBatchStats`] are computed by the same arithmetic.
+pub(crate) struct BatchAccumulator {
+    p50: P2Quantile,
+    p95: P2Quantile,
+    cost_sum: f64,
+    cost_sumsq: f64,
+    max_cost: u32,
+    hops_sum: u64,
+    wasted_sum: u64,
+    successes: usize,
+}
+
+impl BatchAccumulator {
+    pub(crate) fn new() -> Self {
+        BatchAccumulator {
+            p50: P2Quantile::new(0.50),
+            p95: P2Quantile::new(0.95),
+            cost_sum: 0.0,
+            cost_sumsq: 0.0,
+            max_cost: 0,
+            hops_sum: 0,
+            wasted_sum: 0,
+            successes: 0,
+        }
+    }
+
+    /// Folds one finished query in. The P² estimators are
+    /// observation-order sensitive: callers feed queries in an order every
+    /// run of theirs agrees on.
+    #[inline]
+    pub(crate) fn observe(&mut self, success: bool, hops: u32, wasted: u32) {
+        // Waste is traffic whether or not the query delivered.
+        self.wasted_sum += wasted as u64;
+        if success {
+            self.successes += 1;
+            let c = hops + wasted;
+            let cf = c as f64;
+            self.cost_sum += cf;
+            self.cost_sumsq += cf * cf;
+            self.max_cost = self.max_cost.max(c);
+            self.p50.observe(cf);
+            self.p95.observe(cf);
+            self.hops_sum += hops as u64;
+        }
+    }
+
+    /// The batch's statistics over `issued` queries: wasted traffic over
+    /// all of them (a query that never reported counts as failed with no
+    /// observed waste), cost statistics over the successful ones.
+    pub(crate) fn finish(self, issued: usize) -> QueryBatchStats {
+        let mut stats = QueryBatchStats {
+            queries: issued,
+            ..Default::default()
+        };
+        stats.success_rate = self.successes as f64 / issued.max(1) as f64;
+        stats.mean_wasted = self.wasted_sum as f64 / issued.max(1) as f64;
+        if self.successes > 0 {
+            let m = self.successes as f64;
+            stats.mean_cost = self.cost_sum / m;
+            stats.mean_hops = self.hops_sum as f64 / m;
+            stats.max_cost = self.max_cost;
+            stats.p50_cost = self.p50.value();
+            stats.p95_cost = self.p95.value();
+            if self.successes > 1 {
+                let var =
+                    ((self.cost_sumsq - self.cost_sum * self.cost_sum / m) / (m - 1.0)).max(0.0);
+                stats.se_cost = (var / m).sqrt();
+            }
+        }
+        stats
+    }
+}
+
 fn run_batch_observed(
     net: &mut Network,
     workload: &QueryWorkload,
@@ -265,17 +342,8 @@ fn run_batch_observed(
     rng: &mut SmallRng,
     mut probers: Option<&mut Vec<PeerIdx>>,
 ) -> QueryBatchStats {
-    // Everything streams: O(1) state regardless of batch size, which is
-    // what lets a million-peer window afford its measurement batch.
-    let mut p50 = P2Quantile::new(0.50);
-    let mut p95 = P2Quantile::new(0.95);
-    let mut cost_sum = 0.0f64;
-    let mut cost_sumsq = 0.0f64;
-    let mut max_cost = 0u32;
-    let mut hops_sum = 0u64;
-    let mut wasted_sum = 0u64;
+    let mut acc = BatchAccumulator::new();
     let mut issued = 0usize;
-    let mut successes = 0usize;
     for _ in 0..n {
         let Some(src) = net.random_live_peer(rng) else {
             break;
@@ -288,39 +356,9 @@ fn run_batch_observed(
         let outcome = route_observed(net, src, key, policy, probers.as_deref_mut());
         net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
         net.metrics.add(MsgKind::QueryWasted, outcome.wasted as u64);
-        // Waste is traffic whether or not the query delivered.
-        wasted_sum += outcome.wasted as u64;
-        if outcome.success {
-            successes += 1;
-            let c = outcome.cost();
-            let cf = c as f64;
-            cost_sum += cf;
-            cost_sumsq += cf * cf;
-            max_cost = max_cost.max(c);
-            p50.observe(cf);
-            p95.observe(cf);
-            hops_sum += outcome.hops as u64;
-        }
+        acc.observe(outcome.success, outcome.hops, outcome.wasted);
     }
-    let mut stats = QueryBatchStats {
-        queries: issued,
-        ..Default::default()
-    };
-    stats.success_rate = successes as f64 / issued.max(1) as f64;
-    stats.mean_wasted = wasted_sum as f64 / issued.max(1) as f64;
-    if successes > 0 {
-        let m = successes as f64;
-        stats.mean_cost = cost_sum / m;
-        stats.mean_hops = hops_sum as f64 / m;
-        stats.max_cost = max_cost;
-        stats.p50_cost = p50.value();
-        stats.p95_cost = p95.value();
-        if successes > 1 {
-            let var = ((cost_sumsq - cost_sum * cost_sum / m) / (m - 1.0)).max(0.0);
-            stats.se_cost = (var / m).sqrt();
-        }
-    }
-    stats
+    acc.finish(issued)
 }
 
 #[cfg(test)]

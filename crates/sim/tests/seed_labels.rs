@@ -63,6 +63,7 @@ fn scope_values_are_unique() {
         sim_churn_engine::LBL_REWIRE,
         sim_churn_engine::LBL_MEASURE,
         sim_churn_engine::LBL_REPAIR,
+        sim_churn_engine::LBL_BOOT,
     ];
     for scope in [&overlay[..], &churn[..]] {
         let mut sorted = scope.to_vec();

@@ -86,28 +86,16 @@ pub mod sim_churn_engine {
     pub const LBL_MEASURE: u64 = 8;
     /// Label `LBL_REPAIR` (= 9).
     pub const LBL_REPAIR: u64 = 9;
-}
-
-/// Seed-tree labels of derivation scope `sim_churn_machine`.
-pub mod sim_churn_machine {
-    /// Label `LBL_JOIN_GAPS` (= 1).
-    pub const LBL_JOIN_GAPS: u64 = 1;
-    /// Label `LBL_CRASH_GAPS` (= 2).
-    pub const LBL_CRASH_GAPS: u64 = 2;
-    /// Label `LBL_DEPART_GAPS` (= 3).
-    pub const LBL_DEPART_GAPS: u64 = 3;
-    /// Label `LBL_JOIN` (= 4).
-    pub const LBL_JOIN: u64 = 4;
-    /// Label `LBL_CRASH_PICK` (= 5).
-    pub const LBL_CRASH_PICK: u64 = 5;
-    /// Label `LBL_DEPART_PICK` (= 6).
-    pub const LBL_DEPART_PICK: u64 = 6;
-    /// Label `LBL_MEASURE` (= 8).
-    pub const LBL_MEASURE: u64 = 8;
     /// Label `LBL_BOOT` (= 10).
     pub const LBL_BOOT: u64 = 10;
-    /// Label `LBL_SPAN` (= 11).
-    pub const LBL_SPAN: u64 = 11;
+}
+
+/// Seed-tree labels of derivation scope `sim_churn_shock`.
+pub mod sim_churn_shock {
+    /// Label `LBL_BURST` (= 1).
+    pub const LBL_BURST: u64 = 1;
+    /// Label `LBL_HEAL` (= 2).
+    pub const LBL_HEAL: u64 = 2;
 }
 
 /// Seed-tree labels of derivation scope `sim_growth`.
@@ -140,12 +128,4 @@ pub mod sim_overlay {
 pub mod sim_protocol_des {
     /// Label `LBL_CMD` (= 3557).
     pub const LBL_CMD: u64 = 0xDE5;
-}
-
-/// Seed-tree labels of derivation scope `sim_scenario_hooks`.
-pub mod sim_scenario_hooks {
-    /// Label `LBL_BURST` (= 1).
-    pub const LBL_BURST: u64 = 1;
-    /// Label `LBL_HEAL` (= 2).
-    pub const LBL_HEAL: u64 = 2;
 }
