@@ -3,9 +3,8 @@
 use crate::parallel::{run_tasks, Task};
 use crate::scale::{MachineKnobs, Scale};
 use oscar_analytics::{degree_load_curve, degree_volume_utilization};
-use oscar_core::{OscarBuilder, OscarConfig};
-use oscar_degree::{ConstantDegrees, DegreeDistribution};
-use oscar_keydist::{GnutellaKeys, KeyDistribution, QueryWorkload};
+use oscar_degree::DegreeDistribution;
+use oscar_keydist::{KeyDistribution, QueryWorkload};
 use oscar_protocol::PeerConfig;
 use oscar_sim::{
     kill_fraction, machine_repair_policy, run_continuous_churn, run_machine_churn, run_query_batch,
@@ -261,45 +260,6 @@ pub fn grow_steady_churn_substrate<B: OverlayBuilder + ?Sized>(
         |_, _| Ok(()),
     )?;
     Ok(net)
-}
-
-/// The sizes the `growth` experiment times: every power-of-ten decade
-/// from 100 up to `target`, plus `target` itself when it is not a decade.
-fn growth_decades(target: usize) -> Vec<usize> {
-    let mut sizes = Vec::new();
-    let mut d = 100usize;
-    while d < target {
-        sizes.push(d);
-        d = d.saturating_mul(10);
-    }
-    sizes.push(target);
-    sizes
-}
-
-/// Wall time of the substrate construction itself: grows a fresh Oscar
-/// overlay (paper protocol: Gnutella keys, constant degrees, final
-/// rewire-all) at each decade of `scale.target` — `2000` times 100,
-/// 1,000 and 2,000 — sequentially and alone in the process. Returns
-/// `(n_peers, secs)` per decade.
-pub fn time_growth_decades(scale: &Scale) -> Result<Vec<(usize, f64)>> {
-    let builder = OscarBuilder::new(OscarConfig::default());
-    let keys = GnutellaKeys::default();
-    let degrees = ConstantDegrees::paper();
-    growth_decades(scale.target)
-        .into_iter()
-        .map(|n| {
-            let decade_scale = Scale {
-                target: n,
-                step: (n / 10).max(50),
-                ..scale.clone()
-            };
-            let t0 = std::time::Instant::now();
-            let net = grow_steady_churn_substrate(&builder, &keys, &degrees, &decade_scale)?;
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(net.live_count(), n, "growth must reach the decade size");
-            Ok((n, secs))
-        })
-        .collect()
 }
 
 /// The engine half of the steady-state churn protocol: run the
@@ -591,6 +551,9 @@ pub fn run_phase_diagram_experiment<B: OverlayBuilder + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oscar_core::{OscarBuilder, OscarConfig};
+    use oscar_degree::ConstantDegrees;
+    use oscar_keydist::GnutellaKeys;
     use oscar_mercury::{MercuryBuilder, MercuryConfig};
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! ```text
 //! {
-//!   "bench": "growth",
-//!   "decades": [
-//!     { "n_peers": 100, "secs": 0.012 }
+//!   "bench": "faults",
+//!   "cells": [
+//!     { "driver": "des", "loss_pct": 2, "delivery_pct": 100.00 }
 //!   ]
 //! }
 //! ```

@@ -6,8 +6,8 @@
 //! same code. [`registry`] is the table of experiments (names, knobs,
 //! entry points); [`figures`] and [`experiments`] hold the paper's
 //! figures and the churn/growth drivers behind them, [`storm`] the
-//! machine-fleet query storms (saturation, fault sweep), [`scenario`]
-//! the multi-phase campaigns, [`ablations`] the A1–A5 knock-outs. Every
+//! machine-fleet query storms of the fault sweep, [`scenario`] the
+//! multi-phase campaigns, [`ablations`] the A1–A5 knock-outs. Every
 //! experiment is a pure function of a [`Scale`] (size, seed, thread
 //! budget); CSVs go through [`Report`], `BENCH_<name>.json` summaries
 //! through [`json::Object`].

@@ -12,14 +12,13 @@
 
 use crate::experiments::{
     grow_steady_churn_substrate, run_machine_churn_experiment, run_steady_churn_on,
-    standard_churn_schedules, time_growth_decades, SteadyChurnResult,
+    standard_churn_schedules, SteadyChurnResult,
 };
 use crate::figures::{
     fig1a_report, fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports,
     run_fig1_suite, run_phase_suite, steady_churn_reports, steady_churn_summary, ChurnTiming,
     Fig1Suite,
 };
-use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::{MachineKnobs, Scale, BASE_KNOBS};
@@ -66,7 +65,7 @@ pub struct Experiment {
 const CHURN_WINDOWS: &str = "OSCAR_CHURN_WINDOWS";
 
 /// Every experiment, in `--list` order.
-pub static EXPERIMENTS: [Experiment; 15] = [
+pub static EXPERIMENTS: [Experiment; 13] = [
     Experiment {
         name: "fig1a",
         about: "Figure 1(a): the synthetic spiky node-degree pdf",
@@ -135,19 +134,6 @@ pub static EXPERIMENTS: [Experiment; 15] = [
         run: phase,
     },
     Experiment {
-        name: "growth",
-        about: "substrate growth wall time per decade of OSCAR_SCALE (BENCH_growth.json)",
-        knobs: &[],
-        run: growth,
-    },
-    Experiment {
-        name: "saturation",
-        about: "query storm on the threaded actor runtime; fails on any machine fault \
-                (BENCH_saturation.json)",
-        knobs: &["OSCAR_SAT_QUERIES"],
-        run: crate::storm::saturation,
-    },
-    Experiment {
         name: "faults",
         about: "loss/duplication/jitter sweep on both drivers; fails under 99% delivery, over \
                 3.0 retry amplification, or on any machine fault (BENCH_faults.json)",
@@ -184,7 +170,7 @@ struct KnobDoc {
 }
 
 /// Every knob the harness parses: [`BASE_KNOBS`] first, then the extras.
-const KNOB_DOCS: [KnobDoc; 10] = [
+const KNOB_DOCS: [KnobDoc; 9] = [
     KnobDoc {
         name: "OSCAR_SCALE",
         default: "10000",
@@ -231,11 +217,6 @@ const KNOB_DOCS: [KnobDoc; 10] = [
         name: "OSCAR_FAULT_QUERIES",
         default: "2",
         meaning: "queries per peer per cell of the fault sweep",
-    },
-    KnobDoc {
-        name: "OSCAR_SAT_QUERIES",
-        default: "4",
-        meaning: "queries per peer in the saturation storm",
     },
 ];
 
@@ -350,7 +331,7 @@ fn all(scale: &Scale) -> RunResult {
 }
 
 // ---------------------------------------------------------------------
-// Beyond the paper: continuous churn, growth timing, scenarios
+// Beyond the paper: continuous churn, scenarios
 // ---------------------------------------------------------------------
 
 /// Steady-state continuous churn on the oracle engine: grow one Oscar
@@ -476,37 +457,6 @@ fn phase(scale: &Scale) -> RunResult {
         "phase diagram: {} cells x {windows} windows in {secs:.1}s",
         cells.len()
     );
-    Ok(())
-}
-
-/// Growth-loop timing per decade of the configured scale
-/// ([`time_growth_decades`]): seconds per decade plus top-level
-/// `d<N>_ns_per_join` keys.
-fn growth(scale: &Scale) -> RunResult {
-    eprintln!(
-        "[growth] timing substrate growth per decade up to {} (seed {})...",
-        scale.target, scale.seed
-    );
-    let timed = time_growth_decades(scale)?;
-    println!("| n_peers | secs | ns/join |");
-    println!("|---|---|---|");
-    let mut doc = Object::new()
-        .str("bench", "growth")
-        .int("seed", scale.seed)
-        .int("max_target", scale.target)
-        .rows(
-            "decades",
-            timed
-                .iter()
-                .map(|&(n, secs)| Object::new().int("n_peers", n).float("secs", secs, 3))
-                .collect(),
-        );
-    for &(n, secs) in &timed {
-        let ns_per_join = secs * 1e9 / n as f64;
-        println!("| {n} | {secs:.3} | {ns_per_join:.0} |");
-        doc = doc.float(format!("d{n}_ns_per_join"), ns_per_join, 0);
-    }
-    doc.write("BENCH_growth.json")?;
     Ok(())
 }
 

@@ -206,9 +206,9 @@ pub fn reject_unused_knobs(extra: &[&str]) -> Result<()> {
 /// * `OSCAR_REPAIR_K` — ring-probe depth for the reactive repair policy
 ///   (applies only when the level's policy is `ReactiveK`).
 ///
-/// `faults` and `saturation` fix their own machine configuration and
-/// reject all three, as does the oracle-engine `churn`, which has no
-/// machines to tune. Unset knobs leave the base configuration untouched.
+/// `faults` fixes its own machine configuration and rejects all three,
+/// as does the oracle-engine `churn`, which has no machines to tune.
+/// Unset knobs leave the base configuration untouched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineKnobs {
     /// Override for [`PeerConfig::dedup_window`].

@@ -1,18 +1,16 @@
 //! Query storms over a directly bootstrapped [`PeerMachine`] ring: the
-//! saturation run and the fault sweep.
+//! fault sweep.
 //!
-//! Both experiments skip the join protocol — every peer is handed its
-//! ring neighbourhood by `Command::Bootstrap` — grow long links through
-//! real MH walk traffic, then fire queries from all peers at once:
-//!
-//! * [`run_saturation`] times the storm on the threaded actor runtime
-//!   with every worker busy (wall-clock queries/second);
-//! * [`run_fault_sweep`] repeats it for every cell of loss {0, 2, 5, 10}%
-//!   × jitter {0, 3 ticks} on the virtual-time DES, plus the loss axis on
-//!   the runtime (which collapses delay jitter by design — mailboxes are
-//!   FIFO), under a blackholing [`FaultPlan`] with duplication at half
-//!   the loss rate, and asks whether the timeout/retry machines still
-//!   deliver — and at what retry cost.
+//! A storm skips the join protocol — every peer is handed its ring
+//! neighbourhood by `Command::Bootstrap` — grows long links through real
+//! MH walk traffic, then fires queries from all peers at once.
+//! [`run_fault_sweep`] does that for every cell of loss {0, 2, 5, 10}%
+//! × jitter {0, 3 ticks} on the virtual-time DES, plus the loss axis on
+//! the runtime (which collapses delay jitter by design — mailboxes are
+//! FIFO), under a blackholing [`FaultPlan`] with duplication at half the
+//! loss rate, and asks whether the timeout/retry machines still deliver
+//! — and at what retry cost. Its loss=0 runtime cell is the reliable
+//! storm: every query terminates exactly once, with no machine fault.
 //!
 //! [`PeerMachine`]: oscar_protocol::PeerMachine
 
@@ -84,126 +82,6 @@ fn inject_storm(driver: &mut impl ProtocolDriver, ids: &[Id], per_peer: usize, s
 /// report's `active_workers` shows both fed).
 fn storm_workers(scale: &Scale) -> usize {
     scale.thread_count().max(2)
-}
-
-/// Reads a positive queries-per-peer knob, `default` when unset.
-fn queries_per_peer(name: &str, default: usize) -> oscar_types::Result<usize> {
-    Ok(knob(name, "a positive integer", |&q: &usize| q >= 1)?.unwrap_or(default))
-}
-
-// ---------------------------------------------------------------------
-// Saturation
-// ---------------------------------------------------------------------
-
-/// What one saturation run measured.
-#[derive(Clone, Debug)]
-pub struct Saturation {
-    /// Worker threads of the runtime.
-    pub workers: usize,
-    /// Workers that processed at least one message.
-    pub active_workers: usize,
-    /// Queries fired (and, asserted, completed).
-    pub queries: usize,
-    /// Wall time of bootstrap + link building.
-    pub build_secs: f64,
-    /// Wall time of the storm alone.
-    pub query_secs: f64,
-    /// Fraction of queries that reached their owner.
-    pub success_rate: f64,
-    /// Summed worker busy time over the storm's wall time.
-    pub cores_busy: f64,
-    /// Messages delivered over the runtime's lifetime.
-    pub delivered: u64,
-    /// [`ProtocolEvent::Fault`] count (gated to zero).
-    pub faults: u64,
-}
-
-impl Saturation {
-    /// Queries per wall-clock second over the storm.
-    pub fn queries_per_sec(&self) -> f64 {
-        self.queries as f64 / self.query_secs.max(1e-9)
-    }
-}
-
-/// Bootstraps a `scale.target`-peer ring on the actor runtime, builds
-/// long links, then times a storm of `per_peer` queries from every peer.
-pub fn run_saturation(scale: &Scale, per_peer: usize) -> Saturation {
-    let workers = storm_workers(scale);
-    let ids = ring_ids(scale.seed, scale.target);
-    let mut rt = Runtime::new(RuntimeConfig::new(scale.seed).with_workers(workers));
-    let t_build = Instant::now();
-    bootstrap_ring(&mut rt, &ids);
-    rt.quiesce();
-    rt.drain_events();
-    let build_secs = t_build.elapsed().as_secs_f64();
-
-    let stats0 = rt.stats();
-    let t_query = Instant::now();
-    let queries = inject_storm(&mut rt, &ids, per_peer, scale.seed);
-    rt.quiesce();
-    let query_secs = t_query.elapsed().as_secs_f64();
-    let stats1 = rt.stats();
-
-    let outcome = StormOutcome::of(&rt.drain_events());
-    assert_eq!(outcome.completed, queries, "every query must terminate");
-    let storm_busy_ns: u64 = stats1
-        .busy_ns
-        .iter()
-        .zip(&stats0.busy_ns)
-        .map(|(a, b)| a - b)
-        .sum();
-    Saturation {
-        workers,
-        active_workers: stats1.active_workers(),
-        queries,
-        build_secs,
-        query_secs,
-        success_rate: outcome.succeeded as f64 / queries as f64,
-        cores_busy: storm_busy_ns as f64 / (query_secs * 1e9).max(1.0),
-        delivered: stats1.delivered,
-        faults: rt.fault_count(),
-    }
-}
-
-/// The `saturation` experiment: [`run_saturation`] at
-/// `OSCAR_SAT_QUERIES` queries per peer (default 4), summarised into
-/// `BENCH_saturation.json`. Fails on any machine fault.
-pub fn saturation(scale: &Scale) -> RunResult {
-    let per_peer = queries_per_peer("OSCAR_SAT_QUERIES", 4)?;
-    let n = scale.target;
-    eprintln!(
-        "[saturation] {n} peers, {} workers, {per_peer} queries/peer on the actor runtime...",
-        storm_workers(scale)
-    );
-    let s = run_saturation(scale, per_peer);
-    Object::new()
-        .str("bench", "saturation")
-        .int("n_peers", n)
-        .int("seed", scale.seed)
-        .int("workers", s.workers)
-        .int("active_workers", s.active_workers)
-        .int("queries", s.queries)
-        .float("build_secs", s.build_secs, 2)
-        .float("query_secs", s.query_secs, 3)
-        .float("queries_per_sec", s.queries_per_sec(), 0)
-        .float("success_rate", s.success_rate, 4)
-        .float("cores_busy", s.cores_busy, 2)
-        .int("delivered_msgs", s.delivered)
-        .int("faults", s.faults)
-        .write("BENCH_saturation.json")?;
-    eprintln!(
-        "saturation: built in {:.1}s; {} queries in {:.2}s ({:.0} q/s, {:.2} cores busy, \
-         {}/{} workers active, success {:.4})",
-        s.build_secs,
-        s.queries,
-        s.query_secs,
-        s.queries_per_sec(),
-        s.cores_busy,
-        s.active_workers,
-        s.workers,
-        s.success_rate
-    );
-    gate_machine_faults(s.faults)
 }
 
 // ---------------------------------------------------------------------
@@ -456,7 +334,8 @@ pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
 /// headlines come from the DES cells alone; the 10% cells are reported
 /// but never gated.
 pub fn faults(scale: &Scale) -> RunResult {
-    let per_peer = queries_per_peer("OSCAR_FAULT_QUERIES", 2)?;
+    let positive = |&q: &usize| q >= 1;
+    let per_peer = knob("OSCAR_FAULT_QUERIES", "a positive integer", positive)?.unwrap_or(2);
     let n = scale.target;
     eprintln!(
         "[faults] {n} peers, {per_peer} queries/peer; sweeping loss {LOSS_PCT:?}% x jitter \

@@ -35,7 +35,7 @@ fn experiment_names_are_unique_and_knobs_documented() {
         }
     }
     // Header + separator + one row per knob.
-    assert_eq!(table.lines().count(), 2 + 10, "{table}");
+    assert_eq!(table.lines().count(), 2 + 9, "{table}");
 }
 
 #[test]

@@ -1,0 +1,383 @@
+//! The three tables the sub-machines share, each defined once: pending
+//! operations with their deadlines and retry streams ([`OpTable`]), a
+//! FIFO window ([`Recent`]) and a sorted peer set that sheds its
+//! clockwise-farthest member ([`NearSet`]).
+
+use super::PeerConfig;
+use crate::message::{OpKind, ProtocolEvent};
+use crate::token::TokenRng;
+use oscar_types::labels::protocol_machine::LBL_RETRY;
+use oscar_types::{Id, SeedTree};
+use std::collections::VecDeque;
+use std::ops::Deref;
+
+/// An operation awaiting its completion message.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(super) enum Op {
+    /// `JoinRequest` sent to `contact`; cleared by `JoinWelcome`.
+    Join { contact: Id },
+    /// Launched walk; cleared by its `WalkDone`.
+    Walk { walk_id: u64 },
+    /// Issued query; cleared by `QueryDone` or local completion.
+    Query { qid: u64, key: Id },
+    /// `LinkRequest` to `target`; cleared by accept or reject.
+    Link {
+        target: Id,
+        walk_id: u64,
+        nonce_base: u64,
+    },
+    /// Ring-liveness `Ping` to `target`; cleared by its `Pong`. A drained
+    /// retry budget declares the target dead (the failure detector).
+    Probe { target: Id, nonce_base: u64 },
+}
+
+impl Op {
+    /// What handlers address this entry by: its class and the key its
+    /// completion message carries (a peer has one join in flight: key 0).
+    pub(super) fn addr(&self) -> (OpKind, u64) {
+        match *self {
+            Op::Join { .. } => (OpKind::Join, 0),
+            Op::Walk { walk_id } => (OpKind::Walk, walk_id),
+            Op::Query { qid, .. } => (OpKind::Query, qid),
+            Op::Link { target, .. } => (OpKind::Link, target.raw()),
+            Op::Probe { target, .. } => (OpKind::Probe, target.raw()),
+        }
+    }
+
+    /// The (label, key) pair addressing this operation's retry stream.
+    fn stream_key(&self) -> (u64, u64) {
+        match *self {
+            Op::Join { contact } => (1, contact.raw()),
+            Op::Walk { walk_id } => (2, walk_id),
+            Op::Query { qid, .. } => (3, qid),
+            Op::Link { walk_id, .. } => (4, walk_id),
+            // Keyed by the probe nonce, not the target: every probe epoch
+            // gets a fresh retry stream for the same neighbour.
+            Op::Probe { nonce_base, .. } => (5, nonce_base),
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Pending {
+    op: Op,
+    /// Sends made so far minus one (0 = only the original send).
+    attempt: u32,
+    /// Fires when the table's clock reaches this round.
+    deadline: u64,
+    /// Backoff jitter and alternate-contact picks draw from here — a
+    /// per-operation token stream, never the driver RNG.
+    rng: TokenRng,
+}
+
+/// Operations found due, in table order, each with an attempt count.
+pub(super) type Due = Vec<(Op, u32)>;
+
+#[derive(Clone, Debug)]
+pub(super) struct OpTable {
+    /// Parent of every retry stream: rooted at the machine's own seed, so
+    /// jitter and contact picks are deterministic and driver-independent.
+    retry_root: SeedTree,
+    /// Virtual clock in driver timer rounds; advanced only by
+    /// [`Self::expire`] — never by a wall clock.
+    now: u64,
+    entries: Vec<Pending>,
+}
+
+impl OpTable {
+    pub(super) fn new(machine_seed: u64) -> Self {
+        OpTable {
+            // lint:allow(rng-discipline, retry streams root at the machine's own deterministic seed keyed by the operation)
+            retry_root: SeedTree::new(machine_seed).child(LBL_RETRY),
+            now: 0,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Starts the clock on a freshly issued operation.
+    pub(super) fn arm(&mut self, op: Op, cfg: &PeerConfig) {
+        let (tag, key) = op.stream_key();
+        self.entries.push(Pending {
+            op,
+            attempt: 0,
+            deadline: self.now + cfg.retry_timeout.max(1),
+            rng: TokenRng::new(self.retry_root.child2(tag, key).seed()),
+        });
+    }
+
+    pub(super) fn has(&self, kind: OpKind, key: u64) -> bool {
+        self.entries.iter().any(|p| p.op.addr() == (kind, key))
+    }
+
+    /// Removes the entries addressed `(kind, key)`; true iff one existed
+    /// (the completion gate — late and duplicated reports find nothing).
+    pub(super) fn clear(&mut self, kind: OpKind, key: u64) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|p| p.op.addr() != (kind, key));
+        self.entries.len() != before
+    }
+
+    pub(super) fn cancel_all(&mut self) {
+        self.entries.clear();
+    }
+
+    pub(super) fn next_deadline(&self) -> Option<u64> {
+        self.entries.iter().map(|p| p.deadline).min()
+    }
+
+    /// Advances the clock to `now` and fires every expired deadline: each
+    /// due entry emits `TimedOut`, then either re-arms (capped exponential
+    /// backoff with jitter from its own stream, `Retried`) or — once
+    /// `max_retries` is spent — leaves the table. A retried join re-picks
+    /// its contact from `contacts`, if any (the original may be the
+    /// crashed peer). Returns `(to re-send, given up)`; the caller acts
+    /// on them afterwards, because an action (e.g. a query retry
+    /// completing locally) may itself clear entries.
+    pub(super) fn expire(
+        &mut self,
+        now: u64,
+        cfg: &PeerConfig,
+        contacts: &[Id],
+        peer: Id,
+        events: &mut Vec<ProtocolEvent>,
+    ) -> (Due, Due) {
+        self.now = self.now.max(now);
+        let now = self.now;
+        let base = cfg.retry_timeout.max(1);
+        let cap = cfg.max_backoff.max(base);
+        let (mut retries, mut gave_up) = (Due::new(), Due::new());
+        self.entries.retain_mut(|p| {
+            if p.deadline > now {
+                return true;
+            }
+            let op = p.op.addr().0;
+            events.push(ProtocolEvent::TimedOut {
+                peer,
+                op,
+                attempt: p.attempt,
+            });
+            if p.attempt >= cfg.max_retries {
+                gave_up.push((p.op, p.attempt + 1));
+                return false;
+            }
+            p.attempt += 1;
+            let exp = base
+                .saturating_mul(1u64 << (p.attempt - 1).min(16))
+                .min(cap);
+            let jitter = p.rng.index(exp.max(1) as usize) as u64;
+            p.deadline = now + exp + jitter;
+            if let Op::Join { contact } = &mut p.op {
+                if !contacts.is_empty() {
+                    *contact = contacts[p.rng.index(contacts.len())];
+                }
+            }
+            events.push(ProtocolEvent::Retried {
+                peer,
+                op,
+                attempt: p.attempt,
+            });
+            retries.push((p.op, p.attempt));
+            true
+        });
+        (retries, gave_up)
+    }
+}
+
+/// The last `cap` items pushed, oldest first; derefs to the queue.
+#[derive(Clone, Debug)]
+pub(super) struct Recent<T> {
+    cap: usize,
+    items: VecDeque<T>,
+}
+
+impl<T> Recent<T> {
+    pub(super) fn new(cap: usize) -> Self {
+        Recent {
+            cap,
+            items: VecDeque::new(),
+        }
+    }
+
+    /// Remembers `item`, forgetting the oldest one once over capacity.
+    pub(super) fn push(&mut self, item: T) {
+        self.items.push_back(item);
+        if self.items.len() > self.cap {
+            self.items.pop_front();
+        }
+    }
+}
+
+/// A sorted set of at most `cap` peers around `me` (never `me` itself);
+/// derefs to the sorted slice.
+#[derive(Clone, Debug)]
+pub(super) struct NearSet {
+    me: Id,
+    cap: usize,
+    ids: Vec<Id>,
+}
+
+impl NearSet {
+    pub(super) fn new(me: Id, cap: usize) -> Self {
+        NearSet {
+            me,
+            cap,
+            ids: Vec::new(),
+        }
+    }
+
+    pub(super) fn insert(&mut self, p: Id) {
+        if p == self.me {
+            return;
+        }
+        if let Err(pos) = self.ids.binary_search(&p) {
+            self.ids.insert(pos, p);
+            if self.ids.len() > self.cap {
+                // Deterministic trim: drop the clockwise-farthest entry
+                // (ring surgery and routing only ever need the nearby
+                // ones) — in id order, the one just before `me`, wrapping
+                // to the last.
+                let before_me = self.ids.partition_point(|&x| x < self.me);
+                let far = before_me.checked_sub(1).unwrap_or(self.ids.len() - 1);
+                self.ids.remove(far);
+            }
+        }
+    }
+
+    pub(super) fn remove(&mut self, p: Id) {
+        if let Ok(pos) = self.ids.binary_search(&p) {
+            self.ids.remove(pos);
+        }
+    }
+}
+
+impl<T> Deref for Recent<T> {
+    type Target = VecDeque<T>;
+
+    fn deref(&self) -> &VecDeque<T> {
+        &self.items
+    }
+}
+
+impl Deref for NearSet {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        &self.ids
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn id(raw: u64) -> Id {
+        Id::new(raw)
+    }
+
+    #[test]
+    fn retry_streams_keep_the_per_operation_derivation() {
+        let seed = 0xC0FFEE;
+        let ops = [
+            (Op::Join { contact: id(900) }, 1, 900),
+            (Op::Walk { walk_id: 7 }, 2, 7),
+            (
+                Op::Query {
+                    qid: 11,
+                    key: id(5),
+                },
+                3,
+                11,
+            ),
+            // A link's stream is keyed by its walk, a probe's by its nonce:
+            // neither by the target that addresses the entry.
+            (
+                Op::Link {
+                    target: id(40),
+                    walk_id: 3,
+                    nonce_base: 99,
+                },
+                4,
+                3,
+            ),
+            (
+                Op::Probe {
+                    target: id(40),
+                    nonce_base: 0xAB,
+                },
+                5,
+                0xAB,
+            ),
+        ];
+        let mut table = OpTable::new(seed);
+        for (op, _, _) in ops {
+            table.arm(op, &PeerConfig::default());
+        }
+        for (entry, (op, tag, key)) in table.entries.iter().zip(ops) {
+            let want = SeedTree::new(seed).child(LBL_RETRY).child2(tag, key).seed();
+            assert_eq!(entry.rng, TokenRng::new(want), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn clear_reports_whether_an_entry_existed() {
+        let cfg = PeerConfig::default();
+        let mut table = OpTable::new(1);
+        table.arm(Op::Query { qid: 4, key: id(9) }, &cfg);
+        table.arm(Op::Walk { walk_id: 4 }, &cfg);
+        assert!(table.has(OpKind::Query, 4) && !table.has(OpKind::Query, 5));
+        assert!(table.clear(OpKind::Query, 4), "the first report finds it");
+        assert!(!table.clear(OpKind::Query, 4), "a duplicate finds nothing");
+        // Same key, other class: untouched.
+        assert!(table.has(OpKind::Walk, 4));
+        assert_eq!(table.next_deadline(), Some(cfg.retry_timeout));
+    }
+
+    proptest! {
+        #[test]
+        fn recent_is_a_bounded_fifo(cap in 0usize..9, items in prop::collection::vec(0u8..16, 0..64)) {
+            let mut recent = Recent::new(cap);
+            let mut model: Vec<u8> = Vec::new();
+            for item in items {
+                recent.push(item);
+                model.push(item);
+                if model.len() > cap {
+                    model.remove(0);
+                }
+                prop_assert!(recent.len() <= cap);
+                prop_assert_eq!(recent.iter().copied().collect::<Vec<_>>(), model.clone());
+            }
+        }
+
+        #[test]
+        fn near_set_sheds_the_clockwise_farthest(
+            me: u64,
+            cap in 0usize..9,
+            ops in prop::collection::vec((any::<bool>(), 0u64..24), 0..64),
+        ) {
+            // Ids cluster around `me` on both sides of the wrap.
+            let me = id(me);
+            let mut set = NearSet::new(me, cap);
+            let mut model: Vec<Id> = Vec::new();
+            for (insert, offset) in ops {
+                let p = id(me.raw().wrapping_add(offset).wrapping_sub(12));
+                if insert {
+                    set.insert(p);
+                    if p != me && !model.contains(&p) {
+                        model.push(p);
+                        if model.len() > cap {
+                            let far = model.iter().copied().max_by_key(|&x| me.cw_dist(x));
+                            model.retain(|&x| Some(x) != far);
+                        }
+                    }
+                } else {
+                    set.remove(p);
+                    model.retain(|&x| x != p);
+                }
+                model.sort_unstable();
+                prop_assert!(set.len() <= cap);
+                prop_assert_eq!(&set[..], &model[..]);
+            }
+        }
+    }
+}

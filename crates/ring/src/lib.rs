@@ -9,8 +9,7 @@
 //! * rank / select (needed to resolve "query the k-th live peer" workloads
 //!   and to compute exact medians as test oracles),
 //! * arc population counts and exact arc medians (the oracles against which
-//!   sampling-based estimation is validated),
-//! * a stabilisation helper that re-stitches the ring after crashes.
+//!   sampling-based estimation is validated).
 //!
 //! The representation is an **order-statistic treap** (the private `treap` module): a BST
 //! keyed by id, heap-ordered on hash-derived priorities, with subtree
@@ -24,8 +23,6 @@
 #[cfg(test)]
 pub mod reference;
 pub mod ring;
-pub mod stabilize;
 mod treap;
 
 pub use ring::Ring;
-pub use stabilize::stitch_live_ring;

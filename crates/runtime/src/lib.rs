@@ -458,15 +458,16 @@ impl Runtime {
 
     /// Alternates [`Runtime::quiesce`] with timer rounds until every
     /// pending operation resolved (completion, retry success, or
-    /// graceful give-up) or `max_rounds` timer rounds elapsed.
-    pub fn settle(&self, max_rounds: u64) {
+    /// graceful give-up) or `max_rounds` timer rounds elapsed. Returns
+    /// the timer rounds consumed.
+    pub fn settle(&self, max_rounds: u64) -> u64 {
         self.quiesce();
-        for _ in 0..max_rounds {
-            if !self.tick_timers() {
-                break;
-            }
+        let mut rounds = 0;
+        while rounds < max_rounds && self.tick_timers() {
             self.quiesce();
+            rounds += 1;
         }
+        rounds
     }
 
     /// The current timer round (virtual failure-detection time).
@@ -560,13 +561,7 @@ impl ProtocolDriver for Runtime {
     }
 
     fn settle(&mut self, max_rounds: u64) -> u64 {
-        self.quiesce();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.quiesce();
-            rounds += 1;
-        }
-        rounds
+        Runtime::settle(self, max_rounds)
     }
 
     fn advance_to(&mut self, round: u64) {

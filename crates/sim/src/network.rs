@@ -304,14 +304,6 @@ impl Network {
         &self.ring_live
     }
 
-    /// The ring view a peer uses for its ring links, per the fault model.
-    pub fn ring_view(&self) -> &Ring {
-        match self.fault_model {
-            FaultModel::StabilizedRing => &self.ring_live,
-            FaultModel::UnstabilizedRing => &self.ring_all,
-        }
-    }
-
     /// The live peer owning `key` (ground truth for query success).
     pub fn live_owner_of(&self, key: Id) -> Option<PeerIdx> {
         self.ring_live.owner_of(key).and_then(|id| self.idx_of(id))

@@ -281,16 +281,15 @@ impl DesDriver {
     /// Alternates [`DesDriver::run_until_idle`] with timer rounds until
     /// every pending operation resolved (completion, retry success, or
     /// graceful give-up) or `max_rounds` timer rounds elapsed. Returns
-    /// envelopes processed.
+    /// the timer rounds consumed.
     pub fn run_until_settled(&mut self, max_rounds: u64) -> u64 {
-        let mut n = self.run_until_idle();
-        for _ in 0..max_rounds {
-            if !self.tick_timers() {
-                break;
-            }
-            n += self.run_until_idle();
+        self.run_until_idle();
+        let mut rounds = 0;
+        while rounds < max_rounds && self.tick_timers() {
+            self.run_until_idle();
+            rounds += 1;
         }
-        n
+        rounds
     }
 
     /// Advances the virtual clock to at least `round`: delivers all
@@ -411,13 +410,7 @@ impl ProtocolDriver for DesDriver {
     }
 
     fn settle(&mut self, max_rounds: u64) -> u64 {
-        self.run_until_idle();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.run_until_idle();
-            rounds += 1;
-        }
-        rounds
+        self.run_until_settled(max_rounds)
     }
 
     fn advance_to(&mut self, round: u64) {
