@@ -1,26 +1,17 @@
 //! # oscar-analytics — statistics and reporting for the experiment harness
 //!
-//! Everything the repro binaries need to turn simulator observations into
-//! the paper's tables and figures:
+//! Everything the `oscar-repro` experiments need to turn simulator
+//! observations into the paper's tables and figures:
 //!
-//! * [`stats`] — means, variances, percentiles, confidence intervals;
-//! * [`histogram`] — linear and logarithmic binning (Figure 1(a) is a
-//!   log-log pdf);
+//! * [`stats`] — means, variances, percentiles;
 //! * [`series`] — labelled `(x, y)` series with CSV and Markdown rendering;
-//! * [`ascii`] — quick terminal line plots so a repro run is readable
-//!   without leaving the shell;
 //! * [`degree_load`] — the Figure 1(b) analysis: per-peer relative degree
 //!   load and total degree-volume utilisation.
 
-pub mod ascii;
 pub mod degree_load;
-pub mod histogram;
 pub mod series;
 pub mod stats;
-pub mod streaming;
 
 pub use degree_load::{degree_load_curve, degree_volume_utilization};
-pub use histogram::Histogram;
 pub use series::Series;
 pub use stats::{mean, percentile, std_dev, Summary};
-pub use streaming::{streamed_quantile, P2Quantile};

@@ -79,15 +79,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Half-width of the normal-approximation 95% confidence interval of
-    /// the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_dev / (self.n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +127,6 @@ mod tests {
         assert!((s.mean - 50.5).abs() < 1e-12);
         assert!(s.p50 >= 50.0 && s.p50 <= 51.0);
         assert!(s.p95 >= 94.0 && s.p95 <= 96.0);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]
@@ -144,7 +134,6 @@ mod tests {
         let s = Summary::of(&[42.0]);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
         assert_eq!(s.p50, 42.0);
     }
 }

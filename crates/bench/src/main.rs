@@ -6,8 +6,8 @@
 //! OSCAR_SCALE=2000 OSCAR_THREADS=4 ./target/release/oscar-repro churn-machine
 //! ```
 //!
-//! Prints ASCII plots and Markdown tables on stdout and writes CSVs,
-//! reports and `BENCH_<name>.json` summaries under `results/`
+//! Prints Markdown tables on stdout and writes CSVs, reports and
+//! `BENCH_<name>.json` summaries under `results/`
 //! (`OSCAR_RESULTS_DIR`). Exit codes: 0 done; 1 an experiment failed —
 //! I/O, or one of the behavioural gates its `--list` line names; 2 usage —
 //! unknown experiment, malformed knob, or an `OSCAR_*` variable the

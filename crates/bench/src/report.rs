@@ -1,7 +1,7 @@
-//! Uniform output for the repro binaries: ASCII plot + Markdown table to
-//! stdout, CSV to `results/`.
+//! Uniform output for the experiments: Markdown table to stdout, CSV to
+//! `results/`.
 
-use oscar_analytics::{ascii, series, Series};
+use oscar_analytics::{series, Series};
 use std::path::PathBuf;
 
 /// A figure report in progress.
@@ -45,10 +45,9 @@ impl Report {
             .unwrap_or_else(|_| PathBuf::from("results"))
     }
 
-    /// Prints the report (plot + table + notes) and writes `name.csv`.
+    /// Prints the report (table + notes) and writes `name.csv`.
     pub fn emit(&self, name: &str) -> std::io::Result<PathBuf> {
         println!("\n==== {} ====\n", self.title);
-        println!("{}", ascii::plot(&self.series, 64, 16, &self.title));
         println!("{}", series::to_markdown(&self.series, &self.x_header));
         for note in &self.notes {
             println!("note: {note}");

@@ -1,13 +1,11 @@
 //! Chord finger construction.
 
 use oscar_sim::{
-    route_to_owner, LinkError, MsgKind, Network, OverlayBuilder, PeerIdx, RoutePolicy,
+    route_to_owner, wire_directly, LinkError, MsgKind, Network, OverlayBuilder, PeerIdx,
+    RoutePolicy,
 };
 use oscar_types::Result;
 use rand::rngs::SmallRng;
-
-/// Same bootstrap threshold as the other builders, for fair comparison.
-const DIRECT_WIRING_THRESHOLD: usize = 8;
 
 /// Chord construction parameters.
 #[derive(Copy, Clone, Debug)]
@@ -40,25 +38,6 @@ impl ChordBuilder {
         );
         ChordBuilder { config }
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &ChordConfig {
-        &self.config
-    }
-
-    fn wire_directly(&self, net: &mut Network, p: PeerIdx) {
-        let targets: Vec<PeerIdx> = net.live_peers().filter(|&t| t != p).collect();
-        for t in targets {
-            if !net.peer(p).can_open_out() {
-                break;
-            }
-            match net.try_link(p, t) {
-                Ok(()) | Err(LinkError::TargetFull) | Err(LinkError::Duplicate) => {}
-                Err(LinkError::SelfLink) | Err(LinkError::Dead) => {}
-                Err(LinkError::SourceFull) => break,
-            }
-        }
-    }
 }
 
 impl OverlayBuilder for ChordBuilder {
@@ -68,11 +47,7 @@ impl OverlayBuilder for ChordBuilder {
 
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
         let _ = rng; // Chord's construction is deterministic
-        if !net.is_alive(p) || net.live_count() <= 1 {
-            return Ok(());
-        }
-        if net.live_count() <= DIRECT_WIRING_THRESHOLD {
-            self.wire_directly(net, p);
+        if wire_directly(net, p) {
             return Ok(());
         }
         let own = net.peer(p).id;

@@ -3,14 +3,9 @@
 use crate::config::OscarConfig;
 use crate::links::acquire_links;
 use crate::partitions::estimate_partitions;
-use oscar_sim::{LinkError, Network, OverlayBuilder, PeerIdx};
+use oscar_sim::{wire_directly, Network, OverlayBuilder, PeerIdx};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
-
-/// Networks at or below this size are wired directly (everyone links to
-/// everyone, budget permitting): sampling walks need a graph to walk on,
-/// and at this scale "everyone" *is* the logarithmic partition set.
-const DIRECT_WIRING_THRESHOLD: usize = 8;
 
 /// Oscar's [`OverlayBuilder`]: partition estimation + harmonic-by-rank
 /// link acquisition with power-of-two in-degree balancing.
@@ -34,21 +29,6 @@ impl OscarBuilder {
     pub fn config(&self) -> &OscarConfig {
         &self.config
     }
-
-    /// Direct wiring for bootstrap-scale networks.
-    fn wire_directly(&self, net: &mut Network, p: PeerIdx) {
-        let targets: Vec<PeerIdx> = net.live_peers().filter(|&t| t != p).collect();
-        for t in targets {
-            if !net.peer(p).can_open_out() {
-                break;
-            }
-            match net.try_link(p, t) {
-                Ok(()) | Err(LinkError::TargetFull) | Err(LinkError::Duplicate) => {}
-                Err(LinkError::SelfLink) | Err(LinkError::Dead) => {}
-                Err(LinkError::SourceFull) => break,
-            }
-        }
-    }
 }
 
 impl OverlayBuilder for OscarBuilder {
@@ -57,11 +37,7 @@ impl OverlayBuilder for OscarBuilder {
     }
 
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
-        if !net.is_alive(p) || net.live_count() <= 1 {
-            return Ok(());
-        }
-        if net.live_count() <= DIRECT_WIRING_THRESHOLD {
-            self.wire_directly(net, p);
+        if wire_directly(net, p) {
             return Ok(());
         }
         let parts = estimate_partitions(net, p, &self.config, rng)?;

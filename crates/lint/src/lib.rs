@@ -15,6 +15,7 @@ use registry::{parse_int, Label, Registry, Scope};
 use rules::{FileCtx, FileKind, Finding, REGISTRY_PATH};
 use std::fs;
 use std::path::Path;
+use workspace::{crate_table, crate_table_span, CRATE_TABLE_DOC};
 
 /// Lints the whole workspace under `root`. Findings are sorted by
 /// (file, line, rule); an unreadable file is itself a finding.
@@ -42,12 +43,37 @@ pub fn run_workspace(root: &Path) -> Vec<Finding> {
             message: format!("missing seed-label registry: {e}"),
         }),
     }
+    out.extend(check_crate_table(root));
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule)
             .partial_cmp(&(&b.file, b.line, b.rule))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     out
+}
+
+/// ARCHITECTURE.md's generated crate table against the manifests: a
+/// finding when the marked block is missing or is not what
+/// [`crate_table`] renders today. A workspace without the document has
+/// nothing that can drift.
+fn check_crate_table(root: &Path) -> Option<Finding> {
+    let doc = fs::read_to_string(root.join(CRATE_TABLE_DOC)).ok()?;
+    let (line, message) = match crate_table_span(&doc) {
+        Some(span) if doc[span.clone()] == crate_table(root) => return None,
+        Some(span) => (
+            doc[..span.start].lines().count() as u32,
+            "crate table is stale against the manifests: regenerate it with \
+             `oscar-lint --write-registry`",
+        ),
+        None => (0, "no `<!-- crate-table:begin/end -->` block to check"),
+    };
+    Some(Finding {
+        rule: "crate-table",
+        file: CRATE_TABLE_DOC.to_string(),
+        line,
+        snippet: String::new(),
+        message: message.to_string(),
+    })
 }
 
 /// Human-readable findings table (aligned `file:line  rule  message`).
@@ -122,10 +148,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Regenerates the seed-label registry: parses the existing one (if
-/// any), merges in stray `const LBL_*` declarations found in library
-/// and binary code, and rewrites `crates/types/src/labels.rs`
-/// canonically. Returns the number of labels migrated in.
+/// Regenerates the workspace's generated files. The seed-label
+/// registry: parses the existing one (if any), merges in stray
+/// `const LBL_*` declarations found in library and binary code, and
+/// rewrites `crates/types/src/labels.rs` canonically. ARCHITECTURE.md's
+/// crate table: re-rendered from the manifests between its markers,
+/// where the document and the markers exist. Returns the number of
+/// labels migrated in.
 pub fn write_registry(root: &Path) -> std::io::Result<usize> {
     let reg_path = root.join(REGISTRY_PATH);
     let mut reg = match fs::read_to_string(&reg_path) {
@@ -162,6 +191,13 @@ pub fn write_registry(root: &Path) -> std::io::Result<usize> {
         }
     }
     fs::write(&reg_path, registry::render_registry(&reg))?;
+    let doc_path = root.join(CRATE_TABLE_DOC);
+    if let Ok(mut doc) = fs::read_to_string(&doc_path) {
+        if let Some(span) = crate_table_span(&doc) {
+            doc.replace_range(span, &crate_table(root));
+            fs::write(&doc_path, doc)?;
+        }
+    }
     Ok(migrated)
 }
 

@@ -23,8 +23,10 @@ fn main() -> ExitCode {
                     "oscar-lint [--root DIR] [--json] [--write-registry]\n\n\
                      Walks the workspace and enforces the determinism rule set\n\
                      (rng-discipline, label-registry, iter-order, wall-clock,\n\
-                     panic-policy). --write-registry regenerates\n\
-                     crates/types/src/labels.rs from stray const LBL_* decls."
+                     panic-policy) plus the freshness of ARCHITECTURE.md's crate\n\
+                     table. --write-registry regenerates both generated files:\n\
+                     crates/types/src/labels.rs from stray const LBL_* decls and\n\
+                     that table from the crates' manifests."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -12,8 +12,8 @@
 //!   generated registry `crates/types/src/labels.rs`; the registry
 //!   itself must not repeat a value within one derivation scope.
 //! * **iter-order** — `HashMap`/`HashSet` iteration in the deterministic
-//!   crates (`oscar-protocol`, `oscar-sim`, `oscar-store`) is
-//!   non-deterministic and forbidden.
+//!   crates (`oscar-protocol`, `oscar-sim`) is non-deterministic and
+//!   forbidden.
 //! * **wall-clock** — `Instant::now`/`SystemTime::now` are forbidden
 //!   outside `oscar-runtime` stats and bench timing.
 //! * **panic-policy** — `unwrap`/`expect`/`panic!` in `oscar-protocol`
@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::fmt;
 
 /// Crates whose library code must stay deterministic (iter-order scope).
-pub const DETERMINISTIC_CRATES: &[&str] = &["oscar-protocol", "oscar-sim", "oscar-store"];
+pub const DETERMINISTIC_CRATES: &[&str] = &["oscar-protocol", "oscar-sim"];
 
 /// Harness crates exempt from rng-discipline (experiment drivers own
 /// their root seeds) and wall-clock (they time things by design).

@@ -5,6 +5,10 @@
 //! `crates/<dir>/{src,tests}` plus the root facade's
 //! `src`/`tests`/`examples`. `vendor/` (dependency stubs), `target/`,
 //! and the lint fixture corpus are never linted.
+//!
+//! The same walk renders ARCHITECTURE.md's crate table
+//! ([`crate_table`]) from the members' manifests, so the document's
+//! dependency edges and crate counts cannot drift from `Cargo.toml`.
 
 use crate::rules::{FileCtx, FileKind};
 use std::fs;
@@ -30,23 +34,9 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 /// sorted by path so output and JSON are stable.
 pub fn workspace_files(root: &Path) -> Vec<(FileCtx, PathBuf)> {
     let mut out = Vec::new();
-    // Crate members.
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut dirs: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for dir in dirs {
-            let dir_name = match dir.file_name().and_then(|n| n.to_str()) {
-                Some(n) => n.to_string(),
-                None => continue,
-            };
-            let crate_name = format!("oscar-{dir_name}");
-            collect_tree(root, &dir.join("src"), &crate_name, &mut out);
-            collect_tree(root, &dir.join("tests"), &crate_name, &mut out);
-        }
+    for (crate_name, dir) in members(root) {
+        collect_tree(root, &dir.join("src"), &crate_name, &mut out);
+        collect_tree(root, &dir.join("tests"), &crate_name, &mut out);
     }
     // Root facade package.
     collect_tree(root, &root.join("src"), "oscar", &mut out);
@@ -54,6 +44,92 @@ pub fn workspace_files(root: &Path) -> Vec<(FileCtx, PathBuf)> {
     collect_tree(root, &root.join("examples"), "oscar", &mut out);
     out.sort_by(|a, b| a.0.rel_path.cmp(&b.0.rel_path));
     out
+}
+
+/// The members under `crates/` as `(package name, directory)`, sorted by
+/// directory; `crates/sim` holds `oscar-sim`, by the convention above.
+fn members(root: &Path) -> Vec<(String, PathBuf)> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    dirs.into_iter()
+        .filter_map(|d| Some((format!("oscar-{}", d.file_name()?.to_str()?), d)))
+        .collect()
+}
+
+/// Repo-relative path of the document carrying the generated crate table.
+pub const CRATE_TABLE_DOC: &str = "ARCHITECTURE.md";
+const CRATE_TABLE_BEGIN: &str = "<!-- crate-table:begin -->\n";
+const CRATE_TABLE_END: &str = "<!-- crate-table:end -->";
+
+/// The `[dependencies]` keys of the manifest in `dir`, in file order
+/// (none when it cannot be read). Line-based: this workspace's manifests
+/// hold one `key = value` or `key.workspace = true` per line.
+fn dependencies(dir: &Path) -> Vec<String> {
+    let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|line| *line != "[dependencies]")
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once('='))
+        .map(|(key, _)| key.split('.').next().unwrap_or(key).trim().to_string())
+        .collect()
+}
+
+/// The crate table of ARCHITECTURE.md, rendered from the manifests: one
+/// row per member of `crates/` and one for the root facade, each listing
+/// its `[dependencies]` — workspace crates by short name, anything else
+/// in backticks — then the counts, stated here and nowhere else.
+pub fn crate_table(root: &Path) -> String {
+    let members = members(root);
+    let facade_deps = dependencies(root);
+    let outside: Vec<String> = members
+        .iter()
+        .filter(|(name, _)| !facade_deps.contains(name))
+        .map(|(name, _)| format!("`{name}`"))
+        .collect();
+    let rows = members
+        .iter()
+        .map(|(name, dir)| (format!("`{name}`"), dependencies(dir)))
+        .chain([("`oscar` (facade)".to_string(), facade_deps)]);
+    let mut out = String::from("| crate | depends on |\n|---|---|\n");
+    for (label, deps) in rows {
+        let cells: Vec<String> = deps
+            .iter()
+            .map(|d| match d.strip_prefix("oscar-") {
+                Some(short) => short.to_string(),
+                None => format!("`{d}`"),
+            })
+            .collect();
+        let cells = if cells.is_empty() {
+            "nothing".to_string()
+        } else {
+            cells.join(", ")
+        };
+        out.push_str(&format!("| {label} | {cells} |\n"));
+    }
+    out.push_str(&format!(
+        "\n{} crates under `crates/`; the facade re-exports {} of them (all but {}).\n",
+        members.len(),
+        members.len() - outside.len(),
+        outside.join(", ")
+    ));
+    out
+}
+
+/// Where the generated block sits in `doc`: the bytes between the
+/// crate-table markers; `None` when the markers are missing.
+pub fn crate_table_span(doc: &str) -> Option<std::ops::Range<usize>> {
+    let start = doc.find(CRATE_TABLE_BEGIN)? + CRATE_TABLE_BEGIN.len();
+    let end = start + doc[start..].find(CRATE_TABLE_END)?;
+    Some(start..end)
 }
 
 /// Recursively collects `.rs` files under `base` (a src/tests dir)

@@ -101,3 +101,49 @@ fn write_registry_adopts_stray_labels_and_cleans_the_gate() {
     assert!(registry.contains("LBL_ROGUE"), "{registry}");
     assert!(registry.contains("mod sim "), "{registry}");
 }
+
+#[test]
+fn stale_crate_table_fails_the_gate_and_write_registry_renders_it() {
+    let root = mini_workspace("lint_crate_table", "sim", "iter_order_good.rs");
+    std::fs::write(
+        root.join("Cargo.toml"),
+        "[workspace]\nmembers = []\n\n[dependencies]\noscar-sim.workspace = true\n",
+    )
+    .unwrap();
+    std::fs::write(
+        root.join("crates/sim/Cargo.toml"),
+        "[dependencies]\noscar-types.workspace = true\nrand = { path = \"x\" }\n\n[dev-dependencies]\nproptest.workspace = true\n",
+    )
+    .unwrap();
+    let doc = root.join("ARCHITECTURE.md");
+
+    std::fs::write(&doc, "# A\n\nno generated block here\n").unwrap();
+    let (code, out) = run_lint(&root, &[]);
+    assert_eq!(code, 1, "a document without the markers must fail:\n{out}");
+    assert!(out.contains("crate-table"), "{out}");
+
+    std::fs::write(
+        &doc,
+        "# A\n\n<!-- crate-table:begin -->\n| `oscar-gone` | types |\n<!-- crate-table:end -->\ntail\n",
+    )
+    .unwrap();
+    let (code, out) = run_lint(&root, &[]);
+    assert_eq!(code, 1, "a stale table must fail:\n{out}");
+    assert!(out.contains("ARCHITECTURE.md:3"), "{out}");
+    assert!(out.contains("stale"), "{out}");
+
+    let (code, out) = run_lint(&root, &["--write-registry"]);
+    assert_eq!(code, 0, "regenerated table must pass:\n{out}");
+    let text = std::fs::read_to_string(&doc).unwrap();
+    assert!(text.starts_with("# A\n\n<!-- crate-table:begin -->\n| crate |"));
+    assert!(text.contains("| `oscar-sim` | types, `rand` |\n"), "{text}");
+    assert!(text.contains("| `oscar-types` | nothing |\n"), "{text}");
+    assert!(text.contains("| `oscar` (facade) | sim |\n"), "{text}");
+    assert!(
+        text.contains(
+            "2 crates under `crates/`; the facade re-exports 1 of them (all but `oscar-types`).\n"
+        ),
+        "{text}"
+    );
+    assert!(text.ends_with("<!-- crate-table:end -->\ntail\n"));
+}

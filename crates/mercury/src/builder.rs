@@ -2,12 +2,9 @@
 
 use crate::config::MercuryConfig;
 use crate::links::{acquire_links, estimate_cdf};
-use oscar_sim::{LinkError, Network, OverlayBuilder, PeerIdx};
+use oscar_sim::{wire_directly, Network, OverlayBuilder, PeerIdx};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
-
-/// Same bootstrap threshold as Oscar's builder, for a fair comparison.
-const DIRECT_WIRING_THRESHOLD: usize = 8;
 
 /// Mercury's [`OverlayBuilder`]: uniform sampling → empirical CDF →
 /// harmonic rank-distance links.
@@ -25,25 +22,6 @@ impl MercuryBuilder {
         config.validate().expect("invalid MercuryConfig");
         MercuryBuilder { config }
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &MercuryConfig {
-        &self.config
-    }
-
-    fn wire_directly(&self, net: &mut Network, p: PeerIdx) {
-        let targets: Vec<PeerIdx> = net.live_peers().filter(|&t| t != p).collect();
-        for t in targets {
-            if !net.peer(p).can_open_out() {
-                break;
-            }
-            match net.try_link(p, t) {
-                Ok(()) | Err(LinkError::TargetFull) | Err(LinkError::Duplicate) => {}
-                Err(LinkError::SelfLink) | Err(LinkError::Dead) => {}
-                Err(LinkError::SourceFull) => break,
-            }
-        }
-    }
 }
 
 impl OverlayBuilder for MercuryBuilder {
@@ -52,11 +30,7 @@ impl OverlayBuilder for MercuryBuilder {
     }
 
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
-        if !net.is_alive(p) || net.live_count() <= 1 {
-            return Ok(());
-        }
-        if net.live_count() <= DIRECT_WIRING_THRESHOLD {
-            self.wire_directly(net, p);
+        if wire_directly(net, p) {
             return Ok(());
         }
         let cdf = estimate_cdf(net, p, &self.config, rng)?;

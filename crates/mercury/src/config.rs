@@ -14,11 +14,6 @@ pub struct MercuryConfig {
     pub link_retries: usize,
     /// Random-walk parameters for the uniform sampling.
     pub walk: WalkConfig,
-    /// Probe two harmonic draws and link to the less-loaded owner
-    /// (power-of-two). **Off** by default: Mercury as published does not
-    /// balance in-degree; enabling it isolates how much of Oscar's
-    /// utilisation advantage comes from power-of-two alone (ablation A1).
-    pub use_power_of_two: bool,
 }
 
 impl Default for MercuryConfig {
@@ -27,7 +22,6 @@ impl Default for MercuryConfig {
             cdf_sample_size: 24,
             link_retries: 3,
             walk: WalkConfig::default(),
-            use_power_of_two: false,
         }
     }
 }
@@ -45,12 +39,6 @@ impl MercuryConfig {
         }
         Ok(())
     }
-
-    /// Convenience: power-of-two probing enabled.
-    pub fn with_power_of_two(mut self) -> Self {
-        self.use_power_of_two = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -58,13 +46,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid_and_faithful() {
-        let c = MercuryConfig::default();
-        c.validate().unwrap();
-        assert!(
-            !c.use_power_of_two,
-            "published Mercury has no po2 balancing"
-        );
+    fn default_is_valid() {
+        MercuryConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -77,14 +60,5 @@ mod tests {
         let mut c = MercuryConfig::default();
         c.walk.burn_in = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn po2_toggle() {
-        assert!(
-            MercuryConfig::default()
-                .with_power_of_two()
-                .use_power_of_two
-        );
     }
 }

@@ -77,29 +77,20 @@ pub fn acquire_links(
     let policy = RoutePolicy::default();
     'slots: for _ in 0..budget {
         for _attempt in 0..=cfg.link_retries {
-            let candidates = if cfg.use_power_of_two { 2 } else { 1 };
-            let mut best: Option<(u32, PeerIdx)> = None;
-            for _ in 0..candidates {
-                let key = draw_target_key(cdf, own_id, n_live, rng);
-                let outcome = route_to_owner(net, p, key, &policy);
-                stats.routing_hops += outcome.cost() as u64;
-                net.metrics
-                    .add(MsgKind::ConstructionHop, outcome.cost() as u64);
-                let Some(owner) = outcome.dest else {
-                    continue;
-                };
-                if owner == p || net.peer(p).long_out.contains(&owner) {
-                    continue;
-                }
-                net.metrics.inc(MsgKind::Probe);
-                let load = net.peer(owner).in_degree();
-                if best.is_none_or(|(b, _)| load < b) {
-                    best = Some((load, owner));
-                }
-            }
-            let Some((_, target)) = best else {
+            let key = draw_target_key(cdf, own_id, n_live, rng);
+            let outcome = route_to_owner(net, p, key, &policy);
+            stats.routing_hops += outcome.cost() as u64;
+            net.metrics
+                .add(MsgKind::ConstructionHop, outcome.cost() as u64);
+            let Some(target) = outcome.dest else {
                 continue;
             };
+            if target == p || net.peer(p).long_out.contains(&target) {
+                continue;
+            }
+            // The owner is contacted once before the link request; Mercury
+            // as published takes the first draw, it does not compare loads.
+            net.metrics.inc(MsgKind::Probe);
             match net.try_link(p, target) {
                 Ok(()) => {
                     stats.established += 1;

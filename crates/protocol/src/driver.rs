@@ -17,7 +17,7 @@
 
 use crate::message::{Command, ProtocolEvent};
 use oscar_types::Id;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A world that can host peer machines and move their envelopes.
 ///
@@ -72,20 +72,20 @@ pub trait ProtocolDriver {
 /// A driver keeps one index beside its machines and re-indexes a peer
 /// with [`TimerIndex::set`] whenever it has run that peer's machine (or
 /// added or removed it), passing the machine's
-/// [`next_deadline`](crate::PeerMachine::next_deadline). The next timer
-/// round is then [`TimerIndex::earliest`] and the peers to tick are
+/// [`next_deadline`](crate::PeerMachine::next_deadline) and the deadline
+/// it indexed for that peer last time — which the driver keeps beside the
+/// machine anyway, to skip the steps that leave it where it was, so the
+/// index holds each deadline once. The next timer round is then
+/// [`TimerIndex::earliest`] and the peers to tick are
 /// [`TimerIndex::due`] — O(log n) and O(due · log n), where asking every
 /// machine was O(n) per round, most rounds finding nobody.
 ///
-/// Both collections are ordered (`BTreeSet`/`BTreeMap`), so nothing a
-/// driver reads from the index depends on hash order.
+/// The set is ordered, so nothing a driver reads from the index depends
+/// on hash order.
 #[derive(Clone, Debug, Default)]
 pub struct TimerIndex {
     /// One `(deadline, peer)` entry per waiting peer, earliest first.
     by_deadline: BTreeSet<(u64, Id)>,
-    /// Each waiting peer's indexed deadline: what `set` must take out of
-    /// `by_deadline` when that peer's deadline moves or clears.
-    indexed: BTreeMap<Id, u64>,
 }
 
 impl TimerIndex {
@@ -94,22 +94,22 @@ impl TimerIndex {
         Self::default()
     }
 
-    /// Records `deadline` as `id`'s earliest pending deadline, replacing
-    /// whatever was indexed for it; `None` takes `id` out of the index
-    /// (its operations completed, or the peer is gone). Setting the
-    /// deadline already indexed, or clearing an absent peer, is a no-op.
-    pub fn set(&mut self, id: Id, deadline: Option<u64>) {
-        let old = match deadline {
-            Some(d) => self.indexed.insert(id, d),
-            None => self.indexed.remove(&id),
-        };
-        if old == deadline {
+    /// Moves `id`'s entry from `old` — the deadline the caller indexed
+    /// for it last, `None` if it was not waiting — to `new`, its earliest
+    /// pending deadline now; `None` takes `id` out of the index (its
+    /// operations completed, or the peer is gone). `old == new` is a
+    /// no-op, and inlined so a caller pays nothing for a step that left
+    /// the deadline where it was.
+    #[inline]
+    pub fn set(&mut self, id: Id, old: Option<u64>, new: Option<u64>) {
+        if old == new {
             return;
         }
         if let Some(o) = old {
-            self.by_deadline.remove(&(o, id));
+            let was_indexed = self.by_deadline.remove(&(o, id));
+            debug_assert!(was_indexed, "{id:?} was not indexed at {o}");
         }
-        if let Some(d) = deadline {
+        if let Some(d) = new {
             self.by_deadline.insert((d, id));
         }
     }
@@ -144,52 +144,61 @@ mod tests {
     }
 
     #[test]
-    fn set_replaces_and_clears_one_entry_per_peer() {
+    fn set_moves_and_clears_one_entry_per_peer() {
         let mut idx = TimerIndex::new();
         assert_eq!(idx.earliest(), None);
 
-        idx.set(id(7), Some(40));
-        idx.set(id(3), Some(25));
+        idx.set(id(7), None, Some(40));
+        idx.set(id(3), None, Some(25));
         assert_eq!(idx.earliest(), Some(25));
 
-        // Replacing moves the peer's single entry, later or earlier.
-        idx.set(id(3), Some(90));
+        // Moving takes the peer's single entry along, later or earlier.
+        idx.set(id(3), Some(25), Some(90));
         assert_eq!(idx.earliest(), Some(40));
         assert_eq!(idx.due(89), vec![id(7)], "the old entry for 3 is gone");
-        idx.set(id(3), Some(10));
+        idx.set(id(3), Some(90), Some(10));
         assert_eq!(idx.earliest(), Some(10));
 
         // Re-setting the indexed deadline changes nothing.
-        idx.set(id(3), Some(10));
+        idx.set(id(3), Some(10), Some(10));
         assert_eq!(idx.due(u64::MAX), vec![id(3), id(7)]);
 
-        idx.set(id(3), None);
+        idx.set(id(3), Some(10), None);
         assert_eq!(idx.earliest(), Some(40));
-        idx.set(id(7), None);
+        idx.set(id(7), Some(40), None);
         assert_eq!(idx.earliest(), None);
         assert!(idx.due(u64::MAX).is_empty());
     }
 
     #[test]
-    fn clearing_an_absent_peer_is_a_no_op() {
+    fn clearing_a_peer_that_was_not_waiting_is_a_no_op() {
         let mut idx = TimerIndex::new();
-        idx.set(id(1), None);
+        idx.set(id(1), None, None);
         assert_eq!(idx.earliest(), None);
-        idx.set(id(2), Some(5));
-        idx.set(id(1), None);
+        idx.set(id(2), None, Some(5));
+        idx.set(id(1), None, None);
         assert_eq!(idx.due(u64::MAX), vec![id(2)]);
         assert_eq!(idx.earliest(), Some(5));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "was not indexed at 9")]
+    fn a_wrong_old_deadline_is_caught_in_debug_builds() {
+        let mut idx = TimerIndex::new();
+        idx.set(id(1), None, Some(5));
+        idx.set(id(1), Some(9), Some(12));
     }
 
     #[test]
     fn due_is_id_ordered_whatever_the_deadline_order() {
         let mut idx = TimerIndex::new();
         // Deadlines descend as ids ascend, plus a tie and a late one.
-        idx.set(id(10), Some(30));
-        idx.set(id(20), Some(20));
-        idx.set(id(30), Some(10));
-        idx.set(id(40), Some(10));
-        idx.set(id(5), Some(31));
+        idx.set(id(10), None, Some(30));
+        idx.set(id(20), None, Some(20));
+        idx.set(id(30), None, Some(10));
+        idx.set(id(40), None, Some(10));
+        idx.set(id(5), None, Some(31));
         assert_eq!(idx.due(9), Vec::<Id>::new());
         assert_eq!(idx.due(10), vec![id(30), id(40)]);
         assert_eq!(idx.due(20), vec![id(20), id(30), id(40)]);
@@ -202,8 +211,8 @@ mod tests {
     #[test]
     fn extreme_ids_and_deadlines_are_indexed_like_any_other() {
         let mut idx = TimerIndex::new();
-        idx.set(Id::MAX, Some(u64::MAX));
-        idx.set(Id::ZERO, Some(0));
+        idx.set(Id::MAX, None, Some(u64::MAX));
+        idx.set(Id::ZERO, None, Some(0));
         assert_eq!(idx.earliest(), Some(0));
         assert_eq!(idx.due(0), vec![Id::ZERO]);
         assert_eq!(idx.due(u64::MAX), vec![Id::ZERO, Id::MAX]);

@@ -272,7 +272,7 @@ impl Runtime {
             self.shared.retire(&replaced);
         }
         if indexed.is_some() {
-            self.shared.timers.lock().unwrap().set(id, indexed);
+            self.shared.timers.lock().unwrap().set(id, None, indexed);
         }
     }
 
@@ -360,13 +360,19 @@ impl Runtime {
     }
 
     /// Spawns `joiner`, joins it through `contact`, and waits for the
-    /// splice to settle. Returns true iff the join completed.
+    /// splice to settle. Returns true iff *this* join completed: the
+    /// answer is read from the events this call produced, and every
+    /// event — these and any already waiting — stays for
+    /// [`Runtime::drain_events`], as on the DES.
     pub fn join_and_wait(&self, joiner: Id, contact: Id) -> bool {
+        let before = self.shared.events.lock().unwrap().len();
         self.spawn_peer(joiner);
         self.inject(joiner, Command::Join { contact });
         self.quiesce();
-        self.drain_events()
+        let events = self.shared.events.lock().unwrap();
+        events
             .iter()
+            .skip(before)
             .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joiner))
     }
 
@@ -660,8 +666,8 @@ impl Shared {
     fn after_step(&self, id: Id, slot: &mut Slot) {
         let deadline = slot.machine.next_deadline();
         if deadline != slot.indexed && !slot.retired {
+            self.timers.lock().unwrap().set(id, slot.indexed, deadline);
             slot.indexed = deadline;
-            self.timers.lock().unwrap().set(id, deadline);
         }
         let evs = slot.machine.drain_events();
         if !evs.is_empty() {
@@ -682,8 +688,8 @@ impl Shared {
     fn retire(&self, actor: &Actor) {
         let mut slot = actor.slot.lock().unwrap();
         slot.retired = true;
-        if slot.indexed.take().is_some() {
-            self.timers.lock().unwrap().set(actor.id, None);
+        if let Some(old) = slot.indexed.take() {
+            self.timers.lock().unwrap().set(actor.id, Some(old), None);
         }
     }
 

@@ -960,16 +960,7 @@ mod tests {
             };
             world.shock(&attack, &seed).unwrap();
             world.shock(&Shock::Heal, &seed).unwrap();
-            for p in net.live_peers() {
-                let peer = net.peer(p);
-                assert!(peer.in_degree() <= peer.caps.rho_in);
-                assert!(peer.out_degree() <= peer.caps.rho_out);
-                for &t in &peer.long_out {
-                    if net.is_alive(t) {
-                        assert!(net.peer(t).long_in.contains(&p));
-                    }
-                }
-            }
+            net.check_invariants().unwrap();
         }
     }
 }

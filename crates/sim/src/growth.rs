@@ -8,7 +8,7 @@
 //! rewiring and measurement schedules.
 
 use crate::network::Network;
-use crate::peer::PeerIdx;
+use crate::peer::{LinkError, PeerIdx};
 use oscar_degree::DegreeDistribution;
 use oscar_keydist::KeyDistribution;
 use oscar_types::labels::sim_growth::{LBL_IDS, LBL_JOIN, LBL_REWIRE, LBL_SHUFFLE};
@@ -25,8 +25,9 @@ pub trait OverlayBuilder {
     fn name(&self) -> &str;
 
     /// Builds long-range links for `p` (which has none yet from this
-    /// builder's perspective). Must tolerate tiny networks (n = 1, 2, …)
-    /// and exhausted in-degree budgets — partial success is success.
+    /// builder's perspective). Must tolerate tiny networks (n = 1, 2, …;
+    /// open with [`wire_directly`]) and exhausted in-degree budgets —
+    /// partial success is success.
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()>;
 
     /// Rewires `p`: tears its outgoing links down and rebuilds them.
@@ -34,6 +35,37 @@ pub trait OverlayBuilder {
         net.unlink_long_out(p);
         self.build_links(net, p, rng)
     }
+}
+
+/// Networks at or below this size are wired directly (everyone links to
+/// everyone, budget permitting): sampling walks need a graph to walk on,
+/// and at this scale "everyone" *is* the logarithmic partition set.
+const DIRECT_WIRING_THRESHOLD: usize = 8;
+
+/// The small-network preamble every [`OverlayBuilder::build_links`] opens
+/// with, the same for all overlays so their comparison starts from one
+/// bootstrap: returns `true` when `p` needs nothing further — it is dead
+/// or alone, or the network is small enough that `p` was just linked to
+/// every live peer its budgets admit.
+pub fn wire_directly(net: &mut Network, p: PeerIdx) -> bool {
+    if !net.is_alive(p) || net.live_count() <= 1 {
+        return true;
+    }
+    if net.live_count() > DIRECT_WIRING_THRESHOLD {
+        return false;
+    }
+    let targets: Vec<PeerIdx> = net.live_peers().filter(|&t| t != p).collect();
+    for t in targets {
+        if !net.peer(p).can_open_out() {
+            break;
+        }
+        match net.try_link(p, t) {
+            Ok(()) | Err(LinkError::TargetFull) | Err(LinkError::Duplicate) => {}
+            Err(LinkError::SelfLink) | Err(LinkError::Dead) => {}
+            Err(LinkError::SourceFull) => break,
+        }
+    }
+    true
 }
 
 /// Growth schedule.
@@ -183,20 +215,12 @@ impl GrowthDriver {
                 size: self.config.checkpoints[*next_checkpoint],
             };
             if self.config.rewire_at_checkpoints {
-                self.rewire_all(net, builder, seed.child2(LBL_REWIRE, cp.index as u64))?;
+                rewire_all_peers(net, builder, seed.child2(LBL_REWIRE, cp.index as u64))?;
             }
             on_checkpoint(net, cp)?;
             *next_checkpoint += 1;
         }
         Ok(())
-    }
-
-    /// Rewires every live peer once — see [`rewire_all_peers`].
-    pub fn rewire_all<B>(&self, net: &mut Network, builder: &B, seed: SeedTree) -> Result<()>
-    where
-        B: OverlayBuilder + ?Sized,
-    {
-        rewire_all_peers(net, builder, seed)
     }
 }
 
@@ -259,7 +283,6 @@ where
 mod tests {
     use super::*;
     use crate::churn::FaultModel;
-    use crate::peer::LinkError;
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::UniformKeys;
 
@@ -334,28 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn caps_respected_after_rewiring() {
-        let (net, _) = run_growth(150, vec![50, 100, 150], 3);
-        for p in net.all_peers() {
-            let peer = net.peer(p);
-            assert!(peer.in_degree() <= peer.caps.rho_in);
-            assert!(peer.out_degree() <= peer.caps.rho_out);
-        }
-    }
-
-    #[test]
-    fn adjacency_is_symmetric() {
-        let (net, _) = run_growth(80, vec![80], 4);
-        for p in net.all_peers() {
-            for &t in &net.peer(p).long_out {
-                assert!(
-                    net.peer(t).long_in.contains(&p),
-                    "out-link {p:?}->{t:?} missing reverse entry"
-                );
-            }
-            for &s in &net.peer(p).long_in {
-                assert!(net.peer(s).long_out.contains(&p));
-            }
+    fn invariants_hold_after_growth_and_rewiring() {
+        for (target, checkpoints, seed) in [(150, vec![50, 100, 150], 3), (80, vec![80], 4)] {
+            let (net, _) = run_growth(target, checkpoints, seed);
+            net.check_invariants().unwrap();
         }
     }
 

@@ -70,7 +70,9 @@ pub use churn_machine::{
 };
 pub use churn_oracle::{run_continuous_churn, OracleUpkeep, OracleWorld};
 pub use events::{Event, EventQueue, VirtualTime};
-pub use growth::{rewire_all_peers, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder};
+pub use growth::{
+    rewire_all_peers, wire_directly, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder,
+};
 pub use metrics::{Metrics, MsgKind};
 pub use network::Network;
 pub use overlay::Overlay;

@@ -739,6 +739,58 @@ impl Network {
             .collect()
     }
 
+    /// Checks the structural invariants every mutation must preserve, on
+    /// every peer ever added: degree caps respected, no self-link, no
+    /// duplicate out-link, each out-link to a live target has its reverse
+    /// `long_in` entry (a dangling link to a corpse is legal — it is the
+    /// wasted-traffic source) and each in-link its forward one, and the
+    /// live ring holds exactly the peers flagged alive. `Err` names the
+    /// first violation. The one oracle the snapshot-world tests share.
+    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        for p in self.all_peers() {
+            let peer = self.peer(p);
+            if peer.in_degree() > peer.caps.rho_in || peer.out_degree() > peer.caps.rho_out {
+                return Err(format!(
+                    "{p:?} exceeds its caps: in {}/{}, out {}/{}",
+                    peer.in_degree(),
+                    peer.caps.rho_in,
+                    peer.out_degree(),
+                    peer.caps.rho_out
+                ));
+            }
+            for (k, &t) in peer.long_out.iter().enumerate() {
+                if t == p {
+                    return Err(format!("{p:?} links to itself"));
+                }
+                if peer.long_out[..k].contains(&t) {
+                    return Err(format!("{p:?} links to {t:?} twice"));
+                }
+                if self.is_alive(t) && !self.peer(t).long_in.contains(&p) {
+                    return Err(format!("out-link {p:?}->{t:?} has no reverse entry"));
+                }
+            }
+            if let Some(s) = peer
+                .long_in
+                .iter()
+                .find(|s| !self.peer(**s).long_out.contains(&p))
+            {
+                return Err(format!("in-link {s:?}->{p:?} has no forward entry"));
+            }
+            if peer.alive && !self.ring_live.contains(peer.id) {
+                return Err(format!("{p:?} is alive but not on the live ring"));
+            }
+        }
+        // Every live peer is on the ring; equal counts make it exactly them.
+        let flagged = self.live_peers().count();
+        if flagged != self.ring_live.len() {
+            return Err(format!(
+                "{flagged} peers flagged alive, {} on the live ring",
+                self.ring_live.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Iterates all peer indices (live and dead).
     pub fn all_peers(&self) -> impl Iterator<Item = PeerIdx> {
         (0..self.peers.len() as u32).map(PeerIdx)
@@ -1004,6 +1056,37 @@ mod tests {
         );
         // departing twice errors
         assert!(net.depart(idxs[2]).is_err());
+    }
+
+    #[test]
+    fn check_invariants_passes_legal_states_and_names_each_violation() {
+        // Every legal mutation, dangling link and reused id included.
+        let (mut net, idxs) = net_with(&[10, 20, 30, 40, 50]);
+        net.try_link(idxs[0], idxs[2]).unwrap();
+        net.try_link(idxs[0], idxs[3]).unwrap();
+        net.try_link(idxs[1], idxs[2]).unwrap();
+        net.kill(idxs[2]).unwrap(); // 10 and 20 keep dangling links to it
+        net.depart(idxs[4]).unwrap();
+        net.add_peer(Id::new(50), caps(4)).unwrap();
+        assert_eq!(net.check_invariants(), Ok(()));
+
+        let broken = |mutate: fn(&mut Network), expect: &str| {
+            let mut bad = net.clone();
+            mutate(&mut bad);
+            let err = bad.check_invariants().unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
+        };
+        broken(|n| n.peers[0].caps.rho_out = 1, "exceeds its caps");
+        broken(|n| n.peers[1].long_out.push(PeerIdx(1)), "links to itself");
+        broken(|n| n.peers[0].long_out.push(PeerIdx(3)), "twice");
+        broken(|n| n.peers[3].long_in.clear(), "no reverse entry");
+        broken(|n| n.peers[1].long_in.push(PeerIdx(3)), "no forward entry");
+        broken(
+            |n| assert!(n.ring_live.remove(Id::new(40))),
+            "not on the live ring",
+        );
+        // The departed peer's id is back on the ring under a new index.
+        broken(|n| n.peers[4].alive = true, "flagged alive");
     }
 
     #[test]

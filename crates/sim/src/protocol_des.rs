@@ -44,10 +44,8 @@ impl Slot {
     /// Re-indexes the machine after a call into it.
     fn reindex(&mut self, id: Id, timers: &mut TimerIndex) {
         let deadline = self.machine.next_deadline();
-        if deadline != self.indexed {
-            self.indexed = deadline;
-            timers.set(id, deadline);
-        }
+        timers.set(id, self.indexed, deadline);
+        self.indexed = deadline;
     }
 }
 
@@ -125,15 +123,19 @@ impl DesDriver {
     /// under its id. Timers the machine already carries are indexed.
     pub fn spawn_machine(&mut self, machine: PeerMachine) {
         let (id, indexed) = (machine.id(), machine.next_deadline());
-        self.timers.set(id, indexed);
-        self.peers.insert(id, Slot { machine, indexed });
+        let replaced = self.peers.insert(id, Slot { machine, indexed });
+        self.timers
+            .set(id, replaced.and_then(|slot| slot.indexed), indexed);
     }
 
     /// Removes a peer outright (a crash). Mail already queued to it will
     /// bounce at delivery time, and its armed timers die with it.
     pub fn remove_peer(&mut self, id: Id) -> bool {
-        self.timers.set(id, None);
-        self.peers.remove(&id).is_some()
+        let Some(slot) = self.peers.remove(&id) else {
+            return false;
+        };
+        self.timers.set(id, slot.indexed, None);
+        true
     }
 
     /// Live peer ids, sorted.
@@ -306,16 +308,17 @@ impl DesDriver {
     }
 
     /// Spawns `joiner`, joins it through `contact`, and settles the
-    /// splice. Returns true iff the join completed.
+    /// splice. Returns true iff *this* join completed: the answer is read
+    /// from the events this call produced, and every event — these and
+    /// any already waiting — stays for [`DesDriver::drain_events`].
     pub fn join_and_wait(&mut self, joiner: Id, contact: Id) -> bool {
+        let before = self.events.len();
         self.spawn_peer(joiner);
         self.inject(joiner, Command::Join { contact });
         self.run_until_idle();
-        let done = self
-            .events
+        self.events[before..]
             .iter()
-            .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joiner));
-        done
+            .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joiner))
     }
 
     /// Drains protocol milestones observed since the last drain.

@@ -27,17 +27,11 @@ pub struct RoutePolicy {
     /// Give-up bound on total messages per query (safety net; fault-free
     /// routing never comes near it).
     pub max_messages: u32,
-    /// Use long-range links (disable for the ring-only baseline, which
-    /// degrades to O(N) — a useful sanity ablation).
-    pub use_long_links: bool,
 }
 
 impl Default for RoutePolicy {
     fn default() -> Self {
-        RoutePolicy {
-            max_messages: 4096,
-            use_long_links: true,
-        }
+        RoutePolicy { max_messages: 4096 }
     }
 }
 
@@ -127,14 +121,6 @@ fn route_observed(
         net.routing_neighbors_into(current, &mut neighbors);
         candidates.clear();
         for &c in neighbors.iter() {
-            if !policy.use_long_links {
-                // ring-only: keep only the ring successor/predecessor
-                let is_ring = Some(c) == net.ring_successor(current)
-                    || Some(c) == net.ring_predecessor(current);
-                if !is_ring {
-                    continue;
-                }
-            }
             if exhausted.contains(&c) {
                 continue;
             }
@@ -407,10 +393,7 @@ mod tests {
         let src = PeerIdx(3);
         let owner = net.ring_successor(src).unwrap();
         let key = net.peer(owner).id;
-        let policy = RoutePolicy {
-            max_messages: 1,
-            use_long_links: true,
-        };
+        let policy = RoutePolicy { max_messages: 1 };
         let o = route_to_owner(&net, src, key, &policy);
         assert!(o.success, "owner reached within budget must count");
         assert_eq!(o.dest, Some(owner));
@@ -456,21 +439,6 @@ mod tests {
             fast * 3 < slow,
             "random long links should cut cost ≥3x: ring={slow}, links={fast}"
         );
-    }
-
-    #[test]
-    fn ring_only_policy_ignores_long_links() {
-        let net = test_net(64, 6, 6, FaultModel::StabilizedRing);
-        let policy = RoutePolicy {
-            use_long_links: false,
-            ..Default::default()
-        };
-        // Route between antipodal peers: ring-only must walk ~n/2 hops.
-        let src = PeerIdx(0);
-        let key = net.peer(PeerIdx(32)).id;
-        let o = route_to_owner(&net, src, key, &policy);
-        assert!(o.success);
-        assert!(o.hops >= 30, "took shortcut with {} hops", o.hops);
     }
 
     #[test]
@@ -611,10 +579,7 @@ mod tests {
         let mut net = test_net(64, 0, 12, FaultModel::UnstabilizedRing);
         let mut rng = SeedTree::new(13).rng();
         crate::churn::kill_fraction(&mut net, 0.5, &mut rng).unwrap();
-        let policy = RoutePolicy {
-            max_messages: 16,
-            use_long_links: true,
-        };
+        let policy = RoutePolicy { max_messages: 16 };
         for _ in 0..100 {
             let Some(src) = net.random_live_peer(&mut rng) else {
                 break;

@@ -161,11 +161,73 @@ impl P2Quantile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Exact nearest-rank oracle (1-based rank `⌈p·len⌉`).
+    /// Exact nearest-rank oracle (1-based rank `⌈p·len⌉`), the rule the
+    /// estimator must reproduce verbatim on bootstrap-sized samples.
     fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
         let rank = ((p * sorted.len() as f64).ceil() as usize).max(1);
         sorted[rank - 1]
+    }
+
+    /// The estimate after a whole sample has streamed through.
+    fn estimate(xs: &[f64], p: f64) -> f64 {
+        let mut est = P2Quantile::new(p);
+        for &x in xs {
+            est.observe(x);
+        }
+        est.value()
+    }
+
+    proptest! {
+        #[test]
+        fn estimate_is_bounded_by_the_sample(
+            xs in prop::collection::vec(0u32..10_000, 1..400),
+            pq in 1u32..100,
+        ) {
+            let xs: Vec<f64> = xs.into_iter().map(f64::from).collect();
+            let v = estimate(&xs, pq as f64 / 100.0);
+            let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert!(v >= lo && v <= hi, "estimate {v} outside [{lo}, {hi}]");
+        }
+
+        #[test]
+        fn bootstrap_samples_match_nearest_rank_exactly(
+            xs in prop::collection::vec(0u32..10_000, 1..6),
+            pq in 1u32..100,
+        ) {
+            let xs: Vec<f64> = xs.into_iter().map(f64::from).collect();
+            let p = pq as f64 / 100.0;
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            prop_assert_eq!(estimate(&xs, p), nearest_rank(&sorted, p));
+        }
+
+        #[test]
+        fn constant_streams_estimate_the_constant(
+            x in 0u32..10_000,
+            n in 1usize..300,
+            pq in 1u32..100,
+        ) {
+            let xs = vec![x as f64; n];
+            prop_assert_eq!(estimate(&xs, pq as f64 / 100.0), x as f64);
+        }
+
+        #[test]
+        fn count_and_extremes_are_exact(
+            xs in prop::collection::vec(0u32..10_000, 1..400),
+        ) {
+            let mut est = P2Quantile::new(0.5);
+            for &x in &xs {
+                est.observe(x as f64);
+            }
+            prop_assert_eq!(est.count(), xs.len() as u64);
+            let lo = *xs.iter().min().unwrap() as f64;
+            let hi = *xs.iter().max().unwrap() as f64;
+            prop_assert_eq!(est.min(), lo);
+            prop_assert_eq!(est.max(), hi);
+        }
     }
 
     #[test]

@@ -42,8 +42,7 @@
 //! | [`core`] | **the paper's contribution**: Oscar partition estimation + link acquisition |
 //! | [`mercury`] | the Mercury baseline |
 //! | [`chord`] | the Chord finger-table baseline (skew-oblivious control) |
-//! | [`store`] | data items, storage load, capacity-aware identifier choice |
-//! | [`analytics`] | statistics and figure rendering for the harness |
+//! | [`analytics`] | statistics, series tables and the degree-load analysis for the harness |
 
 pub use oscar_analytics as analytics;
 pub use oscar_chord as chord;
@@ -55,7 +54,6 @@ pub use oscar_protocol as protocol;
 pub use oscar_ring as ring;
 pub use oscar_runtime as runtime;
 pub use oscar_sim as sim;
-pub use oscar_store as store;
 pub use oscar_types as types;
 
 /// The names most programs want in scope.

@@ -3,34 +3,6 @@
 
 use oscar::prelude::*;
 
-/// Structural invariants every grown overlay must satisfy.
-fn assert_network_invariants(net: &Network) {
-    for p in net.all_peers() {
-        let peer = net.peer(p);
-        assert!(
-            peer.in_degree() <= peer.caps.rho_in,
-            "peer {p:?} exceeds in budget"
-        );
-        assert!(
-            peer.out_degree() <= peer.caps.rho_out,
-            "peer {p:?} exceeds out budget"
-        );
-        for &t in &peer.long_out {
-            if net.is_alive(t) {
-                assert!(
-                    net.peer(t).long_in.contains(&p),
-                    "missing reverse entry for {p:?}->{t:?}"
-                );
-            }
-            assert_ne!(t, p, "self-link");
-        }
-        let mut seen = peer.long_out.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), peer.long_out.len(), "duplicate links at {p:?}");
-    }
-}
-
 #[test]
 fn oscar_paper_protocol_small_scale() {
     // The paper's growth protocol at 1/20 scale: grow to 500, rewire +
@@ -49,7 +21,7 @@ fn oscar_paper_protocol_small_scale() {
                 rewire_at_checkpoints: true,
             },
             |net, cp| {
-                assert_network_invariants(net);
+                net.check_invariants().unwrap();
                 let mut rng = SeedTree::new(1000 + cp.index as u64).rng();
                 let stats = oscar::sim::run_query_batch(
                     net,

@@ -4,22 +4,6 @@
 use oscar::prelude::*;
 use proptest::prelude::*;
 
-// NB: the prelude's `Result` is the library's error alias; spell out std's.
-fn check_invariants(net: &Network) -> std::result::Result<(), TestCaseError> {
-    for p in net.all_peers() {
-        let peer = net.peer(p);
-        prop_assert!(peer.in_degree() <= peer.caps.rho_in);
-        prop_assert!(peer.out_degree() <= peer.caps.rho_out);
-        for &t in &peer.long_out {
-            prop_assert_ne!(t, p, "self link");
-            if net.is_alive(t) {
-                prop_assert!(net.peer(t).long_in.contains(&p));
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     // Each case grows a real overlay; keep the case count modest.
     #![proptest_config(ProptestConfig {
@@ -42,7 +26,7 @@ proptest! {
         };
         let mut ov = oscar::core::new_overlay(cfg, FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &GnutellaKeys::default(), &ConstantDegrees::new(degree)).unwrap();
-        check_invariants(ov.network())?;
+        prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         // Delivery is total in the fault-free regime.
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 100);
         prop_assert_eq!(stats.success_rate, 1.0);
@@ -63,7 +47,7 @@ proptest! {
         );
         ov.grow_to(150, &UniformKeys, &SteppedDegrees::paper()).unwrap();
         ov.kill_fraction(kill).unwrap();
-        check_invariants(ov.network())?;
+        prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 80);
         prop_assert_eq!(stats.success_rate, 1.0);
     }
@@ -79,7 +63,7 @@ proptest! {
             seed,
         );
         ov.grow_to(n, &GnutellaKeys::default(), &ConstantDegrees::paper()).unwrap();
-        check_invariants(ov.network())?;
+        prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 80);
         prop_assert_eq!(stats.success_rate, 1.0);
     }

@@ -405,6 +405,61 @@ fn blackholed_crash_degrades_gracefully_not_fatally() {
     );
 }
 
+// --- join_and_wait ----------------------------------------------------------
+
+/// `join_and_wait` means one thing on both drivers: it answers from the
+/// events *this* call produced and discards none. A query report waiting
+/// to be drained is still there after the next join, and an undrained
+/// `JoinCompleted` from an id's previous life is not the success of its
+/// next, impossible join.
+#[test]
+fn join_and_wait_answers_for_its_own_join_and_discards_nothing() {
+    let (a, b, c) = (Id::new(100), Id::new(200), Id::new(300));
+    let query = Command::StartQuery { qid: 9, key: b };
+    /// The events a join after an undrained query must leave behind.
+    fn assert_both_kept(events: &[ProtocolEvent], joined: Id, driver: &str) {
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ProtocolEvent::QueryCompleted(r) if r.qid == 9)),
+            "{driver}: the earlier query report was discarded by the join"
+        );
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joined)),
+            "{driver}: the join's own event must stay drainable"
+        );
+    }
+
+    let mut des = DesDriver::new(SEED, PeerConfig::default());
+    des.spawn_peer(a);
+    assert!(des.join_and_wait(b, a));
+    des.drain_events();
+    des.inject(a, query.clone());
+    des.run_until_idle();
+    assert!(des.join_and_wait(c, a));
+    // `c` crashes and its id comes back through a contact that does not
+    // exist: with `c`'s first JoinCompleted still undrained, the second
+    // join must answer for itself.
+    assert!(des.remove_peer(c));
+    assert!(
+        !des.join_and_wait(c, Id::new(999)),
+        "a join through a missing contact cannot complete"
+    );
+    assert_both_kept(&des.drain_events(), c, "DES");
+
+    let mut rt = Runtime::new(RuntimeConfig::new(SEED).with_workers(2));
+    rt.spawn_peer(a);
+    assert!(rt.join_and_wait(b, a));
+    rt.drain_events();
+    rt.inject(a, query);
+    rt.quiesce();
+    assert!(rt.join_and_wait(c, a));
+    assert_both_kept(&rt.drain_events(), c, "runtime");
+    rt.shutdown();
+}
+
 // --- equivalence under churn + repair --------------------------------------
 
 /// The machine churn engine replayed on both drivers: Poisson
