@@ -78,8 +78,7 @@ fn inject_storm(driver: &mut impl ProtocolDriver, ids: &[Id], per_peer: usize, s
 }
 
 /// Worker threads of a storm's runtime: storms are meaningless
-/// single-threaded, so the floor is 2 even on one-core runners (the
-/// report's `active_workers` shows both fed).
+/// single-threaded, so the floor is 2 even on one-core runners.
 fn storm_workers(scale: &Scale) -> usize {
     scale.thread_count().max(2)
 }

@@ -78,11 +78,18 @@ impl PeerMachine {
     /// neighbour with the smallest remaining clockwise distance, or the
     /// first successor whose arc covers the key (the final overshoot hop
     /// to the owner), skipping `exclude`d peers.
+    ///
+    /// Ranks the link tables as they lie, without building the canonical
+    /// [`PeerMachine::neighbors`] table: the remaining distance is
+    /// injective in the candidate, so a peer listed twice can only tie
+    /// with itself and the minimum is the sorted table's (this peer's own
+    /// id, at distance `span`, never counts as progress).
     pub(super) fn best_step_toward(&self, key: Id, exclude: impl Fn(Id) -> bool) -> Option<Id> {
         let span = self.id.cw_dist(key);
-        let best = self
-            .neighbors()
+        let best = [&[self.pred], &self.succs[..], &self.long_out, &self.long_in]
             .into_iter()
+            .flatten()
+            .copied()
             .filter(|&c| !exclude(c))
             .filter_map(|c| Some((logic::progress_toward(c, key, span)?, c)))
             .min_by_key(|&(p, _)| p);
@@ -146,8 +153,10 @@ impl PeerMachine {
 mod tests {
     use super::super::tests::{machines, Pump};
     use super::super::{PeerConfig, PeerMachine};
+    use crate::logic;
     use crate::message::{Command, OpKind, Outbound, ProtocolEvent};
     use oscar_types::{Id, SeedTree};
+    use proptest::prelude::*;
 
     #[test]
     fn queries_resolve_to_ring_owners() {
@@ -358,5 +367,53 @@ mod tests {
                 .any(|e| matches!(e, ProtocolEvent::Fault { .. })),
             "graceful degradation must not raise Fault"
         );
+    }
+
+    /// `best_step_toward` as it was first written: rank the canonical
+    /// sorted, de-duplicated neighbour table.
+    fn sorted_table_step(m: &PeerMachine, key: Id, exclude: impl Fn(Id) -> bool) -> Option<Id> {
+        let span = m.id.cw_dist(key);
+        let best = m
+            .neighbors()
+            .into_iter()
+            .filter(|&c| !exclude(c))
+            .filter_map(|c| Some((logic::progress_toward(c, key, span)?, c)))
+            .min_by_key(|&(p, _)| p);
+        best.map(|(_, c)| c).or_else(|| {
+            let covers = |s: Id| !exclude(s) && logic::owns(m.id, s, key);
+            m.succs.iter().copied().find(|&s| covers(s))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn best_step_ranks_the_tables_as_they_lie_like_the_sorted_one(
+            me: u64,
+            links in prop::collection::vec((0u8..4, 0u64..48), 0..24),
+            excluded in prop::collection::vec(0u64..48, 0..8),
+            far_key: bool,
+            key: u64,
+        ) {
+            // Ids cluster around `me` on both sides of the wrap, so a peer
+            // listed in several tables, the machine's own id among its
+            // links and excluded best candidates all occur.
+            let near = |offset: u64| Id::new(me.wrapping_add(offset).wrapping_sub(24));
+            let mut m = PeerMachine::new(Id::new(me), 1, PeerConfig::default());
+            for (table, offset) in links {
+                match table {
+                    0 => m.pred = near(offset),
+                    1 => m.succs.push(near(offset)),
+                    2 => m.long_out.push(near(offset)),
+                    _ => m.long_in.push(near(offset)),
+                }
+            }
+            let excluded: Vec<Id> = excluded.into_iter().map(near).collect();
+            let exclude = |c: Id| excluded.contains(&c);
+            let key = if far_key { Id::new(key) } else { near(key % 64) };
+            prop_assert_eq!(
+                m.best_step_toward(key, exclude),
+                sorted_table_step(&m, key, exclude)
+            );
+        }
     }
 }

@@ -10,17 +10,40 @@
 //! Scheduling model (no async runtime — the workspace is offline and
 //! dependency-free by construction):
 //!
-//! * each actor has a `Mutex<VecDeque>` mailbox and a `scheduled` flag;
-//! * a shared run queue + condvar feeds worker threads; an actor is
-//!   enqueued when its mailbox goes non-empty and re-armed when drained;
-//! * an atomic in-flight message counter backs [`Runtime::quiesce`],
-//!   which blocks until the network has gone silent;
+//! * a mailbox is one mutex over a FIFO queue and a `scheduled` flag: the
+//!   push that finds the flag clear sets it and puts the actor itself (its
+//!   `Arc`, not its id) on the run queue; the executor that finds the queue
+//!   empty clears it. An actor is therefore queued or running at most once,
+//!   and "went non-empty" and "drained" are decided under one lock;
+//! * the run queue is one mutex over the ready actors and two counts —
+//!   pool workers parked on the `work` condvar, [`Runtime::quiesce`]
+//!   callers parked on `quiet`. A push wakes a worker only if one is
+//!   parked, else a waiting quiescer, else nobody;
+//! * an executor — a pool worker, or a thread inside `quiesce` — pops an
+//!   actor, swaps its queue for an empty buffer it owns and handles the
+//!   mail; a message moves from the sender's outbox to the machine
+//!   without being copied (a fault-plan duplicate is the one clone);
+//! * an atomic in-flight message counter backs `quiesce`, which does not
+//!   sleep while there is work: it runs ready actors on the calling thread
+//!   and parks only when the queue is empty while other threads still hold
+//!   messages;
 //! * sends to unknown/removed peers synchronously invoke the sender's
 //!   `on_delivery_failure` — the same failure surface the DES presents;
+//!   mail that reaches a removed actor anyway (queued before the removal,
+//!   or pushed by a sender that already held it) is booked `dropped` by
+//!   whoever finds it, never handled;
 //! * a shared [`TimerIndex`] holds every machine's earliest deadline;
 //!   whichever thread ran a machine updates it, under that machine's
 //!   lock and only when the deadline moved, so a timer round finds who
 //!   is due without visiting a single actor.
+//!
+//! No wake-up is lost. `parked` and `quiescers` are read and written only
+//! under the run-queue lock, which a thread holds from its last look at
+//! the queue (or at the in-flight count) until it is counted and waiting.
+//! A push and its decision whom to notify share that lock, and the release
+//! that takes the count to zero notifies `quiet` under it. `shutdown` needs
+//! `&mut self`, so nobody is inside `quiesce` then: it wakes the parked
+//! workers and zeroes the count for the quiescers that come after.
 //!
 //! Determinism: the protocol's token-carried RNG makes walk and query
 //! outcomes scheduling-independent, so a serialized command sequence
@@ -85,12 +108,45 @@ impl RuntimeConfig {
     }
 }
 
-/// One peer actor: machine + mailbox + scheduling flag.
+/// One peer actor: machine + mailbox.
 struct Actor {
     id: Id,
     slot: Mutex<Slot>,
-    mailbox: Mutex<VecDeque<(Id, Message)>>,
-    scheduled: AtomicBool,
+    mailbox: Mutex<Mailbox>,
+}
+
+/// An actor's mail, and whether an executor is due to look at it.
+#[derive(Default)]
+struct Mailbox {
+    queue: VecDeque<(Id, Message)>,
+    /// Set by the push that finds it clear — which then puts the actor on
+    /// the run queue — and cleared by the executor that finds `queue`
+    /// empty: true exactly while the actor is queued or being run.
+    scheduled: bool,
+}
+
+/// The run queue and who is asleep beside it, under one lock (the
+/// module doc has the wake-up protocol).
+#[derive(Default)]
+struct RunQueue {
+    /// Actors with mail, each at most once.
+    ready: VecDeque<Arc<Actor>>,
+    /// Pool workers waiting on `Shared::work`.
+    parked: usize,
+    /// [`Runtime::quiesce`] callers waiting on `Shared::quiet`.
+    quiescers: usize,
+}
+
+/// What a thread that runs actors brings along: a pool worker for its
+/// whole life, a [`Runtime::quiesce`] caller for one call.
+struct Executor {
+    /// Index into `Shared::{busy_ns, per_worker_msgs}`.
+    stats_slot: usize,
+    /// The gossip stream `on_message` draws from.
+    rng: SmallRng,
+    /// Swapped with a mailbox's queue to drain it; empty between runs,
+    /// and keeps whatever capacity the mailboxes it met had grown.
+    batch: VecDeque<(Id, Message)>,
 }
 
 /// What an actor's mutex guards: the machine, and what the shared
@@ -101,8 +157,9 @@ struct Slot {
     machine: PeerMachine,
     /// The deadline `Shared::timers` holds for this peer.
     indexed: Option<u64>,
-    /// Set once the actor has left the actor table: a worker still
-    /// finishing its mail must not put the corpse back in the index.
+    /// Set once the actor has left the actor table: whoever still finds
+    /// mail for it drops the mail, and nobody puts the corpse back in the
+    /// index.
     retired: bool,
 }
 
@@ -112,12 +169,14 @@ struct Shared {
     // peer_ids) walks this map, and ordered iteration keeps every such
     // walk deterministic for free (iter-order discipline).
     actors: RwLock<BTreeMap<Id, Arc<Actor>>>,
-    runq: Mutex<VecDeque<Id>>,
-    runq_cv: Condvar,
+    runq: Mutex<RunQueue>,
+    /// Parked pool workers wait here for an actor to run.
+    work: Condvar,
+    /// Parked `quiesce` callers wait here for silence, or for an actor
+    /// no pool worker is free to take.
+    quiet: Condvar,
     /// Messages enqueued but not yet fully processed.
     pending: AtomicUsize,
-    quiesce_mx: Mutex<()>,
-    quiesce_cv: Condvar,
     stop: AtomicBool,
     inject_nonce: AtomicU64,
     events: Mutex<Vec<ProtocolEvent>>,
@@ -160,25 +219,12 @@ pub struct RuntimeStats {
     pub duplicated: u64,
     /// `ProtocolEvent::Fault` occurrences over the runtime's lifetime.
     pub faults: u64,
-    /// Per-worker busy time in nanoseconds.
+    /// Busy time in nanoseconds: one slot per pool worker, then one
+    /// trailing slot shared by every thread that ran actors from inside
+    /// [`Runtime::quiesce`].
     pub busy_ns: Vec<u64>,
-    /// Per-worker processed-message counts.
+    /// Delivered-message counts, slot for slot with `busy_ns`.
     pub per_worker_msgs: Vec<u64>,
-}
-
-impl RuntimeStats {
-    /// Mean number of cores kept busy over a wall-clock interval.
-    pub fn cores_busy(&self, wall_ns: u64) -> f64 {
-        if wall_ns == 0 {
-            return 0.0;
-        }
-        self.busy_ns.iter().sum::<u64>() as f64 / wall_ns as f64
-    }
-
-    /// Number of workers that processed at least one message.
-    pub fn active_workers(&self) -> usize {
-        self.per_worker_msgs.iter().filter(|&&m| m > 0).count()
-    }
 }
 
 /// The actor runtime handle. Dropping it shuts the worker pool down.
@@ -200,11 +246,10 @@ impl Runtime {
         };
         let shared = Arc::new(Shared {
             actors: RwLock::new(BTreeMap::new()),
-            runq: Mutex::new(VecDeque::new()),
-            runq_cv: Condvar::new(),
+            runq: Mutex::new(RunQueue::default()),
+            work: Condvar::new(),
+            quiet: Condvar::new(),
             pending: AtomicUsize::new(0),
-            quiesce_mx: Mutex::new(()),
-            quiesce_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             inject_nonce: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
@@ -217,8 +262,9 @@ impl Runtime {
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
             faults: AtomicU64::new(0),
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            per_worker_msgs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            // One slot per pool worker and a trailing one for `quiesce`.
+            busy_ns: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
+            per_worker_msgs: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -227,7 +273,7 @@ impl Runtime {
                 let rng = SeedTree::new(cfg.seed).child2(LBL_WORKER, w as u64).rng();
                 std::thread::Builder::new()
                     .name(format!("oscar-worker-{w}"))
-                    .spawn(move || worker_loop(sh, w, rng))
+                    .spawn(move || worker_loop(sh, Executor::new(w, rng)))
                     .expect("spawn worker")
             })
             .collect();
@@ -243,7 +289,8 @@ impl Runtime {
         self.cfg.seed
     }
 
-    /// Number of worker threads.
+    /// Number of pool worker threads (a thread helping from inside
+    /// [`Runtime::quiesce`] is not one).
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -261,8 +308,7 @@ impl Runtime {
                 indexed,
                 retired: false,
             }),
-            mailbox: Mutex::new(VecDeque::new()),
-            scheduled: AtomicBool::new(false),
+            mailbox: Mutex::new(Mailbox::default()),
         });
         // The table lock is held across the index writes so that a
         // concurrent spawn or remove of the same id cannot interleave
@@ -299,20 +345,19 @@ impl Runtime {
             }
             removed
         };
-        if let Some(actor) = removed {
-            let dropped = actor.mailbox.lock().unwrap().len();
-            // Mail queued to the corpse counts as dropped, so the
-            // sent/delivered/dropped/bounced reconciliation still holds.
-            self.shared
-                .dropped
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-            for _ in 0..dropped {
-                self.shared.dec_pending();
-            }
-            true
-        } else {
-            false
-        }
+        let Some(actor) = removed else {
+            return false;
+        };
+        // Mail queued to the corpse is taken out and counted as dropped
+        // here. Mail an executor took before this, or that a sender
+        // already holding the actor pushes after it, `run_actor` drops
+        // when it finds the slot retired — each envelope exactly once.
+        let queued = std::mem::take(&mut actor.mailbox.lock().unwrap().queue).len();
+        self.shared
+            .dropped
+            .fetch_add(queued as u64, Ordering::Relaxed);
+        self.shared.release(queued);
+        true
     }
 
     /// Live peer ids, sorted.
@@ -334,11 +379,7 @@ impl Runtime {
         let Some(actor) = self.shared.actors.read().unwrap().get(&id).cloned() else {
             return false;
         };
-        // Fresh per-call stream: commands (gossip in particular) must not
-        // replay the same draws every round.
-        let nonce = self.shared.inject_nonce.fetch_add(1, Ordering::Relaxed);
-        // lint:allow(rng-discipline, inject streams are keyed by nonce so thread interleaving cannot reorder draws)
-        let mut rng = SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng();
+        let mut rng = self.fresh_stream();
         let outs = {
             let mut slot = actor.slot.lock().unwrap();
             let outs = slot.machine.on_command(cmd, &mut rng);
@@ -351,11 +392,37 @@ impl Runtime {
         true
     }
 
-    /// Blocks until no message is in flight anywhere.
+    /// A fresh gossip stream per call: commands (gossip in particular)
+    /// must not replay the same draws every round.
+    fn fresh_stream(&self) -> SmallRng {
+        let nonce = self.shared.inject_nonce.fetch_add(1, Ordering::Relaxed);
+        // lint:allow(rng-discipline, inject and helper streams are keyed by nonce so thread interleaving cannot reorder draws)
+        SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng()
+    }
+
+    /// Returns once no message is in flight anywhere. The caller does
+    /// not sleep through the work: it runs ready actors itself, beside
+    /// the pool, and parks only when there is none to take while other
+    /// threads still hold messages. Machines therefore run on the calling
+    /// thread — do not call this from inside a [`Runtime::with_peer`]
+    /// closure, which holds that peer's lock.
     pub fn quiesce(&self) {
-        let mut g = self.shared.quiesce_mx.lock().unwrap();
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            g = self.shared.quiesce_cv.wait(g).unwrap();
+        let shared = &*self.shared;
+        let mut helper: Option<Executor> = None;
+        let mut q = shared.runq.lock().unwrap();
+        while shared.pending.load(Ordering::SeqCst) != 0 {
+            if let Some(actor) = q.ready.pop_front() {
+                drop(q);
+                let me = helper.get_or_insert_with(|| {
+                    Executor::new(shared.busy_ns.len() - 1, self.fresh_stream())
+                });
+                run_actor(shared, &actor, me);
+                q = shared.runq.lock().unwrap();
+            } else {
+                q.quiescers += 1;
+                q = shared.quiet.wait(q).unwrap();
+                q.quiescers -= 1;
+            }
         }
     }
 
@@ -529,16 +596,15 @@ impl Runtime {
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         {
-            let _g = self.shared.runq.lock().unwrap();
-            self.shared.runq_cv.notify_all();
+            let _q = self.shared.runq.lock().unwrap();
+            self.shared.work.notify_all();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Unblock any quiesce() stuck behind discarded messages.
+        // A later quiesce() must not wait behind the discarded messages
+        // (`&mut self`: nobody is inside one now).
         self.shared.pending.store(0, Ordering::SeqCst);
-        let _g = self.shared.quiesce_mx.lock().unwrap();
-        self.shared.quiesce_cv.notify_all();
     }
 }
 
@@ -598,14 +664,17 @@ impl ProtocolDriver for Runtime {
 impl Shared {
     /// Routes one outbound from `from`; the runtime's single routing
     /// point, where the fault plan is consulted (the DES's analogue is
-    /// `enqueue_all`). Missing targets bounce back as delivery failures
-    /// on the sender, recursively — unless the plan blackholes crashes,
-    /// in which case only the sender's timers can notice.
-    fn send(&self, from: &Arc<Actor>, out: Outbound) {
+    /// `enqueue_all`). The message is moved into the target's mailbox;
+    /// only a fault-plan duplicate is cloned. Missing targets bounce back
+    /// as delivery failures on the sender, recursively — unless the plan
+    /// blackholes crashes, in which case only the sender's timers can
+    /// notice.
+    fn send(&self, from: &Actor, out: Outbound) {
         self.sent.fetch_add(1, Ordering::Relaxed);
-        let mut copies = 1u64;
+        let Outbound { to, msg } = out;
+        let mut extra = None;
         if !self.plan.is_reliable() {
-            let fate = self.plan.decide(from.id, out.to, &out.msg);
+            let fate = self.plan.decide(from.id, to, &msg);
             if fate.drop {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -613,33 +682,35 @@ impl Shared {
             if fate.duplicate {
                 // extra_delay is a virtual-time notion; the threaded
                 // runtime reorders naturally and ignores it.
-                copies = 2;
+                extra = Some(msg.clone());
                 self.sent.fetch_add(1, Ordering::Relaxed);
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let target = self.actors.read().unwrap().get(&out.to).cloned();
+        let copies = 1 + extra.is_some() as usize;
+        let target = self.actors.read().unwrap().get(&to).cloned();
         match target {
             Some(target) => {
-                for _ in 0..copies {
-                    self.pending.fetch_add(1, Ordering::SeqCst);
-                    target
-                        .mailbox
-                        .lock()
-                        .unwrap()
-                        .push_back((from.id, out.msg.clone()));
+                self.pending.fetch_add(copies, Ordering::SeqCst);
+                let went_non_empty = {
+                    let mut mb = target.mailbox.lock().unwrap();
+                    mb.queue.extend(extra.map(|m| (from.id, m)));
+                    mb.queue.push_back((from.id, msg));
+                    !std::mem::replace(&mut mb.scheduled, true)
+                };
+                if went_non_empty {
+                    self.schedule(target);
                 }
-                self.schedule(&target);
             }
             None if self.plan.blackhole_on_crash() => {
-                self.dropped.fetch_add(copies, Ordering::Relaxed);
+                self.dropped.fetch_add(copies as u64, Ordering::Relaxed);
             }
             None => {
-                self.bounced.fetch_add(copies, Ordering::Relaxed);
-                for _ in 0..copies {
+                self.bounced.fetch_add(copies as u64, Ordering::Relaxed);
+                for msg in extra.into_iter().chain([msg]) {
                     let outs = {
                         let mut slot = from.slot.lock().unwrap();
-                        let outs = slot.machine.on_delivery_failure(out.to, out.msg.clone());
+                        let outs = slot.machine.on_delivery_failure(to, msg);
                         self.after_step(from.id, &mut slot);
                         outs
                     };
@@ -651,11 +722,30 @@ impl Shared {
         }
     }
 
-    /// Puts an actor on the run queue unless it is already scheduled.
-    fn schedule(&self, actor: &Arc<Actor>) {
-        if !actor.scheduled.swap(true, Ordering::SeqCst) {
-            self.runq.lock().unwrap().push_back(actor.id);
-            self.runq_cv.notify_one();
+    /// Puts an actor whose mailbox just went non-empty on the run queue
+    /// and wakes one thread that could run it, if any is asleep: a
+    /// parked worker, else a quiescer waiting for the others to finish.
+    /// With every executor awake the push is all there is to do — each
+    /// looks at the queue again before it sleeps.
+    fn schedule(&self, actor: Arc<Actor>) {
+        let mut q = self.runq.lock().unwrap();
+        q.ready.push_back(actor);
+        if q.parked > 0 {
+            self.work.notify_one();
+        } else if q.quiescers > 0 {
+            self.quiet.notify_one();
+        }
+    }
+
+    /// Releases `n` in-flight slots; the release that reaches zero tells
+    /// every waiting quiescer, under the lock they checked the count
+    /// under.
+    fn release(&self, n: usize) {
+        if n > 0 && self.pending.fetch_sub(n, Ordering::SeqCst) == n {
+            let q = self.runq.lock().unwrap();
+            if q.quiescers > 0 {
+                self.quiet.notify_all();
+            }
         }
     }
 
@@ -692,74 +782,88 @@ impl Shared {
             self.timers.lock().unwrap().set(actor.id, Some(old), None);
         }
     }
+}
 
-    fn dec_pending(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.quiesce_mx.lock().unwrap();
-            self.quiesce_cv.notify_all();
+impl Executor {
+    fn new(stats_slot: usize, rng: SmallRng) -> Self {
+        Executor {
+            stats_slot,
+            rng,
+            batch: VecDeque::new(),
         }
     }
 }
 
-/// The worker thread body: pop actors, drain mailboxes, route replies.
-fn worker_loop(shared: Arc<Shared>, widx: usize, mut rng: SmallRng) {
+/// The worker thread body: pop an actor, run it, park when there is none.
+fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
-        let id = {
+        let actor = {
             let mut q = shared.runq.lock().unwrap();
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(id) = q.pop_front() {
-                    break id;
+                if let Some(actor) = q.ready.pop_front() {
+                    break actor;
                 }
-                q = shared.runq_cv.wait(q).unwrap();
+                q.parked += 1;
+                q = shared.work.wait(q).unwrap();
+                q.parked -= 1;
             }
         };
-        let Some(actor) = shared.actors.read().unwrap().get(&id).cloned() else {
-            continue; // removed while queued; its pending was reclaimed
-        };
-        let t0 = Instant::now();
-        let mut processed = 0u64;
-        loop {
-            if shared.stop.load(Ordering::SeqCst) {
+        run_actor(&shared, &actor, &mut me);
+    }
+}
+
+/// Runs one scheduled actor until its mailbox is empty: take the mail,
+/// hand it to the machine message by message, route the replies. The
+/// one delivery path — pool workers and [`Runtime::quiesce`] both call
+/// it.
+fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
+    let t0 = Instant::now();
+    let mut handled = 0u64;
+    while !shared.stop.load(Ordering::SeqCst) {
+        {
+            let mut mb = actor.mailbox.lock().unwrap();
+            if mb.queue.is_empty() {
+                mb.scheduled = false;
                 break;
             }
-            let batch: Vec<(Id, Message)> = {
-                let mut mb = actor.mailbox.lock().unwrap();
-                mb.drain(..).collect()
-            };
-            if batch.is_empty() {
-                actor.scheduled.store(false, Ordering::SeqCst);
-                // Re-arm race: mail may have landed between drain and store.
-                let refill = !actor.mailbox.lock().unwrap().is_empty();
-                if refill && !actor.scheduled.swap(true, Ordering::SeqCst) {
-                    continue;
-                }
-                break;
-            }
-            for (from, msg) in batch {
-                let outs = {
-                    let mut slot = actor.slot.lock().unwrap();
-                    let outs = slot.machine.on_message(from, msg, &mut rng);
+            std::mem::swap(&mut mb.queue, &mut me.batch);
+        }
+        for (from, msg) in me.batch.drain(..) {
+            let outs = {
+                let mut slot = actor.slot.lock().unwrap();
+                if slot.retired {
+                    None
+                } else {
+                    let outs = slot.machine.on_message(from, msg, &mut me.rng);
                     shared.after_step(actor.id, &mut slot);
-                    outs
-                };
-                for o in outs {
-                    shared.send(&actor, o);
+                    Some(outs)
                 }
-                // Count the delivery before releasing the in-flight slot:
-                // once `pending` hits zero a quiescent observer must see
-                // sent == delivered + dropped + bounced already settled.
-                shared.delivered.fetch_add(1, Ordering::Relaxed);
-                shared.dec_pending();
-                processed += 1;
+            };
+            // Book the envelope before releasing its in-flight slot:
+            // once `pending` hits zero a quiescent observer must see
+            // sent == delivered + dropped + bounced already settled.
+            match outs {
+                Some(outs) => {
+                    for o in outs {
+                        shared.send(actor, o);
+                    }
+                    shared.delivered.fetch_add(1, Ordering::Relaxed);
+                    handled += 1;
+                }
+                // Mail for a removed peer: see `Runtime::remove_peer`.
+                None => {
+                    shared.dropped.fetch_add(1, Ordering::Relaxed);
+                }
             }
+            shared.release(1);
         }
-        if processed > 0 {
-            shared.per_worker_msgs[widx].fetch_add(processed, Ordering::Relaxed);
-            shared.busy_ns[widx].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+    }
+    if handled > 0 {
+        shared.per_worker_msgs[me.stats_slot].fetch_add(handled, Ordering::Relaxed);
+        shared.busy_ns[me.stats_slot].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
