@@ -8,6 +8,21 @@
 //! * [`degree_load`] — the Figure 1(b) analysis: per-peer relative degree
 //!   load and total degree-volume utilisation.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod degree_load;
 pub mod series;
 pub mod stats;

@@ -20,6 +20,21 @@
 //! discovered by actual greedy routing (construction hops are counted)
 //! and in-degree budgets are enforced by refusal like everywhere else.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod builder;
 
 pub use builder::{ChordBuilder, ChordConfig};

@@ -19,6 +19,21 @@
 //!   function over degrees with exact-mean calibration, inverse-CDF
 //!   sampling, and pmf export (which is how Figure 1(a) is regenerated).
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod pmf;
 pub mod spiky;
 

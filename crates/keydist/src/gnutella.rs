@@ -72,7 +72,10 @@ impl GnutellaKeys {
         assert!(config.vocabulary > 0, "vocabulary must be non-empty");
         assert!(config.max_words >= 1);
         assert!((0.0..1.0).contains(&config.continuation_prob));
-        // lint:allow(rng-discipline, the corpus is rooted at an explicit caller-provided seed — a distribution entry point)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the corpus is rooted at an explicit caller-provided seed — a distribution entry point"
+        )]
         let mut rng = SeedTree::new(config.corpus_seed).child(0x90).rng();
         // Letter frequencies for leading characters: realistic corpora are
         // *not* uniform over the alphabet, which concentrates mass further.

@@ -113,7 +113,10 @@ impl ClusteredKeys {
     /// `seed`.
     pub fn new(k: usize, sigma: f64, s: f64, seed: u64) -> Self {
         assert!(k > 0);
-        // lint:allow(rng-discipline, cluster centers are rooted at an explicit caller-provided seed — a distribution entry point)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "cluster centers are rooted at an explicit caller-provided seed — a distribution entry point"
+        )]
         let mut rng = SeedTree::new(seed).child(0xC1u64).rng();
         let centers: Vec<f64> = (0..k).map(|_| rng.gen::<f64>()).collect();
         let cdf = zipf_cdf_table(k, s);

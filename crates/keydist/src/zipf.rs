@@ -48,7 +48,10 @@ impl ZipfKeys {
         let cdf = zipf_cdf_table(bins, s);
         let mut rank_to_bin: Vec<u32> = (0..bins as u32).collect();
         // Fisher-Yates with a derived RNG: deterministic scatter.
-        // lint:allow(rng-discipline, rank scatter is rooted at an explicit caller-provided seed — a distribution entry point)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "rank scatter is rooted at an explicit caller-provided seed — a distribution entry point"
+        )]
         let mut rng = SeedTree::new(seed).child(0x5CA7).rng();
         for i in (1..bins).rev() {
             let j = rng.gen_range(0..=i);

@@ -1,54 +1,85 @@
-//! `oscar-lint` — the workspace determinism & concurrency gate.
+//! `oscar-lint` — the two workspace checks no compiler pass can make.
 //!
-//! Guards the *source* invariants every seeded artifact depends on.
-//! Zero external dependencies; a lightweight tokenizer ([`lexer`]) feeds a small rule set ([`rules`]),
-//! a registry checker ([`registry`]) and a workspace walker
-//! ([`workspace`]). The binary front-end lives in `src/main.rs` and is
-//! wired into CI next to clippy.
+//! The determinism rules that are properties of *code* (no ad-hoc
+//! `SeedTree::new`, no wall clock, no hash-order iteration, no panics in
+//! the machines, no waiver without a reason) belong to clippy: see
+//! `clippy.toml`, each library crate's `lib.rs` attribute and
+//! ARCHITECTURE.md § "Static analysis & determinism rules". What is left
+//! here are the two properties of the *tree*:
+//!
+//! * **label-registry** — every `const LBL_*` seed label lives in the
+//!   generated registry `crates/types/src/labels.rs`, and the registry
+//!   repeats no value within one derivation scope ([`registry`]);
+//! * **crate-table** — ARCHITECTURE.md's crate table is what the
+//!   manifests render to ([`workspace`]).
+//!
+//! Zero dependencies, line-based. The binary front-end lives in
+//! `src/main.rs`; `--write-registry` regenerates both generated files.
 
-pub mod lexer;
 pub mod registry;
-pub mod rules;
 pub mod workspace;
 
-use registry::{parse_int, Label, Registry, Scope};
-use rules::{FileCtx, FileKind, Finding, REGISTRY_PATH};
+use registry::Scope;
 use std::fs;
 use std::path::Path;
 use workspace::{crate_table, crate_table_span, CRATE_TABLE_DOC};
 
-/// Lints the whole workspace under `root`. Findings are sorted by
+/// Repo-relative path of the generated seed-label registry.
+pub const REGISTRY_PATH: &str = "crates/types/src/labels.rs";
+
+/// One finding of either check.
+#[derive(Clone, Debug)]
+pub struct Finding {
+    /// `label-registry` or `crate-table`.
+    pub rule: &'static str,
+    /// Repo-relative file.
+    pub file: String,
+    /// 1-based line (0: the file as a whole).
+    pub line: u32,
+    /// Human explanation.
+    pub message: String,
+}
+
+impl Finding {
+    fn label(file: &str, line: u32, message: String) -> Self {
+        Finding {
+            rule: "label-registry",
+            file: file.to_string(),
+            line,
+            message,
+        }
+    }
+}
+
+/// Checks the whole workspace under `root`. Findings are sorted by
 /// (file, line, rule); an unreadable file is itself a finding.
 pub fn run_workspace(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (ctx, path) in workspace::workspace_files(root) {
-        match fs::read_to_string(&path) {
-            Ok(src) => out.extend(rules::lint_file(&ctx, &src)),
-            Err(e) => out.push(Finding {
-                rule: "allow-syntax",
-                file: ctx.rel_path.clone(),
-                line: 0,
-                snippet: String::new(),
-                message: format!("unreadable file: {e}"),
-            }),
+    for (rel, path) in workspace::source_files(root) {
+        let src = match fs::read_to_string(&path) {
+            Ok(src) => src,
+            Err(e) => {
+                out.push(Finding::label(&rel, 0, format!("unreadable file: {e}")));
+                continue;
+            }
+        };
+        for (line, name, _) in registry::stray_labels(&src) {
+            let message = format!(
+                "seed label `{name}` declared outside the registry: add it to {REGISTRY_PATH} \
+                 (oscar-lint --write-registry) and import it"
+            );
+            out.push(Finding::label(&rel, line, message));
         }
     }
     match fs::read_to_string(root.join(REGISTRY_PATH)) {
         Ok(src) => out.extend(registry::check_registry(&src)),
-        Err(e) => out.push(Finding {
-            rule: "label-registry",
-            file: REGISTRY_PATH.to_string(),
-            line: 0,
-            snippet: String::new(),
-            message: format!("missing seed-label registry: {e}"),
-        }),
+        Err(e) => {
+            let message = format!("missing seed-label registry: {e}");
+            out.push(Finding::label(REGISTRY_PATH, 0, message));
+        }
     }
     out.extend(check_crate_table(root));
-    out.sort_by(|a, b| {
-        (&a.file, a.line, a.rule)
-            .partial_cmp(&(&b.file, b.line, b.rule))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
 
@@ -71,7 +102,6 @@ fn check_crate_table(root: &Path) -> Option<Finding> {
         rule: "crate-table",
         file: CRATE_TABLE_DOC.to_string(),
         line,
-        snippet: String::new(),
         message: message.to_string(),
     })
 }
@@ -93,9 +123,6 @@ pub fn render_table(findings: &[Finding]) -> String {
             "{loc:<loc_w$}  {:<rule_w$}  {}\n",
             f.rule, f.message
         ));
-        if !f.snippet.is_empty() {
-            out.push_str(&format!("{:loc_w$}  {:rule_w$}  | {}\n", "", "", f.snippet));
-        }
     }
     out.push_str(&format!(
         "\noscar-lint: {} finding{}\n",
@@ -105,92 +132,44 @@ pub fn render_table(findings: &[Finding]) -> String {
     out
 }
 
-/// Machine-readable findings, one JSON object with a `findings` array.
-/// Hand-rolled — no serde.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"snippet\": {}, \"message\": {}}}",
-            json_str(f.rule),
-            json_str(&f.file),
-            f.line,
-            json_str(&f.snippet),
-            json_str(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}\n", findings.len()));
-    out
-}
-
-/// JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Regenerates the workspace's generated files. The seed-label
-/// registry: parses the existing one (if any), merges in stray
-/// `const LBL_*` declarations found in library and binary code, and
-/// rewrites `crates/types/src/labels.rs` canonically. ARCHITECTURE.md's
-/// crate table: re-rendered from the manifests between its markers,
-/// where the document and the markers exist. Returns the number of
-/// labels migrated in.
+/// registry: parses the existing one (if any), merges in the stray
+/// `const LBL_*` declarations found in the workspace, and rewrites
+/// `crates/types/src/labels.rs` canonically. ARCHITECTURE.md's crate
+/// table: re-rendered from the manifests between its markers, where the
+/// document and the markers exist. Returns the number of labels
+/// migrated in.
 pub fn write_registry(root: &Path) -> std::io::Result<usize> {
     let reg_path = root.join(REGISTRY_PATH);
-    let mut reg = match fs::read_to_string(&reg_path) {
+    let mut scopes = match fs::read_to_string(&reg_path) {
         Ok(src) => registry::parse_registry(&src).0,
-        Err(_) => Registry::default(),
+        Err(_) => Vec::new(),
     };
     let mut migrated = 0usize;
-    for (ctx, path) in workspace::workspace_files(root) {
-        if ctx.rel_path == REGISTRY_PATH
-            || matches!(ctx.kind, FileKind::TestHarness | FileKind::Example)
-        {
-            continue;
-        }
+    for (rel, path) in workspace::source_files(root) {
         let Ok(src) = fs::read_to_string(&path) else {
             continue;
         };
-        for label in stray_labels(&src) {
-            let scope_name = scope_for(&ctx);
-            let scope = match reg.scopes.iter_mut().find(|s| s.name == scope_name) {
-                Some(s) => s,
-                None => {
-                    reg.scopes.push(Scope {
-                        name: scope_name.clone(),
-                        labels: Vec::new(),
-                        line: 0,
-                    });
-                    reg.scopes.last_mut().expect("just pushed")
-                }
-            };
+        for (_, _, label) in registry::stray_labels(&src) {
+            let Some(label) = label else { continue };
+            let scope_name = scope_for(&rel);
+            let at = scopes.iter().position(|s| s.name == scope_name);
+            let at = at.unwrap_or_else(|| {
+                scopes.push(Scope {
+                    name: scope_name,
+                    labels: Vec::new(),
+                    line: 0,
+                });
+                scopes.len() - 1
+            });
+            let scope = &mut scopes[at];
             if !scope.labels.iter().any(|l| l.name == label.name) {
                 scope.labels.push(label);
                 migrated += 1;
             }
         }
     }
-    fs::write(&reg_path, registry::render_registry(&reg))?;
+    fs::write(&reg_path, registry::render_registry(&scopes))?;
     let doc_path = root.join(CRATE_TABLE_DOC);
     if let Ok(mut doc) = fs::read_to_string(&doc_path) {
         if let Some(span) = crate_table_span(&doc) {
@@ -201,50 +180,12 @@ pub fn write_registry(root: &Path) -> std::io::Result<usize> {
     Ok(migrated)
 }
 
-/// Non-test `const LBL_* = <int>;` declarations in one file.
-fn stray_labels(src: &str) -> Vec<Label> {
-    let lexed = lexer::lex(src);
-    let regions = lexer::test_regions(&lexed.toks);
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(1) {
-        if regions
-            .iter()
-            .any(|&(a, b)| toks[i].line >= a && toks[i].line <= b)
-        {
-            continue;
-        }
-        if !toks[i].is_ident("const") || !toks[i + 1].text.starts_with("LBL_") {
-            continue;
-        }
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct(';') && !toks[j].is_punct('=') {
-            j += 1;
-        }
-        if j + 1 < toks.len() && toks[j].is_punct('=') {
-            let lit = toks[j + 1].text.clone();
-            if let Some(value) = parse_int(&lit) {
-                out.push(Label {
-                    name: toks[i + 1].text.clone(),
-                    value,
-                    literal: lit,
-                    line: toks[i].line,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Mechanical derivation-scope name for a file:
+/// Mechanical derivation-scope name for a repo-relative file:
 /// `crates/sim/src/overlay.rs` → `sim_overlay`,
 /// `crates/bench/src/storm.rs` → `bench_storm`,
 /// `src/lib.rs` → `oscar`.
-pub fn scope_for(ctx: &FileCtx) -> String {
-    let rel = ctx
-        .rel_path
-        .strip_prefix("crates/")
-        .unwrap_or(&ctx.rel_path);
+pub fn scope_for(rel_path: &str) -> String {
+    let rel = rel_path.strip_prefix("crates/").unwrap_or(rel_path);
     let rel = rel.strip_suffix(".rs").unwrap_or(rel);
     let parts: Vec<&str> = rel
         .split('/')
@@ -263,49 +204,10 @@ mod tests {
 
     #[test]
     fn scope_names_are_mechanical() {
-        let ctx = |rel: &str, kind| FileCtx {
-            crate_name: "x".into(),
-            rel_path: rel.into(),
-            kind,
-        };
-        assert_eq!(
-            scope_for(&ctx("crates/sim/src/overlay.rs", FileKind::Lib)),
-            "sim_overlay"
-        );
-        assert_eq!(
-            scope_for(&ctx("crates/runtime/src/lib.rs", FileKind::Lib)),
-            "runtime"
-        );
-        assert_eq!(
-            scope_for(&ctx("crates/bench/src/storm.rs", FileKind::Lib)),
-            "bench_storm"
-        );
-        assert_eq!(scope_for(&ctx("src/lib.rs", FileKind::Lib)), "oscar");
-    }
-
-    #[test]
-    fn stray_label_extraction_skips_tests() {
-        let src = "const LBL_A: u64 = 0x2A;\n#[cfg(test)]\nmod t { const LBL_B: u64 = 3; }\n";
-        let labels = stray_labels(src);
-        assert_eq!(labels.len(), 1);
-        assert_eq!(labels[0].name, "LBL_A");
-        assert_eq!(labels[0].value, 0x2A);
-        assert_eq!(labels[0].literal, "0x2A");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        let f = Finding {
-            rule: "iter-order",
-            file: "f.rs".into(),
-            line: 3,
-            snippet: "for k in map.keys() {".into(),
-            message: "m".into(),
-        };
-        let json = render_json(&[f]);
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("\"rule\": \"iter-order\""));
+        assert_eq!(scope_for("crates/sim/src/overlay.rs"), "sim_overlay");
+        assert_eq!(scope_for("crates/runtime/src/lib.rs"), "runtime");
+        assert_eq!(scope_for("crates/bench/src/storm.rs"), "bench_storm");
+        assert_eq!(scope_for("src/lib.rs"), "oscar");
     }
 
     #[test]
@@ -314,13 +216,20 @@ mod tests {
             rule,
             file: file.into(),
             line,
-            snippet: "x".into(),
             message: "msg".into(),
         };
         let t = render_table(&[
-            f("a.rs", 1, "iter-order"),
-            f("longer/path.rs", 22, "wall-clock"),
+            f("a.rs", 1, "label-registry"),
+            f("ARCHITECTURE.md", 22, "crate-table"),
         ]);
+        assert!(
+            t.contains("a.rs:1              label-registry  msg\n"),
+            "{t}"
+        );
+        assert!(
+            t.contains("ARCHITECTURE.md:22  crate-table     msg\n"),
+            "{t}"
+        );
         assert!(t.contains("2 findings"));
         assert!(render_table(&[]).contains("clean"));
     }

@@ -1,4 +1,4 @@
-//! CLI front-end: `oscar-lint [--root DIR] [--json] [--write-registry]`.
+//! CLI front-end: `oscar-lint [--root DIR] [--write-registry]`.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 
@@ -7,12 +7,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut write_registry = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--write-registry" => write_registry = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
@@ -20,11 +18,13 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "oscar-lint [--root DIR] [--json] [--write-registry]\n\n\
-                     Walks the workspace and enforces the determinism rule set\n\
-                     (rng-discipline, label-registry, iter-order, wall-clock,\n\
-                     panic-policy) plus the freshness of ARCHITECTURE.md's crate\n\
-                     table. --write-registry regenerates both generated files:\n\
+                    "oscar-lint [--root DIR] [--write-registry]\n\n\
+                     Walks the workspace and checks what clippy cannot see: every\n\
+                     const LBL_* seed label lives in the generated registry, which\n\
+                     repeats no value within a scope (label-registry), and\n\
+                     ARCHITECTURE.md's crate table is fresh (crate-table). The\n\
+                     other determinism rules are clippy's (clippy.toml).\n\
+                     --write-registry regenerates both generated files:\n\
                      crates/types/src/labels.rs from stray const LBL_* decls and\n\
                      that table from the crates' manifests."
                 );
@@ -60,11 +60,7 @@ fn main() -> ExitCode {
         }
     }
     let findings = oscar_lint::run_workspace(&root);
-    if json {
-        print!("{}", oscar_lint::render_json(&findings));
-    } else {
-        print!("{}", oscar_lint::render_table(&findings));
-    }
+    print!("{}", oscar_lint::render_table(&findings));
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {

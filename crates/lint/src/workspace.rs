@@ -1,16 +1,16 @@
-//! Workspace walking: find the repo root, enumerate lintable `.rs`
-//! files, and classify each into a [`FileCtx`].
+//! Workspace walking: find the repo root and enumerate the `.rs` files
+//! the label scan reads.
 //!
 //! The layout is fixed by convention, not read from Cargo metadata:
-//! `crates/<dir>/{src,tests}` plus the root facade's
+//! everything under `crates/` plus the root facade's
 //! `src`/`tests`/`examples`. `vendor/` (dependency stubs), `target/`,
-//! and the lint fixture corpus are never linted.
+//! the registry itself and the lint fixture corpus are never scanned.
 //!
 //! The same walk renders ARCHITECTURE.md's crate table
 //! ([`crate_table`]) from the members' manifests, so the document's
 //! dependency edges and crate counts cannot drift from `Cargo.toml`.
 
-use crate::rules::{FileCtx, FileKind};
+use crate::REGISTRY_PATH;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -30,19 +30,14 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// All lintable files under `root`, each with its scoping context,
-/// sorted by path so output and JSON are stable.
-pub fn workspace_files(root: &Path) -> Vec<(FileCtx, PathBuf)> {
+/// Every scanned file under `root` as `(repo-relative path, path)`,
+/// sorted by path so output is stable.
+pub fn source_files(root: &Path) -> Vec<(String, PathBuf)> {
     let mut out = Vec::new();
-    for (crate_name, dir) in members(root) {
-        collect_tree(root, &dir.join("src"), &crate_name, &mut out);
-        collect_tree(root, &dir.join("tests"), &crate_name, &mut out);
+    for top in ["crates", "src", "tests", "examples"] {
+        collect_tree(root, &root.join(top), &mut out);
     }
-    // Root facade package.
-    collect_tree(root, &root.join("src"), "oscar", &mut out);
-    collect_tree(root, &root.join("tests"), "oscar", &mut out);
-    collect_tree(root, &root.join("examples"), "oscar", &mut out);
-    out.sort_by(|a, b| a.0.rel_path.cmp(&b.0.rel_path));
+    out.sort();
     out
 }
 
@@ -132,9 +127,9 @@ pub fn crate_table_span(doc: &str) -> Option<std::ops::Range<usize>> {
     Some(start..end)
 }
 
-/// Recursively collects `.rs` files under `base` (a src/tests dir)
-/// into `out`, skipping the fixture corpus.
-fn collect_tree(root: &Path, base: &Path, crate_name: &str, out: &mut Vec<(FileCtx, PathBuf)>) {
+/// Recursively collects `.rs` files under `base` into `out`, skipping
+/// the registry and the fixture corpus.
+fn collect_tree(root: &Path, base: &Path, out: &mut Vec<(String, PathBuf)>) {
     let mut stack = vec![base.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = fs::read_dir(&dir) else {
@@ -145,41 +140,13 @@ fn collect_tree(root: &Path, base: &Path, crate_name: &str, out: &mut Vec<(FileC
             if path.is_dir() {
                 stack.push(path);
             } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
-                let rel = rel_path(root, &path);
-                if rel.contains("/fixtures/") {
-                    continue;
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                let rel = rel.to_string_lossy().replace('\\', "/");
+                if rel != REGISTRY_PATH && !rel.contains("/fixtures/") {
+                    out.push((rel, path));
                 }
-                let ctx = FileCtx {
-                    crate_name: crate_name.to_string(),
-                    rel_path: rel.clone(),
-                    kind: classify(&rel),
-                };
-                out.push((ctx, path));
             }
         }
-    }
-}
-
-/// Repo-relative path with `/` separators.
-fn rel_path(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-/// Path-convention classification (see [`FileKind`]).
-pub fn classify(rel: &str) -> FileKind {
-    if rel.contains("/src/bin/") || rel.ends_with("/src/main.rs") {
-        FileKind::Bin
-    } else if rel.starts_with("examples/") || rel.contains("/examples/") {
-        FileKind::Example
-    } else if rel.starts_with("tests/") || rel.contains("/tests/") {
-        FileKind::TestHarness
-    } else {
-        FileKind::Lib
     }
 }
 
@@ -188,28 +155,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_by_path() {
-        assert_eq!(classify("crates/sim/src/overlay.rs"), FileKind::Lib);
-        assert_eq!(classify("crates/bench/src/main.rs"), FileKind::Bin);
-        assert_eq!(
-            classify("crates/runtime/tests/shutdown_stress.rs"),
-            FileKind::TestHarness
-        );
-        assert_eq!(classify("tests/determinism.rs"), FileKind::TestHarness);
-        assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
-        assert_eq!(classify("src/lib.rs"), FileKind::Lib);
-    }
-
-    #[test]
     fn finds_this_workspace() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_root(here).expect("workspace root");
         assert!(root.join("Cargo.toml").exists());
-        let files = workspace_files(&root);
-        let rels: Vec<&str> = files.iter().map(|(c, _)| c.rel_path.as_str()).collect();
+        let files = source_files(&root);
+        let rels: Vec<&str> = files.iter().map(|(rel, _)| rel.as_str()).collect();
         assert!(rels.contains(&"crates/sim/src/overlay.rs"));
-        assert!(rels.contains(&"crates/lint/src/lexer.rs"));
-        // Fixtures and vendor stubs are never linted.
+        assert!(rels.contains(&"crates/lint/tests/exit_codes.rs"));
+        assert!(rels.contains(&"examples/quickstart.rs"));
+        // The registry, fixtures and vendor stubs are never scanned.
+        assert!(!rels.contains(&REGISTRY_PATH));
         assert!(rels.iter().all(|r| !r.contains("/fixtures/")));
         assert!(rels.iter().all(|r| !r.starts_with("vendor/")));
         // Sorted for stable output.

@@ -21,6 +21,21 @@
 //! Giving the baseline oracle information it would have to estimate makes
 //! the measured gap a lower bound on the real one.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod builder;
 pub mod config;
 pub mod links;

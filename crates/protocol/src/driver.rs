@@ -23,10 +23,11 @@ use std::collections::BTreeSet;
 ///
 /// Time model: drivers expose a monotone *round* counter — the DES
 /// equates it with timer rounds on its virtual clock, the threaded
-/// runtime ticks it at quiescent points. [`ProtocolDriver::advance_to`]
-/// runs message delivery and timer ticks until the counter reaches the
-/// target, which is what lets one churn engine schedule Poisson events
-/// on either clock.
+/// runtime ticks it at quiescent points. The churn engine's machine
+/// world paces itself with [`ProtocolDriver::settle`] alone;
+/// [`ProtocolDriver::advance_to`] and [`ProtocolDriver::round`] are for
+/// callers that slice time themselves (the fault sweep's storm reads the
+/// counter; driver tests and the benchmark's tracing wrapper advance it).
 pub trait ProtocolDriver {
     /// Adds a fresh, unjoined machine for `id`. No-op if it exists.
     fn spawn_peer(&mut self, id: Id);

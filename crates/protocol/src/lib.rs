@@ -24,6 +24,27 @@
 //! matter which peer, thread, or driver advances it. Only gossip draws
 //! from the driver-supplied RNG.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod driver;
 pub mod fault;
 pub mod logic;

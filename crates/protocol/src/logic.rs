@@ -23,7 +23,10 @@ use rand::Rng;
 /// proposing).
 #[inline]
 pub fn uniform_index<R: Rng + ?Sized>(n: usize, rng: &mut R) -> usize {
-    // lint:allow(rng-discipline, shared MH kernel — the caller passes its own stream and owns the draw order)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shared MH kernel — the caller passes its own stream and owns the draw order"
+    )]
     rng.gen_range(0..n)
 }
 

@@ -28,7 +28,8 @@ pub enum RepairPolicy {
     OnProbe,
 }
 
-/// Tunables of one peer (uniform across a deployment in this PR).
+/// Tunables of one peer. Both drivers hand every machine of a fleet the
+/// same value; per-peer caps are ROADMAP item 1(c).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PeerConfig {
     /// Successor-list length (ring resilience).

@@ -42,7 +42,10 @@ use tables::{NearSet, Op, OpTable, Recent};
 /// deployment seed yields the same walk-token streams in all worlds —
 /// the cross-driver equivalence test depends on it.
 pub fn peer_seed(root_seed: u64, id: Id) -> u64 {
-    // lint:allow(rng-discipline, this is THE canonical entry point every driver shares to root per-peer streams)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is THE canonical entry point every driver shares to root per-peer streams"
+    )]
     SeedTree::new(root_seed).child2(LBL_PEER, id.raw()).seed()
 }
 

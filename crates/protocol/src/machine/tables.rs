@@ -87,7 +87,10 @@ pub(super) struct OpTable {
 impl OpTable {
     pub(super) fn new(machine_seed: u64) -> Self {
         OpTable {
-            // lint:allow(rng-discipline, retry streams root at the machine's own deterministic seed keyed by the operation)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "retry streams root at the machine's own deterministic seed keyed by the operation"
+            )]
             retry_root: SeedTree::new(machine_seed).child(LBL_RETRY),
             now: 0,
             entries: Vec::new(),

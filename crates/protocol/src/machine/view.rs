@@ -14,7 +14,10 @@ impl PeerMachine {
         let want = want.min(self.known.len());
         let mut idxs: Vec<usize> = (0..self.known.len()).collect();
         for i in 0..want {
-            // lint:allow(rng-discipline, gossip is the one driver-RNG activity by design — it never feeds a measured artifact)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "gossip is the one driver-RNG activity by design — it never feeds a measured artifact"
+            )]
             let j = i + (rng.next_u64() as usize) % (idxs.len() - i);
             idxs.swap(i, j);
         }

@@ -39,7 +39,10 @@ impl PeerMachine {
     /// baselines realise exactly these streams); retries derive a fresh
     /// child stream so the re-launched walk takes a different path.
     pub(super) fn walk_token(&self, walk_id: u64, attempt: u32) -> WalkToken {
-        // lint:allow(rng-discipline, walk tokens root at the machine's own deterministic seed keyed by walk_id)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "walk tokens root at the machine's own deterministic seed keyed by walk_id"
+        )]
         let node = SeedTree::new(self.seed).child2(LBL_WALK, walk_id);
         let seed = if attempt == 0 {
             node.seed()
@@ -150,7 +153,10 @@ impl PeerMachine {
             samples: targets.len(),
         });
         for (walk_id, target) in targets {
-            // lint:allow(rng-discipline, link nonces root at the machine's own deterministic seed keyed by walk_id)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "link nonces root at the machine's own deterministic seed keyed by walk_id"
+            )]
             let nonce = SeedTree::new(self.seed).child2(LBL_LINK, walk_id).seed();
             let link = Op::Link {
                 target,

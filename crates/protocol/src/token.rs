@@ -36,7 +36,6 @@ impl TokenRng {
     /// Uniform draw on `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn unit_f64(&mut self) -> f64 {
-        // lint:allow(rng-discipline, TokenRng IS the token-carried stream — these are its own primitives)
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -45,7 +44,6 @@ impl TokenRng {
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot sample an index from an empty range");
-        // lint:allow(rng-discipline, TokenRng IS the token-carried stream — these are its own primitives)
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 

@@ -20,6 +20,27 @@
 //! membership change, Θ(n²) growth) survives as the test-only
 //! `reference::VecRing`, the oracle for the equivalence property tests.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 #[cfg(test)]
 pub mod reference;
 pub mod ring;

@@ -63,6 +63,10 @@ fn size(link: &Link) -> usize {
 
 /// Rotates the subtree right: the left child becomes the root.
 fn rotate_right(slot: &mut Box<Node>) {
+    #[expect(
+        clippy::expect_used,
+        reason = "callers rotate right only when the left child's priority was just read"
+    )]
     let mut l = slot
         .left
         .take()
@@ -77,6 +81,10 @@ fn rotate_right(slot: &mut Box<Node>) {
 
 /// Rotates the subtree left: the right child becomes the root.
 fn rotate_left(slot: &mut Box<Node>) {
+    #[expect(
+        clippy::expect_used,
+        reason = "callers rotate left only when the right child's priority was just read"
+    )]
     let mut r = slot
         .right
         .take()
@@ -88,6 +96,10 @@ fn rotate_left(slot: &mut Box<Node>) {
     slot.update();
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "`inserted` means the recursion just filled that child slot; an `if` condition takes no attribute"
+)]
 fn insert_into(slot: &mut Link, id: Id) -> bool {
     let Some(node) = slot else {
         *slot = Some(Node::new(id));
@@ -245,6 +257,10 @@ impl Treap {
     ///
     /// # Panics
     /// If `rank >= len()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "`rank < len()` is asserted and subtree counts steer the descent, so each child stepped into exists"
+    )]
     pub fn select(&self, mut rank: usize) -> Id {
         assert!(rank < self.len(), "rank {rank} out of range");
         let mut cur = self.root.as_ref().expect("non-empty by the assert");

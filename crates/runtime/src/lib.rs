@@ -51,6 +51,21 @@
 //! here and in the DES — asserted by the cross-driver equivalence test
 //! in the workspace root.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 use oscar_protocol::{
     machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
     ProtocolDriver, ProtocolEvent, TimerIndex,
@@ -269,7 +284,10 @@ impl Runtime {
         let handles = (0..workers)
             .map(|w| {
                 let sh = Arc::clone(&shared);
-                // lint:allow(rng-discipline, worker gossip streams root at the runtime config seed — the deployment entry point)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "worker gossip streams root at the runtime config seed — the deployment entry point"
+                )]
                 let rng = SeedTree::new(cfg.seed).child2(LBL_WORKER, w as u64).rng();
                 std::thread::Builder::new()
                     .name(format!("oscar-worker-{w}"))
@@ -396,7 +414,10 @@ impl Runtime {
     /// must not replay the same draws every round.
     fn fresh_stream(&self) -> SmallRng {
         let nonce = self.shared.inject_nonce.fetch_add(1, Ordering::Relaxed);
-        // lint:allow(rng-discipline, inject and helper streams are keyed by nonce so thread interleaving cannot reorder draws)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "inject and helper streams are keyed by nonce so thread interleaving cannot reorder draws"
+        )]
         SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng()
     }
 
@@ -820,6 +841,10 @@ fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
 /// one delivery path — pool workers and [`Runtime::quiesce`] both call
 /// it.
 fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runtime's one clock read: busy time per executor, a RuntimeStats field no seeded artifact includes"
+    )]
     let t0 = Instant::now();
     let mut handled = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {

@@ -46,6 +46,27 @@
 //! `Sync`: the parallel experiment drivers in `oscar-bench` give every
 //! worker thread its own network and never share one.
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub mod churn;
 pub mod churn_engine;
 pub mod churn_machine;

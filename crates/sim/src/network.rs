@@ -315,6 +315,10 @@ impl Network {
     /// If `rank >= live_count()`.
     pub fn live_peer_by_rank(&self, rank: usize) -> PeerIdx {
         let id = self.ring_live.select(rank);
+        #[expect(
+            clippy::expect_used,
+            reason = "every id in `ring_live` is a key of `by_id`: peers enter both together and leave `ring_live` first"
+        )]
         self.idx_of(id).expect("live ring ids are registered")
     }
 

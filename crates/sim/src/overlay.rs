@@ -37,7 +37,10 @@ impl<B: OverlayBuilder> Overlay<B> {
         Overlay {
             net: Network::new(fault_model),
             builder,
-            // lint:allow(rng-discipline, the overlay facade is the experiment entry point that roots the tree)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the overlay facade is the experiment entry point that roots the tree"
+            )]
             seed: SeedTree::new(seed),
             rewire_rounds: 0,
             query_batches: 0,

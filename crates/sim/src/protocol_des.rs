@@ -203,7 +203,10 @@ impl DesDriver {
     pub fn inject(&mut self, id: Id, cmd: Command) -> bool {
         // Fresh per-command stream, mirroring the runtime's inject nonce.
         self.cmd_nonce += 1;
-        // lint:allow(rng-discipline, per-command stream keyed by nonce — mirrors the runtime driver byte-for-byte)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-command stream keyed by nonce — mirrors the runtime driver byte-for-byte"
+        )]
         let mut rng = SeedTree::new(self.seed)
             .child2(LBL_CMD, self.cmd_nonce)
             .rng();
@@ -365,7 +368,10 @@ impl DesDriver {
         self.cmd_nonce += 1;
         if let Some(peer) = self.peers.get_mut(&env.to) {
             self.delivered += 1;
-            // lint:allow(rng-discipline, per-delivery stream keyed by nonce — mirrors the runtime driver byte-for-byte)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-delivery stream keyed by nonce — mirrors the runtime driver byte-for-byte"
+            )]
             let mut rng = SeedTree::new(self.seed)
                 .child2(LBL_CMD, self.cmd_nonce)
                 .rng();

@@ -90,14 +90,20 @@ impl Id {
     ///
     /// Deliberately not `std::ops::Add`: the operand is a *distance*, not
     /// another position, and the semantics are wrapping.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "the operand is a distance, not a position, and the semantics are wrapping"
+    )]
     #[inline]
     pub fn add(self, offset: u64) -> Id {
         Id(self.0.wrapping_add(offset))
     }
 
     /// The position reached by walking `offset` steps counter-clockwise.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "the operand is a distance, not a position, and the semantics are wrapping"
+    )]
     #[inline]
     pub fn sub(self, offset: u64) -> Id {
         Id(self.0.wrapping_sub(offset))

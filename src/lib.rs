@@ -44,6 +44,21 @@
 //! | [`chord`] | the Chord finger-table baseline (skew-oblivious control) |
 //! | [`analytics`] | statistics, series tables and the degree-load analysis for the harness |
 
+// The determinism rules in force in this crate's library code; `clippy.toml`
+// lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
+// determinism rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::allow_attributes_without_reason,
+        clippy::iter_over_hash_type
+    )
+)]
+
+#[cfg(clippy)]
+mod lint_canaries;
+
 pub use oscar_analytics as analytics;
 pub use oscar_chord as chord;
 pub use oscar_core as core;
