@@ -20,9 +20,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub mod degree_load;
 pub mod series;
 pub mod stats;

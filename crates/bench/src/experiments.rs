@@ -1,7 +1,7 @@
 //! The experiment drivers behind every figure.
 
 use crate::parallel::{run_tasks, Task};
-use crate::scale::{MachineKnobs, Scale};
+use crate::scale::Scale;
 use oscar_analytics::{degree_load_curve, degree_volume_utilization};
 use oscar_degree::DegreeDistribution;
 use oscar_keydist::{KeyDistribution, QueryWorkload};
@@ -316,7 +316,7 @@ pub fn run_steady_churn_on<B: OverlayBuilder + Sync + ?Sized>(
 /// churn level of `schedules` runs on its own [`DesDriver`]-hosted
 /// [`oscar_protocol::PeerMachine`] fleet (bootstrapped to `scale.target`
 /// peers by real joins), with the level's repair policy mapped onto the
-/// machines via [`machine_repair_policy`] and retuned by `knobs`.
+/// machines via [`machine_repair_policy`].
 ///
 /// Unlike the oracle world there is no pre-grown substrate and no free
 /// failure detection — every repair in the window books is protocol
@@ -336,7 +336,6 @@ pub fn run_machine_churn_experiment(
     scale: &Scale,
     schedules: &[(String, ChurnSchedule)],
     windows: usize,
-    knobs: MachineKnobs,
 ) -> Result<(Vec<SteadyChurnResult>, u64)> {
     let seed = SeedTree::new(scale.seed);
     let tasks: Vec<Task<MachineLevelRun>> = schedules
@@ -345,10 +344,10 @@ pub fn run_machine_churn_experiment(
         .map(|(i, (_, schedule))| {
             let run_seed = seed.child2(LBL_MACHINE, i as u64);
             Box::new(move || {
-                let peer_cfg = knobs.apply(PeerConfig {
+                let peer_cfg = PeerConfig {
                     repair: machine_repair_policy(&schedule.repair),
                     ..PeerConfig::default()
-                });
+                };
                 let mut driver = DesDriver::new(run_seed.seed(), peer_cfg);
                 let cfg = MachineChurnConfig {
                     initial_peers: scale.target,

@@ -38,7 +38,7 @@ pub use experiments::{
 };
 pub use parallel::{run_tasks, Task};
 pub use report::Report;
-pub use scale::{reject_unused_knobs, MachineKnobs, Scale};
+pub use scale::{reject_unused_knobs, Scale};
 pub use scenario::{
     render_scenario_report, run_all_scenarios, run_phases, run_scenario, scenario_tag,
     standard_scenarios, write_scenario_csv, write_scenario_report, Check, CheckOutcome, DegreeKind,

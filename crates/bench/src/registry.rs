@@ -21,7 +21,7 @@ use crate::figures::{
 };
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
-use crate::scale::{MachineKnobs, Scale, BASE_KNOBS};
+use crate::scale::{Scale, BASE_KNOBS};
 use crate::scenario::{
     run_all_scenarios, scenario_suite_summary, write_scenario_csv, write_scenario_report,
 };
@@ -118,12 +118,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         name: "churn-machine",
         about: "the same ladder through PeerMachine fleets on the DES; fails on any machine \
                 fault (BENCH_churn_machine.json)",
-        knobs: &[
-            CHURN_WINDOWS,
-            "OSCAR_DEDUP_WINDOW",
-            "OSCAR_MAX_RETRIES",
-            "OSCAR_REPAIR_K",
-        ],
+        knobs: &[CHURN_WINDOWS],
         run: churn_machine,
     },
     Experiment {
@@ -137,7 +132,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         name: "faults",
         about: "loss/duplication/jitter sweep on both drivers; fails under 99% delivery, over \
                 3.0 retry amplification, or on any machine fault (BENCH_faults.json)",
-        knobs: &["OSCAR_FAULT_QUERIES"],
+        knobs: &[],
         run: crate::storm::faults,
     },
     Experiment {
@@ -170,7 +165,7 @@ struct KnobDoc {
 }
 
 /// Every knob the harness parses: [`BASE_KNOBS`] first, then the extras.
-const KNOB_DOCS: [KnobDoc; 9] = [
+const KNOB_DOCS: [KnobDoc; 5] = [
     KnobDoc {
         name: "OSCAR_SCALE",
         default: "10000",
@@ -197,26 +192,6 @@ const KNOB_DOCS: [KnobDoc; 9] = [
         name: CHURN_WINDOWS,
         default: "8",
         meaning: "measurement windows per churn level / phase cell (>= 2)",
-    },
-    KnobDoc {
-        name: "OSCAR_DEDUP_WINDOW",
-        default: "`PeerConfig` (128)",
-        meaning: "per-peer duplicate-suppression window, messages",
-    },
-    KnobDoc {
-        name: "OSCAR_MAX_RETRIES",
-        default: "`PeerConfig` (3)",
-        meaning: "retry budget per reliable operation (0 disables retries)",
-    },
-    KnobDoc {
-        name: "OSCAR_REPAIR_K",
-        default: "level's policy",
-        meaning: "ring-probe depth of an already-reactive repair policy",
-    },
-    KnobDoc {
-        name: "OSCAR_FAULT_QUERIES",
-        default: "2",
-        meaning: "queries per peer per cell of the fault sweep",
     },
 ];
 
@@ -393,11 +368,10 @@ fn emit_steady_churn(
 /// The same ladder through the protocol stack: each level bootstraps a
 /// `PeerMachine` fleet on its own DES by real joins and runs
 /// `oscar_sim::run_machine_churn`, where death must be *detected* (ring
-/// probes, bounced sends) and every repair is messages. Honours the
-/// [`MachineKnobs`]; fails if any `ProtocolEvent::Fault` fires.
+/// probes, bounced sends) and every repair is messages. Fails if any
+/// `ProtocolEvent::Fault` fires.
 fn churn_machine(scale: &Scale) -> RunResult {
     let windows = Scale::churn_windows_from_env()?;
-    let knobs = MachineKnobs::from_env()?;
     let schedules = standard_churn_schedules(scale);
     eprintln!(
         "[churn-machine] bootstrapping {}-peer machine fleets, then {windows} windows x {} \
@@ -407,7 +381,7 @@ fn churn_machine(scale: &Scale) -> RunResult {
     );
     let t_engine = Instant::now();
     let (results, faults) =
-        run_machine_churn_experiment(&GnutellaKeys::default(), scale, &schedules, windows, knobs)?;
+        run_machine_churn_experiment(&GnutellaKeys::default(), scale, &schedules, windows)?;
     let timing = ChurnTiming {
         grow_secs: 0.0,
         engine_secs: t_engine.elapsed().as_secs_f64(),

@@ -40,9 +40,8 @@ impl Report {
 
     /// Where CSVs land: `$OSCAR_RESULTS_DIR` or `results/`.
     pub fn results_dir() -> PathBuf {
-        std::env::var("OSCAR_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"))
+        std::env::var_os("OSCAR_RESULTS_DIR")
+            .map_or_else(|| PathBuf::from("results"), PathBuf::from)
     }
 
     /// Prints the report (table + notes) and writes `name.csv`.

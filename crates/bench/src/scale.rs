@@ -15,23 +15,19 @@
 //! minutes and then be mistaken for the intended quick run. Which
 //! experiment reads which knob is declared in [`crate::registry`].
 
-use oscar_protocol::PeerConfig;
 use oscar_types::{Error, Result};
 use std::str::FromStr;
 
 /// Reads the knob `name` from the environment: unset is `None`; a value
-/// that parses as `T` and passes `valid` is `Some`; anything else is
-/// [`Error::InvalidConfig`] naming the knob and what it `expects`.
-pub fn knob<T: FromStr>(
-    name: &str,
-    expects: &str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<Option<T>> {
-    let Ok(raw) = std::env::var(name) else {
+/// that parses as `T` and passes `valid` is `Some`; anything else — a
+/// value that is not Unicode included — is [`Error::InvalidConfig`]
+/// naming the knob and what it `expects`.
+fn knob<T: FromStr>(name: &str, expects: &str, valid: impl Fn(&T) -> bool) -> Result<Option<T>> {
+    let Some(raw) = std::env::var_os(name) else {
         return Ok(None);
     };
-    match raw.trim().parse::<T>() {
-        Ok(v) if valid(&v) => Ok(Some(v)),
+    match raw.to_str().and_then(|s| s.trim().parse::<T>().ok()) {
+        Some(v) if valid(&v) => Ok(Some(v)),
         _ => Err(Error::InvalidConfig(format!(
             "{name} must be {expects}, got {raw:?}"
         ))),
@@ -175,10 +171,12 @@ pub const BASE_KNOBS: [&str; 4] = [
 /// An exported-but-unread knob used to be a silent no-op: setting
 /// `OSCAR_CHURN_WINDOWS` for `fig1a`, or typo'ing `OSCAR_CHURN_WINDOW`,
 /// ran the default experiment and was then mistaken for the tuned one.
-/// Like the parse errors above, ignoring is worse than refusing.
+/// Like the parse errors above, ignoring is worse than refusing. Names
+/// are read lossily: a non-Unicode `OSCAR_*` name matches no knob and is
+/// refused with the rest; any other variable is none of our business.
 pub fn reject_unused_knobs(extra: &[&str]) -> Result<()> {
-    let mut unused: Vec<String> = std::env::vars()
-        .map(|(k, _)| k)
+    let mut unused: Vec<String> = std::env::vars_os()
+        .map(|(k, _)| k.to_string_lossy().into_owned())
         .filter(|k| {
             k.starts_with("OSCAR_")
                 && !BASE_KNOBS.contains(&k.as_str())
@@ -194,64 +192,6 @@ pub fn reject_unused_knobs(extra: &[&str]) -> Result<()> {
          (the knob table of ARCHITECTURE.md) for which experiment does",
         unused.join(", ")
     )))
-}
-
-/// Protocol-machine tunables from the environment, read by the one
-/// experiment that declares them — `churn-machine`, whose
-/// [`oscar_protocol::PeerMachine`] fleets they retune:
-///
-/// * `OSCAR_DEDUP_WINDOW` — per-peer duplicate-suppression window
-///   (messages remembered; default [`PeerConfig::default`]'s 128);
-/// * `OSCAR_MAX_RETRIES` — retry budget per reliable op (default 3);
-/// * `OSCAR_REPAIR_K` — ring-probe depth for the reactive repair policy
-///   (applies only when the level's policy is `ReactiveK`).
-///
-/// `faults` fixes its own machine configuration and rejects all three,
-/// as does the oracle-engine `churn`, which has no machines to tune.
-/// Unset knobs leave the base configuration untouched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MachineKnobs {
-    /// Override for [`PeerConfig::dedup_window`].
-    pub dedup_window: Option<usize>,
-    /// Override for [`PeerConfig::max_retries`].
-    pub max_retries: Option<u32>,
-    /// Override for the `ReactiveK` probe depth.
-    pub repair_k: Option<usize>,
-}
-
-impl MachineKnobs {
-    /// Reads the three knobs from the environment. Unset means `None`.
-    pub fn from_env() -> Result<Self> {
-        Ok(MachineKnobs {
-            dedup_window: knob("OSCAR_DEDUP_WINDOW", "a positive message count", |&w| {
-                w >= 1
-            })?,
-            max_retries: knob(
-                "OSCAR_MAX_RETRIES",
-                "a retry count (0 disables retries)",
-                |_| true,
-            )?,
-            repair_k: knob("OSCAR_REPAIR_K", "a positive probe depth", |&k| k >= 1)?,
-        })
-    }
-
-    /// Applies the set knobs on top of a base `PeerConfig`. `repair_k`
-    /// only retunes an already-reactive policy — it never changes
-    /// *which* policy a run uses, only how deep it probes.
-    pub fn apply(&self, mut cfg: PeerConfig) -> PeerConfig {
-        if let Some(w) = self.dedup_window {
-            cfg.dedup_window = w;
-        }
-        if let Some(r) = self.max_retries {
-            cfg.max_retries = r;
-        }
-        if let Some(k) = self.repair_k {
-            if let oscar_protocol::RepairPolicy::ReactiveK { .. } = cfg.repair {
-                cfg.repair = oscar_protocol::RepairPolicy::ReactiveK { k };
-            }
-        }
-        cfg
-    }
 }
 
 #[cfg(test)]
@@ -338,69 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn machine_knobs_parse_apply_or_error_loudly() {
-        let _lock = crate::env_guard::lock();
-        let _cleanup = crate::env_guard::RemoveOnDrop(&[
-            "OSCAR_DEDUP_WINDOW",
-            "OSCAR_MAX_RETRIES",
-            "OSCAR_REPAIR_K",
-        ]);
-        for v in ["OSCAR_DEDUP_WINDOW", "OSCAR_MAX_RETRIES", "OSCAR_REPAIR_K"] {
-            std::env::remove_var(v);
-        }
-        // Unset knobs are all-None and `apply` is the identity.
-        let knobs = MachineKnobs::from_env().unwrap();
-        assert_eq!(knobs, MachineKnobs::default());
-        let base = PeerConfig::default();
-        assert_eq!(knobs.apply(base.clone()).dedup_window, base.dedup_window);
-        assert_eq!(knobs.apply(base.clone()).max_retries, base.max_retries);
-
-        std::env::set_var("OSCAR_DEDUP_WINDOW", "256");
-        std::env::set_var("OSCAR_MAX_RETRIES", "0");
-        std::env::set_var("OSCAR_REPAIR_K", "4");
-        let knobs = MachineKnobs::from_env().unwrap();
-        let reactive = PeerConfig {
-            repair: oscar_protocol::RepairPolicy::ReactiveK { k: 2 },
-            ..PeerConfig::default()
-        };
-        let tuned = knobs.apply(reactive);
-        assert_eq!(tuned.dedup_window, 256);
-        assert_eq!(tuned.max_retries, 0);
-        assert_eq!(
-            tuned.repair,
-            oscar_protocol::RepairPolicy::ReactiveK { k: 4 }
-        );
-        // repair_k never flips a non-reactive policy.
-        let off = knobs.apply(PeerConfig::default());
-        assert_eq!(off.repair, PeerConfig::default().repair);
-
-        for (var, bad) in [
-            ("OSCAR_DEDUP_WINDOW", "0"),
-            ("OSCAR_DEDUP_WINDOW", "many"),
-            ("OSCAR_MAX_RETRIES", "-1"),
-            ("OSCAR_MAX_RETRIES", "three"),
-            ("OSCAR_REPAIR_K", "0"),
-            ("OSCAR_REPAIR_K", "deep"),
-        ] {
-            for v in ["OSCAR_DEDUP_WINDOW", "OSCAR_MAX_RETRIES", "OSCAR_REPAIR_K"] {
-                std::env::remove_var(v);
-            }
-            std::env::set_var(var, bad);
-            let err = MachineKnobs::from_env().unwrap_err();
-            assert!(err.to_string().contains(var), "{var}={bad}: {err}");
-        }
-    }
-
-    #[test]
     fn unused_knobs_error_loudly() {
         let _lock = crate::env_guard::lock();
-        let _cleanup = crate::env_guard::RemoveOnDrop(&[
-            "OSCAR_CHURN_WINDOWS",
-            "OSCAR_CHURN_WINDOW",
-            "OSCAR_DEDUP_WINDOW",
-            "OSCAR_MAX_RETRIES",
-            "OSCAR_REPAIR_K",
-        ]);
+        let _cleanup =
+            crate::env_guard::RemoveOnDrop(&["OSCAR_CHURN_WINDOWS", "OSCAR_CHURN_WINDOW"]);
         std::env::remove_var("OSCAR_CHURN_WINDOWS");
         std::env::remove_var("OSCAR_CHURN_WINDOW");
         // Base knobs and declared extras pass.
@@ -416,23 +297,6 @@ mod tests {
         let err = reject_unused_knobs(&["OSCAR_CHURN_WINDOWS"]).unwrap_err();
         assert!(err.to_string().contains("OSCAR_CHURN_WINDOW"), "{err}");
         std::env::remove_var("OSCAR_CHURN_WINDOW");
-
-        // The machine knobs tune PeerMachine fleets: the oracle-engine
-        // `churn` has none, so accepting one would be the silent no-op
-        // this function exists to prevent; `churn-machine` reads them.
-        let knobs_of = |name: &str| crate::registry::find(name).unwrap().knobs;
-        for (var, value) in [
-            ("OSCAR_DEDUP_WINDOW", "256"),
-            ("OSCAR_MAX_RETRIES", "0"),
-            ("OSCAR_REPAIR_K", "4"),
-        ] {
-            std::env::set_var(var, value);
-            let err = reject_unused_knobs(knobs_of("churn")).unwrap_err();
-            assert!(err.to_string().contains(var), "{err}");
-            reject_unused_knobs(knobs_of("churn-machine")).unwrap();
-            assert_ne!(MachineKnobs::from_env().unwrap(), MachineKnobs::default());
-            std::env::remove_var(var);
-        }
     }
 
     #[test]

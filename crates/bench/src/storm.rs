@@ -16,7 +16,7 @@
 
 use crate::json::Object;
 use crate::registry::{gate_machine_faults, RunResult};
-use crate::scale::{knob, Scale};
+use crate::scale::Scale;
 use oscar_protocol::{Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent};
 use oscar_runtime::{Runtime, RuntimeConfig};
 use oscar_sim::DesDriver;
@@ -323,8 +323,8 @@ pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
     }
 }
 
-/// The `faults` experiment: [`run_fault_sweep`] at `OSCAR_FAULT_QUERIES`
-/// queries per peer (default 2), summarised into `BENCH_faults.json`.
+/// The `faults` experiment: [`run_fault_sweep`] at 2 queries per peer,
+/// summarised into `BENCH_faults.json`.
 ///
 /// Self-gating over BOTH drivers' steady cells: delivery below 99% or
 /// amplification above 3.0 fails the run, as does any machine fault. The
@@ -333,8 +333,7 @@ pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
 /// headlines come from the DES cells alone; the 10% cells are reported
 /// but never gated.
 pub fn faults(scale: &Scale) -> RunResult {
-    let positive = |&q: &usize| q >= 1;
-    let per_peer = knob("OSCAR_FAULT_QUERIES", "a positive integer", positive)?.unwrap_or(2);
+    let per_peer = 2;
     let n = scale.target;
     eprintln!(
         "[faults] {n} peers, {per_peer} queries/peer; sweeping loss {LOSS_PCT:?}% x jitter \

@@ -3,17 +3,20 @@
 //! `ARCHITECTURE.md` to it.
 
 use oscar_bench::registry::{render_knob_table, EXPERIMENTS};
+use std::ffi::OsStr;
 use std::process::{Command, Output};
 
 /// Runs `oscar-repro` with exactly the given arguments and environment.
-fn oscar_repro(args: &[&str], env: &[(&str, &str)]) -> Output {
+fn oscar_repro<V: AsRef<OsStr>>(args: &[&str], env: &[(&str, V)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_oscar-repro"))
         .args(args)
         .env_clear()
-        .envs(env.iter().copied())
+        .envs(env.iter().map(|(k, v)| (k, v)))
         .output()
         .expect("oscar-repro runs")
 }
+
+const NO_ENV: &[(&str, &str)] = &[];
 
 #[test]
 fn experiment_names_are_unique_and_knobs_documented() {
@@ -35,12 +38,12 @@ fn experiment_names_are_unique_and_knobs_documented() {
         }
     }
     // Header + separator + one row per knob.
-    assert_eq!(table.lines().count(), 2 + 9, "{table}");
+    assert_eq!(table.lines().count(), 2 + 5, "{table}");
 }
 
 #[test]
 fn list_prints_every_experiment() {
-    let out = oscar_repro(&["--list"], &[]);
+    let out = oscar_repro(&["--list"], NO_ENV);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     for e in &EXPERIMENTS {
@@ -59,19 +62,19 @@ fn list_prints_every_experiment() {
 fn usage_errors_exit_2_before_running_anything() {
     let stderr_of = |out: &Output| String::from_utf8_lossy(&out.stderr).into_owned();
 
-    let out = oscar_repro(&["fig9z"], &[]);
+    let out = oscar_repro(&["fig9z"], NO_ENV);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("fig9z"));
 
-    assert_eq!(oscar_repro(&[], &[]).status.code(), Some(2));
+    assert_eq!(oscar_repro(&[], NO_ENV).status.code(), Some(2));
 
-    // A knob the experiment would ignore, a typo of one it reads, and the
-    // machine knobs on the engine that has no machines.
+    // A knob the experiment would ignore, a typo of one it reads, and a
+    // retired knob on the experiment that used to read it.
     for (experiment, var) in [
         ("fig1a", "OSCAR_CHURN_WINDOWS"),
         ("phase", "OSCAR_CHURN_WINDOW"),
-        ("churn", "OSCAR_MAX_RETRIES"),
-        ("faults", "OSCAR_REPAIR_K"),
+        ("faults", "OSCAR_CHURN_WINDOWS"),
+        ("churn-machine", "OSCAR_MAX_RETRIES"),
     ] {
         let out = oscar_repro(&[experiment], &[(var, "4")]);
         assert_eq!(out.status.code(), Some(2), "{experiment} with {var}");
@@ -84,10 +87,35 @@ fn usage_errors_exit_2_before_running_anything() {
     assert_eq!(out.status.code(), Some(2));
     let out = oscar_repro(
         &["churn-machine"],
-        &[("OSCAR_SCALE", "100"), ("OSCAR_MAX_RETRIES", "many")],
+        &[("OSCAR_SCALE", "100"), ("OSCAR_CHURN_WINDOWS", "many")],
     );
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr_of(&out).contains("OSCAR_MAX_RETRIES"));
+    assert!(stderr_of(&out).contains("OSCAR_CHURN_WINDOWS"));
+}
+
+/// The process environment is not ours: a variable that is not Unicode
+/// is ignored unless it is an `OSCAR_*` one, and then it is refused by
+/// name — never a panic, never read as "unset".
+#[cfg(unix)]
+#[test]
+fn non_unicode_environment_is_ignored_or_refused_by_name() {
+    use std::os::unix::ffi::OsStrExt;
+    let not_unicode = OsStr::from_bytes(b"\xff");
+    let scratch = OsStr::new(env!("CARGO_TARGET_TMPDIR"));
+
+    let out = oscar_repro(
+        &["fig1a"],
+        &[("FOO", not_unicode), ("OSCAR_RESULTS_DIR", scratch)],
+    );
+    assert_eq!(out.status.code(), Some(0), "{:?}", out);
+
+    let out = oscar_repro(&["fig1a"], &[("OSCAR_SCALE", not_unicode)]);
+    assert_eq!(out.status.code(), Some(2), "{:?}", out);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("OSCAR_SCALE"));
+    assert!(
+        out.stdout.is_empty(),
+        "fig1a ran despite an unreadable scale"
+    );
 }
 
 #[test]

@@ -32,9 +32,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub mod builder;
 
 pub use builder::{ChordBuilder, ChordConfig};

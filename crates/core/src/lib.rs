@@ -38,9 +38,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub mod builder;
 pub mod config;
 pub mod links;

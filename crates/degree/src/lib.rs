@@ -31,9 +31,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub mod pmf;
 pub mod spiky;
 

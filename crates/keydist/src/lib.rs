@@ -34,9 +34,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub mod empirical;
 pub mod gnutella;
 pub mod mixture;

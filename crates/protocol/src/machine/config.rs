@@ -29,7 +29,7 @@ pub enum RepairPolicy {
 }
 
 /// Tunables of one peer. Both drivers hand every machine of a fleet the
-/// same value; per-peer caps are ROADMAP item 1(c).
+/// same value; per-peer caps are ROADMAP item 1(b).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PeerConfig {
     /// Successor-list length (ring resilience).

@@ -38,9 +38,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 #[cfg(test)]
 pub mod reference;
 pub mod ring;

@@ -63,9 +63,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 use oscar_protocol::{
     machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
     ProtocolDriver, ProtocolEvent, TimerIndex,

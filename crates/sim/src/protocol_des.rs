@@ -201,11 +201,14 @@ impl DesDriver {
 
     /// Hands a command to one peer and queues its replies.
     pub fn inject(&mut self, id: Id, cmd: Command) -> bool {
-        // Fresh per-command stream, mirroring the runtime's inject nonce.
+        // Fresh stream per command and per delivery, keyed `LBL_CMD` by one
+        // nonce. The runtime keys its own differently (`LBL_GOSSIP` per
+        // inject, `LBL_WORKER` per worker): only gossip draws from the
+        // driver's RNG, so the two drivers need not agree on it.
         self.cmd_nonce += 1;
         #[expect(
             clippy::disallowed_methods,
-            reason = "per-command stream keyed by nonce — mirrors the runtime driver byte-for-byte"
+            reason = "per-command stream keyed by nonce — only gossip draws from it"
         )]
         let mut rng = SeedTree::new(self.seed)
             .child2(LBL_CMD, self.cmd_nonce)
@@ -370,7 +373,7 @@ impl DesDriver {
             self.delivered += 1;
             #[expect(
                 clippy::disallowed_methods,
-                reason = "per-delivery stream keyed by nonce — mirrors the runtime driver byte-for-byte"
+                reason = "per-delivery stream keyed by nonce — only gossip draws from it"
             )]
             let mut rng = SeedTree::new(self.seed)
                 .child2(LBL_CMD, self.cmd_nonce)

@@ -40,35 +40,3 @@ fn rewire_streams_are_distinct() {
         }
     }
 }
-
-/// No two labels within one derivation scope share a value (the lint
-/// enforces this statically; this is the runtime mirror for the two
-/// scopes that motivated the registry).
-#[test]
-fn scope_values_are_unique() {
-    let overlay = [
-        sim_overlay::LBL_GROW,
-        sim_overlay::LBL_REWIRE,
-        sim_overlay::LBL_QUERY,
-        sim_overlay::LBL_CHURN,
-        sim_overlay::LBL_CONTINUOUS,
-    ];
-    let churn = [
-        sim_churn_engine::LBL_JOIN_GAPS,
-        sim_churn_engine::LBL_CRASH_GAPS,
-        sim_churn_engine::LBL_DEPART_GAPS,
-        sim_churn_engine::LBL_JOIN,
-        sim_churn_engine::LBL_CRASH_PICK,
-        sim_churn_engine::LBL_DEPART_PICK,
-        sim_churn_engine::LBL_REWIRE,
-        sim_churn_engine::LBL_MEASURE,
-        sim_churn_engine::LBL_REPAIR,
-        sim_churn_engine::LBL_BOOT,
-    ];
-    for scope in [&overlay[..], &churn[..]] {
-        let mut sorted = scope.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), scope.len(), "duplicate label value in scope");
-    }
-}

@@ -11,8 +11,8 @@
 //! * [`SeedTree`] — hierarchical deterministic seed derivation so that every
 //!   experiment, peer, and stochastic sub-activity gets an independent but
 //!   reproducible RNG stream.
-//! * [`labels`] — the generated registry of `LBL_*` seed-derivation labels
-//!   (one module per derivation scope), maintained by `oscar-lint`.
+//! * [`labels`] — every `LBL_*` seed-derivation label, one module per
+//!   derivation scope; a value repeated within a scope does not compile.
 //! * [`Error`] — the shared error type of the workspace.
 //!
 //! Everything here is plain data with no I/O and no global state.
@@ -28,9 +28,6 @@
         clippy::iter_over_hash_type
     )
 )]
-
-#[cfg(clippy)]
-mod lint_canaries;
 
 pub mod arc;
 pub mod error;

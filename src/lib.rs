@@ -56,9 +56,6 @@
     )
 )]
 
-#[cfg(clippy)]
-mod lint_canaries;
-
 pub use oscar_analytics as analytics;
 pub use oscar_chord as chord;
 pub use oscar_core as core;
