@@ -377,20 +377,6 @@ pub fn run_machine_churn_experiment(
     Ok((results, faults))
 }
 
-/// The full steady-state churn protocol:
-/// [`grow_steady_churn_substrate`] + [`run_steady_churn_on`].
-pub fn run_steady_churn_experiment<B: OverlayBuilder + Sync + ?Sized>(
-    builder: &B,
-    keys: &dyn KeyDistribution,
-    degrees: &dyn DegreeDistribution,
-    scale: &Scale,
-    schedules: &[(String, ChurnSchedule)],
-    windows: usize,
-) -> Result<Vec<SteadyChurnResult>> {
-    let net = grow_steady_churn_substrate(builder, keys, degrees, scale)?;
-    run_steady_churn_on(&net, builder, keys, degrees, scale, schedules, windows)
-}
-
 /// One cell of the churn phase diagram: a fixed (churn level, repair
 /// policy, successor-list length) combination measured at steady state
 /// under the **unstabilised** ring — the regime where the successor list
@@ -553,7 +539,7 @@ mod tests {
     use oscar_core::{OscarBuilder, OscarConfig};
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::GnutellaKeys;
-    use oscar_mercury::{MercuryBuilder, MercuryConfig};
+    use oscar_mercury::MercuryBuilder;
 
     #[test]
     fn growth_experiment_produces_full_series() {
@@ -607,15 +593,10 @@ mod tests {
         let builder = OscarBuilder::new(OscarConfig::default());
         let schedules = standard_churn_schedules(&scale);
         assert_eq!(schedules.len(), 4);
-        let rs = run_steady_churn_experiment(
-            &builder,
-            &GnutellaKeys::default(),
-            &ConstantDegrees::paper(),
-            &scale,
-            &schedules[..2],
-            3,
-        )
-        .unwrap();
+        let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
+        let net = grow_steady_churn_substrate(&builder, &keys, &degrees, &scale).unwrap();
+        let levels = &schedules[..2];
+        let rs = run_steady_churn_on(&net, &builder, &keys, &degrees, &scale, levels, 3).unwrap();
         assert_eq!(rs.len(), 2);
         for r in &rs {
             assert_eq!(r.windows.len(), 3);
@@ -686,7 +667,7 @@ mod tests {
     #[test]
     fn experiments_work_with_mercury_too() {
         let scale = Scale::small(200, 9);
-        let builder = MercuryBuilder::new(MercuryConfig::default());
+        let builder = MercuryBuilder::new();
         let r = run_growth_experiment(
             &builder,
             &GnutellaKeys::default(),

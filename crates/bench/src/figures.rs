@@ -3,7 +3,7 @@
 
 use crate::experiments::{
     grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies, run_churn_experiment,
-    run_growth_experiment, run_phase_diagram_experiment, run_steady_churn_experiment,
+    run_growth_experiment, run_phase_diagram_experiment, run_steady_churn_on,
     standard_churn_schedules, GrowthRunResult, PhaseCell, SteadyChurnResult, PHASE_SUCC_LENS,
 };
 use crate::json::Object;
@@ -11,11 +11,11 @@ use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::Scale;
 use oscar_analytics::{Series, Summary};
-use oscar_chord::{ChordBuilder, ChordConfig};
+use oscar_chord::ChordBuilder;
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees, SteppedDegrees};
 use oscar_keydist::GnutellaKeys;
-use oscar_mercury::{MercuryBuilder, MercuryConfig};
+use oscar_mercury::MercuryBuilder;
 use oscar_types::{Result, SeedTree};
 
 /// The three in-degree distributions of Figure 1, by paper name.
@@ -100,7 +100,7 @@ pub fn run_fig1_suite(scale: &Scale) -> Result<Fig1Suite> {
     }
     tasks.push(Box::new(move || {
         eprintln!("[fig1] growing mercury/constant to {}...", scale.target);
-        let mercury = MercuryBuilder::new(MercuryConfig::default());
+        let mercury = MercuryBuilder::new();
         run_growth_experiment(
             &mercury,
             &GnutellaKeys::default(),
@@ -111,7 +111,7 @@ pub fn run_fig1_suite(scale: &Scale) -> Result<Fig1Suite> {
     }));
     tasks.push(Box::new(move || {
         eprintln!("[fig1] growing chord/constant to {}...", scale.target);
-        let chord = ChordBuilder::new(ChordConfig::default());
+        let chord = ChordBuilder::new();
         run_growth_experiment(
             &chord,
             &GnutellaKeys::default(),
@@ -297,7 +297,8 @@ pub fn fig2_report(
 }
 
 /// Runs the steady-state continuous-churn experiment (Oscar, Gnutella
-/// keys, constant degrees) over the standard churn-level ladder.
+/// keys, constant degrees) over the standard churn-level ladder: grow
+/// one substrate, then one engine run per level on an owned clone.
 pub fn run_steady_churn_suite(scale: &Scale, windows: usize) -> Result<Vec<SteadyChurnResult>> {
     let builder = OscarBuilder::new(OscarConfig::default());
     let schedules = standard_churn_schedules(scale);
@@ -307,14 +308,9 @@ pub fn run_steady_churn_suite(scale: &Scale, windows: usize) -> Result<Vec<Stead
         windows,
         schedules.len()
     );
-    run_steady_churn_experiment(
-        &builder,
-        &GnutellaKeys::default(),
-        &ConstantDegrees::paper(),
-        scale,
-        &schedules,
-        windows,
-    )
+    let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
+    let net = grow_steady_churn_substrate(&builder, &keys, &degrees, scale)?;
+    run_steady_churn_on(&net, &builder, &keys, &degrees, scale, &schedules, windows)
 }
 
 /// The steady-state churn figures: search cost, wasted traffic and live
@@ -367,28 +363,15 @@ pub fn steady_churn_reports(results: &[SteadyChurnResult]) -> Vec<(&'static str,
     ]
 }
 
-/// Wall-clock and fault bookkeeping of one steady-churn run, for
-/// [`steady_churn_summary`].
-pub struct ChurnTiming {
-    /// Substrate growth time (0 for the machine engine, whose fleets
-    /// bootstrap by real joins inside the timed run).
-    pub grow_secs: f64,
-    /// Time in the churn engine alone, so `windows_per_sec` tracks the
-    /// engine — a growth/join-path slowdown must not masquerade as an
-    /// engine one.
-    pub engine_secs: f64,
-    /// [`oscar_protocol::ProtocolEvent::Fault`] count (always 0 for the
-    /// oracle engine, which hosts no machines).
-    pub faults: u64,
-}
-
-/// The `BENCH_churn*.json` summary of a steady-churn run: windows/sec
-/// throughput plus the steady-state means per churn level.
+/// The `BENCH_churn*.json` summary of a steady-churn run: the
+/// steady-state means per churn level, plus the run's
+/// [`oscar_protocol::ProtocolEvent::Fault`] count (always 0 for the
+/// oracle engine, which hosts no machines).
 pub fn steady_churn_summary(
     bench: &str,
     scale: &Scale,
     results: &[SteadyChurnResult],
-    timing: &ChurnTiming,
+    faults: u64,
 ) -> Object {
     let total_windows: usize = results.iter().map(|r| r.windows.len()).sum();
     let windows_per_level = results.first().map_or(0, |r| r.windows.len());
@@ -421,14 +404,7 @@ pub fn steady_churn_summary(
         .int("seed", scale.seed)
         .int("windows_per_level", windows_per_level)
         .int("total_windows", total_windows)
-        .float("grow_secs", timing.grow_secs, 2)
-        .float("engine_secs", timing.engine_secs, 2)
-        .float(
-            "windows_per_sec",
-            total_windows as f64 / timing.engine_secs.max(1e-9),
-            2,
-        )
-        .int("faults", timing.faults)
+        .int("faults", faults)
         .rows("levels", levels)
 }
 

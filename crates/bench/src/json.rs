@@ -1,11 +1,12 @@
 //! The one JSON emitter behind every `results/BENCH_<name>.json`.
 //!
 //! The summaries are flat documents: a top-level object whose values are
-//! strings, integers, fixed-precision floats, or arrays of flat row
-//! objects. [`Object`] keeps keys in insertion order (the files are
-//! diffed by humans and pinned byte-for-byte by the acceptance runs) and
-//! every float carries its own decimal count, so a key's precision is
-//! stated once, where the key is written.
+//! strings, integers, fixed-precision floats (`null` when not finite:
+//! JSON has no token for them), or arrays of flat row objects. [`Object`]
+//! keeps keys in insertion order (the files are diffed by humans and
+//! pinned byte-for-byte by the acceptance runs) and every float carries
+//! its own decimal count, so a key's precision is stated once, where the
+//! key is written.
 //!
 //! ```text
 //! {
@@ -104,7 +105,8 @@ impl Value {
         match self {
             Value::Str(s) => quote(s),
             Value::Int(n) => n.to_string(),
-            Value::Float(v, decimals) => format!("{v:.decimals$}"),
+            Value::Float(v, decimals) if v.is_finite() => format!("{v:.decimals$}"),
+            Value::Float(..) => "null".to_string(),
             Value::Rows(rows) => {
                 let lines: Vec<String> = rows
                     .iter()
@@ -135,6 +137,18 @@ fn quote(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        let doc = Object::new()
+            .float("nan", f64::NAN, 2)
+            .rows("cells", vec![Object::new().float("inf", f64::INFINITY, 0)])
+            .float("neg", f64::NEG_INFINITY, 4);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"nan\": null,\n  \"cells\": [\n    { \"inf\": null }\n  ],\n  \"neg\": null\n}\n"
+        );
+    }
 
     #[test]
     fn golden_document() {

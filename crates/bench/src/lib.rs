@@ -13,10 +13,9 @@
 //! through [`json::Object`].
 //!
 //! Performance is *not* measured here: the repository's benchmark is
-//! `BENCHMARK.json` + `benchmarks/`. The wall-clock fields the summaries
-//! carry are context for a human reading a CI log; what this harness
-//! gates is behaviour (delivery, amplification, machine faults, scenario
-//! checks), by exit code.
+//! `BENCHMARK.json` + `benchmarks/`. What this harness gates is behaviour
+//! (delivery, amplification, machine faults, scenario checks), by exit
+//! code, and no artifact it writes holds a clock reading.
 
 pub mod ablations;
 pub mod experiments;
@@ -32,9 +31,8 @@ pub mod storm;
 pub use experiments::{
     churn_schedule_for, grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies,
     run_churn_experiment, run_growth_experiment, run_machine_churn_experiment,
-    run_phase_diagram_experiment, run_steady_churn_experiment, run_steady_churn_on,
-    standard_churn_schedules, steady_mean_of, ChurnResult, GrowthRunResult, PhaseCell,
-    SteadyChurnResult, PHASE_SUCC_LENS,
+    run_phase_diagram_experiment, run_steady_churn_on, standard_churn_schedules, steady_mean_of,
+    ChurnResult, GrowthRunResult, PhaseCell, SteadyChurnResult, PHASE_SUCC_LENS,
 };
 pub use parallel::{run_tasks, Task};
 pub use report::Report;

@@ -11,13 +11,12 @@
 //! undocumented, and an experiment cannot be added without being listed.
 
 use crate::experiments::{
-    grow_steady_churn_substrate, run_machine_churn_experiment, run_steady_churn_on,
-    standard_churn_schedules, SteadyChurnResult,
+    run_machine_churn_experiment, standard_churn_schedules, SteadyChurnResult,
 };
 use crate::figures::{
     fig1a_report, fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports,
-    run_fig1_suite, run_phase_suite, steady_churn_reports, steady_churn_summary, ChurnTiming,
-    Fig1Suite,
+    run_fig1_suite, run_phase_suite, run_steady_churn_suite, steady_churn_reports,
+    steady_churn_summary, Fig1Suite,
 };
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
@@ -25,7 +24,6 @@ use crate::scale::{Scale, BASE_KNOBS};
 use crate::scenario::{
     run_all_scenarios, scenario_suite_summary, write_scenario_csv, write_scenario_report,
 };
-use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, SpikyDegrees};
 use oscar_keydist::GnutellaKeys;
 use std::time::Instant;
@@ -314,34 +312,11 @@ fn all(scale: &Scale) -> RunResult {
 /// standard ladder. Failure detection is free (the engine knows who
 /// died) and repairs are builder calls.
 fn churn(scale: &Scale) -> RunResult {
-    let windows = Scale::churn_windows_from_env()?;
-    let keys = GnutellaKeys::default();
-    let builder = OscarBuilder::new(OscarConfig::default());
-    let degrees = ConstantDegrees::paper();
-    let schedules = standard_churn_schedules(scale);
-    eprintln!(
-        "[churn-engine] growing to {} then running {windows} windows x {} churn levels...",
-        scale.target,
-        schedules.len()
-    );
-    let t_grow = Instant::now();
-    let net = grow_steady_churn_substrate(&builder, &keys, &degrees, scale)?;
-    let grow_secs = t_grow.elapsed().as_secs_f64();
-    let t_engine = Instant::now();
-    let results = run_steady_churn_on(&net, &builder, &keys, &degrees, scale, &schedules, windows)?;
-    let timing = ChurnTiming {
-        grow_secs,
-        engine_secs: t_engine.elapsed().as_secs_f64(),
-        faults: 0,
-    };
-    emit_steady_churn(
-        "",
-        "steady_churn",
-        "BENCH_churn.json",
-        scale,
-        &results,
-        &timing,
-    )
+    let t0 = Instant::now();
+    let results = run_steady_churn_suite(scale, Scale::churn_windows_from_env()?)?;
+    emit_steady_churn("", "steady_churn", "BENCH_churn.json", scale, &results, 0)?;
+    eprintln!("steady churn: grew and ran in {:.1?}", t0.elapsed());
+    Ok(())
 }
 
 /// The shared tail of both churn experiments: the four steady-state CSVs
@@ -352,16 +327,12 @@ fn emit_steady_churn(
     json_file: &str,
     scale: &Scale,
     results: &[SteadyChurnResult],
-    timing: &ChurnTiming,
+    faults: u64,
 ) -> RunResult {
     for (name, report) in steady_churn_reports(results) {
         report.emit(&format!("{csv_prefix}{name}"))?;
     }
-    steady_churn_summary(bench, scale, results, timing).write(json_file)?;
-    eprintln!(
-        "steady churn [{bench}]: grew in {:.1}s; engine ran {:.1}s",
-        timing.grow_secs, timing.engine_secs
-    );
+    steady_churn_summary(bench, scale, results, faults).write(json_file)?;
     Ok(())
 }
 
@@ -379,22 +350,18 @@ fn churn_machine(scale: &Scale) -> RunResult {
         scale.target,
         schedules.len()
     );
-    let t_engine = Instant::now();
+    let t0 = Instant::now();
     let (results, faults) =
         run_machine_churn_experiment(&GnutellaKeys::default(), scale, &schedules, windows)?;
-    let timing = ChurnTiming {
-        grow_secs: 0.0,
-        engine_secs: t_engine.elapsed().as_secs_f64(),
-        faults,
-    };
     emit_steady_churn(
         "machine_",
         "steady_churn_machine",
         "BENCH_churn_machine.json",
         scale,
         &results,
-        &timing,
+        faults,
     )?;
+    eprintln!("steady churn [machine]: ran in {:.1?}", t0.elapsed());
     gate_machine_faults(faults)
 }
 
@@ -442,9 +409,9 @@ fn scenarios(scale: &Scale) -> RunResult {
         "[scenarios] growing {}-peer substrates and running the scenario suite...",
         scale.target
     );
-    let t = Instant::now();
+    let t0 = Instant::now();
     let outcomes = run_all_scenarios(scale)?;
-    let secs = t.elapsed().as_secs_f64();
+    eprintln!("scenario suite ran in {:.1?}", t0.elapsed());
     for out in &outcomes {
         let csv = write_scenario_csv(out)?;
         let report = write_scenario_report(out)?;
@@ -459,7 +426,7 @@ fn scenarios(scale: &Scale) -> RunResult {
             report.display()
         );
     }
-    scenario_suite_summary(&outcomes, scale, secs).write("BENCH_scenarios.json")?;
+    scenario_suite_summary(&outcomes, scale).write("BENCH_scenarios.json")?;
     let failed = outcomes.iter().filter(|o| !o.passed()).count();
     if failed > 0 {
         return Err(format!(

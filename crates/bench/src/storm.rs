@@ -192,8 +192,6 @@ pub struct FaultCell {
     /// The storm's settle length: virtual rounds elapsed on the DES,
     /// timer rounds fired on the runtime.
     pub rounds: u64,
-    /// Wall time of the cell (build + storm).
-    pub secs: f64,
     /// Machine invariant violations (`ProtocolEvent::Fault`). Injected
     /// network loss must never surface as one of these.
     pub faults: u64,
@@ -208,7 +206,6 @@ fn run_cell<D: ProtocolDriver>(
     per_peer: usize,
     seed: u64,
 ) -> FaultCell {
-    let t = Instant::now();
     bootstrap_ring(&mut driver, ids);
     driver.settle(SETTLE_ROUNDS);
     driver.drain_events(); // build-phase events are not the storm's metrics
@@ -234,7 +231,6 @@ fn run_cell<D: ProtocolDriver>(
         } else {
             timer_rounds
         },
-        secs: t.elapsed().as_secs_f64(),
         faults: driver.fault_count(),
     }
 }
@@ -340,11 +336,13 @@ pub fn faults(scale: &Scale) -> RunResult {
          {JITTERS:?} on the DES and loss {LOSS_PCT:?}% on the {}-worker runtime...",
         storm_workers(scale)
     );
+    let t0 = Instant::now();
     let sweep = run_fault_sweep(scale, per_peer);
+    eprintln!("  {} cells in {:.1?}", sweep.cells.len(), t0.elapsed());
     for c in &sweep.cells {
         eprintln!(
             "  {:7} loss={:2}% jitter={} delivery={:6.2}% retries/q={:.3} p95_cost={} \
-             gave_up={} rounds={} ({:.2}s)",
+             gave_up={} rounds={}",
             c.driver,
             c.loss_pct,
             c.jitter,
@@ -352,8 +350,7 @@ pub fn faults(scale: &Scale) -> RunResult {
             c.retries_per_query,
             c.p95_cost,
             c.gave_up,
-            c.rounds,
-            c.secs
+            c.rounds
         );
     }
     let cells = sweep
@@ -369,7 +366,6 @@ pub fn faults(scale: &Scale) -> RunResult {
                 .int("p95_cost", c.p95_cost)
                 .int("gave_up", c.gave_up)
                 .int("rounds", c.rounds)
-                .float("secs", c.secs, 2)
         })
         .collect();
     Object::new()

@@ -12,7 +12,7 @@ use oscar_bench::figures::{
     fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports, run_fig1_suite,
     run_phase_suite, run_steady_churn_suite, steady_churn_reports,
 };
-use oscar_bench::{run_churn_experiment, run_steady_churn_experiment, Scale};
+use oscar_bench::{run_churn_experiment, Scale};
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::ConstantDegrees;
 use oscar_keydist::GnutellaKeys;
@@ -85,17 +85,7 @@ fn steady_churn_windows_identical_across_thread_counts() {
     // for field.
     let run = |threads: usize| {
         let scale = Scale::small(150, 11).with_threads(threads);
-        let builder = OscarBuilder::new(OscarConfig::default());
-        let schedules = oscar_bench::standard_churn_schedules(&scale);
-        run_steady_churn_experiment(
-            &builder,
-            &GnutellaKeys::default(),
-            &ConstantDegrees::paper(),
-            &scale,
-            &schedules,
-            3,
-        )
-        .unwrap()
+        run_steady_churn_suite(&scale, 3).unwrap()
     };
     let a = run(1);
     let b = run(3);

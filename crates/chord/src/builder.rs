@@ -7,36 +7,20 @@ use oscar_sim::{
 use oscar_types::Result;
 use rand::rngs::SmallRng;
 
-/// Chord construction parameters.
-#[derive(Copy, Clone, Debug)]
-pub struct ChordConfig {
-    /// Number of finger targets probed, from the largest span (`2^63`)
-    /// downwards. 64 probes covers every span of the 64-bit ring; the
-    /// peer's `ρ_out_max` budget caps how many *distinct, accepting*
-    /// owners actually become links.
-    pub finger_probes: u32,
-}
-
-impl Default for ChordConfig {
-    fn default() -> Self {
-        ChordConfig { finger_probes: 64 }
-    }
-}
+/// Number of finger targets probed, from the largest span (`2^63`)
+/// downwards. 64 probes covers every span of the 64-bit ring; the
+/// peer's `ρ_out_max` budget caps how many *distinct, accepting*
+/// owners actually become links.
+const FINGER_PROBES: u32 = 64;
 
 /// Chord's [`OverlayBuilder`]: deterministic fingers at `n + 2^i`.
-#[derive(Clone, Debug)]
-pub struct ChordBuilder {
-    config: ChordConfig,
-}
+#[derive(Clone, Debug, Default)]
+pub struct ChordBuilder;
 
 impl ChordBuilder {
-    /// Builder with the given configuration.
-    pub fn new(config: ChordConfig) -> Self {
-        assert!(
-            (1..=64).contains(&config.finger_probes),
-            "finger_probes must be in 1..=64"
-        );
-        ChordBuilder { config }
+    /// The one Chord construction.
+    pub fn new() -> Self {
+        ChordBuilder
     }
 }
 
@@ -54,7 +38,7 @@ impl OverlayBuilder for ChordBuilder {
         let policy = RoutePolicy::default();
         // Largest spans first: when the budget runs out, the long fingers
         // (the valuable ones) are already in place.
-        for i in (64 - self.config.finger_probes..64).rev() {
+        for i in (0..FINGER_PROBES).rev() {
             if !net.peer(p).can_open_out() {
                 break;
             }
@@ -88,23 +72,14 @@ mod tests {
 
     #[test]
     fn builder_reports_name() {
-        assert_eq!(
-            ChordBuilder::new(ChordConfig::default()).name(),
-            "chord-fingers"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "finger_probes")]
-    fn zero_probes_rejected() {
-        let _ = ChordBuilder::new(ChordConfig { finger_probes: 0 });
+        assert_eq!(ChordBuilder::new().name(), "chord-fingers");
     }
 
     #[test]
     fn chord_routes_well_on_uniform_keys() {
         // Home turf: uniform keys make key-space spans proportional to
         // population spans, so fingers work as designed.
-        let mut ov = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, 1);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 1);
         ov.grow_to(500, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
@@ -119,7 +94,7 @@ mod tests {
     #[test]
     fn fingers_collapse_under_skew() {
         // The skew signature: far fewer distinct fingers than probes.
-        let mut ov = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, 2);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 2);
         ov.grow_to(500, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let net = ov.network();
@@ -138,7 +113,7 @@ mod tests {
     #[test]
     fn skew_degrades_chord_routing() {
         let cost = |keys: &dyn oscar_keydist::KeyDistribution, seed| {
-            let mut ov = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, seed);
+            let mut ov = new_overlay(FaultModel::StabilizedRing, seed);
             ov.grow_to(600, keys, &ConstantDegrees::paper()).unwrap();
             let stats = ov.run_queries(&QueryWorkload::UniformPeers, 600);
             assert_eq!(stats.success_rate, 1.0, "ring still guarantees delivery");
@@ -156,7 +131,7 @@ mod tests {
 
     #[test]
     fn budgets_respected() {
-        let mut ov = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, 4);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 4);
         ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         for p in ov.network().all_peers() {
@@ -169,7 +144,7 @@ mod tests {
     #[test]
     fn deterministic_construction() {
         let run = || {
-            let mut ov = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, 5);
+            let mut ov = new_overlay(FaultModel::StabilizedRing, 5);
             ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
                 .unwrap();
             ov.run_queries(&QueryWorkload::UniformPeers, 200).mean_cost

@@ -34,7 +34,7 @@
 
 pub mod builder;
 
-pub use builder::{ChordBuilder, ChordConfig};
+pub use builder::ChordBuilder;
 
 use oscar_sim::{FaultModel, Overlay};
 
@@ -44,16 +44,16 @@ pub type ChordOverlay = Overlay<ChordBuilder>;
 /// Creates a new (empty) Chord overlay.
 ///
 /// ```
-/// use oscar_chord::{new_overlay, ChordConfig};
+/// use oscar_chord::new_overlay;
 /// use oscar_sim::FaultModel;
 /// use oscar_keydist::{UniformKeys, QueryWorkload};
 /// use oscar_degree::ConstantDegrees;
 ///
-/// let mut overlay = new_overlay(ChordConfig::default(), FaultModel::StabilizedRing, 42);
+/// let mut overlay = new_overlay(FaultModel::StabilizedRing, 42);
 /// overlay.grow_to(300, &UniformKeys, &ConstantDegrees::paper()).unwrap();
 /// let stats = overlay.run_queries(&QueryWorkload::UniformPeers, 200);
 /// assert_eq!(stats.success_rate, 1.0);
 /// ```
-pub fn new_overlay(config: ChordConfig, fault_model: FaultModel, seed: u64) -> ChordOverlay {
-    Overlay::new(ChordBuilder::new(config), fault_model, seed)
+pub fn new_overlay(fault_model: FaultModel, seed: u64) -> ChordOverlay {
+    Overlay::new(ChordBuilder::new(), fault_model, seed)
 }

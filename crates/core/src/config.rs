@@ -22,15 +22,9 @@ pub struct OscarConfig {
     /// low sample sizes" already work; 12 is our default, swept in
     /// ablation A2.
     pub median_sample_size: usize,
-    /// Hard cap on the partition chain length (safety bound well above
-    /// `log₂` of any simulated size).
-    pub max_partitions: usize,
     /// Link candidates sampled per slot: 2 = the power-of-two-choices
     /// technique the paper cites; 1 disables it (ablation A1).
     pub link_candidates: usize,
-    /// Additional attempts per link slot when targets refuse (their
-    /// in-degree budget is exhausted).
-    pub link_retries: usize,
     /// Random-walk parameters for all sampling.
     pub walk: WalkConfig,
     /// Median source (sampled vs oracle).
@@ -41,9 +35,7 @@ impl Default for OscarConfig {
     fn default() -> Self {
         OscarConfig {
             median_sample_size: 12,
-            max_partitions: 48,
             link_candidates: 2,
-            link_retries: 3,
             walk: WalkConfig::default(),
             median_source: MedianSource::Sampled,
         }
@@ -57,9 +49,6 @@ impl OscarConfig {
             return Err(Error::InvalidConfig(
                 "median_sample_size must be >= 1".into(),
             ));
-        }
-        if self.max_partitions == 0 {
-            return Err(Error::InvalidConfig("max_partitions must be >= 1".into()));
         }
         if self.link_candidates == 0 {
             return Err(Error::InvalidConfig("link_candidates must be >= 1".into()));
@@ -114,10 +103,6 @@ mod tests {
             },
             OscarConfig {
                 link_candidates: 0,
-                ..OscarConfig::default()
-            },
-            OscarConfig {
-                max_partitions: 0,
                 ..OscarConfig::default()
             },
         ] {

@@ -13,7 +13,7 @@
 //! 4. requesting the link; the target *refuses* if its `ρ_in_max` budget is
 //!    exhausted (its local decision, the paper's contribution-control
 //!    mechanism), in which case the slot retries with a fresh partition
-//!    draw, and is left unfilled after `link_retries` failures.
+//!    draw, and is left unfilled after `LINK_RETRIES` failures.
 
 use crate::config::OscarConfig;
 use crate::partitions::Partitions;
@@ -22,6 +22,10 @@ use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx};
 use oscar_types::{Id, Result};
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Additional attempts per link slot when targets refuse (their
+/// in-degree budget is exhausted).
+const LINK_RETRIES: usize = 3;
 
 /// Outcome of one link-building pass for one peer.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -52,7 +56,7 @@ pub fn acquire_links(
     };
     let mut candidates: Vec<PeerIdx> = Vec::with_capacity(cfg.link_candidates);
     'slots: for _ in 0..budget {
-        for _attempt in 0..=cfg.link_retries {
+        for _attempt in 0..=LINK_RETRIES {
             let (arc, entry) = parts.get(rng.gen_range(0..parts.len()));
             if !net.is_alive(entry) {
                 continue; // stale partition info under churn; try another

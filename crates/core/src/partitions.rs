@@ -20,6 +20,10 @@ use oscar_sim::{sample_peers, Network, PeerIdx};
 use oscar_types::{Arc, Id, Result};
 use rand::rngs::SmallRng;
 
+/// Hard cap on the partition chain length (safety bound well above
+/// `log₂` of any simulated size).
+const MAX_PARTITIONS: usize = 48;
+
 /// The logarithmic partitions of one node, far → near.
 ///
 /// Each partition carries a known live member (the border peer for interior
@@ -93,7 +97,7 @@ pub fn estimate_partitions(
     // The population clockwise of u: everything except u itself.
     let mut current = Arc::between(uid.add(1), uid);
 
-    for _ in 0..cfg.max_partitions {
+    for _ in 0..MAX_PARTITIONS {
         if !current.contains(succ_id) {
             // Not even the nearest peer is left: the previous border was
             // the innermost peer; nothing more to partition.

@@ -1,6 +1,5 @@
 //! Mercury's link-building strategy, packaged for the growth driver.
 
-use crate::config::MercuryConfig;
 use crate::links::{acquire_links, estimate_cdf};
 use oscar_sim::{wire_directly, Network, OverlayBuilder, PeerIdx};
 use oscar_types::Result;
@@ -8,19 +7,13 @@ use rand::rngs::SmallRng;
 
 /// Mercury's [`OverlayBuilder`]: uniform sampling → empirical CDF →
 /// harmonic rank-distance links.
-#[derive(Clone, Debug)]
-pub struct MercuryBuilder {
-    config: MercuryConfig,
-}
+#[derive(Clone, Debug, Default)]
+pub struct MercuryBuilder;
 
 impl MercuryBuilder {
-    /// Builder with the given configuration.
-    ///
-    /// # Panics
-    /// On invalid configuration.
-    pub fn new(config: MercuryConfig) -> Self {
-        config.validate().expect("invalid MercuryConfig");
-        MercuryBuilder { config }
+    /// The one Mercury construction.
+    pub fn new() -> Self {
+        MercuryBuilder
     }
 }
 
@@ -33,8 +26,8 @@ impl OverlayBuilder for MercuryBuilder {
         if wire_directly(net, p) {
             return Ok(());
         }
-        let cdf = estimate_cdf(net, p, &self.config, rng)?;
-        acquire_links(net, p, &cdf, &self.config, rng)?;
+        let cdf = estimate_cdf(net, p, rng)?;
+        acquire_links(net, p, &cdf, rng)?;
         Ok(())
     }
 }
@@ -49,25 +42,12 @@ mod tests {
 
     #[test]
     fn builder_reports_name() {
-        assert_eq!(
-            MercuryBuilder::new(MercuryConfig::default()).name(),
-            "mercury"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MercuryConfig")]
-    fn bad_config_panics() {
-        let cfg = MercuryConfig {
-            cdf_sample_size: 0,
-            ..MercuryConfig::default()
-        };
-        let _ = MercuryBuilder::new(cfg);
+        assert_eq!(MercuryBuilder::new().name(), "mercury");
     }
 
     #[test]
     fn mercury_routes_fine_on_uniform_keys() {
-        let mut ov = new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 1);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 1);
         ov.grow_to(500, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
@@ -83,7 +63,7 @@ mod tests {
     fn mercury_still_correct_on_skewed_keys() {
         // Correctness is never in question (the ring guarantees delivery);
         // the cost difference vs Oscar is measured in integration tests.
-        let mut ov = new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 2);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 2);
         ov.grow_to(400, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 400);
@@ -92,7 +72,7 @@ mod tests {
 
     #[test]
     fn budgets_hold_after_growth() {
-        let mut ov = new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 3);
+        let mut ov = new_overlay(FaultModel::StabilizedRing, 3);
         ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         for p in ov.network().all_peers() {
@@ -105,7 +85,7 @@ mod tests {
     #[test]
     fn deterministic_end_to_end() {
         let run = || {
-            let mut ov = new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 4);
+            let mut ov = new_overlay(FaultModel::StabilizedRing, 4);
             ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
                 .unwrap();
             ov.run_queries(&QueryWorkload::UniformPeers, 200).mean_cost

@@ -34,11 +34,9 @@
 )]
 
 pub mod builder;
-pub mod config;
 pub mod links;
 
 pub use builder::MercuryBuilder;
-pub use config::MercuryConfig;
 
 use oscar_sim::{FaultModel, Overlay};
 
@@ -48,16 +46,16 @@ pub type MercuryOverlay = Overlay<MercuryBuilder>;
 /// Creates a new (empty) Mercury overlay.
 ///
 /// ```
-/// use oscar_mercury::{new_overlay, MercuryConfig};
+/// use oscar_mercury::new_overlay;
 /// use oscar_sim::FaultModel;
 /// use oscar_keydist::{UniformKeys, QueryWorkload};
 /// use oscar_degree::ConstantDegrees;
 ///
-/// let mut overlay = new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 42);
+/// let mut overlay = new_overlay(FaultModel::StabilizedRing, 42);
 /// overlay.grow_to(300, &UniformKeys, &ConstantDegrees::paper()).unwrap();
 /// let stats = overlay.run_queries(&QueryWorkload::UniformPeers, 200);
 /// assert_eq!(stats.success_rate, 1.0);
 /// ```
-pub fn new_overlay(config: MercuryConfig, fault_model: FaultModel, seed: u64) -> MercuryOverlay {
-    Overlay::new(MercuryBuilder::new(config), fault_model, seed)
+pub fn new_overlay(fault_model: FaultModel, seed: u64) -> MercuryOverlay {
+    Overlay::new(MercuryBuilder::new(), fault_model, seed)
 }

@@ -1,21 +1,25 @@
 //! Mercury link placement: sampled CDF + harmonic rank distances.
 
-use crate::config::MercuryConfig;
 use oscar_keydist::EmpiricalCdf;
-use oscar_sim::{route_to_owner, sample_peers, LinkError, MsgKind, Network, PeerIdx, RoutePolicy};
+use oscar_sim::{
+    route_to_owner, sample_peers, LinkError, MsgKind, Network, PeerIdx, RoutePolicy, WalkConfig,
+};
 use oscar_types::{Id, Result};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// Uniform samples used to build the node-density CDF estimate.
+/// Mercury's papers use `k ≈ log N`-ish sample counts; 24 is generous
+/// at the simulated scales (log₂ 10⁴ ≈ 13).
+const CDF_SAMPLE_SIZE: usize = 24;
+
+/// Additional attempts per link slot when targets refuse.
+const LINK_RETRIES: usize = 3;
+
 /// Builds Mercury's density estimate for peer `p`: an empirical CDF over
-/// `cdf_sample_size` (near-)uniform node-id samples, plus `p`'s own id.
-pub fn estimate_cdf(
-    net: &mut Network,
-    p: PeerIdx,
-    cfg: &MercuryConfig,
-    rng: &mut SmallRng,
-) -> Result<EmpiricalCdf> {
-    let samples = sample_peers(net, cfg.walk, p, None, cfg.cdf_sample_size, rng)?;
+/// `CDF_SAMPLE_SIZE` (near-)uniform node-id samples, plus `p`'s own id.
+pub fn estimate_cdf(net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<EmpiricalCdf> {
+    let samples = sample_peers(net, WalkConfig::default(), p, None, CDF_SAMPLE_SIZE, rng)?;
     let mut ids: Vec<Id> = samples.iter().map(|&s| net.peer(s).id).collect();
     ids.push(net.peer(p).id);
     Ok(EmpiricalCdf::new(ids))
@@ -61,7 +65,6 @@ pub fn acquire_links(
     net: &mut Network,
     p: PeerIdx,
     cdf: &EmpiricalCdf,
-    cfg: &MercuryConfig,
     rng: &mut SmallRng,
 ) -> Result<MercuryLinkStats> {
     let mut stats = MercuryLinkStats::default();
@@ -76,7 +79,7 @@ pub fn acquire_links(
     };
     let policy = RoutePolicy::default();
     'slots: for _ in 0..budget {
-        for _attempt in 0..=cfg.link_retries {
+        for _attempt in 0..=LINK_RETRIES {
             let key = draw_target_key(cdf, own_id, n_live, rng);
             let outcome = route_to_owner(net, p, key, &policy);
             stats.routing_hops += outcome.cost() as u64;
@@ -160,7 +163,7 @@ mod tests {
         let mut net = test_net(256, DegreeCaps::symmetric(64), 3);
         let p = net.live_peer_by_rank(0);
         let mut rng = SeedTree::new(4).rng();
-        let cdf = estimate_cdf(&mut net, p, &MercuryConfig::default(), &mut rng).unwrap();
+        let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
         assert_eq!(cdf.len(), 25, "24 samples + own id");
         // Quantiles should span a decent portion of the (uniform) ring.
         let spread = cdf.quantile(0.95).to_unit() - cdf.quantile(0.05).to_unit();
@@ -171,11 +174,10 @@ mod tests {
     fn acquire_links_fills_budget_with_capacity() {
         let mut net = test_net(256, DegreeCaps::symmetric(64), 5);
         let p = net.live_peer_by_rank(0);
-        let cfg = MercuryConfig::default();
         let mut rng = SeedTree::new(6).rng();
-        let cdf = estimate_cdf(&mut net, p, &cfg, &mut rng).unwrap();
+        let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
         let before = net.peer(p).out_degree();
-        let stats = acquire_links(&mut net, p, &cdf, &cfg, &mut rng).unwrap();
+        let stats = acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
         let budget = 64 - before;
         // Nearly the whole budget fills; a handful of slots may exhaust
         // retries on duplicate draws (64 links on 256 peers means the
@@ -208,16 +210,15 @@ mod tests {
             },
             7,
         );
-        let cfg = MercuryConfig::default();
         let n = net.live_count();
         let mut rank_dists: Vec<usize> = Vec::new();
         for (i, rank) in [0usize, 100, 200, 300, 400].into_iter().enumerate() {
             let p = net.live_peer_by_rank(rank);
             let own = net.peer(p).id;
             let mut rng = SeedTree::new(21 + i as u64).rng();
-            let cdf = estimate_cdf(&mut net, p, &cfg, &mut rng).unwrap();
+            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
             net.unlink_long_out(p);
-            acquire_links(&mut net, p, &cdf, &cfg, &mut rng).unwrap();
+            acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
             let r_own = net.ring_live().rank_of(own).unwrap();
             rank_dists.extend(net.peer(p).long_out.iter().map(|&t| {
                 let tid = net.peer(t).id;
@@ -246,12 +247,11 @@ mod tests {
             },
             9,
         );
-        let cfg = MercuryConfig::default();
         let peers: Vec<PeerIdx> = net.live_peers().collect();
         for (i, &p) in peers.iter().enumerate() {
             let mut rng = SeedTree::new(100 + i as u64).rng();
-            let cdf = estimate_cdf(&mut net, p, &cfg, &mut rng).unwrap();
-            let _ = acquire_links(&mut net, p, &cdf, &cfg, &mut rng).unwrap();
+            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+            let _ = acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
         }
         for &p in &peers {
             assert!(net.peer(p).in_degree() <= net.peer(p).caps.rho_in);
@@ -263,10 +263,9 @@ mod tests {
         let run = || {
             let mut net = test_net(128, DegreeCaps::symmetric(16), 11);
             let p = net.live_peer_by_rank(3);
-            let cfg = MercuryConfig::default();
             let mut rng = SeedTree::new(12).rng();
-            let cdf = estimate_cdf(&mut net, p, &cfg, &mut rng).unwrap();
-            acquire_links(&mut net, p, &cdf, &cfg, &mut rng).unwrap();
+            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+            acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
             net.peer(p).long_out.clone()
         };
         assert_eq!(run(), run());

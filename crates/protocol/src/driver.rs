@@ -123,8 +123,8 @@ impl TimerIndex {
     /// The peers whose indexed deadline is at or before `now`, in
     /// ascending [`Id`] order whatever their deadlines — the order a
     /// sorted walk over the fleet would find them in. Drivers inject
-    /// `TimerTick` in this order and key each injection's RNG stream by
-    /// a running nonce, so the order is part of every seeded outcome.
+    /// `TimerTick` in this order, and injection order is enqueue order,
+    /// so the order is part of every seeded outcome.
     pub fn due(&self, now: u64) -> Vec<Id> {
         let mut due: Vec<Id> = self
             .by_deadline

@@ -7,6 +7,9 @@ use crate::logic;
 use crate::message::{Message, OpKind, ProtocolEvent};
 use oscar_types::Id;
 
+/// Successor-list length (ring resilience).
+pub(super) const SUCC_LEN: usize = 8;
+
 /// Splice-memory depth: how many recent joiners an owner can re-welcome.
 pub(super) const SPLICE_MEMORY: usize = 4;
 
@@ -18,7 +21,7 @@ impl PeerMachine {
     /// Takes a ring position as given: `Command::Bootstrap` hands one
     /// over, a welcome carries one.
     pub(super) fn enter_ring(&mut self, pred: Id, mut succs: Vec<Id>) {
-        succs.truncate(self.cfg.succ_len);
+        succs.truncate(SUCC_LEN);
         self.pred = pred;
         self.succs = succs;
         self.joined = true;
@@ -30,7 +33,7 @@ impl PeerMachine {
         }
         self.known.insert(contact);
         if !self.ops.has(OpKind::Join, 0) {
-            self.ops.arm(Op::Join { contact }, &self.cfg);
+            self.ops.arm(Op::Join { contact });
         }
         self.join_request(contact, 0);
     }
@@ -71,7 +74,7 @@ impl PeerMachine {
             .is_none_or(|&s0| succ != s0 && dist(succ) < dist(s0));
         if closer && succ != self.id {
             self.succs.insert(0, succ);
-            self.succs.truncate(self.cfg.succ_len);
+            self.succs.truncate(SUCC_LEN);
         }
     }
 
@@ -135,10 +138,10 @@ impl PeerMachine {
     /// The successor list shipped in a welcome (and a pong): this peer,
     /// then its own successors, truncated.
     pub(super) fn welcome_succs(&self) -> Vec<Id> {
-        let mut succs = Vec::with_capacity(self.cfg.succ_len);
+        let mut succs = Vec::with_capacity(SUCC_LEN);
         succs.push(self.id);
         succs.extend_from_slice(&self.succs);
-        succs.truncate(self.cfg.succ_len);
+        succs.truncate(SUCC_LEN);
         succs
     }
 }

@@ -37,6 +37,10 @@ use oscar_types::{mix64, Id, SeedTree};
 use rand::RngCore;
 use tables::{NearSet, Op, OpTable, Recent};
 
+/// Recently-seen message instance keys kept for duplicate suppression
+/// (a ring buffer per peer).
+const DEDUP_WINDOW: usize = 128;
+
 /// The canonical per-peer machine seed for a deployment rooted at
 /// `root_seed`. Every driver must use this derivation so that the same
 /// deployment seed yields the same walk-token streams in all worlds —
@@ -104,14 +108,14 @@ impl PeerMachine {
             succs: Vec::new(),
             long_out: Vec::new(),
             long_in: Vec::new(),
-            known: NearSet::new(id, cfg.view_cap),
+            known: NearSet::new(id, view::VIEW_CAP),
             joined: false,
             walk_counter: 0,
             batch: None,
             events: Vec::new(),
             outbox: Vec::new(),
             ops: OpTable::new(seed),
-            seen: Recent::new(cfg.dedup_window.max(1)),
+            seen: Recent::new(DEDUP_WINDOW),
             recent_splices: Recent::new(join::SPLICE_MEMORY),
             suspects: NearSet::new(id, repair::SUSPECT_CAP),
             probe_epoch: 0,
@@ -299,9 +303,13 @@ impl PeerMachine {
     /// acts on them: retries are re-sent first, in table order, then the
     /// exhausted operations degrade gracefully via [`Self::give_up`].
     fn on_timer_tick(&mut self, now: u64) {
-        let (retries, gave_up) =
-            self.ops
-                .expire(now, &self.cfg, &self.known, self.id, &mut self.events);
+        let (retries, gave_up) = self.ops.expire(
+            now,
+            self.cfg.max_retries,
+            &self.known,
+            self.id,
+            &mut self.events,
+        );
         for (op, attempt) in retries {
             self.retry(op, attempt);
         }

@@ -11,7 +11,7 @@ use oscar_types::Id;
 impl PeerMachine {
     pub(super) fn start_query(&mut self, qid: u64, key: Id) {
         if !self.ops.has(OpKind::Query, qid) {
-            self.ops.arm(Op::Query { qid, key }, &self.cfg);
+            self.ops.arm(Op::Query { qid, key });
         }
         self.issue_query(qid, key, 0);
     }

@@ -2,11 +2,15 @@
 //! verdict and what it triggers, stabilisation ride-alongs on pings and
 //! pongs, and graceful departure.
 
+use super::join::SUCC_LEN;
 use super::tables::Op;
 use super::{PeerMachine, RepairPolicy};
 use crate::logic;
 use crate::message::{Message, OpKind, ProtocolEvent, RepairTrigger};
 use oscar_types::{mix64, Id};
+
+/// Fresh MH walks launched by a policy-triggered rewire.
+const REPAIR_WALKS: u32 = 3;
 
 /// Bound on the per-peer suspect list (declared-dead neighbours).
 pub(super) const SUSPECT_CAP: usize = 32;
@@ -45,7 +49,7 @@ impl PeerMachine {
             // Nonce salted by the probe epoch: the same edge rolls fresh
             // fault dice every round (and keys a fresh retry stream).
             let nonce_base = mix64(mix64(self.seed ^ target.raw()) ^ self.probe_epoch);
-            self.ops.arm(Op::Probe { target, nonce_base }, &self.cfg);
+            self.ops.arm(Op::Probe { target, nonce_base });
             self.send(target, Message::Ping { nonce: nonce_base });
         }
     }
@@ -65,7 +69,7 @@ impl PeerMachine {
         self.known.insert(from);
         // Stabilisation ride-along: merge the responder's successor list
         // into ours (suspects and self excluded), keeping the
-        // clockwise-nearest `succ_len`.
+        // clockwise-nearest `SUCC_LEN`.
         self.merge_succs(succs);
     }
 
@@ -136,14 +140,13 @@ impl PeerMachine {
                 | (RepairPolicy::OnProbe, RepairTrigger::QueryDetect)
         );
         if rewire {
-            let walks = self.cfg.repair_walks;
             self.events.push(ProtocolEvent::RepairFired {
                 peer: self.id,
                 dead,
                 trigger,
-                walks,
+                walks: REPAIR_WALKS,
             });
-            self.rewire(walks);
+            self.rewire(REPAIR_WALKS);
         }
     }
 
@@ -165,7 +168,7 @@ impl PeerMachine {
     }
 
     /// Merges a received successor list into ours: suspects, self and
-    /// duplicates excluded, clockwise-nearest `succ_len` kept.
+    /// duplicates excluded, clockwise-nearest `SUCC_LEN` kept.
     fn merge_succs(&mut self, incoming: &[Id]) {
         let before = self.succs.len();
         for &s in incoming {
@@ -178,7 +181,7 @@ impl PeerMachine {
         if self.succs.len() != before {
             let me = self.id;
             self.succs.sort_unstable_by_key(|&s| me.cw_dist(s));
-            self.succs.truncate(self.cfg.succ_len);
+            self.succs.truncate(SUCC_LEN);
         }
     }
 

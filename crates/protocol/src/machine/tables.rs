@@ -3,13 +3,18 @@
 //! FIFO window ([`Recent`]) and a sorted peer set that sheds its
 //! clockwise-farthest member ([`NearSet`]).
 
-use super::PeerConfig;
 use crate::message::{OpKind, ProtocolEvent};
 use crate::token::TokenRng;
 use oscar_types::labels::protocol_machine::LBL_RETRY;
 use oscar_types::{Id, SeedTree};
 use std::collections::VecDeque;
 use std::ops::Deref;
+
+/// Base deadline for pending operations, in driver timer rounds.
+const RETRY_TIMEOUT: u64 = 1;
+
+/// Cap on the exponential retry backoff, in timer rounds.
+const MAX_BACKOFF: u64 = 8;
 
 /// An operation awaiting its completion message.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -98,12 +103,12 @@ impl OpTable {
     }
 
     /// Starts the clock on a freshly issued operation.
-    pub(super) fn arm(&mut self, op: Op, cfg: &PeerConfig) {
+    pub(super) fn arm(&mut self, op: Op) {
         let (tag, key) = op.stream_key();
         self.entries.push(Pending {
             op,
             attempt: 0,
-            deadline: self.now + cfg.retry_timeout.max(1),
+            deadline: self.now + RETRY_TIMEOUT,
             rng: TokenRng::new(self.retry_root.child2(tag, key).seed()),
         });
     }
@@ -139,15 +144,13 @@ impl OpTable {
     pub(super) fn expire(
         &mut self,
         now: u64,
-        cfg: &PeerConfig,
+        max_retries: u32,
         contacts: &[Id],
         peer: Id,
         events: &mut Vec<ProtocolEvent>,
     ) -> (Due, Due) {
         self.now = self.now.max(now);
         let now = self.now;
-        let base = cfg.retry_timeout.max(1);
-        let cap = cfg.max_backoff.max(base);
         let (mut retries, mut gave_up) = (Due::new(), Due::new());
         self.entries.retain_mut(|p| {
             if p.deadline > now {
@@ -159,15 +162,15 @@ impl OpTable {
                 op,
                 attempt: p.attempt,
             });
-            if p.attempt >= cfg.max_retries {
+            if p.attempt >= max_retries {
                 gave_up.push((p.op, p.attempt + 1));
                 return false;
             }
             p.attempt += 1;
-            let exp = base
+            let exp = RETRY_TIMEOUT
                 .saturating_mul(1u64 << (p.attempt - 1).min(16))
-                .min(cap);
-            let jitter = p.rng.index(exp.max(1) as usize) as u64;
+                .min(MAX_BACKOFF);
+            let jitter = p.rng.index(exp as usize) as u64;
             p.deadline = now + exp + jitter;
             if let Op::Join { contact } = &mut p.op {
                 if !contacts.is_empty() {
@@ -314,7 +317,7 @@ mod tests {
         ];
         let mut table = OpTable::new(seed);
         for (op, _, _) in ops {
-            table.arm(op, &PeerConfig::default());
+            table.arm(op);
         }
         for (entry, (op, tag, key)) in table.entries.iter().zip(ops) {
             let want = SeedTree::new(seed).child(LBL_RETRY).child2(tag, key).seed();
@@ -324,16 +327,15 @@ mod tests {
 
     #[test]
     fn clear_reports_whether_an_entry_existed() {
-        let cfg = PeerConfig::default();
         let mut table = OpTable::new(1);
-        table.arm(Op::Query { qid: 4, key: id(9) }, &cfg);
-        table.arm(Op::Walk { walk_id: 4 }, &cfg);
+        table.arm(Op::Query { qid: 4, key: id(9) });
+        table.arm(Op::Walk { walk_id: 4 });
         assert!(table.has(OpKind::Query, 4) && !table.has(OpKind::Query, 5));
         assert!(table.clear(OpKind::Query, 4), "the first report finds it");
         assert!(!table.clear(OpKind::Query, 4), "a duplicate finds nothing");
         // Same key, other class: untouched.
         assert!(table.has(OpKind::Walk, 4));
-        assert_eq!(table.next_deadline(), Some(cfg.retry_timeout));
+        assert_eq!(table.next_deadline(), Some(RETRY_TIMEOUT));
     }
 
     proptest! {

@@ -7,6 +7,15 @@ use crate::message::Message;
 use oscar_types::Id;
 use rand::RngCore;
 
+/// Peers contacted per gossip round.
+const GOSSIP_FANOUT: usize = 2;
+
+/// View entries shipped per gossip message (this peer included).
+const GOSSIP_SAMPLE: usize = 8;
+
+/// Bound on the membership view.
+pub(super) const VIEW_CAP: usize = 128;
+
 impl PeerMachine {
     /// Up to `want` distinct view entries, uniformly: a partial
     /// Fisher–Yates over the view's indices.
@@ -25,7 +34,7 @@ impl PeerMachine {
     }
 
     pub(super) fn gossip_round(&mut self, rng: &mut dyn RngCore) {
-        let targets = self.pick_known(self.cfg.gossip_fanout, rng);
+        let targets = self.pick_known(GOSSIP_FANOUT, rng);
         let view = self.view_sample(rng);
         for t in targets {
             self.send(t, Message::GossipPush { view: view.clone() });
@@ -35,7 +44,7 @@ impl PeerMachine {
     /// A bounded sample of the view (always includes this peer).
     pub(super) fn view_sample(&self, rng: &mut dyn RngCore) -> Vec<Id> {
         let mut view = vec![self.id];
-        view.extend(self.pick_known(self.cfg.gossip_sample.saturating_sub(1), rng));
+        view.extend(self.pick_known(GOSSIP_SAMPLE - 1, rng));
         view
     }
 

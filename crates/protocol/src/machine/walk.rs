@@ -9,6 +9,15 @@ use crate::token::{TokenRng, WalkToken};
 use oscar_types::labels::protocol_machine::{LBL_LINK, LBL_WALK};
 use oscar_types::{Id, SeedTree};
 
+/// Long out-link budget (links this peer initiates).
+const MAX_LONG_OUT: usize = 5;
+
+/// Long in-link budget (links this peer accepts).
+const MAX_LONG_IN: usize = 10;
+
+/// MH walk length per sample (burn-in of the sampling chain).
+const WALK_TTL: u32 = 16;
+
 impl PeerMachine {
     pub(super) fn launch_walks(&mut self, walks: u32) {
         if walks == 0 || self.degree() == 0 {
@@ -19,7 +28,7 @@ impl PeerMachine {
         let batch = self.batch.get_or_insert_with(Vec::new);
         batch.extend((first..self.walk_counter).map(|w| (w, None)));
         for walk_id in first..self.walk_counter {
-            self.ops.arm(Op::Walk { walk_id }, &self.cfg);
+            self.ops.arm(Op::Walk { walk_id });
             self.advance_walk(self.walk_token(walk_id, 0));
         }
     }
@@ -52,7 +61,7 @@ impl PeerMachine {
         WalkToken {
             walk_id,
             origin: self.id,
-            remaining: self.cfg.walk_ttl.max(1),
+            remaining: WALK_TTL,
             rng: TokenRng::new(seed),
             holder_deg: 0,
             attempt,
@@ -146,7 +155,7 @@ impl PeerMachine {
                 targets.push((*walk_id, s));
             }
         }
-        let room = self.cfg.max_long_out.saturating_sub(self.long_out.len());
+        let room = MAX_LONG_OUT.saturating_sub(self.long_out.len());
         targets.truncate(room);
         self.events.push(ProtocolEvent::WalksSettled {
             peer: self.id,
@@ -163,13 +172,13 @@ impl PeerMachine {
                 walk_id,
                 nonce_base: nonce,
             };
-            self.ops.arm(link, &self.cfg);
+            self.ops.arm(link);
             self.send(target, Message::LinkRequest { nonce });
         }
     }
 
     pub(super) fn on_link_request(&mut self, from: Id, nonce: u64) {
-        if from != self.id && self.long_in.len() < self.cfg.max_long_in {
+        if from != self.id && self.long_in.len() < MAX_LONG_IN {
             if let Err(pos) = self.long_in.binary_search(&from) {
                 self.long_in.insert(pos, from);
                 self.known.insert(from);
@@ -189,7 +198,7 @@ impl PeerMachine {
     pub(super) fn on_link_accept(&mut self, from: Id) {
         self.ops.clear(OpKind::Link, from.raw());
         self.known.insert(from);
-        if self.long_out.len() < self.cfg.max_long_out {
+        if self.long_out.len() < MAX_LONG_OUT {
             if let Err(pos) = self.long_out.binary_search(&from) {
                 self.long_out.insert(pos, from);
             }

@@ -59,7 +59,13 @@
     deny(
         clippy::disallowed_methods,
         clippy::allow_attributes_without_reason,
-        clippy::iter_over_hash_type
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
     )
 )]
 
@@ -72,7 +78,7 @@ use oscar_types::{Id, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -213,6 +219,19 @@ struct Shared {
     per_worker_msgs: Vec<AtomicU64>,
 }
 
+/// The one decision on a poisoned lock, taken here for every lock and
+/// condvar wait of the runtime: another executor — possibly the harness
+/// thread inside `quiesce` — panicked while it held shared state, so
+/// propagate.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "poison = a peer thread already panicked mid-update; the books are untrustworthy, fail the run"
+)]
+fn held<G>(guard: LockResult<G>) -> G {
+    guard.expect("a thread panicked holding this lock")
+}
+
 /// Aggregate counters for throughput reporting. Mirrors the DES
 /// driver's accounting: at any quiescent point
 /// `sent == delivered + dropped + bounced`.
@@ -286,6 +305,10 @@ impl Runtime {
                     reason = "worker gossip streams root at the runtime config seed — the deployment entry point"
                 )]
                 let rng = SeedTree::new(cfg.seed).child2(LBL_WORKER, w as u64).rng();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the OS refused a thread at start-up: there is no runtime to return"
+                )]
                 std::thread::Builder::new()
                     .name(format!("oscar-worker-{w}"))
                     .spawn(move || worker_loop(sh, Executor::new(w, rng)))
@@ -328,12 +351,12 @@ impl Runtime {
         // The table lock is held across the index writes so that a
         // concurrent spawn or remove of the same id cannot interleave
         // with them.
-        let mut actors = self.shared.actors.write().unwrap();
+        let mut actors = held(self.shared.actors.write());
         if let Some(replaced) = actors.insert(id, actor) {
             self.shared.retire(&replaced);
         }
         if indexed.is_some() {
-            self.shared.timers.lock().unwrap().set(id, None, indexed);
+            held(self.shared.timers.lock()).set(id, None, indexed);
         }
     }
 
@@ -353,7 +376,7 @@ impl Runtime {
     /// delivery failures at the senders.
     pub fn remove_peer(&self, id: Id) -> bool {
         let removed = {
-            let mut actors = self.shared.actors.write().unwrap();
+            let mut actors = held(self.shared.actors.write());
             let removed = actors.remove(&id);
             if let Some(actor) = &removed {
                 self.shared.retire(actor);
@@ -367,7 +390,7 @@ impl Runtime {
         // here. Mail an executor took before this, or that a sender
         // already holding the actor pushes after it, `run_actor` drops
         // when it finds the slot retired — each envelope exactly once.
-        let queued = std::mem::take(&mut actor.mailbox.lock().unwrap().queue).len();
+        let queued = std::mem::take(&mut held(actor.mailbox.lock()).queue).len();
         self.shared
             .dropped
             .fetch_add(queued as u64, Ordering::Relaxed);
@@ -378,25 +401,25 @@ impl Runtime {
     /// Live peer ids, sorted.
     pub fn peer_ids(&self) -> Vec<Id> {
         // BTreeMap keys iterate in ascending order: already sorted.
-        self.shared.actors.read().unwrap().keys().copied().collect()
+        held(self.shared.actors.read()).keys().copied().collect()
     }
 
     /// Runs `f` against one peer's machine (read-only access pattern).
     pub fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
-        let actor = self.shared.actors.read().unwrap().get(&id).cloned()?;
-        let slot = actor.slot.lock().unwrap();
+        let actor = held(self.shared.actors.read()).get(&id).cloned()?;
+        let slot = held(actor.slot.lock());
         Some(f(&slot.machine))
     }
 
     /// Delivers a command to one peer on the calling thread; resulting
     /// messages flow through the worker pool.
     pub fn inject(&self, id: Id, cmd: Command) -> bool {
-        let Some(actor) = self.shared.actors.read().unwrap().get(&id).cloned() else {
+        let Some(actor) = held(self.shared.actors.read()).get(&id).cloned() else {
             return false;
         };
         let mut rng = self.fresh_stream();
         let outs = {
-            let mut slot = actor.slot.lock().unwrap();
+            let mut slot = held(actor.slot.lock());
             let outs = slot.machine.on_command(cmd, &mut rng);
             self.shared.after_step(id, &mut slot);
             outs
@@ -427,7 +450,7 @@ impl Runtime {
     pub fn quiesce(&self) {
         let shared = &*self.shared;
         let mut helper: Option<Executor> = None;
-        let mut q = shared.runq.lock().unwrap();
+        let mut q = held(shared.runq.lock());
         while shared.pending.load(Ordering::SeqCst) != 0 {
             if let Some(actor) = q.ready.pop_front() {
                 drop(q);
@@ -435,10 +458,10 @@ impl Runtime {
                     Executor::new(shared.busy_ns.len() - 1, self.fresh_stream())
                 });
                 run_actor(shared, &actor, me);
-                q = shared.runq.lock().unwrap();
+                q = held(shared.runq.lock());
             } else {
                 q.quiescers += 1;
-                q = shared.quiet.wait(q).unwrap();
+                q = held(shared.quiet.wait(q));
                 q.quiescers -= 1;
             }
         }
@@ -450,11 +473,11 @@ impl Runtime {
     /// event — these and any already waiting — stays for
     /// [`Runtime::drain_events`], as on the DES.
     pub fn join_and_wait(&self, joiner: Id, contact: Id) -> bool {
-        let before = self.shared.events.lock().unwrap().len();
+        let before = held(self.shared.events.lock()).len();
         self.spawn_peer(joiner);
         self.inject(joiner, Command::Join { contact });
         self.quiesce();
-        let events = self.shared.events.lock().unwrap();
+        let events = held(self.shared.events.lock());
         events
             .iter()
             .skip(before)
@@ -470,7 +493,7 @@ impl Runtime {
 
     /// Drains protocol milestones collected since the last drain.
     pub fn drain_events(&self) -> Vec<ProtocolEvent> {
-        std::mem::take(&mut *self.shared.events.lock().unwrap())
+        std::mem::take(&mut *held(self.shared.events.lock()))
     }
 
     /// The earliest pending deadline across all machines, if any
@@ -478,7 +501,7 @@ impl Runtime {
     /// deadline index; at a quiescent point, debug builds check it
     /// against a scan of every machine.
     pub fn next_timer_round(&self) -> Option<u64> {
-        let next = self.shared.timers.lock().unwrap().earliest();
+        let next = held(self.shared.timers.lock()).earliest();
         debug_assert!(
             !self.is_quiescent() || next == self.scan_deadlines().into_iter().map(|(_, d)| d).min(),
             "timer index out of step with the machines"
@@ -494,7 +517,7 @@ impl Runtime {
     ///
     /// The due set comes from the deadline index alone — no actor is
     /// locked to find it — in ascending [`Id`] order, the order the DES
-    /// ticks in, so both drivers hand out the same injection nonces.
+    /// ticks in, so both drivers tick the same machines in the same order.
     /// Debug builds check the set against a scan of every machine.
     pub fn tick_timers(&self) -> bool {
         let Some(min) = self.next_timer_round() else {
@@ -502,7 +525,7 @@ impl Runtime {
         };
         let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
         let now = prev.max(min);
-        let due = self.shared.timers.lock().unwrap().due(now);
+        let due = held(self.shared.timers.lock()).due(now);
         debug_assert!(
             !self.is_quiescent()
                 || due
@@ -530,18 +553,11 @@ impl Runtime {
     /// for its earliest deadline, in id order. Release builds never call
     /// it.
     fn scan_deadlines(&self) -> Vec<(Id, u64)> {
-        let actors: Vec<Arc<Actor>> = self
-            .shared
-            .actors
-            .read()
-            .unwrap()
-            .values()
-            .cloned()
-            .collect();
+        let actors: Vec<Arc<Actor>> = held(self.shared.actors.read()).values().cloned().collect();
         actors
             .iter()
             .filter_map(|a| {
-                let deadline = a.slot.lock().unwrap().machine.next_deadline()?;
+                let deadline = held(a.slot.lock()).machine.next_deadline()?;
                 Some((a.id, deadline))
             })
             .collect()
@@ -614,7 +630,9 @@ impl Runtime {
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         {
-            let _q = self.shared.runq.lock().unwrap();
+            // The guard is held poisoned or not: `Drop` runs this, and a
+            // panic there while another unwinds aborts the process.
+            let _q = self.shared.runq.lock();
             self.shared.work.notify_all();
         }
         for h in self.workers.drain(..) {
@@ -637,7 +655,7 @@ impl Drop for Runtime {
 /// onto the same virtual failure-detection time the DES uses.
 impl ProtocolDriver for Runtime {
     fn spawn_peer(&mut self, id: Id) {
-        if !self.shared.actors.read().unwrap().contains_key(&id) {
+        if !held(self.shared.actors.read()).contains_key(&id) {
             Runtime::spawn_peer(self, id);
         }
     }
@@ -706,12 +724,12 @@ impl Shared {
             }
         }
         let copies = 1 + extra.is_some() as usize;
-        let target = self.actors.read().unwrap().get(&to).cloned();
+        let target = held(self.actors.read()).get(&to).cloned();
         match target {
             Some(target) => {
                 self.pending.fetch_add(copies, Ordering::SeqCst);
                 let went_non_empty = {
-                    let mut mb = target.mailbox.lock().unwrap();
+                    let mut mb = held(target.mailbox.lock());
                     mb.queue.extend(extra.map(|m| (from.id, m)));
                     mb.queue.push_back((from.id, msg));
                     !std::mem::replace(&mut mb.scheduled, true)
@@ -727,7 +745,7 @@ impl Shared {
                 self.bounced.fetch_add(copies as u64, Ordering::Relaxed);
                 for msg in extra.into_iter().chain([msg]) {
                     let outs = {
-                        let mut slot = from.slot.lock().unwrap();
+                        let mut slot = held(from.slot.lock());
                         let outs = slot.machine.on_delivery_failure(to, msg);
                         self.after_step(from.id, &mut slot);
                         outs
@@ -746,7 +764,7 @@ impl Shared {
     /// With every executor awake the push is all there is to do — each
     /// looks at the queue again before it sleeps.
     fn schedule(&self, actor: Arc<Actor>) {
-        let mut q = self.runq.lock().unwrap();
+        let mut q = held(self.runq.lock());
         q.ready.push_back(actor);
         if q.parked > 0 {
             self.work.notify_one();
@@ -760,7 +778,7 @@ impl Shared {
     /// under.
     fn release(&self, n: usize) {
         if n > 0 && self.pending.fetch_sub(n, Ordering::SeqCst) == n {
-            let q = self.runq.lock().unwrap();
+            let q = held(self.runq.lock());
             if q.quiescers > 0 {
                 self.quiet.notify_all();
             }
@@ -774,7 +792,7 @@ impl Shared {
     fn after_step(&self, id: Id, slot: &mut Slot) {
         let deadline = slot.machine.next_deadline();
         if deadline != slot.indexed && !slot.retired {
-            self.timers.lock().unwrap().set(id, slot.indexed, deadline);
+            held(self.timers.lock()).set(id, slot.indexed, deadline);
             slot.indexed = deadline;
         }
         let evs = slot.machine.drain_events();
@@ -786,7 +804,7 @@ impl Shared {
             if faults > 0 {
                 self.faults.fetch_add(faults, Ordering::Relaxed);
             }
-            self.events.lock().unwrap().extend(evs);
+            held(self.events.lock()).extend(evs);
         }
     }
 
@@ -794,10 +812,10 @@ impl Shared {
     /// index, for good: a worker may still be running its machine, and
     /// `after_step` leaves a retired slot alone.
     fn retire(&self, actor: &Actor) {
-        let mut slot = actor.slot.lock().unwrap();
+        let mut slot = held(actor.slot.lock());
         slot.retired = true;
         if let Some(old) = slot.indexed.take() {
-            self.timers.lock().unwrap().set(actor.id, Some(old), None);
+            held(self.timers.lock()).set(actor.id, Some(old), None);
         }
     }
 }
@@ -816,7 +834,7 @@ impl Executor {
 fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
         let actor = {
-            let mut q = shared.runq.lock().unwrap();
+            let mut q = held(shared.runq.lock());
             loop {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
@@ -825,7 +843,7 @@ fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
                     break actor;
                 }
                 q.parked += 1;
-                q = shared.work.wait(q).unwrap();
+                q = held(shared.work.wait(q));
                 q.parked -= 1;
             }
         };
@@ -846,7 +864,7 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
     let mut handled = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {
         {
-            let mut mb = actor.mailbox.lock().unwrap();
+            let mut mb = held(actor.mailbox.lock());
             if mb.queue.is_empty() {
                 mb.scheduled = false;
                 break;
@@ -855,7 +873,7 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
         }
         for (from, msg) in me.batch.drain(..) {
             let outs = {
-                let mut slot = actor.slot.lock().unwrap();
+                let mut slot = held(actor.slot.lock());
                 if slot.retired {
                     None
                 } else {

@@ -39,10 +39,10 @@
 //! comparison is unaffected.
 //!
 //! What the machines do *not* do yet is build Oscar's links: a joiner (and
-//! every rewire) acquires at most `max_long_out` links to **uniform**
-//! Metropolis–Hastings samples of the whole ring, not partition-median
-//! links under per-peer degree caps. The same schedule therefore routes
-//! at a higher cost here than on the oracle world.
+//! every rewire) acquires at most 5 links (one constant for every peer)
+//! to **uniform** Metropolis–Hastings samples of the whole ring, not
+//! partition-median links under per-peer degree caps. The same schedule
+//! therefore routes at a higher cost here than on the oracle world.
 //!
 //! Determinism: every draw comes from a labelled child of the run seed
 //! (scope `sim_churn_engine`), walks and queries carry token RNGs, and
@@ -75,7 +75,7 @@ pub struct MachineChurnConfig {
     /// Peers bootstrapped (serial joins) before the schedule starts.
     pub initial_peers: usize,
     /// Sampling walks per link build: joins, sweeps, and bootstrap all
-    /// launch this many (repairs use `PeerConfig::repair_walks`).
+    /// launch this many (a repair launches the machines' own constant, 3).
     pub build_walks: u32,
     /// Ring-probe cadence in virtual ticks (reactive policies only).
     pub probe_every: u64,

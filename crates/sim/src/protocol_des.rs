@@ -20,6 +20,7 @@ use oscar_protocol::{
 };
 use oscar_types::labels::sim_protocol_des::LBL_CMD;
 use oscar_types::{Id, SeedTree};
+use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
 
 /// A protocol message in flight through virtual time.
@@ -61,7 +62,10 @@ pub struct DesDriver {
     peer_cfg: PeerConfig,
     plan: FaultPlan,
     events: Vec<ProtocolEvent>,
-    cmd_nonce: u64,
+    /// The stream every `on_command`/`on_message` is handed. Only gossip
+    /// draws from it, and a sequential driver's draw order is its
+    /// delivery order, so one stream is as deterministic as one per call.
+    gossip_rng: SmallRng,
     /// Current timer round (virtual failure-detection time); advanced
     /// only at quiescent points, where all in-flight loss is final.
     round: u64,
@@ -94,7 +98,11 @@ impl DesDriver {
             peer_cfg,
             plan,
             events: Vec::new(),
-            cmd_nonce: 0,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the driver's one stream, rooted at its seed — only gossip draws from it"
+            )]
+            gossip_rng: SeedTree::new(seed).child(LBL_CMD).rng(),
             round: 0,
             sent: 0,
             delivered: 0,
@@ -201,22 +209,10 @@ impl DesDriver {
 
     /// Hands a command to one peer and queues its replies.
     pub fn inject(&mut self, id: Id, cmd: Command) -> bool {
-        // Fresh stream per command and per delivery, keyed `LBL_CMD` by one
-        // nonce. The runtime keys its own differently (`LBL_GOSSIP` per
-        // inject, `LBL_WORKER` per worker): only gossip draws from the
-        // driver's RNG, so the two drivers need not agree on it.
-        self.cmd_nonce += 1;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "per-command stream keyed by nonce — only gossip draws from it"
-        )]
-        let mut rng = SeedTree::new(self.seed)
-            .child2(LBL_CMD, self.cmd_nonce)
-            .rng();
         let Some(peer) = self.peers.get_mut(&id) else {
             return false;
         };
-        let outs = peer.machine.on_command(cmd, &mut rng);
+        let outs = peer.machine.on_command(cmd, &mut self.gossip_rng);
         peer.reindex(id, &mut self.timers);
         let evs = peer.machine.drain_events();
         self.absorb_events(evs);
@@ -260,9 +256,10 @@ impl DesDriver {
     /// genuine loss — never a message still in the queue.
     ///
     /// The due set comes from the deadline index in ascending [`Id`]
-    /// order — the order a walk over the sorted fleet finds it in, which
-    /// every injection nonce (and so every seeded outcome) depends on —
-    /// at a cost that grows with the machines due, not with the fleet.
+    /// order — the order a walk over the sorted fleet finds it in, and
+    /// injection order is enqueue order, so every seeded outcome depends
+    /// on it — at a cost that grows with the machines due, not with the
+    /// fleet.
     /// Debug builds check the set against that walk.
     pub fn tick_timers(&mut self) -> bool {
         let Some(min) = self.next_timer_round() else {
@@ -368,17 +365,11 @@ impl DesDriver {
     }
 
     fn deliver(&mut self, env: Envelope) {
-        self.cmd_nonce += 1;
         if let Some(peer) = self.peers.get_mut(&env.to) {
             self.delivered += 1;
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-delivery stream keyed by nonce — only gossip draws from it"
-            )]
-            let mut rng = SeedTree::new(self.seed)
-                .child2(LBL_CMD, self.cmd_nonce)
-                .rng();
-            let outs = peer.machine.on_message(env.from, env.msg, &mut rng);
+            let outs = peer
+                .machine
+                .on_message(env.from, env.msg, &mut self.gossip_rng);
             peer.reindex(env.to, &mut self.timers);
             let evs = peer.machine.drain_events();
             self.absorb_events(evs);
@@ -475,6 +466,39 @@ mod tests {
             let succ = sorted[(k + 1) % sorted.len()];
             assert_eq!(des.peer(id).unwrap().succs()[0], succ);
         }
+    }
+
+    #[test]
+    fn gossip_on_the_des_is_a_pure_function_of_the_seed() {
+        // Gossip draws from the driver's stream and nothing else (`view.rs`),
+        // and the joins leave both seeds with the same views, so what
+        // differs afterwards is the stream's target and sample picks.
+        let views = |seed: u64| {
+            let mut des = driver(seed);
+            let ids: Vec<Id> = (1..=30u64).map(|i| Id::new(i * 1_000)).collect();
+            des.spawn_peer(ids[0]);
+            for &id in &ids[1..] {
+                assert!(des.join_and_wait(id, ids[0]));
+            }
+            let known = |des: &DesDriver| {
+                ids.iter()
+                    .map(|&id| des.peer(id).unwrap().known().to_vec())
+                    .collect::<Vec<_>>()
+            };
+            let joined = known(&des);
+            for _ in 0..2 {
+                for &id in &ids {
+                    des.inject(id, Command::GossipTick);
+                }
+                des.run_until_idle();
+            }
+            (joined, known(&des))
+        };
+        let (joined, gossiped) = views(42);
+        assert_eq!((joined.clone(), gossiped.clone()), views(42));
+        let (other_joined, other_gossiped) = views(43);
+        assert_eq!(joined, other_joined, "joins read no seed");
+        assert_ne!(gossiped, other_gossiped);
     }
 
     #[test]

@@ -17,18 +17,6 @@ pub enum Error {
     UnknownPeer(usize),
     /// Operation requires a live peer but the peer has crashed.
     PeerDead(usize),
-    /// Operation requires a non-empty ring.
-    RingEmpty,
-    /// A peer refused a link because its in-degree budget is exhausted.
-    LinkRefused {
-        /// The refusing peer.
-        target: usize,
-    },
-    /// Greedy routing gave up (only possible in unstabilised fault models).
-    RoutingFailed {
-        /// Hops spent before giving up.
-        hops: u32,
-    },
     /// A random-walk sampler could not produce a sample (e.g. the restricted
     /// sub-population is empty or unreachable).
     SamplingFailed {
@@ -53,16 +41,6 @@ impl fmt::Display for Error {
         match self {
             Error::UnknownPeer(idx) => write!(f, "unknown peer index {idx}"),
             Error::PeerDead(idx) => write!(f, "peer {idx} is dead"),
-            Error::RingEmpty => write!(f, "the ring is empty"),
-            Error::LinkRefused { target } => {
-                write!(
-                    f,
-                    "peer {target} refused the link (in-degree budget exhausted)"
-                )
-            }
-            Error::RoutingFailed { hops } => {
-                write!(f, "routing failed after {hops} hops")
-            }
             Error::SamplingFailed { reason } => {
                 write!(f, "sampling failed: {reason}")
             }
@@ -86,15 +64,6 @@ mod tests {
         let cases: Vec<(Error, &str)> = vec![
             (Error::UnknownPeer(3), "unknown peer index 3"),
             (Error::PeerDead(9), "peer 9 is dead"),
-            (Error::RingEmpty, "the ring is empty"),
-            (
-                Error::LinkRefused { target: 7 },
-                "peer 7 refused the link (in-degree budget exhausted)",
-            ),
-            (
-                Error::RoutingFailed { hops: 12 },
-                "routing failed after 12 hops",
-            ),
             (
                 Error::SamplingFailed {
                     reason: "empty interval",
@@ -117,7 +86,7 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_std_error(_: &dyn std::error::Error) {}
-        takes_std_error(&Error::RingEmpty);
+        takes_std_error(&Error::PeerDead(1));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use oscar_types as types;
 /// The names most programs want in scope.
 pub mod prelude {
     pub use oscar_analytics::{degree_load_curve, degree_volume_utilization, Series, Summary};
-    pub use oscar_chord::{ChordBuilder, ChordConfig, ChordOverlay};
+    pub use oscar_chord::{ChordBuilder, ChordOverlay};
     pub use oscar_core::{
         range_scan, MedianSource, OscarBuilder, OscarConfig, OscarOverlay, RangeScanOutcome,
     };
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use oscar_keydist::{
         ClusteredKeys, GnutellaKeys, KeyDistribution, QueryWorkload, UniformKeys, ZipfKeys,
     };
-    pub use oscar_mercury::{MercuryBuilder, MercuryConfig, MercuryOverlay};
+    pub use oscar_mercury::{MercuryBuilder, MercuryOverlay};
     pub use oscar_protocol::{Command, PeerConfig, PeerMachine, ProtocolEvent};
     pub use oscar_runtime::{Runtime, RuntimeConfig};
     pub use oscar_sim::{

@@ -36,8 +36,7 @@ fn different_seeds_give_different_networks() {
 #[test]
 fn mercury_experiment_is_bit_reproducible() {
     let run = || {
-        let mut ov =
-            oscar::mercury::new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 777);
+        let mut ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 777);
         ov.grow_to(250, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         ov.run_queries(&QueryWorkload::UniformPeers, 250).mean_cost

@@ -66,8 +66,7 @@ fn oscar_beats_mercury_on_skewed_keys() {
     oscar_ov.grow_to(600, &keys, &degrees).unwrap();
     let oscar_stats = oscar_ov.run_queries(&QueryWorkload::UniformPeers, 600);
 
-    let mut mercury_ov =
-        oscar::mercury::new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 7);
+    let mut mercury_ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 7);
     mercury_ov.grow_to(600, &keys, &degrees).unwrap();
     let mercury_stats = mercury_ov.run_queries(&QueryWorkload::UniformPeers, 600);
 
@@ -92,8 +91,7 @@ fn oscar_exploits_more_degree_volume_than_mercury() {
     oscar_ov.grow_to(500, &keys, &degrees).unwrap();
     let oscar_util = degree_volume_utilization(oscar_ov.network());
 
-    let mut mercury_ov =
-        oscar::mercury::new_overlay(MercuryConfig::default(), FaultModel::StabilizedRing, 9);
+    let mut mercury_ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 9);
     mercury_ov.grow_to(500, &keys, &degrees).unwrap();
     let mercury_util = degree_volume_utilization(mercury_ov.network());
 

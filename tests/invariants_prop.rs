@@ -57,11 +57,7 @@ proptest! {
         seed in 0u64..1000,
         n in 50usize..200,
     ) {
-        let mut ov = oscar::mercury::new_overlay(
-            MercuryConfig::default(),
-            FaultModel::StabilizedRing,
-            seed,
-        );
+        let mut ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &GnutellaKeys::default(), &ConstantDegrees::paper()).unwrap();
         prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 80);

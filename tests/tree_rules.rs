@@ -38,7 +38,7 @@ const RULES_OWED: &[(&str, &[&[&str]])] = &[
     ("crates/mercury", &[DETERMINISM]),
     ("crates/protocol", &[DETERMINISM, PANIC_POLICY]),
     ("crates/ring", &[DETERMINISM, PANIC_POLICY]),
-    ("crates/runtime", &[DETERMINISM]),
+    ("crates/runtime", &[DETERMINISM, PANIC_POLICY]),
     ("crates/sim", &[DETERMINISM, PANIC_POLICY]),
     ("crates/types", &[DETERMINISM]),
     (".", &[DETERMINISM]),
