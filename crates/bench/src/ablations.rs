@@ -2,7 +2,9 @@
 //!
 //! * A1 — power-of-two choices on/off: degree-volume utilisation & cost
 //! * A2 — median sample size sweep: cost vs sampling effort
-//! * A3 — sampled vs oracle medians: what the sampling error costs
+//! * A3 — sampled vs oracle medians: what the sampling error costs;
+//!   gated — the run fails if sampled medians cost more than
+//!   `A3_MAX_COST_RATIO` × the oracle's search cost
 //! * A4 — stabilised vs unstabilised ring at 33% crashes (+ successor-list
 //!   length): what the paper's ring assumption is worth
 //! * A5 — skewed (Zipf) access load: delivery concentration
@@ -86,7 +88,12 @@ fn a2_sample_size(scale: &Scale) -> std::io::Result<()> {
     Ok(())
 }
 
-fn a3_oracle_medians(scale: &Scale) -> std::io::Result<()> {
+/// A3's gate: search cost with sampled medians over search cost with
+/// oracle medians. 0.99–1.03 at scales 400–2000; a sampling plan that
+/// spends fewer walk steps by placing links worse shows here as hops.
+const A3_MAX_COST_RATIO: f64 = 1.08;
+
+fn a3_oracle_medians(scale: &Scale) -> RunResult {
     eprintln!("[A3] sampled vs oracle medians...");
     let sampled = grow_with(OscarConfig::default(), scale, "sampled");
     let oracle = grow_with(
@@ -108,6 +115,14 @@ fn a3_oracle_medians(scale: &Scale) -> std::io::Result<()> {
         oracle.final_cost()
     ));
     report.emit("ablation_a3_oracle_medians")?;
+    let ratio = sampled.final_cost() / oracle.final_cost();
+    if ratio > A3_MAX_COST_RATIO {
+        return Err(format!(
+            "A3: sampled medians cost {ratio:.3}x the oracle's search cost, over the \
+             {A3_MAX_COST_RATIO} gate — the sampling plan is placing links worse"
+        )
+        .into());
+    }
     Ok(())
 }
 

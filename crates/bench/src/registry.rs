@@ -143,7 +143,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
     Experiment {
         name: "ablations",
         about: "A1-A5: power-of-two choices, sample size, oracle medians, ring stabilisation, \
-                access skew",
+                access skew; fails if sampled medians cost > 1.08x oracle medians (A3)",
         knobs: &[],
         run: crate::ablations::run,
     },

@@ -53,6 +53,7 @@ mod tests {
     use oscar_degree::{ConstantDegrees, SpikyDegrees, SteppedDegrees};
     use oscar_keydist::{GnutellaKeys, QueryWorkload, UniformKeys};
     use oscar_sim::FaultModel;
+    use oscar_types::SeedTree;
 
     #[test]
     #[should_panic(expected = "invalid OscarConfig")]
@@ -148,6 +149,35 @@ mod tests {
             baseline.mean_cost
         );
         assert!(after.mean_wasted > 0.0);
+    }
+
+    #[test]
+    fn build_links_is_estimate_then_acquire_on_one_rng() {
+        // Callers that put a span around each half (the benchmark's traced
+        // run) must build the very overlay `build_links` builds.
+        let cfg = OscarConfig::default();
+        let mut ov = new_overlay(cfg, FaultModel::StabilizedRing, 8);
+        ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
+            .unwrap();
+        let builder = OscarBuilder::new(cfg);
+        for rank in [0, 77, 199] {
+            let mut whole = ov.network().clone();
+            let mut halves = whole.clone();
+            let p = whole.live_peer_by_rank(rank);
+            whole.unlink_long_out(p);
+            halves.unlink_long_out(p);
+            let mut rng = SeedTree::new(rank as u64).rng();
+            let mut rng_halves = rng.clone();
+            builder.build_links(&mut whole, p, &mut rng).unwrap();
+            let parts = estimate_partitions(&mut halves, p, &cfg, &mut rng_halves).unwrap();
+            acquire_links(&mut halves, p, &parts, &cfg, &mut rng_halves).unwrap();
+            assert!(whole.peer(p).out_degree() > 0);
+            for q in whole.all_peers() {
+                assert_eq!(whole.peer(q).long_out, halves.peer(q).long_out);
+                assert_eq!(whole.peer(q).long_in, halves.peer(q).long_in);
+            }
+            assert!(whole.metrics == halves.metrics, "message counts differ");
+        }
     }
 
     #[test]

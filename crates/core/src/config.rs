@@ -70,16 +70,6 @@ impl OscarConfig {
         self.median_source = MedianSource::Oracle;
         self
     }
-
-    /// Convenience: same config with chained (thinned) median sampling —
-    /// one burn-in per median estimate instead of one per sample. Cuts the
-    /// join-time walk volume by roughly `burn_in / thin` at the cost of
-    /// correlated samples; partition-halving quality is ablation-tested to
-    /// hold (see `partitions::tests::chained_sampling_preserves_halving`).
-    pub fn with_chained_sampling(mut self, thin: u32) -> Self {
-        self.walk = self.walk.with_chain_thin(thin);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -119,8 +109,5 @@ mod tests {
         assert_eq!(c.link_candidates, 1);
         let c = OscarConfig::default().with_oracle_medians();
         assert_eq!(c.median_source, MedianSource::Oracle);
-        let c = OscarConfig::default().with_chained_sampling(6);
-        assert_eq!(c.walk.chain_thin, 6);
-        c.validate().unwrap();
     }
 }

@@ -5,11 +5,14 @@
 //!
 //! 1. choosing a partition **uniformly at random** — every `A_i` is equally
 //!    likely, which weights rank-distance scales harmonically;
-//! 2. sampling peers **uniformly within** the chosen partition (restricted
-//!    random walks);
-//! 3. with the **power-of-two-choices** technique, sampling two candidates
-//!    and probing their current in-degree, linking to the less loaded —
-//!    this is what spreads in-degree across heterogeneous budgets;
+//! 2. taking peers sampled **uniformly within** the chosen partition: first
+//!    from the pool partition estimation left with it (each pooled sample
+//!    is used once, in arrival order), then, for what the pool cannot
+//!    supply, by restricted random walks;
+//! 3. with the **power-of-two-choices** technique, taking two candidates
+//!    and probing their current in-degree — at link time, however long ago
+//!    a candidate was sampled — and linking to the less loaded: this is
+//!    what spreads in-degree across heterogeneous budgets;
 //! 4. requesting the link; the target *refuses* if its `ρ_in_max` budget is
 //!    exhausted (its local decision, the paper's contribution-control
 //!    mechanism), in which case the slot retries with a fresh partition
@@ -55,21 +58,25 @@ pub fn acquire_links(
         p.caps.rho_out.saturating_sub(p.out_degree())
     };
     let mut candidates: Vec<PeerIdx> = Vec::with_capacity(cfg.link_candidates);
+    // How much of each partition's pool earlier slots have used up.
+    let mut used = vec![0usize; parts.len()];
     'slots: for _ in 0..budget {
         for _attempt in 0..=LINK_RETRIES {
-            let (arc, entry) = parts.get(rng.gen_range(0..parts.len()));
+            let i = rng.gen_range(0..parts.len());
+            let (arc, entry) = parts.get(i);
             if !net.is_alive(entry) {
                 continue; // stale partition info under churn; try another
             }
+            let unused = &parts.pool(i)[used[i]..];
+            let pooled = &unused[..unused.len().min(cfg.link_candidates)];
+            used[i] += pooled.len();
             candidates.clear();
-            candidates.extend(sample_peers(
-                net,
-                cfg.walk,
-                entry,
-                Some(&arc),
-                cfg.link_candidates,
-                rng,
-            )?);
+            candidates.extend_from_slice(pooled);
+            let missing = cfg.link_candidates - pooled.len();
+            if missing > 0 {
+                let walked = sample_peers(net, cfg.walk, entry, Some(&arc), missing, rng)?;
+                candidates.extend(walked);
+            }
             candidates.sort_unstable();
             candidates.dedup();
             // Admission and least-loaded selection both go through the
@@ -297,6 +304,28 @@ mod tests {
             total_unfilled > 0,
             "demand (16/peer) far exceeds supply (2/peer)"
         );
+    }
+
+    #[test]
+    fn oracle_medians_link_exactly_as_before_there_was_a_pool() {
+        // Oracle medians sample nothing, so nothing is pooled and every
+        // candidate is walked for, draw for draw as it always was: the
+        // digest is the one this overlay had before pools existed
+        // (ablation A3's oracle column rests on it).
+        let cfg = OscarConfig::default().with_oracle_medians();
+        let mut ov = crate::new_overlay(cfg, FaultModel::StabilizedRing, 42);
+        let degrees = oscar_degree::ConstantDegrees::paper();
+        ov.grow_to(150, &oscar_keydist::GnutellaKeys::default(), &degrees)
+            .unwrap();
+        let net = ov.network();
+        let mut digest = net.metrics.get(MsgKind::WalkStep);
+        for p in net.all_peers() {
+            for &t in &net.peer(p).long_out {
+                digest = oscar_types::mix64(digest ^ ((p.0 as u64) << 32 | t.0 as u64));
+            }
+        }
+        println!("oracle-median overlay digest: {digest:#018x}");
+        assert_eq!(digest, 0x1e08b7b256236f5c, "oracle-median overlay moved");
     }
 
     #[test]

@@ -14,8 +14,21 @@
 //! chain *discovers* `k ≈ log₂N` adaptively: it keeps halving until the
 //! sample collapses onto ≤ 2 distinct peers, so no network-size estimate is
 //! needed anywhere.
+//!
+//! Every sample is spent once. Given a round's median, the samples that
+//! fell nearer are independent uniform draws from exactly the arc the
+//! next round samples, so they *are* its first samples and only the
+//! remainder is walked; the samples that fell beyond it are uniform draws
+//! from the partition just cut off, and are kept with it as the pool
+//! [`acquire_links`](crate::links::acquire_links) draws its link
+//! candidates from before it walks for any; the innermost partition's pool
+//! is what the last round held. Both stay in arrival order —
+//! sorted by distance, a pool's first sample would be the nearest of
+//! several, not a uniform one. The split is
+//! [`oscar_protocol::logic::split_at_median`].
 
 use crate::config::{MedianSource, OscarConfig};
+use oscar_protocol::logic;
 use oscar_sim::{sample_peers, Network, PeerIdx};
 use oscar_types::{Arc, Id, Result};
 use rand::rngs::SmallRng;
@@ -28,11 +41,14 @@ const MAX_PARTITIONS: usize = 48;
 ///
 /// Each partition carries a known live member (the border peer for interior
 /// partitions, the ring successor for the innermost) used as the entry
-/// point for subsequent sampling walks.
+/// point for subsequent sampling walks, and the pool of uniform samples of
+/// it that estimation had in hand (empty under [`MedianSource::Oracle`],
+/// which samples nothing).
 #[derive(Clone, Debug)]
 pub struct Partitions {
     origin: Id,
-    parts: Vec<(Arc, PeerIdx)>,
+    /// `(arc, entry peer, pool)` per partition.
+    parts: Vec<(Arc, PeerIdx, Vec<PeerIdx>)>,
 }
 
 impl Partitions {
@@ -61,12 +77,20 @@ impl Partitions {
 
     /// Partition `i` (0 = farthest) and its entry peer.
     pub fn get(&self, i: usize) -> (Arc, PeerIdx) {
-        self.parts[i]
+        let (arc, entry, _) = self.parts[i];
+        (arc, entry)
+    }
+
+    /// The uniform samples of partition `i` left over from estimation, in
+    /// the order the walks returned them. A border peer is never in the
+    /// pool of the partition it opens: its samples chose it as the border.
+    pub fn pool(&self, i: usize) -> &[PeerIdx] {
+        &self.parts[i].2
     }
 
     /// All partition arcs, far → near.
     pub fn arcs(&self) -> impl Iterator<Item = Arc> + '_ {
-        self.parts.iter().map(|&(a, _)| a)
+        self.parts.iter().map(|&(a, _, _)| a)
     }
 }
 
@@ -81,10 +105,7 @@ pub fn estimate_partitions(
     rng: &mut SmallRng,
 ) -> Result<Partitions> {
     let uid = net.peer(u).id;
-    let mut parts = Partitions {
-        origin: uid,
-        parts: Vec::with_capacity(24),
-    };
+    let mut parts = Partitions::empty(uid);
     // Nearest clockwise live peer: entry point for near-region walks.
     let Some(succ_id) = net.ring_live().successor_of(uid) else {
         return Ok(parts);
@@ -96,6 +117,8 @@ pub fn estimate_partitions(
 
     // The population clockwise of u: everything except u itself.
     let mut current = Arc::between(uid.add(1), uid);
+    // The last round's samples that fell inside `current`.
+    let mut samples: Vec<PeerIdx> = Vec::with_capacity(cfg.median_sample_size);
 
     for _ in 0..MAX_PARTITIONS {
         if !current.contains(succ_id) {
@@ -103,29 +126,29 @@ pub fn estimate_partitions(
             // the innermost peer; nothing more to partition.
             return Ok(parts);
         }
-        let median = match cfg.median_source {
+        let (median, pool) = match cfg.median_source {
             MedianSource::Sampled => {
-                let samples = sample_peers(
+                // A split drops its median, so fewer than a full sample carry over.
+                let fresh = cfg.median_sample_size - samples.len();
+                samples.extend(sample_peers(
                     net,
                     cfg.walk,
                     succ,
                     Some(&current),
-                    cfg.median_sample_size,
+                    fresh,
                     rng,
-                )?;
-                let mut by_dist: Vec<(u64, PeerIdx)> = samples
+                )?);
+                let by_dist: Vec<(u64, PeerIdx)> = samples
                     .iter()
                     .map(|&s| (uid.cw_dist(net.peer(s).id), s))
                     .collect();
-                by_dist.sort_unstable();
-                by_dist.dedup();
-                if by_dist.len() <= 2 {
+                let Some(split) = logic::split_at_median(&by_dist) else {
                     // Sub-population (as far as sampling can tell) has
                     // collapsed: `current` is the innermost partition.
                     break;
-                }
-                let (_, m) = by_dist[by_dist.len().div_ceil(2) - 1];
-                m
+                };
+                samples = split.near;
+                (split.median, split.far)
             }
             MedianSource::Oracle => {
                 if net.ring_live().count_in_arc(&current) <= 2 {
@@ -135,13 +158,15 @@ pub fn estimate_partitions(
                     .ring_live()
                     .median_in_arc(&current)
                     .expect("non-empty arc");
-                net.idx_of(m_id).expect("ring ids are registered")
+                let m = net.idx_of(m_id).expect("ring ids are registered");
+                (m, Vec::new())
             }
         };
         let m_id = net.peer(median).id;
         // Far partition: [median, end of current arc).
-        let far = current.truncate_from(m_id);
-        parts.parts.push((far, median));
+        parts
+            .parts
+            .push((current.truncate_from(m_id), median, pool));
         // Remaining sub-population: strictly closer than the median.
         current = current.truncate_at(m_id);
         if current.is_empty() {
@@ -150,7 +175,7 @@ pub fn estimate_partitions(
     }
     // Innermost partition: whatever remains (contains at least succ).
     if current.contains(succ_id) {
-        parts.parts.push((current, succ));
+        parts.parts.push((current, succ, samples));
     }
     Ok(parts)
 }
@@ -160,7 +185,7 @@ mod tests {
     use super::*;
     use oscar_degree::DegreeCaps;
     use oscar_keydist::{sample_n, ClusteredKeys, KeyDistribution, UniformKeys};
-    use oscar_sim::FaultModel;
+    use oscar_sim::{FaultModel, MsgKind};
     use oscar_types::{SeedTree, RING_SIZE};
     use rand::Rng;
 
@@ -285,51 +310,95 @@ mod tests {
     }
 
     #[test]
-    fn chained_sampling_preserves_halving() {
-        // Ablation for the thinned-chain walk mode: correlated samples must
-        // not degrade the partition chain. Check the same halving and
-        // partition-count properties the fresh-walk tests demand, across
-        // several seeds so one lucky chain cannot mask a bias.
-        for seed in [13u64, 14, 15] {
-            let mut net = test_net(uniform_ids(512), 5, seed);
-            let u = net.idx_of(Id::new(7)).unwrap();
-            let mut rng = SeedTree::new(seed + 50).rng();
-            let cfg = OscarConfig::default().with_chained_sampling(12);
+    fn a_pool_is_in_arrival_order_not_distance_order() {
+        // The first pooled sample of the far partition must be a uniform
+        // draw from it: its rank among the partition's members (border
+        // excluded) averages one half. Were the pool kept sorted by
+        // distance, that sample would be the nearest of about six and
+        // the mean rank would sit near one seventh.
+        let mut net = test_net(uniform_ids(256), 5, 24);
+        let u = net.idx_of(Id::new(7)).unwrap();
+        let (mut sum, mut seen) = (0.0, 0);
+        for seed in 0..300 {
+            let mut rng = SeedTree::new(1000 + seed).rng();
+            let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+            let (arc, _) = p.get(0);
+            let Some(&first) = p.pool(0).first() else {
+                continue;
+            };
+            let upto = Arc::between(arc.start(), net.peer(first).id);
+            // Members strictly between the border and the sample, of the
+            // `members - 1` that are not the border.
+            let rank = net.ring_live().count_in_arc(&upto) - 1;
+            let members = net.ring_live().count_in_arc(&arc);
+            sum += (rank as f64 + 0.5) / (members - 1) as f64;
+            seen += 1;
+        }
+        assert!(seen >= 200, "only {seen} runs pooled anything");
+        let mean = sum / seen as f64;
+        assert!(
+            (0.45..=0.55).contains(&mean),
+            "first pooled sample's mean rank is {mean:.3}, not one half"
+        );
+    }
+
+    #[test]
+    fn every_sample_is_walked_once_and_kept_where_it_fell() {
+        // The sampling plan replayed from outside with nothing but arcs:
+        // each round holds on to what fell inside the next `current`,
+        // walks for the rest of its `median_sample_size` and no more, and
+        // leaves what fell beyond the border — its copies excluded — with
+        // the partition cut off. The replay must draw the same samples,
+        // and so end on the same rng state and step count, as the real one.
+        let cfg = OscarConfig::default();
+        for seed in 0..25u64 {
+            let mut net = test_net(uniform_ids(256), 5, 25);
+            let u = net.live_peer_by_rank(seed as usize * 9);
+            let mut rng = SeedTree::new(2000 + seed).rng();
+            let (mut replay_net, mut replay_rng) = (net.clone(), rng.clone());
+            let before = net.metrics.get(MsgKind::WalkStep);
             let p = estimate_partitions(&mut net, u, &cfg, &mut rng).unwrap();
-            let n = net.ring_live().len() - 1;
-            let far = net.ring_live().count_in_arc(&p.get(0).0);
-            let frac = far as f64 / n as f64;
-            assert!(
-                (0.30..=0.70).contains(&frac),
-                "seed {seed}: far partition fraction {frac:.2} under chaining"
-            );
-            let expect = (n as f64).log2();
-            assert!(
-                (p.len() as f64) > expect * 0.5 && (p.len() as f64) < expect * 1.8,
-                "seed {seed}: {} partitions vs log2={expect:.1}",
-                p.len()
-            );
+            let steps = net.metrics.get(MsgKind::WalkStep) - before;
+
+            let ids: Vec<Id> = net.all_peers().map(|q| net.peer(q).id).collect();
+            let id_of = |s: PeerIdx| ids[s.as_usize()];
+            let uid = id_of(u);
+            let succ = replay_net.ring_successor(u).unwrap();
+            let mut current = Arc::between(uid.add(1), uid);
+            let mut held: Vec<PeerIdx> = Vec::new();
+            let mut walked = 0;
+            for i in 0..p.len() {
+                held.retain(|&s| current.contains(id_of(s)));
+                let fresh = cfg.median_sample_size - held.len();
+                walked += fresh as u64;
+                let arc = Some(&current);
+                let drawn =
+                    sample_peers(&mut replay_net, cfg.walk, succ, arc, fresh, &mut replay_rng);
+                held.extend(drawn.unwrap());
+                let (arc, entry) = p.get(i);
+                let innermost = i + 1 == p.len();
+                let fell_here =
+                    |&&s: &&PeerIdx| arc.contains(id_of(s)) && (innermost || s != entry);
+                let expected: Vec<PeerIdx> = held.iter().filter(fell_here).copied().collect();
+                assert_eq!(p.pool(i), expected, "seed {seed}, partition {i}");
+                if !innermost {
+                    current = current.truncate_at(id_of(entry));
+                }
+            }
+            assert_eq!(steps, walked * cfg.walk.burn_in as u64, "seed {seed}");
+            assert_eq!(rng.gen::<u64>(), replay_rng.gen::<u64>(), "seed {seed}");
         }
     }
 
     #[test]
-    fn chained_sampling_walks_fewer_steps() {
-        let fresh_cfg = OscarConfig::default();
-        let chained_cfg = OscarConfig::default().with_chained_sampling(6);
-        let steps_with = |cfg: &OscarConfig| {
-            let mut net = test_net(uniform_ids(256), 5, 16);
-            let u = net.idx_of(Id::new(7)).unwrap();
-            let mut rng = SeedTree::new(17).rng();
-            estimate_partitions(&mut net, u, cfg, &mut rng).unwrap();
-            net.metrics.get(oscar_sim::MsgKind::WalkStep)
-        };
-        let fresh = steps_with(&fresh_cfg);
-        let chained = steps_with(&chained_cfg);
-        // 12 samples/median: fresh pays 12·24 steps, chained 24 + 11·6.
-        assert!(
-            chained * 2 < fresh,
-            "chaining should at least halve walk steps: {chained} vs {fresh}"
-        );
+    fn oracle_medians_pool_nothing() {
+        let mut net = test_net(uniform_ids(256), 5, 26);
+        let u = net.idx_of(Id::new(7)).unwrap();
+        let mut rng = SeedTree::new(27).rng();
+        let cfg = OscarConfig::default().with_oracle_medians();
+        let p = estimate_partitions(&mut net, u, &cfg, &mut rng).unwrap();
+        assert!((0..p.len()).all(|i| p.pool(i).is_empty()));
+        assert_eq!(net.metrics.get(MsgKind::WalkStep), 0);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! These functions are the protocol's *decisions* stripped of any
 //! transport: the Metropolis–Hastings acceptance rule of the sampling
-//! walk, the clockwise-progress ranking of greedy routing, and ring
-//! ownership. The discrete-event simulator calls them from its global
-//! walk/routing loops (`oscar-sim`), and the message-driven
+//! walk, the clockwise-progress ranking of greedy routing, ring
+//! ownership, link admission, least-loaded choice and the median split
+//! of partition estimation. The discrete-event simulator calls them
+//! from its global walk/routing loops (`oscar-sim`), and the message-driven
 //! [`PeerMachine`](crate::PeerMachine) calls the very same code from its
 //! per-peer handlers — one implementation, two worlds.
 //!
@@ -15,6 +16,7 @@
 
 use oscar_types::Id;
 use rand::Rng;
+use std::cmp::Ordering;
 
 /// Uniform proposal: an index into the current peer's neighbour table.
 ///
@@ -105,6 +107,47 @@ pub fn pick_least_loaded(best: Option<(usize, Id)>, load: usize, cand: Id) -> Op
         Some((b, _)) if b <= load => best,
         _ => Some((load, cand)),
     }
+}
+
+/// One halving round's samples, cut at their median (see
+/// [`split_at_median`]). `near` and `far` keep the samples' arrival
+/// order and their repeats; the median's own copies are in neither.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MedianSplit<T> {
+    /// The border: the lower median of the distinct samples.
+    pub median: T,
+    /// Samples strictly nearer than the median.
+    pub near: Vec<T>,
+    /// Samples strictly beyond the median.
+    pub far: Vec<T>,
+}
+
+/// Cuts `(clockwise distance, sample)` pairs at the median of the
+/// distinct samples — the lower one on an even count.
+///
+/// `None` when at most two distinct samples remain: the sub-population
+/// has collapsed and cannot be halved again. Given the median, the near
+/// samples are independent uniform draws from the arc before it and the
+/// far ones from the arc beyond it, which is why a caller may spend
+/// each of them once more — *in arrival order*: sorted, their first
+/// element would be an order statistic, not a uniform draw.
+pub fn split_at_median<T: Copy + Ord>(samples: &[(u64, T)]) -> Option<MedianSplit<T>> {
+    let mut distinct = samples.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    if distinct.len() <= 2 {
+        return None;
+    }
+    let (cut, median) = distinct[distinct.len().div_ceil(2) - 1];
+    let side = |of_cut: Ordering| {
+        let on_it = samples.iter().filter(|&&(d, _)| d.cmp(&cut) == of_cut);
+        on_it.map(|&(_, s)| s).collect()
+    };
+    Some(MedianSplit {
+        median,
+        near: side(Ordering::Less),
+        far: side(Ordering::Greater),
+    })
 }
 
 #[cfg(test)]
@@ -212,5 +255,42 @@ mod tests {
         assert_eq!(best, Some((4, c)));
         best = pick_least_loaded(best, 9, a);
         assert_eq!(best, Some((4, c)));
+    }
+
+    /// `(distance, sample)` pairs whose sample is `'a' + distance`.
+    fn at(dists: &[u64]) -> Vec<(u64, char)> {
+        let name = |&d: &u64| (d, (b'a' + d as u8) as char);
+        dists.iter().map(name).collect()
+    }
+
+    #[test]
+    fn median_split_collapses_on_two_or_fewer_distinct_samples() {
+        assert_eq!(split_at_median::<char>(&[]), None);
+        assert_eq!(split_at_median(&at(&[3])), None);
+        assert_eq!(split_at_median(&at(&[3, 3, 3])), None);
+        assert_eq!(split_at_median(&at(&[3, 7, 3, 7, 7])), None);
+    }
+
+    #[test]
+    fn median_split_takes_the_lower_median_of_the_distinct_samples() {
+        // Odd count: the middle one.
+        let odd = split_at_median(&at(&[9, 1, 5])).unwrap();
+        assert_eq!((odd.median, odd.near, odd.far), ('f', vec!['b'], vec!['j']));
+        // Even count: the lower of the two middle ones.
+        let even = split_at_median(&at(&[9, 1, 5, 7])).unwrap();
+        assert_eq!(even.median, 'f');
+        assert_eq!((even.near, even.far), (vec!['b'], vec!['j', 'h']));
+        // Repeats do not vote: {1, 5, 9} has median 5 however often 9 came.
+        let repeats = split_at_median(&at(&[9, 9, 9, 1, 5])).unwrap();
+        assert_eq!(repeats.median, 'f');
+    }
+
+    #[test]
+    fn median_split_keeps_arrival_order_and_repeats_but_no_copy_of_the_median() {
+        let s = split_at_median(&at(&[8, 4, 2, 4, 6, 2, 8, 0, 4])).unwrap();
+        // distinct {0, 2, 4, 6, 8} -> median 4, every copy of it dropped
+        assert_eq!(s.median, 'e');
+        assert_eq!(s.near, vec!['c', 'c', 'a']);
+        assert_eq!(s.far, vec!['i', 'g', 'i']);
     }
 }

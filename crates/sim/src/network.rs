@@ -29,6 +29,12 @@ struct WalkCacheEntry {
 }
 
 impl WalkCacheEntry {
+    /// Whether the entry still is its peer's adjacency, given the
+    /// network's view epoch and the peer's dirty stamp.
+    fn is_valid(&self, epoch: u32, dirty: u64) -> bool {
+        self.epoch == epoch && self.built_at >= dirty
+    }
+
     /// `(first_run_start, first_run_len, second_run_len)` of the arc's
     /// members within the sorted slice: one run for a non-wrapping arc,
     /// two (tail ∪ head) for a wrapping one.
@@ -134,16 +140,18 @@ pub struct Network {
     fault_model: FaultModel,
     succ_list_len: usize,
     // Per-peer walk-adjacency cache, rebuilt lazily per peer. Every
-    // mutation touches the dirty stamps of exactly the peers whose walk
-    // neighbourhood it changes (a link's two endpoints, a splice's ring
-    // neighbours, a crash's dangling-link owners), so entries persist
-    // across unrelated mutations — that is what amortises the rebuilds
-    // over the join hot loop. `walk_epoch` is the one whole-cache hammer,
-    // for fault-model flips that change every adjacency at once.
-    // Interior mutability keeps the samplers on `&Network` (the cache is
-    // pure memoisation); the cost is that `Network` is `Send` but not
-    // `Sync` — parallel experiment drivers hand each thread its own
-    // network, they never share one.
+    // membership mutation touches the dirty stamps of exactly the peers
+    // whose walk neighbourhood it changes (a splice's ring neighbours, a
+    // crash's dangling-link owners), so entries persist across unrelated
+    // mutations — that is what amortises the rebuilds over the join hot
+    // loop; a long link, the one mutation that hot loop makes, edits its
+    // two endpoints' entries in place (`edit_walk`) and invalidates
+    // nothing. `walk_epoch` is the one whole-cache hammer, for
+    // fault-model flips that change every adjacency at once.
+    // Interior mutability keeps the samplers on `&Network` (to a reader
+    // the cache is pure memoisation); the cost is that `Network` is
+    // `Send` but not `Sync` — parallel experiment drivers hand each
+    // thread its own network, they never share one.
     walk_epoch: u32,
     walk_clock: u64,
     walk_dirty: Vec<u64>,
@@ -182,6 +190,29 @@ impl Network {
     fn touch_walk(&mut self, idx: PeerIdx) {
         self.walk_clock += 1;
         self.walk_dirty[idx.as_usize()] = self.walk_clock;
+    }
+
+    /// A long link between `idx` and `other` was made (`linked`) or torn
+    /// down: if `idx`'s cached adjacency is valid, the one entry moves in
+    /// or out at its sorted position and the cache stays valid — a link
+    /// changes one neighbour, and a rebuild re-reads all ~56 and sorts. A
+    /// stale entry stays stale. A dead `other` was never in the
+    /// live-filtered adjacency, so removing it finds nothing.
+    fn edit_walk(&mut self, idx: PeerIdx, other: PeerIdx, linked: bool) {
+        let key = (self.peers[other.as_usize()].id, other);
+        let (epoch, dirty) = (self.walk_epoch, self.walk_dirty[idx.as_usize()]);
+        let Some(entry) = self.walk_cache.get_mut().get_mut(idx.as_usize()) else {
+            return; // never built
+        };
+        if !entry.is_valid(epoch, dirty) {
+            return;
+        }
+        let at = entry.neighbors.partition_point(|n| *n < key);
+        if linked {
+            entry.neighbors.insert(at, key);
+        } else if entry.neighbors.get(at) == Some(&key) {
+            entry.neighbors.remove(at);
+        }
     }
 
     /// Length of the Chord-style successor list peers maintain. Only the
@@ -418,8 +449,8 @@ impl Network {
         self.metrics.inc(MsgKind::LinkAccept);
         self.peers[fi].long_out.push(to);
         self.peers[ti].long_in.push(from);
-        self.touch_walk(from);
-        self.touch_walk(to);
+        self.edit_walk(from, to, true);
+        self.edit_walk(to, from, true);
         Ok(())
     }
 
@@ -434,13 +465,19 @@ impl Network {
             return false;
         };
         fp.long_out.swap_remove(pos);
+        self.drop_long_in(to, from);
+        self.edit_walk(from, to, false);
+        true
+    }
+
+    /// The target's half of tearing down `from -> to`. A crashed target
+    /// has already cleared its in-links; there is then nothing to drop.
+    fn drop_long_in(&mut self, to: PeerIdx, from: PeerIdx) {
         let tp = &mut self.peers[to.as_usize()];
         if let Some(pos) = tp.long_in.iter().position(|&s| s == from) {
             tp.long_in.swap_remove(pos);
+            self.edit_walk(to, from, false);
         }
-        self.touch_walk(from);
-        self.touch_walk(to);
-        true
     }
 
     /// Tears down all outgoing long-range links of `from` (rewiring step),
@@ -448,13 +485,9 @@ impl Network {
     pub fn unlink_long_out(&mut self, from: PeerIdx) {
         let targets = std::mem::take(&mut self.peers[from.as_usize()].long_out);
         for t in targets {
-            let tp = &mut self.peers[t.as_usize()];
-            if let Some(pos) = tp.long_in.iter().position(|&s| s == from) {
-                tp.long_in.swap_remove(pos);
-            }
-            self.touch_walk(t);
+            self.drop_long_in(t, from);
+            self.edit_walk(from, t, false);
         }
-        self.touch_walk(from);
     }
 
     /// Graceful departure: the peer announces it is leaving, so *all* of
@@ -478,8 +511,7 @@ impl Network {
             }
             self.touch_walk(s);
         }
-        // Tear down our own out-links (releases budget at targets; touches
-        // them and us for the walk cache).
+        // Tear down our own out-links (releases budget at targets).
         self.unlink_long_out(idx);
         self.peers[i].alive = false;
         let id = self.peers[i].id;
@@ -493,7 +525,7 @@ impl Network {
         self.next_all[ap.as_usize()] = an;
         self.prev_all[an.as_usize()] = ap;
         self.by_id.remove(&id.raw());
-        for n in [ln, lp, an, ap] {
+        for n in [ln, lp, an, ap, idx] {
             self.touch_walk(n);
         }
         Ok(())
@@ -611,6 +643,23 @@ impl Network {
         buf.extend_from_slice(&peer.long_in);
     }
 
+    /// What a cache entry holds: the live members of
+    /// [`Network::walk_neighbors_into`]'s multiset with their identifiers,
+    /// sorted, into `out` (cleared first).
+    fn collect_walk_adjacency(&self, idx: PeerIdx, out: &mut Vec<(Id, PeerIdx)>) {
+        out.clear();
+        let peer = &self.peers[idx.as_usize()];
+        let ring = [self.ring_successor(idx), self.ring_predecessor(idx)];
+        let ring = ring.into_iter().flatten().filter(|&n| n != idx);
+        for c in ring.chain(peer.long_out.iter().chain(&peer.long_in).copied()) {
+            let p = &self.peers[c.as_usize()];
+            if p.alive {
+                out.push((p.id, c));
+            }
+        }
+        out.sort_unstable();
+    }
+
     /// Runs `f` on `idx`'s walk-cache entry, lazily (re)building it first
     /// if its dirty stamp or the view epoch invalidated it.
     fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(&WalkCacheEntry) -> R) -> R {
@@ -619,32 +668,8 @@ impl Network {
             cache.resize_with(self.peers.len(), WalkCacheEntry::default);
         }
         let entry = &mut cache[idx.as_usize()];
-        if entry.epoch != self.walk_epoch || entry.built_at < self.walk_dirty[idx.as_usize()] {
-            entry.neighbors.clear();
-            let push_live = |e: &mut WalkCacheEntry, c: PeerIdx| {
-                let p = &self.peers[c.as_usize()];
-                if p.alive {
-                    e.neighbors.push((p.id, c));
-                }
-            };
-            if let Some(s) = self.ring_successor(idx) {
-                if s != idx {
-                    push_live(entry, s);
-                }
-            }
-            if let Some(p) = self.ring_predecessor(idx) {
-                if p != idx {
-                    push_live(entry, p);
-                }
-            }
-            let peer = &self.peers[idx.as_usize()];
-            for &t in &peer.long_out {
-                push_live(entry, t);
-            }
-            for &s in &peer.long_in {
-                push_live(entry, s);
-            }
-            entry.neighbors.sort_unstable();
+        if !entry.is_valid(self.walk_epoch, self.walk_dirty[idx.as_usize()]) {
+            self.collect_walk_adjacency(idx, &mut entry.neighbors);
             entry.epoch = self.walk_epoch;
             entry.built_at = self.walk_clock;
         }
@@ -748,8 +773,10 @@ impl Network {
     /// duplicate out-link, each out-link to a live target has its reverse
     /// `long_in` entry (a dangling link to a corpse is legal — it is the
     /// wasted-traffic source) and each in-link its forward one, and the
-    /// live ring holds exactly the peers flagged alive. `Err` names the
-    /// first violation. The one oracle the snapshot-world tests share.
+    /// live ring holds exactly the peers flagged alive, and every live
+    /// peer's walk-cache entry that claims validity is what a rebuild
+    /// gives. `Err` names the first violation. The one oracle the
+    /// snapshot-world tests share.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for p in self.all_peers() {
             let peer = self.peer(p);
@@ -782,6 +809,17 @@ impl Network {
             }
             if peer.alive && !self.ring_live.contains(peer.id) {
                 return Err(format!("{p:?} is alive but not on the live ring"));
+            }
+        }
+        // The walk cache is edited in place by link changes: an entry that
+        // claims to be current must be what a rebuild would produce.
+        let mut rebuilt = Vec::new();
+        for (p, entry) in self.all_peers().zip(self.walk_cache.borrow().iter()) {
+            if self.is_alive(p) && entry.is_valid(self.walk_epoch, self.walk_dirty[p.as_usize()]) {
+                self.collect_walk_adjacency(p, &mut rebuilt);
+                if entry.neighbors != rebuilt {
+                    return Err(format!("{p:?}'s cached walk adjacency is out of date"));
+                }
             }
         }
         // Every live peer is on the ring; equal counts make it exactly them.
@@ -1072,6 +1110,14 @@ mod tests {
         net.kill(idxs[2]).unwrap(); // 10 and 20 keep dangling links to it
         net.depart(idxs[4]).unwrap();
         net.add_peer(Id::new(50), caps(4)).unwrap();
+        // Warm the walk cache, then change links under it: in-place edits.
+        let live: Vec<PeerIdx> = net.live_peers().collect();
+        for &p in &live {
+            net.walk_degree(p, None);
+        }
+        net.try_link(idxs[3], idxs[0]).unwrap();
+        net.try_link(idxs[1], idxs[0]).unwrap();
+        assert!(net.unlink(idxs[1], idxs[0]));
         assert_eq!(net.check_invariants(), Ok(()));
 
         let broken = |mutate: fn(&mut Network), expect: &str| {
@@ -1091,6 +1137,11 @@ mod tests {
         );
         // The departed peer's id is back on the ring under a new index.
         broken(|n| n.peers[4].alive = true, "flagged alive");
+        // Peer 3's entry is valid and lists peer 0 (the in-link above).
+        broken(
+            |n| n.walk_cache.get_mut()[3].neighbors.clear(),
+            "cached walk adjacency",
+        );
     }
 
     #[test]
@@ -1139,6 +1190,24 @@ mod tests {
         }
     }
 
+    #[test]
+    fn unlinking_a_ring_neighbour_takes_one_copy_out_of_the_cached_multiset() {
+        // 20 is 10's ring successor *and* its long-link target: two copies
+        // in the walk adjacency, and the unlink must remove exactly one.
+        let (mut net, idxs) = net_with(&[10, 20, 30, 40]);
+        let (a, b) = (idxs[0], idxs[1]);
+        net.try_link(a, b).unwrap();
+        let mut buf = Vec::new();
+        net.walk_neighbors_restricted(a, None, &mut buf); // warm: [20, 20, 40]
+        assert_eq!(buf, vec![b, b, idxs[3]]);
+        assert!(net.unlink(a, b));
+        net.walk_neighbors_restricted(a, None, &mut buf);
+        assert_eq!(buf, vec![b, idxs[3]], "the ring role stays");
+        net.walk_neighbors_restricted(b, None, &mut buf);
+        assert_eq!(buf, vec![a, idxs[2]]);
+        assert_eq!(net.check_invariants(), Ok(()));
+    }
+
     mod walk_cache_props {
         use super::*;
         use proptest::prelude::*;
@@ -1154,14 +1223,15 @@ mod tests {
         }
 
         proptest! {
-            /// The dirty-stamp invalidation must keep every cached entry
-            /// coherent through arbitrary interleavings of joins, crashes,
-            /// departures, links and unlinks. Queries after every op warm
-            /// the cache, so a missed `touch_walk` on a later op would
-            /// serve a stale entry and fail the comparison.
+            /// The dirty-stamp invalidation and the in-place link edits
+            /// must keep every cached entry coherent through arbitrary
+            /// interleavings of joins, crashes, departures, links,
+            /// unlinks and view flips. Queries after every op warm the
+            /// cache, so a missed `touch_walk` or a wrong edit on a later
+            /// op would serve a stale entry and fail the comparison.
             #[test]
             fn cache_matches_uncached_under_random_ops(
-                ops in prop::collection::vec((any::<u64>(), 0u8..8), 1..80),
+                ops in prop::collection::vec((any::<u64>(), 0u8..10), 1..80),
                 a: u64,
                 b: u64,
             ) {
@@ -1188,11 +1258,22 @@ mod tests {
                         5 | 6 if !added.is_empty() => {
                             let _ = net.try_link(pick(&added, 3), pick(&added, 5));
                         }
-                        _ if !added.is_empty() => {
+                        7 if !added.is_empty() => {
                             net.unlink_long_out(pick(&added, 7));
                         }
+                        8 if !added.is_empty() => {
+                            let from = pick(&added, 9);
+                            if let Some(&to) = net.peer(from).long_out.first() {
+                                prop_assert!(net.unlink(from, to));
+                            }
+                        }
+                        9 => net.set_fault_model(match net.fault_model() {
+                            FaultModel::StabilizedRing => FaultModel::UnstabilizedRing,
+                            FaultModel::UnstabilizedRing => FaultModel::StabilizedRing,
+                        }),
                         _ => {}
                     }
+                    prop_assert_eq!(net.check_invariants(), Ok(()));
                     for &p in &added {
                         if !net.is_alive(p) {
                             continue;

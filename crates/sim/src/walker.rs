@@ -36,29 +36,11 @@ pub struct WalkConfig {
     /// once long links exist, so a few dozen steps suffice; this is the
     /// `O(log N)`-ish walk length Mercury uses.
     pub burn_in: u32,
-    /// Chained sampling: `0` (default) gives every sample of
-    /// [`Walker::sample_many`] its own fresh `burn_in`-step walk from the
-    /// start peer; `t > 0` walks one burn-in and then emits each further
-    /// sample after only `t` thinning steps, continuing from the previous
-    /// sample. Consecutive samples are then correlated — fine for median
-    /// estimation (ablation-validated), much cheaper per sample.
-    pub chain_thin: u32,
 }
 
 impl Default for WalkConfig {
     fn default() -> Self {
-        WalkConfig {
-            burn_in: 24,
-            chain_thin: 0,
-        }
-    }
-}
-
-impl WalkConfig {
-    /// Same config with chained sampling at the given thinning interval.
-    pub fn with_chain_thin(mut self, thin: u32) -> Self {
-        self.chain_thin = thin;
-        self
+        WalkConfig { burn_in: 24 }
     }
 }
 
@@ -149,12 +131,8 @@ impl<'a> Walker<'a> {
         Ok(self.advance(start, arc, self.cfg.burn_in, rng))
     }
 
-    /// `count` samples from one start. With `chain_thin == 0` each sample
-    /// is an independent fresh `burn_in`-step walk from `start`; with
-    /// `chain_thin = t > 0` the walk burns in once and then emits a sample
-    /// every `t` steps, continuing from the previous sample (the classic
-    /// MCMC thinning trade: correlated samples, `burn_in + (count-1)·t`
-    /// steps instead of `count·burn_in`).
+    /// `count` samples from one start, each an independent fresh
+    /// `burn_in`-step walk.
     pub fn sample_many(
         &mut self,
         start: PeerIdx,
@@ -162,26 +140,7 @@ impl<'a> Walker<'a> {
         count: usize,
         rng: &mut SmallRng,
     ) -> Result<Vec<PeerIdx>> {
-        let mut out = Vec::with_capacity(count);
-        if self.cfg.chain_thin == 0 {
-            for _ in 0..count {
-                out.push(self.sample(start, arc, rng)?);
-            }
-            return Ok(out);
-        }
-        // Validate even for zero samples: callers treat an Ok return as
-        // "start usable".
-        self.check_start(start, arc)?;
-        if count == 0 {
-            return Ok(out);
-        }
-        let mut current = self.advance(start, arc, self.cfg.burn_in, rng);
-        out.push(current);
-        for _ in 1..count {
-            current = self.advance(current, arc, self.cfg.chain_thin, rng);
-            out.push(current);
-        }
-        Ok(out)
+        (0..count).map(|_| self.sample(start, arc, rng)).collect()
     }
 }
 
@@ -235,13 +194,7 @@ mod tests {
     #[test]
     fn unrestricted_sampling_is_roughly_uniform() {
         let net = test_net(64, 4, 1);
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 48,
-                ..WalkConfig::default()
-            },
-        );
+        let mut walker = Walker::new(&net, WalkConfig { burn_in: 48 });
         let mut rng = SeedTree::new(2).rng();
         let mut counts = vec![0u32; 64];
         let trials = 6400;
@@ -268,13 +221,7 @@ mod tests {
             let _ = net.try_link(PeerIdx(i), hub);
         }
         let trials = 4000;
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 16,
-                ..WalkConfig::default()
-            },
-        );
+        let mut walker = Walker::new(&net, WalkConfig { burn_in: 16 });
         let mut rng = SeedTree::new(4).rng();
         let at_hub = (0..trials)
             .filter(|_| walker.sample(PeerIdx(7), None, &mut rng).unwrap() == hub)
@@ -305,13 +252,7 @@ mod tests {
         let net = test_net(64, 4, 7);
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let start = net.idx_of(Id::new(0)).unwrap();
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 48,
-                ..WalkConfig::default()
-            },
-        );
+        let mut walker = Walker::new(&net, WalkConfig { burn_in: 48 });
         let mut rng = SeedTree::new(8).rng();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..2000 {
@@ -379,13 +320,7 @@ mod tests {
     #[test]
     fn steps_are_accounted() {
         let net = test_net(16, 2, 17);
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 10,
-                ..WalkConfig::default()
-            },
-        );
+        let mut walker = Walker::new(&net, WalkConfig { burn_in: 10 });
         let mut rng = SeedTree::new(18).rng();
         walker.sample_many(PeerIdx(0), None, 5, &mut rng).unwrap();
         assert_eq!(walker.take_steps(), 50, "5 walks x 10 steps");
@@ -459,75 +394,6 @@ mod tests {
         check(&net, 36);
         net.set_fault_model(FaultModel::UnstabilizedRing);
         check(&net, 37);
-    }
-
-    #[test]
-    fn chained_steps_are_accounted() {
-        let net = test_net(16, 2, 17);
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 10,
-                ..WalkConfig::default()
-            }
-            .with_chain_thin(3),
-        );
-        let mut rng = SeedTree::new(18).rng();
-        let samples = walker.sample_many(PeerIdx(0), None, 5, &mut rng).unwrap();
-        assert_eq!(samples.len(), 5);
-        assert_eq!(walker.take_steps(), 10 + 4 * 3, "burn-in + 4 thins");
-        assert_eq!(walker.take_steps(), 0, "drained");
-        // Zero requested samples still validates the start and costs nothing.
-        assert!(walker
-            .sample_many(PeerIdx(0), None, 0, &mut rng)
-            .unwrap()
-            .is_empty());
-        assert_eq!(walker.take_steps(), 0);
-    }
-
-    #[test]
-    fn chained_walk_stays_in_arc_and_covers_it() {
-        let net = test_net(64, 4, 7);
-        let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
-        let start = net.idx_of(Id::new(0)).unwrap();
-        let mut walker = Walker::new(
-            &net,
-            WalkConfig {
-                burn_in: 48,
-                ..WalkConfig::default()
-            }
-            .with_chain_thin(8),
-        );
-        let mut rng = SeedTree::new(8).rng();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..40 {
-            for s in walker.sample_many(start, Some(&arc), 50, &mut rng).unwrap() {
-                assert!(arc.contains(net.peer(s).id), "escaped the arc");
-                seen.insert(s);
-            }
-        }
-        // 32 members in the arc; thinned chains still reach nearly all.
-        assert!(seen.len() >= 28, "only {} members reached", seen.len());
-    }
-
-    #[test]
-    fn chained_errors_match_fresh_walk_errors() {
-        let mut net = test_net(16, 2, 13);
-        let start = net.idx_of(Id::new(0)).unwrap();
-        let cfg = WalkConfig::default().with_chain_thin(4);
-        let far = Arc::between(Id::new(u64::MAX / 2), Id::new(u64::MAX / 2 + 1000));
-        let mut walker = Walker::new(&net, cfg);
-        let mut rng = SeedTree::new(14).rng();
-        assert!(matches!(
-            walker.sample_many(start, Some(&far), 3, &mut rng),
-            Err(Error::SamplingFailed { .. })
-        ));
-        net.kill(start).unwrap();
-        let mut walker = Walker::new(&net, cfg);
-        assert!(matches!(
-            walker.sample_many(start, None, 3, &mut rng),
-            Err(Error::PeerDead(_))
-        ));
     }
 
     #[test]
