@@ -41,7 +41,7 @@
 //! Each `Network` is single-threaded and allocation-conscious: a full
 //! paper-scale run (10⁴ peers, nine rewiring checkpoints) performs on the
 //! order of 10⁸ walk steps, served from a per-peer walk-adjacency cache
-//! with dirty-stamp invalidation (see [`network`]). `Network` is `Send`
+//! with per-entry stale-marking (see [`network`]). `Network` is `Send`
 //! but — deliberately, because that cache uses interior mutability — not
 //! `Sync`: the parallel experiment drivers in `oscar-bench` give every
 //! worker thread its own network and never share one.

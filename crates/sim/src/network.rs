@@ -12,54 +12,70 @@ use std::collections::HashMap;
 
 /// One peer's cached walk adjacency: the live walk neighbours **sorted by
 /// identifier** (multiset — a neighbour reachable by ring and long link
-/// appears once per role, exactly like the uncached collection). Sorting
-/// is the fast path's trick: an [`Arc`] restriction selects at most two
-/// contiguous runs of the sorted slice, so the restricted degree and a
-/// uniform restricted pick are O(log deg) binary searches instead of an
-/// O(deg) filter pass per Metropolis–Hastings step.
+/// appears once per role, exactly like the uncached collection), split
+/// into the 8-byte keys the arc arithmetic reads (`ids`) and the 4-byte
+/// indices a proposal reads (`idxs[i]` is the peer whose id is
+/// `ids[i]`). Sorting is the fast path's trick: an [`Arc`] restriction
+/// selects at most two contiguous runs of the sorted keys, so the
+/// restricted degree and a uniform restricted pick are two
+/// [`count_below`]s instead of an O(deg) filter pass per
+/// Metropolis–Hastings step.
 ///
-/// Valid iff `epoch` matches the network's view epoch **and** `built_at`
-/// is at or after the peer's dirty stamp. Defaults (0, 0) are stale
-/// against the network's counters, which start at 1.
+/// Valid iff `epoch` equals the network's view epoch; a mutation marks
+/// the entry stale by zeroing it (view epochs start at 1).
 #[derive(Clone, Debug, Default)]
 struct WalkCacheEntry {
     epoch: u32,
-    built_at: u64,
-    neighbors: Vec<(Id, PeerIdx)>,
+    ids: Vec<Id>,
+    idxs: Vec<PeerIdx>,
+}
+
+/// How many of the sorted `ids` are strictly below `x` — what
+/// `ids.partition_point(|&k| k < x)` returns — as a block count with no
+/// data-dependent branch: count the block heads (every 8th key) below
+/// `x`, then the keys below `x` inside the one 8-key block that straddles
+/// it. Every earlier block lies wholly below `x` and every later one
+/// wholly at or above it. The loads within each phase are independent,
+/// where a binary search's are a chain of dependent misses.
+fn count_below(ids: &[Id], x: Id) -> usize {
+    let heads: usize = ids.iter().step_by(8).map(|&k| usize::from(k < x)).sum();
+    let block = heads.saturating_sub(1) * 8;
+    let straddle = &ids[block..ids.len().min(block + 8)];
+    block + straddle.iter().map(|&k| usize::from(k < x)).sum::<usize>()
 }
 
 impl WalkCacheEntry {
-    /// Whether the entry still is its peer's adjacency, given the
-    /// network's view epoch and the peer's dirty stamp.
-    fn is_valid(&self, epoch: u32, dirty: u64) -> bool {
-        self.epoch == epoch && self.built_at >= dirty
+    /// Inserts one neighbour at its sorted position.
+    fn insert(&mut self, id: Id, idx: PeerIdx) {
+        let at = count_below(&self.ids, id);
+        self.ids.insert(at, id);
+        self.idxs.insert(at, idx);
     }
 
     /// `(first_run_start, first_run_len, second_run_len)` of the arc's
-    /// members within the sorted slice: one run for a non-wrapping arc,
+    /// members within the sorted keys: one run for a non-wrapping arc,
     /// two (tail ∪ head) for a wrapping one.
     fn arc_runs(&self, arc: &Arc) -> (usize, usize, usize) {
         if arc.is_full() {
-            return (0, self.neighbors.len(), 0);
+            return (0, self.ids.len(), 0);
         }
         if arc.is_empty() {
             return (0, 0, 0);
         }
-        let below = |x: Id| self.neighbors.partition_point(|&(id, _)| id < x);
         let (s, e) = (arc.start(), arc.end());
-        let lo = below(s);
-        let hi = below(e);
+        let lo = count_below(&self.ids, s);
+        let hi = count_below(&self.ids, e);
         if s < e {
             (lo, hi - lo, 0)
         } else {
-            (lo, self.neighbors.len() - lo, hi)
+            (lo, self.ids.len() - lo, hi)
         }
     }
 
     /// Number of neighbours inside `arc`.
     fn restricted_degree(&self, arc: Option<&Arc>) -> usize {
         match arc {
-            None => self.neighbors.len(),
+            None => self.ids.len(),
             Some(a) => {
                 let (_, first, second) = self.arc_runs(a);
                 first + second
@@ -76,13 +92,13 @@ impl WalkCacheEntry {
     #[cfg(test)]
     fn restricted_pick(&self, arc: Option<&Arc>, k: usize) -> PeerIdx {
         match arc {
-            None => self.neighbors[k].1,
+            None => self.idxs[k],
             Some(a) => {
                 let (lo, first, _) = self.arc_runs(a);
                 if k < first {
-                    self.neighbors[lo + k].1
+                    self.idxs[lo + k]
                 } else {
-                    self.neighbors[k - first].1
+                    self.idxs[k - first]
                 }
             }
         }
@@ -91,9 +107,9 @@ impl WalkCacheEntry {
 
 /// Position of an arc restriction within one peer's sorted cached walk
 /// adjacency (see [`Network::walk_runs`]): the restricted neighbours are
-/// `neighbors[lo..lo + first]` followed by `neighbors[..count - first]`
-/// (the wrapped head), `count` in total. Valid until the peer's cache
-/// entry is invalidated by a mutation.
+/// `idxs[lo..lo + first]` followed by `idxs[..count - first]` (the
+/// wrapped head), `count` in total. Valid until the peer's cache entry
+/// is marked stale by a mutation.
 #[derive(Copy, Clone, Debug)]
 pub struct WalkRuns {
     lo: usize,
@@ -139,22 +155,21 @@ pub struct Network {
     prev_live: Vec<PeerIdx>,
     fault_model: FaultModel,
     succ_list_len: usize,
-    // Per-peer walk-adjacency cache, rebuilt lazily per peer. Every
-    // membership mutation touches the dirty stamps of exactly the peers
-    // whose walk neighbourhood it changes (a splice's ring neighbours, a
-    // crash's dangling-link owners), so entries persist across unrelated
-    // mutations — that is what amortises the rebuilds over the join hot
-    // loop; a long link, the one mutation that hot loop makes, edits its
-    // two endpoints' entries in place (`edit_walk`) and invalidates
-    // nothing. `walk_epoch` is the one whole-cache hammer, for
-    // fault-model flips that change every adjacency at once.
+    // Per-peer walk-adjacency cache, one entry per peer ever added,
+    // rebuilt lazily per peer. Every membership mutation marks stale
+    // exactly the entries of the peers whose walk neighbourhood it
+    // changes (a splice's ring neighbours, a crash's dangling-link
+    // owners), so entries persist across unrelated mutations — that is
+    // what amortises the rebuilds over the join hot loop; a long link,
+    // the one mutation that hot loop makes, edits its two endpoints'
+    // entries in place (`edit_walk`) and invalidates nothing.
+    // `walk_epoch` is the one whole-cache hammer, for fault-model flips
+    // that change every adjacency at once.
     // Interior mutability keeps the samplers on `&Network` (to a reader
     // the cache is pure memoisation); the cost is that `Network` is
     // `Send` but not `Sync` — parallel experiment drivers hand each
     // thread its own network, they never share one.
     walk_epoch: u32,
-    walk_clock: u64,
-    walk_dirty: Vec<u64>,
     walk_cache: RefCell<Vec<WalkCacheEntry>>,
     /// Message accounting for the whole simulation.
     pub metrics: Metrics,
@@ -175,8 +190,6 @@ impl Network {
             fault_model,
             succ_list_len: 8,
             walk_epoch: 1,
-            walk_clock: 1,
-            walk_dirty: Vec::new(),
             walk_cache: RefCell::new(Vec::new()),
             metrics: Metrics::new(),
         }
@@ -188,30 +201,29 @@ impl Network {
     /// merely hold a now-dead neighbour.
     #[inline]
     fn touch_walk(&mut self, idx: PeerIdx) {
-        self.walk_clock += 1;
-        self.walk_dirty[idx.as_usize()] = self.walk_clock;
+        self.walk_cache.get_mut()[idx.as_usize()].epoch = 0;
     }
 
     /// A long link between `idx` and `other` was made (`linked`) or torn
     /// down: if `idx`'s cached adjacency is valid, the one entry moves in
     /// or out at its sorted position and the cache stays valid — a link
-    /// changes one neighbour, and a rebuild re-reads all ~56 and sorts. A
-    /// stale entry stays stale. A dead `other` was never in the
-    /// live-filtered adjacency, so removing it finds nothing.
+    /// changes one neighbour, and a rebuild re-reads all ~56. A stale
+    /// entry stays stale. A dead `other` was never in the live-filtered
+    /// adjacency, so removing it finds nothing.
     fn edit_walk(&mut self, idx: PeerIdx, other: PeerIdx, linked: bool) {
-        let key = (self.peers[other.as_usize()].id, other);
-        let (epoch, dirty) = (self.walk_epoch, self.walk_dirty[idx.as_usize()]);
-        let Some(entry) = self.walk_cache.get_mut().get_mut(idx.as_usize()) else {
-            return; // never built
-        };
-        if !entry.is_valid(epoch, dirty) {
+        let id = self.peers[other.as_usize()].id;
+        let entry = &mut self.walk_cache.get_mut()[idx.as_usize()];
+        if entry.epoch != self.walk_epoch {
             return;
         }
-        let at = entry.neighbors.partition_point(|n| *n < key);
         if linked {
-            entry.neighbors.insert(at, key);
-        } else if entry.neighbors.get(at) == Some(&key) {
-            entry.neighbors.remove(at);
+            entry.insert(id, other);
+            return;
+        }
+        let at = count_below(&entry.ids, id);
+        if entry.ids.get(at) == Some(&id) && entry.idxs[at] == other {
+            entry.ids.remove(at);
+            entry.idxs.remove(at);
         }
     }
 
@@ -295,10 +307,10 @@ impl Network {
         self.by_id.insert(id.raw(), idx);
         self.ring_all.insert(id);
         self.ring_live.insert(id);
-        // The splice changed the ring adjacency of the new peer and of its
-        // (up to four) new ring neighbours — nobody else's.
-        self.walk_dirty.push(0);
-        self.touch_walk(idx);
+        // The splice changed the ring adjacency of the new peer (whose
+        // entry starts stale) and of its (up to four) new ring neighbours
+        // — nobody else's.
+        self.walk_cache.get_mut().push(WalkCacheEntry::default());
         for n in [prev_a, next_a, prev_l, next_l] {
             self.touch_walk(n);
         }
@@ -645,40 +657,37 @@ impl Network {
 
     /// What a cache entry holds: the live members of
     /// [`Network::walk_neighbors_into`]'s multiset with their identifiers,
-    /// sorted, into `out` (cleared first).
-    fn collect_walk_adjacency(&self, idx: PeerIdx, out: &mut Vec<(Id, PeerIdx)>) {
-        out.clear();
+    /// sorted, into `out`'s own vectors (cleared first; their capacity is
+    /// reused).
+    fn collect_walk_adjacency(&self, idx: PeerIdx, out: &mut WalkCacheEntry) {
+        out.ids.clear();
+        out.idxs.clear();
         let peer = &self.peers[idx.as_usize()];
         let ring = [self.ring_successor(idx), self.ring_predecessor(idx)];
         let ring = ring.into_iter().flatten().filter(|&n| n != idx);
         for c in ring.chain(peer.long_out.iter().chain(&peer.long_in).copied()) {
             let p = &self.peers[c.as_usize()];
             if p.alive {
-                out.push((p.id, c));
+                out.insert(p.id, c);
             }
         }
-        out.sort_unstable();
     }
 
     /// Runs `f` on `idx`'s walk-cache entry, lazily (re)building it first
-    /// if its dirty stamp or the view epoch invalidated it.
+    /// if a mutation marked it stale or the view epoch moved on.
     fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(&WalkCacheEntry) -> R) -> R {
         let mut cache = self.walk_cache.borrow_mut();
-        if cache.len() < self.peers.len() {
-            cache.resize_with(self.peers.len(), WalkCacheEntry::default);
-        }
         let entry = &mut cache[idx.as_usize()];
-        if !entry.is_valid(self.walk_epoch, self.walk_dirty[idx.as_usize()]) {
-            self.collect_walk_adjacency(idx, &mut entry.neighbors);
+        if entry.epoch != self.walk_epoch {
+            self.collect_walk_adjacency(idx, entry);
             entry.epoch = self.walk_epoch;
-            entry.built_at = self.walk_clock;
         }
         f(entry)
     }
 
     /// The number of walk neighbours of `idx` that are alive and (when
-    /// `arc` is given) inside the arc — O(log deg) off the sorted cached
-    /// adjacency, no list materialised.
+    /// `arc` is given) inside the arc — two block counts over the sorted
+    /// cached keys, no list materialised.
     pub fn walk_degree(&self, idx: PeerIdx, arc: Option<&Arc>) -> usize {
         self.with_walk_entry(idx, |e| e.restricted_degree(arc))
     }
@@ -691,8 +700,8 @@ impl Network {
         self.with_walk_entry(idx, |e| match arc {
             None => WalkRuns {
                 lo: 0,
-                first: e.neighbors.len(),
-                count: e.neighbors.len(),
+                first: e.ids.len(),
+                count: e.ids.len(),
             },
             Some(a) => {
                 let (lo, first, second) = e.arc_runs(a);
@@ -717,7 +726,7 @@ impl Network {
         } else {
             k - runs.first
         };
-        self.with_walk_entry(idx, |e| e.neighbors[i].1)
+        self.with_walk_entry(idx, |e| e.idxs[i])
     }
 
     /// The `k`-th (0-based, identifier-sorted) live walk neighbour of
@@ -749,10 +758,10 @@ impl Network {
             match arc {
                 Some(a) => {
                     let (lo, first, second) = e.arc_runs(a);
-                    buf.extend(e.neighbors[lo..lo + first].iter().map(|&(_, c)| c));
-                    buf.extend(e.neighbors[..second].iter().map(|&(_, c)| c));
+                    buf.extend_from_slice(&e.idxs[lo..lo + first]);
+                    buf.extend_from_slice(&e.idxs[..second]);
                 }
-                None => buf.extend(e.neighbors.iter().map(|&(_, c)| c)),
+                None => buf.extend_from_slice(&e.idxs),
             }
             buf.len()
         })
@@ -813,13 +822,24 @@ impl Network {
         }
         // The walk cache is edited in place by link changes: an entry that
         // claims to be current must be what a rebuild would produce.
-        let mut rebuilt = Vec::new();
+        let mut rebuilt = WalkCacheEntry::default();
         for (p, entry) in self.all_peers().zip(self.walk_cache.borrow().iter()) {
-            if self.is_alive(p) && entry.is_valid(self.walk_epoch, self.walk_dirty[p.as_usize()]) {
-                self.collect_walk_adjacency(p, &mut rebuilt);
-                if entry.neighbors != rebuilt {
-                    return Err(format!("{p:?}'s cached walk adjacency is out of date"));
-                }
+            if !self.is_alive(p) || entry.epoch != self.walk_epoch {
+                continue;
+            }
+            if entry.ids.len() != entry.idxs.len() {
+                return Err(format!(
+                    "{p:?}'s cached walk adjacency has {} keys for {} indices",
+                    entry.ids.len(),
+                    entry.idxs.len()
+                ));
+            }
+            if !entry.ids.is_sorted() {
+                return Err(format!("{p:?}'s cached walk keys are not sorted"));
+            }
+            self.collect_walk_adjacency(p, &mut rebuilt);
+            if (&entry.ids, &entry.idxs) != (&rebuilt.ids, &rebuilt.idxs) {
+                return Err(format!("{p:?}'s cached walk adjacency is out of date"));
             }
         }
         // Every live peer is on the ring; equal counts make it exactly them.
@@ -1137,10 +1157,29 @@ mod tests {
         );
         // The departed peer's id is back on the ring under a new index.
         broken(|n| n.peers[4].alive = true, "flagged alive");
-        // Peer 3's entry is valid and lists peer 0 (the in-link above).
+        // Peer 3's entry is valid: keys [10, 10, 20, 50] (peer 0 by its
+        // in- and out-link, the ring neighbours 20 and the new 50).
         broken(
-            |n| n.walk_cache.get_mut()[3].neighbors.clear(),
-            "cached walk adjacency",
+            |n| {
+                n.walk_cache.get_mut()[3].idxs.pop();
+            },
+            "4 keys for 3 indices",
+        );
+        broken(
+            |n| n.walk_cache.get_mut()[3].ids.reverse(),
+            "keys are not sorted",
+        );
+        broken(
+            |n| n.walk_cache.get_mut()[3].idxs[0] = PeerIdx(1),
+            "adjacency is out of date",
+        );
+        broken(
+            |n| {
+                let e = &mut n.walk_cache.get_mut()[3];
+                e.ids.clear();
+                e.idxs.clear();
+            },
+            "adjacency is out of date",
         );
     }
 
@@ -1208,6 +1247,28 @@ mod tests {
         assert_eq!(net.check_invariants(), Ok(()));
     }
 
+    mod block_count_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The block count is `partition_point` on every sorted key
+            /// slice: lengths 0–130 cross several 8-key block edges, the
+            /// keys are 48 odd values so they repeat (a neighbour can hold
+            /// two roles), and `x` runs over every point from below the
+            /// smallest key through each key and gap to above the largest.
+            #[test]
+            fn block_count_is_partition_point(raw in prop::collection::vec(0u64..48, 0..131)) {
+                let mut ids: Vec<Id> = raw.iter().map(|&v| Id::new(2 * v + 1)).collect();
+                ids.sort_unstable();
+                for x in (0..=97).chain([u64::MAX]).map(Id::new) {
+                    let want = ids.partition_point(|&k| k < x);
+                    prop_assert_eq!(count_below(&ids, x), want, "x {:?}, {} keys", x, ids.len());
+                }
+            }
+        }
+    }
+
     mod walk_cache_props {
         use super::*;
         use proptest::prelude::*;
@@ -1223,7 +1284,7 @@ mod tests {
         }
 
         proptest! {
-            /// The dirty-stamp invalidation and the in-place link edits
+            /// The stale-marking invalidation and the in-place link edits
             /// must keep every cached entry coherent through arbitrary
             /// interleavings of joins, crashes, departures, links,
             /// unlinks and view flips. Queries after every op warm the
@@ -1287,6 +1348,50 @@ mod tests {
                             buf.sort_unstable();
                             prop_assert_eq!(&buf, &plain(&net, p, arc), "peer {:?}", p);
                         }
+                    }
+                }
+            }
+
+            /// `walk_runs` + `walk_neighbor_at` list exactly what a
+            /// collect-and-filter finds, in clockwise order from the arc's
+            /// start, for the full and the empty arc and for arcs with
+            /// free ends and with ends on peer identifiers, wrapping or
+            /// not.
+            #[test]
+            fn walk_runs_match_collect_and_filter(
+                ids in prop::collection::vec(any::<u64>(), 2..40),
+                links in prop::collection::vec((any::<u64>(), any::<u64>()), 0..120),
+                kills in prop::collection::vec(any::<u64>(), 0..6),
+                ends in prop::collection::vec((any::<u64>(), any::<u64>()), 1..6),
+            ) {
+                let mut net = Network::new(FaultModel::StabilizedRing);
+                let peers: Vec<PeerIdx> = ids
+                    .iter()
+                    .filter_map(|&x| net.add_peer(Id::new(x), DegreeCaps::symmetric(8)).ok())
+                    .collect();
+                let pick = |x: u64| peers[(x % peers.len() as u64) as usize];
+                for (a, b) in links {
+                    let _ = net.try_link(pick(a), pick(b));
+                }
+                for k in kills {
+                    let _ = net.kill(pick(k));
+                }
+                let mut arcs = vec![Arc::FULL, Arc::EMPTY];
+                for (a, b) in ends {
+                    arcs.push(Arc::between(Id::new(a), Id::new(b)));
+                    arcs.push(Arc::between(net.peer(pick(a)).id, net.peer(pick(b)).id));
+                }
+                let live: Vec<PeerIdx> = net.live_peers().collect();
+                for p in live {
+                    for arc in &arcs {
+                        let mut want = Vec::new();
+                        net.walk_neighbors_into(p, &mut want);
+                        want.retain(|&c| net.is_alive(c) && arc.contains(net.peer(c).id));
+                        want.sort_by_key(|&c| arc.start().cw_dist(net.peer(c).id));
+                        let runs = net.walk_runs(p, Some(arc));
+                        let got: Vec<PeerIdx> =
+                            (0..runs.count).map(|k| net.walk_neighbor_at(p, runs, k)).collect();
+                        prop_assert_eq!(got, want, "peer {:?} arc {:?}", p, arc);
                     }
                 }
             }

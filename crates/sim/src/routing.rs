@@ -117,7 +117,7 @@ fn route_observed(
         let cur_potential = net.peer(current).id.cw_dist(owner_id);
 
         // Candidates: neighbours making strict clockwise progress toward
-        // the owner, best progress first.
+        // the owner.
         net.routing_neighbors_into(current, &mut neighbors);
         candidates.clear();
         for &c in neighbors.iter() {
@@ -130,10 +130,14 @@ fn route_observed(
                 candidates.push((p, c));
             }
         }
-        candidates.sort_unstable_by_key(|&(p, _)| p);
 
+        // Best progress first, taken one at a time: a healthy hop
+        // forwards to its first pick, so sorting the rest is waste.
+        // Distinct peers have distinct potentials, so this is the sorted
+        // order exactly.
         let mut forwarded = false;
-        for &(_, c) in candidates.iter() {
+        while let Some(best) = (0..candidates.len()).min_by_key(|&i| candidates[i].0) {
+            let (_, c) = candidates.swap_remove(best);
             if known_dead.contains(&c) {
                 continue; // the query already knows; skipping is free
             }
@@ -524,6 +528,140 @@ mod tests {
         let mut none = Vec::new();
         run_query_batch_observed(&mut net, &workload, 100, &policy, &mut rng, &mut none);
         assert!(none.is_empty());
+    }
+
+    /// The hop loop as it was before it took its best candidate in place:
+    /// collect, sort every candidate by potential, scan. The same logic
+    /// but for an always-on prober list and `mid_probe`, which counts
+    /// the returns from inside a probe sequence so the test can show its
+    /// budgets reach that exit.
+    fn route_sorted(
+        net: &Network,
+        src: PeerIdx,
+        key: Id,
+        policy: &RoutePolicy,
+        probers: &mut Vec<PeerIdx>,
+        mid_probe: &mut usize,
+    ) -> RouteOutcome {
+        let mut out = RouteOutcome {
+            success: false,
+            hops: 0,
+            wasted: 0,
+            backtracks: 0,
+            dest: None,
+        };
+        let Some(owner) = net.live_owner_of(key) else {
+            return out;
+        };
+        let owner_id = net.peer(owner).id;
+        if src == owner {
+            out.success = true;
+            out.dest = Some(owner);
+            return out;
+        }
+        let mut known_dead: HashSet<PeerIdx> = HashSet::new();
+        let mut exhausted: HashSet<PeerIdx> = HashSet::new();
+        let mut stack: Vec<PeerIdx> = Vec::new();
+        let mut current = src;
+        let mut neighbors: Vec<PeerIdx> = Vec::with_capacity(64);
+        let mut candidates: Vec<(u64, PeerIdx)> = Vec::with_capacity(64);
+        loop {
+            if current == owner {
+                out.success = true;
+                out.dest = Some(owner);
+                return out;
+            }
+            if out.cost() >= policy.max_messages {
+                return out;
+            }
+            let cur_potential = net.peer(current).id.cw_dist(owner_id);
+            net.routing_neighbors_into(current, &mut neighbors);
+            candidates.clear();
+            for &c in neighbors.iter() {
+                if exhausted.contains(&c) {
+                    continue;
+                }
+                if let Some(p) = logic::progress_toward(net.peer(c).id, owner_id, cur_potential) {
+                    candidates.push((p, c));
+                }
+            }
+            candidates.sort_unstable_by_key(|&(p, _)| p);
+            let mut forwarded = false;
+            for &(_, c) in candidates.iter() {
+                if known_dead.contains(&c) {
+                    continue;
+                }
+                if out.cost() >= policy.max_messages {
+                    *mid_probe += 1;
+                    return out;
+                }
+                if !net.is_alive(c) {
+                    out.wasted += 1;
+                    known_dead.insert(c);
+                    probers.push(current);
+                    continue;
+                }
+                out.hops += 1;
+                stack.push(current);
+                current = c;
+                forwarded = true;
+                break;
+            }
+            if forwarded {
+                continue;
+            }
+            exhausted.insert(current);
+            match stack.pop() {
+                Some(prev) => {
+                    if out.cost() >= policy.max_messages {
+                        return out;
+                    }
+                    out.wasted += 1;
+                    out.backtracks += 1;
+                    current = prev;
+                }
+                None => return out,
+            }
+        }
+    }
+
+    #[test]
+    fn best_first_hop_loop_matches_the_sort_then_scan_loop() {
+        let mut mid_probe = 0usize;
+        let mut queries = 0usize;
+        for fm in [FaultModel::StabilizedRing, FaultModel::UnstabilizedRing] {
+            for (dead, seed) in [(0.3, 30u64), (0.5, 50)] {
+                for succ in [1, 8] {
+                    let mut net = test_net(300, 4, seed, fm);
+                    net.set_succ_list_len(succ);
+                    let mut rng = SeedTree::new(seed + 1).rng();
+                    crate::churn::kill_fraction(&mut net, dead, &mut rng).unwrap();
+                    for max_messages in [2, 3, 5, 8, 4096] {
+                        let policy = RoutePolicy { max_messages };
+                        for _ in 0..200 {
+                            let src = net.random_live_peer(&mut rng).unwrap();
+                            let key = Id::new(rng.gen());
+                            let (mut want_probers, mut got_probers) = (Vec::new(), Vec::new());
+                            let want = route_sorted(
+                                &net,
+                                src,
+                                key,
+                                &policy,
+                                &mut want_probers,
+                                &mut mid_probe,
+                            );
+                            let got =
+                                route_observed(&net, src, key, &policy, Some(&mut got_probers));
+                            assert_eq!(got, want, "{fm:?} dead {dead} succ {succ} budget {max_messages} src {src:?} key {key:?}");
+                            assert_eq!(got_probers, want_probers);
+                            queries += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(queries, 2 * 2 * 2 * 5 * 200);
+        assert!(mid_probe > 0, "no budget ran out inside a probe sequence");
     }
 
     #[test]

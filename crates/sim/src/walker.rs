@@ -70,7 +70,8 @@ impl<'a> Walker<'a> {
     /// walk-adjacency cache: the current position's arc runs are resolved
     /// once per move, every proposal is a direct index into the cached
     /// adjacency, and the candidate's runs — computed for the MH ratio —
-    /// are promoted wholesale on acceptance. O(log deg) per step.
+    /// are promoted wholesale on acceptance. Two block counts over the
+    /// candidate's sorted keys per step.
     fn advance(
         &mut self,
         mut current: PeerIdx,

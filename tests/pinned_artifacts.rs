@@ -1,4 +1,4 @@
-//! Pinned seeded artifacts: hard-coded digests of two seeded runs.
+//! Pinned seeded artifacts: hard-coded digests of seeded runs.
 //!
 //! `tests/determinism.rs` proves run-vs-run equality *within* one build;
 //! these digests pin the outcome *across* builds, so any change that
@@ -45,6 +45,52 @@ fn sim_growth_digest_is_pinned() {
     let walk_steps = ov.network().metrics.get(oscar::sim::MsgKind::WalkStep);
     println!("sim walk steps: {walk_steps}");
     assert_eq!(walk_steps, 2_183_616, "seeded sim construction cost moved");
+}
+
+/// Simulator path under churn: the grown overlay's link tables, then a
+/// 30% crash wave on the unstabilised ring with two-entry successor
+/// lists and one observed query batch. Dead candidates are probed here,
+/// so the digest pins the greedy hop's probe order and the walk-built
+/// links that `sim_growth_digest_is_pinned` folds only through means.
+#[test]
+fn sim_churned_routing_digest_is_pinned() {
+    use oscar::sim::{run_query_batch_observed, RoutePolicy};
+    use oscar::types::SeedTree;
+
+    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 2424);
+    ov.grow_to(300, &GnutellaKeys::default(), &SpikyDegrees::paper())
+        .unwrap();
+    let net = ov.network();
+    let links = digest(
+        net.all_peers()
+            .flat_map(|p| net.peer(p).long_out.iter().map(|&t| net.peer(t).id.raw())),
+    );
+    ov.network_mut()
+        .set_fault_model(FaultModel::UnstabilizedRing);
+    ov.network_mut().set_succ_list_len(2);
+    ov.kill_fraction(0.3).unwrap();
+    let mut probers = Vec::new();
+    let stats = run_query_batch_observed(
+        ov.network_mut(),
+        &QueryWorkload::UniformPeers,
+        500,
+        &RoutePolicy::default(),
+        &mut SeedTree::new(2424).rng(),
+        &mut probers,
+    );
+    assert!(stats.mean_wasted > 0.0, "the crash wave must cost probes");
+    let outcome = digest([
+        links,
+        stats.mean_cost.to_bits(),
+        stats.mean_wasted.to_bits(),
+        stats.success_rate.to_bits(),
+        digest(probers.iter().map(|p| p.as_usize() as u64)),
+    ]);
+    println!("sim churned routing digest: {outcome:#018x}");
+    assert_eq!(
+        outcome, 0x77b7943a25afdeee,
+        "seeded churned-routing artifact drifted"
+    );
 }
 
 /// Machine churn backend: Poisson join/crash/depart with reactive-k2
