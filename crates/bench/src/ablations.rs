@@ -15,7 +15,7 @@ use crate::experiments::{run_growth_experiment, GrowthRunResult};
 use crate::registry::RunResult;
 use crate::report::Report;
 use crate::scale::Scale;
-use oscar_analytics::Series;
+use crate::series::Series;
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::ConstantDegrees;
 use oscar_keydist::{GnutellaKeys, QueryWorkload};

@@ -2,7 +2,6 @@
 
 use crate::parallel::{run_tasks, Task};
 use crate::scale::Scale;
-use oscar_analytics::{degree_load_curve, degree_volume_utilization};
 use oscar_degree::DegreeDistribution;
 use oscar_keydist::{KeyDistribution, QueryWorkload};
 use oscar_protocol::PeerConfig;
@@ -76,8 +75,8 @@ pub fn run_growth_experiment(
             Ok(())
         },
     )?;
-    let final_degree_load = degree_load_curve(&net);
-    let final_utilization = degree_volume_utilization(&net);
+    let final_degree_load = net.degree_load_curve();
+    let final_utilization = net.degree_volume_utilization();
     Ok(GrowthRunResult {
         label: label.to_string(),
         cost_by_size,

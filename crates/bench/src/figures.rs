@@ -10,7 +10,7 @@ use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::Scale;
-use oscar_analytics::{Series, Summary};
+use crate::series::Series;
 use oscar_chord::ChordBuilder;
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees, SteppedDegrees};
@@ -198,11 +198,16 @@ pub fn fig1c_report(suite: &Fig1Suite, scale: &Scale) -> Report {
         .iter()
         .filter_map(|r| r.cost_by_size.last().map(|(_, s)| s.mean_cost))
         .collect();
-    let spread = Summary::of(&finals);
+    let (mean, spread) = match finals.len() {
+        0 => (0.0, 0.0),
+        n => {
+            let max = finals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let min = finals.iter().copied().fold(f64::INFINITY, f64::min);
+            (finals.iter().sum::<f64>() / n as f64, max - min)
+        }
+    };
     report.add_note(format!(
-        "final-size costs: mean {:.2}, max-min spread {:.2} (paper: curves nearly identical)",
-        spread.mean,
-        spread.max - spread.min
+        "final-size costs: mean {mean:.2}, max-min spread {spread:.2} (paper: curves nearly identical)"
     ));
     report
 }

@@ -9,8 +9,8 @@
 //! machine-fleet query storms of the fault sweep, [`scenario`] the
 //! multi-phase campaigns, [`ablations`] the A1–A5 knock-outs. Every
 //! experiment is a pure function of a [`Scale`] (size, seed, thread
-//! budget); CSVs go through [`Report`], `BENCH_<name>.json` summaries
-//! through [`json::Object`].
+//! budget); CSVs go through [`Report`] (one [`series::Series`] per
+//! curve), `BENCH_<name>.json` summaries through [`json::Object`].
 //!
 //! Performance is *not* measured here: the repository's benchmark is
 //! `BENCHMARK.json` + `benchmarks/`. What this harness gates is behaviour
@@ -26,6 +26,7 @@ pub mod registry;
 pub mod report;
 pub mod scale;
 pub mod scenario;
+pub mod series;
 pub mod storm;
 
 pub use experiments::{

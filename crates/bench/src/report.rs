@@ -1,7 +1,7 @@
 //! Uniform output for the experiments: Markdown table to stdout, CSV to
 //! `results/`.
 
-use oscar_analytics::{series, Series};
+use crate::series::{self, Series};
 use std::path::PathBuf;
 
 /// A figure report in progress.

@@ -1,9 +1,9 @@
 //! Labelled data series with CSV and Markdown rendering.
 //!
 //! A [`Series`] is one curve of a figure: `(x, y)` points plus a label.
-//! The repro binaries collect one series per curve and render them as a
-//! wide table (x column + one y column per series) — the exact rows the
-//! paper plots.
+//! The experiments collect one series per curve and [`Report`](crate::Report)
+//! renders them as a wide table (x column + one y column per series) — the
+//! exact rows the paper plots.
 
 use std::fmt::Write as _;
 use std::io;
@@ -65,7 +65,7 @@ pub fn to_csv(series: &[Series]) -> String {
     out
 }
 
-/// Renders aligned series as a Markdown table (for EXPERIMENTS.md).
+/// Renders aligned series as a Markdown table (the harness's stdout).
 pub fn to_markdown(series: &[Series], x_header: &str) -> String {
     let xs = x_union(series);
     let mut out = String::new();
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn write_csv_creates_directories() {
-        let dir = std::env::temp_dir().join("oscar_analytics_test");
+        let dir = std::env::temp_dir().join("oscar_series_test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/out.csv");
         write_csv(&sample_series(), &path).unwrap();

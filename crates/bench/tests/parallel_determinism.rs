@@ -7,11 +7,11 @@
 //! any result; these tests pin that property end to end, at the level the
 //! acceptance criterion is stated: the rendered CSV bytes.
 
-use oscar_analytics::series::to_csv;
 use oscar_bench::figures::{
     fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports, run_fig1_suite,
     run_phase_suite, run_steady_churn_suite, steady_churn_reports,
 };
+use oscar_bench::series::to_csv;
 use oscar_bench::{run_churn_experiment, Scale};
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::ConstantDegrees;

@@ -1,9 +1,9 @@
-//! Analytic reference curves.
+//! The analytic reference curve.
 //!
 //! The paper proves the worst-case search cost of an Oscar network is
 //! `O(log²N)` (with at least one long-range link per peer) and observes
-//! far better constants with ~27 links. These helpers provide the
-//! reference curves tests and EXPERIMENTS.md compare measurements against.
+//! far better constants with ~27 links. The bound is the reference curve
+//! tests and the quickstart example compare measurements against.
 
 /// `log₂(n)` (0 for n ≤ 1).
 pub fn log2(n: usize) -> f64 {
@@ -19,18 +19,6 @@ pub fn log2(n: usize) -> f64 {
 pub fn worst_case_search_bound(n: usize) -> f64 {
     let l = log2(n);
     l * l
-}
-
-/// Expected greedy search cost `Θ(log²N / k)` for `k` long-range links per
-/// peer (Kleinberg-style analysis); the constant is 1, so treat this as a
-/// scaling shape, not a prediction.
-pub fn expected_search_shape(n: usize, links_per_peer: usize) -> f64 {
-    worst_case_search_bound(n) / links_per_peer.max(1) as f64
-}
-
-/// Number of partitions the median chain should discover: `⌈log₂N⌉`.
-pub fn expected_partition_count(n: usize) -> usize {
-    log2(n).ceil() as usize
 }
 
 #[cfg(test)]
@@ -52,22 +40,5 @@ mod tests {
         // doubling N adds ~2 log N + 1, far from doubling the bound
         let r = worst_case_search_bound(20_000) / worst_case_search_bound(10_000);
         assert!(r < 1.2);
-    }
-
-    #[test]
-    fn more_links_cut_the_shape() {
-        assert!(expected_search_shape(10_000, 27) < expected_search_shape(10_000, 1));
-        assert_eq!(
-            expected_search_shape(10_000, 0),
-            worst_case_search_bound(10_000),
-            "zero links clamps to one"
-        );
-    }
-
-    #[test]
-    fn partition_counts() {
-        assert_eq!(expected_partition_count(1024), 10);
-        assert_eq!(expected_partition_count(10_000), 14);
-        assert_eq!(expected_partition_count(1), 0);
     }
 }

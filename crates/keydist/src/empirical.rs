@@ -1,18 +1,8 @@
-//! Empirical CDFs and inverse-CDF key sampling.
-//!
-//! Two uses:
-//!
-//! * [`EmpiricalKeys`] — replay an observed key sample as a distribution
-//!   (inverse-transform with interpolation), e.g. to re-seed an experiment
-//!   from a captured corpus.
-//! * [`EmpiricalCdf`] — the estimator Mercury builds from its uniform
-//!   random-walk samples; `oscar-mercury` uses it to place long links. Its
-//!   resolution is limited by the sample size — precisely the weakness the
-//!   paper exploits.
+//! The empirical CDF Mercury builds from its uniform random-walk samples;
+//! `oscar-mercury` uses it to place long links. Its resolution is limited
+//! by the sample size — precisely the weakness the paper exploits.
 
-use crate::KeyDistribution;
 use oscar_types::Id;
-use rand::{Rng, RngCore};
 
 /// Empirical CDF over ring positions built from a sample.
 ///
@@ -45,13 +35,6 @@ impl EmpiricalCdf {
         false // construction guarantees at least one point
     }
 
-    /// Fraction of sample points `<= x` (linearised order).
-    pub fn cdf(&self, x: Id) -> f64 {
-        let n = self.points.len();
-        let idx = self.points.partition_point(|&p| p <= x);
-        idx as f64 / n as f64
-    }
-
     /// The `q`-quantile (`q ∈ [0, 1]`), with linear interpolation between
     /// adjacent sample points.
     pub fn quantile(&self, q: f64) -> Id {
@@ -78,7 +61,7 @@ impl EmpiricalCdf {
     ///
     /// Works directly in circular sample-index space (position of `from`
     /// among the sorted sample points plus the fractional advance,
-    /// interpolating clockwise inside the hit gap) — composing `cdf` with
+    /// interpolating clockwise inside the hit gap) — composing a CDF with
     /// `quantile` instead would be off by up to a whole sample gap, which
     /// destroys short-distance (harmonic) link placement.
     pub fn advance_by_ranks(&self, from: Id, delta_ranks: f64) -> Id {
@@ -100,35 +83,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// Inverse-CDF sampling from an observed sample.
-pub struct EmpiricalKeys {
-    cdf: EmpiricalCdf,
-}
-
-impl EmpiricalKeys {
-    /// Builds the sampler from a sample of keys.
-    pub fn new(sample: Vec<Id>) -> Self {
-        EmpiricalKeys {
-            cdf: EmpiricalCdf::new(sample),
-        }
-    }
-
-    /// Access to the underlying CDF.
-    pub fn cdf(&self) -> &EmpiricalCdf {
-        &self.cdf
-    }
-}
-
-impl KeyDistribution for EmpiricalKeys {
-    fn sample(&self, rng: &mut dyn RngCore) -> Id {
-        self.cdf.quantile(rng.gen::<f64>())
-    }
-
-    fn name(&self) -> &str {
-        "empirical"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,15 +91,6 @@ mod tests {
 
     fn ids(xs: &[u64]) -> Vec<Id> {
         xs.iter().map(|&x| Id::new(x)).collect()
-    }
-
-    #[test]
-    fn cdf_counts_fraction_leq() {
-        let c = EmpiricalCdf::new(ids(&[10, 20, 30, 40]));
-        assert_eq!(c.cdf(Id::new(5)), 0.0);
-        assert_eq!(c.cdf(Id::new(10)), 0.25);
-        assert_eq!(c.cdf(Id::new(25)), 0.5);
-        assert_eq!(c.cdf(Id::new(100)), 1.0);
     }
 
     #[test]
@@ -189,25 +134,6 @@ mod tests {
             moved >= Id::new(40) && moved <= Id::new(50),
             "moved to {moved:?}"
         );
-    }
-
-    #[test]
-    fn empirical_keys_reproduce_source_shape() {
-        // Sample a spiky distribution, rebuild it empirically, and check the
-        // spike location survives the round-trip.
-        let src = ClusteredKeys::new(3, 1e-3, 1.0, 11);
-        let heavy = src.centers()[0];
-        let sample = sample_n(&src, 4_000, &mut SeedTree::new(1).rng());
-        let replay = EmpiricalKeys::new(sample);
-        let keys = sample_n(&replay, 4_000, &mut SeedTree::new(2).rng());
-        let near = keys
-            .iter()
-            .filter(|k| {
-                let d = (k.to_unit() - heavy).abs();
-                d.min(1.0 - d) < 0.02
-            })
-            .count();
-        assert!(near > 1_000, "replayed spike too weak: {near}");
     }
 
     #[test]

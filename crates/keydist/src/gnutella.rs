@@ -2,8 +2,7 @@
 //!
 //! The paper draws peer identifiers "from the Gnutella filename
 //! distribution" — a trace we do not have. This module substitutes a
-//! generative model that reproduces the *shape* that matters to Oscar
-//! (DESIGN.md §2):
+//! generative model that reproduces the *shape* that matters to Oscar:
 //!
 //! * a Zipf-popular vocabulary (few words dominate file names, long tail);
 //! * file names composed of one to a few words plus a media extension;
@@ -15,37 +14,20 @@
 //! Oscar's median chain adapts.
 
 use crate::strings::encode_filename_key;
-use crate::zipf::zipf_cdf_table;
-use crate::KeyDistribution;
+use crate::{zipf_cdf_table, KeyDistribution};
 use oscar_types::{Id, SeedTree};
 use rand::{Rng, RngCore};
 
-/// Tuning knobs of the synthetic filename corpus.
-#[derive(Clone, Debug)]
-pub struct GnutellaConfig {
-    /// Vocabulary size.
-    pub vocabulary: usize,
-    /// Zipf exponent of word popularity (≈0.9–1.0 for file-sharing corpora).
-    pub zipf_exponent: f64,
-    /// Maximum words per file name.
-    pub max_words: usize,
-    /// Probability of adding one more word (geometric length model).
-    pub continuation_prob: f64,
-    /// Seed for vocabulary construction (not per-sample randomness).
-    pub corpus_seed: u64,
-}
-
-impl Default for GnutellaConfig {
-    fn default() -> Self {
-        GnutellaConfig {
-            vocabulary: 4096,
-            zipf_exponent: 0.95,
-            max_words: 4,
-            continuation_prob: 0.55,
-            corpus_seed: 0x006E_7574_656C_6C61, // "nutella"
-        }
-    }
-}
+/// Vocabulary size.
+const VOCABULARY: usize = 4096;
+/// Zipf exponent of word popularity (≈0.9–1.0 for file-sharing corpora).
+const ZIPF_EXPONENT: f64 = 0.95;
+/// Maximum words per file name.
+const MAX_WORDS: usize = 4;
+/// Probability of adding one more word (geometric length model).
+const CONTINUATION_PROB: f64 = 0.55;
+/// Seed for vocabulary construction (not per-sample randomness).
+const CORPUS_SEED: u64 = 0x006E_7574_656C_6C61; // "nutella"
 
 /// File extensions with Gnutella-era popularity (media-heavy).
 const EXTENSIONS: &[(&str, f64)] = &[
@@ -63,20 +45,16 @@ pub struct GnutellaKeys {
     words: Vec<String>,
     word_cdf: Vec<f64>,
     ext_cdf: Vec<f64>,
-    config: GnutellaConfig,
 }
 
-impl GnutellaKeys {
-    /// Builds the corpus model from a configuration.
-    pub fn new(config: GnutellaConfig) -> Self {
-        assert!(config.vocabulary > 0, "vocabulary must be non-empty");
-        assert!(config.max_words >= 1);
-        assert!((0.0..1.0).contains(&config.continuation_prob));
+impl Default for GnutellaKeys {
+    /// Builds the corpus model: the vocabulary and both popularity tables.
+    fn default() -> Self {
         #[expect(
             clippy::disallowed_methods,
-            reason = "the corpus is rooted at an explicit caller-provided seed — a distribution entry point"
+            reason = "the corpus is rooted at its own fixed seed — a distribution entry point"
         )]
-        let mut rng = SeedTree::new(config.corpus_seed).child(0x90).rng();
+        let mut rng = SeedTree::new(CORPUS_SEED).child(0x90).rng();
         // Letter frequencies for leading characters: realistic corpora are
         // *not* uniform over the alphabet, which concentrates mass further.
         const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
@@ -95,13 +73,13 @@ impl GnutellaKeys {
             }
             'z'
         };
-        let mut words = Vec::with_capacity(config.vocabulary);
-        for _ in 0..config.vocabulary {
+        let mut words = Vec::with_capacity(VOCABULARY);
+        for _ in 0..VOCABULARY {
             let len = rng.gen_range(3..=9);
             let w: String = (0..len).map(|_| pick_letter(&mut rng)).collect();
             words.push(w);
         }
-        let word_cdf = zipf_cdf_table(config.vocabulary, config.zipf_exponent);
+        let word_cdf = zipf_cdf_table(VOCABULARY, ZIPF_EXPONENT);
         let mut cum = 0.0;
         let mut ext_cdf: Vec<f64> = EXTENSIONS
             .iter()
@@ -118,10 +96,11 @@ impl GnutellaKeys {
             words,
             word_cdf,
             ext_cdf,
-            config,
         }
     }
+}
 
+impl GnutellaKeys {
     fn pick_word(&self, rng: &mut dyn RngCore) -> &str {
         let u: f64 = rng.gen();
         let idx = match self
@@ -150,8 +129,8 @@ impl GnutellaKeys {
     pub fn sample_filename(&self, rng: &mut dyn RngCore) -> String {
         let mut name = String::with_capacity(32);
         name.push_str(self.pick_word(rng));
-        for _ in 1..self.config.max_words {
-            if rng.gen::<f64>() >= self.config.continuation_prob {
+        for _ in 1..MAX_WORDS {
+            if rng.gen::<f64>() >= CONTINUATION_PROB {
                 break;
             }
             name.push('_');
@@ -160,27 +139,12 @@ impl GnutellaKeys {
         name.push_str(self.pick_extension(rng));
         name
     }
-
-    /// The vocabulary (test/diagnostic access).
-    pub fn vocabulary(&self) -> &[String] {
-        &self.words
-    }
-}
-
-impl Default for GnutellaKeys {
-    fn default() -> Self {
-        GnutellaKeys::new(GnutellaConfig::default())
-    }
 }
 
 impl KeyDistribution for GnutellaKeys {
     fn sample(&self, rng: &mut dyn RngCore) -> Id {
         let name = self.sample_filename(rng);
         encode_filename_key(&name)
-    }
-
-    fn name(&self) -> &str {
-        "gnutella-filenames"
     }
 }
 
@@ -208,7 +172,7 @@ mod tests {
     fn corpus_is_deterministic() {
         let a = GnutellaKeys::default();
         let b = GnutellaKeys::default();
-        assert_eq!(a.vocabulary(), b.vocabulary());
+        assert_eq!(a.words, b.words);
         let ka = sample_n(&a, 32, &mut SeedTree::new(1).rng());
         let kb = sample_n(&b, 32, &mut SeedTree::new(1).rng());
         assert_eq!(ka, kb);
@@ -226,31 +190,12 @@ mod tests {
     #[test]
     fn popular_word_dominates_prefix_region() {
         let g = GnutellaKeys::default();
-        let top_word = &g.vocabulary()[0];
+        let top_word = &g.words[0];
         let mut rng = SeedTree::new(3).rng();
         let hits = (0..5000)
             .filter(|_| g.sample_filename(&mut rng).starts_with(top_word.as_str()))
             .count();
         // Zipf rank-1 mass over 4096 words with s=.95 is ≈ 7-9%.
         assert!(hits > 150, "rank-1 word frequency too low: {hits}");
-    }
-
-    #[test]
-    fn different_corpus_seed_changes_vocabulary() {
-        let a = GnutellaKeys::default();
-        let b = GnutellaKeys::new(GnutellaConfig {
-            corpus_seed: 999,
-            ..GnutellaConfig::default()
-        });
-        assert_ne!(a.vocabulary(), b.vocabulary());
-    }
-
-    #[test]
-    #[should_panic(expected = "vocabulary must be non-empty")]
-    fn zero_vocabulary_panics() {
-        GnutellaKeys::new(GnutellaConfig {
-            vocabulary: 0,
-            ..GnutellaConfig::default()
-        });
     }
 }

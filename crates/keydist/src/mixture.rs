@@ -1,111 +1,27 @@
-//! Mixtures of narrow clusters — "totally arbitrary" spiky distributions.
+//! Zipf-weighted mixtures of narrow clusters — "totally arbitrary" spiky
+//! distributions.
 //!
 //! The paper's argument against Mercury is that real key densities are
 //! arbitrary: sharp spikes separated by deserts, at unpredictable places.
-//! [`MixtureKeys`] composes any weighted set of component distributions;
-//! [`ClusteredKeys`] is the ready-made spiky instance used in tests and
-//! ablations (Zipf-weighted narrow Gaussian clusters at random centres).
+//! [`ClusteredKeys`] is such a density; `oscar-core`'s partition tests and
+//! the facade's overlay property tests grow overlays on it.
 
 use crate::{zipf_cdf_table, KeyDistribution};
 use oscar_types::{Id, SeedTree};
 use rand::{Rng, RngCore};
 
-/// A normal (Gaussian) cluster wrapped onto the ring.
-///
-/// Sampling uses Box–Muller; the result wraps around the ring, which is the
-/// natural way to put a bump of width `sigma` at `center` on circular space.
-#[derive(Copy, Clone, Debug)]
-pub struct NormalCluster {
-    /// Cluster centre on the unit interval.
-    pub center: f64,
-    /// Standard deviation on the unit interval (e.g. `1e-3` = very sharp).
-    pub sigma: f64,
-}
-
-impl NormalCluster {
-    fn sample_unit(&self, rng: &mut dyn RngCore) -> f64 {
-        // Box-Muller transform; one draw per call is fine at our rates.
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        self.center + z * self.sigma
-    }
-}
-
-impl KeyDistribution for NormalCluster {
-    fn sample(&self, rng: &mut dyn RngCore) -> Id {
-        Id::from_unit(self.sample_unit(rng))
-    }
-
-    fn name(&self) -> &str {
-        "normal-cluster"
-    }
-}
-
-/// Weighted mixture of key distributions.
-pub struct MixtureKeys {
-    components: Vec<Box<dyn KeyDistribution>>,
-    /// Cumulative weights, last element exactly 1.0.
-    cum_weights: Vec<f64>,
-    name: String,
-}
-
-impl MixtureKeys {
-    /// Builds a mixture; weights are normalised.
-    ///
-    /// # Panics
-    /// If empty, lengths differ, or weights are non-positive.
-    pub fn new(components: Vec<Box<dyn KeyDistribution>>, weights: &[f64]) -> Self {
-        assert!(!components.is_empty(), "mixture needs components");
-        assert_eq!(components.len(), weights.len(), "weight per component");
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        let total: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let mut cum_weights: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                cum += w / total;
-                cum
-            })
-            .collect();
-        *cum_weights.last_mut().expect("non-empty") = 1.0;
-        let name = format!("mixture({} components)", components.len());
-        MixtureKeys {
-            components,
-            cum_weights,
-            name,
-        }
-    }
-
-    /// Number of components.
-    pub fn arity(&self) -> usize {
-        self.components.len()
-    }
-}
-
-impl KeyDistribution for MixtureKeys {
-    fn sample(&self, rng: &mut dyn RngCore) -> Id {
-        let u: f64 = rng.gen();
-        let idx = match self
-            .cum_weights
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.components.len() - 1),
-        };
-        self.components[idx].sample(rng)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Ready-made spiky distribution: `k` sharp Gaussian clusters at
-/// deterministic random centres with Zipf(`s`) weights.
+/// deterministic random centres with Zipf(`s`) weights. A draw picks a
+/// cluster by weight, then a normal offset from its centre, wrapped onto
+/// the ring.
 pub struct ClusteredKeys {
-    inner: MixtureKeys,
+    /// Cluster centres on the unit interval, heaviest first.
     centers: Vec<f64>,
+    /// Every cluster's standard deviation on the unit interval (e.g.
+    /// `1e-3` = very sharp).
+    sigma: f64,
+    /// Cumulative cluster weights, last element exactly 1.0.
+    cum_weights: Vec<f64>,
 }
 
 impl ClusteredKeys {
@@ -126,98 +42,49 @@ impl ClusteredKeys {
             weights.push(c - prev);
             prev = c;
         }
-        let components: Vec<Box<dyn KeyDistribution>> = centers
+        // The weights renormalised and accumulated again, as a mixture of
+        // arbitrary weights would be: the same floats, so the same draws.
+        let total: f64 = weights.iter().sum();
+        let mut cum = 0.0;
+        let mut cum_weights: Vec<f64> = weights
             .iter()
-            .map(|&center| Box::new(NormalCluster { center, sigma }) as Box<dyn KeyDistribution>)
+            .map(|w| {
+                cum += w / total;
+                cum
+            })
             .collect();
+        *cum_weights.last_mut().expect("non-empty") = 1.0;
         ClusteredKeys {
-            inner: MixtureKeys::new(components, &weights),
             centers,
+            sigma,
+            cum_weights,
         }
-    }
-
-    /// The cluster centres (unit interval), heaviest first.
-    pub fn centers(&self) -> &[f64] {
-        &self.centers
     }
 }
 
 impl KeyDistribution for ClusteredKeys {
     fn sample(&self, rng: &mut dyn RngCore) -> Id {
-        self.inner.sample(rng)
-    }
-
-    fn name(&self) -> &str {
-        "clustered"
+        let u: f64 = rng.gen();
+        let idx = match self
+            .cum_weights
+            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(self.centers.len() - 1),
+        };
+        // Box-Muller transform; one draw per call is fine at our rates.
+        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = rng.gen();
+        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        Id::from_unit(self.centers[idx] + z * self.sigma)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mass_in_top_bins, sample_n, UniformKeys};
+    use crate::{mass_in_top_bins, sample_n};
     use oscar_types::SeedTree;
-
-    #[test]
-    fn normal_cluster_concentrates_near_center() {
-        let c = NormalCluster {
-            center: 0.5,
-            sigma: 0.01,
-        };
-        let keys = sample_n(&c, 2_000, &mut SeedTree::new(1).rng());
-        let near = keys
-            .iter()
-            .filter(|k| (k.to_unit() - 0.5).abs() < 0.03)
-            .count();
-        assert!(near > 1_900, "within 3 sigma: {near}");
-    }
-
-    #[test]
-    fn normal_cluster_wraps_at_ring_edge() {
-        let c = NormalCluster {
-            center: 0.001,
-            sigma: 0.01,
-        };
-        let keys = sample_n(&c, 2_000, &mut SeedTree::new(2).rng());
-        // Roughly half the mass wraps to the top of the unit interval.
-        let wrapped = keys.iter().filter(|k| k.to_unit() > 0.9).count();
-        assert!(wrapped > 400, "wrapped: {wrapped}");
-    }
-
-    #[test]
-    fn mixture_respects_weights() {
-        let comps: Vec<Box<dyn KeyDistribution>> = vec![
-            Box::new(NormalCluster {
-                center: 0.25,
-                sigma: 1e-4,
-            }),
-            Box::new(NormalCluster {
-                center: 0.75,
-                sigma: 1e-4,
-            }),
-        ];
-        let m = MixtureKeys::new(comps, &[0.9, 0.1]);
-        let keys = sample_n(&m, 5_000, &mut SeedTree::new(3).rng());
-        let near_heavy = keys
-            .iter()
-            .filter(|k| (k.to_unit() - 0.25).abs() < 0.01)
-            .count();
-        let frac = near_heavy as f64 / 5_000.0;
-        assert!((frac - 0.9).abs() < 0.03, "heavy component fraction {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs components")]
-    fn empty_mixture_panics() {
-        MixtureKeys::new(vec![], &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_weight_panics() {
-        let comps: Vec<Box<dyn KeyDistribution>> = vec![Box::new(UniformKeys)];
-        MixtureKeys::new(comps, &[0.0]);
-    }
 
     #[test]
     fn clustered_is_much_spikier_than_uniform() {
@@ -231,10 +98,32 @@ mod tests {
     }
 
     #[test]
+    fn clusters_are_sharp_and_zipf_weighted() {
+        // Two clusters at s = 1 weigh 2/3 and 1/3; at sigma 1e-4 nearly
+        // every draw lands within 1e-3 of its centre, measured around the
+        // ring.
+        let d = ClusteredKeys::new(2, 1e-4, 1.0, 5);
+        let keys = sample_n(&d, 6_000, &mut SeedTree::new(3).rng());
+        let near = |c: f64| {
+            keys.iter()
+                .filter(|k| {
+                    let dist = (k.to_unit() - c).abs();
+                    dist.min(1.0 - dist) < 1e-3
+                })
+                .count() as f64
+                / keys.len() as f64
+        };
+        let (heavy, light) = (near(d.centers[0]), near(d.centers[1]));
+        assert!((heavy - 2.0 / 3.0).abs() < 0.03, "heavy cluster {heavy}");
+        assert!(heavy + light > 0.999, "draws off both clusters");
+    }
+
+    #[test]
     fn clustered_deterministic_centers() {
         let a = ClusteredKeys::new(5, 1e-3, 1.0, 7);
         let b = ClusteredKeys::new(5, 1e-3, 1.0, 7);
-        assert_eq!(a.centers(), b.centers());
-        assert_eq!(a.inner.arity(), 5);
+        assert_eq!(a.centers, b.centers);
+        assert_eq!(a.centers.len(), 5);
+        assert_ne!(a.centers, ClusteredKeys::new(5, 1e-3, 1.0, 8).centers);
     }
 }

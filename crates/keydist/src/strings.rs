@@ -16,7 +16,7 @@ use oscar_types::Id;
 /// * strings sharing an 8-byte prefix collide (acceptable: the corpus
 ///   generator keeps discriminating bytes early, and ties are broken by
 ///   the caller where uniqueness matters).
-pub fn encode_string_key(s: &str) -> Id {
+fn encode_string_key(s: &str) -> Id {
     let bytes = s.as_bytes();
     let mut buf = [0u8; 8];
     let n = bytes.len().min(8);

@@ -12,10 +12,6 @@ impl KeyDistribution for UniformKeys {
     fn sample(&self, rng: &mut dyn RngCore) -> Id {
         Id::new(rng.next_u64())
     }
-
-    fn name(&self) -> &str {
-        "uniform"
-    }
 }
 
 #[cfg(test)]

@@ -4,37 +4,25 @@
 //! The natural reading — and our default — is that each query originates at
 //! a random live peer and targets the identifier of another random live
 //! peer (data lives where peers are, because the overlay is
-//! order-preserving). Two more workloads support ablations:
+//! order-preserving). Two more workloads skew which peers are asked for:
 //!
-//! * `UniformKeys`: targets uniform over the ring regardless of density —
-//!   stresses the deserts of a skewed key space;
 //! * `ZipfPeers`: skewed *access* load (the paper's intro motivates
-//!   disproportionate bandwidth use under skewed access patterns).
+//!   disproportionate bandwidth use under skewed access patterns) — ablation
+//!   A5 and the `skewed_access` example;
+//! * `Hotspot`: a hot region that scenario drivers move between windows.
 //!
-//! The workload is pure: it decides *what* to target; resolving a peer rank
-//! to an actual peer is the simulator's job.
+//! The workload is pure: it draws a live-peer *rank* (0-based, in ring
+//! order); resolving the rank to a peer and its identifier is the caller's
+//! job.
 
-use crate::zipf::zipf_cdf_table;
-use oscar_types::Id;
+use crate::zipf_cdf_table;
 use rand::{Rng, RngCore};
-
-/// What a single query should target.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum QueryTarget {
-    /// Target the identifier of the live peer with this rank (0-based,
-    /// in ring order); the simulator resolves the rank.
-    PeerRank(usize),
-    /// Target this exact key.
-    Key(Id),
-}
 
 /// A generator of query targets.
 #[derive(Clone, Debug)]
 pub enum QueryWorkload {
     /// Each query targets a live peer chosen uniformly at random.
     UniformPeers,
-    /// Each query targets a uniformly random ring position.
-    UniformKeys,
     /// Skewed access: peer ranks get Zipf(`exponent`) popularity, scattered
     /// deterministically so the hot peers are not ring-adjacent.
     ZipfPeers {
@@ -59,15 +47,14 @@ pub enum QueryWorkload {
 }
 
 impl QueryWorkload {
-    /// Draws a target given the current number of live peers.
+    /// Draws the rank of the live peer a query targets, in `0..n_live`.
     ///
     /// # Panics
     /// If `n_live == 0`.
-    pub fn draw(&self, n_live: usize, rng: &mut dyn RngCore) -> QueryTarget {
+    pub fn draw(&self, n_live: usize, rng: &mut dyn RngCore) -> usize {
         assert!(n_live > 0, "cannot query an empty network");
         match self {
-            QueryWorkload::UniformPeers => QueryTarget::PeerRank(rng.gen_range(0..n_live)),
-            QueryWorkload::UniformKeys => QueryTarget::Key(Id::new(rng.next_u64())),
+            QueryWorkload::UniformPeers => rng.gen_range(0..n_live),
             QueryWorkload::ZipfPeers { exponent } => {
                 // Build-per-call would be wasteful for big N; cache-free
                 // approximation: inverse-CDF on the continuous Zipf via
@@ -85,8 +72,7 @@ impl QueryWorkload {
                     continuous_zipf_rank(n_live, *exponent, rng)
                 };
                 // Scatter so Zipf rank is decoupled from ring order.
-                let scattered = scatter_rank(rank, n_live);
-                QueryTarget::PeerRank(scattered)
+                scatter_rank(rank, n_live)
             }
             QueryWorkload::Hotspot {
                 center,
@@ -101,14 +87,13 @@ impl QueryWorkload {
                     let v: f64 = rng.gen();
                     let dist = ((v * v) * span as f64) as usize % span;
                     let c = (center.rem_euclid(1.0) * n_live as f64) as usize % n_live;
-                    let r = if rng.gen::<bool>() {
+                    if rng.gen::<bool>() {
                         (c + dist) % n_live
                     } else {
                         (c + n_live - (dist % n_live)) % n_live
-                    };
-                    QueryTarget::PeerRank(r)
+                    }
                 } else {
-                    QueryTarget::PeerRank(rng.gen_range(0..n_live))
+                    rng.gen_range(0..n_live)
                 }
             }
         }
@@ -118,7 +103,6 @@ impl QueryWorkload {
     pub fn name(&self) -> String {
         match self {
             QueryWorkload::UniformPeers => "uniform-peers".into(),
-            QueryWorkload::UniformKeys => "uniform-keys".into(),
             QueryWorkload::ZipfPeers { exponent } => format!("zipf-peers(s={exponent})"),
             QueryWorkload::Hotspot {
                 center,
@@ -146,16 +130,23 @@ fn continuous_zipf_rank(n: usize, s: f64, rng: &mut dyn RngCore) -> usize {
     (rank_f.floor() as usize).clamp(1, n) - 1
 }
 
-/// Deterministic rank scatter: multiply by an odd constant mod n.
-///
-/// Bijective for odd multiplier when n is a power of two; for general n we
-/// use a simple affine map and fix collisions by linear probing — cheap and
-/// adequate (the goal is decorrelation, not cryptography).
+/// Deterministic rank scatter: `rank · m mod n`, a permutation of `0..n`
+/// because the multiplier `m` is coprime to `n`. `m` starts near the
+/// golden-ratio fraction of `n`, so consecutive Zipf ranks land far apart
+/// on the ring, and steps up to the first value coprime to `n`. The goal
+/// is decorrelation with every peer reachable, not cryptography.
 fn scatter_rank(rank: usize, n: usize) -> usize {
-    if n <= 1 {
-        return 0;
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let mut m = ((n as u128 * 0x9E37_79B9) >> 32).max(1) as usize;
+    while gcd(m, n) != 1 {
+        m += 1;
     }
-    (rank.wrapping_mul(0x9E37_79B1) ^ (rank >> 3)) % n
+    (rank as u128 * m as u128 % n as u128) as usize
 }
 
 #[cfg(test)]
@@ -168,18 +159,8 @@ mod tests {
         let w = QueryWorkload::UniformPeers;
         let mut rng = SeedTree::new(1).rng();
         for _ in 0..1000 {
-            match w.draw(37, &mut rng) {
-                QueryTarget::PeerRank(r) => assert!(r < 37),
-                _ => panic!("expected a peer rank"),
-            }
+            assert!(w.draw(37, &mut rng) < 37);
         }
-    }
-
-    #[test]
-    fn uniform_keys_yields_keys() {
-        let w = QueryWorkload::UniformKeys;
-        let mut rng = SeedTree::new(2).rng();
-        assert!(matches!(w.draw(5, &mut rng), QueryTarget::Key(_)));
     }
 
     #[test]
@@ -196,9 +177,7 @@ mod tests {
         let n = 500;
         let mut counts = vec![0usize; n];
         for _ in 0..20_000 {
-            if let QueryTarget::PeerRank(r) = w.draw(n, &mut rng) {
-                counts[r] += 1;
-            }
+            counts[w.draw(n, &mut rng)] += 1;
         }
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top10: usize = counts.iter().take(10).sum();
@@ -211,9 +190,20 @@ mod tests {
         let w = QueryWorkload::ZipfPeers { exponent: 1.0 };
         let mut rng = SeedTree::new(5).rng();
         for _ in 0..1000 {
-            match w.draw(10_000, &mut rng) {
-                QueryTarget::PeerRank(r) => assert!(r < 10_000),
-                _ => panic!("expected a peer rank"),
+            assert!(w.draw(10_000, &mut rng) < 10_000);
+        }
+    }
+
+    #[test]
+    fn scatter_rank_is_a_permutation() {
+        let mut hit = Vec::new();
+        for n in 1..=5_000 {
+            hit.clear();
+            hit.resize(n, false);
+            for rank in 0..n {
+                let r = scatter_rank(rank, n);
+                assert!(r < n && !hit[r], "n {n}: rank {rank} lands on taken {r}");
+                hit[r] = true;
             }
         }
     }
@@ -231,7 +221,6 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(QueryWorkload::UniformPeers.name(), "uniform-peers");
-        assert_eq!(QueryWorkload::UniformKeys.name(), "uniform-keys");
         assert_eq!(
             QueryWorkload::ZipfPeers { exponent: 0.8 }.name(),
             "zipf-peers(s=0.8)"
@@ -259,15 +248,11 @@ mod tests {
         let mut in_window = 0usize;
         let draws = 20_000;
         for _ in 0..draws {
-            match w.draw(n, &mut rng) {
-                QueryTarget::PeerRank(r) => {
-                    assert!(r < n);
-                    // The hot window is centre ± width·n = 500 ± 50.
-                    if (450..=550).contains(&r) {
-                        in_window += 1;
-                    }
-                }
-                _ => panic!("expected a peer rank"),
+            let r = w.draw(n, &mut rng);
+            assert!(r < n);
+            // The hot window is centre ± width·n = 500 ± 50.
+            if (450..=550).contains(&r) {
+                in_window += 1;
             }
         }
         // ~90% of draws are hot and land inside the window; uniform draws
@@ -290,10 +275,7 @@ mod tests {
                 hot_fraction: 1.0,
             };
             for _ in 0..200 {
-                match w.draw(n, &mut rng) {
-                    QueryTarget::PeerRank(r) => assert!(r < n),
-                    _ => panic!("expected a peer rank"),
-                }
+                assert!(w.draw(n, &mut rng) < n);
             }
         }
         // Drifting the centre moves the hot mass: disjoint centres give
@@ -306,9 +288,7 @@ mod tests {
             };
             let mut counts = vec![0usize; n];
             for _ in 0..2000 {
-                if let QueryTarget::PeerRank(r) = w.draw(n, rng) {
-                    counts[r] += 1;
-                }
+                counts[w.draw(n, rng)] += 1;
             }
             counts
         };

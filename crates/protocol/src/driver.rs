@@ -29,7 +29,8 @@ use std::collections::BTreeSet;
 /// callers that slice time themselves (the fault sweep's storm reads the
 /// counter; driver tests and the benchmark's tracing wrapper advance it).
 pub trait ProtocolDriver {
-    /// Adds a fresh, unjoined machine for `id`. No-op if it exists.
+    /// Adds a fresh, unjoined machine for `id`, replacing any machine
+    /// already under it; the replaced machine's armed timers go with it.
     fn spawn_peer(&mut self, id: Id);
 
     /// Removes `id` abruptly (a crash): undelivered and future messages

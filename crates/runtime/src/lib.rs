@@ -322,11 +322,6 @@ impl Runtime {
         }
     }
 
-    /// The runtime's root seed.
-    pub fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
     /// Number of pool worker threads (a thread helping from inside
     /// [`Runtime::quiesce`] is not one).
     pub fn workers(&self) -> usize {
@@ -655,9 +650,7 @@ impl Drop for Runtime {
 /// onto the same virtual failure-detection time the DES uses.
 impl ProtocolDriver for Runtime {
     fn spawn_peer(&mut self, id: Id) {
-        if !held(self.shared.actors.read()).contains_key(&id) {
-            Runtime::spawn_peer(self, id);
-        }
+        Runtime::spawn_peer(self, id);
     }
 
     fn remove_peer(&mut self, id: Id) {

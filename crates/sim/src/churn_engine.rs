@@ -94,14 +94,6 @@ pub enum QueryBudget {
         /// Lower bound on the resolved batch size.
         min: usize,
     },
-    /// `live * fraction`, capped at `cap`: linear at small scale, flat
-    /// once the population crosses `cap / fraction`.
-    FractionCapped {
-        /// Fraction of the live population queried per window.
-        fraction: f64,
-        /// Hard ceiling on the resolved batch size.
-        cap: usize,
-    },
 }
 
 impl QueryBudget {
@@ -112,9 +104,6 @@ impl QueryBudget {
         match *self {
             QueryBudget::Fixed(q) => q,
             QueryBudget::SqrtLive { min } => ((live as f64).sqrt().ceil() as usize).max(min),
-            QueryBudget::FractionCapped { fraction, cap } => {
-                ((live as f64 * fraction).ceil() as usize).clamp(1, cap)
-            }
         }
     }
 
@@ -128,20 +117,6 @@ impl QueryBudget {
             QueryBudget::SqrtLive { min: 0 } => Err(Error::InvalidConfig(
                 "QueryBudget::SqrtLive needs min >= 1: an empty window has no data point".into(),
             )),
-            QueryBudget::FractionCapped { fraction, cap } => {
-                if !fraction.is_finite() || fraction <= 0.0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "QueryBudget::FractionCapped needs a finite positive fraction, got \
-                         {fraction}"
-                    )));
-                }
-                if cap == 0 {
-                    return Err(Error::InvalidConfig(
-                        "QueryBudget::FractionCapped needs cap >= 1".into(),
-                    ));
-                }
-                Ok(())
-            }
             _ => Ok(()),
         }
     }
@@ -783,13 +758,6 @@ mod tests {
         assert_eq!(sqrt.resolve(4), 32, "floored below min^2");
         assert_eq!(sqrt.resolve(10_000), 100);
         assert_eq!(sqrt.resolve(1_000_000), 1_000);
-        let frac = QueryBudget::FractionCapped {
-            fraction: 0.25,
-            cap: 500,
-        };
-        assert_eq!(frac.resolve(100), 25);
-        assert_eq!(frac.resolve(2_000), 500, "capped");
-        assert_eq!(frac.resolve(0), 1, "never resolves to zero");
     }
 
     #[test]
@@ -813,20 +781,6 @@ mod tests {
             },
             ChurnSchedule {
                 query_budget: QueryBudget::SqrtLive { min: 0 },
-                ..ChurnSchedule::symmetric(0.1)
-            },
-            ChurnSchedule {
-                query_budget: QueryBudget::FractionCapped {
-                    fraction: 0.0,
-                    cap: 100,
-                },
-                ..ChurnSchedule::symmetric(0.1)
-            },
-            ChurnSchedule {
-                query_budget: QueryBudget::FractionCapped {
-                    fraction: 0.25,
-                    cap: 0,
-                },
                 ..ChurnSchedule::symmetric(0.1)
             },
             ChurnSchedule {

@@ -55,7 +55,7 @@ use crate::churn_engine::{
 };
 use crate::growth::fresh_id;
 use crate::routing::BatchAccumulator;
-use oscar_keydist::{KeyDistribution, QueryTarget, QueryWorkload};
+use oscar_keydist::{KeyDistribution, QueryWorkload};
 use oscar_protocol::{Command, ProtocolDriver, ProtocolEvent, QueryReport};
 use oscar_types::labels::sim_churn_engine::LBL_BOOT;
 use oscar_types::labels::sim_churn_shock::LBL_BURST;
@@ -330,10 +330,7 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
         let issued = if live.is_empty() { 0 } else { batch };
         for q in 0..issued {
             let src = live[rng.gen_range(0..live.len())];
-            let key = match workload.draw(live.len(), rng) {
-                QueryTarget::PeerRank(r) => live[r],
-                QueryTarget::Key(k) => k,
-            };
+            let key = live[workload.draw(live.len(), rng)];
             let qid = window | q as u64;
             self.driver.inject(src, Command::StartQuery { qid, key });
         }

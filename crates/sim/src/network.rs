@@ -767,14 +767,39 @@ impl Network {
         })
     }
 
-    /// Snapshot of `(in_degree, ρ_in_max)` for every **live** peer — the
-    /// raw data of Figure 1(b).
-    pub fn degree_load_snapshot(&self) -> Vec<(u32, u32)> {
-        self.peers
+    /// Figure 1(b)'s curve: every **live** peer's relative degree load
+    /// `in_degree / ρ_in_max`, ascending — it hugs 1.0 when the overlay
+    /// exploits the heterogeneous capacity well.
+    pub fn degree_load_curve(&self) -> Vec<f64> {
+        let mut ratios: Vec<f64> = self
+            .peers
             .iter()
             .filter(|p| p.alive)
-            .map(|p| (p.in_degree(), p.caps.rho_in))
-            .collect()
+            .map(|p| match p.caps.rho_in {
+                0 => 0.0,
+                cap => p.in_degree() as f64 / cap as f64,
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios
+    }
+
+    /// Figure 1(b)'s headline, the degree-volume utilisation: established
+    /// in-links over offered in-capacity, `Σ in_degree / Σ ρ_in_max` over
+    /// live peers, in `[0, 1]` (Oscar ≈ 85%, Mercury ≈ 61% in the paper).
+    pub fn degree_volume_utilization(&self) -> f64 {
+        let (used, cap) = self
+            .peers
+            .iter()
+            .filter(|p| p.alive)
+            .fold((0u64, 0u64), |(u, c), p| {
+                (u + p.in_degree() as u64, c + p.caps.rho_in as u64)
+            });
+        if cap == 0 {
+            0.0
+        } else {
+            used as f64 / cap as f64
+        }
     }
 
     /// Checks the structural invariants every mutation must preserve, on
@@ -1049,15 +1074,55 @@ mod tests {
         assert!(buf.is_empty());
     }
 
+    fn net_with_caps(caps: &[(u32, u32)]) -> (Network, Vec<PeerIdx>) {
+        let mut net = Network::new(FaultModel::StabilizedRing);
+        let idxs = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &(rho_in, rho_out))| {
+                let id = Id::new((i as u64 + 1) * 1000);
+                net.add_peer(id, DegreeCaps { rho_in, rho_out }).unwrap()
+            })
+            .collect();
+        (net, idxs)
+    }
+
     #[test]
-    fn degree_load_snapshot_counts_live_only() {
-        let (mut net, idxs) = net_with(&[10, 20, 30]);
-        net.try_link(idxs[0], idxs[1]).unwrap();
-        net.kill(idxs[0]).unwrap();
-        let snap = net.degree_load_snapshot();
-        assert_eq!(snap.len(), 2);
-        // peer 20 lost its in-link when 10 died
-        assert!(snap.iter().all(|&(ind, cap)| ind == 0 && cap == 4));
+    fn utilization_counts_links_over_capacity() {
+        let (mut net, p) = net_with_caps(&[(2, 8); 4]);
+        // 3 links into a total capacity of 8
+        net.try_link(p[0], p[1]).unwrap();
+        net.try_link(p[2], p[1]).unwrap();
+        net.try_link(p[0], p[3]).unwrap();
+        assert!((net.degree_volume_utilization() - 3.0 / 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn degree_load_curve_is_sorted_and_sized() {
+        let (mut net, p) = net_with_caps(&[(4, 8), (1, 8), (2, 8), (0, 8)]);
+        net.try_link(p[0], p[1]).unwrap(); // peer1: 1/1
+        net.try_link(p[1], p[2]).unwrap(); // peer2: 1/2
+        assert_eq!(net.degree_load_curve(), vec![0.0, 0.0, 0.5, 1.0]);
+    }
+
+    #[test]
+    fn degree_load_counts_live_peers_only() {
+        let (mut net, p) = net_with_caps(&[(2, 8); 3]);
+        net.try_link(p[0], p[1]).unwrap();
+        net.kill(p[2]).unwrap();
+        assert_eq!(net.degree_load_curve().len(), 2);
+        // capacity now 4, used 1
+        assert!((net.degree_volume_utilization() - 0.25).abs() < 1e-12);
+        // peer 2000 loses its in-link when 1000 dies
+        net.kill(p[0]).unwrap();
+        assert_eq!(net.degree_load_curve(), vec![0.0]);
+    }
+
+    #[test]
+    fn empty_network_has_no_degree_load() {
+        let net = Network::new(FaultModel::StabilizedRing);
+        assert_eq!(net.degree_volume_utilization(), 0.0);
+        assert!(net.degree_load_curve().is_empty());
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl DesDriver {
         }
     }
 
-    /// The root seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Registers a fresh solo peer with the canonical derived seed.
     pub fn spawn_peer(&mut self, id: Id) {
         self.spawn_machine(PeerMachine::new(
@@ -399,9 +394,7 @@ impl DesDriver {
 /// same clock the retry timers use.
 impl ProtocolDriver for DesDriver {
     fn spawn_peer(&mut self, id: Id) {
-        if !self.peers.contains_key(&id) {
-            DesDriver::spawn_peer(self, id);
-        }
+        DesDriver::spawn_peer(self, id);
     }
 
     fn remove_peer(&mut self, id: Id) {

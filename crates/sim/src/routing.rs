@@ -15,7 +15,7 @@
 use crate::metrics::MsgKind;
 use crate::network::Network;
 use crate::peer::PeerIdx;
-use oscar_keydist::{QueryTarget, QueryWorkload};
+use oscar_keydist::QueryWorkload;
 use oscar_protocol::logic;
 use oscar_types::{Id, P2Quantile};
 use rand::rngs::SmallRng;
@@ -339,10 +339,8 @@ fn run_batch_observed(
             break;
         };
         issued += 1;
-        let key = match workload.draw(net.live_count(), rng) {
-            QueryTarget::PeerRank(r) => net.peer(net.live_peer_by_rank(r)).id,
-            QueryTarget::Key(k) => k,
-        };
+        let rank = workload.draw(net.live_count(), rng);
+        let key = net.peer(net.live_peer_by_rank(rank)).id;
         let outcome = route_observed(net, src, key, policy, probers.as_deref_mut());
         net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
         net.metrics.add(MsgKind::QueryWasted, outcome.wasted as u64);
@@ -754,7 +752,7 @@ mod tests {
         let mut rng = SeedTree::new(16).rng();
         let stats = run_query_batch(
             &mut net,
-            &QueryWorkload::UniformKeys,
+            &QueryWorkload::UniformPeers,
             10,
             &RoutePolicy::default(),
             &mut rng,

@@ -49,18 +49,6 @@ impl Arc {
         }
     }
 
-    /// The arc of positions whose clockwise distance from `origin` lies in
-    /// `[lo, hi)`. This is how Oscar partitions are naturally expressed:
-    /// partition `A_i` is the set of peers at clockwise distance
-    /// `[d(m_i), d(m_{i-1}))` from the partitioning node.
-    pub fn from_cw_range(origin: Id, lo: u128, hi: u128) -> Self {
-        assert!(lo <= hi && hi <= RING_SIZE, "invalid cw range");
-        Arc {
-            start: origin.add(lo as u64), // lo < 2^64 unless arc empty
-            len: hi - lo,
-        }
-    }
-
     /// First position inside the arc.
     #[inline]
     pub fn start(&self) -> Id {
@@ -200,17 +188,6 @@ mod tests {
     fn between_equal_points_is_empty() {
         let a = Arc::between(Id::new(7), Id::new(7));
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn from_cw_range_matches_partition_geometry() {
-        let origin = Id::new(100);
-        // "peers at clockwise distance [10, 30) from origin"
-        let a = Arc::from_cw_range(origin, 10, 30);
-        assert!(a.contains(Id::new(110)));
-        assert!(a.contains(Id::new(129)));
-        assert!(!a.contains(Id::new(130)));
-        assert!(!a.contains(Id::new(109)));
     }
 
     #[test]

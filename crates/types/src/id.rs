@@ -4,14 +4,10 @@
 //! identifiers and data keys are [`Id`]s; Oscar is an order-preserving
 //! overlay, so the two deliberately share one type.
 //!
-//! Two distance notions matter:
-//!
-//! * **clockwise distance** `cw_dist(a, b)` — the number of positions walked
-//!   from `a` towards increasing identifiers (wrapping) until `b` is reached.
-//!   Oscar's partitions and greedy routing are defined clockwise, exactly
-//!   like Chord's finger geometry.
-//! * **ring distance** `ring_dist(a, b)` — the shorter of the two ways
-//!   around, used for diagnostics and bidirectional routing ablations.
+//! The one distance is the **clockwise distance** `cw_dist(a, b)` — the
+//! number of positions walked from `a` towards increasing identifiers
+//! (wrapping) until `b` is reached. Oscar's partitions and greedy routing
+//! are defined clockwise, exactly like Chord's finger geometry.
 
 use std::fmt;
 
@@ -20,8 +16,8 @@ use std::fmt;
 /// `Id` is a transparent wrapper over `u64` with ring (modular) geometry.
 /// The natural `Ord` instance is the *linear* order of the underlying
 /// integer; it is what sorted ring structures use. Distances must go through
-/// [`Id::cw_dist`] / [`Id::ring_dist`], never through subtraction of raw
-/// values, because of wrap-around.
+/// [`Id::cw_dist`], never through subtraction of raw values, because of
+/// wrap-around.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Id(u64);
 
@@ -78,14 +74,6 @@ impl Id {
         other.0.wrapping_sub(self.0)
     }
 
-    /// Shorter-way-around distance between two positions.
-    #[inline]
-    pub fn ring_dist(self, other: Id) -> u64 {
-        let cw = self.cw_dist(other);
-        let ccw = other.cw_dist(self);
-        cw.min(ccw)
-    }
-
     /// The position reached by walking `offset` steps clockwise.
     ///
     /// Deliberately not `std::ops::Add`: the operand is a *distance*, not
@@ -125,25 +113,6 @@ impl Id {
         let to_self = from.cw_dist(self);
         let to_end = from.cw_dist(to);
         to_self != 0 && to_self <= to_end
-    }
-
-    /// True iff `self` lies in the half-open clockwise interval `[from, to)`.
-    ///
-    /// When `from == to` the interval is the full ring.
-    #[inline]
-    pub fn in_cw_closed_open(self, from: Id, to: Id) -> bool {
-        if from == to {
-            return true;
-        }
-        let to_self = from.cw_dist(self);
-        let to_end = from.cw_dist(to);
-        to_self < to_end
-    }
-
-    /// The point halfway along the clockwise walk from `self` to `other`.
-    #[inline]
-    pub fn midpoint_cw(self, other: Id) -> Id {
-        self.add(self.cw_dist(other) / 2)
     }
 }
 
@@ -196,14 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_dist_symmetric_and_short() {
-        let a = Id::new(0);
-        let b = Id::new(u64::MAX); // one step counter-clockwise from 0
-        assert_eq!(a.ring_dist(b), 1);
-        assert_eq!(b.ring_dist(a), 1);
-    }
-
-    #[test]
     fn unit_roundtrip_monotone() {
         let xs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.999_999];
         let ids: Vec<Id> = xs.iter().map(|&x| Id::from_unit(x)).collect();
@@ -242,19 +203,7 @@ mod tests {
         let a = Id::new(42);
         for x in [0u64, 41, 42, 43, u64::MAX] {
             assert!(Id::new(x).in_cw_open_closed(a, a));
-            assert!(Id::new(x).in_cw_closed_open(a, a));
         }
-    }
-
-    #[test]
-    fn midpoint_cw_is_halfway() {
-        let a = Id::new(10);
-        let b = Id::new(30);
-        assert_eq!(a.midpoint_cw(b), Id::new(20));
-        // wrap-around midpoint
-        let c = Id::new(u64::MAX - 9); // 10 before 0
-        let d = Id::new(10);
-        assert_eq!(c.midpoint_cw(d), Id::new(0));
     }
 
     proptest! {
@@ -274,13 +223,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_ring_dist_at_most_half(a: u64, b: u64) {
-            let (a, b) = (Id::new(a), Id::new(b));
-            prop_assert!((a.ring_dist(b) as u128) <= crate::RING_SIZE / 2);
-            prop_assert_eq!(a.ring_dist(b), b.ring_dist(a));
-        }
-
-        #[test]
         fn prop_membership_complement(x: u64, from: u64, to: u64) {
             let (x, from, to) = (Id::new(x), Id::new(from), Id::new(to));
             prop_assume!(from != to);
@@ -288,13 +230,6 @@ mod tests {
             prop_assert!(
                 x.in_cw_open_closed(from, to) != x.in_cw_open_closed(to, from)
             );
-        }
-
-        #[test]
-        fn prop_midpoint_between(a: u64, b: u64) {
-            let (a, b) = (Id::new(a), Id::new(b));
-            let m = a.midpoint_cw(b);
-            prop_assert!(a.cw_dist(m) <= a.cw_dist(b));
         }
     }
 }

@@ -5,10 +5,10 @@
 //! windows of the churn engine used to collect every query cost into a
 //! `Vec` and sort it per window; at million-peer scale (ROADMAP items 1
 //! and 5) those batches are exactly the allocation the engine cannot
-//! afford. The estimator lives here in `oscar-types` because both the
-//! simulator (per-window stats) and the analytics crate (summaries,
-//! property tests against the exact nearest-rank oracle) consume it, and
-//! `oscar-analytics` already depends on `oscar-sim`.
+//! afford. The estimator lives here in `oscar-types`, at the bottom of the
+//! dependency graph, so any crate's batch statistics can stream through
+//! it; today the simulator's per-window query stats do. Its property tests
+//! against the exact nearest-rank oracle sit beside it.
 //!
 //! Exactness: for 5 or fewer observations the estimate *is* the
 //! nearest-rank value (the markers are still raw observations). Beyond

@@ -59,7 +59,7 @@ fn main() -> Result<()> {
     }
     println!(
         "\ntotal degree-volume utilisation: {:.1}% (paper reports ~85% at 10k peers)",
-        100.0 * degree_volume_utilization(net)
+        100.0 * net.degree_volume_utilization()
     );
 
     // --- And it still routes well. ---

@@ -33,7 +33,7 @@ fn main() -> Result<()> {
     );
 
     // 3. How well is the heterogeneous in-degree capacity used?
-    let utilization = degree_volume_utilization(overlay.network());
+    let utilization = overlay.network().degree_volume_utilization();
     println!("degree-volume utilisation: {:.1}%", utilization * 100.0);
 
     // 4. Crash a third of the network; the ring self-stabilises, long

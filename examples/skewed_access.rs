@@ -25,11 +25,8 @@ fn per_peer_delivery_load(
     let mut deliveries = vec![0u64; net.len()];
     for _ in 0..queries {
         let src = net.random_live_peer(&mut rng).expect("live peers exist");
-        let target = workload.draw(net.live_count(), &mut rng);
-        let key = match target {
-            oscar::keydist::QueryTarget::PeerRank(r) => net.peer(net.live_peer_by_rank(r)).id,
-            oscar::keydist::QueryTarget::Key(k) => k,
-        };
+        let rank = workload.draw(net.live_count(), &mut rng);
+        let key = net.peer(net.live_peer_by_rank(rank)).id;
         let outcome = route_to_owner(net, src, key, &RoutePolicy::default());
         if let Some(dest) = outcome.dest {
             deliveries[dest.as_usize()] += 1;
@@ -84,7 +81,7 @@ fn main() -> Result<()> {
          controls is forwarding fan-in: every peer's in-degree stays within its\n\
          declared budget, so hot traffic cannot recruit unlimited neighbours."
     );
-    let util = degree_volume_utilization(overlay.network());
+    let util = overlay.network().degree_volume_utilization();
     println!("degree-volume utilisation stays at {:.1}%", util * 100.0);
     Ok(())
 }

@@ -33,16 +33,15 @@
 //! | module | contents |
 //! |---|---|
 //! | [`types`] | ring identifiers, arcs, seeds, errors |
-//! | [`keydist`] | key distributions (uniform, Zipf, clustered, Gnutella) and query workloads |
+//! | [`keydist`] | key distributions (uniform, clustered, Gnutella) and query workloads |
 //! | [`degree`] | degree-cap distributions (constant / stepped / spiky-realistic) |
-//! | [`ring`] | the sorted identifier ring and stabilisation |
+//! | [`ring`] | the sorted identifier ring |
 //! | [`sim`] | the network simulator: walks, routing, churn, growth |
 //! | [`protocol`] | runtime-agnostic protocol core: decision kernels + per-peer state machines |
 //! | [`runtime`] | threaded actor driver for the protocol core (wall-clock, all cores) |
 //! | [`core`] | **the paper's contribution**: Oscar partition estimation + link acquisition |
 //! | [`mercury`] | the Mercury baseline |
 //! | [`chord`] | the Chord finger-table baseline (skew-oblivious control) |
-//! | [`analytics`] | statistics, series tables and the degree-load analysis for the harness |
 
 // The determinism rules in force in this crate's library code; `clippy.toml`
 // lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
@@ -56,7 +55,6 @@
     )
 )]
 
-pub use oscar_analytics as analytics;
 pub use oscar_chord as chord;
 pub use oscar_core as core;
 pub use oscar_degree as degree;
@@ -70,7 +68,6 @@ pub use oscar_types as types;
 
 /// The names most programs want in scope.
 pub mod prelude {
-    pub use oscar_analytics::{degree_load_curve, degree_volume_utilization, Series, Summary};
     pub use oscar_chord::{ChordBuilder, ChordOverlay};
     pub use oscar_core::{
         range_scan, MedianSource, OscarBuilder, OscarConfig, OscarOverlay, RangeScanOutcome,
@@ -79,7 +76,7 @@ pub mod prelude {
         ConstantDegrees, DegreeCaps, DegreeDistribution, SpikyDegrees, SteppedDegrees,
     };
     pub use oscar_keydist::{
-        ClusteredKeys, GnutellaKeys, KeyDistribution, QueryWorkload, UniformKeys, ZipfKeys,
+        ClusteredKeys, GnutellaKeys, KeyDistribution, QueryWorkload, UniformKeys,
     };
     pub use oscar_mercury::{MercuryBuilder, MercuryOverlay};
     pub use oscar_protocol::{Command, PeerConfig, PeerMachine, ProtocolEvent};

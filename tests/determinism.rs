@@ -13,7 +13,7 @@ fn oscar_fingerprint(seed: u64) -> (Vec<u64>, f64, f64) {
         .map(|p| ov.network().peer(p).id.raw())
         .collect();
     let stats = ov.run_queries(&QueryWorkload::UniformPeers, 300);
-    let util = degree_volume_utilization(ov.network());
+    let util = ov.network().degree_volume_utilization();
     (ids, stats.mean_cost, util)
 }
 

@@ -89,11 +89,11 @@ fn oscar_exploits_more_degree_volume_than_mercury() {
     let mut oscar_ov =
         oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 9);
     oscar_ov.grow_to(500, &keys, &degrees).unwrap();
-    let oscar_util = degree_volume_utilization(oscar_ov.network());
+    let oscar_util = oscar_ov.network().degree_volume_utilization();
 
     let mut mercury_ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 9);
     mercury_ov.grow_to(500, &keys, &degrees).unwrap();
-    let mercury_util = degree_volume_utilization(mercury_ov.network());
+    let mercury_util = mercury_ov.network().degree_volume_utilization();
 
     assert!(
         oscar_util > mercury_util,

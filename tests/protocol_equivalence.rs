@@ -10,7 +10,9 @@
 //! deliberately scheduling-dependent piece of state and are excluded
 //! from the fingerprint.
 
-use oscar::protocol::{Command, FaultPlan, OpKind, PeerConfig, ProtocolEvent, QueryReport};
+use oscar::protocol::{
+    Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent, QueryReport,
+};
 use oscar::runtime::{Runtime, RuntimeConfig};
 use oscar::sim::DesDriver;
 use oscar::types::Id;
@@ -457,6 +459,51 @@ fn join_and_wait_answers_for_its_own_join_and_discards_nothing() {
     rt.quiesce();
     assert!(rt.join_and_wait(c, a));
     assert_both_kept(&rt.drain_events(), c, "runtime");
+    rt.shutdown();
+}
+
+// --- spawn_peer on the seam -------------------------------------------------
+
+/// `ProtocolDriver::spawn_peer` means what both drivers' inherent
+/// `spawn_peer` means: the fresh machine replaces a live one. `a` pings its
+/// crashed successor under a blackholing plan, so it waits on a timer that
+/// only expiry can clear; its replacement waits on nothing.
+fn respawn_replaces_a_waiting_machine<D: ProtocolDriver>(driver: &mut D, name: &str) {
+    let (a, b) = (Id::new(100), Id::new(200));
+    for (id, other) in [(a, b), (b, a)] {
+        driver.spawn_peer(id);
+        driver.inject(
+            id,
+            Command::Bootstrap {
+                pred: other,
+                succs: vec![other],
+                known: vec![other],
+            },
+        );
+    }
+    assert_eq!(driver.settle(64), 0, "{name}: a bootstrapped pair is idle");
+    driver.remove_peer(b);
+    driver.inject(a, Command::ProbeRing);
+    assert_eq!(driver.settle(0), 0);
+    driver.spawn_peer(a);
+    assert_eq!(
+        driver.settle(64),
+        0,
+        "{name}: the replaced prober's timer outlived it"
+    );
+}
+
+#[test]
+fn spawn_peer_replaces_the_machine_on_both_drivers() {
+    let plan = FaultPlan::new(0x5EA).with_blackhole(true);
+    let mut des = DesDriver::new_with_faults(SEED, PeerConfig::default(), plan.clone());
+    respawn_replaces_a_waiting_machine(&mut des, "DES");
+    let mut rt = Runtime::new(
+        RuntimeConfig::new(SEED)
+            .with_workers(2)
+            .with_fault_plan(plan),
+    );
+    respawn_replaces_a_waiting_machine(&mut rt, "runtime");
     rt.shutdown();
 }
 

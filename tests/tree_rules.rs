@@ -29,7 +29,6 @@ const PANIC_POLICY: &[&str] = &[
 /// here; `oscar-bench` is the harness — it roots seeds, reads clocks and
 /// unwraps by design.
 const RULES_OWED: &[(&str, &[&[&str]])] = &[
-    ("crates/analytics", &[DETERMINISM]),
     ("crates/bench", &[]),
     ("crates/chord", &[DETERMINISM]),
     ("crates/core", &[DETERMINISM]),
