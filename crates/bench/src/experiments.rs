@@ -7,13 +7,10 @@ use oscar_keydist::{KeyDistribution, QueryWorkload};
 use oscar_protocol::PeerConfig;
 use oscar_sim::{
     kill_fraction, machine_repair_policy, run_continuous_churn, run_machine_churn, run_query_batch,
-    ChurnSchedule, ChurnWindowStats, DesDriver, FaultModel, GrowthConfig, GrowthDriver,
-    MachineChurnConfig, Network, OverlayBuilder, QueryBatchStats, QueryBudget, RepairPolicy,
-    RoutePolicy,
+    ChurnSchedule, ChurnWindowStats, DesDriver, FaultModel, GrowthConfig, MachineChurnConfig,
+    Network, OverlayBuilder, QueryBatchStats, QueryBudget, RoutePolicy,
 };
-use oscar_types::labels::bench_experiments::{
-    LBL_CHURN, LBL_GROWTH, LBL_MACHINE, LBL_PHASE, LBL_QUERIES, LBL_STEADY,
-};
+use oscar_types::labels::bench_experiments::{LBL_CHURN, LBL_GROWTH, LBL_MACHINE, LBL_QUERIES};
 use oscar_types::{Result, SeedTree};
 
 /// Everything one growth run produces.
@@ -49,14 +46,12 @@ pub fn run_growth_experiment(
 ) -> Result<GrowthRunResult> {
     let seed = SeedTree::new(scale.seed);
     let mut net = Network::new(FaultModel::StabilizedRing);
-    let driver = GrowthDriver::new(GrowthConfig {
+    let growth = GrowthConfig {
         target_size: scale.target,
-        seed_size: 8,
         checkpoints: scale.checkpoints(),
-        rewire_at_checkpoints: true,
-    });
+    };
     let mut cost_by_size = Vec::new();
-    driver.run(
+    growth.run(
         &mut net,
         builder,
         keys,
@@ -113,12 +108,10 @@ pub fn run_churn_experiment(
     let seed = SeedTree::new(scale.seed);
     let threads = scale.thread_count();
     let mut net = Network::new(FaultModel::StabilizedRing);
-    let driver = GrowthDriver::new(GrowthConfig {
+    let growth = GrowthConfig {
         target_size: scale.target,
-        seed_size: 8,
         checkpoints: scale.checkpoints(),
-        rewire_at_checkpoints: true,
-    });
+    };
     let mut results: Vec<ChurnResult> = fractions
         .iter()
         .map(|&fraction| ChurnResult {
@@ -126,7 +119,7 @@ pub fn run_churn_experiment(
             cost_by_size: Vec::new(),
         })
         .collect();
-    driver.run(
+    growth.run(
         &mut net,
         builder,
         keys,
@@ -214,7 +207,7 @@ pub fn churn_schedule_for(turnover: f64, scale: &Scale) -> ChurnSchedule {
 }
 
 /// Human label for a turnover fraction ("2.0%/win").
-fn turnover_label(turnover: f64) -> String {
+pub(crate) fn turnover_label(turnover: f64) -> String {
     format!("{:.1}%/win", turnover * 100.0)
 }
 
@@ -232,11 +225,11 @@ pub fn standard_churn_schedules(scale: &Scale) -> Vec<(String, ChurnSchedule)> {
         .collect()
 }
 
-/// Grows the substrate network the steady-churn engine starts from: the
-/// paper's growth protocol with a final rewire-all pass, so window 0
-/// measures churn damage on a repaired topology, not growth-era link
-/// bias (comparable to the fig1c/fig2 checkpoints at the same size).
-pub fn grow_steady_churn_substrate<B: OverlayBuilder + ?Sized>(
+/// Grows the substrate network the churn cells start from: the paper's
+/// growth protocol with a final rewire-all pass, so window 0 measures
+/// churn damage on a repaired topology, not growth-era link bias
+/// (comparable to the fig1c/fig2 checkpoints at the same size).
+pub fn grow_substrate<B: OverlayBuilder + ?Sized>(
     builder: &B,
     keys: &dyn KeyDistribution,
     degrees: &dyn DegreeDistribution,
@@ -244,13 +237,11 @@ pub fn grow_steady_churn_substrate<B: OverlayBuilder + ?Sized>(
 ) -> Result<Network> {
     let seed = SeedTree::new(scale.seed);
     let mut net = Network::new(FaultModel::StabilizedRing);
-    let driver = GrowthDriver::new(GrowthConfig {
+    GrowthConfig {
         target_size: scale.target,
-        seed_size: 8,
         checkpoints: vec![scale.target],
-        rewire_at_checkpoints: true,
-    });
-    driver.run(
+    }
+    .run(
         &mut net,
         builder,
         keys,
@@ -261,54 +252,61 @@ pub fn grow_steady_churn_substrate<B: OverlayBuilder + ?Sized>(
     Ok(net)
 }
 
-/// The engine half of the steady-state churn protocol: run the
-/// continuous-churn engine on an owned clone of `net` per churn level
-/// and measure every window.
+/// Runs the continuous-churn engine once per *cell* — a schedule, a
+/// successor-list length and a seed — on that cell's own clone of `net`,
+/// and measures `windows` windows of each. `Some(k)` switches the clone
+/// to [`FaultModel::UnstabilizedRing`] with `k` successors; `None` keeps
+/// the substrate's stabilised ring.
 ///
-/// The per-level runs are independent — each owns its clone and derives
-/// all randomness from its own seed-tree child — so they fan out over
-/// [`Scale::thread_count`] workers with byte-identical results
-/// (`tests/parallel_determinism.rs` pins it).
-pub fn run_steady_churn_on<B: OverlayBuilder + Sync + ?Sized>(
+/// Cells are independent — each owns its clone and draws only from its
+/// own seed — so they fan out over [`Scale::thread_count`] workers with
+/// byte-identical results at any thread count
+/// (`tests/parallel_determinism.rs` pins the rendered CSVs). Clones are
+/// what dominates memory (a full `Network` per cell), and `Network` is
+/// not `Sync`, so workers cannot clone the substrate themselves: the
+/// calling thread clones one thread-budget-sized wave at a time, which
+/// keeps at most `threads` clones alive instead of every cell's — the
+/// difference between feasible and not at 10⁵ peers × 48 cells. Waves
+/// cost a join barrier each; cells inside a wave still spread over all
+/// workers.
+pub fn run_churn_cells<B: OverlayBuilder + Sync + ?Sized>(
     net: &Network,
     builder: &B,
     keys: &dyn KeyDistribution,
     degrees: &dyn DegreeDistribution,
     scale: &Scale,
-    schedules: &[(String, ChurnSchedule)],
+    cells: &[(ChurnSchedule, Option<usize>, SeedTree)],
     windows: usize,
-) -> Result<Vec<SteadyChurnResult>> {
-    let seed = SeedTree::new(scale.seed);
-    let tasks: Vec<Task<Result<Vec<ChurnWindowStats>>>> = schedules
-        .iter()
-        .enumerate()
-        .map(|(i, (_, schedule))| {
-            let mut churned = net.clone();
-            let run_seed = seed.child2(LBL_STEADY, i as u64);
-            Box::new(move || {
-                run_continuous_churn(
-                    &mut churned,
-                    builder,
-                    keys,
-                    degrees,
-                    schedule,
-                    windows,
-                    run_seed,
-                )
-            }) as Task<Result<Vec<ChurnWindowStats>>>
-        })
-        .collect();
-    schedules
-        .iter()
-        .zip(run_tasks(scale.thread_count(), tasks))
-        .map(|((label, schedule), windows)| {
-            Ok(SteadyChurnResult {
-                label: label.clone(),
-                schedule: schedule.clone(),
-                windows: windows?,
+) -> Result<Vec<Vec<ChurnWindowStats>>> {
+    let threads = scale.thread_count().max(1);
+    let mut runs = Vec::with_capacity(cells.len());
+    for wave in cells.chunks(threads) {
+        let tasks: Vec<Task<Result<Vec<ChurnWindowStats>>>> = wave
+            .iter()
+            .map(|(schedule, succ_list_len, seed)| {
+                let mut cell_net = net.clone();
+                Box::new(move || {
+                    if let Some(k) = *succ_list_len {
+                        cell_net.set_fault_model(FaultModel::UnstabilizedRing);
+                        cell_net.set_succ_list_len(k);
+                    }
+                    run_continuous_churn(
+                        &mut cell_net,
+                        builder,
+                        keys,
+                        degrees,
+                        schedule,
+                        windows,
+                        *seed,
+                    )
+                }) as Task<Result<Vec<ChurnWindowStats>>>
             })
-        })
-        .collect()
+            .collect();
+        for run in run_tasks(threads, tasks) {
+            runs.push(run?);
+        }
+    }
+    Ok(runs)
 }
 
 /// The steady-state churn protocol through the **machine world**: every
@@ -381,155 +379,15 @@ pub fn run_machine_churn_experiment(
 /// under the **unstabilised** ring — the regime where the successor list
 /// is what keeps routing alive and delivery can actually break.
 pub struct PhaseCell {
-    /// Churn-level label ("10.0%/win").
-    pub level: String,
     /// Per-window turnover fraction of the grown population.
     pub turnover: f64,
-    /// Repair-policy label ("sweep", "reactive-k2", "on-probe").
-    pub policy: String,
+    /// Repair-policy label ("none", "sweep", "reactive-k2", "on-probe").
+    pub policy: &'static str,
     /// Successor-list length this cell ran with.
     pub succ_list_len: usize,
-    /// The schedule that produced it (repair policy already applied).
-    pub schedule: ChurnSchedule,
-    /// Per-window measurements, in virtual-time order.
-    pub windows: Vec<ChurnWindowStats>,
-}
-
-impl PhaseCell {
-    /// Mean of `f` over the steady-state windows (the last half).
-    pub fn steady_mean(&self, f: impl Fn(&ChurnWindowStats) -> f64) -> f64 {
-        steady_mean_of(&self.windows, f)
-    }
-}
-
-/// The phase diagram's churn axis: 2%, 5%, 10% and 20% of the population
-/// per window — deliberately past the standard ladder's 5% ceiling, so
-/// the delivery cliff is inside the swept range.
-pub fn phase_churn_levels(scale: &Scale) -> Vec<(String, f64, ChurnSchedule)> {
-    [0.02, 0.05, 0.10, 0.20]
-        .into_iter()
-        .map(|turnover| {
-            (
-                turnover_label(turnover),
-                turnover,
-                churn_schedule_for(turnover, scale),
-            )
-        })
-        .collect()
-}
-
-/// The phase diagram's repair axis: no repair at all (the control column
-/// — dangling links and ring corpses accumulate unchecked, which is
-/// where delivery actually collapses), the paper-style whole-network
-/// sweep once per window, reactive k=2 neighbour repair, and
-/// probe-triggered repair.
-pub fn phase_repair_policies() -> Vec<(String, RepairPolicy)> {
-    let window_ticks = ChurnSchedule::symmetric(0.0).window_ticks;
-    vec![
-        ("none".to_string(), RepairPolicy::SweepEvery(0)),
-        ("sweep".to_string(), RepairPolicy::SweepEvery(window_ticks)),
-        (
-            "reactive-k2".to_string(),
-            RepairPolicy::Reactive { neighbors_k: 2 },
-        ),
-        ("on-probe".to_string(), RepairPolicy::OnProbe),
-    ]
-}
-
-/// The phase diagram's successor-list axis.
-pub const PHASE_SUCC_LENS: [usize; 3] = [1, 2, 4];
-
-/// The 3-axis churn phase diagram on a pre-grown substrate: for every
-/// (churn level × repair policy × successor-list length) cell, run the
-/// continuous-churn engine on an owned clone of `net` flipped to
-/// [`FaultModel::UnstabilizedRing`] and measure every window.
-///
-/// Cells are independent — each owns its clone and derives all
-/// randomness from its own seed-tree child keyed by cell index — so they
-/// fan out over [`Scale::thread_count`] workers with byte-identical
-/// results at any thread count (`tests/parallel_determinism.rs` pins the
-/// rendered CSVs).
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_diagram_experiment<B: OverlayBuilder + Sync + ?Sized>(
-    net: &Network,
-    builder: &B,
-    keys: &dyn KeyDistribution,
-    degrees: &dyn DegreeDistribution,
-    scale: &Scale,
-    levels: &[(String, f64, ChurnSchedule)],
-    policies: &[(String, RepairPolicy)],
-    succ_lens: &[usize],
-    windows: usize,
-) -> Result<Vec<PhaseCell>> {
-    let seed = SeedTree::new(scale.seed);
-    let mut meta = Vec::new();
-    for (level, turnover, base_schedule) in levels {
-        for (policy_name, policy) in policies {
-            for &succ in succ_lens {
-                let schedule = ChurnSchedule {
-                    repair: policy.clone(),
-                    ..base_schedule.clone()
-                };
-                // Per-cell seed keyed by grid position, independent of
-                // how the cells are later batched onto workers.
-                let run_seed = seed.child2(LBL_PHASE, meta.len() as u64);
-                meta.push((
-                    level.clone(),
-                    *turnover,
-                    policy_name.clone(),
-                    succ,
-                    schedule,
-                    run_seed,
-                ));
-            }
-        }
-    }
-    // Clones are what dominates memory (a full Network per cell), and
-    // `Network` is not `Sync`, so workers cannot clone the substrate
-    // themselves. Dispatching the grid one thread-budget-sized wave at a
-    // time keeps at most `threads` clones alive instead of the whole
-    // grid's worth — the difference between feasible and not at 10⁵
-    // peers × 48 cells. Waves cost a join barrier each; cells inside a
-    // wave still spread over all workers.
-    let threads = scale.thread_count().max(1);
-    let mut results: Vec<Result<Vec<ChurnWindowStats>>> = Vec::with_capacity(meta.len());
-    for wave in meta.chunks(threads) {
-        let tasks: Vec<Task<Result<Vec<ChurnWindowStats>>>> = wave
-            .iter()
-            .map(|(_, _, _, succ, schedule, run_seed)| {
-                let mut cell_net = net.clone();
-                let task_schedule = schedule.clone();
-                let (succ, run_seed) = (*succ, *run_seed);
-                Box::new(move || {
-                    cell_net.set_fault_model(FaultModel::UnstabilizedRing);
-                    cell_net.set_succ_list_len(succ);
-                    run_continuous_churn(
-                        &mut cell_net,
-                        builder,
-                        keys,
-                        degrees,
-                        &task_schedule,
-                        windows,
-                        run_seed,
-                    )
-                }) as Task<Result<Vec<ChurnWindowStats>>>
-            })
-            .collect();
-        results.extend(run_tasks(threads, tasks));
-    }
-    meta.into_iter()
-        .zip(results)
-        .map(|((level, turnover, policy, succ, schedule, _), windows)| {
-            Ok(PhaseCell {
-                level,
-                turnover,
-                policy,
-                succ_list_len: succ,
-                schedule,
-                windows: windows?,
-            })
-        })
-        .collect()
+    /// The cell's run, labelled with its churn level ("10.0%/win"); its
+    /// schedule carries the cell's repair policy.
+    pub run: SteadyChurnResult,
 }
 
 #[cfg(test)]
@@ -539,6 +397,7 @@ mod tests {
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::GnutellaKeys;
     use oscar_mercury::MercuryBuilder;
+    use oscar_sim::RepairPolicy;
 
     #[test]
     fn growth_experiment_produces_full_series() {
@@ -587,78 +446,57 @@ mod tests {
     }
 
     #[test]
-    fn steady_churn_experiment_measures_every_window() {
+    fn churn_cells_measure_every_window_on_either_ring() {
         let scale = Scale::small(200, 13);
         let builder = OscarBuilder::new(OscarConfig::default());
-        let schedules = standard_churn_schedules(&scale);
-        assert_eq!(schedules.len(), 4);
         let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
-        let net = grow_steady_churn_substrate(&builder, &keys, &degrees, &scale).unwrap();
-        let levels = &schedules[..2];
-        let rs = run_steady_churn_on(&net, &builder, &keys, &degrees, &scale, levels, 3).unwrap();
-        assert_eq!(rs.len(), 2);
-        for r in &rs {
-            assert_eq!(r.windows.len(), 3);
-            for w in &r.windows {
-                assert!(w.queries.queries > 0, "{}: empty window", r.label);
-                assert!(w.live_at_end >= r.schedule.min_live);
-            }
-            assert!(r.steady_mean(|w| w.queries.mean_cost) > 0.0);
-        }
-        // The common grown substrate means window 0 histories diverge only
-        // through the engine: schedules must actually differ in intensity.
-        let turnover =
-            |r: &SteadyChurnResult| r.windows.iter().map(|w| w.joins + w.crashes).sum::<u64>();
-        assert!(turnover(&rs[1]) > turnover(&rs[0]));
-    }
-
-    #[test]
-    fn phase_diagram_covers_the_grid_under_the_unstabilized_ring() {
-        let scale = Scale::small(200, 17);
-        let builder = OscarBuilder::new(OscarConfig::default());
-        let keys = GnutellaKeys::default();
-        let degrees = ConstantDegrees::paper();
-        let net = grow_steady_churn_substrate(&builder, &keys, &degrees, &scale).unwrap();
-        let levels = phase_churn_levels(&scale);
-        assert_eq!(levels.len(), 4);
-        assert_eq!(levels.last().unwrap().1, 0.20, "ladder reaches 20%/win");
-        let policies = phase_repair_policies();
-        assert_eq!(policies.len(), 4);
-        // A 2-level × 3-policy × 2-succ subgrid keeps the test fast.
-        let cells = run_phase_diagram_experiment(
-            &net,
-            &builder,
-            &keys,
-            &degrees,
-            &scale,
-            &levels[..2],
-            &policies,
-            &[1, 4],
-            2,
-        )
-        .unwrap();
-        assert_eq!(cells.len(), 2 * 4 * 2);
-        for c in &cells {
-            assert_eq!(c.windows.len(), 2, "{}/{}", c.level, c.policy);
-            assert_eq!(c.schedule.repair.clone(), {
-                let by_name = phase_repair_policies();
-                by_name.into_iter().find(|(n, _)| *n == c.policy).unwrap().1
-            });
-            for w in &c.windows {
-                assert!(w.queries.queries > 0);
-            }
-        }
-        // Repair accounting differentiates the policies: sweeps rewire the
-        // population, reactive repairs scale with the membership events.
-        let total_repair = |policy: &str, succ: usize| {
-            cells
-                .iter()
-                .filter(|c| c.policy == policy && c.succ_list_len == succ && c.level == "2.0%/win")
-                .map(|c| c.windows.iter().map(|w| w.repair_cost).sum::<u64>())
-                .sum::<u64>()
+        let net = grow_substrate(&builder, &keys, &degrees, &scale).unwrap();
+        let seed = SeedTree::new(scale.seed);
+        let at_two_percent = |repair| ChurnSchedule {
+            repair,
+            ..churn_schedule_for(0.02, &scale)
         };
+        let window_ticks = ChurnSchedule::symmetric(0.0).window_ticks;
+        let cells = [
+            // Two rungs of the standard ladder on the stabilised ring...
+            (churn_schedule_for(0.005, &scale), None, seed.child(1)),
+            (churn_schedule_for(0.01, &scale), None, seed.child(2)),
+            // ...and two repair policies on the unstabilised one.
+            (
+                at_two_percent(RepairPolicy::SweepEvery(window_ticks)),
+                Some(4),
+                seed.child(3),
+            ),
+            (
+                at_two_percent(RepairPolicy::Reactive { neighbors_k: 2 }),
+                Some(4),
+                seed.child(4),
+            ),
+        ];
+        let runs = run_churn_cells(&net, &builder, &keys, &degrees, &scale, &cells, 3).unwrap();
+        assert_eq!(runs.len(), cells.len());
+        for ((schedule, succ, _), windows) in cells.iter().zip(&runs) {
+            assert_eq!(windows.len(), 3, "{succ:?}");
+            for w in windows {
+                assert!(w.queries.queries > 0, "{succ:?}: empty window");
+                assert!(w.live_at_end >= schedule.min_live);
+            }
+            assert!(steady_mean_of(windows, |w| w.queries.mean_cost) > 0.0);
+        }
+        // Every cell churned its own clone of the substrate, so histories
+        // diverge only through the engine: the rungs must actually differ
+        // in intensity, and repair accounting must tell the policies
+        // apart (sweeps rewire the population, reactive repairs scale
+        // with the membership events).
+        assert_eq!(net.live_count(), 200, "the substrate itself is untouched");
+        let sum = |ws: &[ChurnWindowStats], f: fn(&ChurnWindowStats) -> u64| {
+            ws.iter().map(f).sum::<u64>()
+        };
+        let turnover = |w: &ChurnWindowStats| w.joins + w.crashes;
+        assert!(sum(&runs[1], turnover) > sum(&runs[0], turnover));
+        let repair_cost = |w: &ChurnWindowStats| w.repair_cost;
         assert!(
-            total_repair("reactive-k2", 4) < total_repair("sweep", 4),
+            sum(&runs[3], repair_cost) < sum(&runs[2], repair_cost),
             "reactive repair must cost less than sweeping at 2%/win"
         );
     }

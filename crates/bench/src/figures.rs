@@ -2,9 +2,9 @@
 //! `all` (which reuses the heavy growth runs across figures).
 
 use crate::experiments::{
-    grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies, run_churn_experiment,
-    run_growth_experiment, run_phase_diagram_experiment, run_steady_churn_on,
-    standard_churn_schedules, GrowthRunResult, PhaseCell, SteadyChurnResult, PHASE_SUCC_LENS,
+    churn_schedule_for, grow_substrate, run_churn_cells, run_churn_experiment,
+    run_growth_experiment, standard_churn_schedules, turnover_label, GrowthRunResult, PhaseCell,
+    SteadyChurnResult,
 };
 use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
@@ -16,6 +16,8 @@ use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees, SteppedDegrees};
 use oscar_keydist::GnutellaKeys;
 use oscar_mercury::MercuryBuilder;
+use oscar_sim::{ChurnSchedule, RepairPolicy};
+use oscar_types::labels::bench_experiments::{LBL_PHASE, LBL_STEADY};
 use oscar_types::{Result, SeedTree};
 
 /// The three in-degree distributions of Figure 1, by paper name.
@@ -73,6 +75,16 @@ pub struct Fig1Suite {
     /// Chord finger-table run with constant degrees (skew-oblivious
     /// control, beyond the paper).
     pub chord_run: GrowthRunResult,
+}
+
+impl Fig1Suite {
+    /// The Oscar run under constant degrees: E7's contender.
+    pub(crate) fn oscar_constant(&self) -> &GrowthRunResult {
+        self.oscar_runs
+            .iter()
+            .find(|r| r.label == "constant")
+            .expect("constant run present")
+    }
 }
 
 /// Runs the full Figure 1 suite (the expensive part, reused by 1(b), 1(c),
@@ -219,11 +231,7 @@ pub fn mercury_compare_report(suite: &Fig1Suite, scale: &Scale) -> Report {
         "network size",
     );
     let figure_sizes = scale.figure_checkpoints();
-    let oscar_constant = suite
-        .oscar_runs
-        .iter()
-        .find(|r| r.label == "constant")
-        .expect("constant run present");
+    let oscar_constant = suite.oscar_constant();
     for (label, run) in [
         ("oscar", oscar_constant),
         ("mercury", &suite.mercury_run),
@@ -303,7 +311,7 @@ pub fn fig2_report(
 
 /// Runs the steady-state continuous-churn experiment (Oscar, Gnutella
 /// keys, constant degrees) over the standard churn-level ladder: grow
-/// one substrate, then one engine run per level on an owned clone.
+/// one substrate, then one churn cell per level on the stabilised ring.
 pub fn run_steady_churn_suite(scale: &Scale, windows: usize) -> Result<Vec<SteadyChurnResult>> {
     let builder = OscarBuilder::new(OscarConfig::default());
     let schedules = standard_churn_schedules(scale);
@@ -314,8 +322,22 @@ pub fn run_steady_churn_suite(scale: &Scale, windows: usize) -> Result<Vec<Stead
         schedules.len()
     );
     let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
-    let net = grow_steady_churn_substrate(&builder, &keys, &degrees, scale)?;
-    run_steady_churn_on(&net, &builder, &keys, &degrees, scale, &schedules, windows)
+    let net = grow_substrate(&builder, &keys, &degrees, scale)?;
+    let seed = SeedTree::new(scale.seed);
+    let cells: Vec<_> = (0..)
+        .zip(&schedules)
+        .map(|(level, (_, schedule))| (schedule.clone(), None, seed.child2(LBL_STEADY, level)))
+        .collect();
+    let runs = run_churn_cells(&net, &builder, &keys, &degrees, scale, &cells, windows)?;
+    Ok(schedules
+        .into_iter()
+        .zip(runs)
+        .map(|((label, schedule), windows)| SteadyChurnResult {
+            label,
+            schedule,
+            windows,
+        })
+        .collect())
 }
 
 /// The steady-state churn figures: search cost, wasted traffic and live
@@ -414,35 +436,72 @@ pub fn steady_churn_summary(
 }
 
 /// Runs the full churn phase diagram (Oscar, Gnutella keys, constant
-/// degrees): the default 4-level × 4-policy × 3-succ-length grid on one
-/// grown substrate, under the unstabilised ring.
+/// degrees) on one grown substrate under the unstabilised ring: one churn
+/// cell per churn level × repair policy × successor-list length.
 pub fn run_phase_suite(scale: &Scale, windows: usize) -> Result<Vec<PhaseCell>> {
-    let builder = OscarBuilder::new(OscarConfig::default());
-    let keys = GnutellaKeys::default();
-    let degrees = ConstantDegrees::paper();
-    let levels = phase_churn_levels(scale);
-    let policies = phase_repair_policies();
+    // 2%–20% of the population per window: deliberately past the
+    // standard ladder's 5% ceiling, so the delivery cliff is inside the
+    // swept range.
+    const TURNOVERS: [f64; 4] = [0.02, 0.05, 0.10, 0.20];
+    const SUCC_LIST_LENS: [usize; 3] = [1, 2, 4];
+    // No repair at all (the control column — dangling links and ring
+    // corpses accumulate unchecked, which is where delivery actually
+    // collapses), a whole-network sweep once per window, reactive k=2
+    // neighbour repair, and probe-triggered repair.
+    let window_ticks = ChurnSchedule::symmetric(0.0).window_ticks;
+    let policies = [
+        ("none", RepairPolicy::SweepEvery(0)),
+        ("sweep", RepairPolicy::SweepEvery(window_ticks)),
+        ("reactive-k2", RepairPolicy::Reactive { neighbors_k: 2 }),
+        ("on-probe", RepairPolicy::OnProbe),
+    ];
     eprintln!(
         "[phase] growing to {} then sweeping {} churn levels x {} repair policies x {} succ \
          lengths ({} windows each)...",
         scale.target,
-        levels.len(),
+        TURNOVERS.len(),
         policies.len(),
-        PHASE_SUCC_LENS.len(),
+        SUCC_LIST_LENS.len(),
         windows,
     );
-    let net = grow_steady_churn_substrate(&builder, &keys, &degrees, scale)?;
-    run_phase_diagram_experiment(
-        &net,
-        &builder,
-        &keys,
-        &degrees,
-        scale,
-        &levels,
-        &policies,
-        &PHASE_SUCC_LENS,
-        windows,
-    )
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
+    let net = grow_substrate(&builder, &keys, &degrees, scale)?;
+    // Per-cell seeds are keyed by grid position, independent of how the
+    // cells are later batched onto workers.
+    let seed = SeedTree::new(scale.seed);
+    let (mut axes, mut cells) = (Vec::new(), Vec::new());
+    for turnover in TURNOVERS {
+        for (policy, repair) in &policies {
+            for succ_list_len in SUCC_LIST_LENS {
+                let schedule = ChurnSchedule {
+                    repair: repair.clone(),
+                    ..churn_schedule_for(turnover, scale)
+                };
+                let cell_seed = seed.child2(LBL_PHASE, cells.len() as u64);
+                cells.push((schedule, Some(succ_list_len), cell_seed));
+                axes.push((turnover, *policy, succ_list_len));
+            }
+        }
+    }
+    let runs = run_churn_cells(&net, &builder, &keys, &degrees, scale, &cells, windows)?;
+    Ok(axes
+        .into_iter()
+        .zip(cells)
+        .zip(runs)
+        .map(
+            |(((turnover, policy, succ_list_len), (schedule, ..)), windows)| PhaseCell {
+                turnover,
+                policy,
+                succ_list_len,
+                run: SteadyChurnResult {
+                    label: turnover_label(turnover),
+                    schedule,
+                    windows,
+                },
+            },
+        )
+        .collect())
 }
 
 /// The phase-diagram figures: steady-state delivery, search cost, wasted
@@ -469,9 +528,9 @@ pub fn phase_reports(cells: &[PhaseCell]) -> Vec<(&'static str, Report)> {
     // One series per (policy, succ) pair, points ordered by churn level —
     // iterate combos in first-appearance order so the CSV layout is
     // stable whatever grid subset produced the cells.
-    let mut combos: Vec<(String, usize)> = Vec::new();
+    let mut combos: Vec<(&str, usize)> = Vec::new();
     for c in cells {
-        let combo = (c.policy.clone(), c.succ_list_len);
+        let combo = (c.policy, c.succ_list_len);
         if !combos.contains(&combo) {
             combos.push(combo);
         }
@@ -488,11 +547,11 @@ pub fn phase_reports(cells: &[PhaseCell]) -> Vec<(&'static str, Report)> {
             .filter(|c| c.policy == policy && c.succ_list_len == succ)
         {
             let x = c.turnover * 100.0;
-            let delivery = c.steady_mean(|w| w.queries.success_rate);
+            let delivery = c.run.steady_mean(|w| w.queries.success_rate);
             success_s.push(x, delivery);
-            cost_s.push(x, c.steady_mean(|w| w.queries.mean_cost));
-            waste_s.push(x, c.steady_mean(|w| w.queries.mean_wasted));
-            repair_s.push(x, c.steady_mean(|w| w.repair_cost as f64));
+            cost_s.push(x, c.run.steady_mean(|w| w.queries.mean_cost));
+            waste_s.push(x, c.run.steady_mean(|w| w.queries.mean_wasted));
+            repair_s.push(x, c.run.steady_mean(|w| w.repair_cost as f64));
             if cliff.is_none() && delivery < 0.9 {
                 cliff = Some((x, delivery));
             }

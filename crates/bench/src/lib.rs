@@ -4,18 +4,21 @@
 //! figures and the stress experiments built around them; everything it
 //! runs is a library function here, so the binary and the tests drive the
 //! same code. [`registry`] is the table of experiments (names, knobs,
-//! entry points); [`figures`] and [`experiments`] hold the paper's
-//! figures and the churn/growth drivers behind them, [`storm`] the
-//! machine-fleet query storms of the fault sweep, [`scenario`] the
-//! multi-phase campaigns, [`ablations`] the A1–A5 knock-outs. Every
+//! entry points); [`figures`] holds the paper's figures and the churn
+//! suites, [`experiments`] the growth and churn runners behind them
+//! (one churn-cell runner, [`run_churn_cells`], under both `churn` and
+//! `phase`), [`storm`] the machine-fleet query storms of the fault
+//! sweep, [`scenario`] the multi-phase campaigns, [`ablations`] the
+//! A1–A5 knock-outs. Every
 //! experiment is a pure function of a [`Scale`] (size, seed, thread
 //! budget); CSVs go through [`Report`] (one [`series::Series`] per
 //! curve), `BENCH_<name>.json` summaries through [`json::Object`].
 //!
 //! Performance is *not* measured here: the repository's benchmark is
 //! `BENCHMARK.json` + `benchmarks/`. What this harness gates is behaviour
-//! (delivery, amplification, machine faults, scenario checks), by exit
-//! code, and no artifact it writes holds a clock reading.
+//! (delivery, amplification, machine faults, scenario checks, A3 and
+//! the E7 ordering), by exit code, and no artifact it writes holds a
+//! clock reading.
 
 pub mod ablations;
 pub mod experiments;
@@ -30,10 +33,9 @@ pub mod series;
 pub mod storm;
 
 pub use experiments::{
-    churn_schedule_for, grow_steady_churn_substrate, phase_churn_levels, phase_repair_policies,
-    run_churn_experiment, run_growth_experiment, run_machine_churn_experiment,
-    run_phase_diagram_experiment, run_steady_churn_on, standard_churn_schedules, steady_mean_of,
-    ChurnResult, GrowthRunResult, PhaseCell, SteadyChurnResult, PHASE_SUCC_LENS,
+    churn_schedule_for, grow_substrate, run_churn_cells, run_churn_experiment,
+    run_growth_experiment, run_machine_churn_experiment, standard_churn_schedules, steady_mean_of,
+    ChurnResult, GrowthRunResult, PhaseCell, SteadyChurnResult,
 };
 pub use parallel::{run_tasks, Task};
 pub use report::Report;

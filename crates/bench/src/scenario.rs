@@ -1,11 +1,12 @@
 //! The scenario engine: named, seeded, multi-phase stress campaigns.
 //!
 //! A [`Scenario`] is a declarative sequence of [`PhaseSpec`]s — steady
-//! churn spans, sinusoidal (diurnal) churn, mass-join bursts, contiguous
-//! ring-arc outages, targeted top-degree kills, partition masks, heals
-//! and drifting-hotspot query storms — run against one grown Oscar
-//! overlay, measured per window, and judged by [`Check`]s. Each run
-//! renders two artifacts with byte-stable formatting:
+//! churn spans, sinusoidal (diurnal) churn, drifting-hotspot query
+//! storms and one-shot [`oscar_sim::Shock`]s (mass-join bursts,
+//! contiguous ring-arc outages, targeted top-degree kills, partition
+//! masks, heals) — run against one grown Oscar overlay, measured per
+//! window, and judged by [`Check`]s. Each run renders two artifacts with
+//! byte-stable formatting:
 //!
 //! * `scenario_<name>.csv` — one row per measurement window
 //!   ([`write_scenario_csv`]; columns documented in `results/README.md`);
@@ -39,8 +40,8 @@ use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees};
 use oscar_keydist::{GnutellaKeys, QueryWorkload};
 use oscar_sim::{
-    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, FaultModel, GrowthConfig, GrowthDriver,
-    Network, OracleWorld, RepairPolicy, Shock, ShockReport,
+    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, FaultModel, GrowthConfig, Network,
+    OracleWorld, RepairPolicy, Shock, ShockReport,
 };
 use oscar_types::labels::bench_scenario::{LBL_GROW, LBL_PHASE, LBL_RUN, LBL_WINDOW};
 use oscar_types::{Result, SeedTree};
@@ -124,50 +125,14 @@ pub enum PhaseSpec {
         /// Fraction of each batch aimed into the hot region.
         hot_fraction: f64,
     },
-    /// Flash crowd: `fraction · live` peers join at once, then one
-    /// zero-churn window measures the aftermath.
-    MassJoin {
+    /// A one-shot [`Shock`] the world applies itself, then one
+    /// zero-churn window measures the aftermath (the shock's membership
+    /// and repair deltas are booked into that window).
+    Shock {
         /// Phase label in artifacts.
         label: &'static str,
-        /// Burst size as a fraction of the current live population.
-        fraction: f64,
-    },
-    /// Regional outage: kills the contiguous ring arc of
-    /// `fraction · live` peers starting at ring position `start`, then
-    /// one zero-churn window measures the damage.
-    KillArc {
-        /// Phase label in artifacts.
-        label: &'static str,
-        /// Arc start as a ring fraction (wraps).
-        start: f64,
-        /// Fraction of the live population killed.
-        fraction: f64,
-    },
-    /// Targeted attack: kills the `fraction · live` highest-degree
-    /// peers, then one zero-churn window measures the damage.
-    TargetedKill {
-        /// Phase label in artifacts.
-        label: &'static str,
-        /// Fraction of the live population killed.
-        fraction: f64,
-    },
-    /// Partition mask: severs every long link crossing the
-    /// `[start, start + fraction)` arc boundary (both directions), then
-    /// one zero-churn window measures the split overlay.
-    Partition {
-        /// Phase label in artifacts.
-        label: &'static str,
-        /// Arc start as a ring fraction (wraps).
-        start: f64,
-        /// Arc width as a ring fraction.
-        fraction: f64,
-    },
-    /// Reactive heal: rewires the survivors bordering all damage since
-    /// the last heal (plus anyone holding a dangling link), then one
-    /// zero-churn window measures the healed overlay.
-    Heal {
-        /// Phase label in artifacts.
-        label: &'static str,
+        /// The shock.
+        shock: Shock,
     },
 }
 
@@ -178,11 +143,7 @@ impl PhaseSpec {
             PhaseSpec::Churn { label, .. }
             | PhaseSpec::Diurnal { label, .. }
             | PhaseSpec::QueryStorm { label, .. }
-            | PhaseSpec::MassJoin { label, .. }
-            | PhaseSpec::KillArc { label, .. }
-            | PhaseSpec::TargetedKill { label, .. }
-            | PhaseSpec::Partition { label, .. }
-            | PhaseSpec::Heal { label } => label,
+            | PhaseSpec::Shock { label, .. } => label,
         }
     }
 
@@ -192,11 +153,13 @@ impl PhaseSpec {
             PhaseSpec::Churn { .. } => "churn",
             PhaseSpec::Diurnal { .. } => "diurnal",
             PhaseSpec::QueryStorm { .. } => "query-storm",
-            PhaseSpec::MassJoin { .. } => "mass-join",
-            PhaseSpec::KillArc { .. } => "kill-arc",
-            PhaseSpec::TargetedKill { .. } => "targeted-kill",
-            PhaseSpec::Partition { .. } => "partition",
-            PhaseSpec::Heal { .. } => "heal",
+            PhaseSpec::Shock { shock, .. } => match shock {
+                Shock::MassJoin { .. } => "mass-join",
+                Shock::KillArc { .. } => "kill-arc",
+                Shock::TargetedKill { .. } => "targeted-kill",
+                Shock::Partition { .. } => "partition",
+                Shock::Heal => "heal",
+            },
         }
     }
 
@@ -226,26 +189,24 @@ impl PhaseSpec {
                  center drifts one full lap",
                 turnover * 100.0
             ),
-            PhaseSpec::MassJoin { fraction, .. } => {
-                format!("burst of {:.0}% of the live population", fraction * 100.0)
-            }
-            PhaseSpec::KillArc {
-                start, fraction, ..
-            } => format!(
-                "kill arc [{start}, {:.2}) = {:.0}% of the ring",
-                start + fraction,
-                fraction * 100.0
-            ),
-            PhaseSpec::TargetedKill { fraction, .. } => {
-                format!("kill top {:.0}% by degree", fraction * 100.0)
-            }
-            PhaseSpec::Partition {
-                start, fraction, ..
-            } => format!(
-                "sever all long links crossing the [{start}, {:.2}) arc boundary",
-                start + fraction
-            ),
-            PhaseSpec::Heal { .. } => "rewire damage-adjacent survivors".into(),
+            PhaseSpec::Shock { shock, .. } => match shock {
+                Shock::MassJoin { fraction } => {
+                    format!("burst of {:.0}% of the live population", fraction * 100.0)
+                }
+                Shock::KillArc { start, fraction } => format!(
+                    "kill arc [{start}, {:.2}) = {:.0}% of the ring",
+                    start + fraction,
+                    fraction * 100.0
+                ),
+                Shock::TargetedKill { fraction } => {
+                    format!("kill top {:.0}% by degree", fraction * 100.0)
+                }
+                Shock::Partition { start, fraction } => format!(
+                    "sever all long links crossing the [{start}, {:.2}) arc boundary",
+                    start + fraction
+                ),
+                Shock::Heal => "rewire damage-adjacent survivors".into(),
+            },
         }
     }
 
@@ -256,7 +217,7 @@ impl PhaseSpec {
             PhaseSpec::Churn { windows, .. }
             | PhaseSpec::Diurnal { windows, .. }
             | PhaseSpec::QueryStorm { windows, .. } => *windows,
-            _ => 1,
+            PhaseSpec::Shock { .. } => 1,
         }
     }
 }
@@ -283,13 +244,6 @@ pub enum Check {
         after: usize,
         /// Tolerated shortfall (0.0 = must fully recover).
         slack: f64,
-    },
-    /// Phase `phase`'s tail-mean query cost must stay at or under `max`.
-    MaxMeanCost {
-        /// Judged phase.
-        phase: usize,
-        /// Inclusive upper bound on tail-mean `mean_cost`.
-        max: f64,
     },
     /// The final window's live population must be at least
     /// `min · scale.target` (no scenario may quietly depopulate).
@@ -347,11 +301,8 @@ pub struct Scenario {
 /// checks.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The scenario's name.
-    pub name: &'static str,
-    /// The scenario's description.
-    pub description: &'static str,
-    /// The scenario as run (phase echo for the report).
+    /// The scenario as run (name, description and phase echo for the
+    /// report).
     pub scenario: Scenario,
     /// Root seed of the run (`scale.seed`; the scenario's own stream is
     /// additionally keyed by [`scenario_tag`] of its name).
@@ -511,29 +462,10 @@ pub fn run_phases<W: ChurnWorld + ?Sized>(
                 }
                 continue;
             }
-            // The burst is sized here, at shock time, from whoever is
-            // alive now — not from the grown size.
-            PhaseSpec::MassJoin { fraction, .. } => Shock::MassJoin {
-                count: ((world.live() as f64 * fraction).ceil() as usize).max(1),
-            },
-            PhaseSpec::KillArc {
-                start, fraction, ..
-            } => Shock::KillArc {
-                start,
-                fraction,
-                neighbors_k: NEIGHBORS_K,
-            },
-            PhaseSpec::TargetedKill { fraction, .. } => Shock::TargetedKill {
-                fraction,
-                neighbors_k: NEIGHBORS_K,
-            },
-            PhaseSpec::Partition {
-                start, fraction, ..
-            } => Shock::Partition { start, fraction },
-            PhaseSpec::Heal { .. } => Shock::Heal,
+            PhaseSpec::Shock { ref shock, .. } => shock,
         };
         // A shock phase: the shock, then one zero-churn aftermath window.
-        let report = world.shock(&shock, &pseed)?;
+        let report = world.shock(shock, &pseed)?;
         let note = match shock {
             Shock::MassJoin { .. } => format!("{} joined at once", report.joined),
             Shock::KillArc { .. } => format!("killed {} contiguous peers", report.killed),
@@ -562,12 +494,10 @@ pub fn run_scenario(sc: &Scenario, scale: &Scale) -> Result<ScenarioOutcome> {
     let degrees = sc.degrees.dist();
 
     let mut net = Network::new(FaultModel::StabilizedRing);
-    GrowthDriver::new(GrowthConfig {
+    GrowthConfig {
         target_size: scale.target,
-        seed_size: 8,
         checkpoints: vec![scale.target],
-        rewire_at_checkpoints: true,
-    })
+    }
     .run(
         &mut net,
         &builder,
@@ -583,8 +513,6 @@ pub fn run_scenario(sc: &Scenario, scale: &Scale) -> Result<ScenarioOutcome> {
     let rows = run_phases(&mut world, &sc.phases, scale, &seed)?;
 
     let mut outcome = ScenarioOutcome {
-        name: sc.name,
-        description: sc.description,
         scenario: sc.clone(),
         seed: scale.seed,
         target: scale.target,
@@ -637,15 +565,6 @@ fn evaluate_check(check: &Check, out: &ScenarioOutcome) -> CheckOutcome {
                 passed: observed >= bound,
             }
         }
-        Check::MaxMeanCost { phase, max } => {
-            let observed = out.phase_tail_mean(*phase, |w| w.queries.mean_cost);
-            CheckOutcome {
-                label: format!("mean cost in '{}' <= {max:.1}", phase_label(*phase)),
-                observed,
-                bound: *max,
-                passed: observed <= *max,
-            }
-        }
         Check::MinLiveFraction { min } => {
             let observed = out
                 .rows
@@ -680,9 +599,9 @@ pub fn standard_scenarios() -> Vec<Scenario> {
                     turnover: 0.01,
                     windows: 3,
                 },
-                PhaseSpec::MassJoin {
+                PhaseSpec::Shock {
                     label: "burst",
-                    fraction: 0.10,
+                    shock: Shock::MassJoin { fraction: 0.10 },
                 },
                 PhaseSpec::Churn {
                     label: "aftermath",
@@ -737,12 +656,17 @@ pub fn standard_scenarios() -> Vec<Scenario> {
                     turnover: 0.005,
                     windows: 3,
                 },
-                PhaseSpec::KillArc {
+                PhaseSpec::Shock {
                     label: "outage",
-                    start: 0.25,
-                    fraction: 0.15,
+                    shock: Shock::KillArc {
+                        start: 0.25,
+                        fraction: 0.15,
+                    },
                 },
-                PhaseSpec::Heal { label: "heal" },
+                PhaseSpec::Shock {
+                    label: "heal",
+                    shock: Shock::Heal,
+                },
                 PhaseSpec::Churn {
                     label: "recovery",
                     turnover: 0.005,
@@ -775,11 +699,14 @@ pub fn standard_scenarios() -> Vec<Scenario> {
                     turnover: 0.005,
                     windows: 3,
                 },
-                PhaseSpec::TargetedKill {
+                PhaseSpec::Shock {
                     label: "attack",
-                    fraction: 0.05,
+                    shock: Shock::TargetedKill { fraction: 0.05 },
                 },
-                PhaseSpec::Heal { label: "heal" },
+                PhaseSpec::Shock {
+                    label: "heal",
+                    shock: Shock::Heal,
+                },
                 PhaseSpec::Churn {
                     label: "recovery",
                     turnover: 0.005,
@@ -829,12 +756,17 @@ pub fn standard_scenarios() -> Vec<Scenario> {
                     turnover: 0.005,
                     windows: 2,
                 },
-                PhaseSpec::Partition {
+                PhaseSpec::Shock {
                     label: "partition",
-                    start: 0.0,
-                    fraction: 0.5,
+                    shock: Shock::Partition {
+                        start: 0.0,
+                        fraction: 0.5,
+                    },
                 },
-                PhaseSpec::Heal { label: "heal" },
+                PhaseSpec::Shock {
+                    label: "heal",
+                    shock: Shock::Heal,
+                },
                 PhaseSpec::Churn {
                     label: "recovery",
                     turnover: 0.005,
@@ -907,7 +839,7 @@ pub fn write_scenario_csv(out: &ScenarioOutcome) -> std::io::Result<PathBuf> {
     }
     let dir = Report::results_dir();
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("scenario_{}.csv", out.name));
+    let path = dir.join(format!("scenario_{}.csv", out.scenario.name));
     std::fs::write(&path, csv)?;
     Ok(path)
 }
@@ -917,8 +849,8 @@ pub fn write_scenario_csv(out: &ScenarioOutcome) -> std::io::Result<PathBuf> {
 /// report is byte-identical across reruns and thread counts.
 pub fn render_scenario_report(out: &ScenarioOutcome) -> String {
     let mut md = String::new();
-    md.push_str(&format!("# Scenario: {}\n\n", out.name));
-    md.push_str(&format!("> {}\n\n", out.description));
+    md.push_str(&format!("# Scenario: {}\n\n", out.scenario.name));
+    md.push_str(&format!("> {}\n\n", out.scenario.description));
     md.push_str("## Configuration\n\n");
     md.push_str(&format!(
         "- grown substrate: {} peers (Oscar builder, gnutella keys, {} degree caps)\n",
@@ -930,7 +862,7 @@ pub fn render_scenario_report(out: &ScenarioOutcome) -> String {
          - repair regime: reactive, ring-neighbourhood k = {NEIGHBORS_K}\n\
          - root seed: {} (scenario stream keyed by name, tag {:#018x})\n\n",
         out.seed,
-        scenario_tag(out.name)
+        scenario_tag(out.scenario.name)
     ));
     md.push_str("## Phase timeline\n\n");
     md.push_str("| # | phase | kind | windows | parameters |\n");
@@ -998,7 +930,7 @@ pub fn render_scenario_report(out: &ScenarioOutcome) -> String {
 pub fn write_scenario_report(out: &ScenarioOutcome) -> std::io::Result<PathBuf> {
     let dir = Report::results_dir().join("reports");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{}.md", out.name));
+    let path = dir.join(format!("{}.md", out.scenario.name));
     std::fs::write(&path, render_scenario_report(out))?;
     Ok(path)
 }
@@ -1011,7 +943,7 @@ pub fn scenario_suite_summary(outcomes: &[ScenarioOutcome], scale: &Scale) -> Ob
         .iter()
         .map(|out| {
             Object::new()
-                .str("scenario", out.name)
+                .str("scenario", out.scenario.name)
                 .int("windows", out.rows.len())
                 .float("min_delivery", out.min_delivery(), 4)
                 .float("final_delivery", out.final_delivery(), 4)

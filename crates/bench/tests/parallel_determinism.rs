@@ -5,7 +5,11 @@
 //! Each growth/churn run derives all of its randomness from its own
 //! `SeedTree` child of `Scale::seed`, so execution order cannot leak into
 //! any result; these tests pin that property end to end, at the level the
-//! acceptance criterion is stated: the rendered CSV bytes.
+//! acceptance criterion is stated: the rendered CSV bytes. The four
+//! harness tests below also pin the 1-thread rendering to a fixed
+//! digest, so a change that moves every thread count the same way fails
+//! too; a new constant is computed on the parent commit, never on the
+//! change.
 
 use oscar_bench::figures::{
     fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports, run_fig1_suite,
@@ -16,6 +20,15 @@ use oscar_bench::{run_churn_experiment, Scale};
 use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::ConstantDegrees;
 use oscar_keydist::GnutellaKeys;
+
+/// FNV-1a over every byte of `parts`, in order.
+fn fnv1a<S: AsRef<str>>(parts: &[S]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in parts.iter().flat_map(|p| p.as_ref().bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 #[test]
 fn fig1_suite_csvs_identical_across_thread_counts() {
@@ -40,7 +53,13 @@ fn fig2_churn_csvs_identical_across_thread_counts() {
         let report = fig2_report(&scale, &ConstantDegrees::paper(), "constant").unwrap();
         to_csv(report.series())
     };
-    assert_eq!(csv(1), csv(4));
+    let sequential = csv(1);
+    assert_eq!(sequential, csv(4));
+    assert_eq!(
+        fnv1a(&[&sequential]),
+        2_289_006_574_211_201_770,
+        "fig2 CSV digest moved"
+    );
 }
 
 #[test]
@@ -59,6 +78,11 @@ fn steady_churn_csvs_identical_across_thread_counts() {
     let sequential = csvs(1);
     assert_eq!(sequential, csvs(4), "1 vs 4 threads");
     assert_eq!(sequential, csvs(0), "1 vs all-cores auto");
+    assert_eq!(
+        fnv1a(&sequential),
+        12_340_113_016_511_143_770,
+        "steady-churn CSV digest moved"
+    );
 }
 
 #[test]
@@ -77,6 +101,11 @@ fn phase_diagram_csvs_identical_across_thread_counts() {
     };
     let sequential = csvs(1);
     assert_eq!(sequential, csvs(4), "1 vs 4 threads");
+    assert_eq!(
+        fnv1a(&sequential),
+        12_327_973_703_111_221_238,
+        "phase CSV digest moved"
+    );
 }
 
 #[test]
@@ -114,12 +143,25 @@ fn scenario_suite_artifacts_identical_across_thread_counts() {
                     .iter()
                     .map(|r| format!("{}|{}|{:?}", r.window, r.phase_label, r.stats))
                     .collect();
-                (o.name, rows, oscar_bench::render_scenario_report(o))
+                (
+                    o.scenario.name,
+                    rows,
+                    oscar_bench::render_scenario_report(o),
+                )
             })
             .collect::<Vec<_>>()
     };
     let sequential = artifacts(1);
     assert_eq!(sequential, artifacts(4), "1 vs 4 threads");
+    let rendered: Vec<String> = sequential
+        .iter()
+        .flat_map(|(name, rows, report)| [name.to_string(), rows.join("\n"), report.clone()])
+        .collect();
+    assert_eq!(
+        fnv1a(&rendered),
+        11_015_439_042_151_067_417,
+        "scenario artifact digest moved"
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use oscar_bench::{run_phases, run_scenario, standard_scenarios, PhaseSpec, Scale, Scenario};
 use oscar_keydist::GnutellaKeys;
 use oscar_protocol::{FaultPlan, PeerConfig, RepairPolicy};
-use oscar_sim::{DesDriver, MachineChurnConfig, MachineWorld};
+use oscar_sim::{DesDriver, MachineChurnConfig, MachineWorld, Shock};
 use oscar_types::SeedTree;
 
 fn by_name(name: &str) -> Scenario {
@@ -85,10 +85,12 @@ fn machine_backend_runs_flash_crowd_deterministically() {
     let scale = Scale::small(48, 19);
     // An outage first, so the crowd arrives at a fleet well off its
     // bootstrapped size.
-    let mut phases = vec![PhaseSpec::KillArc {
+    let mut phases = vec![PhaseSpec::Shock {
         label: "outage",
-        start: 0.0,
-        fraction: 0.3,
+        shock: Shock::KillArc {
+            start: 0.0,
+            fraction: 0.3,
+        },
     }];
     phases.extend(by_name("flash_crowd").phases);
     let run = || {

@@ -313,10 +313,11 @@ impl<U> Span<'_, U> {
 /// A one-shot structural event the Poisson processes cannot express.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Shock {
-    /// A flash crowd: exactly `count` joins at once.
+    /// A flash crowd: `ceil(fraction · live)` peers (at least one) join
+    /// at once, sized from whoever is alive when it strikes.
     MassJoin {
-        /// Joins injected by the burst.
-        count: usize,
+        /// Burst size as a fraction of the live population, `> 0`.
+        fraction: f64,
     },
     /// A regional outage: crashes the contiguous ring arc of
     /// `fraction · live` peers starting at ring position `start` (a
@@ -326,18 +327,12 @@ pub enum Shock {
         start: f64,
         /// Fraction of the live population killed, in `(0, 1)`.
         fraction: f64,
-        /// Surviving ring neighbours on each side of the hole that a
-        /// later [`Shock::Heal`] repairs.
-        neighbors_k: usize,
     },
     /// A targeted attack: crashes the `fraction · live` peers of highest
     /// total long-link degree, ties broken by identifier.
     TargetedKill {
         /// Fraction of the live population killed, in `(0, 1)`.
         fraction: f64,
-        /// Surviving ring neighbours of each victim that a later
-        /// [`Shock::Heal`] repairs.
-        neighbors_k: usize,
     },
     /// A partition mask: severs every long-range link crossing the
     /// boundary of the ring arc `[start, start + fraction)`.
@@ -371,6 +366,16 @@ pub(crate) fn resolve_arc(n: usize, start: f64, fraction: f64) -> Result<(usize,
     let count = resolve_kill_count(n, fraction)?;
     let first = (start.rem_euclid(1.0) * n as f64) as usize % n;
     Ok((first, count))
+}
+
+/// `ceil(live · fraction)` joiners of a [`Shock::MassJoin`], at least 1.
+pub(crate) fn resolve_join_count(live: usize, fraction: f64) -> Result<usize> {
+    if !fraction.is_finite() || fraction <= 0.0 {
+        return Err(Error::InvalidConfig(format!(
+            "a mass join's fraction must be finite and > 0, got {fraction}"
+        )));
+    }
+    Ok(((live as f64 * fraction).ceil() as usize).max(1))
 }
 
 /// `ceil(n · fraction)` victims, keeping at least 2 of the `n` alive.

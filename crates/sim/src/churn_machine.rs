@@ -50,8 +50,8 @@
 //! threaded-runtime run at the same seed produce the same windows.
 
 use crate::churn_engine::{
-    resolve_arc, run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, Maintenance, Measured,
-    RepairPolicy, Shock, ShockReport, Span, VictimPick,
+    resolve_arc, resolve_join_count, run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld,
+    Maintenance, Measured, RepairPolicy, Shock, ShockReport, Span, VictimPick,
 };
 use crate::growth::fresh_id;
 use crate::routing::BatchAccumulator;
@@ -362,18 +362,17 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
         match *shock {
             // Serial joins through random live contacts, links built
             // immediately.
-            Shock::MassJoin { count } => {
+            Shock::MassJoin { fraction } => {
+                let count = resolve_join_count(self.live(), fraction)?;
                 for i in 0..count {
                     self.join(&mut seed.child2(LBL_BURST, i as u64).rng())?;
                 }
                 report.joined = count as u64;
             }
             // Abrupt, like `crash`. Survivors must *discover* the hole —
-            // probes and queries in later spans do; the machines' own
-            // `ReactiveK` reach decides who rewires, not `neighbors_k`.
-            Shock::KillArc {
-                start, fraction, ..
-            } => {
+            // probes and queries in later spans do, and the machines' own
+            // `ReactiveK` reach decides who rewires.
+            Shock::KillArc { start, fraction } => {
                 let live = self.driver.peer_ids();
                 let (first, count) = resolve_arc(live.len(), start, fraction)?;
                 for i in 0..count {
@@ -651,7 +650,7 @@ mod tests {
         let out = play(
             &[
                 Quiet(1),
-                Step::Shock(Shock::MassJoin { count: 16 }),
+                Step::Shock(Shock::MassJoin { fraction: 0.5 }),
                 Quiet(1),
             ],
             41,
@@ -670,7 +669,6 @@ mod tests {
         let outage = Shock::KillArc {
             start: 0.25,
             fraction: 0.2,
-            neighbors_k: 2,
         };
         // Probes run between windows, so the later windows of the second
         // span measure the healed overlay.
@@ -690,11 +688,10 @@ mod tests {
     fn shocked_runs_are_deterministic_and_reject_what_machines_cannot_do() {
         let steps = [
             Quiet(1),
-            Step::Shock(Shock::MassJoin { count: 8 }),
+            Step::Shock(Shock::MassJoin { fraction: 0.25 }),
             Step::Shock(Shock::KillArc {
                 start: 0.9,
                 fraction: 0.1,
-                neighbors_k: 2,
             }),
             Quiet(2),
         ];
@@ -705,14 +702,10 @@ mod tests {
         let bad = Shock::KillArc {
             start: 0.0,
             fraction: 1.5,
-            neighbors_k: 2,
         };
         assert!(play(&[Step::Shock(bad)], 1).is_err());
         for oracle_only in [
-            Shock::TargetedKill {
-                fraction: 0.1,
-                neighbors_k: 2,
-            },
+            Shock::TargetedKill { fraction: 0.1 },
             Shock::Partition {
                 start: 0.0,
                 fraction: 0.5,
@@ -746,7 +739,6 @@ mod tests {
         let outage = Shock::KillArc {
             start: 0.5,
             fraction: 0.25,
-            neighbors_k: 2,
         };
         world.shock(&outage, &root).unwrap();
         let uniform = QueryWorkload::UniformPeers;

@@ -2,7 +2,7 @@
 //!
 //! [`OracleWorld`] drives [`Network::add_peer`] / [`Network::kill`] /
 //! [`Network::depart`] and builds links through an [`OverlayBuilder`] —
-//! exactly the growth driver's join protocol, interleaved with failures
+//! exactly the growth protocol's joins, interleaved with failures
 //! on the engine's clock. Failure detection is free here (the world simply
 //! knows who is dead), so the schedule's [`RepairPolicy`] maps onto direct
 //! `rewire` calls: whole-network sweeps, reactive neighbour rewires a tick
@@ -19,8 +19,9 @@
 //! O(dangling), never a whole-network sweep.
 
 use crate::churn_engine::{
-    resolve_arc, resolve_kill_count, run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld,
-    Maintenance, Measured, RepairPolicy, Shock, ShockReport, Span, VictimPick,
+    resolve_arc, resolve_join_count, resolve_kill_count, run_churn, ChurnSchedule,
+    ChurnWindowStats, ChurnWorld, Maintenance, Measured, RepairPolicy, Shock, ShockReport, Span,
+    VictimPick,
 };
 use crate::growth::{admit_peer, rewire_all_peers, OverlayBuilder};
 use crate::network::Network;
@@ -38,6 +39,11 @@ use rand::rngs::SmallRng;
 /// the engine's clock, after any same-tick measurement (window timers are
 /// pre-scheduled and win FIFO ties).
 const REPAIR_DELAY: u64 = 1;
+
+/// Reach of a kill shock's repair set: the surviving ring neighbours on
+/// each side of the damage that the next [`Shock::Heal`] rewires (the
+/// reach of the scenario suite's reactive-k2 repair).
+const SHOCK_REPAIR_REACH: usize = 2;
 
 /// The oracle world's events on the engine's clock.
 #[derive(Copy, Clone, Debug)]
@@ -134,20 +140,24 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
             .collect())
     }
 
-    /// Kills the arc. Its repair set — the `reach` nearest survivors on
-    /// each side of the hole — is found from the arc's two ends before
-    /// any kill: afterwards the victims' live-ring pointers are gone.
-    fn kill_arc(&mut self, start: f64, fraction: f64, reach: usize) -> Result<u64> {
+    /// Kills the arc. Its repair set — the [`SHOCK_REPAIR_REACH`] nearest
+    /// survivors on each side of the hole — is found from the arc's two
+    /// ends before any kill: afterwards the victims' live-ring pointers
+    /// are gone.
+    fn kill_arc(&mut self, start: f64, fraction: f64) -> Result<u64> {
         let victims = self.arc(start, fraction)?;
         let mut repair_set = Vec::new();
         for end in [victims[0], victims[victims.len() - 1]] {
-            for p in self.net.live_ring_neighborhood(end, reach + victims.len()) {
+            for p in self
+                .net
+                .live_ring_neighborhood(end, SHOCK_REPAIR_REACH + victims.len())
+            {
                 if !victims.contains(&p) && !repair_set.contains(&p) {
                     repair_set.push(p);
                 }
             }
         }
-        repair_set.truncate(2 * reach);
+        repair_set.truncate(2 * SHOCK_REPAIR_REACH);
         repair_set.sort_by_key(|p| p.as_usize());
         self.pending_repairs.extend(repair_set);
         for &v in &victims {
@@ -158,10 +168,10 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
 
     /// Kills the `fraction · live` peers of highest total long-link
     /// degree (in + out), ties broken by identifier. Repair set: the
-    /// `reach` live ring neighbours of each victim, found just before
-    /// that victim dies (exactly when the `Reactive` policy would have
-    /// scheduled them).
-    fn kill_top_degree(&mut self, fraction: f64, reach: usize) -> Result<u64> {
+    /// [`SHOCK_REPAIR_REACH`] live ring neighbours of each victim, found
+    /// just before that victim dies (exactly when the `Reactive` policy
+    /// would have scheduled them).
+    fn kill_top_degree(&mut self, fraction: f64) -> Result<u64> {
         let count = resolve_kill_count(self.net.live_count(), fraction)?;
         let mut ranked: Vec<(u32, Id, PeerIdx)> = self
             .net
@@ -177,7 +187,7 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
         let victims: Vec<PeerIdx> = ranked[..count].iter().map(|&(_, _, p)| p).collect();
         let mut repair_set = Vec::new();
         for &v in &victims {
-            for p in self.net.live_ring_neighborhood(v, reach) {
+            for p in self.net.live_ring_neighborhood(v, SHOCK_REPAIR_REACH) {
                 if !victims.contains(&p) && !repair_set.contains(&p) {
                     repair_set.push(p);
                 }
@@ -353,24 +363,18 @@ impl<B: OverlayBuilder + ?Sized> ChurnWorld for OracleWorld<'_, B> {
     fn shock(&mut self, shock: &Shock, seed: &SeedTree) -> Result<ShockReport> {
         let mut report = ShockReport::default();
         match *shock {
-            // Each joiner runs the growth driver's join protocol with its
+            // Each joiner runs the growth protocol's join with its
             // own seed-tree child, so the burst is deterministic and
             // independent of any interleaved measurement.
-            Shock::MassJoin { count } => {
+            Shock::MassJoin { fraction } => {
+                let count = resolve_join_count(self.live(), fraction)?;
                 for i in 0..count {
                     self.join(&mut seed.child2(LBL_BURST, i as u64).rng())?;
                 }
                 report.joined = count as u64;
             }
-            Shock::KillArc {
-                start,
-                fraction,
-                neighbors_k,
-            } => report.killed = self.kill_arc(start, fraction, neighbors_k.max(1))?,
-            Shock::TargetedKill {
-                fraction,
-                neighbors_k,
-            } => report.killed = self.kill_top_degree(fraction, neighbors_k.max(1))?,
+            Shock::KillArc { start, fraction } => report.killed = self.kill_arc(start, fraction)?,
+            Shock::TargetedKill { fraction } => report.killed = self.kill_top_degree(fraction)?,
             Shock::Partition { start, fraction } => {
                 report.severed = self.sever_arc_links(start, fraction)?;
             }
@@ -443,14 +447,12 @@ mod tests {
     }
 
     fn grown(n: usize, seed: u64) -> Network {
-        use crate::growth::{GrowthConfig, GrowthDriver};
+        use crate::growth::GrowthConfig;
         let mut net = Network::new(FaultModel::StabilizedRing);
-        GrowthDriver::new(GrowthConfig {
+        GrowthConfig {
             target_size: n,
-            seed_size: 4,
             checkpoints: vec![],
-            rewire_at_checkpoints: false,
-        })
+        }
         .run(
             &mut net,
             &RandomBuilder,
@@ -782,11 +784,7 @@ mod tests {
     }
 
     fn arc(start: f64, fraction: f64) -> Shock {
-        Shock::KillArc {
-            start,
-            fraction,
-            neighbors_k: 2,
-        }
+        Shock::KillArc { start, fraction }
     }
 
     fn holders_of_dangling_links(net: &Network) -> usize {
@@ -844,10 +842,7 @@ mod tests {
             net.live_peers().map(|p| (degree(&net, p), p)).collect();
         by_degree.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
         let fifth_highest = by_degree[4].0;
-        let attack = Shock::TargetedKill {
-            fraction: 0.05,
-            neighbors_k: 2,
-        };
+        let attack = Shock::TargetedKill { fraction: 0.05 };
         let report = oracle(&mut net).shock(&attack, &SeedTree::new(0)).unwrap();
         assert_eq!(report.killed, 5);
         assert_eq!(net.live_count(), 95);
@@ -863,19 +858,27 @@ mod tests {
     }
 
     #[test]
-    fn mass_join_admits_exactly_count() {
+    fn mass_join_admits_its_fraction_of_the_live_population() {
         let mut net = grown(60, 5);
         let before = net.len();
-        let burst = Shock::MassJoin { count: 40 };
+        let burst = Shock::MassJoin { fraction: 0.5 };
         let report = oracle(&mut net).shock(&burst, &SeedTree::new(77)).unwrap();
-        assert_eq!(report.joined, 40);
-        assert_eq!(net.live_count(), 100);
+        assert_eq!(report.joined, 30);
+        assert_eq!(net.live_count(), 90);
         let linked = net
             .all_peers()
             .skip(before)
             .filter(|&p| net.peer(p).out_degree() > 0)
             .count();
-        assert!(linked >= 39, "{linked}/40 joiners got links");
+        assert!(linked >= 29, "{linked}/30 joiners got links");
+        // Rounded up, never empty; a degenerate fraction is an error.
+        let tiny = Shock::MassJoin { fraction: 1e-6 };
+        let report = oracle(&mut net).shock(&tiny, &SeedTree::new(78)).unwrap();
+        assert_eq!(report.joined, 1);
+        for fraction in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let bad = Shock::MassJoin { fraction };
+            assert!(oracle(&mut net).shock(&bad, &SeedTree::new(0)).is_err());
+        }
     }
 
     #[test]
@@ -954,10 +957,7 @@ mod tests {
                 fraction: 0.2,
             };
             world.shock(&cut, &seed).unwrap();
-            let attack = Shock::TargetedKill {
-                fraction: 0.05,
-                neighbors_k: 1,
-            };
+            let attack = Shock::TargetedKill { fraction: 0.05 };
             world.shock(&attack, &seed).unwrap();
             world.shock(&Shock::Heal, &seed).unwrap();
             net.check_invariants().unwrap();

@@ -68,55 +68,22 @@ pub fn wire_directly(net: &mut Network, p: PeerIdx) -> bool {
     true
 }
 
+/// Size of the bootstrap cohort, capped at the target: the peers added
+/// before any links are built (they are each other's only possible
+/// targets; 8 matches a realistic seeded deployment and makes early
+/// sampling walks meaningful).
+const SEED_COHORT: usize = 8;
+
 /// Growth schedule.
 #[derive(Clone, Debug)]
 pub struct GrowthConfig {
     /// Final network size.
     pub target_size: usize,
-    /// Initial cohort added before any links are built (they are each
-    /// other's only possible targets; 8 matches a realistic seeded
-    /// deployment and makes early sampling walks meaningful).
-    pub seed_size: usize,
-    /// Network sizes at which to (optionally rewire and) invoke the
-    /// measurement callback. Must be ascending.
+    /// Network sizes at which to rewire every live peer's long-range
+    /// links (the paper's protocol) and then invoke the measurement
+    /// callback. Strictly ascending, each between the bootstrap cohort's
+    /// size and `target_size`.
     pub checkpoints: Vec<usize>,
-    /// Rewire every live peer's long-range links at each checkpoint (the
-    /// paper's protocol).
-    pub rewire_at_checkpoints: bool,
-}
-
-impl GrowthConfig {
-    /// The paper's schedule: grow to `target`, checkpoints every 1000
-    /// peers starting at 1000.
-    pub fn paper(target: usize) -> Self {
-        GrowthConfig {
-            target_size: target,
-            seed_size: 8,
-            checkpoints: (1..=target / 1000).map(|k| k * 1000).collect(),
-            rewire_at_checkpoints: true,
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.seed_size < 2 {
-            return Err(Error::InvalidConfig(format!(
-                "seed_size must be >= 2 (a one-peer network has no link targets), got {}",
-                self.seed_size
-            )));
-        }
-        if self.target_size < self.seed_size {
-            return Err(Error::InvalidConfig(format!(
-                "target_size ({}) must be >= seed_size ({}): the growth schedule is inverted",
-                self.target_size, self.seed_size
-            )));
-        }
-        if self.checkpoints.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(Error::InvalidConfig(
-                "checkpoints must be strictly ascending".into(),
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Identifies a checkpoint in the callback.
@@ -128,20 +95,37 @@ pub struct Checkpoint {
     pub size: usize,
 }
 
-/// Runs the growth protocol.
-pub struct GrowthDriver {
-    /// The schedule.
-    pub config: GrowthConfig,
-}
+impl GrowthConfig {
+    fn seed_cohort(&self) -> usize {
+        SEED_COHORT.min(self.target_size)
+    }
 
-impl GrowthDriver {
-    /// Driver with the given schedule.
-    pub fn new(config: GrowthConfig) -> Self {
-        GrowthDriver { config }
+    fn validate(&self) -> Result<()> {
+        if self.target_size < 2 {
+            return Err(Error::InvalidConfig(format!(
+                "target_size must be >= 2 (a one-peer network has no link targets), got {}",
+                self.target_size
+            )));
+        }
+        if self.checkpoints.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::InvalidConfig(
+                "checkpoints must be strictly ascending".into(),
+            ));
+        }
+        let reachable = self.seed_cohort()..=self.target_size;
+        if let Some(cp) = self.checkpoints.iter().find(|cp| !reachable.contains(cp)) {
+            return Err(Error::InvalidConfig(format!(
+                "checkpoint {cp} is outside [{}, {}]: growth would never reach it, or \
+                 would measure it at a larger size",
+                reachable.start(),
+                reachable.end()
+            )));
+        }
+        Ok(())
     }
 
     /// Grows `net` to `target_size`, invoking `on_checkpoint` at each
-    /// configured size (after the optional rewire-all pass).
+    /// configured size (after the rewire-all pass).
     ///
     /// Determinism: all randomness derives from `seed`; identical inputs
     /// give bit-identical networks and metrics.
@@ -158,13 +142,13 @@ impl GrowthDriver {
         B: OverlayBuilder + ?Sized,
         F: FnMut(&mut Network, Checkpoint) -> Result<()>,
     {
-        self.config.validate()?;
+        self.validate()?;
         let mut id_rng = seed.child(LBL_IDS).rng();
         let mut next_checkpoint = 0usize;
 
         // Bootstrap cohort: ids and caps only; links follow once all the
         // seeds exist (they need each other as targets).
-        while net.len() < self.config.seed_size {
+        while net.len() < self.seed_cohort() {
             admit_peer(net, keys, degrees, &mut id_rng)?;
         }
         for (i, p) in net.all_peers().enumerate().collect::<Vec<_>>() {
@@ -180,7 +164,7 @@ impl GrowthDriver {
         )?;
 
         // Incremental growth.
-        while net.len() < self.config.target_size {
+        while net.len() < self.target_size {
             let p = admit_peer(net, keys, degrees, &mut id_rng)?;
             let mut rng = seed.child2(LBL_JOIN, p.as_usize() as u64).rng();
             builder.build_links(net, p, &mut rng)?;
@@ -207,16 +191,14 @@ impl GrowthDriver {
         B: OverlayBuilder + ?Sized,
         F: FnMut(&mut Network, Checkpoint) -> Result<()>,
     {
-        while *next_checkpoint < self.config.checkpoints.len()
-            && net.len() >= self.config.checkpoints[*next_checkpoint]
+        while *next_checkpoint < self.checkpoints.len()
+            && net.len() >= self.checkpoints[*next_checkpoint]
         {
             let cp = Checkpoint {
                 index: *next_checkpoint,
-                size: self.config.checkpoints[*next_checkpoint],
+                size: self.checkpoints[*next_checkpoint],
             };
-            if self.config.rewire_at_checkpoints {
-                rewire_all_peers(net, builder, seed.child2(LBL_REWIRE, cp.index as u64))?;
-            }
+            rewire_all_peers(net, builder, seed.child2(LBL_REWIRE, cp.index as u64))?;
             on_checkpoint(net, cp)?;
             *next_checkpoint += 1;
         }
@@ -244,7 +226,7 @@ pub(crate) fn fresh_id(
 }
 
 /// Adds one peer with sampled degree caps and a fresh identifier; its
-/// links are the caller's to build. Shared by the growth driver and the
+/// links are the caller's to build. Shared by [`GrowthConfig::run`] and the
 /// churn engine's oracle world, so a join draws the same way in both.
 pub(crate) fn admit_peer(
     net: &mut Network,
@@ -260,7 +242,7 @@ pub(crate) fn admit_peer(
 /// Rewires every live peer's long-range links once, in a deterministically
 /// shuffled order (rewiring order matters: early peers grab in-degree
 /// budget first, so a fixed order would bias utilisation). Shared by the
-/// growth driver's checkpoints, the facade's `rewire_all` and the
+/// growth checkpoints, the facade's `rewire_all` and the
 /// continuous-churn engine's periodic sweeps.
 pub fn rewire_all_peers<B>(net: &mut Network, builder: &B, seed: SeedTree) -> Result<()>
 where
@@ -312,30 +294,32 @@ mod tests {
         }
     }
 
-    fn run_growth(target: usize, checkpoints: Vec<usize>, seed: u64) -> (Network, Vec<usize>) {
+    /// Grows a toy overlay under `config`: the network and the sizes of
+    /// the checkpoints that fired, or the config error.
+    fn grow(config: GrowthConfig, seed: u64) -> Result<(Network, Vec<usize>)> {
         let mut net = Network::new(FaultModel::StabilizedRing);
-        let driver = GrowthDriver::new(GrowthConfig {
-            target_size: target,
-            seed_size: 4,
-            checkpoints,
-            rewire_at_checkpoints: true,
-        });
         let mut fired = Vec::new();
-        driver
-            .run(
-                &mut net,
-                &RandomBuilder,
-                &UniformKeys,
-                &ConstantDegrees::new(8),
-                SeedTree::new(seed),
-                |net, cp| {
-                    assert!(net.len() >= cp.size);
-                    fired.push(cp.size);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        (net, fired)
+        config.run(
+            &mut net,
+            &RandomBuilder,
+            &UniformKeys,
+            &ConstantDegrees::new(8),
+            SeedTree::new(seed),
+            |net, cp| {
+                assert_eq!(net.len(), cp.size, "checkpoint fired at the wrong size");
+                fired.push(cp.size);
+                Ok(())
+            },
+        )?;
+        Ok((net, fired))
+    }
+
+    fn run_growth(target: usize, checkpoints: Vec<usize>, seed: u64) -> (Network, Vec<usize>) {
+        let config = GrowthConfig {
+            target_size: target,
+            checkpoints,
+        };
+        grow(config, seed).unwrap()
     }
 
     #[test]
@@ -389,50 +373,37 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut net = Network::new(FaultModel::StabilizedRing);
-        let bad = GrowthDriver::new(GrowthConfig {
-            target_size: 10,
-            seed_size: 1,
-            checkpoints: vec![],
-            rewire_at_checkpoints: false,
-        });
-        assert!(bad
-            .run(
-                &mut net,
-                &RandomBuilder,
-                &UniformKeys,
-                &ConstantDegrees::new(4),
-                SeedTree::new(1),
-                |_, _| Ok(()),
-            )
-            .is_err());
-
-        let bad2 = GrowthDriver::new(GrowthConfig {
-            target_size: 10,
-            seed_size: 4,
-            checkpoints: vec![8, 8],
-            rewire_at_checkpoints: false,
-        });
-        let mut net2 = Network::new(FaultModel::StabilizedRing);
-        assert!(bad2
-            .run(
-                &mut net2,
-                &RandomBuilder,
-                &UniformKeys,
-                &ConstantDegrees::new(4),
-                SeedTree::new(1),
-                |_, _| Ok(()),
-            )
-            .is_err());
+        for (target_size, checkpoints) in [(1, vec![]), (10, vec![8, 8])] {
+            let config = GrowthConfig {
+                target_size,
+                checkpoints,
+            };
+            let outcome = grow(config.clone(), 1);
+            assert!(
+                matches!(outcome, Err(Error::InvalidConfig(_))),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]
-    fn paper_schedule_shape() {
-        let cfg = GrowthConfig::paper(10_000);
-        assert_eq!(cfg.target_size, 10_000);
-        assert_eq!(cfg.checkpoints.first(), Some(&1000));
-        assert_eq!(cfg.checkpoints.last(), Some(&10_000));
-        assert_eq!(cfg.checkpoints.len(), 10);
-        assert!(cfg.rewire_at_checkpoints);
+    fn checkpoints_growth_cannot_measure_at_their_size_are_rejected() {
+        // Past the target a checkpoint never fires; below the bootstrap
+        // cohort it fires once 8 peers exist, labelled with a size the
+        // network no longer has. Both used to pass silently.
+        for checkpoints in [vec![50, 200], vec![3, 50]] {
+            let config = GrowthConfig {
+                target_size: 100,
+                checkpoints,
+            };
+            let outcome = grow(config.clone(), 1);
+            assert!(
+                matches!(outcome, Err(Error::InvalidConfig(_))),
+                "{config:?}"
+            );
+        }
+        // The cohort's own size and the target are both measurable.
+        let (_, fired) = run_growth(100, vec![8, 100], 1);
+        assert_eq!(fired, vec![8, 100]);
     }
 }

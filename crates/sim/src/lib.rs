@@ -16,9 +16,10 @@
 //! * [`routing`] — greedy clockwise routing with dead-link probing and
 //!   backtracking; returns hop/wasted-traffic accounting.
 //! * [`churn`] — crash injection and fault models.
-//! * [`growth`] — bootstrap-and-grow driver, generic over an
-//!   [`OverlayBuilder`] (Oscar and Mercury implement it), with checkpoint
-//!   callbacks for rewiring and measurement.
+//! * [`growth`] — the one growth schedule, [`GrowthConfig`] (a target
+//!   and its checkpoints): bootstrap an 8-peer cohort, grow one join at a
+//!   time through an [`OverlayBuilder`] (Oscar, Mercury and Chord
+//!   implement it), rewire everyone and call back at each checkpoint.
 //! * [`events`] — a small discrete-event queue with virtual time.
 //! * [`churn_engine`] — continuous churn, once: [`run_churn`] owns the
 //!   Poisson join/crash/depart arrivals on the event queue, the window
@@ -91,9 +92,7 @@ pub use churn_machine::{
 };
 pub use churn_oracle::{run_continuous_churn, OracleUpkeep, OracleWorld};
 pub use events::{Event, EventQueue, VirtualTime};
-pub use growth::{
-    rewire_all_peers, wire_directly, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder,
-};
+pub use growth::{rewire_all_peers, wire_directly, Checkpoint, GrowthConfig, OverlayBuilder};
 pub use metrics::{Metrics, MsgKind};
 pub use network::Network;
 pub use overlay::Overlay;

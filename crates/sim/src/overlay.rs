@@ -9,7 +9,7 @@
 use crate::churn::{kill_fraction, FaultModel};
 use crate::churn_engine::{ChurnSchedule, ChurnWindowStats};
 use crate::churn_oracle::run_continuous_churn;
-use crate::growth::{rewire_all_peers, Checkpoint, GrowthConfig, GrowthDriver, OverlayBuilder};
+use crate::growth::{rewire_all_peers, Checkpoint, GrowthConfig, OverlayBuilder};
 use crate::network::Network;
 use crate::peer::PeerIdx;
 use crate::routing::{run_query_batch, QueryBatchStats, RoutePolicy};
@@ -65,7 +65,7 @@ impl<B: OverlayBuilder> Overlay<B> {
     }
 
     /// Grows the overlay under `config`, invoking `on_checkpoint` at each
-    /// configured size (after the rewire-all pass, if enabled).
+    /// configured size (after the rewire-all pass).
     pub fn grow<F>(
         &mut self,
         keys: &dyn KeyDistribution,
@@ -76,8 +76,7 @@ impl<B: OverlayBuilder> Overlay<B> {
     where
         F: FnMut(&mut Network, Checkpoint) -> Result<()>,
     {
-        let driver = GrowthDriver::new(config);
-        driver.run(
+        config.run(
             &mut self.net,
             &self.builder,
             keys,
@@ -101,9 +100,7 @@ impl<B: OverlayBuilder> Overlay<B> {
             degrees,
             GrowthConfig {
                 target_size: n,
-                seed_size: 8.min(n.max(2)),
                 checkpoints: vec![],
-                rewire_at_checkpoints: false,
             },
             |_, _| Ok(()),
         )?;
@@ -298,9 +295,8 @@ mod tests {
 
     #[test]
     fn grow_to_tiny_targets() {
-        // n < 2 is an inverted growth schedule (seed cohort bigger than
-        // the target); it must come back as InvalidConfig, not something
-        // silent. n = 2 is the smallest runnable overlay.
+        // n < 2 has no link targets; it must come back as InvalidConfig,
+        // not something silent. n = 2 is the smallest runnable overlay.
         for n in [0usize, 1] {
             let mut ov = Overlay::new(RandomBuilder, FaultModel::StabilizedRing, 31);
             match ov.grow_to(n, &UniformKeys, &ConstantDegrees::new(4)) {
@@ -357,9 +353,7 @@ mod tests {
             &ConstantDegrees::new(6),
             GrowthConfig {
                 target_size: 120,
-                seed_size: 4,
                 checkpoints: vec![40, 80, 120],
-                rewire_at_checkpoints: true,
             },
             |net, cp| {
                 sizes.push((cp.size, net.live_count()));

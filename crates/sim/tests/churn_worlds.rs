@@ -8,8 +8,8 @@ use oscar_keydist::{QueryWorkload, UniformKeys};
 use oscar_protocol::{Command, FaultPlan, PeerConfig, ProtocolDriver, ProtocolEvent};
 use oscar_sim::{
     machine_repair_policy, run_churn, run_machine_churn, ChurnSchedule, ChurnWindowStats,
-    DesDriver, FaultModel, GrowthConfig, GrowthDriver, LinkError, MachineChurnConfig, MachineWorld,
-    Network, OracleWorld, OverlayBuilder, PeerIdx, QueryBudget, RepairPolicy,
+    DesDriver, FaultModel, GrowthConfig, LinkError, MachineChurnConfig, MachineWorld, Network,
+    OracleWorld, OverlayBuilder, PeerIdx, QueryBudget, RepairPolicy,
 };
 use oscar_types::{Id, Result, SeedTree};
 use rand::rngs::SmallRng;
@@ -60,12 +60,10 @@ impl OverlayBuilder for RandomBuilder {
 fn on_the_oracle(schedule: &ChurnSchedule, windows: usize, seed: u64) -> Vec<ChurnWindowStats> {
     let degrees = ConstantDegrees::new(8);
     let mut net = Network::new(FaultModel::StabilizedRing);
-    GrowthDriver::new(GrowthConfig {
+    GrowthConfig {
         target_size: 300,
-        seed_size: 4,
         checkpoints: vec![],
-        rewire_at_checkpoints: false,
-    })
+    }
     .run(
         &mut net,
         &RandomBuilder,

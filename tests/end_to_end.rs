@@ -16,9 +16,7 @@ fn oscar_paper_protocol_small_scale() {
             &ConstantDegrees::paper(),
             GrowthConfig {
                 target_size: 500,
-                seed_size: 8,
                 checkpoints: vec![100, 200, 300, 400, 500],
-                rewire_at_checkpoints: true,
             },
             |net, cp| {
                 net.check_invariants().unwrap();
