@@ -34,9 +34,8 @@ fn grow_with(config: OscarConfig, scale: &Scale, label: &str) -> GrowthRunResult
     .expect("growth run")
 }
 
-fn a1_power_of_two(scale: &Scale) -> std::io::Result<()> {
+fn a1_power_of_two(scale: &Scale, with: &GrowthRunResult) -> std::io::Result<()> {
     eprintln!("[A1] power-of-two choices on/off...");
-    let with = grow_with(OscarConfig::default(), scale, "po2 on");
     let without = grow_with(
         OscarConfig::default().without_power_of_two(),
         scale,
@@ -62,16 +61,18 @@ fn a1_power_of_two(scale: &Scale) -> std::io::Result<()> {
     Ok(())
 }
 
-fn a2_sample_size(scale: &Scale) -> std::io::Result<()> {
+fn a2_sample_size(scale: &Scale, base: &GrowthRunResult) -> std::io::Result<()> {
     eprintln!("[A2] median sample size sweep...");
     let mut cost = Series::new("final mean search cost");
     let mut walks = Series::new("walk steps per peer (x1000)");
+    let default_size = OscarConfig::default().median_sample_size;
     for s in [4usize, 8, 12, 24, 48] {
         let cfg = OscarConfig {
             median_sample_size: s,
             ..OscarConfig::default()
         };
-        let run = grow_with(cfg, scale, "sweep");
+        let grown = (s != default_size).then(|| grow_with(cfg, scale, "sweep"));
+        let run = grown.as_ref().unwrap_or(base);
         cost.push(s as f64, run.final_cost());
         let steps = run.network.metrics.get(oscar_sim::MsgKind::WalkStep) as f64
             / run.network.len() as f64
@@ -93,9 +94,8 @@ fn a2_sample_size(scale: &Scale) -> std::io::Result<()> {
 /// spends fewer walk steps by placing links worse shows here as hops.
 const A3_MAX_COST_RATIO: f64 = 1.08;
 
-fn a3_oracle_medians(scale: &Scale) -> RunResult {
+fn a3_oracle_medians(scale: &Scale, sampled: &GrowthRunResult) -> RunResult {
     eprintln!("[A3] sampled vs oracle medians...");
-    let sampled = grow_with(OscarConfig::default(), scale, "sampled");
     let oracle = grow_with(
         OscarConfig::default().with_oracle_medians(),
         scale,
@@ -126,9 +126,8 @@ fn a3_oracle_medians(scale: &Scale) -> RunResult {
     Ok(())
 }
 
-fn a4_ring_stabilization(scale: &Scale) -> std::io::Result<()> {
+fn a4_ring_stabilization(scale: &Scale, base: &GrowthRunResult) -> std::io::Result<()> {
     eprintln!("[A4] ring stabilisation under 33% crashes...");
-    let base = grow_with(OscarConfig::default(), scale, "base");
     let mut crashed = base.network.clone();
     let mut rng = SeedTree::new(scale.seed).child(0xC4A5).rng();
     kill_fraction(&mut crashed, 0.33, &mut rng).expect("churn");
@@ -173,9 +172,8 @@ fn a4_ring_stabilization(scale: &Scale) -> std::io::Result<()> {
     Ok(())
 }
 
-fn a5_skewed_access(scale: &Scale) -> std::io::Result<()> {
+fn a5_skewed_access(scale: &Scale, base: &GrowthRunResult) -> std::io::Result<()> {
     eprintln!("[A5] skewed access load...");
-    let base = grow_with(OscarConfig::default(), scale, "base");
     let mut net = base.network.clone();
     let mut report = Report::new("A5: skewed (Zipf) access load", "zipf exponent");
     let mut cost = Series::new("mean search cost");
@@ -219,10 +217,14 @@ pub fn run(scale: &Scale) -> RunResult {
         "running ablations at scale {} (step {}, seed {})",
         scale.target, scale.step, scale.seed
     );
-    a1_power_of_two(&scale)?;
-    a2_sample_size(&scale)?;
-    a3_oracle_medians(&scale)?;
-    a4_ring_stabilization(&scale)?;
-    a5_skewed_access(&scale)?;
+    // A1's "on", A2's default sample size, A3's "sampled" and A4/A5's
+    // base are one overlay: grow it once. Each reader clones its network
+    // before querying it.
+    let base = grow_with(OscarConfig::default(), &scale, "default");
+    a1_power_of_two(&scale, &base)?;
+    a2_sample_size(&scale, &base)?;
+    a3_oracle_medians(&scale, &base)?;
+    a4_ring_stabilization(&scale, &base)?;
+    a5_skewed_access(&scale, &base)?;
     Ok(())
 }

@@ -17,9 +17,11 @@
 use crate::json::Object;
 use crate::registry::{gate_machine_faults, RunResult};
 use crate::scale::Scale;
-use oscar_protocol::{Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent};
+use oscar_protocol::{
+    Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent, QueryReport,
+};
 use oscar_runtime::{Runtime, RuntimeConfig};
-use oscar_sim::DesDriver;
+use oscar_sim::{DesDriver, QueryBatchStats};
 use oscar_types::labels::bench_storm::{LBL_IDS, LBL_KEYS};
 use oscar_types::{Id, SeedTree};
 use rand::Rng;
@@ -94,34 +96,23 @@ const STEADY_MAX_LOSS: u32 = 5;
 /// Extra-delay ceilings (virtual ticks) swept on the DES.
 const JITTERS: [u64; 2] = [0, 3];
 
-/// Query-phase metrics distilled from a drained event stream.
+/// Query-phase events distilled from a drained event stream.
 struct StormOutcome {
-    succeeded: usize,
-    completed: usize,
     retried: usize,
     gave_up: usize,
-    /// `hops + wasted` of each successful query, the total message cost.
-    costs: Vec<u64>,
+    reports: Vec<QueryReport>,
 }
 
 impl StormOutcome {
-    fn of(events: &[ProtocolEvent]) -> Self {
+    fn of(events: Vec<ProtocolEvent>) -> Self {
         let mut out = StormOutcome {
-            succeeded: 0,
-            completed: 0,
             retried: 0,
             gave_up: 0,
-            costs: Vec::new(),
+            reports: Vec::new(),
         };
         for ev in events {
             match ev {
-                ProtocolEvent::QueryCompleted(r) => {
-                    out.completed += 1;
-                    if r.success {
-                        out.succeeded += 1;
-                        out.costs.push(r.hops as u64 + r.wasted as u64);
-                    }
-                }
+                ProtocolEvent::QueryCompleted(r) => out.reports.push(r),
                 ProtocolEvent::Retried {
                     op: OpKind::Query, ..
                 } => out.retried += 1,
@@ -133,16 +124,6 @@ impl StormOutcome {
         }
         out
     }
-}
-
-/// Nearest-rank p95 over the successful-query costs.
-fn p95(costs: &mut [u64]) -> u64 {
-    if costs.is_empty() {
-        return 0;
-    }
-    costs.sort_unstable();
-    let rank = (costs.len() as f64 * 0.95).ceil() as usize;
-    costs[rank.saturating_sub(1).min(costs.len() - 1)]
 }
 
 /// Protocol tunables for the sweep: a much deeper retry budget than the
@@ -213,18 +194,24 @@ fn run_cell<D: ProtocolDriver>(
     let total = inject_storm(&mut driver, ids, per_peer, seed);
     let round0 = driver.round();
     let timer_rounds = driver.settle(SETTLE_ROUNDS);
-    let mut outcome = StormOutcome::of(&driver.drain_events());
+    let outcome = StormOutcome::of(driver.drain_events());
     assert_eq!(
-        outcome.completed, total,
+        outcome.reports.len(),
+        total,
         "{name} loss={loss_pct}% jitter={jitter}: every query must terminate exactly once"
     );
+    let outcomes = outcome
+        .reports
+        .iter()
+        .map(|r| (r.success, r.hops, r.wasted));
+    let queries = QueryBatchStats::of(total, outcomes);
     FaultCell {
         driver: name,
         loss_pct,
         jitter,
-        delivery_pct: outcome.succeeded as f64 / total as f64 * 100.0,
+        delivery_pct: queries.success_rate * 100.0,
         retries_per_query: outcome.retried as f64 / total as f64,
-        p95_cost: p95(&mut outcome.costs),
+        p95_cost: queries.p95_cost as u64,
         gave_up: outcome.gave_up,
         rounds: if name == "des" {
             driver.round() - round0

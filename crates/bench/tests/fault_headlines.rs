@@ -18,6 +18,9 @@ fn des_headlines_are_pinned_at_n300_seed42() {
     assert_eq!((worst.driver, worst.loss_pct, worst.jitter), ("des", 10, 3));
     assert_eq!(worst.delivery_pct, 599.0 / queries as f64 * 100.0);
     assert_eq!(worst.gave_up, 1);
+    // Nearest-rank p95 of delivered cost, jitter 0 then 3, loss 0/2/5/10.
+    let p95: Vec<u64> = sweep.cells[..8].iter().map(|c| c.p95_cost).collect();
+    assert_eq!(p95, [9, 8, 8, 8, 9, 8, 8, 8]);
     assert_eq!(
         sweep.faults(),
         0,

@@ -159,7 +159,7 @@ fn scenario_suite_artifacts_identical_across_thread_counts() {
         .collect();
     assert_eq!(
         fnv1a(&rendered),
-        11_015_439_042_151_067_417,
+        9_967_012_969_076_032_008,
         "scenario artifact digest moved"
     );
 }

@@ -45,18 +45,19 @@
 //! therefore routes at a higher cost here than on the oracle world.
 //!
 //! Determinism: every draw comes from a labelled child of the run seed
-//! (scope `sim_churn_engine`), walks and queries carry token RNGs, and
-//! query reports are aggregated in qid order — so a DES run and a
-//! threaded-runtime run at the same seed produce the same windows.
+//! (scope `sim_churn_engine`), walks and queries carry token RNGs, and a
+//! window's statistics do not depend on the order its query reports
+//! drain in — so a DES run and a threaded-runtime run at the same seed
+//! produce the same windows.
 
 use crate::churn_engine::{
     resolve_arc, resolve_join_count, run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld,
     Maintenance, Measured, RepairPolicy, Shock, ShockReport, Span, VictimPick,
 };
 use crate::growth::fresh_id;
-use crate::routing::BatchAccumulator;
+use crate::routing::QueryBatchStats;
 use oscar_keydist::{KeyDistribution, QueryWorkload};
-use oscar_protocol::{Command, ProtocolDriver, ProtocolEvent, QueryReport};
+use oscar_protocol::{Command, ProtocolDriver, ProtocolEvent};
 use oscar_types::labels::sim_churn_engine::LBL_BOOT;
 use oscar_types::labels::sim_churn_shock::LBL_BURST;
 use oscar_types::{Error, Id, Result, SeedTree};
@@ -335,25 +336,18 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
             self.driver.inject(src, Command::StartQuery { qid, key });
         }
         self.settle("a window's query batch")?;
-        let mut reports: Vec<QueryReport> = Vec::new();
+        let mut outcomes = Vec::with_capacity(issued);
         for e in self.driver.drain_events() {
             match e {
-                ProtocolEvent::QueryCompleted(r) => reports.push(r),
+                ProtocolEvent::QueryCompleted(r) => outcomes.push((r.success, r.hops, r.wasted)),
                 ProtocolEvent::RepairFired { .. } => self.books.repairs += 1,
                 _ => {}
             }
         }
-        // The P² estimators are observation-order sensitive; qid order is
-        // the one ordering every driver agrees on.
-        reports.sort_by_key(|r| r.qid);
-        let mut acc = BatchAccumulator::new();
-        for r in &reports {
-            acc.observe(r.success, r.hops, r.wasted);
-        }
         Ok(Measured {
             live: live.len(),
             upkeep,
-            queries: acc.finish(issued),
+            queries: QueryBatchStats::of(issued, outcomes),
         })
     }
 

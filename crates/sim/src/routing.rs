@@ -17,7 +17,7 @@ use crate::network::Network;
 use crate::peer::PeerIdx;
 use oscar_keydist::QueryWorkload;
 use oscar_protocol::logic;
-use oscar_types::{Id, P2Quantile};
+use oscar_types::Id;
 use rand::rngs::SmallRng;
 use std::collections::HashSet;
 
@@ -205,12 +205,60 @@ pub struct QueryBatchStats {
     pub se_cost: f64,
     /// Maximum observed cost among successful queries.
     pub max_cost: u32,
-    /// Median cost, successful queries only: exact nearest-rank for
-    /// batches of ≤ 5 successes, streaming P² estimate beyond
-    /// ([`P2Quantile`]) — the batch is never buffered or sorted.
+    /// Median cost, successful queries only: the nearest-rank value, the
+    /// ⌈m/2⌉-th smallest of the m delivered costs.
     pub p50_cost: f64,
-    /// 95th-percentile cost, successful queries only (same estimator).
+    /// 95th-percentile cost, successful queries only: the ⌈0.95·m⌉-th
+    /// smallest delivered cost.
     pub p95_cost: f64,
+}
+
+impl QueryBatchStats {
+    /// The statistics of a batch of `issued` queries, from the
+    /// `(delivered, hops, wasted)` of each query that finished: wasted
+    /// traffic over all `issued` (a query that never reported counts as
+    /// failed with no observed waste), cost over the delivered ones. It
+    /// keeps each delivered cost (4 bytes a query) and sorts them once, so
+    /// every statistic is exact and independent of the order `outcomes`
+    /// arrive in. The oracle batch runner, the machine fleet and the fault
+    /// sweep all summarise their batches here.
+    pub fn of(issued: usize, outcomes: impl IntoIterator<Item = (bool, u32, u32)>) -> Self {
+        let mut costs: Vec<u32> = Vec::new();
+        let (mut hops_sum, mut wasted_sum) = (0u64, 0u64);
+        for (delivered, hops, wasted) in outcomes {
+            // Waste is traffic whether or not the query delivered.
+            wasted_sum += wasted as u64;
+            if delivered {
+                hops_sum += hops as u64;
+                costs.push(hops + wasted);
+            }
+        }
+        costs.sort_unstable();
+        let mut stats = QueryBatchStats {
+            queries: issued,
+            success_rate: costs.len() as f64 / issued.max(1) as f64,
+            mean_wasted: wasted_sum as f64 / issued.max(1) as f64,
+            ..Default::default()
+        };
+        let Some(&max_cost) = costs.last() else {
+            return stats;
+        };
+        // Integer sums: exact in f64, whatever the fold order.
+        let sum = costs.iter().map(|&c| c as u64).sum::<u64>() as f64;
+        let sumsq = costs.iter().map(|&c| c as u64 * c as u64).sum::<u64>() as f64;
+        let m = costs.len() as f64;
+        let nearest_rank = |p: f64| costs[(m * p).ceil() as usize - 1] as f64;
+        stats.mean_cost = sum / m;
+        stats.mean_hops = hops_sum as f64 / m;
+        stats.max_cost = max_cost;
+        stats.p50_cost = nearest_rank(0.50);
+        stats.p95_cost = nearest_rank(0.95);
+        if costs.len() > 1 {
+            let var = ((sumsq - sum * sum / m) / (m - 1.0)).max(0.0);
+            stats.se_cost = (var / m).sqrt();
+        }
+        stats
+    }
 }
 
 /// Issues `n` queries from uniformly random live sources with targets
@@ -247,83 +295,6 @@ pub fn run_query_batch_observed(
     stats
 }
 
-/// Streaming aggregate of one query batch: O(1) state regardless of
-/// batch size, which is what lets a million-peer window afford its
-/// measurement batch. The oracle batch runner and the machine fleet's
-/// report aggregation both fold their queries through this, so the two
-/// worlds' [`QueryBatchStats`] are computed by the same arithmetic.
-pub(crate) struct BatchAccumulator {
-    p50: P2Quantile,
-    p95: P2Quantile,
-    cost_sum: f64,
-    cost_sumsq: f64,
-    max_cost: u32,
-    hops_sum: u64,
-    wasted_sum: u64,
-    successes: usize,
-}
-
-impl BatchAccumulator {
-    pub(crate) fn new() -> Self {
-        BatchAccumulator {
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            cost_sum: 0.0,
-            cost_sumsq: 0.0,
-            max_cost: 0,
-            hops_sum: 0,
-            wasted_sum: 0,
-            successes: 0,
-        }
-    }
-
-    /// Folds one finished query in. The P² estimators are
-    /// observation-order sensitive: callers feed queries in an order every
-    /// run of theirs agrees on.
-    #[inline]
-    pub(crate) fn observe(&mut self, success: bool, hops: u32, wasted: u32) {
-        // Waste is traffic whether or not the query delivered.
-        self.wasted_sum += wasted as u64;
-        if success {
-            self.successes += 1;
-            let c = hops + wasted;
-            let cf = c as f64;
-            self.cost_sum += cf;
-            self.cost_sumsq += cf * cf;
-            self.max_cost = self.max_cost.max(c);
-            self.p50.observe(cf);
-            self.p95.observe(cf);
-            self.hops_sum += hops as u64;
-        }
-    }
-
-    /// The batch's statistics over `issued` queries: wasted traffic over
-    /// all of them (a query that never reported counts as failed with no
-    /// observed waste), cost statistics over the successful ones.
-    pub(crate) fn finish(self, issued: usize) -> QueryBatchStats {
-        let mut stats = QueryBatchStats {
-            queries: issued,
-            ..Default::default()
-        };
-        stats.success_rate = self.successes as f64 / issued.max(1) as f64;
-        stats.mean_wasted = self.wasted_sum as f64 / issued.max(1) as f64;
-        if self.successes > 0 {
-            let m = self.successes as f64;
-            stats.mean_cost = self.cost_sum / m;
-            stats.mean_hops = self.hops_sum as f64 / m;
-            stats.max_cost = self.max_cost;
-            stats.p50_cost = self.p50.value();
-            stats.p95_cost = self.p95.value();
-            if self.successes > 1 {
-                let var =
-                    ((self.cost_sumsq - self.cost_sum * self.cost_sum / m) / (m - 1.0)).max(0.0);
-                stats.se_cost = (var / m).sqrt();
-            }
-        }
-        stats
-    }
-}
-
 fn run_batch_observed(
     net: &mut Network,
     workload: &QueryWorkload,
@@ -332,21 +303,19 @@ fn run_batch_observed(
     rng: &mut SmallRng,
     mut probers: Option<&mut Vec<PeerIdx>>,
 ) -> QueryBatchStats {
-    let mut acc = BatchAccumulator::new();
-    let mut issued = 0usize;
+    let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         let Some(src) = net.random_live_peer(rng) else {
             break;
         };
-        issued += 1;
         let rank = workload.draw(net.live_count(), rng);
         let key = net.peer(net.live_peer_by_rank(rank)).id;
         let outcome = route_observed(net, src, key, policy, probers.as_deref_mut());
         net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
         net.metrics.add(MsgKind::QueryWasted, outcome.wasted as u64);
-        acc.observe(outcome.success, outcome.hops, outcome.wasted);
+        outcomes.push((outcome.success, outcome.hops, outcome.wasted));
     }
-    acc.finish(issued)
+    QueryBatchStats::of(outcomes.len(), outcomes)
 }
 
 #[cfg(test)]
@@ -795,28 +764,30 @@ mod tests {
     }
 
     #[test]
-    fn streaming_percentiles_keep_small_batches_exact() {
-        // The P² estimators behind p50/p95 are exact nearest-rank for up
-        // to five observations: len 4 p50 is the lower median (rank
-        // ⌈0.5·4⌉ = 2), matching the sorted-buffer behaviour they
-        // replaced.
-        let feed = |p: f64, xs: &[u32]| {
-            let mut est = P2Quantile::new(p);
-            for &x in xs {
-                est.observe(x as f64);
-            }
-            est.value()
+    fn batch_stats_are_exact_and_order_free() {
+        // Costs 1..=20, each followed by a failed query that wasted 2:
+        // p50 is the ⌈0.5·20⌉ = 10th smallest, p95 the 19th.
+        let batch = |costs: &[u32]| {
+            let outcomes = costs.iter().flat_map(|&c| [(true, c, 0), (false, 0, 2)]);
+            QueryBatchStats::of(2 * costs.len(), outcomes)
         };
-        assert_eq!(feed(0.50, &[4, 2, 1, 3]), 2.0);
-        assert_eq!(feed(0.50, &[5, 1, 4, 2, 3]), 3.0);
-        // singletons: every percentile is the one sample
-        assert_eq!(feed(0.50, &[7]), 7.0);
-        assert_eq!(feed(0.95, &[7]), 7.0);
-        // Beyond the bootstrap the estimate is approximate but stays
-        // inside the observed range.
-        let v: Vec<u32> = (1..=20).collect();
-        let p95 = feed(0.95, &v);
-        assert!((1.0..=20.0).contains(&p95), "p95 {p95} escaped the sample");
+        let ascending: Vec<u32> = (1..=20).collect();
+        let stats = batch(&ascending);
+        assert_eq!(
+            (stats.p50_cost, stats.p95_cost, stats.max_cost),
+            (10.0, 19.0, 20)
+        );
+        assert_eq!(stats.mean_cost, 10.5);
+        assert_eq!(stats.success_rate, 0.5);
+        assert_eq!(stats.mean_wasted, 1.0);
+        let scrambled = [
+            7, 19, 2, 13, 20, 5, 11, 1, 16, 9, 4, 18, 14, 3, 10, 17, 6, 12, 15, 8,
+        ];
+        assert_eq!(batch(&scrambled), stats, "fold order leaked into the stats");
+        // A single delivered query is every percentile, with no spread.
+        let one = batch(&[7]);
+        assert_eq!((one.p50_cost, one.p95_cost, one.max_cost), (7.0, 7.0, 7));
+        assert_eq!(one.se_cost, 0.0);
     }
 
     #[test]

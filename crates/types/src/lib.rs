@@ -33,13 +33,11 @@ pub mod arc;
 pub mod error;
 pub mod id;
 pub mod labels;
-pub mod quantile;
 pub mod seed;
 
 pub use arc::Arc;
 pub use error::{Error, Result};
 pub use id::Id;
-pub use quantile::P2Quantile;
 pub use seed::{mix64, SeedTree};
 
 /// Number of distinct positions on the identifier ring (`2^64`), as `u128`.

@@ -97,7 +97,7 @@ fn sim_churned_routing_digest_is_pinned() {
 /// detection and repair on the DES, the machinery behind
 /// `oscar-repro churn-machine`. The digest folds every window's books
 /// and every survivor's link tables, so a drift in the churn engine's
-/// seed streams, the repair path, or the P² aggregation fails here.
+/// seed streams, the repair path, or the batch aggregation fails here.
 #[test]
 fn machine_churn_digest_is_pinned() {
     use oscar::keydist::UniformKeys;
