@@ -393,10 +393,9 @@ pub struct PhaseCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscar_core::{OscarBuilder, OscarConfig};
+    use oscar_core::{MercuryBuilder, OscarBuilder, OscarConfig};
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::GnutellaKeys;
-    use oscar_mercury::MercuryBuilder;
     use oscar_sim::RepairPolicy;
 
     #[test]

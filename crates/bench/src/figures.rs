@@ -11,11 +11,9 @@ use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::Scale;
 use crate::series::Series;
-use oscar_chord::ChordBuilder;
-use oscar_core::{OscarBuilder, OscarConfig};
+use oscar_core::{ChordBuilder, MercuryBuilder, OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees, SteppedDegrees};
 use oscar_keydist::GnutellaKeys;
-use oscar_mercury::MercuryBuilder;
 use oscar_sim::{ChurnSchedule, RepairPolicy};
 use oscar_types::labels::bench_experiments::{LBL_PHASE, LBL_STEADY};
 use oscar_types::{Result, SeedTree};

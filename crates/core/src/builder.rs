@@ -32,10 +32,6 @@ impl OscarBuilder {
 }
 
 impl OverlayBuilder for OscarBuilder {
-    fn name(&self) -> &str {
-        "oscar"
-    }
-
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
         if wire_directly(net, p) {
             return Ok(());
@@ -49,11 +45,16 @@ impl OverlayBuilder for OscarBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::new_overlay;
     use oscar_degree::{ConstantDegrees, SpikyDegrees, SteppedDegrees};
     use oscar_keydist::{GnutellaKeys, QueryWorkload, UniformKeys};
-    use oscar_sim::FaultModel;
+    use oscar_sim::{FaultModel, Overlay};
     use oscar_types::SeedTree;
+
+    /// A default-configured Oscar overlay on the stabilised ring.
+    fn overlay(seed: u64) -> Overlay<OscarBuilder> {
+        let builder = OscarBuilder::new(OscarConfig::default());
+        Overlay::new(builder, FaultModel::StabilizedRing, seed)
+    }
 
     #[test]
     #[should_panic(expected = "invalid OscarConfig")]
@@ -66,13 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_reports_name() {
-        assert_eq!(OscarBuilder::new(OscarConfig::default()).name(), "oscar");
-    }
-
-    #[test]
     fn tiny_networks_are_wired_directly() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 1);
+        let mut ov = overlay(1);
         ov.grow_to(4, &UniformKeys, &ConstantDegrees::new(8))
             .unwrap();
         // each of the 4 peers links to the 3 others
@@ -83,7 +79,7 @@ mod tests {
 
     #[test]
     fn oscar_overlay_routes_efficiently_uniform() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 2);
+        let mut ov = overlay(2);
         ov.grow_to(500, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
@@ -94,7 +90,7 @@ mod tests {
 
     #[test]
     fn oscar_overlay_routes_efficiently_gnutella_keys() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 3);
+        let mut ov = overlay(3);
         ov.grow_to(500, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
@@ -108,7 +104,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_degrees_respect_budgets() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 4);
+        let mut ov = overlay(4);
         ov.grow_to(400, &GnutellaKeys::default(), &SpikyDegrees::paper())
             .unwrap();
         for p in ov.network().all_peers() {
@@ -125,7 +121,7 @@ mod tests {
 
     #[test]
     fn stepped_degrees_work_too() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 5);
+        let mut ov = overlay(5);
         ov.grow_to(300, &GnutellaKeys::default(), &SteppedDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 300);
@@ -135,7 +131,7 @@ mod tests {
 
     #[test]
     fn overlay_survives_churn() {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 6);
+        let mut ov = overlay(6);
         ov.grow_to(400, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let baseline = ov.run_queries(&QueryWorkload::UniformPeers, 300);
@@ -156,7 +152,7 @@ mod tests {
         // Callers that put a span around each half (the benchmark's traced
         // run) must build the very overlay `build_links` builds.
         let cfg = OscarConfig::default();
-        let mut ov = new_overlay(cfg, FaultModel::StabilizedRing, 8);
+        let mut ov = overlay(8);
         ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let builder = OscarBuilder::new(cfg);
@@ -183,7 +179,7 @@ mod tests {
     #[test]
     fn deterministic_end_to_end() {
         let run = || {
-            let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 7);
+            let mut ov = overlay(7);
             ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
                 .unwrap();
             ov.run_queries(&QueryWorkload::UniformPeers, 200).mean_cost

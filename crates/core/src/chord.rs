@@ -1,4 +1,24 @@
-//! Chord finger construction.
+//! The Chord finger-table baseline.
+//!
+//! Chord places long links ("fingers") at exponentially growing **key
+//! space** distances: finger `i` of node `n` is the owner of
+//! `n + 2^i`. That metric is blind to where peers actually are: under a
+//! skewed identifier distribution most fingers land in deserts and
+//! collapse onto the handful of peers owning them, so
+//!
+//! * the *effective* out-degree shrinks (duplicate fingers are useless),
+//! * desert-owners absorb enormous in-degree (and, with budgets, refuse —
+//!   losing fingers outright), and
+//! * greedy routing loses its halving guarantee in *population* distance.
+//!
+//! This is exactly the failure Oscar's population-median partitions fix,
+//! which makes Chord the clean "skew-oblivious" control for the
+//! comparison benches. With uniform keys the two coincide in spirit and
+//! Chord performs fine — the gap opens exactly when the key space skews.
+//!
+//! The implementation reuses the whole simulator substrate: fingers are
+//! discovered by actual greedy routing (construction hops are counted)
+//! and in-degree budgets are enforced by refusal like everywhere else.
 
 use oscar_sim::{
     route_to_owner, wire_directly, LinkError, MsgKind, Network, OverlayBuilder, PeerIdx,
@@ -25,10 +45,6 @@ impl ChordBuilder {
 }
 
 impl OverlayBuilder for ChordBuilder {
-    fn name(&self) -> &str {
-        "chord-fingers"
-    }
-
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
         let _ = rng; // Chord's construction is deterministic
         if wire_directly(net, p) {
@@ -65,21 +81,15 @@ impl OverlayBuilder for ChordBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::new_overlay;
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::{GnutellaKeys, QueryWorkload, UniformKeys};
-    use oscar_sim::FaultModel;
-
-    #[test]
-    fn builder_reports_name() {
-        assert_eq!(ChordBuilder::new().name(), "chord-fingers");
-    }
+    use oscar_sim::{FaultModel, Overlay};
 
     #[test]
     fn chord_routes_well_on_uniform_keys() {
         // Home turf: uniform keys make key-space spans proportional to
         // population spans, so fingers work as designed.
-        let mut ov = new_overlay(FaultModel::StabilizedRing, 1);
+        let mut ov = Overlay::new(ChordBuilder::new(), FaultModel::StabilizedRing, 1);
         ov.grow_to(500, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
@@ -94,7 +104,7 @@ mod tests {
     #[test]
     fn fingers_collapse_under_skew() {
         // The skew signature: far fewer distinct fingers than probes.
-        let mut ov = new_overlay(FaultModel::StabilizedRing, 2);
+        let mut ov = Overlay::new(ChordBuilder::new(), FaultModel::StabilizedRing, 2);
         ov.grow_to(500, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let net = ov.network();
@@ -113,7 +123,7 @@ mod tests {
     #[test]
     fn skew_degrades_chord_routing() {
         let cost = |keys: &dyn oscar_keydist::KeyDistribution, seed| {
-            let mut ov = new_overlay(FaultModel::StabilizedRing, seed);
+            let mut ov = Overlay::new(ChordBuilder::new(), FaultModel::StabilizedRing, seed);
             ov.grow_to(600, keys, &ConstantDegrees::paper()).unwrap();
             let stats = ov.run_queries(&QueryWorkload::UniformPeers, 600);
             assert_eq!(stats.success_rate, 1.0, "ring still guarantees delivery");
@@ -131,7 +141,7 @@ mod tests {
 
     #[test]
     fn budgets_respected() {
-        let mut ov = new_overlay(FaultModel::StabilizedRing, 4);
+        let mut ov = Overlay::new(ChordBuilder::new(), FaultModel::StabilizedRing, 4);
         ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         for p in ov.network().all_peers() {
@@ -144,7 +154,7 @@ mod tests {
     #[test]
     fn deterministic_construction() {
         let run = || {
-            let mut ov = new_overlay(FaultModel::StabilizedRing, 5);
+            let mut ov = Overlay::new(ChordBuilder::new(), FaultModel::StabilizedRing, 5);
             ov.grow_to(200, &GnutellaKeys::default(), &ConstantDegrees::paper())
                 .unwrap();
             ov.run_queries(&QueryWorkload::UniformPeers, 200).mean_cost

@@ -1,4 +1,4 @@
-//! # oscar-core — the Oscar overlay construction
+//! # oscar-core — the Oscar overlay construction and its two baselines
 //!
 //! The paper's contribution: a small-world, range-queriable overlay that
 //! tolerates arbitrary key distributions *and* heterogeneous per-peer link
@@ -23,8 +23,10 @@
 //!    Oscar changes where the links go, not how queries travel.
 //!
 //! [`OscarBuilder`] packages the construction as an
-//! [`oscar_sim::OverlayBuilder`]; [`OscarOverlay`] is the ready-to-use
-//! facade.
+//! [`oscar_sim::OverlayBuilder`]. The paper's comparison overlays are the
+//! two other builders: [`MercuryBuilder`] ([`mercury`], the baseline of
+//! E3/E7) and [`ChordBuilder`] ([`chord`], the skew-oblivious control).
+//! [`oscar_sim::Overlay::new`] turns any of the three into an overlay.
 
 // The determinism rules in force in this crate's library code; `clippy.toml`
 // lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
@@ -39,38 +41,18 @@
 )]
 
 pub mod builder;
+pub mod chord;
 pub mod config;
 pub mod links;
+pub mod mercury;
 pub mod partitions;
 pub mod range;
 pub mod theory;
 
 pub use builder::OscarBuilder;
+pub use chord::ChordBuilder;
 pub use config::{MedianSource, OscarConfig};
 pub use links::LinkStats;
+pub use mercury::MercuryBuilder;
 pub use partitions::{estimate_partitions, Partitions};
 pub use range::{range_scan, RangeScanOutcome};
-
-use oscar_sim::{FaultModel, Overlay};
-
-/// The Oscar overlay: the generic facade specialised to Oscar's builder.
-pub type OscarOverlay = Overlay<OscarBuilder>;
-
-/// Creates a new (empty) Oscar overlay.
-///
-/// ```
-/// use oscar_core::{new_overlay, OscarConfig};
-/// use oscar_sim::FaultModel;
-/// use oscar_keydist::UniformKeys;
-/// use oscar_degree::ConstantDegrees;
-/// use oscar_keydist::QueryWorkload;
-///
-/// let mut overlay = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 42);
-/// overlay.grow_to(300, &UniformKeys, &ConstantDegrees::paper()).unwrap();
-/// let stats = overlay.run_queries(&QueryWorkload::UniformPeers, 200);
-/// assert_eq!(stats.success_rate, 1.0);
-/// assert!(stats.mean_cost < 20.0);
-/// ```
-pub fn new_overlay(config: OscarConfig, fault_model: FaultModel, seed: u64) -> OscarOverlay {
-    Overlay::new(OscarBuilder::new(config), fault_model, seed)
-}

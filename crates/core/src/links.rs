@@ -313,7 +313,8 @@ mod tests {
         // digest is the one this overlay had before pools existed
         // (ablation A3's oracle column rests on it).
         let cfg = OscarConfig::default().with_oracle_medians();
-        let mut ov = crate::new_overlay(cfg, FaultModel::StabilizedRing, 42);
+        let builder = crate::OscarBuilder::new(cfg);
+        let mut ov = oscar_sim::Overlay::new(builder, FaultModel::StabilizedRing, 42);
         let degrees = oscar_degree::ConstantDegrees::paper();
         ov.grow_to(150, &oscar_keydist::GnutellaKeys::default(), &degrees)
             .unwrap();

@@ -86,14 +86,15 @@ pub fn range_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{new_overlay, OscarConfig};
+    use crate::{OscarBuilder, OscarConfig};
     use oscar_degree::ConstantDegrees;
     use oscar_keydist::UniformKeys;
-    use oscar_sim::FaultModel;
+    use oscar_sim::{FaultModel, Overlay};
     use oscar_types::SeedTree;
 
-    fn grown(n: usize, seed: u64) -> crate::OscarOverlay {
-        let mut ov = new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, seed);
+    fn grown(n: usize, seed: u64) -> Overlay<OscarBuilder> {
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         ov

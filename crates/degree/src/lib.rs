@@ -65,21 +65,6 @@ pub trait DegreeDistribution: Send + Sync {
 
     /// Exact mean of the per-peer degree value.
     fn mean_degree(&self) -> f64;
-
-    /// Short name for experiment reports ("constant", "realistic", …).
-    fn name(&self) -> &str;
-}
-
-impl<T: DegreeDistribution + ?Sized> DegreeDistribution for Box<T> {
-    fn sample(&self, rng: &mut dyn RngCore) -> DegreeCaps {
-        (**self).sample(rng)
-    }
-    fn mean_degree(&self) -> f64 {
-        (**self).mean_degree()
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
 }
 
 /// Every peer gets the same symmetric budget (paper: 27).
@@ -109,10 +94,6 @@ impl DegreeDistribution for ConstantDegrees {
     fn mean_degree(&self) -> f64 {
         self.degree as f64
     }
-
-    fn name(&self) -> &str {
-        "constant"
-    }
 }
 
 /// Uniform over a small set of steps (paper: `{19, 23, 27, 39}`, mean 27).
@@ -136,11 +117,6 @@ impl SteppedDegrees {
     pub fn paper() -> Self {
         SteppedDegrees::new(vec![19, 23, 27, 39])
     }
-
-    /// The steps.
-    pub fn steps(&self) -> &[u32] {
-        &self.steps
-    }
 }
 
 impl DegreeDistribution for SteppedDegrees {
@@ -151,10 +127,6 @@ impl DegreeDistribution for SteppedDegrees {
 
     fn mean_degree(&self) -> f64 {
         self.steps.iter().map(|&s| s as f64).sum::<f64>() / self.steps.len() as f64
-    }
-
-    fn name(&self) -> &str {
-        "stepped"
     }
 }
 
@@ -171,7 +143,6 @@ mod tests {
             assert_eq!(d.sample(&mut rng), DegreeCaps::symmetric(27));
         }
         assert_eq!(d.mean_degree(), 27.0);
-        assert_eq!(d.name(), "constant");
     }
 
     #[test]
@@ -184,7 +155,6 @@ mod tests {
     fn stepped_paper_mean_is_27() {
         let d = SteppedDegrees::paper();
         assert_eq!(d.mean_degree(), 27.0);
-        assert_eq!(d.steps(), &[19, 23, 27, 39]);
     }
 
     #[test]
@@ -195,7 +165,7 @@ mod tests {
         for _ in 0..2_000 {
             let caps = d.sample(&mut rng);
             assert_eq!(caps.rho_in, caps.rho_out, "caps drawn jointly");
-            assert!(d.steps().contains(&caps.rho_in));
+            assert!([19, 23, 27, 39].contains(&caps.rho_in));
             seen.insert(caps.rho_in);
         }
         assert_eq!(seen.len(), 4, "all four steps should appear");
@@ -216,13 +186,5 @@ mod tests {
     #[should_panic(expected = "at least one step")]
     fn empty_steps_panic() {
         SteppedDegrees::new(vec![]);
-    }
-
-    #[test]
-    fn boxed_distribution_dispatches() {
-        let d: Box<dyn DegreeDistribution> = Box::new(ConstantDegrees::paper());
-        assert_eq!(d.mean_degree(), 27.0);
-        let mut rng = SeedTree::new(4).rng();
-        assert_eq!(d.sample(&mut rng).rho_out, 27);
     }
 }

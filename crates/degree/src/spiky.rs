@@ -57,11 +57,6 @@ pub struct SpikyDegrees {
 impl SpikyDegrees {
     /// The paper's distribution: spiky, heavy-tailed, mean 27.
     pub fn paper() -> Self {
-        Self::with_mean(27.0)
-    }
-
-    /// Same shape calibrated to a different mean (ablation support).
-    pub fn with_mean(target_mean: f64) -> Self {
         let mut points: Vec<(u32, f64)> = Vec::new();
         // Bulk: power law, scaled to (1 - SPIKE_MASS) total mass.
         let bulk_norm: f64 = BULK_RANGE
@@ -78,7 +73,7 @@ impl SpikyDegrees {
             points.push((d, SPIKE_MASS * w / spike_total));
         }
         let pmf = DiscretePmf::new(&points)
-            .calibrate_mean(target_mean)
+            .calibrate_mean(27.0)
             .expect("spiky support spans the target mean");
         SpikyDegrees { pmf }
     }
@@ -101,10 +96,6 @@ impl DegreeDistribution for SpikyDegrees {
 
     fn mean_degree(&self) -> f64 {
         self.pmf.mean()
-    }
-
-    fn name(&self) -> &str {
-        "realistic"
     }
 }
 
@@ -172,12 +163,6 @@ mod tests {
             assert_eq!(caps.rho_in, caps.rho_out);
             assert!(caps.rho_in >= 1);
         }
-    }
-
-    #[test]
-    fn with_mean_supports_other_targets() {
-        let d = SpikyDegrees::with_mean(35.0);
-        assert!((d.mean_degree() - 35.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The empirical CDF Mercury builds from its uniform random-walk samples;
-//! `oscar-mercury` uses it to place long links. Its resolution is limited
-//! by the sample size — precisely the weakness the paper exploits.
+//! `oscar_core::mercury` uses it to place long links. Its resolution is
+//! limited by the sample size — precisely the weakness the paper exploits.
 
 use oscar_types::Id;
 
@@ -30,9 +30,9 @@ impl EmpiricalCdf {
         self.points.len()
     }
 
-    /// True if built from a single point.
+    /// Always `false`: construction guarantees at least one point.
     pub fn is_empty(&self) -> bool {
-        false // construction guarantees at least one point
+        false
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`), with linear interpolation between

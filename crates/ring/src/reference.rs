@@ -151,17 +151,6 @@ impl VecRing {
         }
     }
 
-    /// The identifiers inside `arc`, clockwise from `arc.start()`.
-    pub fn ids_in_arc(&self, arc: &Arc) -> Vec<Id> {
-        if arc.is_empty() || self.ids.is_empty() {
-            return Vec::new();
-        }
-        let start_pos = self.ids.partition_point(|&p| p < arc.start());
-        let n = self.ids.len();
-        let count = self.count_in_arc(arc);
-        (0..count).map(|i| self.ids[(start_pos + i) % n]).collect()
-    }
-
     /// Exact lower median of the peers in `arc` by clockwise distance from
     /// `arc.start()`.
     pub fn median_in_arc(&self, arc: &Arc) -> Option<Id> {
@@ -173,17 +162,5 @@ impl VecRing {
         let n = self.ids.len();
         let median_offset = members.div_ceil(2) - 1;
         Some(self.ids[(start_pos + median_offset) % n])
-    }
-
-    /// Iterates peers clockwise starting from the owner of `from`
-    /// (inclusive), visiting every peer exactly once.
-    pub fn iter_clockwise_from(&self, from: Id) -> impl Iterator<Item = Id> + '_ {
-        let n = self.ids.len();
-        let start = if n == 0 {
-            0
-        } else {
-            self.ids.partition_point(|&p| p < from) % n
-        };
-        (0..n).map(move |i| self.ids[(start + i) % n])
     }
 }

@@ -153,20 +153,6 @@ impl Ring {
         }
     }
 
-    /// The identifiers inside `arc`, in clockwise order starting at
-    /// `arc.start()`.
-    pub fn ids_in_arc(&self, arc: &Arc) -> Vec<Id> {
-        if arc.is_empty() || self.is_empty() {
-            return Vec::new();
-        }
-        let start_pos = self.tree.count_lt(arc.start());
-        let n = self.len();
-        let count = self.count_in_arc(arc);
-        (0..count)
-            .map(|i| self.select((start_pos + i) % n))
-            .collect()
-    }
-
     /// Exact median of the peers in `arc`, measured by clockwise distance
     /// from `arc.start()` — the oracle for Oscar's sampled medians.
     ///
@@ -182,19 +168,6 @@ impl Ring {
         let n = self.len();
         let median_offset = members.div_ceil(2) - 1;
         Some(self.select((start_pos + median_offset) % n))
-    }
-
-    /// Iterates peers clockwise starting from the owner of `from`
-    /// (inclusive), visiting every peer exactly once.
-    ///
-    /// An in-order treap walk from mid-tree (ids `>= from`) chained with
-    /// the wrapped prefix (ids `< from`): O(log n) to start, O(n) for a
-    /// full walk — not the O(n log n) a rank-chained `select` would pay.
-    pub fn iter_clockwise_from(&self, from: Id) -> impl Iterator<Item = Id> + '_ {
-        let wrapped = self.tree.count_lt(from);
-        self.tree
-            .iter_from(from)
-            .chain(self.tree.iter().take(wrapped))
     }
 }
 
@@ -308,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_in_arc_clockwise_order() {
-        let r = ring(&[10, 20, 30, 40]);
-        let arc = Arc::between(Id::new(35), Id::new(25));
-        assert_eq!(
-            r.ids_in_arc(&arc),
-            vec![Id::new(40), Id::new(10), Id::new(20)]
-        );
-    }
-
-    #[test]
     fn median_in_arc_oracle() {
         let r = ring(&[10, 20, 30, 40, 50]);
         // arc [5, 55) holds all five; lower median is the 3rd (rank 2): 30
@@ -339,13 +302,6 @@ mod tests {
         // arc starting at 895 wrapping to 25: members 900, 950, 10, 20 -> lower median 950
         let arc = Arc::between(Id::new(895), Id::new(25));
         assert_eq!(r.median_in_arc(&arc), Some(Id::new(950)));
-    }
-
-    #[test]
-    fn iter_clockwise_visits_all_once() {
-        let r = ring(&[10, 20, 30]);
-        let seen: Vec<Id> = r.iter_clockwise_from(Id::new(25)).collect();
-        assert_eq!(seen, vec![Id::new(30), Id::new(10), Id::new(20)]);
     }
 
     #[test]
@@ -447,12 +403,7 @@ mod tests {
                 prop_assert_eq!(treap.select(rank), oracle.select(rank));
             }
             prop_assert_eq!(treap.count_in_arc(arc), oracle.count_in_arc(arc));
-            prop_assert_eq!(treap.ids_in_arc(arc), oracle.ids_in_arc(arc));
             prop_assert_eq!(treap.median_in_arc(arc), oracle.median_in_arc(arc));
-            prop_assert_eq!(
-                treap.iter_clockwise_from(probe).collect::<Vec<_>>(),
-                oracle.iter_clockwise_from(probe).collect::<Vec<_>>()
-            );
             Ok(())
         }
 

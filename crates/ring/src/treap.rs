@@ -283,26 +283,6 @@ impl Treap {
         it.push_left_spine(&self.root);
         it
     }
-
-    /// In-order iterator over the stored ids `>= key`, starting mid-tree:
-    /// O(log n) to position, O(1) amortised per item — no rank-chained
-    /// `select` calls.
-    pub fn iter_from(&self, key: Id) -> TreapIter<'_> {
-        let mut it = TreapIter { stack: Vec::new() };
-        // Descend towards `key`, stacking exactly the nodes whose own id
-        // (and right subtree) are still ahead of the iteration point —
-        // the same invariant `push_left_spine` establishes for rank 0.
-        let mut cur = &self.root;
-        while let Some(node) = cur {
-            if node.id >= key {
-                it.stack.push(node);
-                cur = &node.left;
-            } else {
-                cur = &node.right;
-            }
-        }
-        it
-    }
 }
 
 /// Ascending iterator: an explicit left-spine stack, O(depth) space.
@@ -351,20 +331,6 @@ mod tests {
         assert!(t.remove(Id::new(30)));
         assert!(!t.remove(Id::new(30)));
         assert_eq!(t.iter().collect::<Vec<_>>().len(), 4);
-    }
-
-    #[test]
-    fn iter_from_starts_at_first_ge_key() {
-        let mut t = Treap::new();
-        for x in [50u64, 10, 40, 20, 30] {
-            t.insert(Id::new(x));
-        }
-        let from = |k: u64| t.iter_from(Id::new(k)).map(Id::raw).collect::<Vec<_>>();
-        assert_eq!(from(0), vec![10, 20, 30, 40, 50]);
-        assert_eq!(from(30), vec![30, 40, 50], "inclusive at an exact hit");
-        assert_eq!(from(31), vec![40, 50]);
-        assert_eq!(from(51), Vec::<u64>::new());
-        assert_eq!(Treap::new().iter_from(Id::new(7)).count(), 0);
     }
 
     #[test]

@@ -424,9 +424,6 @@ mod tests {
     struct RandomBuilder;
 
     impl OverlayBuilder for RandomBuilder {
-        fn name(&self) -> &str {
-            "random"
-        }
         fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
             for _ in 0..16 {
                 if net.peer(p).out_degree() >= 4 {

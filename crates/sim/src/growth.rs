@@ -18,12 +18,10 @@ use rand::Rng;
 
 /// Strategy that (re)builds a peer's long-range links.
 ///
-/// Implemented by `oscar-core` (partition sampling + power-of-two) and
-/// `oscar-mercury` (sampled CDF + harmonic distances).
+/// Implemented by `oscar-core`'s three builders: `OscarBuilder`
+/// (partition sampling + power-of-two), `MercuryBuilder` (sampled CDF +
+/// harmonic distances) and `ChordBuilder` (fingers at `n + 2^i`).
 pub trait OverlayBuilder {
-    /// Overlay name for reports ("oscar", "mercury").
-    fn name(&self) -> &str;
-
     /// Builds long-range links for `p` (which has none yet from this
     /// builder's perspective). Must tolerate tiny networks (n = 1, 2, …;
     /// open with [`wire_directly`]) and exhausted in-degree budgets —
@@ -272,10 +270,6 @@ mod tests {
     struct RandomBuilder;
 
     impl OverlayBuilder for RandomBuilder {
-        fn name(&self) -> &str {
-            "random"
-        }
-
         fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
             for _ in 0..12 {
                 if net.peer(p).out_degree() >= 3 {

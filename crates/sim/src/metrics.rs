@@ -94,28 +94,6 @@ impl Metrics {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        self.counts = [0; MSG_KINDS];
-    }
-
-    /// Per-category difference `self - earlier` (saturating); use to report
-    /// the cost of one phase.
-    pub fn since(&self, earlier: &Metrics) -> Metrics {
-        let mut out = Metrics::new();
-        for i in 0..MSG_KINDS {
-            out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        out
-    }
-
-    /// Merges counters from another snapshot.
-    pub fn merge(&mut self, other: &Metrics) {
-        for i in 0..MSG_KINDS {
-            self.counts[i] += other.counts[i];
-        }
-    }
 }
 
 impl fmt::Debug for Metrics {
@@ -141,31 +119,6 @@ mod tests {
         assert_eq!(m.get(MsgKind::QueryHop), 5);
         assert_eq!(m.get(MsgKind::Probe), 1);
         assert_eq!(m.total(), 6);
-    }
-
-    #[test]
-    fn since_reports_phase_delta() {
-        let mut m = Metrics::new();
-        m.add(MsgKind::WalkStep, 10);
-        let snapshot = m.clone();
-        m.add(MsgKind::WalkStep, 7);
-        m.inc(MsgKind::LinkAccept);
-        let delta = m.since(&snapshot);
-        assert_eq!(delta.get(MsgKind::WalkStep), 7);
-        assert_eq!(delta.get(MsgKind::LinkAccept), 1);
-        assert_eq!(delta.get(MsgKind::Probe), 0);
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.add(MsgKind::QueryWasted, 3);
-        b.add(MsgKind::QueryWasted, 4);
-        a.merge(&b);
-        assert_eq!(a.get(MsgKind::QueryWasted), 7);
-        a.reset();
-        assert_eq!(a.total(), 0);
     }
 
     #[test]

@@ -175,9 +175,6 @@ mod tests {
     struct RandomBuilder;
 
     impl OverlayBuilder for RandomBuilder {
-        fn name(&self) -> &str {
-            "random"
-        }
         fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
             for _ in 0..20 {
                 if net.peer(p).out_degree() >= 5 {

@@ -131,22 +131,11 @@ impl<'a> Walker<'a> {
         self.check_start(start, arc)?;
         Ok(self.advance(start, arc, self.cfg.burn_in, rng))
     }
-
-    /// `count` samples from one start, each an independent fresh
-    /// `burn_in`-step walk.
-    pub fn sample_many(
-        &mut self,
-        start: PeerIdx,
-        arc: Option<&Arc>,
-        count: usize,
-        rng: &mut SmallRng,
-    ) -> Result<Vec<PeerIdx>> {
-        (0..count).map(|_| self.sample(start, arc, rng)).collect()
-    }
 }
 
-/// Convenience wrapper that samples and credits the walk steps to the
-/// network's metrics in one call (for callers holding `&mut Network`).
+/// `count` samples from one start, each an independent fresh
+/// `burn_in`-step walk, with the walk steps credited to the network's
+/// metrics (for callers holding `&mut Network`).
 pub fn sample_peers(
     net: &mut Network,
     cfg: WalkConfig,
@@ -155,12 +144,9 @@ pub fn sample_peers(
     count: usize,
     rng: &mut SmallRng,
 ) -> Result<Vec<PeerIdx>> {
-    let (result, steps) = {
-        let mut walker = Walker::new(net, cfg);
-        let r = walker.sample_many(start, arc, count, rng);
-        let s = walker.take_steps();
-        (r, s)
-    };
+    let mut walker = Walker::new(net, cfg);
+    let result = (0..count).map(|_| walker.sample(start, arc, rng)).collect();
+    let steps = walker.take_steps();
     net.metrics.add(MsgKind::WalkStep, steps);
     result
 }
@@ -323,7 +309,9 @@ mod tests {
         let net = test_net(16, 2, 17);
         let mut walker = Walker::new(&net, WalkConfig { burn_in: 10 });
         let mut rng = SeedTree::new(18).rng();
-        walker.sample_many(PeerIdx(0), None, 5, &mut rng).unwrap();
+        for _ in 0..5 {
+            walker.sample(PeerIdx(0), None, &mut rng).unwrap();
+        }
         assert_eq!(walker.take_steps(), 50, "5 walks x 10 steps");
         assert_eq!(walker.take_steps(), 0, "drained");
     }

@@ -35,9 +35,6 @@ fn fleet(n: usize) -> MachineChurnConfig {
 struct RandomBuilder;
 
 impl OverlayBuilder for RandomBuilder {
-    fn name(&self) -> &str {
-        "random"
-    }
     fn build_links(&self, net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<()> {
         for _ in 0..16 {
             if net.peer(p).out_degree() >= 4 {

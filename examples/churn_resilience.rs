@@ -18,8 +18,8 @@ fn main() -> Result<()> {
     // ---- Part 1: crash waves (the paper's Figure 2 protocol). ----
     println!("== crash waves ==");
     for fraction in [0.0, 0.10, 0.33] {
-        let mut overlay =
-            oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 5);
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 5);
         overlay.grow_to(1000, &GnutellaKeys::default(), &ConstantDegrees::paper())?;
         if fraction > 0.0 {
             overlay.kill_fraction(fraction)?;
@@ -41,8 +41,8 @@ fn main() -> Result<()> {
     // inter-arrival gaps — derives from the overlay's own seed tree, so
     // the run below is reproducible from the single seed `6`.
     println!("\n== continuous churn (event-driven) ==");
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 6);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 6);
     let keys = GnutellaKeys::default();
     let degrees = ConstantDegrees::paper();
     overlay.grow_to(500, &keys, &degrees)?;

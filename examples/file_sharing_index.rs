@@ -16,8 +16,8 @@ use oscar::sim::{route_to_owner, RoutePolicy};
 
 fn main() -> Result<()> {
     let corpus = GnutellaKeys::default();
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 7);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 7);
 
     println!("indexing a synthetic Gnutella filename corpus across 800 peers...");
     overlay.grow_to(800, &corpus, &SpikyDegrees::paper())?;

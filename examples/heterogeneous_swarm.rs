@@ -14,8 +14,8 @@
 use oscar::prelude::*;
 
 fn main() -> Result<()> {
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 99);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 99);
 
     println!("growing a 1000-peer swarm with spiky (realistic) degree budgets...");
     overlay.grow_to(1000, &GnutellaKeys::default(), &SpikyDegrees::paper())?;

@@ -11,8 +11,8 @@ fn main() -> Result<()> {
     // 1. An Oscar overlay: skewed Gnutella-like peer identifiers and the
     //    paper's constant 27-link budget, fault-free, seeded for
     //    reproducibility.
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 42);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 42);
 
     println!("growing Oscar overlay to 1000 peers (skewed key space)...");
     overlay.grow_to(1000, &GnutellaKeys::default(), &ConstantDegrees::paper())?;

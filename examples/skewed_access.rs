@@ -15,7 +15,7 @@ use oscar::prelude::*;
 use oscar::sim::{route_to_owner, RoutePolicy};
 
 fn per_peer_delivery_load(
-    overlay: &OscarOverlay,
+    overlay: &Overlay<OscarBuilder>,
     workload: &QueryWorkload,
     queries: usize,
     seed: u64,
@@ -52,8 +52,8 @@ fn gini(loads: &[u64]) -> f64 {
 }
 
 fn main() -> Result<()> {
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 21);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 21);
     println!("growing 800-peer Oscar overlay...");
     overlay.grow_to(800, &GnutellaKeys::default(), &SpikyDegrees::paper())?;
 

@@ -4,8 +4,8 @@
 //! Overlay For Heterogeneous Environments" (ICDE 2007)*: a range-queriable
 //! small-world P2P overlay that tolerates arbitrarily skewed key
 //! distributions and heterogeneous per-peer link budgets at the same time,
-//! together with the Mercury baseline and the deterministic simulator the
-//! evaluation runs on.
+//! together with the Mercury baseline, a Chord control and the
+//! deterministic simulator the evaluation runs on.
 //!
 //! ## Quickstart
 //!
@@ -14,11 +14,8 @@
 //!
 //! // Skewed (Gnutella-filename-like) peer identifiers, heterogeneous
 //! // per-peer degree budgets, deterministic seed.
-//! let mut overlay = oscar::core::new_overlay(
-//!     OscarConfig::default(),
-//!     FaultModel::StabilizedRing,
-//!     42,
-//! );
+//! let builder = OscarBuilder::new(OscarConfig::default());
+//! let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 42);
 //! overlay
 //!     .grow_to(500, &GnutellaKeys::default(), &SpikyDegrees::paper())
 //!     .unwrap();
@@ -39,9 +36,7 @@
 //! | [`sim`] | the network simulator: walks, routing, churn, growth |
 //! | [`protocol`] | runtime-agnostic protocol core: decision kernels + per-peer state machines |
 //! | [`runtime`] | threaded actor driver for the protocol core (wall-clock, all cores) |
-//! | [`core`] | **the paper's contribution**: Oscar partition estimation + link acquisition |
-//! | [`mercury`] | the Mercury baseline |
-//! | [`chord`] | the Chord finger-table baseline (skew-oblivious control) |
+//! | [`core`] | **the paper's contribution**: Oscar partition estimation + link acquisition; the Mercury baseline ([`core::mercury`]) and the Chord finger-table control ([`core::chord`]) |
 
 // The determinism rules in force in this crate's library code; `clippy.toml`
 // lists the disallowed methods (ARCHITECTURE.md § "Static analysis &
@@ -55,11 +50,9 @@
     )
 )]
 
-pub use oscar_chord as chord;
 pub use oscar_core as core;
 pub use oscar_degree as degree;
 pub use oscar_keydist as keydist;
-pub use oscar_mercury as mercury;
 pub use oscar_protocol as protocol;
 pub use oscar_ring as ring;
 pub use oscar_runtime as runtime;
@@ -68,9 +61,9 @@ pub use oscar_types as types;
 
 /// The names most programs want in scope.
 pub mod prelude {
-    pub use oscar_chord::{ChordBuilder, ChordOverlay};
     pub use oscar_core::{
-        range_scan, MedianSource, OscarBuilder, OscarConfig, OscarOverlay, RangeScanOutcome,
+        range_scan, ChordBuilder, MedianSource, MercuryBuilder, OscarBuilder, OscarConfig,
+        RangeScanOutcome,
     };
     pub use oscar_degree::{
         ConstantDegrees, DegreeCaps, DegreeDistribution, SpikyDegrees, SteppedDegrees,
@@ -78,7 +71,6 @@ pub mod prelude {
     pub use oscar_keydist::{
         ClusteredKeys, GnutellaKeys, KeyDistribution, QueryWorkload, UniformKeys,
     };
-    pub use oscar_mercury::{MercuryBuilder, MercuryOverlay};
     pub use oscar_protocol::{Command, PeerConfig, PeerMachine, ProtocolEvent};
     pub use oscar_runtime::{Runtime, RuntimeConfig};
     pub use oscar_sim::{

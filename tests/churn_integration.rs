@@ -3,8 +3,9 @@
 
 use oscar::prelude::*;
 
-fn grown_overlay(seed: u64) -> OscarOverlay {
-    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, seed);
+fn grown_overlay(seed: u64) -> Overlay<OscarBuilder> {
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed);
     ov.grow_to(600, &GnutellaKeys::default(), &ConstantDegrees::paper())
         .unwrap();
     ov
@@ -154,7 +155,7 @@ fn churn_engine_under_unstabilized_ring_degrades_monotonically_in_succ_list() {
         min_live: 60,
     };
     let run = |fm: FaultModel, succ_list_len: usize| {
-        let mut ov = oscar::core::new_overlay(OscarConfig::default(), fm, 23);
+        let mut ov = Overlay::new(OscarBuilder::new(OscarConfig::default()), fm, 23);
         ov.grow_to(600, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         // Short successor lists (ablation A4): without the O(log N)

@@ -4,7 +4,8 @@
 use oscar::prelude::*;
 
 fn oscar_fingerprint(seed: u64) -> (Vec<u64>, f64, f64) {
-    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, seed);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed);
     ov.grow_to(300, &GnutellaKeys::default(), &SpikyDegrees::paper())
         .unwrap();
     let ids: Vec<u64> = ov
@@ -36,7 +37,7 @@ fn different_seeds_give_different_networks() {
 #[test]
 fn mercury_experiment_is_bit_reproducible() {
     let run = || {
-        let mut ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 777);
+        let mut ov = Overlay::new(MercuryBuilder::new(), FaultModel::StabilizedRing, 777);
         ov.grow_to(250, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         ov.run_queries(&QueryWorkload::UniformPeers, 250).mean_cost
@@ -47,8 +48,8 @@ fn mercury_experiment_is_bit_reproducible() {
 #[test]
 fn churn_waves_are_reproducible() {
     let run = || {
-        let mut ov =
-            oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 31);
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 31);
         ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
             .unwrap();
         let killed = ov.kill_fraction(0.33).unwrap();
@@ -65,8 +66,8 @@ fn churn_waves_are_reproducible() {
 #[test]
 fn metrics_are_reproducible_too() {
     let run = || {
-        let mut ov =
-            oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 99);
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 99);
         ov.grow_to(200, &UniformKeys, &ConstantDegrees::paper())
             .unwrap();
         ov.network().metrics.clone()

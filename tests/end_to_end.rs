@@ -7,8 +7,8 @@ use oscar::prelude::*;
 fn oscar_paper_protocol_small_scale() {
     // The paper's growth protocol at 1/20 scale: grow to 500, rewire +
     // measure at every 100 peers.
-    let mut overlay =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 1);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut overlay = Overlay::new(builder, FaultModel::StabilizedRing, 1);
     let mut costs: Vec<(usize, f64)> = Vec::new();
     overlay
         .grow(
@@ -59,12 +59,12 @@ fn oscar_beats_mercury_on_skewed_keys() {
     let keys = GnutellaKeys::default();
     let degrees = ConstantDegrees::paper();
 
-    let mut oscar_ov =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 7);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut oscar_ov = Overlay::new(builder, FaultModel::StabilizedRing, 7);
     oscar_ov.grow_to(600, &keys, &degrees).unwrap();
     let oscar_stats = oscar_ov.run_queries(&QueryWorkload::UniformPeers, 600);
 
-    let mut mercury_ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 7);
+    let mut mercury_ov = Overlay::new(MercuryBuilder::new(), FaultModel::StabilizedRing, 7);
     mercury_ov.grow_to(600, &keys, &degrees).unwrap();
     let mercury_stats = mercury_ov.run_queries(&QueryWorkload::UniformPeers, 600);
 
@@ -84,12 +84,12 @@ fn oscar_exploits_more_degree_volume_than_mercury() {
     let keys = GnutellaKeys::default();
     let degrees = ConstantDegrees::paper();
 
-    let mut oscar_ov =
-        oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 9);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut oscar_ov = Overlay::new(builder, FaultModel::StabilizedRing, 9);
     oscar_ov.grow_to(500, &keys, &degrees).unwrap();
     let oscar_util = oscar_ov.network().degree_volume_utilization();
 
-    let mut mercury_ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, 9);
+    let mut mercury_ov = Overlay::new(MercuryBuilder::new(), FaultModel::StabilizedRing, 9);
     mercury_ov.grow_to(500, &keys, &degrees).unwrap();
     let mercury_util = mercury_ov.network().degree_volume_utilization();
 
@@ -115,8 +115,8 @@ fn in_degree_distributions_do_not_change_search_cost_much() {
         ("stepped", Box::new(SteppedDegrees::paper())),
     ];
     for (name, dist) in dists {
-        let mut ov =
-            oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 11);
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 11);
         ov.grow_to(500, &keys, dist.as_ref()).unwrap();
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 500);
         assert_eq!(stats.success_rate, 1.0, "{name}");
@@ -135,7 +135,8 @@ fn range_scan_visits_contiguous_owners() {
     // Order preservation end-to-end: the owners of a key range form a
     // contiguous arc of the ring.
     use oscar::keydist::encode_filename_key;
-    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 13);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 13);
     ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
         .unwrap();
     let net = ov.network();
@@ -174,8 +175,8 @@ fn construction_cost_is_scalable() {
     let keys = GnutellaKeys::default();
     let degrees = ConstantDegrees::paper();
     let walk_steps_per_peer = |n: usize, seed: u64| -> f64 {
-        let mut ov =
-            oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, seed);
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &keys, &degrees).unwrap();
         ov.network().metrics.get(oscar::sim::MsgKind::WalkStep) as f64 / n as f64
     };

@@ -24,7 +24,7 @@ proptest! {
             link_candidates: candidates,
             ..OscarConfig::default()
         };
-        let mut ov = oscar::core::new_overlay(cfg, FaultModel::StabilizedRing, seed);
+        let mut ov = Overlay::new(OscarBuilder::new(cfg), FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &GnutellaKeys::default(), &ConstantDegrees::new(degree)).unwrap();
         prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         // Delivery is total in the fault-free regime.
@@ -40,11 +40,8 @@ proptest! {
         seed in 0u64..1000,
         kill in 0.05f64..0.5,
     ) {
-        let mut ov = oscar::core::new_overlay(
-            OscarConfig::default(),
-            FaultModel::StabilizedRing,
-            seed,
-        );
+        let builder = OscarBuilder::new(OscarConfig::default());
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed);
         ov.grow_to(150, &UniformKeys, &SteppedDegrees::paper()).unwrap();
         ov.kill_fraction(kill).unwrap();
         prop_assert_eq!(ov.network().check_invariants(), Ok(()));
@@ -57,7 +54,7 @@ proptest! {
         seed in 0u64..1000,
         n in 50usize..200,
     ) {
-        let mut ov = oscar::mercury::new_overlay(FaultModel::StabilizedRing, seed);
+        let mut ov = Overlay::new(MercuryBuilder::new(), FaultModel::StabilizedRing, seed);
         ov.grow_to(n, &GnutellaKeys::default(), &ConstantDegrees::paper()).unwrap();
         prop_assert_eq!(ov.network().check_invariants(), Ok(()));
         let stats = ov.run_queries(&QueryWorkload::UniformPeers, 80);
@@ -69,11 +66,9 @@ proptest! {
         seed in 0u64..1000,
         key in any::<u64>(),
     ) {
-        let mut ov = oscar::core::new_overlay(
-            OscarConfig::default(),
-            FaultModel::StabilizedRing,
-            seed % 7, // reuse a few networks' worth of variety
-        );
+        let builder = OscarBuilder::new(OscarConfig::default());
+        // Reuse a few networks' worth of variety.
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, seed % 7);
         ov.grow_to(100, &ClusteredKeys::new(5, 1e-3, 1.0, seed), &ConstantDegrees::new(8)).unwrap();
         let net = ov.network();
         let key = Id::new(key);

@@ -27,7 +27,8 @@ fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
 /// machinery behind `results/fig1a_degree_pdf.csv`.
 #[test]
 fn sim_growth_digest_is_pinned() {
-    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 4242);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 4242);
     ov.grow_to(300, &GnutellaKeys::default(), &SpikyDegrees::paper())
         .unwrap();
     let ids = digest(
@@ -57,7 +58,8 @@ fn sim_churned_routing_digest_is_pinned() {
     use oscar::sim::{run_query_batch_observed, RoutePolicy};
     use oscar::types::SeedTree;
 
-    let mut ov = oscar::core::new_overlay(OscarConfig::default(), FaultModel::StabilizedRing, 2424);
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 2424);
     ov.grow_to(300, &GnutellaKeys::default(), &SpikyDegrees::paper())
         .unwrap();
     let net = ov.network();
@@ -90,6 +92,41 @@ fn sim_churned_routing_digest_is_pinned() {
     assert_eq!(
         outcome, 0x77b7943a25afdeee,
         "seeded churned-routing artifact drifted"
+    );
+}
+
+/// The two baselines of fig 1 and E7, Mercury and the Chord control,
+/// each grown to 300 peers: their link tables, what construction paid
+/// (greedy hops and walk steps) and one query batch's means.
+#[test]
+fn baseline_overlays_digest_is_pinned() {
+    use oscar::sim::MsgKind;
+
+    fn fold(builder: impl OverlayBuilder) -> u64 {
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 3030);
+        ov.grow_to(300, &GnutellaKeys::default(), &ConstantDegrees::paper())
+            .unwrap();
+        let net = ov.network();
+        let links = digest(
+            net.all_peers()
+                .flat_map(|p| net.peer(p).long_out.iter().map(|&t| net.peer(t).id.raw())),
+        );
+        let hops = net.metrics.get(MsgKind::ConstructionHop);
+        let steps = net.metrics.get(MsgKind::WalkStep);
+        let stats = ov.run_queries(&QueryWorkload::UniformPeers, 300);
+        digest([
+            links,
+            hops,
+            steps,
+            stats.mean_cost.to_bits(),
+            stats.mean_wasted.to_bits(),
+        ])
+    }
+    let outcome = digest([fold(MercuryBuilder::new()), fold(ChordBuilder::new())]);
+    println!("baseline overlays digest: {outcome:#018x}");
+    assert_eq!(
+        outcome, 0x7c53700cdcb91f46,
+        "seeded baseline overlays drifted"
     );
 }
 

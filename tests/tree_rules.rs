@@ -30,11 +30,9 @@ const PANIC_POLICY: &[&str] = &[
 /// unwraps by design.
 const RULES_OWED: &[(&str, &[&[&str]])] = &[
     ("crates/bench", &[]),
-    ("crates/chord", &[DETERMINISM]),
     ("crates/core", &[DETERMINISM]),
     ("crates/degree", &[DETERMINISM]),
     ("crates/keydist", &[DETERMINISM]),
-    ("crates/mercury", &[DETERMINISM]),
     ("crates/protocol", &[DETERMINISM, PANIC_POLICY]),
     ("crates/ring", &[DETERMINISM, PANIC_POLICY]),
     ("crates/runtime", &[DETERMINISM, PANIC_POLICY]),
