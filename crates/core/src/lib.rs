@@ -54,5 +54,35 @@ pub use chord::ChordBuilder;
 pub use config::{MedianSource, OscarConfig};
 pub use links::LinkStats;
 pub use mercury::MercuryBuilder;
-pub use partitions::{estimate_partitions, Partitions};
+pub use partitions::estimate_partitions;
 pub use range::{range_scan, RangeScanOutcome};
+
+#[cfg(test)]
+use {oscar_degree::DegreeCaps, oscar_sim::Network, oscar_types::Id};
+
+#[cfg(test)]
+/// A network of peers at `ids`, each with `extra` random long links (so
+/// sampling walks can mix) drawn from `seed`.
+fn test_net(ids: Vec<Id>, caps: DegreeCaps, extra: usize, seed: u64) -> Network {
+    use rand::Rng;
+    let mut net = Network::new(oscar_sim::FaultModel::StabilizedRing);
+    let idxs: Vec<_> = ids
+        .into_iter()
+        .map(|id| net.add_peer(id, caps).unwrap())
+        .collect();
+    let mut rng = oscar_types::SeedTree::new(seed).rng();
+    for &i in &idxs {
+        for _ in 0..extra {
+            let j = idxs[rng.gen_range(0..idxs.len())];
+            let _ = net.try_link(i, j);
+        }
+    }
+    net
+}
+
+/// `n` evenly spaced identifiers, the first at `offset`.
+#[cfg(test)]
+fn spaced_ids(n: u64, offset: u64) -> Vec<Id> {
+    let step = u64::MAX / n;
+    (0..n).map(|i| Id::new(i * step + offset)).collect()
+}

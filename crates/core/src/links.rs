@@ -19,10 +19,9 @@
 //!    draw, and is left unfilled after `LINK_RETRIES` failures.
 
 use crate::config::OscarConfig;
-use crate::partitions::Partitions;
-use oscar_protocol::logic;
+use oscar_protocol::logic::{self, Partition};
 use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx};
-use oscar_types::{Id, Result};
+use oscar_types::Result;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -45,7 +44,7 @@ pub struct LinkStats {
 pub fn acquire_links(
     net: &mut Network,
     u: PeerIdx,
-    parts: &Partitions,
+    parts: &[Partition<PeerIdx>],
     cfg: &OscarConfig,
     rng: &mut SmallRng,
 ) -> Result<LinkStats> {
@@ -63,11 +62,11 @@ pub fn acquire_links(
     'slots: for _ in 0..budget {
         for _attempt in 0..=LINK_RETRIES {
             let i = rng.gen_range(0..parts.len());
-            let (arc, entry) = parts.get(i);
+            let Partition { arc, entry, .. } = parts[i];
             if !net.is_alive(entry) {
                 continue; // stale partition info under churn; try another
             }
-            let unused = &parts.pool(i)[used[i]..];
+            let unused = &parts[i].pool[used[i]..];
             let pooled = &unused[..unused.len().min(cfg.link_candidates)];
             used[i] += pooled.len();
             candidates.clear();
@@ -81,28 +80,24 @@ pub fn acquire_links(
             candidates.dedup();
             // Admission and least-loaded selection both go through the
             // shared protocol kernels (one implementation for the oracle
-            // simulator and the distributed machine). Peer indices enter
-            // the kernels' Id space verbatim — the checks are pure
-            // equality, so the bridge changes nothing.
-            let as_id = |p: PeerIdx| Id::new(p.0 as u64);
-            let mut existing: Vec<Id> = net.peer(u).long_out.iter().map(|&t| as_id(t)).collect();
+            // simulator and the distributed machine).
+            let mut existing = net.peer(u).long_out.clone();
             existing.sort_unstable();
             // Probe in-degrees; pick the least-loaded candidate
             // (power-of-two choices when link_candidates == 2).
-            let mut best: Option<(usize, Id)> = None;
+            let mut best = None;
             for &c in &candidates {
-                if !net.is_alive(c) || !logic::admits_link(as_id(u), as_id(c), &[], &existing) {
+                if !net.is_alive(c) || !logic::admits_link(u, c, &[], &existing) {
                     continue;
                 }
                 net.metrics.inc(MsgKind::Probe);
                 stats.probed += 1;
                 let load = net.peer(c).in_degree() as usize;
-                best = logic::pick_least_loaded(best, load, as_id(c));
+                best = logic::pick_least_loaded(best, load, c);
             }
             let Some((_, target)) = best else {
                 continue; // all candidates unusable; retry
             };
-            let target = PeerIdx(target.raw() as u32);
             match net.try_link(u, target) {
                 Ok(()) => {
                     stats.established += 1;
@@ -126,28 +121,16 @@ mod tests {
     use crate::partitions::estimate_partitions;
     use oscar_degree::DegreeCaps;
     use oscar_sim::FaultModel;
-    use oscar_types::{Id, SeedTree};
+    use oscar_types::SeedTree;
 
     /// Evenly spaced ring with bootstrap links for walk mixing.
     fn test_net(n: u64, caps: DegreeCaps, seed: u64) -> Network {
-        let mut net = Network::new(FaultModel::StabilizedRing);
-        let step = u64::MAX / n;
-        let idxs: Vec<PeerIdx> = (0..n)
-            .map(|i| net.add_peer(Id::new(i * step + 3), caps).unwrap())
-            .collect();
-        let mut rng = SeedTree::new(seed).rng();
-        for &i in &idxs {
-            for _ in 0..4 {
-                let j = idxs[rng.gen_range(0..idxs.len())];
-                let _ = net.try_link(i, j);
-            }
-        }
-        // Clear bootstrap links' in/out budgets by rewiring from scratch:
-        // keep them — they only make walks mix; budgets are large enough.
-        net
+        crate::test_net(crate::spaced_ids(n, 3), caps, 4, seed)
     }
 
-    fn parts_for(net: &mut Network, u: PeerIdx, cfg: &OscarConfig, seed: u64) -> Partitions {
+    type Parts = Vec<Partition<PeerIdx>>;
+
+    fn parts_for(net: &mut Network, u: PeerIdx, cfg: &OscarConfig, seed: u64) -> Parts {
         let mut rng = SeedTree::new(seed).rng();
         estimate_partitions(net, u, cfg, &mut rng).unwrap()
     }
@@ -185,12 +168,12 @@ mod tests {
         acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();
         // Count how many distinct partitions received a link.
         let hit = parts
-            .arcs()
-            .filter(|a| {
+            .iter()
+            .filter(|q| {
                 net.peer(u)
                     .long_out
                     .iter()
-                    .any(|&t| a.contains(net.peer(t).id))
+                    .any(|&t| q.arc.contains(net.peer(t).id))
             })
             .count();
         assert!(
@@ -248,7 +231,7 @@ mod tests {
             };
             // Partitions estimated while bootstrap links still exist (for
             // walk mixing), then links rebuilt from scratch.
-            let parts: Vec<Partitions> = peers
+            let parts: Vec<Parts> = peers
                 .iter()
                 .enumerate()
                 .map(|(i, &u)| parts_for(&mut net, u, &cfg, seed + 1000 + i as u64))
@@ -333,9 +316,8 @@ mod tests {
     fn empty_partitions_are_a_noop() {
         let mut net = test_net(4, DegreeCaps::symmetric(4), 15);
         let u = net.live_peer_by_rank(0);
-        let empty = Partitions::empty(net.peer(u).id);
         let mut rng = SeedTree::new(16).rng();
-        let stats = acquire_links(&mut net, u, &empty, &OscarConfig::default(), &mut rng).unwrap();
+        let stats = acquire_links(&mut net, u, &[], &OscarConfig::default(), &mut rng).unwrap();
         assert_eq!(stats, LinkStats::default());
     }
 

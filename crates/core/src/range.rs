@@ -59,27 +59,20 @@ pub fn range_scan(
     // The owner of `lo` always owns the range's first keys.
     outcome.owners.push(first);
     let mut cursor = first;
-    // Walk successors while they still own something inside [lo, hi):
-    // a peer owns (pred, self], so successor `s` of `cursor` intersects
-    // the range iff its *predecessor side* boundary (cursor) is before hi,
-    // i.e. iff s's owned arc starts inside the range.
+    // Walk successors while they still own something inside [lo, hi).
     while let Some(next) = net.ring_successor(cursor) {
         if next == cursor || next == first {
             break; // wrapped: the whole ring is covered
         }
-        // `next` owns (cursor, next]; it holds range keys iff some key in
-        // (cursor, next] lies in [lo, hi). Since we walk in order, that is
-        // exactly: cursor's id is still strictly before hi within range.
-        if !range.contains(net.peer(cursor).id) {
+        // `next` owns (cursor, next]; walking in order from the owner of
+        // `lo`, that arc holds range keys iff its first key does.
+        if !range.contains(net.peer(cursor).id.add(1)) {
             break;
         }
         outcome.scan_hops += 1;
         outcome.owners.push(next);
         cursor = next;
     }
-    // The last pushed peer owns up to its own id; if the previous owner
-    // already covered hi, the last hop was still necessary to *know* the
-    // range ended (its predecessor link confirms the boundary).
     outcome
 }
 
@@ -112,20 +105,30 @@ mod tests {
         assert!(out.entry.success);
 
         // Oracle: owners of [lo, hi) = peers with id in [lo, hi) plus the
-        // owner of the range end boundary (owns the tail of the range).
-        let in_range: Vec<PeerIdx> = net
+        // owner of the range's last key (owns the tail of the range).
+        let mut owners: Vec<PeerIdx> = net
             .live_peers()
-            .filter(|&p| {
-                let id = net.peer(p).id;
-                Arc::between(lo, hi).contains(id)
-            })
+            .filter(|&p| Arc::between(lo, hi).contains(net.peer(p).id))
             .collect();
-        for p in &in_range {
-            assert!(out.owners.contains(p), "missing owner {p:?}");
-        }
-        // At most one extra peer: the boundary owner.
-        assert!(out.owners.len() <= in_range.len() + 1);
+        let tail = net.ring_live().owner_of(hi.sub(1)).unwrap();
+        owners.push(net.idx_of(tail).unwrap());
+        owners.sort_unstable_by_key(|&p| lo.cw_dist(net.peer(p).id));
+        owners.dedup();
+        assert_eq!(out.owners, owners);
         assert_eq!(out.scan_hops as usize, out.owners.len() - 1);
+    }
+
+    #[test]
+    fn a_range_ending_just_past_a_peer_stops_at_its_successor() {
+        // Ring {10, 20, 30}: [5, 21) is owned by 10 and 20, while 30 owns
+        // only (20, 30] — from 21 on, outside the range.
+        let ids = [10, 20, 30].map(Id::new).to_vec();
+        let net = crate::test_net(ids, oscar_degree::DegreeCaps::symmetric(4), 0, 1);
+        let at = |id| net.idx_of(Id::new(id)).unwrap();
+        let policy = RoutePolicy::default();
+        let out = range_scan(&net, at(10), Id::new(5), Id::new(21), &policy);
+        assert_eq!(out.owners, [at(10), at(20)]);
+        assert_eq!(out.scan_hops, 1);
     }
 
     #[test]

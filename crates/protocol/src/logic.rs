@@ -3,7 +3,7 @@
 //! These functions are the protocol's *decisions* stripped of any
 //! transport: the Metropolis–Hastings acceptance rule of the sampling
 //! walk, the clockwise-progress ranking of greedy routing, ring
-//! ownership, link admission, least-loaded choice and the median split
+//! ownership, link admission, least-loaded choice and the median chain
 //! of partition estimation. The discrete-event simulator calls them
 //! from its global walk/routing loops (`oscar-sim`), and the message-driven
 //! [`PeerMachine`](crate::PeerMachine) calls the very same code from its
@@ -14,7 +14,7 @@
 //! their RNG streams (the simulator's byte-identical baselines depend
 //! on that).
 
-use oscar_types::Id;
+use oscar_types::{Arc, Id};
 use rand::Rng;
 use std::cmp::Ordering;
 
@@ -92,7 +92,7 @@ pub fn owns(pred: Id, peer: Id, key: Id) -> bool {
 /// the oracle-backed simulator filters corpses before calling, and the
 /// distributed machine discovers death the hard way (bounce/timeout).
 #[inline]
-pub fn admits_link(me: Id, cand: Id, chosen_so_far: &[Id], existing_sorted: &[Id]) -> bool {
+pub fn admits_link<T: Ord>(me: T, cand: T, chosen_so_far: &[T], existing_sorted: &[T]) -> bool {
     cand != me && !chosen_so_far.contains(&cand) && existing_sorted.binary_search(&cand).is_err()
 }
 
@@ -102,7 +102,7 @@ pub fn admits_link(me: Id, cand: Id, chosen_so_far: &[Id], existing_sorted: &[Id
 /// result depends only on candidate order — the property the simulator's
 /// probe loops and their byte-identical baselines rely on.
 #[inline]
-pub fn pick_least_loaded(best: Option<(usize, Id)>, load: usize, cand: Id) -> Option<(usize, Id)> {
+pub fn pick_least_loaded<T>(best: Option<(usize, T)>, load: usize, cand: T) -> Option<(usize, T)> {
     match best {
         Some((b, _)) if b <= load => best,
         _ => Some((load, cand)),
@@ -114,10 +114,12 @@ pub fn pick_least_loaded(best: Option<(usize, Id)>, load: usize, cand: Id) -> Op
 /// order and their repeats; the median's own copies are in neither.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MedianSplit<T> {
-    /// The border: the lower median of the distinct samples.
-    pub median: T,
-    /// Samples strictly nearer than the median.
-    pub near: Vec<T>,
+    /// The border and its distance: the lower median of the distinct
+    /// samples.
+    pub median: (u64, T),
+    /// Samples strictly nearer than the median, with their distances
+    /// (the next round measures them again).
+    pub near: Vec<(u64, T)>,
     /// Samples strictly beyond the median.
     pub far: Vec<T>,
 }
@@ -138,16 +140,147 @@ pub fn split_at_median<T: Copy + Ord>(samples: &[(u64, T)]) -> Option<MedianSpli
     if distinct.len() <= 2 {
         return None;
     }
-    let (cut, median) = distinct[distinct.len().div_ceil(2) - 1];
-    let side = |of_cut: Ordering| {
-        let on_it = samples.iter().filter(|&&(d, _)| d.cmp(&cut) == of_cut);
-        on_it.map(|&(_, s)| s).collect()
-    };
+    let median = distinct[distinct.len().div_ceil(2) - 1];
+    let cut = median.0;
+    let side = |of_cut| samples.iter().filter(move |(d, _)| d.cmp(&cut) == of_cut);
     Some(MedianSplit {
         median,
-        near: side(Ordering::Less),
-        far: side(Ordering::Greater),
+        near: side(Ordering::Less).copied().collect(),
+        far: side(Ordering::Greater).map(|&(_, s)| s).collect(),
     })
+}
+
+/// Hard cap on the partition chain length (safety bound well above
+/// `log₂` of any simulated size).
+const MAX_PARTITIONS: usize = 48;
+
+/// One of a node's logarithmic partitions (see [`PartitionChain`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Partition<T> {
+    /// The identifier arc it covers.
+    pub arc: Arc,
+    /// A known live member to enter walks at: the border peer, or the
+    /// successor for the innermost partition.
+    pub entry: T,
+    /// The uniform samples of it the chain held, in arrival order; never
+    /// its own border, and empty when borders are [`cut`](PartitionChain::cut).
+    pub pool: Vec<T>,
+}
+
+/// The median chain of partition estimation (§2 of the paper), as a
+/// resumable kernel: it decides, its caller only delivers samples.
+///
+/// Node `u` partitions the identifier space clockwise into `A₁ … A_k`:
+/// `A₁` is the far half of the *population*, `A₂` the next quarter, and so
+/// on, the border between consecutive partitions being the median of the
+/// peers not yet cut away. Ideally `|A_i| = N/2^i` — a logarithmic number
+/// of partitions whose borders adapt to the key density instead of the key
+/// metric, which is the whole trick: a uniform choice of partition followed
+/// by a uniform choice within realises the harmonic rank-distance
+/// distribution regardless of how skewed the identifiers are.
+///
+/// Medians are estimated from small samples drawn by random walks that
+/// never leave the arc still to halve. The chain *discovers* `k ≈ log₂N`
+/// adaptively: it keeps halving until the sample collapses onto ≤ 2
+/// distinct peers (or a border reaches the successor, or the chain hits
+/// its length cap), so no network-size estimate is needed.
+///
+/// Every sample is spent once. Given a round's median, the samples that
+/// fell nearer are independent uniform draws from exactly the arc the next
+/// round samples, so they *are* its first samples and [`want`](Self::want)
+/// asks only for the remainder; the samples that fell beyond it are
+/// uniform draws from the partition just cut off and become its pool, for
+/// link acquisition to draw candidates from before it walks for any. The
+/// innermost partition's pool is what the last round held. Both stay in
+/// arrival order — sorted by distance, a pool's first sample would be the
+/// nearest of several, not a uniform one.
+///
+/// `T` names a peer: a simulator index or the peer's [`Id`] itself.
+#[derive(Clone, Debug)]
+pub struct PartitionChain<T> {
+    origin: Id,
+    succ: (Id, T),
+    sample_size: usize,
+    /// The population still to halve; `None` once the chain is closed.
+    rest: Option<Arc>,
+    /// The last round's samples that fell inside `rest`, with their
+    /// distances from the origin.
+    held: Vec<(u64, T)>,
+    parts: Vec<Partition<T>>,
+}
+
+impl<T: Copy + Ord> PartitionChain<T> {
+    /// The chain of the node at `origin`, whose ring successor is `succ`
+    /// (the origin itself when it is alone), sampling `sample_size` peers
+    /// per round.
+    pub fn new(origin: Id, succ: (Id, T), sample_size: usize) -> Self {
+        // The population clockwise of the origin: everything but itself.
+        let rest = Some(Arc::between(origin.add(1), origin)).filter(|a| a.contains(succ.0));
+        PartitionChain {
+            origin,
+            succ,
+            sample_size,
+            rest,
+            held: Vec::with_capacity(sample_size),
+            parts: Vec::new(),
+        }
+    }
+
+    /// The arc still to halve and how many fresh uniform samples of it
+    /// the next round needs — `sample_size` less the samples carried over;
+    /// `None` once the chain is complete.
+    pub fn want(&self) -> Option<(Arc, usize)> {
+        let fresh = self.sample_size.saturating_sub(self.held.len());
+        let open = self.rest.filter(|_| self.parts.len() < MAX_PARTITIONS);
+        open.map(|arc| (arc, fresh))
+    }
+
+    /// Answers [`want`](Self::want) with samples `(id, peer)` of its arc,
+    /// in the order they arrived, and halves that arc at their median.
+    pub fn offer(&mut self, samples: impl IntoIterator<Item = (Id, T)>) {
+        let origin = self.origin;
+        let measured = samples.into_iter().map(|(id, s)| (origin.cw_dist(id), s));
+        self.held.extend(measured);
+        let Some(split) = split_at_median(&self.held) else {
+            return self.collapse();
+        };
+        self.held = split.near;
+        let (dist, median) = split.median;
+        self.split_off((origin.add(dist), median), split.far);
+    }
+
+    /// Answers [`want`](Self::want) with the arc's exact median instead
+    /// of samples, or `None` when the arc holds at most two peers.
+    pub fn cut(&mut self, median: Option<(Id, T)>) {
+        match median {
+            Some(border) => self.split_off(border, Vec::new()),
+            None => self.collapse(),
+        }
+    }
+
+    /// Splits the partition `[border, end of rest)` off, with `pool`.
+    fn split_off(&mut self, (id, entry): (Id, T), pool: Vec<T>) {
+        let Some(rest) = self.rest else { return };
+        let arc = rest.truncate_from(id);
+        self.parts.push(Partition { arc, entry, pool });
+        self.rest = Some(rest.truncate_at(id)).filter(|a| a.contains(self.succ.0));
+    }
+
+    /// Closes the chain: what remains is the innermost partition, entered
+    /// at the successor and pooling the samples held.
+    fn collapse(&mut self) {
+        if let Some(arc) = self.rest.take() {
+            let pool = self.held.drain(..).map(|(_, s)| s).collect();
+            let entry = self.succ.1;
+            self.parts.push(Partition { arc, entry, pool });
+        }
+    }
+
+    /// The partitions, far → near; none when the origin is alone.
+    pub fn finish(mut self) -> Vec<Partition<T>> {
+        self.collapse();
+        self.parts
+    }
 }
 
 #[cfg(test)]
@@ -275,22 +408,99 @@ mod tests {
     fn median_split_takes_the_lower_median_of_the_distinct_samples() {
         // Odd count: the middle one.
         let odd = split_at_median(&at(&[9, 1, 5])).unwrap();
-        assert_eq!((odd.median, odd.near, odd.far), ('f', vec!['b'], vec!['j']));
+        assert_eq!(
+            (odd.median, odd.near, odd.far),
+            ((5, 'f'), at(&[1]), vec!['j'])
+        );
         // Even count: the lower of the two middle ones.
         let even = split_at_median(&at(&[9, 1, 5, 7])).unwrap();
-        assert_eq!(even.median, 'f');
-        assert_eq!((even.near, even.far), (vec!['b'], vec!['j', 'h']));
+        assert_eq!(even.median, (5, 'f'));
+        assert_eq!((even.near, even.far), (at(&[1]), vec!['j', 'h']));
         // Repeats do not vote: {1, 5, 9} has median 5 however often 9 came.
         let repeats = split_at_median(&at(&[9, 9, 9, 1, 5])).unwrap();
-        assert_eq!(repeats.median, 'f');
+        assert_eq!(repeats.median, (5, 'f'));
     }
 
     #[test]
     fn median_split_keeps_arrival_order_and_repeats_but_no_copy_of_the_median() {
         let s = split_at_median(&at(&[8, 4, 2, 4, 6, 2, 8, 0, 4])).unwrap();
         // distinct {0, 2, 4, 6, 8} -> median 4, every copy of it dropped
-        assert_eq!(s.median, 'e');
-        assert_eq!(s.near, vec!['c', 'c', 'a']);
+        assert_eq!(s.median, (4, 'e'));
+        assert_eq!(s.near, at(&[2, 2, 0]));
         assert_eq!(s.far, vec!['i', 'g', 'i']);
+    }
+
+    /// Peers named by their identifiers.
+    fn peers(ids: &[u64]) -> Vec<(Id, u64)> {
+        ids.iter().map(|&i| (Id::new(i), i)).collect()
+    }
+
+    fn arc(from: u64, to: u64) -> Arc {
+        Arc::between(Id::new(from), Id::new(to))
+    }
+
+    fn part(from: u64, to: u64, entry: u64, pool: &[u64]) -> Partition<u64> {
+        let (arc, pool) = (arc(from, to), pool.to_vec());
+        Partition { arc, entry, pool }
+    }
+
+    #[test]
+    fn the_chain_carries_what_fell_near_and_pools_what_fell_far() {
+        // Origin 0, successor 1, six samples a round.
+        let mut chain = PartitionChain::new(Id::new(0), (Id::new(1), 1), 6);
+        assert_eq!(chain.want(), Some((arc(1, 0), 6)));
+        // distinct {10, 30, 50, 70, 90} -> border 50; 30, 30, 10 carry over.
+        chain.offer(peers(&[70, 30, 90, 50, 30, 10]));
+        assert_eq!(chain.want(), Some((arc(1, 50), 3)));
+        // distinct {10, 20, 30, 40} -> border 20, both its copies dropped.
+        chain.offer(peers(&[20, 40, 20]));
+        assert_eq!(chain.want(), Some((arc(1, 20), 5)));
+        // Two distinct samples: collapsed, the rest is the innermost.
+        chain.offer(peers(&[5, 10, 5, 10, 5]));
+        assert_eq!(chain.want(), None);
+        assert_eq!(
+            chain.finish(),
+            [
+                part(50, 0, 50, &[70, 90]),
+                part(20, 50, 20, &[30, 30, 40]),
+                part(1, 20, 1, &[10, 5, 10, 5, 10, 5]),
+            ]
+        );
+    }
+
+    #[test]
+    fn cut_pools_nothing_and_a_border_at_the_successor_ends_the_chain() {
+        let mut chain = PartitionChain::new(Id::new(0), (Id::new(10), 10), 4);
+        chain.cut(Some((Id::new(50), 50)));
+        assert_eq!(chain.want(), Some((arc(1, 50), 4)));
+        let (mut collapsed, far) = (chain.clone(), part(50, 0, 50, &[]));
+        chain.cut(Some((Id::new(10), 10)));
+        assert_eq!(chain.want(), None);
+        assert_eq!(chain.finish(), [far.clone(), part(10, 50, 10, &[])]);
+        collapsed.cut(None);
+        assert_eq!(collapsed.want(), None);
+        assert_eq!(collapsed.finish(), [far, part(1, 50, 10, &[])]);
+    }
+
+    #[test]
+    fn the_chain_stops_at_max_partitions() {
+        // Three distinct samples a round halve forever: the cap ends it.
+        let mut chain = PartitionChain::new(Id::new(0), (Id::new(1), 1), 3);
+        while let Some((rest, fresh)) = chain.want() {
+            // The carried sample is the arc's last peer; walk just below it.
+            let last = rest.start().add(rest.len() as u64 - 1);
+            chain.offer((1..=fresh as u64).map(|k| (last.sub(k), last.sub(k).raw())));
+        }
+        let parts = chain.finish();
+        assert_eq!(parts.len(), MAX_PARTITIONS + 1);
+        assert_eq!(parts[MAX_PARTITIONS].entry, 1);
+        assert_eq!(parts[MAX_PARTITIONS].pool.len(), 1);
+    }
+
+    #[test]
+    fn a_lone_origin_has_no_partitions() {
+        let chain = PartitionChain::new(Id::new(5), (Id::new(5), 5), 4);
+        assert_eq!(chain.want(), None);
+        assert!(chain.finish().is_empty());
     }
 }

@@ -215,3 +215,10 @@ fn architecture_crate_table_matches_the_manifests() {
          crate-table markers\n{expected}"
     );
 }
+
+#[test]
+fn the_protocol_crate_depends_on_types_and_rand_only() {
+    // The kernels and the machines stay sans-IO: no world they run in
+    // (simulator, runtime, the overlays built on them) is a dependency.
+    assert_eq!(dependencies("crates/protocol"), ["oscar-types", "rand"]);
+}
