@@ -19,7 +19,7 @@ impl PeerMachine {
     /// Issue `attempt` of this peer's own query `qid`: a fresh token,
     /// advanced from here.
     pub(super) fn issue_query(&mut self, qid: u64, key: Id, attempt: u32) {
-        let mut token = QueryToken::new(qid, self.id, key, self.cfg.query_budget);
+        let mut token = Box::new(QueryToken::new(qid, self.id, key, self.cfg.query_budget));
         token.attempt = attempt;
         self.process_query(token);
     }
@@ -27,7 +27,7 @@ impl PeerMachine {
     /// A query forward to `to` bounced: the probe was charged when sent;
     /// undo the advance, record the corpse, and try the next candidate
     /// from here.
-    pub(super) fn on_query_bounce(&mut self, to: Id, mut token: QueryToken) {
+    pub(super) fn on_query_bounce(&mut self, to: Id, mut token: Box<QueryToken>) {
         token.hops = token.hops.saturating_sub(1);
         token.stack.pop();
         token.mark_dead(to);
@@ -44,13 +44,13 @@ impl PeerMachine {
     /// Advances a query token held at this peer: deliver, forward, or
     /// backtrack. Shares its progress ranking ([`logic::progress_toward`])
     /// and ownership test ([`logic::owns`]) with the simulator's router.
-    pub(super) fn process_query(&mut self, mut token: QueryToken) {
+    pub(super) fn process_query(&mut self, mut token: Box<QueryToken>) {
         if logic::owns(self.pred, self.id, token.key) {
-            return self.complete_query(token, Some(self.id));
+            return self.complete_query(&token, Some(self.id));
         }
         if let Some(next) = self.best_step_toward(token.key, |c| token.is_excluded(c)) {
             if token.budget == 0 {
-                return self.complete_query(token, None);
+                return self.complete_query(&token, None);
             }
             token.budget -= 1;
             token.hops += 1;
@@ -71,7 +71,7 @@ impl PeerMachine {
             token.budget -= 1;
             return self.send(prev, Message::Query(token));
         }
-        self.complete_query(token, None)
+        self.complete_query(&token, None)
     }
 
     /// The best next hop toward `key` from this peer's local tables: the
@@ -103,7 +103,7 @@ impl PeerMachine {
 
     /// Ends the query here — at its owner `dest`, or failed — and reports
     /// to the origin.
-    fn complete_query(&mut self, token: QueryToken, dest: Option<Id>) {
+    fn complete_query(&mut self, token: &QueryToken, dest: Option<Id>) {
         let report = QueryReport {
             qid: token.qid,
             origin: token.origin,

@@ -74,8 +74,10 @@ pub enum Message {
     Unlink,
 
     // --- queries ----------------------------------------------------------
-    /// A greedy-routed query token, forwarded toward its key.
-    Query(QueryToken),
+    /// A greedy-routed query token, forwarded toward its key. Boxed: the
+    /// token is the largest payload by far, and every envelope on both
+    /// drivers is as wide as the widest variant.
+    Query(Box<QueryToken>),
     /// Final peer → origin: the query's outcome.
     QueryDone(QueryReport),
 
@@ -422,4 +424,16 @@ pub enum ProtocolEvent {
         /// What was dropped (static so events stay cheap and `Eq`).
         context: &'static str,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_message_fits_in_one_cache_line() {
+        // Every mailbox slot and DES envelope is as wide as the widest
+        // variant: a large payload goes behind a `Box`, as `Query` does.
+        assert!(std::mem::size_of::<Message>() <= 64);
+    }
 }

@@ -11,22 +11,31 @@
 //! dependency-free by construction):
 //!
 //! * a mailbox is one mutex over a FIFO queue and a `scheduled` flag: the
-//!   push that finds the flag clear sets it and puts the actor itself (its
-//!   `Arc`, not its id) on the run queue; the executor that finds the queue
+//!   push that finds the flag clear sets it and hands the actor itself (its
+//!   `Arc`, not its id) on to be run; the executor that finds the queue
 //!   empty clears it. An actor is therefore queued or running at most once,
 //!   and "went non-empty" and "drained" are decided under one lock;
+//! * the first actor an executor's sends make ready goes into that
+//!   executor's run-next slot, and the executor runs it as soon as it is
+//!   done with the current one: a query hop stays on the executor that
+//!   sent it and never touches the run queue. Any further actor made ready
+//!   in the same run, and every actor [`Runtime::inject`] makes ready, goes
+//!   to the shared run queue;
 //! * the run queue is one mutex over the ready actors and two counts —
 //!   pool workers parked on the `work` condvar, [`Runtime::quiesce`]
 //!   callers parked on `quiet`. A push wakes a worker only if one is
 //!   parked, else a waiting quiescer, else nobody;
-//! * an executor — a pool worker, or a thread inside `quiesce` — pops an
-//!   actor, swaps its queue for an empty buffer it owns and handles the
-//!   mail; a message moves from the sender's outbox to the machine
-//!   without being copied (a fault-plan duplicate is the one clone);
+//! * an executor — a pool worker, or a thread inside `quiesce` — runs its
+//!   run-next actor, else pops one, moves the actor's mail into a buffer
+//!   it owns and handles it; a message moves from the sender's outbox to
+//!   the machine without being copied (a fault-plan duplicate is the one
+//!   clone);
 //! * an atomic in-flight message counter backs `quiesce`, which does not
 //!   sleep while there is work: it runs ready actors on the calling thread
 //!   and parks only when the queue is empty while other threads still hold
-//!   messages;
+//!   messages. The envelope being handled lends its in-flight slot to the
+//!   last output of its step, so a hop with one output never touches the
+//!   counter: k copies pushed add k − 1, none pushed releases one;
 //! * sends to unknown/removed peers synchronously invoke the sender's
 //!   `on_delivery_failure` — the same failure surface the DES presents;
 //!   mail that reaches a removed actor anyway (queued before the removal,
@@ -41,9 +50,20 @@
 //! under the run-queue lock, which a thread holds from its last look at
 //! the queue (or at the in-flight count) until it is counted and waiting.
 //! A push and its decision whom to notify share that lock, and the release
-//! that takes the count to zero notifies `quiet` under it. `shutdown` needs
+//! that takes the count to zero notifies `quiet` under it. An actor in a
+//! run-next slot needs no wake-up: the executor holding it is awake and
+//! runs it before it looks at the run queue, the count or a condvar — so a
+//! `quiesce` caller never returns holding one. `shutdown` needs
 //! `&mut self`, so nobody is inside `quiesce` then: it wakes the parked
 //! workers and zeroes the count for the quiescers that come after.
+//!
+//! The count cannot reach zero early under the hand-off. An executor keeps
+//! the slot of the envelope it handles until the step's last push; every
+//! earlier push adds its copies to the count before they land in a
+//! mailbox; and the envelope's books (`delivered`, the executor's message
+//! count) are written before the first push. After the hand-off the
+//! executor books nothing but its busy time, so by the time the count
+//! reaches zero every envelope it covered is in the ledger.
 //!
 //! Determinism: the protocol's token-carried RNG makes walk and query
 //! outcomes scheduling-independent, so a serialized command sequence
@@ -137,9 +157,10 @@ struct Actor {
 #[derive(Default)]
 struct Mailbox {
     queue: VecDeque<(Id, Message)>,
-    /// Set by the push that finds it clear — which then puts the actor on
-    /// the run queue — and cleared by the executor that finds `queue`
-    /// empty: true exactly while the actor is queued or being run.
+    /// Set by the push that finds it clear — which then hands the actor to
+    /// a run-next slot or the run queue — and cleared by the executor that
+    /// finds `queue` empty: true exactly while the actor is queued or
+    /// being run.
     scheduled: bool,
 }
 
@@ -158,13 +179,29 @@ struct RunQueue {
 /// What a thread that runs actors brings along: a pool worker for its
 /// whole life, a [`Runtime::quiesce`] caller for one call.
 struct Executor {
-    /// Index into `Shared::{busy_ns, per_worker_msgs}`.
+    /// Index into `Shared::books`.
     stats_slot: usize,
     /// The gossip stream `on_message` draws from.
     rng: SmallRng,
-    /// Swapped with a mailbox's queue to drain it; empty between runs,
-    /// and keeps whatever capacity the mailboxes it met had grown.
+    /// A mailbox's queue is moved into this buffer to drain it; empty
+    /// between runs. Each mailbox keeps its own buffer, so grown buffers
+    /// do not circulate from busy actors to idle ones.
     batch: VecDeque<(Id, Message)>,
+    /// The run-next slot: the first actor this executor's sends made
+    /// ready, run as soon as the current one is done.
+    next: Option<Arc<Actor>>,
+}
+
+/// One executor slot's books, written once a message. Aligned to 128
+/// bytes, not 64, because x86's adjacent-line prefetcher pulls cache lines
+/// in pairs: two executors' books never share one.
+#[derive(Default)]
+#[repr(align(128))]
+struct Books {
+    /// Messages handled.
+    msgs: AtomicU64,
+    /// Nanoseconds spent running actors.
+    busy_ns: AtomicU64,
 }
 
 /// What an actor's mutex guards: the machine, and what the shared
@@ -215,8 +252,8 @@ struct Shared {
     /// Lifetime [`ProtocolEvent::Fault`] count — unlike the drained
     /// event buffer this never resets, so harnesses gate runs on it.
     faults: AtomicU64,
-    busy_ns: Vec<AtomicU64>,
-    per_worker_msgs: Vec<AtomicU64>,
+    /// One slot per pool worker and a trailing one for `quiesce` callers.
+    books: Vec<Books>,
 }
 
 /// The one decision on a poisoned lock, taken here for every lock and
@@ -252,9 +289,11 @@ pub struct RuntimeStats {
     pub faults: u64,
     /// Busy time in nanoseconds: one slot per pool worker, then one
     /// trailing slot shared by every thread that ran actors from inside
-    /// [`Runtime::quiesce`].
+    /// [`Runtime::quiesce`]. A run's time is booked when the run ends, so
+    /// a read at a quiescent point may miss the tail of one still closing.
     pub busy_ns: Vec<u64>,
-    /// Delivered-message counts, slot for slot with `busy_ns`.
+    /// Delivered-message counts, slot for slot with `busy_ns`; at a
+    /// quiescent point they sum to `delivered`.
     pub per_worker_msgs: Vec<u64>,
 }
 
@@ -293,9 +332,7 @@ impl Runtime {
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
             faults: AtomicU64::new(0),
-            // One slot per pool worker and a trailing one for `quiesce`.
-            busy_ns: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
-            per_worker_msgs: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
+            books: (0..=workers).map(|_| Books::default()).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -419,8 +456,12 @@ impl Runtime {
             self.shared.after_step(id, &mut slot);
             outs
         };
-        for o in outs {
-            self.shared.send(&actor, o);
+        // The calling thread is no executor: what it makes ready goes to
+        // the shared run queue, with a wake.
+        let mut ready = None;
+        self.shared.send_all(&actor, outs, false, &mut ready);
+        if let Some(first) = ready {
+            self.shared.schedule(first);
         }
         true
     }
@@ -445,20 +486,27 @@ impl Runtime {
     pub fn quiesce(&self) {
         let shared = &*self.shared;
         let mut helper: Option<Executor> = None;
-        let mut q = held(shared.runq.lock());
-        while shared.pending.load(Ordering::SeqCst) != 0 {
-            if let Some(actor) = q.ready.pop_front() {
-                drop(q);
-                let me = helper.get_or_insert_with(|| {
-                    Executor::new(shared.busy_ns.len() - 1, self.fresh_stream())
-                });
-                run_actor(shared, &actor, me);
-                q = held(shared.runq.lock());
-            } else {
-                q.quiescers += 1;
-                q = held(shared.quiet.wait(q));
-                q.quiescers -= 1;
-            }
+        loop {
+            let actor = match helper.as_mut().and_then(|me| me.next.take()) {
+                Some(actor) => actor,
+                None => {
+                    let mut q = held(shared.runq.lock());
+                    loop {
+                        if shared.pending.load(Ordering::SeqCst) == 0 {
+                            return;
+                        }
+                        if let Some(actor) = q.ready.pop_front() {
+                            break actor;
+                        }
+                        q.quiescers += 1;
+                        q = held(shared.quiet.wait(q));
+                        q.quiescers -= 1;
+                    }
+                }
+            };
+            let me = helper
+                .get_or_insert_with(|| Executor::new(shared.books.len() - 1, self.fresh_stream()));
+            run_actor(shared, &actor, me);
         }
     }
 
@@ -607,15 +655,15 @@ impl Runtime {
             faults: self.shared.faults.load(Ordering::Relaxed),
             busy_ns: self
                 .shared
-                .busy_ns
+                .books
                 .iter()
-                .map(|a| a.load(Ordering::Relaxed))
+                .map(|b| b.busy_ns.load(Ordering::Relaxed))
                 .collect(),
             per_worker_msgs: self
                 .shared
-                .per_worker_msgs
+                .books
                 .iter()
-                .map(|a| a.load(Ordering::Relaxed))
+                .map(|b| b.msgs.load(Ordering::Relaxed))
                 .collect(),
         }
     }
@@ -698,7 +746,14 @@ impl Shared {
     /// as delivery failures on the sender, recursively — unless the plan
     /// blackholes crashes, in which case only the sender's timers can
     /// notice.
-    fn send(&self, from: &Actor, out: Outbound) {
+    ///
+    /// With `lent`, the caller's own in-flight slot covers the first copy
+    /// this send pushes, and the call returns whether it did: the caller
+    /// then no longer holds a slot. A bounce passes the lent slot on to
+    /// the last output of the sender's last failure step. An actor the
+    /// push makes ready goes into `next` if that is empty, else to the
+    /// shared run queue.
+    fn send(&self, from: &Actor, out: Outbound, lent: bool, next: &mut Option<Arc<Actor>>) -> bool {
         self.sent.fetch_add(1, Ordering::Relaxed);
         let Outbound { to, msg } = out;
         let mut extra = None;
@@ -706,7 +761,7 @@ impl Shared {
             let fate = self.plan.decide(from.id, to, &msg);
             if fate.drop {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
+                return false;
             }
             if fate.duplicate {
                 // extra_delay is a virtual-time notion; the threaded
@@ -720,7 +775,11 @@ impl Shared {
         let target = held(self.actors.read()).get(&to).cloned();
         match target {
             Some(target) => {
-                self.pending.fetch_add(copies, Ordering::SeqCst);
+                // Counted before the copies are visible in the mailbox.
+                let fresh = copies - usize::from(lent);
+                if fresh > 0 {
+                    self.pending.fetch_add(fresh, Ordering::SeqCst);
+                }
                 let went_non_empty = {
                     let mut mb = held(target.mailbox.lock());
                     mb.queue.extend(extra.map(|m| (from.id, m)));
@@ -728,27 +787,52 @@ impl Shared {
                     !std::mem::replace(&mut mb.scheduled, true)
                 };
                 if went_non_empty {
-                    self.schedule(target);
+                    if next.is_none() {
+                        *next = Some(target);
+                    } else {
+                        self.schedule(target);
+                    }
                 }
+                lent
             }
             None if self.plan.blackhole_on_crash() => {
                 self.dropped.fetch_add(copies as u64, Ordering::Relaxed);
+                false
             }
             None => {
                 self.bounced.fetch_add(copies as u64, Ordering::Relaxed);
-                for msg in extra.into_iter().chain([msg]) {
+                let mut handed = false;
+                for (k, msg) in extra.into_iter().chain([msg]).enumerate() {
                     let outs = {
                         let mut slot = held(from.slot.lock());
                         let outs = slot.machine.on_delivery_failure(to, msg);
                         self.after_step(from.id, &mut slot);
                         outs
                     };
-                    for o in outs {
-                        self.send(from, o);
-                    }
+                    handed |= self.send_all(from, outs, lent && k + 1 == copies, next);
                 }
+                handed
             }
         }
+    }
+
+    /// Routes one step's outputs in order. With `lent`, the step's own
+    /// in-flight slot goes to its last output, so every earlier push is
+    /// counted while the caller still holds that slot (the module doc's
+    /// hand-off argument). Returns whether the slot was passed on.
+    fn send_all(
+        &self,
+        from: &Actor,
+        outs: Vec<Outbound>,
+        lent: bool,
+        next: &mut Option<Arc<Actor>>,
+    ) -> bool {
+        let last = outs.len().saturating_sub(1);
+        let mut handed = false;
+        for (k, o) in outs.into_iter().enumerate() {
+            handed |= self.send(from, o, lent && k == last, next);
+        }
+        handed
     }
 
     /// Puts an actor whose mailbox just went non-empty on the run queue
@@ -819,25 +903,30 @@ impl Executor {
             stats_slot,
             rng,
             batch: VecDeque::new(),
+            next: None,
         }
     }
 }
 
-/// The worker thread body: pop an actor, run it, park when there is none.
+/// The worker thread body: run the run-next actor, else pop one, and park
+/// when there is none.
 fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
-        let actor = {
-            let mut q = held(shared.runq.lock());
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
+        let actor = match me.next.take() {
+            Some(actor) => actor,
+            None => {
+                let mut q = held(shared.runq.lock());
+                loop {
+                    if shared.stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    if let Some(actor) = q.ready.pop_front() {
+                        break actor;
+                    }
+                    q.parked += 1;
+                    q = held(shared.work.wait(q));
+                    q.parked -= 1;
                 }
-                if let Some(actor) = q.ready.pop_front() {
-                    break actor;
-                }
-                q.parked += 1;
-                q = held(shared.work.wait(q));
-                q.parked -= 1;
             }
         };
         run_actor(&shared, &actor, &mut me);
@@ -854,7 +943,8 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
         reason = "the runtime's one clock read: busy time per executor, a RuntimeStats field no seeded artifact includes"
     )]
     let t0 = Instant::now();
-    let mut handled = 0u64;
+    let books = &shared.books[me.stats_slot];
+    let mut handled = false;
     while !shared.stop.load(Ordering::SeqCst) {
         {
             let mut mb = held(actor.mailbox.lock());
@@ -862,9 +952,9 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
                 mb.scheduled = false;
                 break;
             }
-            std::mem::swap(&mut mb.queue, &mut me.batch);
+            me.batch.append(&mut mb.queue);
         }
-        for (from, msg) in me.batch.drain(..) {
+        while let Some((from, msg)) = me.batch.pop_front() {
             let outs = {
                 let mut slot = held(actor.slot.lock());
                 if slot.retired {
@@ -875,28 +965,31 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
                     Some(outs)
                 }
             };
-            // Book the envelope before releasing its in-flight slot:
-            // once `pending` hits zero a quiescent observer must see
-            // sent == delivered + dropped + bounced already settled.
+            // Book the envelope before its in-flight slot is passed on or
+            // released: once `pending` hits zero a quiescent observer
+            // must see sent == delivered + dropped + bounced, and every
+            // delivery in some executor's count, already settled.
             match outs {
                 Some(outs) => {
-                    for o in outs {
-                        shared.send(actor, o);
-                    }
                     shared.delivered.fetch_add(1, Ordering::Relaxed);
-                    handled += 1;
+                    books.msgs.fetch_add(1, Ordering::Relaxed);
+                    handled = true;
+                    if !shared.send_all(actor, outs, true, &mut me.next) {
+                        shared.release(1);
+                    }
                 }
                 // Mail for a removed peer: see `Runtime::remove_peer`.
                 None => {
                     shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    shared.release(1);
                 }
             }
-            shared.release(1);
         }
     }
-    if handled > 0 {
-        shared.per_worker_msgs[me.stats_slot].fetch_add(handled, Ordering::Relaxed);
-        shared.busy_ns[me.stats_slot].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    if handled {
+        books
+            .busy_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 

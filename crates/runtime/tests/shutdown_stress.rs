@@ -194,6 +194,62 @@ fn remove_mid_flight_keeps_the_books() {
 }
 
 #[test]
+fn duplicates_and_bounces_pass_the_in_flight_slot_on() {
+    // A handled envelope lends its in-flight slot to its step's last
+    // output. A duplicated send pushes two copies on one slot plus one
+    // fresh, and a send to a removed peer (bounced, not blackholed) hands
+    // the slot to whatever the sender's failure step emits. Remove a third
+    // of the ring under a storm and settle: the count must come back to
+    // zero with every envelope in one bucket and every query reported once.
+    must_finish_within("duplicates and bounces", 120, || {
+        for iter in 0..20u64 {
+            let cfg = PeerConfig {
+                query_budget: 64,
+                ..PeerConfig::default()
+            };
+            let plan = FaultPlan::new(10_000 + iter).with_duplication(0.1);
+            let mut rt = Runtime::new(
+                RuntimeConfig::new(11_000 + iter)
+                    .with_workers(1 + (iter as usize % 4))
+                    .with_peer_cfg(cfg)
+                    .with_fault_plan(plan),
+            );
+            let ids = settled_ring(&rt, 24);
+            let doomed: Vec<Id> = ids.iter().step_by(3).copied().collect();
+            let survivors: Vec<Id> = ids
+                .iter()
+                .copied()
+                .filter(|id| !doomed.contains(id))
+                .collect();
+            const PER_PEER: u64 = 8;
+            inject_storm(&rt, &survivors, PER_PEER, 0);
+            for &id in &doomed {
+                assert!(rt.remove_peer(id));
+            }
+            rt.settle(256);
+            let s = rt.stats();
+            assert!(s.duplicated > 0, "iteration {iter}: plan must duplicate");
+            assert!(s.bounced > 0, "iteration {iter}: corpses must bounce");
+            assert_eq!(
+                s.sent,
+                s.delivered + s.dropped + s.bounced,
+                "iteration {iter}: every envelope must land in exactly one bucket"
+            );
+            let reported: Vec<u64> = drain_query_reports(&rt)
+                .into_iter()
+                .map(|(qid, _)| qid)
+                .collect();
+            assert_eq!(
+                reported,
+                (0..survivors.len() as u64 * PER_PEER).collect::<Vec<u64>>(),
+                "iteration {iter}: one report per query"
+            );
+            rt.shutdown();
+        }
+    });
+}
+
+#[test]
 fn fire_and_forget_send_wakes_a_parked_worker() {
     // Nobody calls `quiesce` here, so nobody helps: the one message this
     // command sends is handled only if the push onto an idle pool wakes a
@@ -260,6 +316,11 @@ fn two_quiescers_beside_one_worker_both_return_and_are_booked() {
                 s.delivered + s.dropped + s.bounced,
                 "iteration {iter}"
             );
+            assert_eq!(
+                s.per_worker_msgs.iter().sum::<u64>(),
+                s.delivered,
+                "iteration {iter}: every delivery booked to an executor by quiescence"
+            );
             let reported: Vec<u64> = drain_query_reports(&rt)
                 .into_iter()
                 .map(|(qid, _)| qid)
@@ -274,7 +335,6 @@ fn two_quiescers_beside_one_worker_both_return_and_are_booked() {
         let s = rt.stats();
         assert_eq!(s.busy_ns.len(), rt.workers() + 1);
         assert_eq!(s.per_worker_msgs.len(), rt.workers() + 1);
-        assert_eq!(s.per_worker_msgs.iter().sum::<u64>(), s.delivered);
         let helped = s.per_worker_msgs[rt.workers()];
         assert!(helped > 0, "the quiesce callers never ran an actor");
         assert!(s.busy_ns[rt.workers()] > 0);
