@@ -170,8 +170,8 @@ pub struct FaultCell {
     pub p95_cost: u64,
     /// Queries whose retry budget ran out.
     pub gave_up: usize,
-    /// The storm's settle length: virtual rounds elapsed on the DES,
-    /// timer rounds fired on the runtime.
+    /// The storm's settle length: rounds the driver's round counter
+    /// advanced by, the same unit on both drivers.
     pub rounds: u64,
     /// Machine invariant violations (`ProtocolEvent::Fault`). Injected
     /// network loss must never surface as one of these.
@@ -193,7 +193,7 @@ fn run_cell<D: ProtocolDriver>(
 
     let total = inject_storm(&mut driver, ids, per_peer, seed);
     let round0 = driver.round();
-    let timer_rounds = driver.settle(SETTLE_ROUNDS);
+    driver.settle(SETTLE_ROUNDS);
     let outcome = StormOutcome::of(driver.drain_events());
     assert_eq!(
         outcome.reports.len(),
@@ -213,11 +213,7 @@ fn run_cell<D: ProtocolDriver>(
         retries_per_query: outcome.retried as f64 / total as f64,
         p95_cost: queries.p95_cost as u64,
         gave_up: outcome.gave_up,
-        rounds: if name == "des" {
-            driver.round() - round0
-        } else {
-            timer_rounds
-        },
+        rounds: driver.round() - round0,
         faults: driver.fault_count(),
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Both execution worlds — the discrete-event simulator in `oscar-sim`
 //! and the threaded actor runtime in `oscar-runtime` — move the same
-//! [`PeerMachine`](crate::PeerMachine) envelopes; they differ only in
-//! *when* (virtual FIFO rounds vs real threads) and *where* (one queue
-//! vs one mailbox per actor). This trait captures the surface the
-//! churn engine's machine world needs, so one generic engine drives
-//! Poisson join/crash/depart through either driver and produces the same
-//! window statistics.
+//! [`PeerMachine`] envelopes; they differ only in *when* (virtual FIFO
+//! rounds vs real threads) and *where* (one queue vs one mailbox per
+//! actor). [`ProtocolDriver`] is the one surface a harness or a test
+//! drives a fleet through and reads it by: the churn engine's machine
+//! world runs Poisson join/crash/depart through either driver and gets
+//! the same window statistics, and every DES-vs-runtime test is one
+//! generic function run on both.
 //!
 //! The trait lives here (not in a driver crate) so both worlds can
 //! implement it without a dependency cycle: `oscar-sim` and
@@ -16,6 +17,7 @@
 //! are due?" from.
 
 use crate::message::{Command, ProtocolEvent};
+use crate::PeerMachine;
 use oscar_types::Id;
 use std::collections::BTreeSet;
 
@@ -28,6 +30,21 @@ use std::collections::BTreeSet;
 /// [`ProtocolDriver::advance_to`] and [`ProtocolDriver::round`] are for
 /// callers that slice time themselves (the fault sweep's storm reads the
 /// counter; driver tests and the benchmark's tracing wrapper advance it).
+///
+/// A join is [`spawn_peer`](ProtocolDriver::spawn_peer), an
+/// `inject(joiner, Command::Join { contact })` and `settle(0)`; whether it
+/// completed is `with_peer(joiner, PeerMachine::joined)`, which drains no
+/// event.
+///
+/// Both drivers also keep inherent methods beside this trait:
+/// - the ones the benchmark package calls without the trait in scope
+///   (`DesDriver::{peer, run_until_settled, delivered}`, the runtime's
+///   `quiesce` and `stats`, and the inherent twins of the methods here);
+/// - the runtime's `settle`/`advance_to`/`round` take `&self`, because
+///   the runtime is `Sync` and its stress tests call them from several
+///   threads at once;
+/// - `next_timer_round`, `tick_timers` and `spawn_machine`, because the
+///   timer-index tests read and feed the index itself.
 pub trait ProtocolDriver {
     /// Adds a fresh, unjoined machine for `id`, replacing any machine
     /// already under it; the replaced machine's armed timers go with it.
@@ -66,6 +83,18 @@ pub trait ProtocolDriver {
     /// drained events this is a lifetime counter: harnesses gate runs on
     /// it staying zero.
     fn fault_count(&self) -> u64;
+
+    /// Runs `f` against `id`'s machine; `None` when no machine is under
+    /// `id`. `f` must not call back into the driver: the runtime holds
+    /// the peer's lock while `f` runs, and its `quiesce` (so `settle`,
+    /// `advance_to`) may run that peer on the calling thread.
+    ///
+    /// The default answers `None` for every id, so a wrapper driver
+    /// that does not forward it still builds.
+    fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
+        let _ = (id, f);
+        None
+    }
 }
 
 /// Which machines are waiting on a timer, keyed for the one question a

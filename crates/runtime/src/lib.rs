@@ -436,13 +436,6 @@ impl Runtime {
         held(self.shared.actors.read()).keys().copied().collect()
     }
 
-    /// Runs `f` against one peer's machine (read-only access pattern).
-    pub fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
-        let actor = held(self.shared.actors.read()).get(&id).cloned()?;
-        let slot = held(actor.slot.lock());
-        Some(f(&slot.machine))
-    }
-
     /// Delivers a command to one peer on the calling thread; resulting
     /// messages flow through the worker pool.
     pub fn inject(&self, id: Id, cmd: Command) -> bool {
@@ -481,8 +474,7 @@ impl Runtime {
     /// not sleep through the work: it runs ready actors itself, beside
     /// the pool, and parks only when there is none to take while other
     /// threads still hold messages. Machines therefore run on the calling
-    /// thread — do not call this from inside a [`Runtime::with_peer`]
-    /// closure, which holds that peer's lock.
+    /// thread.
     pub fn quiesce(&self) {
         let shared = &*self.shared;
         let mut helper: Option<Executor> = None;
@@ -507,30 +499,6 @@ impl Runtime {
             let me = helper
                 .get_or_insert_with(|| Executor::new(shared.books.len() - 1, self.fresh_stream()));
             run_actor(shared, &actor, me);
-        }
-    }
-
-    /// Spawns `joiner`, joins it through `contact`, and waits for the
-    /// splice to settle. Returns true iff *this* join completed: the
-    /// answer is read from the events this call produced, and every
-    /// event — these and any already waiting — stays for
-    /// [`Runtime::drain_events`], as on the DES.
-    pub fn join_and_wait(&self, joiner: Id, contact: Id) -> bool {
-        let before = held(self.shared.events.lock()).len();
-        self.spawn_peer(joiner);
-        self.inject(joiner, Command::Join { contact });
-        self.quiesce();
-        let events = held(self.shared.events.lock());
-        events
-            .iter()
-            .skip(before)
-            .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joiner))
-    }
-
-    /// One anti-entropy gossip round across all peers.
-    pub fn gossip_round(&self) {
-        for id in self.peer_ids() {
-            self.inject(id, Command::GossipTick);
         }
     }
 
@@ -735,6 +703,12 @@ impl ProtocolDriver for Runtime {
 
     fn fault_count(&self) -> u64 {
         Runtime::fault_count(self)
+    }
+
+    fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
+        let actor = held(self.shared.actors.read()).get(&id).cloned()?;
+        let slot = held(actor.slot.lock());
+        Some(f(&slot.machine))
     }
 }
 
@@ -1002,71 +976,16 @@ mod tests {
     }
 
     #[test]
-    fn serial_joins_form_the_sorted_ring() {
-        let rt = runtime(4, 7);
-        let ids: Vec<Id> = [500u64, 100, 900, 300, 700]
-            .iter()
-            .map(|&i| Id::new(i))
-            .collect();
-        rt.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(rt.join_and_wait(id, ids[0]), "join of {id:?} timed out");
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        for (k, &id) in sorted.iter().enumerate() {
-            let succ = sorted[(k + 1) % sorted.len()];
-            let got = rt.with_peer(id, |m| m.succs()[0]).unwrap();
-            assert_eq!(got, succ, "succ of {id:?}");
-        }
-    }
-
-    #[test]
     fn quiesce_observes_silence() {
         let rt = runtime(2, 1);
-        rt.spawn_peer(Id::new(10));
-        assert!(rt.join_and_wait(Id::new(20), Id::new(10)));
+        let (a, b) = (Id::new(10), Id::new(20));
+        rt.spawn_peer(a);
+        rt.spawn_peer(b);
+        rt.inject(b, Command::Join { contact: a });
+        rt.settle(0);
+        assert_eq!(rt.with_peer(b, PeerMachine::joined), Some(true));
         rt.quiesce(); // immediately satisfiable
         assert_eq!(rt.stats().bounced, 0);
-    }
-
-    #[test]
-    fn queries_resolve_in_parallel() {
-        let rt = runtime(4, 3);
-        let ids: Vec<Id> = (0..64u64).map(|i| Id::new(i * 1_000_003)).collect();
-        rt.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(rt.join_and_wait(id, ids[0]));
-        }
-        for &id in &ids {
-            rt.inject(id, Command::BuildLinks { walks: 2 });
-        }
-        rt.quiesce();
-        rt.drain_events();
-        // A storm of queries from every peer at once.
-        let mut qid = 0u64;
-        for &id in &ids {
-            for k in 0..4u64 {
-                rt.inject(
-                    id,
-                    Command::StartQuery {
-                        qid,
-                        key: Id::new(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    },
-                );
-                qid += 1;
-            }
-        }
-        rt.quiesce();
-        let events = rt.drain_events();
-        let done = events
-            .iter()
-            .filter(|e| matches!(e, ProtocolEvent::QueryCompleted(r) if r.success))
-            .count();
-        assert_eq!(
-            done, qid as usize,
-            "all queries must succeed on a clean ring"
-        );
     }
 
     #[test]
@@ -1075,10 +994,15 @@ mod tests {
         let ids: Vec<Id> = (0..16u64).map(|i| Id::new((i + 1) << 32)).collect();
         rt.spawn_peer(ids[0]);
         for &id in &ids[1..] {
-            assert!(rt.join_and_wait(id, ids[0]));
+            rt.spawn_peer(id);
+            rt.inject(id, Command::Join { contact: ids[0] });
+            rt.settle(0);
+            assert_eq!(rt.with_peer(id, PeerMachine::joined), Some(true));
         }
         for _ in 0..8 {
-            rt.gossip_round();
+            for &id in &ids {
+                rt.inject(id, Command::GossipTick);
+            }
             rt.quiesce();
         }
         let min_known = ids
@@ -1087,40 +1011,5 @@ mod tests {
             .min()
             .unwrap();
         assert!(min_known >= ids.len() / 2, "gossip stalled: {min_known}");
-    }
-
-    #[test]
-    fn dead_peer_sends_surface_as_failures_not_hangs() {
-        let rt = runtime(2, 5);
-        let ids: Vec<Id> = (1..=8u64).map(|i| Id::new(i * 1_000)).collect();
-        rt.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(rt.join_and_wait(id, ids[0]));
-        }
-        assert!(rt.remove_peer(ids[3]));
-        // Route queries across the corpse's arc; they must all terminate.
-        rt.drain_events();
-        for (q, &id) in ids.iter().enumerate() {
-            if id == ids[3] {
-                continue;
-            }
-            rt.inject(
-                id,
-                Command::StartQuery {
-                    qid: q as u64,
-                    key: Id::new(3_500),
-                },
-            );
-        }
-        rt.quiesce();
-        let events = rt.drain_events();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, ProtocolEvent::QueryCompleted(_)))
-                .count(),
-            ids.len() - 1
-        );
-        assert!(rt.stats().bounced > 0, "corpse probes must be counted");
     }
 }

@@ -10,7 +10,7 @@
 //! varying worker counts — every iteration must return, with every
 //! envelope in exactly one ledger bucket.
 
-use oscar_protocol::{Command, FaultPlan, PeerConfig, ProtocolEvent};
+use oscar_protocol::{Command, FaultPlan, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent};
 use oscar_runtime::{Runtime, RuntimeConfig};
 use oscar_types::Id;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +22,10 @@ fn settled_ring(rt: &Runtime, n: u64) -> Vec<Id> {
     let ids: Vec<Id> = (0..n).map(|i| Id::new((i + 1) * 1_000_003)).collect();
     rt.spawn_peer(ids[0]);
     for &id in &ids[1..] {
-        assert!(rt.join_and_wait(id, ids[0]));
+        rt.spawn_peer(id);
+        rt.inject(id, Command::Join { contact: ids[0] });
+        rt.settle(0);
+        assert_eq!(rt.with_peer(id, PeerMachine::joined), Some(true));
     }
     for &id in &ids {
         rt.inject(id, Command::BuildLinks { walks: 2 });
@@ -144,12 +147,17 @@ fn shutdown_with_gossip_and_churn_in_flight() {
         for iter in 0..10u64 {
             let mut rt = Runtime::new(RuntimeConfig::new(3000 + iter).with_workers(3));
             let ids = settled_ring(&rt, 20);
-            rt.gossip_round();
+            let gossip_round = |rt: &Runtime| {
+                for id in rt.peer_ids() {
+                    rt.inject(id, Command::GossipTick);
+                }
+            };
+            gossip_round(&rt);
             // Crash a third of the ring while gossip is still in the air.
             for &id in ids.iter().step_by(3) {
                 rt.remove_peer(id);
             }
-            rt.gossip_round();
+            gossip_round(&rt);
             rt.shutdown();
         }
     });

@@ -216,16 +216,11 @@ impl DesDriver {
     }
 
     /// Delivers queued envelopes until the world goes silent (the DES
-    /// analogue of the runtime's `quiesce`). Returns envelopes processed
-    /// (delivered or bounced or evaporated — see the counters for the
-    /// breakdown).
-    pub fn run_until_idle(&mut self) -> u64 {
-        let mut n = 0;
+    /// analogue of the runtime's `quiesce`).
+    fn run_until_idle(&mut self) {
         while let Some((_, env)) = self.queue.pop() {
-            n += 1;
             self.deliver(env);
         }
-        n
     }
 
     /// The earliest pending deadline across all machines, if any
@@ -278,10 +273,10 @@ impl DesDriver {
         true
     }
 
-    /// Alternates [`DesDriver::run_until_idle`] with timer rounds until
-    /// every pending operation resolved (completion, retry success, or
-    /// graceful give-up) or `max_rounds` timer rounds elapsed. Returns
-    /// the timer rounds consumed.
+    /// Alternates delivering every queued envelope with timer rounds
+    /// until every pending operation resolved (completion, retry
+    /// success, or graceful give-up) or `max_rounds` timer rounds
+    /// elapsed. Returns the timer rounds consumed.
     pub fn run_until_settled(&mut self, max_rounds: u64) -> u64 {
         self.run_until_idle();
         let mut rounds = 0;
@@ -290,33 +285,6 @@ impl DesDriver {
             rounds += 1;
         }
         rounds
-    }
-
-    /// Advances the virtual clock to at least `round`: delivers all
-    /// queued envelopes, then fires every timer deadline up to `round`
-    /// (each followed by the deliveries it provokes). Deadlines beyond
-    /// `round` stay pending — they belong to a later slice of time.
-    pub fn advance_to(&mut self, round: u64) {
-        self.run_until_idle();
-        while self.next_timer_round().is_some_and(|d| d <= round) {
-            self.tick_timers();
-            self.run_until_idle();
-        }
-        self.round = self.round.max(round);
-    }
-
-    /// Spawns `joiner`, joins it through `contact`, and settles the
-    /// splice. Returns true iff *this* join completed: the answer is read
-    /// from the events this call produced, and every event — these and
-    /// any already waiting — stays for [`DesDriver::drain_events`].
-    pub fn join_and_wait(&mut self, joiner: Id, contact: Id) -> bool {
-        let before = self.events.len();
-        self.spawn_peer(joiner);
-        self.inject(joiner, Command::Join { contact });
-        self.run_until_idle();
-        self.events[before..]
-            .iter()
-            .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joiner))
     }
 
     /// Drains protocol milestones observed since the last drain.
@@ -409,8 +377,17 @@ impl ProtocolDriver for DesDriver {
         self.run_until_settled(max_rounds)
     }
 
+    /// Delivers all queued envelopes, then fires every timer deadline up
+    /// to `round` (each followed by the deliveries it provokes).
+    /// Deadlines beyond `round` stay pending — they belong to a later
+    /// slice of time.
     fn advance_to(&mut self, round: u64) {
-        DesDriver::advance_to(self, round);
+        self.run_until_idle();
+        while self.next_timer_round().is_some_and(|d| d <= round) {
+            self.tick_timers();
+            self.run_until_idle();
+        }
+        self.round = self.round.max(round);
     }
 
     fn round(&self) -> u64 {
@@ -432,6 +409,10 @@ impl ProtocolDriver for DesDriver {
     fn fault_count(&self) -> u64 {
         DesDriver::fault_count(self)
     }
+
+    fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
+        self.peer(id).map(f)
+    }
 }
 
 #[cfg(test)]
@@ -440,25 +421,6 @@ mod tests {
 
     fn driver(seed: u64) -> DesDriver {
         DesDriver::new(seed, PeerConfig::default())
-    }
-
-    #[test]
-    fn joins_splice_the_virtual_time_ring() {
-        let mut des = driver(42);
-        let ids: Vec<Id> = [7u64, 900, 100, 300, 550]
-            .iter()
-            .map(|&i| Id::new(i))
-            .collect();
-        des.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(des.join_and_wait(id, ids[0]), "join {id:?}");
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        for (k, &id) in sorted.iter().enumerate() {
-            let succ = sorted[(k + 1) % sorted.len()];
-            assert_eq!(des.peer(id).unwrap().succs()[0], succ);
-        }
     }
 
     #[test]
@@ -471,7 +433,10 @@ mod tests {
             let ids: Vec<Id> = (1..=30u64).map(|i| Id::new(i * 1_000)).collect();
             des.spawn_peer(ids[0]);
             for &id in &ids[1..] {
-                assert!(des.join_and_wait(id, ids[0]));
+                des.spawn_peer(id);
+                des.inject(id, Command::Join { contact: ids[0] });
+                des.settle(0);
+                assert!(des.peer(id).unwrap().joined());
             }
             let known = |des: &DesDriver| {
                 ids.iter()
@@ -494,69 +459,6 @@ mod tests {
         assert_ne!(gossiped, other_gossiped);
     }
 
-    #[test]
-    fn queries_resolve_and_report_through_virtual_time() {
-        let mut des = driver(9);
-        let ids: Vec<Id> = (1..=10u64).map(|i| Id::new(i * 1_000)).collect();
-        des.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(des.join_and_wait(id, ids[0]));
-        }
-        for &id in &ids {
-            des.inject(id, Command::BuildLinks { walks: 2 });
-        }
-        des.run_until_idle();
-        des.drain_events();
-        des.inject(
-            ids[0],
-            Command::StartQuery {
-                qid: 77,
-                key: Id::new(4_500),
-            },
-        );
-        des.run_until_idle();
-        let report = des
-            .drain_events()
-            .into_iter()
-            .find_map(|e| match e {
-                ProtocolEvent::QueryCompleted(r) => Some(r),
-                _ => None,
-            })
-            .expect("query completed");
-        assert!(report.success);
-        assert_eq!(report.dest, Some(Id::new(5_000)));
-    }
-
-    #[test]
-    fn removed_peer_bounces_mail_to_sender() {
-        let mut des = driver(5);
-        let ids: Vec<Id> = (1..=6u64).map(|i| Id::new(i * 100)).collect();
-        des.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            assert!(des.join_and_wait(id, ids[0]));
-        }
-        assert!(des.remove_peer(Id::new(300)));
-        des.drain_events();
-        des.inject(
-            Id::new(100),
-            Command::StartQuery {
-                qid: 1,
-                key: Id::new(250),
-            },
-        );
-        des.run_until_idle();
-        let report = des
-            .drain_events()
-            .into_iter()
-            .find_map(|e| match e {
-                ProtocolEvent::QueryCompleted(r) => Some(r),
-                _ => None,
-            })
-            .expect("query must terminate");
-        assert!(report.wasted > 0, "corpse probe must be charged");
-        assert!(des.bounced() > 0);
-    }
-
     /// Two joined peers under a plan that swallows mail to corpses, so
     /// only timers can notice a crash.
     fn blackholed_pair() -> (DesDriver, Id, Id) {
@@ -564,7 +466,10 @@ mod tests {
         let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), plan);
         let (a, b) = (Id::new(100), Id::new(200));
         des.spawn_peer(a);
-        assert!(des.join_and_wait(b, a));
+        des.spawn_peer(b);
+        des.inject(b, Command::Join { contact: a });
+        des.settle(0);
+        assert!(des.peer(b).unwrap().joined());
         des.drain_events();
         assert_eq!(
             des.next_timer_round(),
@@ -678,7 +583,10 @@ mod tests {
             let ids: Vec<Id> = (1..=10u64).map(|i| Id::new(i * 1_000)).collect();
             des.spawn_peer(ids[0]);
             for &id in &ids[1..] {
-                assert!(des.join_and_wait(id, ids[0]));
+                des.spawn_peer(id);
+                des.inject(id, Command::Join { contact: ids[0] });
+                des.settle(0);
+                assert!(des.peer(id).unwrap().joined());
             }
             for &id in &ids {
                 des.inject(id, Command::BuildLinks { walks: 2 });

@@ -35,7 +35,7 @@ fn bootstrapped(n: usize, seed: u64, cfg: PeerConfig, plan: FaultPlan) -> DesDri
             },
         );
     }
-    des.run_until_idle();
+    des.settle(0);
     des
 }
 
@@ -154,10 +154,10 @@ proptest! {
                 }
                 6 => des.advance_to(des.round() + (arg >> 32) % 24),
                 7 => {
-                    des.run_until_idle();
+                    des.settle(0);
                 }
                 _ => {
-                    des.run_until_idle();
+                    des.settle(0);
                     check_tick(&mut des, step)?;
                 }
             }

@@ -8,8 +8,10 @@
 //! CSV. If a change is *meant* to shift the streams, regenerate the
 //! committed `results/` artifacts in the same PR and re-pin.
 
+mod support;
+
 use oscar::prelude::*;
-use oscar::protocol::{Command, ProtocolEvent};
+use oscar::protocol::{Command, ProtocolDriver, ProtocolEvent};
 use oscar::runtime::{Runtime, RuntimeConfig};
 use oscar::types::{mix64, Id};
 
@@ -21,6 +23,23 @@ fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
         acc = mix64(acc ^ v);
     }
     acc
+}
+
+/// The link tables of `ids`, read through the seam, folded peer by peer
+/// in that order: id, pred, succs, long_out, long_in.
+fn link_tables_digest<D: ProtocolDriver>(driver: &D, ids: &[Id]) -> u64 {
+    digest(ids.iter().map(|&id| {
+        let (pred, succs, long_out, long_in) = driver
+            .with_peer(id, PeerMachine::fingerprint)
+            .expect("a live peer");
+        digest(
+            [id.raw(), pred.raw()]
+                .into_iter()
+                .chain(succs.iter().map(|s| s.raw()))
+                .chain(long_out.iter().map(|s| s.raw()))
+                .chain(long_in.iter().map(|s| s.raw())),
+        )
+    }))
 }
 
 /// Simulator path: grown overlay + query batch at a fixed seed, the same
@@ -187,19 +206,9 @@ fn machine_churn_digest_is_pinned() {
             w.queries.mean_wasted.to_bits(),
         ]
     }));
-    let mut tables = Vec::new();
-    for id in des.peer_ids() {
-        let (pred, succs, long_out, long_in) = des.peer(id).unwrap().fingerprint();
-        tables.push(digest(
-            [id.raw(), pred.raw()]
-                .into_iter()
-                .chain(succs.iter().map(|s| s.raw()))
-                .chain(long_out.iter().map(|s| s.raw()))
-                .chain(long_in.iter().map(|s| s.raw())),
-        ));
-    }
+    let tables = link_tables_digest(&des, &des.peer_ids());
     assert_eq!(des.fault_count(), 0, "no machine faults in a seeded run");
-    let outcome = digest([books, digest(tables)]);
+    let outcome = digest([books, tables]);
     println!("machine churn digest: {outcome:#018x}");
     assert_eq!(
         outcome, 0x2a607608fa7c105d,
@@ -216,10 +225,7 @@ fn runtime_overlay_digest_is_pinned() {
         .map(|i| Id::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
         .collect();
     let mut rt = Runtime::new(RuntimeConfig::new(0xC0FFEE).with_workers(4));
-    rt.spawn_peer(ids[0]);
-    for &id in &ids[1..] {
-        assert!(rt.join_and_wait(id, ids[0]));
-    }
+    support::join_all(&mut rt, &ids);
     for &id in &ids {
         rt.inject(id, Command::BuildLinks { walks: 3 });
         rt.quiesce();
@@ -245,23 +251,13 @@ fn runtime_overlay_digest_is_pinned() {
     q.sort_by_key(|&(qid, _)| qid);
     // peer_ids() iterates the actors BTreeMap directly: pin its order too.
     let roster = digest(rt.peer_ids().into_iter().map(|id| id.raw()));
-    let mut tables = Vec::new();
-    for &id in &ids {
-        let (pred, succs, long_out, long_in) = rt.with_peer(id, |m| m.fingerprint()).unwrap();
-        tables.push(digest(
-            [id.raw(), pred.raw()]
-                .into_iter()
-                .chain(succs.iter().map(|s| s.raw()))
-                .chain(long_out.iter().map(|s| s.raw()))
-                .chain(long_in.iter().map(|s| s.raw())),
-        ));
-    }
+    let tables = link_tables_digest(&rt, &ids);
     rt.shutdown();
     let queries = digest(
         q.iter()
             .flat_map(|(_, r)| [r.qid, r.hops as u64, r.wasted as u64, r.success as u64]),
     );
-    let outcome = digest([roster, digest(tables), queries]);
+    let outcome = digest([roster, tables, queries]);
     println!("runtime digest: {outcome:#018x}");
     assert_eq!(
         outcome, 0xb00ec918624ea04f,

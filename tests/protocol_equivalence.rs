@@ -9,16 +9,32 @@
 //! of which driver delivers the envelopes. Gossip views are the one
 //! deliberately scheduling-dependent piece of state and are excluded
 //! from the fingerprint.
+//!
+//! Every case is written once, generic over [`ProtocolDriver`], and run
+//! on the DES and on the runtime at 4 workers: a case drives a fleet and
+//! reads its machines through the seam alone (`with_peer`), never
+//! through either driver's own API.
+
+mod support;
 
 use oscar::protocol::{
-    Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent, QueryReport,
+    Command, FaultPlan, OpKind, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent, QueryReport,
 };
 use oscar::runtime::{Runtime, RuntimeConfig};
 use oscar::sim::DesDriver;
 use oscar::types::Id;
 use std::collections::BTreeMap;
+use support::join_all;
 
 const SEED: u64 = 0xE0_1234;
+
+fn des() -> DesDriver {
+    DesDriver::new(SEED, PeerConfig::default())
+}
+
+fn runtime(workers: usize) -> Runtime {
+    Runtime::new(RuntimeConfig::new(SEED).with_workers(workers))
+}
 
 /// The shared trace: peer ids (join order), then per-peer link walks,
 /// then a deterministic query set.
@@ -48,76 +64,58 @@ fn query_trace(ids: &[Id]) -> Vec<(Id, u64, Id)> {
 /// Per-peer link-table fingerprints: id -> (pred, succs, long_out, long_in).
 type LinkTables = BTreeMap<Id, (Id, Vec<Id>, Vec<Id>, Vec<Id>)>;
 
-fn run_des(ids: &[Id]) -> (LinkTables, Vec<QueryReport>) {
-    let mut des = DesDriver::new(SEED, PeerConfig::default());
-    des.spawn_peer(ids[0]);
-    for &id in &ids[1..] {
-        assert!(des.join_and_wait(id, ids[0]), "DES join {id:?}");
-    }
-    for &id in ids {
-        des.inject(id, Command::BuildLinks { walks: 3 });
-        des.run_until_idle();
-    }
-    des.drain_events();
-    let mut reports = Vec::new();
-    for &(origin, qid, key) in &query_trace(ids) {
-        des.inject(origin, Command::StartQuery { qid, key });
-        des.run_until_idle();
-        for e in des.drain_events() {
-            if let ProtocolEvent::QueryCompleted(r) = e {
-                reports.push(r);
-            }
-        }
-    }
-    let tables = ids
-        .iter()
-        .map(|&id| (id, des.peer(id).unwrap().fingerprint()))
-        .collect();
-    reports.sort_by_key(|r| r.qid);
-    (tables, reports)
+/// The link tables of the live peers `ids`, read through the seam.
+fn link_tables<D: ProtocolDriver>(driver: &D, ids: &[Id]) -> LinkTables {
+    ids.iter()
+        .map(|&id| {
+            let fp = driver.with_peer(id, PeerMachine::fingerprint);
+            (id, fp.expect("a live peer"))
+        })
+        .collect()
 }
 
-fn run_actor(ids: &[Id], workers: usize) -> (LinkTables, Vec<QueryReport>) {
-    let mut rt = Runtime::new(RuntimeConfig::new(SEED).with_workers(workers));
-    rt.spawn_peer(ids[0]);
-    for &id in &ids[1..] {
-        assert!(rt.join_and_wait(id, ids[0]), "runtime join {id:?}");
+/// The DES's and the runtime's link tables, peer for peer.
+fn assert_same_tables(des: &LinkTables, rt: &LinkTables, context: &str) {
+    assert_eq!(des.len(), rt.len(), "table counts {context}");
+    for (id, des_fp) in des {
+        assert_eq!(des_fp, &rt[id], "link tables diverge {context} at {id:?}");
     }
+}
+
+/// The query reports among `events`, in event order.
+fn query_reports(events: Vec<ProtocolEvent>) -> impl Iterator<Item = QueryReport> {
+    events.into_iter().filter_map(|e| match e {
+        ProtocolEvent::QueryCompleted(r) => Some(r),
+        _ => None,
+    })
+}
+
+/// Joins, link walks and the query trace, each command settled before
+/// the next.
+fn run_trace<D: ProtocolDriver>(mut driver: D, ids: &[Id]) -> (LinkTables, Vec<QueryReport>) {
+    join_all(&mut driver, ids);
     for &id in ids {
-        rt.inject(id, Command::BuildLinks { walks: 3 });
-        rt.quiesce();
+        driver.inject(id, Command::BuildLinks { walks: 3 });
+        driver.settle(0);
     }
-    rt.drain_events();
+    driver.drain_events();
     let mut reports = Vec::new();
     for &(origin, qid, key) in &query_trace(ids) {
-        rt.inject(origin, Command::StartQuery { qid, key });
-        rt.quiesce();
-        for e in rt.drain_events() {
-            if let ProtocolEvent::QueryCompleted(r) = e {
-                reports.push(r);
-            }
-        }
+        driver.inject(origin, Command::StartQuery { qid, key });
+        driver.settle(0);
+        reports.extend(query_reports(driver.drain_events()));
     }
-    let tables = ids
-        .iter()
-        .map(|&id| (id, rt.with_peer(id, |m| m.fingerprint()).unwrap()))
-        .collect();
     reports.sort_by_key(|r| r.qid);
-    rt.shutdown();
-    (tables, reports)
+    (link_tables(&driver, ids), reports)
 }
 
 #[test]
 fn des_and_actor_runtime_build_identical_overlays() {
     let ids = peer_ids(48);
-    let (des_tables, des_reports) = run_des(&ids);
-    let (rt_tables, rt_reports) = run_actor(&ids, 4);
+    let (des_tables, des_reports) = run_trace(des(), &ids);
+    let (rt_tables, rt_reports) = run_trace(runtime(4), &ids);
 
-    assert_eq!(des_tables.len(), rt_tables.len());
-    for (id, des_fp) in &des_tables {
-        let rt_fp = &rt_tables[id];
-        assert_eq!(des_fp, rt_fp, "link tables diverge at {id:?}");
-    }
+    assert_same_tables(&des_tables, &rt_tables, "on a clean trace");
 
     assert_eq!(des_reports.len(), rt_reports.len(), "query report counts");
     for (d, r) in des_reports.iter().zip(&rt_reports) {
@@ -169,10 +167,11 @@ fn bootstrap_trace(ids: &[Id]) -> Vec<(Id, Command)> {
         .collect()
 }
 
-/// What a faulted run leaves behind. `timer_rounds` is the driver's
-/// `next_timer_round()` at every quiescent point of every settle, in
-/// order: the drivers must agree not only on where the trace ends up but
-/// on which deadline is next each time the network falls silent.
+/// What a faulted run leaves behind. `timer_rounds` is the earliest
+/// deadline any machine waits on at every quiescent point of every
+/// settle, in order: the drivers must agree not only on where the trace
+/// ends up but on which deadline is next each time the network falls
+/// silent.
 struct FaultedRun {
     tables: LinkTables,
     reports: Vec<QueryReport>,
@@ -180,58 +179,53 @@ struct FaultedRun {
     timer_rounds: Vec<Option<u64>>,
 }
 
-/// `DesDriver::run_until_settled`, noting the next timer round at every
-/// quiescent point on the way.
-fn settle_des(des: &mut DesDriver, max_rounds: u64, timer_rounds: &mut Vec<Option<u64>>) {
-    des.run_until_idle();
-    timer_rounds.push(des.next_timer_round());
-    for _ in 0..max_rounds {
-        if !des.tick_timers() {
+/// `settle(64)`, one timer round at a time, noting the earliest deadline
+/// of the fleet at every quiescent point on the way. There it equals the
+/// driver's `next_timer_round()`, which both drivers' debug oracles check
+/// against the same scan.
+fn settle_noting<D: ProtocolDriver>(driver: &mut D, timer_rounds: &mut Vec<Option<u64>>) {
+    let next_deadline = |driver: &D| {
+        let ids = driver.peer_ids();
+        let deadlines = ids.into_iter().filter_map(|id| {
+            let deadline = driver.with_peer(id, PeerMachine::next_deadline);
+            deadline.flatten()
+        });
+        deadlines.min()
+    };
+    driver.settle(0);
+    timer_rounds.push(next_deadline(driver));
+    for _ in 0..64 {
+        if driver.settle(1) == 0 {
             break;
         }
-        des.run_until_idle();
-        timer_rounds.push(des.next_timer_round());
+        timer_rounds.push(next_deadline(driver));
     }
 }
 
-/// `Runtime::settle`, noting the same.
-fn settle_actor(rt: &Runtime, max_rounds: u64, timer_rounds: &mut Vec<Option<u64>>) {
-    rt.quiesce();
-    timer_rounds.push(rt.next_timer_round());
-    for _ in 0..max_rounds {
-        if !rt.tick_timers() {
-            break;
-        }
-        rt.quiesce();
-        timer_rounds.push(rt.next_timer_round());
-    }
-}
-
-fn run_des_faulted(ids: &[Id]) -> FaultedRun {
-    let mut des = DesDriver::new_with_faults(SEED, PeerConfig::default(), fault_plan());
+fn run_faulted<D: ProtocolDriver>(mut driver: D, ids: &[Id]) -> FaultedRun {
     let mut timer_rounds = Vec::new();
     for &id in ids {
-        des.spawn_peer(id);
+        driver.spawn_peer(id);
     }
     for (id, cmd) in bootstrap_trace(ids) {
-        des.inject(id, cmd);
+        driver.inject(id, cmd);
     }
-    settle_des(&mut des, 64, &mut timer_rounds);
+    settle_noting(&mut driver, &mut timer_rounds);
     for &id in ids {
-        des.inject(id, Command::BuildLinks { walks: 3 });
-        settle_des(&mut des, 64, &mut timer_rounds);
+        driver.inject(id, Command::BuildLinks { walks: 3 });
+        settle_noting(&mut driver, &mut timer_rounds);
     }
     let mut retried = 0u64;
-    for e in des.drain_events() {
+    for e in driver.drain_events() {
         if matches!(e, ProtocolEvent::Retried { .. }) {
             retried += 1;
         }
     }
     let mut reports = Vec::new();
     for &(origin, qid, key) in &query_trace(ids) {
-        des.inject(origin, Command::StartQuery { qid, key });
-        settle_des(&mut des, 64, &mut timer_rounds);
-        for e in des.drain_events() {
+        driver.inject(origin, Command::StartQuery { qid, key });
+        settle_noting(&mut driver, &mut timer_rounds);
+        for e in driver.drain_events() {
             match e {
                 ProtocolEvent::QueryCompleted(r) => reports.push(r),
                 ProtocolEvent::Retried { .. } => retried += 1,
@@ -239,63 +233,9 @@ fn run_des_faulted(ids: &[Id]) -> FaultedRun {
             }
         }
     }
-    let tables = ids
-        .iter()
-        .map(|&id| (id, des.peer(id).unwrap().fingerprint()))
-        .collect();
     reports.sort_by_key(|r| r.qid);
     FaultedRun {
-        tables,
-        reports,
-        retried,
-        timer_rounds,
-    }
-}
-
-fn run_actor_faulted(ids: &[Id], workers: usize) -> FaultedRun {
-    let mut timer_rounds = Vec::new();
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(SEED)
-            .with_workers(workers)
-            .with_fault_plan(fault_plan()),
-    );
-    for &id in ids {
-        rt.spawn_peer(id);
-    }
-    for (id, cmd) in bootstrap_trace(ids) {
-        rt.inject(id, cmd);
-    }
-    settle_actor(&rt, 64, &mut timer_rounds);
-    for &id in ids {
-        rt.inject(id, Command::BuildLinks { walks: 3 });
-        settle_actor(&rt, 64, &mut timer_rounds);
-    }
-    let mut retried = 0u64;
-    for e in rt.drain_events() {
-        if matches!(e, ProtocolEvent::Retried { .. }) {
-            retried += 1;
-        }
-    }
-    let mut reports = Vec::new();
-    for &(origin, qid, key) in &query_trace(ids) {
-        rt.inject(origin, Command::StartQuery { qid, key });
-        settle_actor(&rt, 64, &mut timer_rounds);
-        for e in rt.drain_events() {
-            match e {
-                ProtocolEvent::QueryCompleted(r) => reports.push(r),
-                ProtocolEvent::Retried { .. } => retried += 1,
-                _ => {}
-            }
-        }
-    }
-    let tables = ids
-        .iter()
-        .map(|&id| (id, rt.with_peer(id, |m| m.fingerprint()).unwrap()))
-        .collect();
-    reports.sort_by_key(|r| r.qid);
-    rt.shutdown();
-    FaultedRun {
-        tables,
+        tables: link_tables(&driver, ids),
         reports,
         retried,
         timer_rounds,
@@ -305,11 +245,18 @@ fn run_actor_faulted(ids: &[Id], workers: usize) -> FaultedRun {
 #[test]
 fn des_and_actor_runtime_agree_under_the_same_fault_plan() {
     let ids = peer_ids(48);
-    let des = run_des_faulted(&ids);
-    let rt = run_actor_faulted(&ids, 4);
-    let (des_tables, des_reports) = (des.tables, des.reports);
-    let (rt_tables, rt_reports) = (rt.tables, rt.reports);
-
+    let des = run_faulted(
+        DesDriver::new_with_faults(SEED, PeerConfig::default(), fault_plan()),
+        &ids,
+    );
+    let rt = run_faulted(
+        Runtime::new(
+            RuntimeConfig::new(SEED)
+                .with_workers(4)
+                .with_fault_plan(fault_plan()),
+        ),
+        &ids,
+    );
     assert!(
         des.retried > 0,
         "the plan must actually exercise the retry path"
@@ -322,25 +269,21 @@ fn des_and_actor_runtime_agree_under_the_same_fault_plan() {
         des.timer_rounds, rt.timer_rounds,
         "the drivers disagree on the next timer round at a quiescent point"
     );
-    assert_eq!(des_tables.len(), rt_tables.len());
-    for (id, des_fp) in &des_tables {
-        let rt_fp = &rt_tables[id];
-        assert_eq!(des_fp, rt_fp, "link tables diverge under faults at {id:?}");
-    }
+    assert_same_tables(&des.tables, &rt.tables, "under faults");
     assert_eq!(
-        des_reports.len(),
-        rt_reports.len(),
+        des.reports.len(),
+        rt.reports.len(),
         "query report counts under faults"
     );
-    for (d, r) in des_reports.iter().zip(&rt_reports) {
+    for (d, r) in des.reports.iter().zip(&rt.reports) {
         assert_eq!(d, r, "qid {} report diverges under faults", d.qid);
     }
     // Recovery must actually work: every query eventually resolves.
-    let delivered = des_reports.iter().filter(|r| r.success).count();
+    let delivered = des.reports.iter().filter(|r| r.success).count();
     assert!(
-        delivered * 100 >= des_reports.len() * 99,
+        delivered * 100 >= des.reports.len() * 99,
         "steady delivery below 99%: {delivered}/{}",
-        des_reports.len()
+        des.reports.len()
     );
 }
 
@@ -352,10 +295,7 @@ fn blackholed_crash_degrades_gracefully_not_fatally() {
     let plan = FaultPlan::new(0x0B5C).with_blackhole(true);
     let mut des = DesDriver::new_with_faults(77, PeerConfig::default(), plan);
     let ids: Vec<Id> = (1..=8u64).map(|i| Id::new(i * 100)).collect();
-    des.spawn_peer(ids[0]);
-    for &id in &ids[1..] {
-        assert!(des.join_and_wait(id, ids[0]));
-    }
+    join_all(&mut des, &ids);
     des.drain_events();
     let victim = Id::new(500);
     assert!(des.remove_peer(victim));
@@ -407,67 +347,114 @@ fn blackholed_crash_degrades_gracefully_not_fatally() {
     );
 }
 
-// --- join_and_wait ----------------------------------------------------------
+// --- one case, both drivers ------------------------------------------------
 
-/// `join_and_wait` means one thing on both drivers: it answers from the
-/// events *this* call produced and discards none. A query report waiting
-/// to be drained is still there after the next join, and an undrained
-/// `JoinCompleted` from an id's previous life is not the success of its
-/// next, impossible join.
-#[test]
-fn join_and_wait_answers_for_its_own_join_and_discards_nothing() {
-    let (a, b, c) = (Id::new(100), Id::new(200), Id::new(300));
-    let query = Command::StartQuery { qid: 9, key: b };
-    /// The events a join after an undrained query must leave behind.
-    fn assert_both_kept(events: &[ProtocolEvent], joined: Id, driver: &str) {
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, ProtocolEvent::QueryCompleted(r) if r.qid == 9)),
-            "{driver}: the earlier query report was discarded by the join"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, ProtocolEvent::JoinCompleted { peer } if *peer == joined)),
-            "{driver}: the join's own event must stay drainable"
-        );
+/// Serial joins through one contact splice every joiner in at its sorted
+/// place: each peer's first successor is the next id clockwise.
+fn joins_splice_the_sorted_ring<D: ProtocolDriver>(mut driver: D, name: &str) {
+    let ids = [500u64, 100, 900, 300, 700].map(Id::new);
+    join_all(&mut driver, &ids);
+    let mut sorted = ids;
+    sorted.sort_unstable();
+    for (k, &id) in sorted.iter().enumerate() {
+        let succ = sorted[(k + 1) % sorted.len()];
+        let got = driver.with_peer(id, |m| m.succs()[0]);
+        assert_eq!(got, Some(succ), "{name}: succ of {id:?}");
     }
-
-    let mut des = DesDriver::new(SEED, PeerConfig::default());
-    des.spawn_peer(a);
-    assert!(des.join_and_wait(b, a));
-    des.drain_events();
-    des.inject(a, query.clone());
-    des.run_until_idle();
-    assert!(des.join_and_wait(c, a));
-    // `c` crashes and its id comes back through a contact that does not
-    // exist: with `c`'s first JoinCompleted still undrained, the second
-    // join must answer for itself.
-    assert!(des.remove_peer(c));
-    assert!(
-        !des.join_and_wait(c, Id::new(999)),
-        "a join through a missing contact cannot complete"
-    );
-    assert_both_kept(&des.drain_events(), c, "DES");
-
-    let mut rt = Runtime::new(RuntimeConfig::new(SEED).with_workers(2));
-    rt.spawn_peer(a);
-    assert!(rt.join_and_wait(b, a));
-    rt.drain_events();
-    rt.inject(a, query);
-    rt.quiesce();
-    assert!(rt.join_and_wait(c, a));
-    assert_both_kept(&rt.drain_events(), c, "runtime");
-    rt.shutdown();
 }
 
-// --- spawn_peer on the seam -------------------------------------------------
+#[test]
+fn joins_splice_the_sorted_ring_on_both_drivers() {
+    joins_splice_the_sorted_ring(des(), "DES");
+    joins_splice_the_sorted_ring(runtime(4), "runtime");
+}
+
+/// A storm of queries from every peer of a linked ring at once: every
+/// one succeeds, and a key between two peers resolves to the later one.
+fn queries_resolve_in_parallel<D: ProtocolDriver>(mut driver: D, name: &str) {
+    let ids: Vec<Id> = (1..=64u64).map(|i| Id::new(i * 1_000)).collect();
+    join_all(&mut driver, &ids);
+    for &id in &ids {
+        driver.inject(id, Command::BuildLinks { walks: 2 });
+    }
+    driver.settle(0);
+    driver.drain_events();
+    let mut qid = 0u64;
+    for &id in &ids {
+        for k in 0..4u64 {
+            let key = Id::new(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            driver.inject(id, Command::StartQuery { qid, key });
+            qid += 1;
+        }
+    }
+    let key = Id::new(4_500);
+    driver.inject(ids[0], Command::StartQuery { qid, key });
+    driver.settle(0);
+    let reports: Vec<QueryReport> = query_reports(driver.drain_events()).collect();
+    assert_eq!(reports.len(), qid as usize + 1, "{name}: one report each");
+    assert!(
+        reports.iter().all(|r| r.success),
+        "{name}: all queries must succeed on a clean ring"
+    );
+    let dest = reports.iter().find(|r| r.qid == qid).and_then(|r| r.dest);
+    assert_eq!(dest, Some(Id::new(5_000)), "{name}: the owner of 4500");
+}
+
+#[test]
+fn queries_resolve_in_parallel_on_both_drivers() {
+    queries_resolve_in_parallel(des(), "DES");
+    queries_resolve_in_parallel(runtime(4), "runtime");
+}
+
+/// Queries routed into a crashed peer's arc all terminate: the corpse's
+/// probe is charged as waste, and the driver's own `bounced` counter
+/// (read by `bounced`) sees the mail returned.
+fn removed_peer_bounces_mail_to_sender<D: ProtocolDriver>(
+    mut driver: D,
+    name: &str,
+    bounced: impl Fn(&D) -> u64,
+) {
+    let ids: Vec<Id> = (1..=8u64).map(|i| Id::new(i * 100)).collect();
+    join_all(&mut driver, &ids);
+    let corpse = ids[3];
+    driver.remove_peer(corpse);
+    driver.drain_events();
+    for (qid, &id) in (0..).zip(&ids).filter(|&(_, &id)| id != corpse) {
+        driver.inject(
+            id,
+            Command::StartQuery {
+                qid,
+                key: Id::new(350),
+            },
+        );
+    }
+    driver.settle(0);
+    let reports: Vec<QueryReport> = query_reports(driver.drain_events()).collect();
+    assert_eq!(reports.len(), ids.len() - 1, "{name}: every query must end");
+    let first = reports.iter().find(|r| r.origin == ids[0]);
+    assert!(
+        first.is_some_and(|r| r.wasted > 0),
+        "{name}: corpse probe must be charged"
+    );
+    assert!(
+        bounced(&driver) > 0,
+        "{name}: corpse probes must be counted"
+    );
+}
+
+#[test]
+fn removed_peer_bounces_mail_to_sender_on_both_drivers() {
+    removed_peer_bounces_mail_to_sender(des(), "DES", DesDriver::bounced);
+    removed_peer_bounces_mail_to_sender(runtime(4), "runtime", |rt| rt.stats().bounced);
+}
+
+// --- spawn_peer and with_peer on the seam ----------------------------------
 
 /// `ProtocolDriver::spawn_peer` means what both drivers' inherent
 /// `spawn_peer` means: the fresh machine replaces a live one. `a` pings its
 /// crashed successor under a blackholing plan, so it waits on a timer that
-/// only expiry can clear; its replacement waits on nothing.
+/// only expiry can clear; its replacement waits on nothing. `with_peer`
+/// reads no machine under a removed id, and the replacement's own state.
 fn respawn_replaces_a_waiting_machine<D: ProtocolDriver>(driver: &mut D, name: &str) {
     let (a, b) = (Id::new(100), Id::new(200));
     for (id, other) in [(a, b), (b, a)] {
@@ -483,9 +470,21 @@ fn respawn_replaces_a_waiting_machine<D: ProtocolDriver>(driver: &mut D, name: &
     }
     assert_eq!(driver.settle(64), 0, "{name}: a bootstrapped pair is idle");
     driver.remove_peer(b);
+    assert!(driver.with_peer(b, |_| ()).is_none(), "{name}: b is gone");
     driver.inject(a, Command::ProbeRing);
     assert_eq!(driver.settle(0), 0);
+    let waiting = driver.with_peer(a, PeerMachine::next_deadline);
+    assert!(
+        waiting.flatten().is_some(),
+        "{name}: a ping waits on a timer"
+    );
     driver.spawn_peer(a);
+    assert_eq!(driver.with_peer(a, PeerMachine::joined), Some(false));
+    assert_eq!(
+        driver.with_peer(a, PeerMachine::next_deadline),
+        Some(None),
+        "{name}: the replacement waits on nothing"
+    );
     assert_eq!(
         driver.settle(64),
         0,
@@ -504,7 +503,6 @@ fn spawn_peer_replaces_the_machine_on_both_drivers() {
             .with_fault_plan(plan),
     );
     respawn_replaces_a_waiting_machine(&mut rt, "runtime");
-    rt.shutdown();
 }
 
 // --- equivalence under churn + repair --------------------------------------
@@ -551,63 +549,48 @@ fn des_and_actor_runtime_agree_under_churn_and_repair() {
         .with_drop(0.05)
         .with_blackhole(true);
 
-    let mut des = DesDriver::new_with_faults(SEED, peer_cfg.clone(), plan.clone());
-    let des_windows: Vec<ChurnWindowStats> = run_machine_churn(
-        &mut des,
-        &UniformKeys,
-        &cfg,
-        &schedule,
-        3,
-        SeedTree::new(SEED),
-    )
-    .expect("DES churn run");
-    let des_live = des.peer_ids();
-    let des_tables: LinkTables = des_live
-        .iter()
-        .map(|&id| (id, des.peer(id).unwrap().fingerprint()))
-        .collect();
+    /// One churn run: its windows, its survivors' link tables, its faults.
+    fn churn<D: ProtocolDriver>(
+        mut driver: D,
+        cfg: &MachineChurnConfig,
+        schedule: &ChurnSchedule,
+    ) -> (Vec<ChurnWindowStats>, LinkTables, u64) {
+        let seeds = SeedTree::new(SEED);
+        let windows = run_machine_churn(&mut driver, &UniformKeys, cfg, schedule, 3, seeds);
+        let live = driver.peer_ids();
+        let tables = link_tables(&driver, &live);
+        (windows.expect("churn run"), tables, driver.fault_count())
+    }
 
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(SEED)
-            .with_workers(4)
-            .with_peer_cfg(peer_cfg)
-            .with_fault_plan(plan),
-    );
-    let rt_windows = run_machine_churn(
-        &mut rt,
-        &UniformKeys,
+    let (des_windows, des_tables, des_faults) = churn(
+        DesDriver::new_with_faults(SEED, peer_cfg.clone(), plan.clone()),
         &cfg,
         &schedule,
-        3,
-        SeedTree::new(SEED),
-    )
-    .expect("runtime churn run");
-    let rt_live = rt.peer_ids();
-    let rt_tables: LinkTables = rt_live
-        .iter()
-        .map(|&id| (id, rt.with_peer(id, |m| m.fingerprint()).unwrap()))
-        .collect();
+    );
+    let (rt_windows, rt_tables, rt_faults) = churn(
+        Runtime::new(
+            RuntimeConfig::new(SEED)
+                .with_workers(4)
+                .with_peer_cfg(peer_cfg)
+                .with_fault_plan(plan),
+        ),
+        &cfg,
+        &schedule,
+    );
 
     let churned: u64 = des_windows.iter().map(|w| w.joins + w.crashes).sum();
     assert!(churned > 0, "the schedule must actually churn the fleet");
-    assert_eq!(des_live, rt_live, "live populations diverge under churn");
-    for (id, des_fp) in &des_tables {
-        assert_eq!(
-            des_fp, &rt_tables[id],
-            "link tables diverge under churn at {id:?}"
-        );
-    }
+    assert!(
+        des_tables.keys().eq(rt_tables.keys()),
+        "live populations diverge under churn"
+    );
+    assert_same_tables(&des_tables, &rt_tables, "under churn");
     assert_eq!(
         des_windows, rt_windows,
         "window stats diverge between drivers"
     );
-    assert_eq!(des.fault_count(), 0, "DES machine faults in a seeded run");
-    assert_eq!(
-        rt.fault_count(),
-        0,
-        "runtime machine faults in a seeded run"
-    );
-    rt.shutdown();
+    assert_eq!(des_faults, 0, "DES machine faults in a seeded run");
+    assert_eq!(rt_faults, 0, "runtime machine faults in a seeded run");
 }
 
 #[test]
@@ -615,8 +598,8 @@ fn actor_runtime_is_worker_count_invariant() {
     // The same trace under 1 worker and 4 workers: scheduling changes
     // completely, outcomes must not.
     let ids = peer_ids(24);
-    let (t1, r1) = run_actor(&ids, 1);
-    let (t4, r4) = run_actor(&ids, 4);
+    let (t1, r1) = run_trace(runtime(1), &ids);
+    let (t4, r4) = run_trace(runtime(4), &ids);
     assert_eq!(t1, t4, "link tables depend on worker count");
     assert_eq!(r1.len(), r4.len());
     for (a, b) in r1.iter().zip(&r4) {
