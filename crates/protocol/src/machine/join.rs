@@ -1,7 +1,7 @@
 //! Joining the ring: the joiner's request and welcome, the owner's
 //! splice, and the greedy routing of requests in between.
 
-use super::tables::Op;
+use super::tables::{Bounded, Op};
 use super::PeerMachine;
 use crate::logic;
 use crate::message::{Message, OpKind, ProtocolEvent};
@@ -20,10 +20,9 @@ pub(super) const JOIN_FORWARD_MEMORY: usize = 64;
 impl PeerMachine {
     /// Takes a ring position as given: `Command::Bootstrap` hands one
     /// over, a welcome carries one.
-    pub(super) fn enter_ring(&mut self, pred: Id, mut succs: Vec<Id>) {
-        succs.truncate(SUCC_LEN);
+    pub(super) fn enter_ring(&mut self, pred: Id, succs: Vec<Id>) {
         self.pred = pred;
-        self.succs = succs;
+        self.succs = Bounded::from_slice(&succs);
         self.joined = true;
     }
 
@@ -54,7 +53,7 @@ impl PeerMachine {
         }
         self.ops.clear(OpKind::Join, 0);
         self.enter_ring(pred, succs);
-        for &s in &self.succs {
+        for &s in self.succs.iter() {
             self.known.insert(s);
         }
         self.known.insert(pred);
@@ -74,7 +73,6 @@ impl PeerMachine {
             .is_none_or(|&s0| succ != s0 && dist(succ) < dist(s0));
         if closer && succ != self.id {
             self.succs.insert(0, succ);
-            self.succs.truncate(SUCC_LEN);
         }
     }
 

@@ -35,7 +35,7 @@ use crate::message::{Command, Message, OpKind, Outbound, ProtocolEvent, RepairTr
 use oscar_types::labels::protocol_machine::LBL_PEER;
 use oscar_types::{mix64, Id, SeedTree};
 use rand::RngCore;
-use tables::{NearSet, Op, OpTable, Recent};
+use tables::{Bounded, NearSet, Op, OpTable, Recent};
 
 /// Recently-seen message instance keys kept for duplicate suppression
 /// (a ring buffer per peer).
@@ -61,12 +61,13 @@ pub struct PeerMachine {
     cfg: PeerConfig,
     /// Ring predecessor; `id` itself when alone.
     pred: Id,
-    /// Successor list, nearest first; empty when alone.
-    succs: Vec<Id>,
+    /// Successor list, nearest first (by clockwise distance; see
+    /// `repair::merge_succs` for the one exception); empty when alone.
+    succs: Bounded<{ join::SUCC_LEN }>,
     /// Long links this peer initiated (sorted).
-    long_out: Vec<Id>,
+    long_out: Bounded<{ walk::MAX_LONG_OUT }>,
     /// Long links this peer accepted (sorted).
-    long_in: Vec<Id>,
+    long_in: Bounded<{ walk::MAX_LONG_IN }>,
     /// Bounded gossip membership view (sorted, excludes `id`).
     known: NearSet,
     joined: bool,
@@ -105,9 +106,9 @@ impl PeerMachine {
             id,
             seed,
             pred: id,
-            succs: Vec::new(),
-            long_out: Vec::new(),
-            long_in: Vec::new(),
+            succs: Bounded::new(),
+            long_out: Bounded::new(),
+            long_in: Bounded::new(),
             known: NearSet::new(id, view::VIEW_CAP),
             joined: false,
             walk_counter: 0,
@@ -168,16 +169,21 @@ impl PeerMachine {
     /// sorted and de-duplicated. Identical across drivers by construction,
     /// which is what makes token walks scheduling-independent.
     pub fn neighbors(&self) -> Vec<Id> {
-        let mut t = [&[self.pred], &self.succs[..], &self.long_out, &self.long_in].concat();
-        t.sort_unstable();
-        t.dedup();
-        t.retain(|&x| x != self.id);
-        t
+        self.neighbor_table().to_vec()
     }
 
-    /// Walk degree (size of the canonical neighbour table).
-    pub fn degree(&self) -> usize {
-        self.neighbors().len()
+    /// [`Self::neighbors`] without an allocation: built on the stack, once
+    /// per walk step.
+    fn neighbor_table(&self) -> Bounded<{ walk::NEIGHBOR_CAP }> {
+        let mut t = Bounded::new();
+        let links = [&[self.pred][..], &self.succs, &self.long_out, &self.long_in];
+        for &x in links.into_iter().flatten() {
+            // Never full: the capacity is the sum of the four tables' caps.
+            t.push(x);
+        }
+        t.sort_dedup();
+        t.retain(|x| x != self.id);
+        t
     }
 
     /// Full link-table fingerprint for equivalence checks:
@@ -185,9 +191,9 @@ impl PeerMachine {
     pub fn fingerprint(&self) -> (Id, Vec<Id>, Vec<Id>, Vec<Id>) {
         (
             self.pred,
-            self.succs.clone(),
-            self.long_out.clone(),
-            self.long_in.clone(),
+            self.succs.to_vec(),
+            self.long_out.to_vec(),
+            self.long_in.to_vec(),
         )
     }
 
@@ -286,7 +292,7 @@ impl PeerMachine {
                 self.advance_walk(token);
             }
             // The requester died after we granted the slot: reclaim it.
-            Message::LinkAccept { .. } => self.long_in.retain(|&x| x != to),
+            Message::LinkAccept { .. } => self.long_in.retain(|x| x != to),
             // Lost walks, joins, reports, gossip: nothing to recover.
             _ => {}
         }

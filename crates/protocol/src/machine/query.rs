@@ -389,7 +389,7 @@ mod tests {
         #[test]
         fn best_step_ranks_the_tables_as_they_lie_like_the_sorted_one(
             me: u64,
-            links in prop::collection::vec((0u8..4, 0u64..48), 0..24),
+            links in prop::collection::vec((0u8..4, 0u64..48), 0..32),
             excluded in prop::collection::vec(0u64..48, 0..8),
             far_key: bool,
             key: u64,
@@ -399,12 +399,13 @@ mod tests {
             // links and excluded best candidates all occur.
             let near = |offset: u64| Id::new(me.wrapping_add(offset).wrapping_sub(24));
             let mut m = PeerMachine::new(Id::new(me), 1, PeerConfig::default());
+            // Each table takes entries up to its cap and drops the rest.
             for (table, offset) in links {
                 match table {
                     0 => m.pred = near(offset),
-                    1 => m.succs.push(near(offset)),
-                    2 => m.long_out.push(near(offset)),
-                    _ => m.long_in.push(near(offset)),
+                    1 => _ = m.succs.push(near(offset)),
+                    2 => _ = m.long_out.push(near(offset)),
+                    _ => _ = m.long_in.push(near(offset)),
                 }
             }
             let excluded: Vec<Id> = excluded.into_iter().map(near).collect();

@@ -2,7 +2,6 @@
 //! verdict and what it triggers, stabilisation ride-alongs on pings and
 //! pongs, and graceful departure.
 
-use super::join::SUCC_LEN;
 use super::tables::Op;
 use super::{PeerMachine, RepairPolicy};
 use crate::logic;
@@ -79,14 +78,16 @@ impl PeerMachine {
     pub(super) fn depart(&mut self) {
         let farewell = Message::Leaving {
             pred: self.pred,
-            succs: self.succs.clone(),
+            succs: self.succs.to_vec(),
         };
         for t in self.ring_targets(usize::MAX) {
             self.send(t, farewell.clone());
         }
-        let mut links = std::mem::take(&mut self.long_out);
-        links.append(&mut self.long_in);
-        for t in links {
+        let (long_out, long_in) = (
+            std::mem::take(&mut self.long_out),
+            std::mem::take(&mut self.long_in),
+        );
+        for &t in long_out.iter().chain(long_in.iter()) {
             self.send(t, Message::Unlink);
         }
         self.ops.cancel_all();
@@ -156,7 +157,7 @@ impl PeerMachine {
         self.unlink(gone);
         self.known.remove(gone);
         let was_head = self.succs.first() == Some(&gone);
-        self.succs.retain(|&x| x != gone);
+        self.succs.retain(|x| x != gone);
         was_head
     }
 
@@ -168,21 +169,37 @@ impl PeerMachine {
     }
 
     /// Merges a received successor list into ours: suspects, self and
-    /// duplicates excluded, clockwise-nearest `SUCC_LEN` kept.
+    /// duplicates excluded, clockwise-nearest `SUCC_LEN` kept, sorted by
+    /// clockwise distance. Each new entry goes in at its place, shedding
+    /// the farthest from a full list. A list a welcome installed is taken
+    /// as given and may be out of order (the welcomer's predecessor
+    /// pointer can be stale under churn): the first new entry sorts it.
     fn merge_succs(&mut self, incoming: &[Id]) {
-        let before = self.succs.len();
+        let me = self.id;
+        let mut sorted = false;
         for &s in incoming {
             self.known.insert(s);
-            if s != self.id && !self.succs.contains(&s) && self.suspects.binary_search(&s).is_err()
-            {
-                self.succs.push(s);
+            if s == me || self.succs.contains(&s) || self.suspects.binary_search(&s).is_ok() {
+                continue;
             }
+            if !sorted {
+                self.succs.sort_by_key(|&x| me.cw_dist(x));
+                sorted = true;
+            }
+            let pos = self
+                .succs
+                .partition_point(|&x| me.cw_dist(x) < me.cw_dist(s));
+            self.succs.insert(pos, s);
         }
-        if self.succs.len() != before {
-            let me = self.id;
-            self.succs.sort_unstable_by_key(|&s| me.cw_dist(s));
-            self.succs.truncate(SUCC_LEN);
-        }
+        debug_assert!(
+            !sorted
+                || self
+                    .succs
+                    .windows(2)
+                    .all(|w| me.cw_dist(w[0]) <= me.cw_dist(w[1])),
+            "successor list of {me:?} out of clockwise order after a merge: {:?}",
+            self.succs
+        );
     }
 
     /// Guarded predecessor adoption (the `PredUpdate` rule): accept

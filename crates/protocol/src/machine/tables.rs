@@ -1,7 +1,8 @@
-//! The three tables the sub-machines share, each defined once: pending
+//! The tables the sub-machines share, each defined once: pending
 //! operations with their deadlines and retry streams ([`OpTable`]), a
-//! FIFO window ([`Recent`]) and a sorted peer set that sheds its
-//! clockwise-farthest member ([`NearSet`]).
+//! FIFO window ([`Recent`]), a sorted peer set that sheds its
+//! clockwise-farthest member ([`NearSet`]) and an inline list of at most
+//! `N` peers ([`Bounded`]) that holds each link table.
 
 use crate::message::{OpKind, ProtocolEvent};
 use crate::token::TokenRng;
@@ -204,12 +205,102 @@ impl<T> Recent<T> {
         }
     }
 
-    /// Remembers `item`, forgetting the oldest one once over capacity.
+    /// Remembers `item`, forgetting the oldest one once at capacity. The
+    /// oldest goes first, so a full window never grows its buffer past
+    /// `cap`; a window with `cap` 0 stays empty.
     pub(super) fn push(&mut self, item: T) {
-        self.items.push_back(item);
-        if self.items.len() > self.cap {
+        if self.cap == 0 {
+            return;
+        }
+        if self.items.len() == self.cap {
             self.items.pop_front();
         }
+        self.items.push_back(item);
+    }
+}
+
+/// At most `N` peers in an inline array: a link table that lives inside
+/// its machine, not in an allocation of its own. Derefs to the occupied
+/// prefix.
+#[derive(Clone)]
+pub(super) struct Bounded<const N: usize> {
+    len: usize,
+    ids: [Id; N],
+}
+
+impl<const N: usize> Bounded<N> {
+    pub(super) fn new() -> Self {
+        Bounded {
+            len: 0,
+            ids: [Id::ZERO; N],
+        }
+    }
+
+    /// The first `N` of `ids`.
+    pub(super) fn from_slice(ids: &[Id]) -> Self {
+        let mut t = Self::new();
+        t.len = ids.len().min(N);
+        t.ids[..t.len].copy_from_slice(&ids[..t.len]);
+        t
+    }
+
+    /// Appends `id`; false, and nothing changes, when the table is full.
+    pub(super) fn push(&mut self, id: Id) -> bool {
+        if self.len == N {
+            return false;
+        }
+        self.ids[self.len] = id;
+        self.len += 1;
+        true
+    }
+
+    /// Inserts `id` at `pos`, shedding the last entry when the table is
+    /// full; nothing changes when `pos` is `N`.
+    pub(super) fn insert(&mut self, pos: usize, id: Id) {
+        debug_assert!(pos <= self.len, "insert past the end");
+        if pos >= N {
+            return;
+        }
+        let end = self.len.min(N - 1);
+        self.ids.copy_within(pos..end, pos + 1);
+        self.ids[pos] = id;
+        self.len = end + 1;
+    }
+
+    /// Keeps the entries `keep` accepts, in order.
+    pub(super) fn retain(&mut self, mut keep: impl FnMut(Id) -> bool) {
+        let mut kept = 0;
+        for k in 0..self.len {
+            let id = self.ids[k];
+            if keep(id) {
+                self.ids[kept] = id;
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+
+    pub(super) fn sort_by_key<K: Ord>(&mut self, key: impl FnMut(&Id) -> K) {
+        self.ids[..self.len].sort_unstable_by_key(key);
+    }
+
+    /// Sorts the table and drops repeated entries.
+    pub(super) fn sort_dedup(&mut self) {
+        self.ids[..self.len].sort_unstable();
+        let mut prev = None;
+        self.retain(|id| prev.replace(id) != Some(id));
+    }
+}
+
+impl<const N: usize> Default for Bounded<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> std::fmt::Debug for Bounded<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -261,6 +352,14 @@ impl<T> Deref for Recent<T> {
 
     fn deref(&self) -> &VecDeque<T> {
         &self.items
+    }
+}
+
+impl<const N: usize> Deref for Bounded<N> {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        &self.ids[..self.len]
     }
 }
 
@@ -350,8 +449,44 @@ mod tests {
                     model.remove(0);
                 }
                 prop_assert!(recent.len() <= cap);
+                // Popped before pushed: a full window never doubles its
+                // buffer.
+                prop_assert!(recent.items.capacity() <= cap.next_power_of_two().max(8));
                 prop_assert_eq!(recent.iter().copied().collect::<Vec<_>>(), model.clone());
             }
+        }
+
+        #[test]
+        fn bounded_is_a_vec_that_sheds_past_its_cap(
+            ops in prop::collection::vec((0u8..3, 0usize..8, 0u64..6), 0..64),
+        ) {
+            let mut table = Bounded::<5>::new();
+            let mut model: Vec<Id> = Vec::new();
+            for (op, pos, raw) in ops {
+                match op {
+                    0 => {
+                        prop_assert_eq!(table.push(id(raw)), model.len() < 5);
+                        if model.len() < 5 {
+                            model.push(id(raw));
+                        }
+                    }
+                    1 => {
+                        let pos = pos.min(model.len());
+                        table.insert(pos, id(raw));
+                        model.insert(pos, id(raw));
+                        model.truncate(5);
+                    }
+                    _ => {
+                        table.retain(|x| x != id(raw));
+                        model.retain(|&x| x != id(raw));
+                    }
+                }
+                prop_assert_eq!(&table[..], &model[..]);
+            }
+            table.sort_dedup();
+            model.sort_unstable();
+            model.dedup();
+            prop_assert_eq!(&table[..], &model[..]);
         }
 
         #[test]

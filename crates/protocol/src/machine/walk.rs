@@ -1,6 +1,7 @@
 //! Long-link acquisition: Metropolis–Hastings sampling walks launched in
 //! batches, and the link handshake a settled batch issues.
 
+use super::join::SUCC_LEN;
 use super::tables::Op;
 use super::PeerMachine;
 use crate::logic;
@@ -10,17 +11,23 @@ use oscar_types::labels::protocol_machine::{LBL_LINK, LBL_WALK};
 use oscar_types::{Id, SeedTree};
 
 /// Long out-link budget (links this peer initiates).
-const MAX_LONG_OUT: usize = 5;
+pub(super) const MAX_LONG_OUT: usize = 5;
 
 /// Long in-link budget (links this peer accepts).
-const MAX_LONG_IN: usize = 10;
+pub(super) const MAX_LONG_IN: usize = 10;
+
+/// Most entries a canonical neighbour table can hold: the predecessor and
+/// every link table full.
+pub(super) const NEIGHBOR_CAP: usize = 1 + SUCC_LEN + MAX_LONG_OUT + MAX_LONG_IN;
 
 /// MH walk length per sample (burn-in of the sampling chain).
 const WALK_TTL: u32 = 16;
 
 impl PeerMachine {
     pub(super) fn launch_walks(&mut self, walks: u32) {
-        if walks == 0 || self.degree() == 0 {
+        // Launching changes no link: one table serves every first step.
+        let table = self.neighbor_table();
+        if walks == 0 || table.is_empty() {
             return;
         }
         let first = self.walk_counter;
@@ -29,7 +36,7 @@ impl PeerMachine {
         batch.extend((first..self.walk_counter).map(|w| (w, None)));
         for walk_id in first..self.walk_counter {
             self.ops.arm(Op::Walk { walk_id });
-            self.advance_walk(self.walk_token(walk_id, 0));
+            self.step_walk(self.walk_token(walk_id, 0), &table);
         }
     }
 
@@ -37,7 +44,7 @@ impl PeerMachine {
     /// with `walks` fresh walks — the machine port of the churn engine's
     /// `builder.rewire`.
     pub(super) fn rewire(&mut self, walks: u32) {
-        for t in std::mem::take(&mut self.long_out) {
+        for &t in std::mem::take(&mut self.long_out).iter() {
             self.send(t, Message::Unlink);
         }
         self.launch_walks(walks);
@@ -71,13 +78,19 @@ impl PeerMachine {
     /// Sends the walk's next message from this holder: a probe of a
     /// uniformly proposed neighbour while steps remain, else (or with
     /// nowhere to go) this holder, reported to the origin as the sample.
-    pub(super) fn advance_walk(&mut self, mut token: WalkToken) {
+    pub(super) fn advance_walk(&mut self, token: WalkToken) {
         let table = if token.remaining > 0 {
-            self.neighbors()
+            self.neighbor_table()
         } else {
-            Vec::new()
+            Default::default()
         };
-        if table.is_empty() {
+        self.step_walk(token, &table);
+    }
+
+    /// [`Self::advance_walk`] over this holder's neighbour table, built
+    /// by the caller.
+    fn step_walk(&mut self, mut token: WalkToken, table: &[Id]) {
+        if token.remaining == 0 || table.is_empty() {
             let done = Message::WalkDone {
                 walk_id: token.walk_id,
                 sample: self.id,
@@ -93,10 +106,11 @@ impl PeerMachine {
 
     pub(super) fn on_walk_probe(&mut self, from: Id, mut token: WalkToken) {
         token.remaining = token.remaining.saturating_sub(1);
-        let my_deg = self.degree();
-        let accept = logic::mh_accept(token.holder_deg, my_deg, || token.rng.unit_f64());
-        if accept && my_deg > 0 {
-            self.advance_walk(token);
+        // One table serves the acceptance test and the next proposal.
+        let table = self.neighbor_table();
+        let accept = logic::mh_accept(token.holder_deg, table.len(), || token.rng.unit_f64());
+        if accept && !table.is_empty() {
+            self.step_walk(token, &table);
         } else {
             self.send(from, Message::WalkReject(token));
         }
@@ -212,16 +226,47 @@ impl PeerMachine {
 
     /// Drops both directions of any long link with `peer`.
     pub(super) fn unlink(&mut self, peer: Id) {
-        self.long_in.retain(|&x| x != peer);
-        self.long_out.retain(|&x| x != peer);
+        self.long_in.retain(|x| x != peer);
+        self.long_out.retain(|x| x != peer);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{machines, Pump};
+    use super::super::{PeerConfig, PeerMachine};
     use crate::message::{Command, Message, Outbound, ProtocolEvent};
     use oscar_types::{Id, SeedTree};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn the_stack_table_is_the_sorted_deduplicated_neighbour_list(
+            me: u64,
+            links in prop::collection::vec((0u8..4, 0u64..48), 0..32),
+        ) {
+            // Ids cluster around `me`, so a peer listed in several tables
+            // and the machine's own id among its links both occur; each
+            // table takes entries up to its cap.
+            let near = |offset: u64| Id::new(me.wrapping_add(offset).wrapping_sub(24));
+            let mut m = PeerMachine::new(Id::new(me), 1, PeerConfig::default());
+            for (table, offset) in links {
+                match table {
+                    0 => m.pred = near(offset),
+                    1 => _ = m.succs.push(near(offset)),
+                    2 => _ = m.long_out.push(near(offset)),
+                    _ => _ = m.long_in.push(near(offset)),
+                }
+            }
+            // The table a walk step draws `table[k]` from, as first written.
+            let mut model = [&[m.pred][..], &m.succs, &m.long_out, &m.long_in].concat();
+            model.sort_unstable();
+            model.dedup();
+            model.retain(|&x| x != m.id);
+            prop_assert_eq!(&m.neighbor_table()[..], &model[..]);
+            prop_assert_eq!(m.neighbors(), model);
+        }
+    }
 
     #[test]
     fn walks_settle_and_install_links() {

@@ -36,11 +36,24 @@
 //!   messages. The envelope being handled lends its in-flight slot to the
 //!   last output of its step, so a hop with one output never touches the
 //!   counter: k copies pushed add k − 1, none pushed releases one;
+//! * an executor finds a send's target in its own view of the actor table,
+//!   without a lock: the view is filled on demand from the locked table.
+//!   Every `spawn_machine` and `remove_peer` logs the id it changed and
+//!   moves the table's epoch, under the table's write lock; the first
+//!   send to see the epoch moved drops the logged ids from its view. A
+//!   `quiesce` caller's executor, view included, outlives the call;
+//!   `inject`, `with_peer` and `peer_ids` read the locked table;
+//! * each executor books what it sends and handles (`sent`, and the
+//!   message count that sums to `delivered`) on a cache line of its own.
+//!   Only the rare outcomes — `bounced`, `dropped`, `duplicated` — are
+//!   shared counters;
 //! * sends to unknown/removed peers synchronously invoke the sender's
-//!   `on_delivery_failure` — the same failure surface the DES presents;
-//!   mail that reaches a removed actor anyway (queued before the removal,
-//!   or pushed by a sender that already held it) is booked `dropped` by
-//!   whoever finds it, never handled;
+//!   `on_delivery_failure` — the same failure surface the DES presents.
+//!   A send issued after `remove_peer` returned sees the new epoch, so it
+//!   bounces. Mail that reaches a removed actor anyway (queued before the
+//!   removal, or pushed by a sender that already held it — through a view
+//!   that had not yet seen the epoch move, say) is booked `dropped` by
+//!   whoever finds it, exactly once, never handled;
 //! * a shared [`TimerIndex`] holds every machine's earliest deadline;
 //!   whichever thread ran a machine updates it, under that machine's
 //!   lock and only when the deadline moved, so a timer round finds who
@@ -60,10 +73,13 @@
 //! The count cannot reach zero early under the hand-off. An executor keeps
 //! the slot of the envelope it handles until the step's last push; every
 //! earlier push adds its copies to the count before they land in a
-//! mailbox; and the envelope's books (`delivered`, the executor's message
-//! count) are written before the first push. After the hand-off the
-//! executor books nothing but its busy time, so by the time the count
-//! reaches zero every envelope it covered is in the ledger.
+//! mailbox; the envelope's books (the executor's message count, which
+//! `delivered` sums) are written before the first push, and each send
+//! books `sent` to its executor's slot before its own push. After the
+//! hand-off the executor books nothing but its busy time, so by the time
+//! the count reaches zero every envelope it covered is in the ledger:
+//! `sent` and `delivered` are exact at a quiescent point although no
+//! executor writes another's slot.
 //!
 //! Determinism: the protocol's token-carried RNG makes walk and query
 //! outcomes scheduling-independent, so a serialized command sequence
@@ -94,9 +110,11 @@ use oscar_protocol::{
     ProtocolDriver, ProtocolEvent, TimerIndex,
 };
 use oscar_types::labels::runtime::{LBL_GOSSIP, LBL_WORKER};
-use oscar_types::{Id, SeedTree};
+use oscar_types::{mix64, Id, SeedTree};
 use rand::rngs::SmallRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -177,19 +195,64 @@ struct RunQueue {
 }
 
 /// What a thread that runs actors brings along: a pool worker for its
-/// whole life, a [`Runtime::quiesce`] caller for one call.
+/// whole life, a [`Runtime::quiesce`] caller from one call to the next.
 struct Executor {
-    /// Index into `Shared::books`.
-    stats_slot: usize,
     /// The gossip stream `on_message` draws from.
     rng: SmallRng,
     /// A mailbox's queue is moved into this buffer to drain it; empty
     /// between runs. Each mailbox keeps its own buffer, so grown buffers
     /// do not circulate from busy actors to idle ones.
     batch: VecDeque<(Id, Message)>,
+    /// Where the messages this executor's actors send go from.
+    out: Sender,
+}
+
+/// The sending side of a thread: the books its sends are booked to, how
+/// it finds their targets and where an actor they make ready goes.
+struct Sender {
+    /// Index into `Shared::books`.
+    slot: usize,
+    /// An executor's own view of the actor table; `None` for a thread
+    /// that runs no actors ([`Runtime::inject`]), which reads the locked
+    /// table.
+    view: Option<ActorView>,
     /// The run-next slot: the first actor this executor's sends made
     /// ready, run as soon as the current one is done.
     next: Option<Arc<Actor>>,
+}
+
+/// The actors one executor has sent to, as the actor table held them at
+/// `epoch`: a send finds its target here without a lock. The first send
+/// to see `Shared::epoch` moved forgets the ids the table's change log
+/// names since `epoch` (everything, if the log no longer reaches back
+/// that far); a miss reads the locked table and keeps what it found.
+/// Filled on demand and corrected id by id, never rebuilt: a membership
+/// change costs each view one removal, not one `Arc` clone or drop per
+/// peer, and the churn twin changes membership between settles.
+#[derive(Default)]
+struct ActorView {
+    epoch: u64,
+    actors: HashMap<Id, Arc<Actor>, BuildHasherDefault<IdHasher>>,
+}
+
+/// Hashes an [`Id`] as one [`mix64`] of its raw value.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, raw: u64) {
+        self.0 = mix64(self.0 ^ raw);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One executor slot's books, written once a message. Aligned to 128
@@ -198,10 +261,43 @@ struct Executor {
 #[derive(Default)]
 #[repr(align(128))]
 struct Books {
+    /// Envelopes this slot's sends handed to the transport.
+    sent: AtomicU64,
     /// Messages handled.
     msgs: AtomicU64,
     /// Nanoseconds spent running actors.
     busy_ns: AtomicU64,
+}
+
+/// The actor table's epoch, on a line of its own: every send reads it,
+/// and only membership changes write it.
+#[derive(Default)]
+#[repr(align(128))]
+struct Epoch(AtomicU64);
+
+/// How many changes to the actor table a view can fall behind and still
+/// catch up id by id; a view further behind starts over empty.
+const CHANGE_LOG_LEN: usize = 64;
+
+/// The actors, and the ids the latest changes to them touched. Derefs to
+/// the map for reading; every change goes through [`Table::insert`] or
+/// [`Table::remove`], which log it.
+#[derive(Default)]
+struct Table {
+    // BTreeMap, not HashMap: peer enumeration (stats, snapshots,
+    // peer_ids) walks this map, and ordered iteration keeps every such
+    // walk deterministic for free (iter-order discipline).
+    actors: BTreeMap<Id, Arc<Actor>>,
+    log: ChangeLog,
+}
+
+/// The ids the latest changes to the actor table touched, oldest first:
+/// the change that took the epoch from `first + k` to `first + k + 1`
+/// touched `ids[k]`.
+#[derive(Default)]
+struct ChangeLog {
+    first: u64,
+    ids: VecDeque<Id>,
 }
 
 /// What an actor's mutex guards: the machine, and what the shared
@@ -220,10 +316,11 @@ struct Slot {
 
 /// State shared between the handle and the worker threads.
 struct Shared {
-    // BTreeMap, not HashMap: peer enumeration (stats, snapshots,
-    // peer_ids) walks this map, and ordered iteration keeps every such
-    // walk deterministic for free (iter-order discipline).
-    actors: RwLock<BTreeMap<Id, Arc<Actor>>>,
+    actors: RwLock<Table>,
+    /// The epoch `actors` is at, published under its write lock after
+    /// every change: an executor's [`ActorView`] is good while this has
+    /// not moved.
+    epoch: Epoch,
     runq: Mutex<RunQueue>,
     /// Parked pool workers wait here for an actor to run.
     work: Condvar,
@@ -244,15 +341,14 @@ struct Shared {
     /// Current timer round (virtual failure-detection time); advanced
     /// only at quiescent points via [`Runtime::tick_timers`].
     round: AtomicU64,
-    sent: AtomicU64,
-    delivered: AtomicU64,
     bounced: AtomicU64,
     dropped: AtomicU64,
     duplicated: AtomicU64,
     /// Lifetime [`ProtocolEvent::Fault`] count — unlike the drained
     /// event buffer this never resets, so harnesses gate runs on it.
     faults: AtomicU64,
-    /// One slot per pool worker and a trailing one for `quiesce` callers.
+    /// One slot per pool worker and a trailing one for `quiesce` and
+    /// `inject` callers.
     books: Vec<Books>,
 }
 
@@ -276,7 +372,8 @@ fn held<G>(guard: LockResult<G>) -> G {
 pub struct RuntimeStats {
     /// Envelopes handed to the transport (fault copies included).
     pub sent: u64,
-    /// Messages delivered to mailboxes and processed.
+    /// Messages delivered to mailboxes and processed: the sum of
+    /// `per_worker_msgs`.
     pub delivered: u64,
     /// Sends to missing peers returned as `on_delivery_failure`.
     pub bounced: u64,
@@ -292,8 +389,7 @@ pub struct RuntimeStats {
     /// [`Runtime::quiesce`]. A run's time is booked when the run ends, so
     /// a read at a quiescent point may miss the tail of one still closing.
     pub busy_ns: Vec<u64>,
-    /// Delivered-message counts, slot for slot with `busy_ns`; at a
-    /// quiescent point they sum to `delivered`.
+    /// Delivered-message counts, slot for slot with `busy_ns`.
     pub per_worker_msgs: Vec<u64>,
 }
 
@@ -301,6 +397,9 @@ pub struct RuntimeStats {
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// Executors that earlier [`Runtime::quiesce`] calls ran actors on,
+    /// kept with their actor views for the calls to come.
+    helpers: Mutex<Vec<Executor>>,
     cfg: RuntimeConfig,
 }
 
@@ -315,7 +414,8 @@ impl Runtime {
             cfg.workers
         };
         let shared = Arc::new(Shared {
-            actors: RwLock::new(BTreeMap::new()),
+            actors: RwLock::new(Table::default()),
+            epoch: Epoch::default(),
             runq: Mutex::new(RunQueue::default()),
             work: Condvar::new(),
             quiet: Condvar::new(),
@@ -326,8 +426,6 @@ impl Runtime {
             timers: Mutex::new(TimerIndex::new()),
             plan: cfg.plan.clone(),
             round: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
             bounced: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -355,6 +453,7 @@ impl Runtime {
         Runtime {
             shared,
             workers: handles,
+            helpers: Mutex::new(Vec::new()),
             cfg,
         }
     }
@@ -384,9 +483,10 @@ impl Runtime {
         // concurrent spawn or remove of the same id cannot interleave
         // with them.
         let mut actors = held(self.shared.actors.write());
-        if let Some(replaced) = actors.insert(id, actor) {
+        if let Some(replaced) = actors.insert(actor) {
             self.shared.retire(&replaced);
         }
+        self.shared.epoch.publish(&actors);
         if indexed.is_some() {
             held(self.shared.timers.lock()).set(id, None, indexed);
         }
@@ -409,9 +509,10 @@ impl Runtime {
     pub fn remove_peer(&self, id: Id) -> bool {
         let removed = {
             let mut actors = held(self.shared.actors.write());
-            let removed = actors.remove(&id);
+            let removed = actors.remove(id);
             if let Some(actor) = &removed {
                 self.shared.retire(actor);
+                self.shared.epoch.publish(&actors);
             }
             removed
         };
@@ -420,8 +521,9 @@ impl Runtime {
         };
         // Mail queued to the corpse is taken out and counted as dropped
         // here. Mail an executor took before this, or that a sender
-        // already holding the actor pushes after it, `run_actor` drops
-        // when it finds the slot retired — each envelope exactly once.
+        // already holding the actor pushes after it — through an actor
+        // view that has not yet seen the epoch move — `run_actor` drops
+        // when it finds the slot retired: each envelope exactly once.
         let queued = std::mem::take(&mut held(actor.mailbox.lock()).queue).len();
         self.shared
             .dropped
@@ -449,11 +551,12 @@ impl Runtime {
             self.shared.after_step(id, &mut slot);
             outs
         };
-        // The calling thread is no executor: what it makes ready goes to
+        // The calling thread is no executor: it books to the trailing
+        // slot, reads the locked table, and what it makes ready goes to
         // the shared run queue, with a wake.
-        let mut ready = None;
-        self.shared.send_all(&actor, outs, false, &mut ready);
-        if let Some(first) = ready {
+        let mut out = Sender::new(self.shared.books.len() - 1, None);
+        self.shared.send_all(&actor, outs, false, &mut out);
+        if let Some(first) = out.next {
             self.shared.schedule(first);
         }
         true
@@ -476,29 +579,52 @@ impl Runtime {
     /// threads still hold messages. Machines therefore run on the calling
     /// thread.
     pub fn quiesce(&self) {
-        let shared = &*self.shared;
         let mut helper: Option<Executor> = None;
+        while let Some(actor) = self.next_to_help(&mut helper) {
+            let me = helper.get_or_insert_with(|| self.take_helper());
+            run_actor(&self.shared, &actor, me);
+        }
+        // Nothing is in flight, so its run-next slot is empty.
+        if let Some(me) = helper {
+            held(self.helpers.lock()).push(me);
+        }
+    }
+
+    /// The actor a [`Runtime::quiesce`] caller runs next: its own run-next
+    /// actor, else one from the run queue, parking while there is none
+    /// and other threads still hold messages; `None` once none is in
+    /// flight.
+    fn next_to_help(&self, helper: &mut Option<Executor>) -> Option<Arc<Actor>> {
+        if let Some(actor) = helper.as_mut().and_then(|me| me.out.next.take()) {
+            return Some(actor);
+        }
+        let shared = &*self.shared;
+        let mut q = held(shared.runq.lock());
         loop {
-            let actor = match helper.as_mut().and_then(|me| me.next.take()) {
-                Some(actor) => actor,
-                None => {
-                    let mut q = held(shared.runq.lock());
-                    loop {
-                        if shared.pending.load(Ordering::SeqCst) == 0 {
-                            return;
-                        }
-                        if let Some(actor) = q.ready.pop_front() {
-                            break actor;
-                        }
-                        q.quiescers += 1;
-                        q = held(shared.quiet.wait(q));
-                        q.quiescers -= 1;
-                    }
-                }
-            };
-            let me = helper
-                .get_or_insert_with(|| Executor::new(shared.books.len() - 1, self.fresh_stream()));
-            run_actor(shared, &actor, me);
+            if shared.pending.load(Ordering::SeqCst) == 0 {
+                return None;
+            }
+            if let Some(actor) = q.ready.pop_front() {
+                return Some(actor);
+            }
+            q.quiescers += 1;
+            q = held(shared.quiet.wait(q));
+            q.quiescers -= 1;
+        }
+    }
+
+    /// An executor for a `quiesce` caller about to run its first actor:
+    /// one an earlier call left behind, actor view and all, else a new
+    /// one. Either way with a fresh gossip stream.
+    fn take_helper(&self) -> Executor {
+        let rng = self.fresh_stream();
+        let kept = held(self.helpers.lock()).pop();
+        match kept {
+            Some(mut me) => {
+                me.rng = rng;
+                me
+            }
+            None => Executor::new(self.shared.books.len() - 1, rng),
         }
     }
 
@@ -614,9 +740,15 @@ impl Runtime {
 
     /// Aggregate counters.
     pub fn stats(&self) -> RuntimeStats {
+        let per_worker_msgs: Vec<u64> = self
+            .shared
+            .books
+            .iter()
+            .map(|b| b.msgs.load(Ordering::Relaxed))
+            .collect();
         RuntimeStats {
-            sent: self.shared.sent.load(Ordering::Relaxed),
-            delivered: self.shared.delivered.load(Ordering::Relaxed),
+            sent: self.shared.sent(),
+            delivered: per_worker_msgs.iter().sum(),
             bounced: self.shared.bounced.load(Ordering::Relaxed),
             dropped: self.shared.dropped.load(Ordering::Relaxed),
             duplicated: self.shared.duplicated.load(Ordering::Relaxed),
@@ -627,12 +759,7 @@ impl Runtime {
                 .iter()
                 .map(|b| b.busy_ns.load(Ordering::Relaxed))
                 .collect(),
-            per_worker_msgs: self
-                .shared
-                .books
-                .iter()
-                .map(|b| b.msgs.load(Ordering::Relaxed))
-                .collect(),
+            per_worker_msgs,
         }
     }
 
@@ -698,7 +825,7 @@ impl ProtocolDriver for Runtime {
     }
 
     fn sent(&self) -> u64 {
-        self.shared.sent.load(Ordering::Relaxed)
+        self.shared.sent()
     }
 
     fn fault_count(&self) -> u64 {
@@ -713,6 +840,14 @@ impl ProtocolDriver for Runtime {
 }
 
 impl Shared {
+    /// Envelopes handed to the transport, summed over the executor slots.
+    fn sent(&self) -> u64 {
+        self.books
+            .iter()
+            .map(|b| b.sent.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Routes one outbound from `from`; the runtime's single routing
     /// point, where the fault plan is consulted (the DES's analogue is
     /// `enqueue_all`). The message is moved into the target's mailbox;
@@ -724,11 +859,13 @@ impl Shared {
     /// With `lent`, the caller's own in-flight slot covers the first copy
     /// this send pushes, and the call returns whether it did: the caller
     /// then no longer holds a slot. A bounce passes the lent slot on to
-    /// the last output of the sender's last failure step. An actor the
-    /// push makes ready goes into `next` if that is empty, else to the
-    /// shared run queue.
-    fn send(&self, from: &Actor, out: Outbound, lent: bool, next: &mut Option<Arc<Actor>>) -> bool {
-        self.sent.fetch_add(1, Ordering::Relaxed);
+    /// the last output of the sender's last failure step. The envelope is
+    /// booked to `at`'s slot and its target found through `at`'s actor
+    /// view; an actor the push makes ready goes into `at`'s run-next slot
+    /// if that is empty, else to the shared run queue.
+    fn send(&self, from: &Actor, out: Outbound, lent: bool, at: &mut Sender) -> bool {
+        let books = &self.books[at.slot];
+        books.sent.fetch_add(1, Ordering::Relaxed);
         let Outbound { to, msg } = out;
         let mut extra = None;
         if !self.plan.is_reliable() {
@@ -741,12 +878,19 @@ impl Shared {
                 // extra_delay is a virtual-time notion; the threaded
                 // runtime reorders naturally and ignores it.
                 extra = Some(msg.clone());
-                self.sent.fetch_add(1, Ordering::Relaxed);
+                books.sent.fetch_add(1, Ordering::Relaxed);
                 self.duplicated.fetch_add(1, Ordering::Relaxed);
             }
         }
         let copies = 1 + extra.is_some() as usize;
-        let target = held(self.actors.read()).get(&to).cloned();
+        let locked;
+        let target = match at.view.as_mut() {
+            Some(view) => view.resolve(self, to),
+            None => {
+                locked = held(self.actors.read()).get(&to).cloned();
+                locked.as_ref()
+            }
+        };
         match target {
             Some(target) => {
                 // Counted before the copies are visible in the mailbox.
@@ -761,10 +905,10 @@ impl Shared {
                     !std::mem::replace(&mut mb.scheduled, true)
                 };
                 if went_non_empty {
-                    if next.is_none() {
-                        *next = Some(target);
+                    if at.next.is_none() {
+                        at.next = Some(Arc::clone(target));
                     } else {
-                        self.schedule(target);
+                        self.schedule(Arc::clone(target));
                     }
                 }
                 lent
@@ -783,7 +927,7 @@ impl Shared {
                         self.after_step(from.id, &mut slot);
                         outs
                     };
-                    handed |= self.send_all(from, outs, lent && k + 1 == copies, next);
+                    handed |= self.send_all(from, outs, lent && k + 1 == copies, at);
                 }
                 handed
             }
@@ -794,17 +938,11 @@ impl Shared {
     /// in-flight slot goes to its last output, so every earlier push is
     /// counted while the caller still holds that slot (the module doc's
     /// hand-off argument). Returns whether the slot was passed on.
-    fn send_all(
-        &self,
-        from: &Actor,
-        outs: Vec<Outbound>,
-        lent: bool,
-        next: &mut Option<Arc<Actor>>,
-    ) -> bool {
+    fn send_all(&self, from: &Actor, outs: Vec<Outbound>, lent: bool, at: &mut Sender) -> bool {
         let last = outs.len().saturating_sub(1);
         let mut handed = false;
         for (k, o) in outs.into_iter().enumerate() {
-            handed |= self.send(from, o, lent && k == last, next);
+            handed |= self.send(from, o, lent && k == last, at);
         }
         handed
     }
@@ -871,14 +1009,112 @@ impl Shared {
     }
 }
 
+impl Epoch {
+    /// Publishes the epoch `table` is at; called under the table's write
+    /// lock, after each change. The `Release` pairs with the `Acquire` in
+    /// [`ActorView::resolve`]: a view that reads the new epoch catches up
+    /// before it is used again.
+    fn publish(&self, table: &Table) {
+        self.0.store(table.log.end(), Ordering::Release);
+    }
+}
+
+impl Table {
+    /// Registers `actor` under its id; returns the actor it replaces.
+    fn insert(&mut self, actor: Arc<Actor>) -> Option<Arc<Actor>> {
+        self.log.record(actor.id);
+        self.actors.insert(actor.id, actor)
+    }
+
+    /// Takes the actor under `id` out of the table.
+    fn remove(&mut self, id: Id) -> Option<Arc<Actor>> {
+        let removed = self.actors.remove(&id);
+        if removed.is_some() {
+            self.log.record(id);
+        }
+        removed
+    }
+}
+
+impl std::ops::Deref for Table {
+    type Target = BTreeMap<Id, Arc<Actor>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.actors
+    }
+}
+
+impl ChangeLog {
+    fn record(&mut self, id: Id) {
+        if self.ids.len() == CHANGE_LOG_LEN {
+            self.ids.pop_front();
+            self.first += 1;
+        }
+        self.ids.push_back(id);
+    }
+
+    /// The epoch after the latest change.
+    fn end(&self) -> u64 {
+        self.first + self.ids.len() as u64
+    }
+
+    /// The ids changed since `epoch`; `None` once the log no longer
+    /// reaches back that far.
+    fn since(&self, epoch: u64) -> Option<impl Iterator<Item = &Id>> {
+        let skip = epoch.checked_sub(self.first)?;
+        Some(self.ids.iter().skip(skip as usize))
+    }
+}
+
 impl Executor {
-    fn new(stats_slot: usize, rng: SmallRng) -> Self {
+    fn new(slot: usize, rng: SmallRng) -> Self {
         Executor {
-            stats_slot,
             rng,
             batch: VecDeque::new(),
+            out: Sender::new(slot, Some(ActorView::default())),
+        }
+    }
+}
+
+impl Sender {
+    fn new(slot: usize, view: Option<ActorView>) -> Self {
+        Sender {
+            slot,
+            view,
             next: None,
         }
+    }
+}
+
+impl ActorView {
+    /// The actor registered under `to`. Read without a lock while the
+    /// epoch stands; a miss, or the first look after the epoch moved,
+    /// reads the locked table. A peer the table lacks is not remembered:
+    /// a send to it bounces each time.
+    fn resolve(&mut self, shared: &Shared, to: Id) -> Option<&Arc<Actor>> {
+        if shared.epoch.0.load(Ordering::Acquire) != self.epoch {
+            self.catch_up(shared);
+        }
+        match self.actors.entry(to) {
+            Entry::Occupied(hit) => Some(hit.into_mut()),
+            Entry::Vacant(miss) => {
+                let actor = held(shared.actors.read()).get(&to).cloned()?;
+                Some(miss.insert(actor))
+            }
+        }
+    }
+
+    /// Forgets every actor the table changed since this view's epoch,
+    /// and moves the view to the table's epoch.
+    fn catch_up(&mut self, shared: &Shared) {
+        let table = held(shared.actors.read());
+        match table.log.since(self.epoch) {
+            Some(changed) => changed.for_each(|id| {
+                self.actors.remove(id);
+            }),
+            None => self.actors.clear(),
+        }
+        self.epoch = table.log.end();
     }
 }
 
@@ -886,7 +1122,7 @@ impl Executor {
 /// when there is none.
 fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
-        let actor = match me.next.take() {
+        let actor = match me.out.next.take() {
             Some(actor) => actor,
             None => {
                 let mut q = held(shared.runq.lock());
@@ -917,7 +1153,7 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
         reason = "the runtime's one clock read: busy time per executor, a RuntimeStats field no seeded artifact includes"
     )]
     let t0 = Instant::now();
-    let books = &shared.books[me.stats_slot];
+    let books = &shared.books[me.out.slot];
     let mut handled = false;
     while !shared.stop.load(Ordering::SeqCst) {
         {
@@ -941,14 +1177,13 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
             };
             // Book the envelope before its in-flight slot is passed on or
             // released: once `pending` hits zero a quiescent observer
-            // must see sent == delivered + dropped + bounced, and every
-            // delivery in some executor's count, already settled.
+            // must see sent == delivered + dropped + bounced already
+            // settled.
             match outs {
                 Some(outs) => {
-                    shared.delivered.fetch_add(1, Ordering::Relaxed);
                     books.msgs.fetch_add(1, Ordering::Relaxed);
                     handled = true;
-                    if !shared.send_all(actor, outs, true, &mut me.next) {
+                    if !shared.send_all(actor, outs, true, &mut me.out) {
                         shared.release(1);
                     }
                 }

@@ -13,9 +13,8 @@
 use oscar_protocol::{Command, FaultPlan, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent};
 use oscar_runtime::{Runtime, RuntimeConfig};
 use oscar_types::Id;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 /// Builds a small settled ring so injected traffic actually routes.
 fn settled_ring(rt: &Runtime, n: u64) -> Vec<Id> {
@@ -65,23 +64,20 @@ fn drain_query_reports(rt: &Runtime) -> Vec<(u64, Option<Id>)> {
 
 /// Runs `f` on a watchdog thread; panics if it does not finish in time.
 /// A hang in shutdown would otherwise stall the whole test binary with
-/// no diagnostic.
+/// no diagnostic. A body that panics finishes too: its own panic is
+/// raised here, not reported as a hang.
 fn must_finish_within(label: &str, secs: u64, f: impl FnOnce() + Send + 'static) {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    let h = std::thread::spawn(move || {
-        f();
-        flag.store(true, Ordering::SeqCst);
-    });
-    let deadline = std::time::Instant::now() + Duration::from_secs(secs);
-    while std::time::Instant::now() < deadline {
-        if done.load(Ordering::SeqCst) {
-            h.join().unwrap();
-            return;
+    let h = std::thread::spawn(f);
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !h.is_finished() {
+        if Instant::now() >= deadline {
+            panic!("{label}: did not finish within {secs}s — hang");
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    panic!("{label}: did not finish within {secs}s — hang");
+    if let Err(panic) = h.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 #[test]
@@ -209,6 +205,9 @@ fn duplicates_and_bounces_pass_the_in_flight_slot_on() {
     // the slot to whatever the sender's failure step emits. Remove a third
     // of the ring under a storm and settle: the count must come back to
     // zero with every envelope in one bucket and every query reported once.
+    // The storm may be over before the removals land, so after them each
+    // corpse's ring predecessor also issues a query keyed at the corpse:
+    // its first hop is the corpse, and bounces.
     must_finish_within("duplicates and bounces", 120, || {
         for iter in 0..20u64 {
             let cfg = PeerConfig {
@@ -234,6 +233,12 @@ fn duplicates_and_bounces_pass_the_in_flight_slot_on() {
             for &id in &doomed {
                 assert!(rt.remove_peer(id));
             }
+            let first_forced = survivors.len() as u64 * PER_PEER;
+            for (qid, &corpse) in (first_forced..).zip(&doomed) {
+                let k = ids.iter().position(|&id| id == corpse).unwrap();
+                let pred = ids[(k + ids.len() - 1) % ids.len()];
+                rt.inject(pred, Command::StartQuery { qid, key: corpse });
+            }
             rt.settle(256);
             let s = rt.stats();
             assert!(s.duplicated > 0, "iteration {iter}: plan must duplicate");
@@ -249,10 +254,110 @@ fn duplicates_and_bounces_pass_the_in_flight_slot_on() {
                 .collect();
             assert_eq!(
                 reported,
-                (0..survivors.len() as u64 * PER_PEER).collect::<Vec<u64>>(),
+                (0..first_forced + doomed.len() as u64).collect::<Vec<u64>>(),
                 "iteration {iter}: one report per query"
             );
             rt.shutdown();
+        }
+    });
+}
+
+#[test]
+fn membership_changes_invalidate_every_executors_actor_view() {
+    // Every executor resolves targets through its own view of the actor
+    // table, kept while the table's epoch stands. Warm each view with a
+    // storm, then change membership: a send issued afterwards must see
+    // the change. Mail for a removed peer bounces at its sender — through
+    // a stale view it would be dropped, and the query never reported —
+    // and mail for a peer whose actor was replaced reaches the new actor.
+    must_finish_within("actor view invalidation", 120, || {
+        for workers in [1, 4] {
+            let cfg = PeerConfig {
+                query_budget: 64,
+                ..PeerConfig::default()
+            };
+            let rt = Runtime::new(
+                RuntimeConfig::new(12_000 + workers as u64)
+                    .with_workers(workers)
+                    .with_peer_cfg(cfg),
+            );
+            let ids = settled_ring(&rt, 24);
+            const PER_PEER: u64 = 16;
+            inject_storm(&rt, &ids, PER_PEER, 0);
+            rt.quiesce();
+            let mut qid = ids.len() as u64 * PER_PEER;
+            assert_eq!(drain_query_reports(&rt).len() as u64, qid);
+
+            // Remove x. One query keyed at x starts at a peer that does not
+            // link to x, so an executor makes the hop into x; one starts at
+            // x's predecessor, whose first hop is x.
+            let (pred, x) = (ids[4], ids[5]);
+            let far = *ids
+                .iter()
+                .find(|&&id| id != x && rt.with_peer(id, |m| !m.neighbors().contains(&x)).unwrap())
+                .expect("a peer without a link to x");
+            assert!(rt.remove_peer(x));
+            for origin in [far, pred] {
+                let before = rt.stats();
+                rt.inject(origin, Command::StartQuery { qid, key: x });
+                rt.quiesce();
+                let after = rt.stats();
+                assert_eq!(
+                    after.bounced,
+                    before.bounced + 1,
+                    "{workers} workers: x bounces once"
+                );
+                assert_eq!(
+                    after.dropped, before.dropped,
+                    "{workers} workers: nothing dropped"
+                );
+                let reported: Vec<u64> = drain_query_reports(&rt)
+                    .into_iter()
+                    .map(|(q, _)| q)
+                    .collect();
+                assert_eq!(reported, [qid], "{workers} workers: one report");
+                qid += 1;
+            }
+
+            // Warm the views again, then replace every actor with one over
+            // a copy of its machine, three times over — more changes than a
+            // view can catch up on one by one: mail now goes to the new
+            // actors, and a storm loses none of it.
+            let survivors: Vec<Id> = ids.iter().copied().filter(|&id| id != x).collect();
+            let per_storm = survivors.len() as u64 * PER_PEER;
+            inject_storm(&rt, &survivors, PER_PEER, qid);
+            rt.quiesce();
+            assert_eq!(drain_query_reports(&rt).len() as u64, per_storm);
+            qid += per_storm;
+            for &y in survivors.iter().cycle().take(3 * survivors.len()) {
+                rt.spawn_machine(rt.with_peer(y, PeerMachine::clone).unwrap());
+            }
+            let before = rt.stats();
+            inject_storm(&rt, &survivors, PER_PEER, qid);
+            rt.quiesce();
+            let after = rt.stats();
+            assert_eq!(
+                after.dropped, before.dropped,
+                "{workers} workers: nothing dropped"
+            );
+            let reported = drain_query_reports(&rt).len() as u64;
+            assert_eq!(
+                reported, per_storm,
+                "{workers} workers: one report per query"
+            );
+
+            // A peer spawned after the views were warmed joins: the
+            // welcome an executor sends it arrives. Its contact is the
+            // peer just before it, so the request never routes past x.
+            let z = Id::new(ids[8].raw() + 1);
+            rt.spawn_peer(z);
+            rt.inject(z, Command::Join { contact: ids[8] });
+            rt.settle(0);
+            assert_eq!(
+                rt.with_peer(z, PeerMachine::joined),
+                Some(true),
+                "{workers} workers"
+            );
         }
     });
 }
