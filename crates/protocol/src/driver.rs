@@ -12,14 +12,15 @@
 //!
 //! The trait lives here (not in a driver crate) so both worlds can
 //! implement it without a dependency cycle: `oscar-sim` and
-//! `oscar-runtime` already depend on `oscar-protocol`. So does
-//! [`TimerIndex`], the deadline index both worlds answer "which machines
-//! are due?" from.
+//! `oscar-runtime` already depend on `oscar-protocol`. So does time:
+//! [`TimerIndex`] is a driver's clock, and [`Rounds`] the one timer-round
+//! loop both drivers run on it.
 
 use crate::message::{Command, ProtocolEvent};
 use crate::PeerMachine;
 use oscar_types::Id;
 use std::collections::BTreeSet;
+use std::ops::DerefMut;
 
 /// A world that can host peer machines and move their envelopes.
 ///
@@ -30,21 +31,20 @@ use std::collections::BTreeSet;
 /// [`ProtocolDriver::advance_to`] and [`ProtocolDriver::round`] are for
 /// callers that slice time themselves (the fault sweep's storm reads the
 /// counter; driver tests and the benchmark's tracing wrapper advance it).
+/// Both drivers run `settle` and `advance_to` as [`Rounds`]' loops.
 ///
 /// A join is [`spawn_peer`](ProtocolDriver::spawn_peer), an
 /// `inject(joiner, Command::Join { contact })` and `settle(0)`; whether it
 /// completed is `with_peer(joiner, PeerMachine::joined)`, which drains no
 /// event.
 ///
-/// Both drivers also keep inherent methods beside this trait:
-/// - the ones the benchmark package calls without the trait in scope
+/// Both drivers also keep inherent methods beside these traits:
+/// - the ones the benchmark package calls without the traits in scope
 ///   (`DesDriver::{peer, run_until_settled, delivered}`, the runtime's
 ///   `quiesce` and `stats`, and the inherent twins of the methods here);
 /// - the runtime's `settle`/`advance_to`/`round` take `&self`, because
 ///   the runtime is `Sync` and its stress tests call them from several
-///   threads at once;
-/// - `next_timer_round`, `tick_timers` and `spawn_machine`, because the
-///   timer-index tests read and feed the index itself.
+///   threads at once.
 pub trait ProtocolDriver {
     /// Adds a fresh, unjoined machine for `id`, replacing any machine
     /// already under it; the replaced machine's armed timers go with it.
@@ -97,30 +97,118 @@ pub trait ProtocolDriver {
     }
 }
 
-/// Which machines are waiting on a timer, keyed for the one question a
-/// driver asks at every quiescent point: *who is due?*
+/// The timer round, once for both drivers: deliver until silent, move
+/// the clock to the earliest deadline, tick the peers due there in [`Id`]
+/// order, repeat. Ticking only at quiescent points makes an expired
+/// deadline a genuine loss, never a reply still in flight.
 ///
-/// A driver keeps one index beside its machines and re-indexes a peer
-/// with [`TimerIndex::set`] whenever it has run that peer's machine (or
-/// added or removed it), passing the machine's
+/// Each driver supplies the moves on a borrow of itself (`&mut DesDriver`,
+/// `&Runtime`) and gets the loops. They stay off [`ProtocolDriver`], which
+/// a wrapper driver implements method by method and which owns no clock.
+/// Debug builds check the clock against a scan of the machines at every
+/// call here that finds the fleet at rest.
+pub trait Rounds {
+    /// The driver the debug oracle reads the machines through.
+    type Fleet: ProtocolDriver;
+
+    /// Delivers messages until none is in flight.
+    fn quiesce(&mut self);
+
+    /// The driver's clock.
+    fn clock(&mut self) -> impl DerefMut<Target = TimerIndex> + '_;
+
+    /// Adds a pre-built machine, replacing any machine already under its
+    /// id; timers the machine already carries are indexed.
+    fn spawn_machine(&mut self, machine: PeerMachine);
+
+    /// Injects `Command::TimerTick { now }` into each of `due`, in order.
+    fn tick(&mut self, due: Vec<Id>, now: u64);
+
+    /// The fleet when every machine has finished its last step: always on
+    /// the DES, at quiescent points on the runtime.
+    fn at_rest(&self) -> Option<&Self::Fleet>;
+
+    /// The earliest pending deadline across all machines, if any.
+    fn next_timer_round(&mut self) -> Option<u64> {
+        check_clock(self);
+        self.clock().earliest()
+    }
+
+    /// Moves the clock to the earliest pending deadline and ticks every
+    /// machine due there; false when nobody is waiting. Call only at a
+    /// quiescent point.
+    fn tick_timers(&mut self) -> bool {
+        check_clock(self);
+        let Some((now, due)) = self.clock().advance() else {
+            return false;
+        };
+        self.tick(due, now);
+        true
+    }
+
+    /// Alternates quiescence with timer rounds until every pending
+    /// operation resolved (completion, retry success or graceful give-up)
+    /// or `max_rounds` timer rounds elapsed; returns the rounds consumed.
+    fn run_until_settled(&mut self, max_rounds: u64) -> u64 {
+        self.quiesce();
+        let mut rounds = 0;
+        while rounds < max_rounds && self.tick_timers() {
+            self.quiesce();
+            rounds += 1;
+        }
+        rounds
+    }
+
+    /// Moves the clock to at least `round`, firing every deadline up to
+    /// it, each followed by the traffic it provokes. Later deadlines stay
+    /// pending.
+    fn run_to_round(&mut self, round: u64) {
+        self.quiesce();
+        while self.next_timer_round().is_some_and(|d| d <= round) {
+            self.tick_timers();
+            self.quiesce();
+        }
+        self.clock().advance_to(round);
+    }
+}
+
+/// Every live machine's earliest deadline, in [`Id`] order, read through
+/// the seam: what a driver's clock holds whenever its fleet is at rest.
+pub fn deadline_scan<D: ProtocolDriver>(driver: &D) -> Vec<(Id, u64)> {
+    let deadline = |id| driver.with_peer(id, PeerMachine::next_deadline);
+    let scan = driver.peer_ids().into_iter();
+    scan.filter_map(|id| Some((id, deadline(id)??))).collect()
+}
+
+/// The debug oracle of [`Rounds`]: at rest, the clock holds exactly the
+/// deadlines a scan of the machines finds. Release builds never scan.
+fn check_clock<R: Rounds + ?Sized>(rounds: &mut R) {
+    debug_assert!(
+        (rounds.at_rest().map(deadline_scan)).is_none_or(|scan| rounds.clock().holds(&scan)),
+        "timer index out of step with the machines"
+    );
+}
+
+/// A driver's clock: the timer round, and one `(deadline, peer)` entry
+/// per machine waiting on a timer.
+///
+/// A driver re-indexes a peer with [`TimerIndex::set`] whenever it has run
+/// (or added or removed) that peer's machine, passing the machine's
 /// [`next_deadline`](crate::PeerMachine::next_deadline) and the deadline
-/// it indexed for that peer last time — which the driver keeps beside the
-/// machine anyway, to skip the steps that leave it where it was, so the
-/// index holds each deadline once. The next timer round is then
-/// [`TimerIndex::earliest`] and the peers to tick are
-/// [`TimerIndex::due`] — O(log n) and O(due · log n), where asking every
-/// machine was O(n) per round, most rounds finding nobody.
-///
-/// The set is ordered, so nothing a driver reads from the index depends
-/// on hash order.
+/// it indexed last time, which it keeps beside the machine to skip the
+/// steps that leave it where it was. [`TimerIndex::advance`] then finds
+/// who is due in O(due · log n), where asking every machine was O(n) per
+/// round. The set is ordered: nothing read from it depends on hash order.
 #[derive(Clone, Debug, Default)]
 pub struct TimerIndex {
     /// One `(deadline, peer)` entry per waiting peer, earliest first.
     by_deadline: BTreeSet<(u64, Id)>,
+    /// The current timer round; it never moves back.
+    round: u64,
 }
 
 impl TimerIndex {
-    /// An empty index: nobody is waiting.
+    /// An empty index at round 0: nobody is waiting.
     pub fn new() -> Self {
         Self::default()
     }
@@ -145,8 +233,25 @@ impl TimerIndex {
         }
     }
 
+    /// The current timer round.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Moves the round to the earliest indexed deadline, if that is later,
+    /// and returns it with the peers due; `None` when nobody is waiting.
+    pub fn advance(&mut self) -> Option<(u64, Vec<Id>)> {
+        self.round = self.round.max(self.earliest()?);
+        Some((self.round, self.due(self.round)))
+    }
+
+    /// Moves the round to `round`, if that is later.
+    pub fn advance_to(&mut self, round: u64) {
+        self.round = self.round.max(round);
+    }
+
     /// The earliest indexed deadline; `None` when nobody is waiting.
-    pub fn earliest(&self) -> Option<u64> {
+    fn earliest(&self) -> Option<u64> {
         self.by_deadline.first().map(|&(deadline, _)| deadline)
     }
 
@@ -155,7 +260,7 @@ impl TimerIndex {
     /// sorted walk over the fleet would find them in. Drivers inject
     /// `TimerTick` in this order, and injection order is enqueue order,
     /// so the order is part of every seeded outcome.
-    pub fn due(&self, now: u64) -> Vec<Id> {
+    fn due(&self, now: u64) -> Vec<Id> {
         let mut due: Vec<Id> = self
             .by_deadline
             .range(..=(now, Id::MAX))
@@ -163,6 +268,13 @@ impl TimerIndex {
             .collect();
         due.sort_unstable();
         due
+    }
+
+    /// Whether the index holds exactly the `(peer, deadline)` pairs of
+    /// `scan`.
+    fn holds(&self, scan: &[(Id, u64)]) -> bool {
+        let held = |&(id, d): &(Id, u64)| self.by_deadline.contains(&(d, id));
+        self.by_deadline.len() == scan.len() && scan.iter().all(held)
     }
 }
 
@@ -237,6 +349,29 @@ mod tests {
         assert_eq!(idx.due(31), vec![id(5), id(10), id(20), id(30), id(40)]);
         // Reading does not consume: the driver clears by re-indexing.
         assert_eq!(idx.due(31).len(), 5);
+    }
+
+    #[test]
+    fn advance_moves_the_round_forward_to_the_earliest_deadline() {
+        let mut idx = TimerIndex::new();
+        assert_eq!(idx.advance(), None);
+        assert_eq!(idx.round(), 0);
+        idx.set(id(2), None, Some(5));
+        idx.set(id(1), None, Some(7));
+        assert_eq!(idx.advance(), Some((5, vec![id(2)])));
+        // Reading does not consume: the driver clears by re-indexing.
+        assert_eq!(idx.advance(), Some((5, vec![id(2)])));
+        idx.set(id(2), Some(5), None);
+        assert_eq!(idx.advance(), Some((7, vec![id(1)])));
+        idx.advance_to(3);
+        assert_eq!(idx.round(), 7, "the round never moves back");
+        idx.advance_to(10);
+        idx.set(id(3), None, Some(8));
+        assert_eq!(
+            idx.advance(),
+            Some((10, vec![id(1), id(3)])),
+            "deadlines behind the round are due at the round"
+        );
     }
 
     #[test]

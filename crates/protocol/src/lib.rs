@@ -52,7 +52,7 @@ pub mod machine;
 pub mod message;
 pub mod token;
 
-pub use driver::{ProtocolDriver, TimerIndex};
+pub use driver::{ProtocolDriver, Rounds, TimerIndex};
 pub use fault::{FaultDecision, FaultPlan};
 pub use machine::{PeerConfig, PeerMachine, RepairPolicy};
 pub use message::{Command, Message, OpKind, Outbound, ProtocolEvent, QueryReport, RepairTrigger};

@@ -37,7 +37,11 @@ pub fn uniform_index<R: Rng + ?Sized>(n: usize, rng: &mut R) -> usize {
 /// A move from a peer of degree `cur_deg` to a candidate of degree
 /// `cand_deg` is accepted with probability `min(1, cur_deg/cand_deg)`,
 /// which makes the walk's stationary distribution uniform over peers
-/// instead of degree-biased.
+/// instead of degree-biased — *provided the proposal is symmetric*: `v`
+/// lists `u` as a neighbour whenever `u` lists `v`. The peer machine's
+/// `neighbor_table()` is not (a successor lists this peer only when this
+/// peer is its predecessor), so its walks drift clockwise, about four
+/// ranks a step (ROADMAP item 14).
 ///
 /// The unit draw is passed lazily: when the candidate is isolated
 /// (`cand_deg == 0`) the rule short-circuits to "accept" *without
@@ -113,15 +117,15 @@ pub fn pick_least_loaded<T>(best: Option<(usize, T)>, load: usize, cand: T) -> O
 /// [`split_at_median`]). `near` and `far` keep the samples' arrival
 /// order and their repeats; the median's own copies are in neither.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MedianSplit<T> {
+struct MedianSplit<T> {
     /// The border and its distance: the lower median of the distinct
     /// samples.
-    pub median: (u64, T),
+    median: (u64, T),
     /// Samples strictly nearer than the median, with their distances
     /// (the next round measures them again).
-    pub near: Vec<(u64, T)>,
+    near: Vec<(u64, T)>,
     /// Samples strictly beyond the median.
-    pub far: Vec<T>,
+    far: Vec<T>,
 }
 
 /// Cuts `(clockwise distance, sample)` pairs at the median of the
@@ -133,7 +137,7 @@ pub struct MedianSplit<T> {
 /// far ones from the arc beyond it, which is why a caller may spend
 /// each of them once more — *in arrival order*: sorted, their first
 /// element would be an order statistic, not a uniform draw.
-pub fn split_at_median<T: Copy + Ord>(samples: &[(u64, T)]) -> Option<MedianSplit<T>> {
+fn split_at_median<T: Copy + Ord>(samples: &[(u64, T)]) -> Option<MedianSplit<T>> {
     let mut distinct = samples.to_vec();
     distinct.sort_unstable();
     distinct.dedup();

@@ -54,10 +54,11 @@
 //!   removal, or pushed by a sender that already held it — through a view
 //!   that had not yet seen the epoch move, say) is booked `dropped` by
 //!   whoever finds it, exactly once, never handled;
-//! * a shared [`TimerIndex`] holds every machine's earliest deadline;
-//!   whichever thread ran a machine updates it, under that machine's
-//!   lock and only when the deadline moved, so a timer round finds who
-//!   is due without visiting a single actor.
+//! * a shared [`TimerIndex`] is the clock: the round and every machine's
+//!   earliest deadline. Whichever thread ran a machine re-indexes it, under
+//!   that machine's lock and only when the deadline moved, so the timer
+//!   rounds — [`Rounds`]', as on the DES — find who is due without
+//!   visiting a single actor.
 //!
 //! No wake-up is lost. `parked` and `quiescers` are read and written only
 //! under the run-queue lock, which a thread holds from its last look at
@@ -107,7 +108,7 @@
 
 use oscar_protocol::{
     machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
-    ProtocolDriver, ProtocolEvent, TimerIndex,
+    ProtocolDriver, ProtocolEvent, Rounds, TimerIndex,
 };
 use oscar_types::labels::runtime::{LBL_GOSSIP, LBL_WORKER};
 use oscar_types::{mix64, Id, SeedTree};
@@ -115,6 +116,7 @@ use rand::rngs::SmallRng;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -332,15 +334,12 @@ struct Shared {
     stop: AtomicBool,
     inject_nonce: AtomicU64,
     events: Mutex<Vec<ProtocolEvent>>,
-    /// Every live machine's earliest deadline. Written by whichever
-    /// thread ran a machine, and only when that machine's earliest
-    /// deadline moved (lock order: actor slot, then this); read alone by
-    /// the timer rounds, at quiescence.
+    /// The clock: the timer round and every live machine's earliest
+    /// deadline. Written by whichever thread ran a machine, and only when
+    /// that machine's earliest deadline moved (lock order: actor slot,
+    /// then this); read alone by the timer rounds, at quiescence.
     timers: Mutex<TimerIndex>,
     plan: FaultPlan,
-    /// Current timer round (virtual failure-detection time); advanced
-    /// only at quiescent points via [`Runtime::tick_timers`].
-    round: AtomicU64,
     bounced: AtomicU64,
     dropped: AtomicU64,
     duplicated: AtomicU64,
@@ -425,7 +424,6 @@ impl Runtime {
             events: Mutex::new(Vec::new()),
             timers: Mutex::new(TimerIndex::new()),
             plan: cfg.plan.clone(),
-            round: AtomicU64::new(0),
             bounced: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -633,109 +631,25 @@ impl Runtime {
         std::mem::take(&mut *held(self.shared.events.lock()))
     }
 
-    /// The earliest pending deadline across all machines, if any
-    /// operation anywhere is still awaiting completion. Read from the
-    /// deadline index; at a quiescent point, debug builds check it
-    /// against a scan of every machine.
-    pub fn next_timer_round(&self) -> Option<u64> {
-        let next = held(self.shared.timers.lock()).earliest();
-        debug_assert!(
-            !self.is_quiescent() || next == self.scan_deadlines().into_iter().map(|(_, d)| d).min(),
-            "timer index out of step with the machines"
-        );
-        next
-    }
-
-    /// Advances the timer round to the earliest pending deadline and
-    /// ticks every machine whose deadline has come due; false when no
-    /// machine is waiting. Call only after [`Runtime::quiesce`]: with
-    /// the network silent, all loss is final, so an expired deadline is
-    /// a genuine loss — identical semantics to the DES's `tick_timers`.
-    ///
-    /// The due set comes from the deadline index alone — no actor is
-    /// locked to find it — in ascending [`Id`] order, the order the DES
-    /// ticks in, so both drivers tick the same machines in the same order.
-    /// Debug builds check the set against a scan of every machine.
-    pub fn tick_timers(&self) -> bool {
-        let Some(min) = self.next_timer_round() else {
-            return false;
-        };
-        let prev = self.shared.round.fetch_max(min, Ordering::SeqCst);
-        let now = prev.max(min);
-        let due = held(self.shared.timers.lock()).due(now);
-        debug_assert!(
-            !self.is_quiescent()
-                || due
-                    == self
-                        .scan_deadlines()
-                        .into_iter()
-                        .filter(|&(_, d)| d <= now)
-                        .map(|(id, _)| id)
-                        .collect::<Vec<Id>>(),
-            "timer index disagrees with the machines on who is due"
-        );
-        for id in due {
-            self.inject(id, Command::TimerTick { now });
-        }
-        true
-    }
-
-    /// True when no message is in flight: every machine has finished
-    /// its last step, index update included.
-    fn is_quiescent(&self) -> bool {
-        self.shared.pending.load(Ordering::SeqCst) == 0
-    }
-
-    /// The debug oracle of the deadline index: every live machine asked
-    /// for its earliest deadline, in id order. Release builds never call
-    /// it.
-    fn scan_deadlines(&self) -> Vec<(Id, u64)> {
-        let actors: Vec<Arc<Actor>> = held(self.shared.actors.read()).values().cloned().collect();
-        actors
-            .iter()
-            .filter_map(|a| {
-                let deadline = held(a.slot.lock()).machine.next_deadline()?;
-                Some((a.id, deadline))
-            })
-            .collect()
-    }
-
-    /// Alternates [`Runtime::quiesce`] with timer rounds until every
-    /// pending operation resolved (completion, retry success, or
-    /// graceful give-up) or `max_rounds` timer rounds elapsed. Returns
-    /// the timer rounds consumed.
+    /// [`Rounds::run_until_settled`]: returns the timer rounds consumed.
     pub fn settle(&self, max_rounds: u64) -> u64 {
-        self.quiesce();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.quiesce();
-            rounds += 1;
-        }
-        rounds
+        Rounds::run_until_settled(&mut { self }, max_rounds)
+    }
+
+    /// [`Rounds::run_to_round`]: fires every deadline up to `round`.
+    pub fn advance_to(&self, round: u64) {
+        Rounds::run_to_round(&mut { self }, round);
     }
 
     /// The current timer round (virtual failure-detection time).
     pub fn round(&self) -> u64 {
-        self.shared.round.load(Ordering::SeqCst)
+        held(self.shared.timers.lock()).round()
     }
 
     /// Lifetime [`ProtocolEvent::Fault`] count (never reset by
     /// [`Runtime::drain_events`]).
     pub fn fault_count(&self) -> u64 {
         self.shared.faults.load(Ordering::Relaxed)
-    }
-
-    /// Advances the timer round to at least `round`: quiesces the
-    /// network, then fires every deadline up to `round` (each followed
-    /// by the traffic it provokes). Deadlines beyond `round` stay
-    /// pending — same slicing of time as the DES's `advance_to`.
-    pub fn advance_to(&self, round: u64) {
-        self.quiesce();
-        while self.next_timer_round().is_some_and(|d| d <= round) {
-            self.tick_timers();
-            self.quiesce();
-        }
-        self.shared.round.fetch_max(round, Ordering::SeqCst);
     }
 
     /// Aggregate counters.
@@ -836,6 +750,36 @@ impl ProtocolDriver for Runtime {
         let actor = held(self.shared.actors.read()).get(&id).cloned()?;
         let slot = held(actor.slot.lock());
         Some(f(&slot.machine))
+    }
+}
+
+/// The runtime's timer rounds, on `&Runtime` so that its `&self` callers
+/// run them too. The machines are at rest only at quiescent points, so
+/// debug builds check the clock only there.
+impl Rounds for &Runtime {
+    type Fleet = Runtime;
+
+    fn quiesce(&mut self) {
+        Runtime::quiesce(self);
+    }
+
+    fn clock(&mut self) -> impl DerefMut<Target = TimerIndex> + '_ {
+        held(self.shared.timers.lock())
+    }
+
+    fn spawn_machine(&mut self, machine: PeerMachine) {
+        Runtime::spawn_machine(self, machine);
+    }
+
+    fn tick(&mut self, due: Vec<Id>, now: u64) {
+        for id in due {
+            self.inject(id, Command::TimerTick { now });
+        }
+    }
+
+    fn at_rest(&self) -> Option<&Runtime> {
+        let quiet = self.shared.pending.load(Ordering::SeqCst) == 0;
+        quiet.then_some(*self)
     }
 }
 

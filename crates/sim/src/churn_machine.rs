@@ -40,8 +40,10 @@
 //!
 //! What the machines do *not* do yet is build Oscar's links: a joiner (and
 //! every rewire) acquires at most 5 links (one constant for every peer)
-//! to **uniform** Metropolis–Hastings samples of the whole ring, not
-//! partition-median links under per-peer degree caps. The same schedule
+//! to Metropolis–Hastings samples of the whole ring, not partition-median
+//! links under per-peer degree caps. The samples are not uniform either:
+//! the walk's proposal is not symmetric, so it drifts about four ranks
+//! clockwise per step (ROADMAP measurement 2, item 14). The same schedule
 //! therefore routes at a higher cost here than on the oracle world.
 //!
 //! Determinism: every draw comes from a labelled child of the run seed

@@ -35,8 +35,10 @@
 //! * [`churn_machine`] — [`MachineWorld`]: a fleet of
 //!   [`oscar_protocol::PeerMachine`]s on any `ProtocolDriver` (the DES or
 //!   the threaded runtime), where failure detection and repair are real
-//!   protocol messages. Its peers link to *uniform* walk samples, not
+//!   protocol messages. Its peers link to unrestricted walk samples, not
 //!   Oscar's partition medians — the gap that keeps `OracleWorld` alive.
+//!   Those samples are not uniform: the walk drifts clockwise (ROADMAP
+//!   item 14).
 //! * [`metrics`] — message accounting by category.
 //!
 //! Each `Network` is single-threaded and allocation-conscious: a full

@@ -337,11 +337,6 @@ impl Network {
         self.peers[idx.as_usize()].alive
     }
 
-    /// The full ring (live + dead) — the unstabilised view.
-    pub fn ring_all(&self) -> &Ring {
-        &self.ring_all
-    }
-
     /// The live ring — the stabilised view.
     pub fn ring_live(&self) -> &Ring {
         &self.ring_live
@@ -637,8 +632,9 @@ impl Network {
     /// ring and long links): a Metropolis–Hastings walk over a multigraph
     /// with multiset degrees still converges to the uniform distribution,
     /// and skipping deduplication keeps the hottest loop in the simulator
-    /// linear in the degree.
-    pub fn walk_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
+    /// linear in the degree. The cache's test oracle.
+    #[cfg(test)]
+    pub(crate) fn walk_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
         buf.clear();
         if let Some(s) = self.ring_successor(idx) {
             if s != idx {
@@ -656,7 +652,7 @@ impl Network {
     }
 
     /// What a cache entry holds: the live members of
-    /// [`Network::walk_neighbors_into`]'s multiset with their identifiers,
+    /// `Network::walk_neighbors_into`'s multiset with their identifiers,
     /// sorted, into `out`'s own vectors (cleared first; their capacity is
     /// reused).
     fn collect_walk_adjacency(&self, idx: PeerIdx, out: &mut WalkCacheEntry) {
@@ -745,9 +741,10 @@ impl Network {
     /// The walk neighbours of `idx` that are alive and (when `arc` is
     /// given) inside the arc, collected into `buf` (cleared first) in
     /// identifier-sorted order; returns the restricted degree. Same
-    /// multiset as [`Network::walk_neighbors_into`] followed by an
+    /// multiset as `Network::walk_neighbors_into` followed by an
     /// alive+arc `retain`, served from the cache.
-    pub fn walk_neighbors_restricted(
+    #[cfg(test)]
+    pub(crate) fn walk_neighbors_restricted(
         &self,
         idx: PeerIdx,
         arc: Option<&Arc>,
@@ -1009,7 +1006,7 @@ mod tests {
         net.kill(idxs[2]).unwrap(); // kill 30
         assert!(!net.is_alive(idxs[2]));
         assert_eq!(net.live_count(), 3);
-        assert!(net.ring_all().contains(Id::new(30)), "full ring keeps dead");
+        assert!(net.ring_all.contains(Id::new(30)), "full ring keeps dead");
         assert!(!net.ring_live().contains(Id::new(30)));
         // 30's outgoing link to 40 released 40's in budget
         assert_eq!(net.peer(idxs[3]).in_degree(), 0);
@@ -1173,7 +1170,7 @@ mod tests {
         // target's budget released
         assert_eq!(net.peer(idxs[3]).in_degree(), 0);
         // gone from both ring views
-        assert!(!net.ring_all().contains(Id::new(30)));
+        assert!(!net.ring_all.contains(Id::new(30)));
         assert!(!net.ring_live().contains(Id::new(30)));
         net.set_fault_model(FaultModel::UnstabilizedRing);
         assert_eq!(
@@ -1490,7 +1487,7 @@ mod tests {
                 let s = net.ring_successor(p).unwrap();
                 prop_assert_eq!(
                     net.peer(s).id,
-                    net.ring_all().successor_of(id).unwrap(),
+                    net.ring_all.successor_of(id).unwrap(),
                     "all successor pointer diverged"
                 );
             }

@@ -16,12 +16,13 @@ use crate::events::EventQueue;
 use oscar_protocol::machine::peer_seed;
 use oscar_protocol::{
     Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
-    TimerIndex,
+    Rounds, TimerIndex,
 };
 use oscar_types::labels::sim_protocol_des::LBL_CMD;
 use oscar_types::{Id, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
+use std::ops::DerefMut;
 
 /// A protocol message in flight through virtual time.
 #[derive(Clone, Debug)]
@@ -42,20 +43,22 @@ struct Slot {
 }
 
 impl Slot {
-    /// Re-indexes the machine after a call into it.
-    fn reindex(&mut self, id: Id, timers: &mut TimerIndex) {
+    /// Re-indexes the machine after a call into it, and takes the events
+    /// the call raised.
+    fn after_step(&mut self, id: Id, timers: &mut TimerIndex) -> Vec<ProtocolEvent> {
         let deadline = self.machine.next_deadline();
         timers.set(id, self.indexed, deadline);
         self.indexed = deadline;
+        self.machine.drain_events()
     }
 }
 
 /// The DES world: peer machines plus one event queue of envelopes.
 pub struct DesDriver {
     peers: BTreeMap<Id, Slot>,
-    /// Every machine's earliest deadline, re-indexed after each call into
-    /// a machine and on spawn/remove: timer rounds read this, never the
-    /// fleet.
+    /// The clock: the timer round, and every machine's earliest deadline,
+    /// re-indexed after each call into a machine and on spawn/remove.
+    /// Timer rounds read this, never the fleet.
     timers: TimerIndex,
     queue: EventQueue<Envelope>,
     seed: u64,
@@ -66,9 +69,6 @@ pub struct DesDriver {
     /// draws from it, and a sequential driver's draw order is its
     /// delivery order, so one stream is as deterministic as one per call.
     gossip_rng: SmallRng,
-    /// Current timer round (virtual failure-detection time); advanced
-    /// only at quiescent points, where all in-flight loss is final.
-    round: u64,
     sent: u64,
     delivered: u64,
     bounced: u64,
@@ -103,7 +103,6 @@ impl DesDriver {
                 reason = "the driver's one stream, rooted at its seed — only gossip draws from it"
             )]
             gossip_rng: SeedTree::new(seed).child(LBL_CMD).rng(),
-            round: 0,
             sent: 0,
             delivered: 0,
             bounced: 0,
@@ -115,20 +114,8 @@ impl DesDriver {
 
     /// Registers a fresh solo peer with the canonical derived seed.
     pub fn spawn_peer(&mut self, id: Id) {
-        self.spawn_machine(PeerMachine::new(
-            id,
-            peer_seed(self.seed, id),
-            self.peer_cfg.clone(),
-        ));
-    }
-
-    /// Registers a pre-built machine, replacing any machine already
-    /// under its id. Timers the machine already carries are indexed.
-    pub fn spawn_machine(&mut self, machine: PeerMachine) {
-        let (id, indexed) = (machine.id(), machine.next_deadline());
-        let replaced = self.peers.insert(id, Slot { machine, indexed });
-        self.timers
-            .set(id, replaced.and_then(|slot| slot.indexed), indexed);
+        let machine = PeerMachine::new(id, peer_seed(self.seed, id), self.peer_cfg.clone());
+        Rounds::spawn_machine(&mut { self }, machine);
     }
 
     /// Removes a peer outright (a crash). Mail already queued to it will
@@ -183,7 +170,7 @@ impl DesDriver {
 
     /// The current timer round.
     pub fn round(&self) -> u64 {
-        self.round
+        self.timers.round()
     }
 
     /// [`ProtocolEvent::Fault`] occurrences since the driver was built
@@ -192,14 +179,15 @@ impl DesDriver {
         self.faults
     }
 
-    /// Absorbs a machine's freshly drained events into the driver's
-    /// buffer, bumping the lifetime fault counter on the way.
-    fn absorb_events(&mut self, evs: Vec<ProtocolEvent>) {
+    /// Books what a call into `id`'s machine left behind: its events,
+    /// bumping the lifetime fault counter on the way, and its sends.
+    fn book(&mut self, id: Id, evs: Vec<ProtocolEvent>, outs: Vec<Outbound>) {
         self.faults += evs
             .iter()
             .filter(|e| matches!(e, ProtocolEvent::Fault { .. }))
             .count() as u64;
         self.events.extend(evs);
+        self.enqueue_all(id, outs);
     }
 
     /// Hands a command to one peer and queues its replies.
@@ -208,83 +196,14 @@ impl DesDriver {
             return false;
         };
         let outs = peer.machine.on_command(cmd, &mut self.gossip_rng);
-        peer.reindex(id, &mut self.timers);
-        let evs = peer.machine.drain_events();
-        self.absorb_events(evs);
-        self.enqueue_all(id, outs);
+        let evs = peer.after_step(id, &mut self.timers);
+        self.book(id, evs, outs);
         true
     }
 
-    /// Delivers queued envelopes until the world goes silent (the DES
-    /// analogue of the runtime's `quiesce`).
-    fn run_until_idle(&mut self) {
-        while let Some((_, env)) = self.queue.pop() {
-            self.deliver(env);
-        }
-    }
-
-    /// The earliest pending deadline across all machines, if any
-    /// operation anywhere is still awaiting completion. Read from the
-    /// deadline index; debug builds check it against a scan of the fleet.
-    pub fn next_timer_round(&self) -> Option<u64> {
-        let next = self.timers.earliest();
-        debug_assert_eq!(
-            next,
-            self.peers
-                .values()
-                .filter_map(|slot| slot.machine.next_deadline())
-                .min(),
-            "timer index out of step with the machines"
-        );
-        next
-    }
-
-    /// Advances the timer round to the earliest pending deadline and
-    /// ticks every machine whose deadline has come due; false when no
-    /// machine is waiting. Call only at quiescent points (empty queue):
-    /// there, all in-flight loss is final, so an expired deadline is a
-    /// genuine loss — never a message still in the queue.
-    ///
-    /// The due set comes from the deadline index in ascending [`Id`]
-    /// order — the order a walk over the sorted fleet finds it in, and
-    /// injection order is enqueue order, so every seeded outcome depends
-    /// on it — at a cost that grows with the machines due, not with the
-    /// fleet.
-    /// Debug builds check the set against that walk.
-    pub fn tick_timers(&mut self) -> bool {
-        let Some(min) = self.next_timer_round() else {
-            return false;
-        };
-        self.round = self.round.max(min);
-        let now = self.round;
-        let due = self.timers.due(now);
-        debug_assert_eq!(
-            due,
-            self.peers
-                .iter()
-                .filter(|(_, slot)| slot.machine.next_deadline().is_some_and(|d| d <= now))
-                .map(|(&id, _)| id)
-                .collect::<Vec<Id>>(),
-            "timer index disagrees with the machines on who is due"
-        );
-        for id in due {
-            self.inject(id, Command::TimerTick { now });
-        }
-        true
-    }
-
-    /// Alternates delivering every queued envelope with timer rounds
-    /// until every pending operation resolved (completion, retry
-    /// success, or graceful give-up) or `max_rounds` timer rounds
-    /// elapsed. Returns the timer rounds consumed.
+    /// [`Rounds::run_until_settled`]: returns the timer rounds consumed.
     pub fn run_until_settled(&mut self, max_rounds: u64) -> u64 {
-        self.run_until_idle();
-        let mut rounds = 0;
-        while rounds < max_rounds && self.tick_timers() {
-            self.run_until_idle();
-            rounds += 1;
-        }
-        rounds
+        Rounds::run_until_settled(&mut { self }, max_rounds)
     }
 
     /// Drains protocol milestones observed since the last drain.
@@ -333,10 +252,8 @@ impl DesDriver {
             let outs = peer
                 .machine
                 .on_message(env.from, env.msg, &mut self.gossip_rng);
-            peer.reindex(env.to, &mut self.timers);
-            let evs = peer.machine.drain_events();
-            self.absorb_events(evs);
-            self.enqueue_all(env.to, outs);
+            let evs = peer.after_step(env.to, &mut self.timers);
+            self.book(env.to, evs, outs);
         } else if self.plan.blackhole_on_crash() {
             // The realistic crash model: the send vanishes; only the
             // sender's timers can notice.
@@ -349,10 +266,8 @@ impl DesDriver {
                 return; // both ends gone; the message evaporates
             };
             let outs = sender.machine.on_delivery_failure(env.to, env.msg);
-            sender.reindex(env.from, &mut self.timers);
-            let evs = sender.machine.drain_events();
-            self.absorb_events(evs);
-            self.enqueue_all(env.from, outs);
+            let evs = sender.after_step(env.from, &mut self.timers);
+            self.book(env.from, evs, outs);
         }
     }
 }
@@ -377,17 +292,8 @@ impl ProtocolDriver for DesDriver {
         self.run_until_settled(max_rounds)
     }
 
-    /// Delivers all queued envelopes, then fires every timer deadline up
-    /// to `round` (each followed by the deliveries it provokes).
-    /// Deadlines beyond `round` stay pending — they belong to a later
-    /// slice of time.
     fn advance_to(&mut self, round: u64) {
-        self.run_until_idle();
-        while self.next_timer_round().is_some_and(|d| d <= round) {
-            self.tick_timers();
-            self.run_until_idle();
-        }
-        self.round = self.round.max(round);
+        Rounds::run_to_round(&mut { self }, round);
     }
 
     fn round(&self) -> u64 {
@@ -412,6 +318,41 @@ impl ProtocolDriver for DesDriver {
 
     fn with_peer<T>(&self, id: Id, f: impl FnOnce(&PeerMachine) -> T) -> Option<T> {
         self.peer(id).map(f)
+    }
+}
+
+/// The DES's timer rounds, on `&mut DesDriver` as the runtime's are on
+/// `&Runtime`. The machines are at rest between any two calls, so debug
+/// builds check the clock at every one.
+impl Rounds for &mut DesDriver {
+    type Fleet = DesDriver;
+
+    /// Delivers queued envelopes until the world goes silent.
+    fn quiesce(&mut self) {
+        while let Some((_, env)) = self.queue.pop() {
+            self.deliver(env);
+        }
+    }
+
+    fn clock(&mut self) -> impl DerefMut<Target = TimerIndex> + '_ {
+        &mut self.timers
+    }
+
+    fn spawn_machine(&mut self, machine: PeerMachine) {
+        let (id, indexed) = (machine.id(), machine.next_deadline());
+        let replaced = self.peers.insert(id, Slot { machine, indexed });
+        self.timers
+            .set(id, replaced.and_then(|slot| slot.indexed), indexed);
+    }
+
+    fn tick(&mut self, due: Vec<Id>, now: u64) {
+        for id in due {
+            self.inject(id, Command::TimerTick { now });
+        }
+    }
+
+    fn at_rest(&self) -> Option<&DesDriver> {
+        Some(self)
     }
 }
 
@@ -448,7 +389,7 @@ mod tests {
                 for &id in &ids {
                     des.inject(id, Command::GossipTick);
                 }
-                des.run_until_idle();
+                (&mut des).quiesce();
             }
             (joined, known(&des))
         };
@@ -457,72 +398,6 @@ mod tests {
         let (other_joined, other_gossiped) = views(43);
         assert_eq!(joined, other_joined, "joins read no seed");
         assert_ne!(gossiped, other_gossiped);
-    }
-
-    /// Two joined peers under a plan that swallows mail to corpses, so
-    /// only timers can notice a crash.
-    fn blackholed_pair() -> (DesDriver, Id, Id) {
-        let plan = FaultPlan::new(0xB1AC).with_blackhole(true);
-        let mut des = DesDriver::new_with_faults(3, PeerConfig::default(), plan);
-        let (a, b) = (Id::new(100), Id::new(200));
-        des.spawn_peer(a);
-        des.spawn_peer(b);
-        des.inject(b, Command::Join { contact: a });
-        des.settle(0);
-        assert!(des.peer(b).unwrap().joined());
-        des.drain_events();
-        assert_eq!(
-            des.next_timer_round(),
-            None,
-            "a settled pair waits on nothing"
-        );
-        (des, a, b)
-    }
-
-    #[test]
-    fn crashing_a_peer_takes_its_armed_timers_out_of_the_index() {
-        let (mut des, a, _) = blackholed_pair();
-        des.inject(a, Command::ProbeRing);
-        assert!(
-            des.next_timer_round().is_some(),
-            "an unanswered ping must be waiting on its timer"
-        );
-        assert!(des.remove_peer(a));
-        // A leaked entry would name a round with nobody to tick, and
-        // settle would spin through its whole budget on it.
-        assert_eq!(des.next_timer_round(), None);
-        assert_eq!(ProtocolDriver::settle(&mut des, 64), 0);
-        assert_eq!(des.next_timer_round(), None);
-    }
-
-    #[test]
-    fn spawning_a_machine_indexes_the_timers_it_already_carries() {
-        let (mut des, _, b) = blackholed_pair();
-        let c = Id::new(300);
-        let mut machine = PeerMachine::new(c, peer_seed(3, c), PeerConfig::default());
-        let mut rng = SeedTree::new(3).rng();
-        machine.on_command(
-            Command::Bootstrap {
-                pred: b,
-                succs: vec![b],
-                known: vec![b],
-            },
-            &mut rng,
-        );
-        // Pings that were never sent: their timers can only expire.
-        machine.on_command(Command::ProbeRing, &mut rng);
-        let armed = machine.next_deadline();
-        assert!(armed.is_some());
-        des.spawn_machine(machine);
-        assert_eq!(des.next_timer_round(), armed);
-        assert!(ProtocolDriver::settle(&mut des, 64) > 0, "the timers fire");
-        assert_eq!(des.next_timer_round(), None);
-
-        // Re-spawning over a waiting peer replaces its index entry too.
-        des.inject(c, Command::ProbeRing);
-        assert!(des.next_timer_round().is_some());
-        des.spawn_peer(c);
-        assert_eq!(des.next_timer_round(), None);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 mod support;
 
+use oscar::protocol::driver::deadline_scan;
 use oscar::protocol::{
     Command, FaultPlan, OpKind, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent, QueryReport,
 };
@@ -181,17 +182,9 @@ struct FaultedRun {
 
 /// `settle(64)`, one timer round at a time, noting the earliest deadline
 /// of the fleet at every quiescent point on the way. There it equals the
-/// driver's `next_timer_round()`, which both drivers' debug oracles check
-/// against the same scan.
+/// driver's `next_timer_round()`, whose debug oracle reads the same scan.
 fn settle_noting<D: ProtocolDriver>(driver: &mut D, timer_rounds: &mut Vec<Option<u64>>) {
-    let next_deadline = |driver: &D| {
-        let ids = driver.peer_ids();
-        let deadlines = ids.into_iter().filter_map(|id| {
-            let deadline = driver.with_peer(id, PeerMachine::next_deadline);
-            deadline.flatten()
-        });
-        deadlines.min()
-    };
+    let next_deadline = |driver: &D| deadline_scan(driver).into_iter().map(|(_, d)| d).min();
     driver.settle(0);
     timer_rounds.push(next_deadline(driver));
     for _ in 0..64 {
