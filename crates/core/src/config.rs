@@ -1,6 +1,5 @@
 //! Oscar construction parameters.
 
-use oscar_sim::WalkConfig;
 use oscar_types::{Error, Result};
 
 /// Where partition medians come from.
@@ -25,8 +24,6 @@ pub struct OscarConfig {
     /// Link candidates sampled per slot: 2 = the power-of-two-choices
     /// technique the paper cites; 1 disables it (ablation A1).
     pub link_candidates: usize,
-    /// Random-walk parameters for all sampling.
-    pub walk: WalkConfig,
     /// Median source (sampled vs oracle).
     pub median_source: MedianSource,
 }
@@ -36,7 +33,6 @@ impl Default for OscarConfig {
         OscarConfig {
             median_sample_size: 12,
             link_candidates: 2,
-            walk: WalkConfig::default(),
             median_source: MedianSource::Sampled,
         }
     }
@@ -52,9 +48,6 @@ impl OscarConfig {
         }
         if self.link_candidates == 0 {
             return Err(Error::InvalidConfig("link_candidates must be >= 1".into()));
-        }
-        if self.walk.burn_in == 0 {
-            return Err(Error::InvalidConfig("walk.burn_in must be >= 1".into()));
         }
         Ok(())
     }
@@ -98,9 +91,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err());
         }
-        let mut c = OscarConfig::default();
-        c.walk.burn_in = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

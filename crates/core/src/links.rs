@@ -20,7 +20,7 @@
 
 use crate::config::OscarConfig;
 use oscar_protocol::logic::{self, Partition};
-use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx};
+use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx, WalkConfig};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -73,7 +73,8 @@ pub fn acquire_links(
             candidates.extend_from_slice(pooled);
             let missing = cfg.link_candidates - pooled.len();
             if missing > 0 {
-                let walked = sample_peers(net, cfg.walk, entry, Some(&arc), missing, rng)?;
+                let walked =
+                    sample_peers(net, WalkConfig::default(), entry, Some(&arc), missing, rng)?;
                 candidates.extend(walked);
             }
             candidates.sort_unstable();

@@ -5,7 +5,7 @@
 
 use crate::config::{MedianSource, OscarConfig};
 use oscar_protocol::logic::{Partition, PartitionChain};
-use oscar_sim::{sample_peers, Network, PeerIdx};
+use oscar_sim::{sample_peers, Network, PeerIdx, WalkConfig};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
 
@@ -28,7 +28,8 @@ pub fn estimate_partitions(
     while let Some((arc, fresh)) = chain.want() {
         match cfg.median_source {
             MedianSource::Sampled => {
-                let walked = sample_peers(net, cfg.walk, succ, Some(&arc), fresh, rng)?;
+                let walked =
+                    sample_peers(net, WalkConfig::default(), succ, Some(&arc), fresh, rng)?;
                 chain.offer(walked.into_iter().map(|s| (net.peer(s).id, s)));
             }
             MedianSource::Oracle => {

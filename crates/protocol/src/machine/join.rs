@@ -4,7 +4,7 @@
 use super::tables::{Bounded, Op};
 use super::PeerMachine;
 use crate::logic;
-use crate::message::{Message, OpKind, ProtocolEvent};
+use crate::message::{Message, OpKind};
 use oscar_types::Id;
 
 /// Successor-list length (ring resilience).
@@ -57,8 +57,6 @@ impl PeerMachine {
             self.known.insert(s);
         }
         self.known.insert(pred);
-        self.events
-            .push(ProtocolEvent::JoinCompleted { peer: self.id });
         if pred != self.id {
             self.send(pred, Message::NewSuccessor { succ: self.id });
         }

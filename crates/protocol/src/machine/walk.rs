@@ -171,10 +171,6 @@ impl PeerMachine {
         }
         let room = MAX_LONG_OUT.saturating_sub(self.long_out.len());
         targets.truncate(room);
-        self.events.push(ProtocolEvent::WalksSettled {
-            peer: self.id,
-            samples: targets.len(),
-        });
         for (walk_id, target) in targets {
             #[expect(
                 clippy::disallowed_methods,
@@ -235,7 +231,7 @@ impl PeerMachine {
 mod tests {
     use super::super::tests::{machines, Pump};
     use super::super::{PeerConfig, PeerMachine};
-    use crate::message::{Command, Message, Outbound, ProtocolEvent};
+    use crate::message::{Command, Message, Outbound};
     use oscar_types::{Id, SeedTree};
     use proptest::prelude::*;
 
@@ -279,7 +275,8 @@ mod tests {
         for &i in &ids {
             pump.command(Id::new(i), Command::BuildLinks { walks: 3 });
         }
-        // Every out-link must be mirrored by the target's in-link.
+        // The batch settled: every out-link is mirrored by the target's
+        // in-link, and no walk or link request is still pending.
         let snapshot: Vec<(Id, Vec<Id>)> = pump
             .peers
             .values()
@@ -296,12 +293,13 @@ mod tests {
             }
         }
         assert!(total > 0, "no long links formed");
-        for m in pump.peers.values_mut() {
-            let settled = m
-                .drain_events()
-                .iter()
-                .any(|e| matches!(e, ProtocolEvent::WalksSettled { .. }));
-            assert!(settled, "walk batch never settled");
+        for m in pump.peers.values() {
+            assert_eq!(
+                m.next_deadline(),
+                None,
+                "{:?}: walk batch never settled",
+                m.id()
+            );
         }
     }
 

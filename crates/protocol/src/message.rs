@@ -358,18 +358,6 @@ impl QueryReport {
 /// Locally observable protocol milestones, drained by the driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtocolEvent {
-    /// The peer spliced into the ring (welcome processed).
-    JoinCompleted {
-        /// The joined peer.
-        peer: Id,
-    },
-    /// All outstanding walks finished and link requests were issued.
-    WalksSettled {
-        /// The walking peer.
-        peer: Id,
-        /// Samples collected by the finished walk batch.
-        samples: usize,
-    },
     /// A query this peer issued has completed.
     QueryCompleted(QueryReport),
     /// A pending operation's deadline expired at a timer tick.

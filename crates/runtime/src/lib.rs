@@ -25,11 +25,12 @@
 //!   pool workers parked on the `work` condvar, [`Runtime::quiesce`]
 //!   callers parked on `quiet`. A push wakes a worker only if one is
 //!   parked, else a waiting quiescer, else nobody;
-//! * an executor — a pool worker, or a thread inside `quiesce` — runs its
-//!   run-next actor, else pops one, moves the actor's mail into a buffer
-//!   it owns and handles it; a message moves from the sender's outbox to
-//!   the machine without being copied (a fault-plan duplicate is the one
-//!   clone);
+//! * an executor — a pool worker, or one a `quiesce` or `inject` caller
+//!   borrows from `Runtime::helpers` for the call — runs its run-next
+//!   actor, else pops one, moves the actor's mail into a buffer it owns
+//!   and handles it (an `inject` caller runs only its command's step); a
+//!   message moves from the sender's outbox to the machine without being
+//!   copied (a fault-plan duplicate is the one clone);
 //! * an atomic in-flight message counter backs `quiesce`, which does not
 //!   sleep while there is work: it runs ready actors on the calling thread
 //!   and parks only when the queue is empty while other threads still hold
@@ -40,13 +41,15 @@
 //!   without a lock: the view is filled on demand from the locked table.
 //!   Every `spawn_machine` and `remove_peer` logs the id it changed and
 //!   moves the table's epoch, under the table's write lock; the first
-//!   send to see the epoch moved drops the logged ids from its view. A
-//!   `quiesce` caller's executor, view included, outlives the call;
-//!   `inject`, `with_peer` and `peer_ids` read the locked table;
-//! * each executor books what it sends and handles (`sent`, and the
-//!   message count that sums to `delivered`) on a cache line of its own.
-//!   Only the rare outcomes — `bounced`, `dropped`, `duplicated` — are
-//!   shared counters;
+//!   send to see the epoch moved drops the logged ids from its view. Every
+//!   thread that sends is an executor, so every send resolves this way; a
+//!   borrowed executor, view and gossip stream included, outlives the
+//!   call that borrowed it. Only `with_peer` and `peer_ids` read the
+//!   locked table;
+//! * each executor books everything it counts — `sent`, the message count
+//!   that sums to `delivered`, `bounced`, `dropped`, `duplicated` and
+//!   `faults` — on a cache line of its own; borrowed executors share one
+//!   trailing line;
 //! * sends to unknown/removed peers synchronously invoke the sender's
 //!   `on_delivery_failure` — the same failure surface the DES presents.
 //!   A send issued after `remove_peer` returned sees the new epoch, so it
@@ -69,7 +72,12 @@
 //! runs it before it looks at the run queue, the count or a condvar — so a
 //! `quiesce` caller never returns holding one. `shutdown` needs
 //! `&mut self`, so nobody is inside `quiesce` then: it wakes the parked
-//! workers and zeroes the count for the quiescers that come after.
+//! workers and zeroes the count for the quiescers that come after. From
+//! then on the transport is closed: `inject` still runs the command, and
+//! books each send it makes `sent` and `dropped` without queuing it, so no
+//! later `quiesce` waits for mail nobody will handle; and `remove_peer`
+//! books a corpse's queued mail `dropped` without releasing it from the
+//! count a second time.
 //!
 //! The count cannot reach zero early under the hand-off. An executor keeps
 //! the slot of the envelope it handles until the step's last push; every
@@ -77,10 +85,11 @@
 //! mailbox; the envelope's books (the executor's message count, which
 //! `delivered` sums) are written before the first push, and each send
 //! books `sent` to its executor's slot before its own push. After the
-//! hand-off the executor books nothing but its busy time, so by the time
-//! the count reaches zero every envelope it covered is in the ledger:
-//! `sent` and `delivered` are exact at a quiescent point although no
-//! executor writes another's slot.
+//! hand-off the executor books nothing but its busy time, and every other
+//! outcome — a drop, a bounce, a duplicate — is booked before the slot it
+//! ends moves on, so by the time the count reaches zero every envelope it
+//! covered is in the ledger: the whole ledger is exact at a quiescent point
+//! although no executor writes another's line.
 //!
 //! Determinism: the protocol's token-carried RNG makes walk and query
 //! outcomes scheduling-independent, so a serialized command sequence
@@ -110,7 +119,7 @@ use oscar_protocol::{
     machine::peer_seed, Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine,
     ProtocolDriver, ProtocolEvent, Rounds, TimerIndex,
 };
-use oscar_types::labels::runtime::{LBL_GOSSIP, LBL_WORKER};
+use oscar_types::labels::runtime::LBL_WORKER;
 use oscar_types::{mix64, Id, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::hash_map::Entry;
@@ -196,28 +205,20 @@ struct RunQueue {
     quiescers: usize,
 }
 
-/// What a thread that runs actors brings along: a pool worker for its
-/// whole life, a [`Runtime::quiesce`] caller from one call to the next.
+/// What a thread that runs or sends for actors brings along: a pool
+/// worker for its whole life; a [`Runtime::quiesce`] or [`Runtime::inject`]
+/// caller for one call, borrowed from `Runtime::helpers` and given back.
 struct Executor {
-    /// The gossip stream `on_message` draws from.
+    /// Index into `Shared::books`: the line everything it counts goes to.
+    slot: usize,
+    /// The gossip stream `on_command` and `on_message` draw from.
     rng: SmallRng,
     /// A mailbox's queue is moved into this buffer to drain it; empty
     /// between runs. Each mailbox keeps its own buffer, so grown buffers
     /// do not circulate from busy actors to idle ones.
     batch: VecDeque<(Id, Message)>,
-    /// Where the messages this executor's actors send go from.
-    out: Sender,
-}
-
-/// The sending side of a thread: the books its sends are booked to, how
-/// it finds their targets and where an actor they make ready goes.
-struct Sender {
-    /// Index into `Shared::books`.
-    slot: usize,
-    /// An executor's own view of the actor table; `None` for a thread
-    /// that runs no actors ([`Runtime::inject`]), which reads the locked
-    /// table.
-    view: Option<ActorView>,
+    /// Where its sends find their targets.
+    view: ActorView,
     /// The run-next slot: the first actor this executor's sends made
     /// ready, run as soon as the current one is done.
     next: Option<Arc<Actor>>,
@@ -267,6 +268,14 @@ struct Books {
     sent: AtomicU64,
     /// Messages handled.
     msgs: AtomicU64,
+    /// Sends to missing peers, returned to their senders.
+    bounced: AtomicU64,
+    /// Envelopes discarded (see [`RuntimeStats::dropped`]).
+    dropped: AtomicU64,
+    /// Fault-plan copies (each also in `sent`).
+    duplicated: AtomicU64,
+    /// [`ProtocolEvent::Fault`]s of the steps this slot ran.
+    faults: AtomicU64,
     /// Nanoseconds spent running actors.
     busy_ns: AtomicU64,
 }
@@ -331,8 +340,9 @@ struct Shared {
     quiet: Condvar,
     /// Messages enqueued but not yet fully processed.
     pending: AtomicUsize,
+    /// Set by [`Runtime::shutdown`]: the pool stops, and the transport is
+    /// closed.
     stop: AtomicBool,
-    inject_nonce: AtomicU64,
     events: Mutex<Vec<ProtocolEvent>>,
     /// The clock: the timer round and every live machine's earliest
     /// deadline. Written by whichever thread ran a machine, and only when
@@ -340,14 +350,8 @@ struct Shared {
     /// then this); read alone by the timer rounds, at quiescence.
     timers: Mutex<TimerIndex>,
     plan: FaultPlan,
-    bounced: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    /// Lifetime [`ProtocolEvent::Fault`] count — unlike the drained
-    /// event buffer this never resets, so harnesses gate runs on it.
-    faults: AtomicU64,
-    /// One slot per pool worker and a trailing one for `quiesce` and
-    /// `inject` callers.
+    /// One slot per pool worker and a trailing one for the borrowed
+    /// executors of `quiesce` and `inject` callers.
     books: Vec<Books>,
 }
 
@@ -377,28 +381,38 @@ pub struct RuntimeStats {
     /// Sends to missing peers returned as `on_delivery_failure`.
     pub bounced: u64,
     /// Envelopes silently discarded: fault-plan drops, blackholed sends
-    /// to missing peers, and mail queued to a removed peer.
+    /// to missing peers, mail queued to a removed peer, and sends made
+    /// after [`Runtime::shutdown`].
     pub dropped: u64,
     /// Extra copies injected by the fault plan (each also in `sent`).
     pub duplicated: u64,
     /// `ProtocolEvent::Fault` occurrences over the runtime's lifetime.
     pub faults: u64,
     /// Busy time in nanoseconds: one slot per pool worker, then one
-    /// trailing slot shared by every thread that ran actors from inside
-    /// [`Runtime::quiesce`]. A run's time is booked when the run ends, so
-    /// a read at a quiescent point may miss the tail of one still closing.
+    /// trailing slot shared by every executor a [`Runtime::quiesce`] or
+    /// [`Runtime::inject`] caller borrowed. A run's time is booked when
+    /// the run ends, so a read at a quiescent point may miss the tail of
+    /// one still closing.
     pub busy_ns: Vec<u64>,
     /// Delivered-message counts, slot for slot with `busy_ns`.
     pub per_worker_msgs: Vec<u64>,
+}
+
+/// Executors no call holds, and how many were ever made: helper k is
+/// executor `workers + k`.
+#[derive(Default)]
+struct Helpers {
+    idle: Vec<Executor>,
+    made: usize,
 }
 
 /// The actor runtime handle. Dropping it shuts the worker pool down.
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Executors that earlier [`Runtime::quiesce`] calls ran actors on,
-    /// kept with their actor views for the calls to come.
-    helpers: Mutex<Vec<Executor>>,
+    /// The executors [`Runtime::quiesce`] and [`Runtime::inject`] callers
+    /// borrow, kept with their actor views and streams between calls.
+    helpers: Mutex<Helpers>,
     cfg: RuntimeConfig,
 }
 
@@ -420,38 +434,28 @@ impl Runtime {
             quiet: Condvar::new(),
             pending: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            inject_nonce: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
             timers: Mutex::new(TimerIndex::new()),
             plan: cfg.plan.clone(),
-            bounced: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
             books: (0..=workers).map(|_| Books::default()).collect(),
         });
         let handles = (0..workers)
             .map(|w| {
-                let sh = Arc::clone(&shared);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "worker gossip streams root at the runtime config seed — the deployment entry point"
-                )]
-                let rng = SeedTree::new(cfg.seed).child2(LBL_WORKER, w as u64).rng();
+                let (sh, me) = (Arc::clone(&shared), Executor::new(cfg.seed, w, w));
                 #[expect(
                     clippy::expect_used,
                     reason = "the OS refused a thread at start-up: there is no runtime to return"
                 )]
                 std::thread::Builder::new()
                     .name(format!("oscar-worker-{w}"))
-                    .spawn(move || worker_loop(sh, Executor::new(w, rng)))
+                    .spawn(move || worker_loop(sh, me))
                     .expect("spawn worker")
             })
             .collect();
         Runtime {
             shared,
             workers: handles,
-            helpers: Mutex::new(Vec::new()),
+            helpers: Mutex::default(),
             cfg,
         }
     }
@@ -523,10 +527,13 @@ impl Runtime {
         // view that has not yet seen the epoch move — `run_actor` drops
         // when it finds the slot retired: each envelope exactly once.
         let queued = std::mem::take(&mut held(actor.mailbox.lock()).queue).len();
-        self.shared
+        self.shared.books[self.shared.trailing()]
             .dropped
             .fetch_add(queued as u64, Ordering::Relaxed);
-        self.shared.release(queued);
+        // `shutdown` zeroed the count with this mail still in it.
+        if !self.shared.stop.load(Ordering::SeqCst) {
+            self.shared.release(queued);
+        }
         true
     }
 
@@ -536,39 +543,36 @@ impl Runtime {
         held(self.shared.actors.read()).keys().copied().collect()
     }
 
-    /// Delivers a command to one peer on the calling thread; resulting
-    /// messages flow through the worker pool.
+    /// Delivers a command to one peer on the calling thread, on a
+    /// borrowed executor; resulting messages flow through the worker pool.
+    /// After [`Runtime::shutdown`] the command still runs, but the
+    /// transport is closed: each send it makes is booked `sent` and
+    /// `dropped`, and nothing is queued.
     pub fn inject(&self, id: Id, cmd: Command) -> bool {
-        let Some(actor) = held(self.shared.actors.read()).get(&id).cloned() else {
-            return false;
-        };
-        let mut rng = self.fresh_stream();
-        let outs = {
-            let mut slot = held(actor.slot.lock());
-            let outs = slot.machine.on_command(cmd, &mut rng);
-            self.shared.after_step(id, &mut slot);
-            outs
-        };
-        // The calling thread is no executor: it books to the trailing
-        // slot, reads the locked table, and what it makes ready goes to
-        // the shared run queue, with a wake.
-        let mut out = Sender::new(self.shared.books.len() - 1, None);
-        self.shared.send_all(&actor, outs, false, &mut out);
-        if let Some(first) = out.next {
-            self.shared.schedule(first);
+        let mut me = self.take_helper();
+        let actor = me.view.resolve(&self.shared, id).cloned();
+        if let Some(actor) = &actor {
+            let outs = {
+                let mut slot = held(actor.slot.lock());
+                let outs = slot.machine.on_command(cmd, &mut me.rng);
+                self.shared.after_step(id, &mut slot, me.slot);
+                outs
+            };
+            if self.shared.stop.load(Ordering::SeqCst) {
+                let (books, closed) = (&self.shared.books[me.slot], outs.len() as u64);
+                books.sent.fetch_add(closed, Ordering::Relaxed);
+                books.dropped.fetch_add(closed, Ordering::Relaxed);
+            } else {
+                // The caller runs no actor: what it made ready goes to the
+                // shared run queue, with a wake.
+                self.shared.send_all(actor, outs, false, &mut me);
+                if let Some(first) = me.next.take() {
+                    self.shared.schedule(first);
+                }
+            }
         }
-        true
-    }
-
-    /// A fresh gossip stream per call: commands (gossip in particular)
-    /// must not replay the same draws every round.
-    fn fresh_stream(&self) -> SmallRng {
-        let nonce = self.shared.inject_nonce.fetch_add(1, Ordering::Relaxed);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "inject and helper streams are keyed by nonce so thread interleaving cannot reorder draws"
-        )]
-        SeedTree::new(self.cfg.seed).child2(LBL_GOSSIP, nonce).rng()
+        held(self.helpers.lock()).idle.push(me);
+        actor.is_some()
     }
 
     /// Returns once no message is in flight anywhere. The caller does
@@ -584,7 +588,7 @@ impl Runtime {
         }
         // Nothing is in flight, so its run-next slot is empty.
         if let Some(me) = helper {
-            held(self.helpers.lock()).push(me);
+            held(self.helpers.lock()).idle.push(me);
         }
     }
 
@@ -593,7 +597,7 @@ impl Runtime {
     /// and other threads still hold messages; `None` once none is in
     /// flight.
     fn next_to_help(&self, helper: &mut Option<Executor>) -> Option<Arc<Actor>> {
-        if let Some(actor) = helper.as_mut().and_then(|me| me.out.next.take()) {
+        if let Some(actor) = helper.as_mut().and_then(|me| me.next.take()) {
             return Some(actor);
         }
         let shared = &*self.shared;
@@ -611,19 +615,17 @@ impl Runtime {
         }
     }
 
-    /// An executor for a `quiesce` caller about to run its first actor:
-    /// one an earlier call left behind, actor view and all, else a new
-    /// one. Either way with a fresh gossip stream.
+    /// An executor for a `quiesce` caller about to run its first actor, or
+    /// for an `inject` caller: one an earlier call gave back, actor view
+    /// and stream and all, else a new one, numbered on from the pool's.
     fn take_helper(&self) -> Executor {
-        let rng = self.fresh_stream();
-        let kept = held(self.helpers.lock()).pop();
-        match kept {
-            Some(mut me) => {
-                me.rng = rng;
-                me
-            }
-            None => Executor::new(self.shared.books.len() - 1, rng),
+        let mut helpers = held(self.helpers.lock());
+        if let Some(me) = helpers.idle.pop() {
+            return me;
         }
+        let trailing = self.shared.trailing();
+        helpers.made += 1;
+        Executor::new(self.cfg.seed, trailing + helpers.made - 1, trailing)
     }
 
     /// Drains protocol milestones collected since the last drain.
@@ -649,30 +651,21 @@ impl Runtime {
     /// Lifetime [`ProtocolEvent::Fault`] count (never reset by
     /// [`Runtime::drain_events`]).
     pub fn fault_count(&self) -> u64 {
-        self.shared.faults.load(Ordering::Relaxed)
+        self.shared.lines(|b| &b.faults).sum()
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> RuntimeStats {
-        let per_worker_msgs: Vec<u64> = self
-            .shared
-            .books
-            .iter()
-            .map(|b| b.msgs.load(Ordering::Relaxed))
-            .collect();
+        let sh = &*self.shared;
+        let per_worker_msgs: Vec<u64> = sh.lines(|b| &b.msgs).collect();
         RuntimeStats {
-            sent: self.shared.sent(),
+            sent: sh.lines(|b| &b.sent).sum(),
             delivered: per_worker_msgs.iter().sum(),
-            bounced: self.shared.bounced.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
-            duplicated: self.shared.duplicated.load(Ordering::Relaxed),
-            faults: self.shared.faults.load(Ordering::Relaxed),
-            busy_ns: self
-                .shared
-                .books
-                .iter()
-                .map(|b| b.busy_ns.load(Ordering::Relaxed))
-                .collect(),
+            bounced: sh.lines(|b| &b.bounced).sum(),
+            dropped: sh.lines(|b| &b.dropped).sum(),
+            duplicated: sh.lines(|b| &b.duplicated).sum(),
+            faults: sh.lines(|b| &b.faults).sum(),
+            busy_ns: sh.lines(|b| &b.busy_ns).collect(),
             per_worker_msgs,
         }
     }
@@ -739,7 +732,7 @@ impl ProtocolDriver for Runtime {
     }
 
     fn sent(&self) -> u64 {
-        self.shared.sent()
+        self.shared.lines(|b| &b.sent).sum()
     }
 
     fn fault_count(&self) -> u64 {
@@ -784,12 +777,17 @@ impl Rounds for &Runtime {
 }
 
 impl Shared {
-    /// Envelopes handed to the transport, summed over the executor slots.
-    fn sent(&self) -> u64 {
+    /// One count of the books, line by line.
+    fn lines(&self, count: fn(&Books) -> &AtomicU64) -> impl Iterator<Item = u64> + '_ {
         self.books
             .iter()
-            .map(|b| b.sent.load(Ordering::Relaxed))
-            .sum()
+            .map(move |b| count(b).load(Ordering::Relaxed))
+    }
+
+    /// The books line every borrowed executor shares; its index is also
+    /// the number of pool workers the runtime started with.
+    fn trailing(&self) -> usize {
+        self.books.len() - 1
     }
 
     /// Routes one outbound from `from`; the runtime's single routing
@@ -803,11 +801,11 @@ impl Shared {
     /// With `lent`, the caller's own in-flight slot covers the first copy
     /// this send pushes, and the call returns whether it did: the caller
     /// then no longer holds a slot. A bounce passes the lent slot on to
-    /// the last output of the sender's last failure step. The envelope is
-    /// booked to `at`'s slot and its target found through `at`'s actor
-    /// view; an actor the push makes ready goes into `at`'s run-next slot
-    /// if that is empty, else to the shared run queue.
-    fn send(&self, from: &Actor, out: Outbound, lent: bool, at: &mut Sender) -> bool {
+    /// the last output of the sender's last failure step. The envelope and
+    /// its fate are booked to `at`'s slot and its target found through
+    /// `at`'s actor view; an actor the push makes ready goes into `at`'s
+    /// run-next slot if that is empty, else to the shared run queue.
+    fn send(&self, from: &Actor, out: Outbound, lent: bool, at: &mut Executor) -> bool {
         let books = &self.books[at.slot];
         books.sent.fetch_add(1, Ordering::Relaxed);
         let Outbound { to, msg } = out;
@@ -815,7 +813,7 @@ impl Shared {
         if !self.plan.is_reliable() {
             let fate = self.plan.decide(from.id, to, &msg);
             if fate.drop {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                books.dropped.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             if fate.duplicate {
@@ -823,19 +821,11 @@ impl Shared {
                 // runtime reorders naturally and ignores it.
                 extra = Some(msg.clone());
                 books.sent.fetch_add(1, Ordering::Relaxed);
-                self.duplicated.fetch_add(1, Ordering::Relaxed);
+                books.duplicated.fetch_add(1, Ordering::Relaxed);
             }
         }
         let copies = 1 + extra.is_some() as usize;
-        let locked;
-        let target = match at.view.as_mut() {
-            Some(view) => view.resolve(self, to),
-            None => {
-                locked = held(self.actors.read()).get(&to).cloned();
-                locked.as_ref()
-            }
-        };
-        match target {
+        match at.view.resolve(self, to) {
             Some(target) => {
                 // Counted before the copies are visible in the mailbox.
                 let fresh = copies - usize::from(lent);
@@ -858,17 +848,17 @@ impl Shared {
                 lent
             }
             None if self.plan.blackhole_on_crash() => {
-                self.dropped.fetch_add(copies as u64, Ordering::Relaxed);
+                books.dropped.fetch_add(copies as u64, Ordering::Relaxed);
                 false
             }
             None => {
-                self.bounced.fetch_add(copies as u64, Ordering::Relaxed);
+                books.bounced.fetch_add(copies as u64, Ordering::Relaxed);
                 let mut handed = false;
                 for (k, msg) in extra.into_iter().chain([msg]).enumerate() {
                     let outs = {
                         let mut slot = held(from.slot.lock());
                         let outs = slot.machine.on_delivery_failure(to, msg);
-                        self.after_step(from.id, &mut slot);
+                        self.after_step(from.id, &mut slot, at.slot);
                         outs
                     };
                     handed |= self.send_all(from, outs, lent && k + 1 == copies, at);
@@ -882,7 +872,7 @@ impl Shared {
     /// in-flight slot goes to its last output, so every earlier push is
     /// counted while the caller still holds that slot (the module doc's
     /// hand-off argument). Returns whether the slot was passed on.
-    fn send_all(&self, from: &Actor, outs: Vec<Outbound>, lent: bool, at: &mut Sender) -> bool {
+    fn send_all(&self, from: &Actor, outs: Vec<Outbound>, lent: bool, at: &mut Executor) -> bool {
         let last = outs.len().saturating_sub(1);
         let mut handed = false;
         for (k, o) in outs.into_iter().enumerate() {
@@ -919,10 +909,10 @@ impl Shared {
     }
 
     /// Books what one call into a machine left behind, under that
-    /// machine's lock: its events, and its earliest deadline if that
-    /// moved. Most steps leave the deadline where it was and never touch
-    /// the shared index.
-    fn after_step(&self, id: Id, slot: &mut Slot) {
+    /// machine's lock: its events (faults counted to books line `line`),
+    /// and its earliest deadline if that moved. Most steps leave the
+    /// deadline where it was and never touch the shared index.
+    fn after_step(&self, id: Id, slot: &mut Slot, line: usize) {
         let deadline = slot.machine.next_deadline();
         if deadline != slot.indexed && !slot.retired {
             held(self.timers.lock()).set(id, slot.indexed, deadline);
@@ -935,7 +925,7 @@ impl Shared {
                 .filter(|e| matches!(e, ProtocolEvent::Fault { .. }))
                 .count() as u64;
             if faults > 0 {
-                self.faults.fetch_add(faults, Ordering::Relaxed);
+                self.books[line].faults.fetch_add(faults, Ordering::Relaxed);
             }
             held(self.events.lock()).extend(evs);
         }
@@ -1011,20 +1001,19 @@ impl ChangeLog {
 }
 
 impl Executor {
-    fn new(slot: usize, rng: SmallRng) -> Self {
+    /// Executor `k` of the runtime rooted at `seed`, booking to line
+    /// `slot`: its gossip stream is `k`'s and lives as long as it does.
+    fn new(seed: u64, k: usize, slot: usize) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "executor gossip streams root at the runtime config seed — the deployment entry point"
+        )]
+        let rng = SeedTree::new(seed).child2(LBL_WORKER, k as u64).rng();
         Executor {
+            slot,
             rng,
             batch: VecDeque::new(),
-            out: Sender::new(slot, Some(ActorView::default())),
-        }
-    }
-}
-
-impl Sender {
-    fn new(slot: usize, view: Option<ActorView>) -> Self {
-        Sender {
-            slot,
-            view,
+            view: ActorView::default(),
             next: None,
         }
     }
@@ -1066,7 +1055,7 @@ impl ActorView {
 /// when there is none.
 fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
-        let actor = match me.out.next.take() {
+        let actor = match me.next.take() {
             Some(actor) => actor,
             None => {
                 let mut q = held(shared.runq.lock());
@@ -1097,7 +1086,7 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
         reason = "the runtime's one clock read: busy time per executor, a RuntimeStats field no seeded artifact includes"
     )]
     let t0 = Instant::now();
-    let books = &shared.books[me.out.slot];
+    let books = &shared.books[me.slot];
     let mut handled = false;
     while !shared.stop.load(Ordering::SeqCst) {
         {
@@ -1115,7 +1104,7 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
                     None
                 } else {
                     let outs = slot.machine.on_message(from, msg, &mut me.rng);
-                    shared.after_step(actor.id, &mut slot);
+                    shared.after_step(actor.id, &mut slot, me.slot);
                     Some(outs)
                 }
             };
@@ -1127,13 +1116,13 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
                 Some(outs) => {
                     books.msgs.fetch_add(1, Ordering::Relaxed);
                     handled = true;
-                    if !shared.send_all(actor, outs, true, &mut me.out) {
+                    if !shared.send_all(actor, outs, true, me) {
                         shared.release(1);
                     }
                 }
                 // Mail for a removed peer: see `Runtime::remove_peer`.
                 None => {
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    books.dropped.fetch_add(1, Ordering::Relaxed);
                     shared.release(1);
                 }
             }

@@ -136,6 +136,65 @@ fn quiesce_under_load_then_repeated_shutdown() {
 }
 
 #[test]
+fn inject_after_shutdown_closes_the_transport() {
+    // After `shutdown` no thread handles mail. A command still runs on the
+    // caller's thread, but its sends are booked `sent` and `dropped` and
+    // never queued: were one counted in flight, the next `quiesce` — and
+    // every timer round, which quiesces — would wait for it forever.
+    must_finish_within("inject after shutdown", 60, || {
+        let mut rt = Runtime::new(RuntimeConfig::new(13_000).with_workers(2));
+        let (a, b) = (Id::new(100), Id::new(200));
+        rt.spawn_peer(a);
+        rt.spawn_peer(b);
+        rt.inject(b, Command::Join { contact: a });
+        rt.settle(0);
+        assert_eq!(rt.with_peer(b, PeerMachine::joined), Some(true));
+        rt.shutdown();
+        let before = rt.stats();
+        // `b` owns its own id: one `Query` from `a`, onto a closed transport.
+        assert!(rt.inject(a, Command::StartQuery { qid: 1, key: b }));
+        rt.quiesce();
+        let after = rt.stats();
+        assert_eq!(after.sent, before.sent + 1);
+        assert_eq!(after.dropped, before.dropped + 1);
+        // The query's retries go the same way, and the clock still moves.
+        let round = rt.round();
+        rt.advance_to(round + 64);
+        assert!(rt.round() >= round + 64);
+        rt.settle(64);
+        let s = rt.stats();
+        assert!(s.sent > after.sent, "the query was retried");
+        assert_eq!(
+            s.sent,
+            s.delivered + s.dropped + s.bounced,
+            "every envelope must land in exactly one bucket"
+        );
+        assert_eq!(s.delivered, before.delivered, "nothing is delivered");
+    });
+}
+
+#[test]
+fn remove_after_shutdown_leaves_quiesce_returning() {
+    // Mail still queued at `shutdown` was in the in-flight count that
+    // `shutdown` zeroed. A peer removed afterwards takes that mail out and
+    // books it `dropped`, but must not release it from the count again:
+    // the count would wrap, and the next `quiesce` would wait forever.
+    must_finish_within("remove after shutdown", 60, || {
+        for iter in 0..20u64 {
+            let mut rt = Runtime::new(RuntimeConfig::new(14_000 + iter).with_workers(2));
+            let ids = settled_ring(&rt, 24);
+            inject_storm(&rt, &ids, 8, 0);
+            // No quiesce: mail is queued right now.
+            rt.shutdown();
+            for &id in &ids {
+                assert!(rt.remove_peer(id));
+            }
+            rt.quiesce();
+        }
+    });
+}
+
+#[test]
 fn shutdown_with_gossip_and_churn_in_flight() {
     // Gossip fan-out plus peer removal mid-flight: removed mailboxes
     // reclaim their pending counts, and the teardown still converges.

@@ -75,7 +75,6 @@ scope!(protocol_machine {
 
 scope!(runtime {
     LBL_WORKER = 0xB0,
-    LBL_GOSSIP = 0xB1,
 });
 
 scope!(sim_churn_engine {
