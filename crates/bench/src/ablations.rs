@@ -30,6 +30,7 @@ fn grow_with(config: OscarConfig, scale: &Scale, label: &str) -> GrowthRunResult
         &ConstantDegrees::paper(),
         scale,
         label,
+        &[],
     )
     .expect("growth run")
 }

@@ -20,6 +20,9 @@ pub struct GrowthRunResult {
     /// Per-checkpoint query statistics (`N` queries at network size `N`,
     /// the paper's protocol), measured after the rewire-all pass.
     pub cost_by_size: Vec<(usize, QueryBatchStats)>,
+    /// One series per requested crash fraction, in request order: the
+    /// same checkpoints measured on crashed clones (Figure 2).
+    pub crashed: Vec<ChurnResult>,
     /// Sorted per-peer relative degree load at the final size (Fig 1(b)).
     pub final_degree_load: Vec<f64>,
     /// Total degree-volume utilisation at the final size (E2/E3).
@@ -35,22 +38,52 @@ impl GrowthRunResult {
     }
 }
 
+/// One churn measurement series: search cost per network size for a fixed
+/// crash fraction.
+pub struct ChurnResult {
+    /// Crash fraction (0.0, 0.10, 0.33, …).
+    pub fraction: f64,
+    /// Per-checkpoint query statistics on the crashed clone.
+    pub cost_by_size: Vec<(usize, QueryBatchStats)>,
+}
+
+/// The crash fractions of Figure 2's three curves.
+pub const FIG2_CRASHES: [f64; 3] = [0.0, 0.10, 0.33];
+
 /// Grows an overlay under the paper's protocol and measures search cost at
-/// every checkpoint.
+/// every checkpoint: `N` queries on the network itself, then — the
+/// Figure 2 protocol — for each of `crash_fractions`, `N` queries among
+/// the survivors of a crashed *clone* (wasted traffic included).
+///
+/// The growth itself is inherently sequential, but the per-checkpoint
+/// fraction measurements are independent (each owns a clone and its own
+/// seed-tree child), so they fan out over [`Scale::thread_count`] workers;
+/// results are byte-identical to the sequential order. The in-place batch
+/// touches only the network's metrics, which no builder reads, so the
+/// grown topology does not depend on `crash_fractions`.
 pub fn run_growth_experiment(
     builder: &dyn OverlayBuilder,
     keys: &dyn KeyDistribution,
     degrees: &dyn DegreeDistribution,
     scale: &Scale,
     label: &str,
+    crash_fractions: &[f64],
 ) -> Result<GrowthRunResult> {
     let seed = SeedTree::new(scale.seed);
+    let threads = scale.thread_count();
     let mut net = Network::new(FaultModel::StabilizedRing);
     let growth = GrowthConfig {
         target_size: scale.target,
         checkpoints: scale.checkpoints(),
     };
     let mut cost_by_size = Vec::new();
+    let mut crashed: Vec<ChurnResult> = crash_fractions
+        .iter()
+        .map(|&fraction| ChurnResult {
+            fraction,
+            cost_by_size: Vec::new(),
+        })
+        .collect();
     growth.run(
         &mut net,
         builder,
@@ -67,6 +100,31 @@ pub fn run_growth_experiment(
                 &mut rng,
             );
             cost_by_size.push((cp.size, stats));
+            // Clones are taken sequentially (cheap relative to the query
+            // batches); each measurement task then owns its crashed copy.
+            let tasks: Vec<Task<Result<QueryBatchStats>>> = crash_fractions
+                .iter()
+                .enumerate()
+                .map(|(fi, &fraction)| {
+                    let mut clone = net.clone();
+                    let churn_seed = seed.child2(LBL_CHURN, (cp.index * 16 + fi) as u64);
+                    Box::new(move || {
+                        if fraction > 0.0 {
+                            kill_fraction(&mut clone, fraction, &mut churn_seed.rng())?;
+                        }
+                        Ok(run_query_batch(
+                            &mut clone,
+                            &QueryWorkload::UniformPeers,
+                            cp.size,
+                            &RoutePolicy::default(),
+                            &mut churn_seed.child(LBL_QUERIES).rng(),
+                        ))
+                    }) as Task<Result<QueryBatchStats>>
+                })
+                .collect();
+            for (series, stats) in crashed.iter_mut().zip(run_tasks(threads, tasks)) {
+                series.cost_by_size.push((cp.size, stats?));
+            }
             Ok(())
         },
     )?;
@@ -75,89 +133,11 @@ pub fn run_growth_experiment(
     Ok(GrowthRunResult {
         label: label.to_string(),
         cost_by_size,
+        crashed,
         final_degree_load,
         final_utilization,
         network: net,
     })
-}
-
-/// One churn measurement series: search cost per network size for a fixed
-/// crash fraction.
-pub struct ChurnResult {
-    /// Crash fraction (0.0, 0.10, 0.33, …).
-    pub fraction: f64,
-    /// Per-checkpoint query statistics on the crashed clone.
-    pub cost_by_size: Vec<(usize, QueryBatchStats)>,
-}
-
-/// The Figure 2 protocol: grow with rewiring; at each checkpoint, for each
-/// crash fraction, crash a *clone* of the network and measure `N` queries
-/// among the survivors (wasted traffic included).
-///
-/// The growth itself is inherently sequential, but the per-checkpoint
-/// fraction measurements are independent (each owns a clone and its own
-/// seed-tree child), so they fan out over [`Scale::thread_count`] workers;
-/// results are byte-identical to the sequential order.
-pub fn run_churn_experiment(
-    builder: &dyn OverlayBuilder,
-    keys: &dyn KeyDistribution,
-    degrees: &dyn DegreeDistribution,
-    scale: &Scale,
-    fractions: &[f64],
-) -> Result<Vec<ChurnResult>> {
-    let seed = SeedTree::new(scale.seed);
-    let threads = scale.thread_count();
-    let mut net = Network::new(FaultModel::StabilizedRing);
-    let growth = GrowthConfig {
-        target_size: scale.target,
-        checkpoints: scale.checkpoints(),
-    };
-    let mut results: Vec<ChurnResult> = fractions
-        .iter()
-        .map(|&fraction| ChurnResult {
-            fraction,
-            cost_by_size: Vec::new(),
-        })
-        .collect();
-    growth.run(
-        &mut net,
-        builder,
-        keys,
-        degrees,
-        seed.child(LBL_GROWTH),
-        |net, cp| {
-            // Clones are taken sequentially (cheap relative to the query
-            // batches); each measurement task then owns its crashed copy.
-            let tasks: Vec<Task<Result<QueryBatchStats>>> = results
-                .iter()
-                .enumerate()
-                .map(|(fi, result)| {
-                    let mut crashed = net.clone();
-                    let fraction = result.fraction;
-                    let churn_seed = seed.child2(LBL_CHURN, (cp.index * 16 + fi) as u64);
-                    Box::new(move || {
-                        if fraction > 0.0 {
-                            let mut crng = churn_seed.rng();
-                            kill_fraction(&mut crashed, fraction, &mut crng)?;
-                        }
-                        let mut qrng = churn_seed.child(LBL_QUERIES).rng();
-                        Ok(run_query_batch(
-                            &mut crashed,
-                            &QueryWorkload::UniformPeers,
-                            cp.size,
-                            &RoutePolicy::default(),
-                            &mut qrng,
-                        ))
-                    }) as Task<Result<QueryBatchStats>>
-                })
-                .collect();
-            for (result, stats) in results.iter_mut().zip(run_tasks(threads, tasks)) {
-                result.cost_by_size.push((cp.size, stats?));
-            }
-            Ok(())
-        },
-    )?;
-    Ok(results)
 }
 
 /// One continuous-churn series: steady-state windows at a fixed churn
@@ -226,29 +206,23 @@ pub fn standard_churn_schedules(scale: &Scale) -> Vec<(String, ChurnSchedule)> {
 }
 
 /// Grows the substrate network the churn cells start from: the paper's
-/// growth protocol with a final rewire-all pass, so window 0 measures
-/// churn damage on a repaired topology, not growth-era link bias
-/// (comparable to the fig1c/fig2 checkpoints at the same size).
+/// growth protocol to `target` peers with one final rewire-all pass, so
+/// window 0 measures churn damage on a repaired topology, not growth-era
+/// link bias (comparable to the fig1c/fig2 checkpoints at the same size).
+/// Determinism: all randomness derives from `seed`.
 pub fn grow_substrate<B: OverlayBuilder + ?Sized>(
     builder: &B,
     keys: &dyn KeyDistribution,
     degrees: &dyn DegreeDistribution,
-    scale: &Scale,
+    target: usize,
+    seed: SeedTree,
 ) -> Result<Network> {
-    let seed = SeedTree::new(scale.seed);
     let mut net = Network::new(FaultModel::StabilizedRing);
     GrowthConfig {
-        target_size: scale.target,
-        checkpoints: vec![scale.target],
+        target_size: target,
+        checkpoints: vec![target],
     }
-    .run(
-        &mut net,
-        builder,
-        keys,
-        degrees,
-        seed.child(LBL_GROWTH),
-        |_, _| Ok(()),
-    )?;
+    .run(&mut net, builder, keys, degrees, seed, |_, _| Ok(()))?;
     Ok(net)
 }
 
@@ -408,6 +382,7 @@ mod tests {
             &ConstantDegrees::paper(),
             &scale,
             "constant",
+            &[],
         )
         .unwrap();
         assert_eq!(r.label, "constant");
@@ -423,14 +398,16 @@ mod tests {
     fn churn_experiment_orders_fractions() {
         let scale = Scale::small(300, 7);
         let builder = OscarBuilder::new(OscarConfig::default());
-        let rs = run_churn_experiment(
+        let rs = run_growth_experiment(
             &builder,
             &GnutellaKeys::default(),
             &ConstantDegrees::paper(),
             &scale,
-            &[0.0, 0.10, 0.33],
+            "constant",
+            &FIG2_CRASHES,
         )
-        .unwrap();
+        .unwrap()
+        .crashed;
         assert_eq!(rs.len(), 3);
         // At the final checkpoint the ordering must match Figure 2.
         let last = |r: &ChurnResult| r.cost_by_size.last().unwrap().1.mean_cost;
@@ -449,8 +426,8 @@ mod tests {
         let scale = Scale::small(200, 13);
         let builder = OscarBuilder::new(OscarConfig::default());
         let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
-        let net = grow_substrate(&builder, &keys, &degrees, &scale).unwrap();
         let seed = SeedTree::new(scale.seed);
+        let net = grow_substrate(&builder, &keys, &degrees, 200, seed.child(LBL_GROWTH)).unwrap();
         let at_two_percent = |repair| ChurnSchedule {
             repair,
             ..churn_schedule_for(0.02, &scale)
@@ -510,6 +487,7 @@ mod tests {
             &ConstantDegrees::paper(),
             &scale,
             "mercury",
+            &[],
         )
         .unwrap();
         assert_eq!(r.cost_by_size.len(), scale.checkpoints().len());
@@ -527,6 +505,7 @@ mod tests {
                 &ConstantDegrees::paper(),
                 &scale,
                 "x",
+                &[],
             )
             .unwrap()
         };

@@ -2,9 +2,9 @@
 //! `all` (which reuses the heavy growth runs across figures).
 
 use crate::experiments::{
-    churn_schedule_for, grow_substrate, run_churn_cells, run_churn_experiment,
-    run_growth_experiment, standard_churn_schedules, turnover_label, GrowthRunResult, PhaseCell,
-    SteadyChurnResult,
+    churn_schedule_for, grow_substrate, run_churn_cells, run_growth_experiment,
+    standard_churn_schedules, turnover_label, GrowthRunResult, PhaseCell, SteadyChurnResult,
+    FIG2_CRASHES,
 };
 use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
@@ -14,18 +14,9 @@ use crate::series::Series;
 use oscar_core::{ChordBuilder, MercuryBuilder, OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees, SteppedDegrees};
 use oscar_keydist::GnutellaKeys;
-use oscar_sim::{ChurnSchedule, RepairPolicy};
-use oscar_types::labels::bench_experiments::{LBL_PHASE, LBL_STEADY};
+use oscar_sim::{ChurnSchedule, OverlayBuilder, RepairPolicy};
+use oscar_types::labels::bench_experiments::{LBL_GROWTH, LBL_PHASE, LBL_STEADY};
 use oscar_types::{Result, SeedTree};
-
-/// The three in-degree distributions of Figure 1, by paper name.
-pub fn paper_degree_distributions() -> Vec<(&'static str, Box<dyn DegreeDistribution>)> {
-    vec![
-        ("constant", Box::new(ConstantDegrees::paper())),
-        ("realistic", Box::new(SpikyDegrees::paper())),
-        ("stepped", Box::new(SteppedDegrees::paper())),
-    ]
-}
 
 /// Figure 1(a): the synthetic spiky node-degree pdf (model + empirical).
 pub fn fig1a_report(scale: &Scale) -> Report {
@@ -64,7 +55,8 @@ pub fn fig1a_report(scale: &Scale) -> Report {
 
 /// The Figure 1(b)/(c) experiment bundle: Oscar under the three degree
 /// distributions plus Mercury under constant degrees, all on the Gnutella
-/// key distribution.
+/// key distribution. The constant and realistic Oscar runs also carry
+/// Figure 2's crashed-clone series.
 pub struct Fig1Suite {
     /// Oscar runs: constant, realistic, stepped.
     pub oscar_runs: Vec<GrowthRunResult>,
@@ -76,17 +68,19 @@ pub struct Fig1Suite {
 }
 
 impl Fig1Suite {
-    /// The Oscar run under constant degrees: E7's contender.
-    pub(crate) fn oscar_constant(&self) -> &GrowthRunResult {
+    /// The Oscar run under the named in-degree distribution ("constant"
+    /// is E7's contender and Figure 2(a)'s overlay, "realistic" Figure
+    /// 2(b)'s).
+    pub fn oscar(&self, degrees: &str) -> &GrowthRunResult {
         self.oscar_runs
             .iter()
-            .find(|r| r.label == "constant")
-            .expect("constant run present")
+            .find(|r| r.label == degrees)
+            .expect("every paper degree distribution has a run")
     }
 }
 
 /// Runs the full Figure 1 suite (the expensive part, reused by 1(b), 1(c),
-/// E3 and E7).
+/// 2(a), 2(b), E3 and E7).
 ///
 /// The five growth runs (3× Oscar, Mercury, Chord) are independent — each
 /// derives every random draw from its own `SeedTree` rooted at
@@ -94,42 +88,33 @@ impl Fig1Suite {
 /// worker threads with byte-identical results in any order
 /// (`tests/parallel_determinism.rs` proves it against `OSCAR_THREADS=1`).
 pub fn run_fig1_suite(scale: &Scale) -> Result<Fig1Suite> {
-    let mut tasks: Vec<Task<Result<GrowthRunResult>>> = Vec::new();
-    for (name, degrees) in paper_degree_distributions() {
-        tasks.push(Box::new(move || {
-            eprintln!("[fig1] growing oscar/{name} to {}...", scale.target);
-            let builder = OscarBuilder::new(OscarConfig::default());
-            run_growth_experiment(
-                &builder,
-                &GnutellaKeys::default(),
-                degrees.as_ref(),
-                scale,
-                name,
-            )
-        }));
-    }
-    tasks.push(Box::new(move || {
-        eprintln!("[fig1] growing mercury/constant to {}...", scale.target);
-        let mercury = MercuryBuilder::new();
-        run_growth_experiment(
-            &mercury,
-            &GnutellaKeys::default(),
-            &ConstantDegrees::paper(),
-            scale,
+    let grow = move |label: &'static str,
+                     builder: Box<dyn OverlayBuilder + Send>,
+                     degrees: Box<dyn DegreeDistribution>,
+                     crashes: &'static [f64]|
+          -> Task<Result<GrowthRunResult>> {
+        Box::new(move || {
+            eprintln!("[fig1] growing {label} to {}...", scale.target);
+            let keys = GnutellaKeys::default();
+            run_growth_experiment(&*builder, &keys, &*degrees, scale, label, crashes)
+        })
+    };
+    let oscar = || Box::new(OscarBuilder::new(OscarConfig::default()));
+    let constant = || Box::new(ConstantDegrees::paper());
+    let spiky = || Box::new(SpikyDegrees::paper());
+    // Figure 2 has no stepped panel.
+    let tasks = vec![
+        grow("constant", oscar(), constant(), &FIG2_CRASHES),
+        grow("realistic", oscar(), spiky(), &FIG2_CRASHES),
+        grow("stepped", oscar(), Box::new(SteppedDegrees::paper()), &[]),
+        grow(
             "mercury-constant",
-        )
-    }));
-    tasks.push(Box::new(move || {
-        eprintln!("[fig1] growing chord/constant to {}...", scale.target);
-        let chord = ChordBuilder::new();
-        run_growth_experiment(
-            &chord,
-            &GnutellaKeys::default(),
-            &ConstantDegrees::paper(),
-            scale,
-            "chord-constant",
-        )
-    }));
+            Box::new(MercuryBuilder),
+            constant(),
+            &[],
+        ),
+        grow("chord-constant", Box::new(ChordBuilder), constant(), &[]),
+    ];
     let mut runs = run_tasks(scale.thread_count(), tasks);
     let chord_run = runs.pop().expect("chord task")?;
     let mercury_run = runs.pop().expect("mercury task")?;
@@ -229,7 +214,7 @@ pub fn mercury_compare_report(suite: &Fig1Suite, scale: &Scale) -> Report {
         "network size",
     );
     let figure_sizes = scale.figure_checkpoints();
-    let oscar_constant = suite.oscar_constant();
+    let oscar_constant = suite.oscar("constant");
     for (label, run) in [
         ("oscar", oscar_constant),
         ("mercury", &suite.mercury_run),
@@ -256,28 +241,18 @@ pub fn mercury_compare_report(suite: &Fig1Suite, scale: &Scale) -> Report {
     report
 }
 
-/// Figure 2(a)/(b): search cost under churn for a given degree
-/// distribution.
-pub fn fig2_report(
-    scale: &Scale,
-    degrees: &dyn DegreeDistribution,
-    degree_label: &str,
-) -> Result<Report> {
-    let keys = GnutellaKeys::default();
-    let builder = OscarBuilder::new(OscarConfig::default());
-    eprintln!(
-        "[fig2/{degree_label}] growing to {} with churn clones...",
-        scale.target
-    );
-    let results = run_churn_experiment(&builder, &keys, degrees, scale, &[0.0, 0.10, 0.33])?;
+/// Figure 2(a)/(b): search cost under churn on `run`'s overlay, one curve
+/// per crash fraction it measured.
+pub fn fig2_report(run: &GrowthRunResult, scale: &Scale) -> Report {
     let mut report = Report::new(
         format!(
-            "Figure 2: churn simulation (Gnutella keys; {degree_label} in-degree distribution)"
+            "Figure 2: churn simulation (Gnutella keys; {} in-degree distribution)",
+            run.label
         ),
         "network size",
     );
     let figure_sizes = scale.figure_checkpoints();
-    for r in &results {
+    for r in &run.crashed {
         let label = if r.fraction == 0.0 {
             "no faults".to_string()
         } else {
@@ -304,7 +279,7 @@ pub fn fig2_report(
             last.success_rate * 100.0
         ));
     }
-    Ok(report)
+    report
 }
 
 /// Runs the steady-state continuous-churn experiment (Oscar, Gnutella
@@ -320,8 +295,14 @@ pub fn run_steady_churn_suite(scale: &Scale, windows: usize) -> Result<Vec<Stead
         schedules.len()
     );
     let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
-    let net = grow_substrate(&builder, &keys, &degrees, scale)?;
     let seed = SeedTree::new(scale.seed);
+    let net = grow_substrate(
+        &builder,
+        &keys,
+        &degrees,
+        scale.target,
+        seed.child(LBL_GROWTH),
+    )?;
     let cells: Vec<_> = (0..)
         .zip(&schedules)
         .map(|(level, (_, schedule))| (schedule.clone(), None, seed.child2(LBL_STEADY, level)))
@@ -464,10 +445,16 @@ pub fn run_phase_suite(scale: &Scale, windows: usize) -> Result<Vec<PhaseCell>> 
     );
     let builder = OscarBuilder::new(OscarConfig::default());
     let (keys, degrees) = (GnutellaKeys::default(), ConstantDegrees::paper());
-    let net = grow_substrate(&builder, &keys, &degrees, scale)?;
     // Per-cell seeds are keyed by grid position, independent of how the
     // cells are later batched onto workers.
     let seed = SeedTree::new(scale.seed);
+    let net = grow_substrate(
+        &builder,
+        &keys,
+        &degrees,
+        scale.target,
+        seed.child(LBL_GROWTH),
+    )?;
     let (mut axes, mut cells) = (Vec::new(), Vec::new());
     for turnover in TURNOVERS {
         for (policy, repair) in &policies {
@@ -598,13 +585,10 @@ mod tests {
         assert_eq!(c.series().len(), 3);
         let m = mercury_compare_report(&suite, &scale);
         assert_eq!(m.series().len(), 3);
-    }
-
-    #[test]
-    fn fig2_smoke_at_tiny_scale() {
-        let scale = Scale::small(150, 5);
-        let report = fig2_report(&scale, &ConstantDegrees::paper(), "constant").unwrap();
-        assert_eq!(report.series().len(), 3);
+        for degrees in ["constant", "realistic"] {
+            let fig2 = fig2_report(suite.oscar(degrees), &scale);
+            assert_eq!(fig2.series().len(), 3, "{degrees}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! same code. [`registry`] is the table of experiments (names, knobs,
 //! entry points); [`figures`] holds the paper's figures and the churn
 //! suites, [`experiments`] the growth and churn runners behind them
-//! (one churn-cell runner, [`run_churn_cells`], under both `churn` and
+//! (one growth runner, [`run_growth_experiment`], grows each figure's
+//! overlay once and measures Figure 2's crashed clones on it; one
+//! churn-cell runner, [`run_churn_cells`], under both `churn` and
 //! `phase`), [`storm`] the machine-fleet query storms of the fault
 //! sweep, [`scenario`] the multi-phase campaigns, [`ablations`] the
 //! A1–A5 knock-outs. Every
@@ -33,9 +35,9 @@ pub mod series;
 pub mod storm;
 
 pub use experiments::{
-    churn_schedule_for, grow_substrate, run_churn_cells, run_churn_experiment,
-    run_growth_experiment, run_machine_churn_experiment, standard_churn_schedules, steady_mean_of,
-    ChurnResult, GrowthRunResult, PhaseCell, SteadyChurnResult,
+    churn_schedule_for, grow_substrate, run_churn_cells, run_growth_experiment,
+    run_machine_churn_experiment, standard_churn_schedules, steady_mean_of, ChurnResult,
+    GrowthRunResult, PhaseCell, SteadyChurnResult, FIG2_CRASHES,
 };
 pub use parallel::{run_tasks, Task};
 pub use report::Report;

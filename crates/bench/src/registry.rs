@@ -11,20 +11,21 @@
 //! undocumented, and an experiment cannot be added without being listed.
 
 use crate::experiments::{
-    run_machine_churn_experiment, standard_churn_schedules, SteadyChurnResult,
+    run_growth_experiment, run_machine_churn_experiment, standard_churn_schedules,
+    SteadyChurnResult, FIG2_CRASHES,
 };
 use crate::figures::{
     fig1a_report, fig1b_report, fig1c_report, fig2_report, mercury_compare_report, phase_reports,
     run_fig1_suite, run_phase_suite, run_steady_churn_suite, steady_churn_reports,
     steady_churn_summary, Fig1Suite,
 };
-use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
 use crate::scale::{Scale, BASE_KNOBS};
 use crate::scenario::{
     run_all_scenarios, scenario_suite_summary, write_scenario_csv, write_scenario_report,
 };
-use oscar_degree::{ConstantDegrees, SpikyDegrees};
+use oscar_core::{OscarBuilder, OscarConfig};
+use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees};
 use oscar_keydist::GnutellaKeys;
 use std::time::Instant;
 
@@ -250,12 +251,36 @@ fn fig1c(scale: &Scale) -> RunResult {
 }
 
 fn fig2a(scale: &Scale) -> RunResult {
-    fig2_report(scale, &ConstantDegrees::paper(), "constant")?.emit("fig2a_churn_constant")?;
-    Ok(())
+    fig2(
+        scale,
+        &ConstantDegrees::paper(),
+        "constant",
+        "fig2a_churn_constant",
+    )
 }
 
 fn fig2b(scale: &Scale) -> RunResult {
-    fig2_report(scale, &SpikyDegrees::paper(), "realistic")?.emit("fig2b_churn_realistic")?;
+    fig2(
+        scale,
+        &SpikyDegrees::paper(),
+        "realistic",
+        "fig2b_churn_realistic",
+    )
+}
+
+/// One Figure 2 panel on its own: the Figure 1 suite's growth of the
+/// `label` overlay, with its crashed clones, and nothing else.
+fn fig2(scale: &Scale, degrees: &dyn DegreeDistribution, label: &str, csv: &str) -> RunResult {
+    eprintln!("[fig2] growing {label} to {}...", scale.target);
+    let run = run_growth_experiment(
+        &OscarBuilder::new(OscarConfig::default()),
+        &GnutellaKeys::default(),
+        degrees,
+        scale,
+        label,
+        &FIG2_CRASHES,
+    )?;
+    fig2_report(&run, scale).emit(csv)?;
     Ok(())
 }
 
@@ -272,7 +297,7 @@ fn mercury_compare(scale: &Scale) -> RunResult {
 /// Mercury is not gated against Chord: Chord is a control beyond the
 /// paper, 6% behind Mercury at 10⁴.
 fn gate_e7_ordering(suite: &Fig1Suite) -> RunResult {
-    let oscar = suite.oscar_constant().final_cost();
+    let oscar = suite.oscar("constant").final_cost();
     let mercury = suite.mercury_run.final_cost();
     let chord = suite.chord_run.final_cost();
     if oscar >= mercury || oscar >= chord {
@@ -285,16 +310,12 @@ fn gate_e7_ordering(suite: &Fig1Suite) -> RunResult {
     Ok(())
 }
 
-/// Regenerates every figure in one run. The three heavy, mutually
-/// independent computations — the Figure 1 growth suite (itself 5
-/// parallel growths) and the two churn figures — run concurrently under
-/// the thread budget; reports are then emitted in a fixed order, so
-/// stdout and every CSV are byte-identical to a sequential run.
+/// Regenerates every figure in one run from one growth per overlay: the
+/// Figure 1 suite (itself 5 parallel growths) also measures Figure 2's
+/// crashed clones on its constant and realistic Oscar overlays. Reports
+/// are emitted in a fixed order, so stdout and every CSV are
+/// byte-identical to a sequential run and to the per-figure experiments.
 fn all(scale: &Scale) -> RunResult {
-    enum Piece {
-        Suite(Box<Fig1Suite>),
-        Fig(Report),
-    }
     eprintln!(
         "regenerating all figures at scale {} (step {}, seed {}, {} threads)",
         scale.target,
@@ -304,24 +325,12 @@ fn all(scale: &Scale) -> RunResult {
     );
     let t0 = Instant::now();
     fig1a(scale)?;
-    let tasks: Vec<Task<oscar_types::Result<Piece>>> = vec![
-        Box::new(|| Ok(Piece::Suite(Box::new(run_fig1_suite(scale)?)))),
-        Box::new(|| fig2_report(scale, &ConstantDegrees::paper(), "constant").map(Piece::Fig)),
-        Box::new(|| fig2_report(scale, &SpikyDegrees::paper(), "realistic").map(Piece::Fig)),
-    ];
-    let mut pieces = run_tasks(scale.thread_count(), tasks).into_iter();
-    let (Some(Piece::Suite(suite)), Some(Piece::Fig(fig2a)), Some(Piece::Fig(fig2b))) = (
-        pieces.next().transpose()?,
-        pieces.next().transpose()?,
-        pieces.next().transpose()?,
-    ) else {
-        unreachable!("task 0 is the fig1 suite, tasks 1 and 2 the churn figures");
-    };
+    let suite = run_fig1_suite(scale)?;
     fig1b_report(&suite).emit("fig1b_degree_load")?;
     fig1c_report(&suite, scale).emit("fig1c_search_cost")?;
     mercury_compare_report(&suite, scale).emit("mercury_compare")?;
-    fig2a.emit("fig2a_churn_constant")?;
-    fig2b.emit("fig2b_churn_realistic")?;
+    fig2_report(suite.oscar("constant"), scale).emit("fig2a_churn_constant")?;
+    fig2_report(suite.oscar("realistic"), scale).emit("fig2b_churn_realistic")?;
     eprintln!("all figures regenerated in {:.1?}", t0.elapsed());
     gate_e7_ordering(&suite)
 }

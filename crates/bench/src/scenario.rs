@@ -31,7 +31,7 @@
 //! `ProtocolDriver`, except that partition masks, targeted-degree kills
 //! and heals need the oracle's global view and are an error there.
 
-use crate::experiments::{churn_schedule_for, steady_mean_of};
+use crate::experiments::{churn_schedule_for, grow_substrate, steady_mean_of};
 use crate::json::Object;
 use crate::parallel::{run_tasks, Task};
 use crate::report::Report;
@@ -40,8 +40,8 @@ use oscar_core::{OscarBuilder, OscarConfig};
 use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees};
 use oscar_keydist::{GnutellaKeys, QueryWorkload};
 use oscar_sim::{
-    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, FaultModel, GrowthConfig, Network,
-    OracleWorld, RepairPolicy, Shock, ShockReport,
+    run_churn, ChurnSchedule, ChurnWindowStats, ChurnWorld, FaultModel, OracleWorld, RepairPolicy,
+    Shock, ShockReport,
 };
 use oscar_types::labels::bench_scenario::{LBL_GROW, LBL_PHASE, LBL_RUN, LBL_WINDOW};
 use oscar_types::{Result, SeedTree};
@@ -493,18 +493,12 @@ pub fn run_scenario(sc: &Scenario, scale: &Scale) -> Result<ScenarioOutcome> {
     let keys = GnutellaKeys::default();
     let degrees = sc.degrees.dist();
 
-    let mut net = Network::new(FaultModel::StabilizedRing);
-    GrowthConfig {
-        target_size: scale.target,
-        checkpoints: vec![scale.target],
-    }
-    .run(
-        &mut net,
+    let mut net = grow_substrate(
         &builder,
         &keys,
         degrees.as_ref(),
+        scale.target,
         seed.child(LBL_GROW),
-        |_, _| Ok(()),
     )?;
     net.set_fault_model(FaultModel::UnstabilizedRing);
     net.set_succ_list_len(SUCC_LIST_LEN);

@@ -33,7 +33,7 @@ impl Series {
     }
 
     /// The y value at exactly `x`, if present.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    fn y_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|&&(px, _)| px == x)
@@ -163,13 +163,6 @@ mod tests {
         assert!(lines[1].starts_with("|---|"));
         assert!(lines[2].contains("5.20"));
         assert_eq!(lines.len(), 5);
-    }
-
-    #[test]
-    fn y_at_exact_match_only() {
-        let s = &sample_series()[0];
-        assert_eq!(s.y_at(1000.0), Some(5.2));
-        assert_eq!(s.y_at(1500.0), None);
     }
 
     #[test]

@@ -16,9 +16,9 @@ use oscar_bench::figures::{
     run_phase_suite, run_steady_churn_suite, steady_churn_reports,
 };
 use oscar_bench::series::to_csv;
-use oscar_bench::{run_churn_experiment, Scale};
+use oscar_bench::{run_growth_experiment, GrowthRunResult, Scale, FIG2_CRASHES};
 use oscar_core::{OscarBuilder, OscarConfig};
-use oscar_degree::ConstantDegrees;
+use oscar_degree::{ConstantDegrees, DegreeDistribution, SpikyDegrees};
 use oscar_keydist::GnutellaKeys;
 
 /// FNV-1a over every byte of `parts`, in order.
@@ -28,6 +28,14 @@ fn fnv1a<S: AsRef<str>>(parts: &[S]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// A standalone Figure 2 growth: one Oscar overlay on Gnutella keys with
+/// Figure 2's crashed clones, as `oscar-repro fig2a`/`fig2b` run it.
+fn fig2_run(scale: &Scale, degrees: &dyn DegreeDistribution, label: &str) -> GrowthRunResult {
+    let builder = OscarBuilder::new(OscarConfig::default());
+    let keys = GnutellaKeys::default();
+    run_growth_experiment(&builder, &keys, degrees, scale, label, &FIG2_CRASHES).unwrap()
 }
 
 #[test]
@@ -50,8 +58,8 @@ fn fig1_suite_csvs_identical_across_thread_counts() {
 fn fig2_churn_csvs_identical_across_thread_counts() {
     let csv = |threads: usize| {
         let scale = Scale::small(150, 5).with_threads(threads);
-        let report = fig2_report(&scale, &ConstantDegrees::paper(), "constant").unwrap();
-        to_csv(report.series())
+        let run = fig2_run(&scale, &ConstantDegrees::paper(), "constant");
+        to_csv(fig2_report(&run, &scale).series())
     };
     let sequential = csv(1);
     assert_eq!(sequential, csv(4));
@@ -59,6 +67,30 @@ fn fig2_churn_csvs_identical_across_thread_counts() {
         fnv1a(&[&sequential]),
         2_289_006_574_211_201_770,
         "fig2 CSV digest moved"
+    );
+}
+
+#[test]
+fn fig2_panels_from_the_suite_match_the_standalone_runs() {
+    // `all` renders Figure 2 from the Figure 1 suite's constant and
+    // realistic overlays instead of growing them again; the panels must
+    // be the bytes the standalone `fig2a`/`fig2b` growths give.
+    let scale = Scale::small(150, 5);
+    let suite = run_fig1_suite(&scale).unwrap();
+    let csv = |run: &GrowthRunResult| to_csv(fig2_report(run, &scale).series());
+    let constant = csv(suite.oscar("constant"));
+    assert_eq!(
+        constant,
+        csv(&fig2_run(&scale, &ConstantDegrees::paper(), "constant"))
+    );
+    assert_eq!(
+        fnv1a(&[&constant]),
+        2_289_006_574_211_201_770,
+        "fig2 CSV digest moved"
+    );
+    assert_eq!(
+        csv(suite.oscar("realistic")),
+        csv(&fig2_run(&scale, &SpikyDegrees::paper(), "realistic"))
     );
 }
 
@@ -170,15 +202,7 @@ fn churn_experiment_stats_identical_across_thread_counts() {
     // field for field (CSV rounding can never be doing the equalising).
     let run = |threads: usize| {
         let scale = Scale::small(150, 7).with_threads(threads);
-        let builder = OscarBuilder::new(OscarConfig::default());
-        run_churn_experiment(
-            &builder,
-            &GnutellaKeys::default(),
-            &ConstantDegrees::paper(),
-            &scale,
-            &[0.0, 0.10, 0.33],
-        )
-        .unwrap()
+        fig2_run(&scale, &ConstantDegrees::paper(), "constant").crashed
     };
     let a = run(1);
     let b = run(3);

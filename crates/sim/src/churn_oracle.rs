@@ -140,37 +140,15 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
             .collect())
     }
 
-    /// Kills the arc. Its repair set — the [`SHOCK_REPAIR_REACH`] nearest
-    /// survivors on each side of the hole — is found from the arc's two
-    /// ends before any kill: afterwards the victims' live-ring pointers
-    /// are gone.
+    /// Kills the arc: its repair set is the [`SHOCK_REPAIR_REACH`] nearest
+    /// survivors on each side of the hole.
     fn kill_arc(&mut self, start: f64, fraction: f64) -> Result<u64> {
         let victims = self.arc(start, fraction)?;
-        let mut repair_set = Vec::new();
-        for end in [victims[0], victims[victims.len() - 1]] {
-            for p in self
-                .net
-                .live_ring_neighborhood(end, SHOCK_REPAIR_REACH + victims.len())
-            {
-                if !victims.contains(&p) && !repair_set.contains(&p) {
-                    repair_set.push(p);
-                }
-            }
-        }
-        repair_set.truncate(2 * SHOCK_REPAIR_REACH);
-        repair_set.sort_by_key(|p| p.as_usize());
-        self.pending_repairs.extend(repair_set);
-        for &v in &victims {
-            self.net.kill(v)?;
-        }
-        Ok(victims.len() as u64)
+        self.kill_bordered(&victims)
     }
 
     /// Kills the `fraction · live` peers of highest total long-link
-    /// degree (in + out), ties broken by identifier. Repair set: the
-    /// [`SHOCK_REPAIR_REACH`] live ring neighbours of each victim, found
-    /// just before that victim dies (exactly when the `Reactive` policy
-    /// would have scheduled them).
+    /// degree (in + out), ties broken by identifier.
     fn kill_top_degree(&mut self, fraction: f64) -> Result<u64> {
         let count = resolve_kill_count(self.net.live_count(), fraction)?;
         let mut ranked: Vec<(u32, Id, PeerIdx)> = self
@@ -185,8 +163,18 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
         // tiebreak (no RNG anywhere in this shock).
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let victims: Vec<PeerIdx> = ranked[..count].iter().map(|&(_, _, p)| p).collect();
+        self.kill_bordered(&victims)
+    }
+
+    /// Kills `victims` in order. The repair set is the
+    /// [`SHOCK_REPAIR_REACH`] live ring neighbours of each victim that are
+    /// not victims themselves, found just before that victim dies
+    /// (exactly when the `Reactive` policy would have scheduled them), so
+    /// a contiguous run of victims is bordered by the nearest survivors
+    /// on each side.
+    fn kill_bordered(&mut self, victims: &[PeerIdx]) -> Result<u64> {
         let mut repair_set = Vec::new();
-        for &v in &victims {
+        for &v in victims {
             for p in self.net.live_ring_neighborhood(v, SHOCK_REPAIR_REACH) {
                 if !victims.contains(&p) && !repair_set.contains(&p) {
                     repair_set.push(p);
@@ -196,7 +184,7 @@ impl<'a, B: OverlayBuilder + ?Sized> OracleWorld<'a, B> {
         }
         repair_set.sort_by_key(|p| p.as_usize());
         self.pending_repairs.extend(repair_set);
-        Ok(count as u64)
+        Ok(victims.len() as u64)
     }
 
     /// Severs every long-range link crossing between the arc and the rest
@@ -417,7 +405,7 @@ mod tests {
     use crate::churn::FaultModel;
     use crate::churn_engine::QueryBudget;
     use crate::peer::LinkError;
-    use oscar_degree::ConstantDegrees;
+    use oscar_degree::{ConstantDegrees, DegreeCaps};
     use oscar_keydist::UniformKeys;
 
     /// Toy builder: links to up to 4 random live peers.
@@ -807,6 +795,20 @@ mod tests {
         for (rank, &p) in ring_before.iter().enumerate() {
             assert_eq!(net.is_alive(p), !(25..35).contains(&rank), "rank {rank}");
         }
+    }
+
+    #[test]
+    fn arc_kill_repairs_two_survivors_on_each_side() {
+        let mut net = Network::new(FaultModel::StabilizedRing);
+        for i in 0..100 {
+            net.add_peer(Id::new(i * (u64::MAX / 100)), DegreeCaps::symmetric(8))
+                .unwrap();
+        }
+        let rank = |r: usize| net.live_peer_by_rank(r);
+        let bordering: Vec<PeerIdx> = [23, 24, 35, 36].into_iter().map(rank).collect();
+        let mut world = oracle(&mut net);
+        world.shock(&arc(0.25, 0.10), &SeedTree::new(0)).unwrap();
+        assert_eq!(world.pending_repairs, bordering);
     }
 
     #[test]
