@@ -39,13 +39,12 @@
 //!   counter: k copies pushed add k − 1, none pushed releases one;
 //! * an executor finds a send's target in its own view of the actor table,
 //!   without a lock: the view is filled on demand from the locked table.
-//!   Every `spawn_machine` and `remove_peer` logs the id it changed and
-//!   moves the table's epoch, under the table's write lock; the first
-//!   send to see the epoch moved drops the logged ids from its view. Every
-//!   thread that sends is an executor, so every send resolves this way; a
-//!   borrowed executor, view and gossip stream included, outlives the
-//!   call that borrowed it. Only `with_peer` and `peer_ids` read the
-//!   locked table;
+//!   Every `spawn_machine` and `remove_peer` bumps the table's epoch under
+//!   the table's write lock; the first send to see the epoch moved empties
+//!   its view, which refills as it misses. Every thread that sends is an
+//!   executor, so every send resolves this way; a borrowed executor, view
+//!   and gossip stream included, outlives the call that borrowed it. Only
+//!   `with_peer` and `peer_ids` read the locked table;
 //! * each executor books everything it counts — `sent`, the message count
 //!   that sums to `delivered`, `bounced`, `dropped`, `duplicated` and
 //!   `faults` — on a cache line of its own; borrowed executors share one
@@ -226,12 +225,8 @@ struct Executor {
 
 /// The actors one executor has sent to, as the actor table held them at
 /// `epoch`: a send finds its target here without a lock. The first send
-/// to see `Shared::epoch` moved forgets the ids the table's change log
-/// names since `epoch` (everything, if the log no longer reaches back
-/// that far); a miss reads the locked table and keeps what it found.
-/// Filled on demand and corrected id by id, never rebuilt: a membership
-/// change costs each view one removal, not one `Arc` clone or drop per
-/// peer, and the churn twin changes membership between settles.
+/// to see `Shared::epoch` moved empties the view; a miss reads the locked
+/// table and keeps what it found.
 #[derive(Default)]
 struct ActorView {
     epoch: u64,
@@ -286,31 +281,6 @@ struct Books {
 #[repr(align(128))]
 struct Epoch(AtomicU64);
 
-/// How many changes to the actor table a view can fall behind and still
-/// catch up id by id; a view further behind starts over empty.
-const CHANGE_LOG_LEN: usize = 64;
-
-/// The actors, and the ids the latest changes to them touched. Derefs to
-/// the map for reading; every change goes through [`Table::insert`] or
-/// [`Table::remove`], which log it.
-#[derive(Default)]
-struct Table {
-    // BTreeMap, not HashMap: peer enumeration (stats, snapshots,
-    // peer_ids) walks this map, and ordered iteration keeps every such
-    // walk deterministic for free (iter-order discipline).
-    actors: BTreeMap<Id, Arc<Actor>>,
-    log: ChangeLog,
-}
-
-/// The ids the latest changes to the actor table touched, oldest first:
-/// the change that took the epoch from `first + k` to `first + k + 1`
-/// touched `ids[k]`.
-#[derive(Default)]
-struct ChangeLog {
-    first: u64,
-    ids: VecDeque<Id>,
-}
-
 /// What an actor's mutex guards: the machine, and what the shared
 /// [`TimerIndex`] currently holds for it. Keeping the indexed deadline
 /// here lets whoever just ran the machine see, without another lock,
@@ -327,10 +297,12 @@ struct Slot {
 
 /// State shared between the handle and the worker threads.
 struct Shared {
-    actors: RwLock<Table>,
-    /// The epoch `actors` is at, published under its write lock after
-    /// every change: an executor's [`ActorView`] is good while this has
-    /// not moved.
+    // BTreeMap, not HashMap: peer enumeration (stats, snapshots,
+    // peer_ids) walks this map, and ordered iteration keeps every such
+    // walk deterministic for free (iter-order discipline).
+    actors: RwLock<BTreeMap<Id, Arc<Actor>>>,
+    /// Bumped under the write lock of `actors` after every change: an
+    /// executor's [`ActorView`] is good while this has not moved.
     epoch: Epoch,
     runq: Mutex<RunQueue>,
     /// Parked pool workers wait here for an actor to run.
@@ -427,7 +399,7 @@ impl Runtime {
             cfg.workers
         };
         let shared = Arc::new(Shared {
-            actors: RwLock::new(Table::default()),
+            actors: RwLock::default(),
             epoch: Epoch::default(),
             runq: Mutex::new(RunQueue::default()),
             work: Condvar::new(),
@@ -485,10 +457,10 @@ impl Runtime {
         // concurrent spawn or remove of the same id cannot interleave
         // with them.
         let mut actors = held(self.shared.actors.write());
-        if let Some(replaced) = actors.insert(actor) {
+        if let Some(replaced) = actors.insert(id, actor) {
             self.shared.retire(&replaced);
         }
-        self.shared.epoch.publish(&actors);
+        self.shared.epoch.bump();
         if indexed.is_some() {
             held(self.shared.timers.lock()).set(id, None, indexed);
         }
@@ -511,10 +483,10 @@ impl Runtime {
     pub fn remove_peer(&self, id: Id) -> bool {
         let removed = {
             let mut actors = held(self.shared.actors.write());
-            let removed = actors.remove(id);
+            let removed = actors.remove(&id);
             if let Some(actor) = &removed {
                 self.shared.retire(actor);
-                self.shared.epoch.publish(&actors);
+                self.shared.epoch.bump();
             }
             removed
         };
@@ -944,59 +916,12 @@ impl Shared {
 }
 
 impl Epoch {
-    /// Publishes the epoch `table` is at; called under the table's write
-    /// lock, after each change. The `Release` pairs with the `Acquire` in
-    /// [`ActorView::resolve`]: a view that reads the new epoch catches up
-    /// before it is used again.
-    fn publish(&self, table: &Table) {
-        self.0.store(table.log.end(), Ordering::Release);
-    }
-}
-
-impl Table {
-    /// Registers `actor` under its id; returns the actor it replaces.
-    fn insert(&mut self, actor: Arc<Actor>) -> Option<Arc<Actor>> {
-        self.log.record(actor.id);
-        self.actors.insert(actor.id, actor)
-    }
-
-    /// Takes the actor under `id` out of the table.
-    fn remove(&mut self, id: Id) -> Option<Arc<Actor>> {
-        let removed = self.actors.remove(&id);
-        if removed.is_some() {
-            self.log.record(id);
-        }
-        removed
-    }
-}
-
-impl std::ops::Deref for Table {
-    type Target = BTreeMap<Id, Arc<Actor>>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.actors
-    }
-}
-
-impl ChangeLog {
-    fn record(&mut self, id: Id) {
-        if self.ids.len() == CHANGE_LOG_LEN {
-            self.ids.pop_front();
-            self.first += 1;
-        }
-        self.ids.push_back(id);
-    }
-
-    /// The epoch after the latest change.
-    fn end(&self) -> u64 {
-        self.first + self.ids.len() as u64
-    }
-
-    /// The ids changed since `epoch`; `None` once the log no longer
-    /// reaches back that far.
-    fn since(&self, epoch: u64) -> Option<impl Iterator<Item = &Id>> {
-        let skip = epoch.checked_sub(self.first)?;
-        Some(self.ids.iter().skip(skip as usize))
+    /// Moves the epoch on; called under the actor table's write lock,
+    /// after each change. The `Release` pairs with the `Acquire` in
+    /// [`ActorView::resolve`]: a view that reads the new epoch empties
+    /// itself before it is used again.
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -1021,12 +946,14 @@ impl Executor {
 
 impl ActorView {
     /// The actor registered under `to`. Read without a lock while the
-    /// epoch stands; a miss, or the first look after the epoch moved,
+    /// epoch stands; once it moved, the view starts over empty. A miss
     /// reads the locked table. A peer the table lacks is not remembered:
     /// a send to it bounces each time.
     fn resolve(&mut self, shared: &Shared, to: Id) -> Option<&Arc<Actor>> {
-        if shared.epoch.0.load(Ordering::Acquire) != self.epoch {
-            self.catch_up(shared);
+        let epoch = shared.epoch.0.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.actors.clear();
+            self.epoch = epoch;
         }
         match self.actors.entry(to) {
             Entry::Occupied(hit) => Some(hit.into_mut()),
@@ -1035,19 +962,6 @@ impl ActorView {
                 Some(miss.insert(actor))
             }
         }
-    }
-
-    /// Forgets every actor the table changed since this view's epoch,
-    /// and moves the view to the table's epoch.
-    fn catch_up(&mut self, shared: &Shared) {
-        let table = held(shared.actors.read());
-        match table.log.since(self.epoch) {
-            Some(changed) => changed.for_each(|id| {
-                self.actors.remove(id);
-            }),
-            None => self.actors.clear(),
-        }
-        self.epoch = table.log.end();
     }
 }
 

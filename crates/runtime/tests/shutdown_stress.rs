@@ -4,11 +4,11 @@
 //! protocol or a slipped in-flight count means a hang: workers parked
 //! beside an empty run queue, workers mid-batch inside an actor, callers
 //! inside `quiesce` — running actors themselves, or parked behind
-//! messages other threads hold — and mail for a peer that is removed
-//! while it travels. These tests slam the runtime with traffic and pull
-//! the plug, or a third of the peers, mid-flight, repeatedly, under
-//! varying worker counts — every iteration must return, with every
-//! envelope in exactly one ledger bucket.
+//! messages other threads hold — and mail for a peer that is removed or
+//! replaced while it travels. These tests slam the runtime with traffic
+//! and pull the plug, or remove or replace a third of the peers,
+//! mid-flight, repeatedly, under varying worker counts — every iteration
+//! must return, with every envelope in exactly one ledger bucket.
 
 use oscar_protocol::{Command, FaultPlan, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent};
 use oscar_runtime::{Runtime, RuntimeConfig};
@@ -220,13 +220,21 @@ fn shutdown_with_gossip_and_churn_in_flight() {
 
 #[test]
 fn remove_mid_flight_keeps_the_books() {
-    // Crash a third of the ring under a query storm, with no quiesce in
-    // between: mail already queued to a corpse, mail an executor has
-    // already taken from it and mail a sender pushes after the removal
-    // must each be booked `dropped` exactly once, or the in-flight count
-    // never returns to zero (or wraps below it) and `quiesce` hangs.
-    must_finish_within("remove mid-flight", 120, || {
-        for iter in 0..100u64 {
+    // Crash a third of the ring under a query storm, or replace it with
+    // clones of its own machines, with no quiesce in between: mail already
+    // queued to a corpse, mail an executor has already taken from it and
+    // mail a sender pushes after the change must each be booked `dropped`
+    // exactly once, or the in-flight count never returns to zero (or wraps
+    // below it) and `quiesce` hangs.
+    type Change = fn(&Runtime, Id);
+    let changes: [(&str, Change); 2] = [
+        ("remove", |rt, id| assert!(rt.remove_peer(id))),
+        ("replace", |rt, id| {
+            rt.spawn_machine(rt.with_peer(id, PeerMachine::clone).unwrap())
+        }),
+    ];
+    must_finish_within("remove mid-flight", 120, move || {
+        for (iter, (label, change)) in (0..100u64).flat_map(|i| changes.map(|c| (i, c))) {
             // A query on a ring with a third of its peers gone and nobody
             // repairing it wanders until its budget is spent; a short one
             // keeps the aftermath to thousands of messages, not a million.
@@ -242,14 +250,14 @@ fn remove_mid_flight_keeps_the_books() {
             let ids = settled_ring(&rt, 32);
             inject_storm(&rt, &ids, 20, 0);
             for &id in ids.iter().step_by(3) {
-                assert!(rt.remove_peer(id));
+                change(&rt, id);
             }
             rt.quiesce();
             let s = rt.stats();
             assert_eq!(
                 s.sent,
                 s.delivered + s.dropped + s.bounced,
-                "iteration {iter}: every envelope must land in exactly one bucket"
+                "iteration {iter} ({label}): every envelope must land in exactly one bucket"
             );
             rt.shutdown();
         }
@@ -379,8 +387,8 @@ fn membership_changes_invalidate_every_executors_actor_view() {
             }
 
             // Warm the views again, then replace every actor with one over
-            // a copy of its machine, three times over — more changes than a
-            // view can catch up on one by one: mail now goes to the new
+            // a copy of its machine, three times over, each replacement a
+            // membership change of its own: mail now goes to the new
             // actors, and a storm loses none of it.
             let survivors: Vec<Id> = ids.iter().copied().filter(|&id| id != x).collect();
             let per_storm = survivors.len() as u64 * PER_PEER;
