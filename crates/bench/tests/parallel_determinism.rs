@@ -65,7 +65,7 @@ fn fig2_churn_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csv(4));
     assert_eq!(
         fnv1a(&[&sequential]),
-        2_289_006_574_211_201_770,
+        16_849_249_109_537_129_030,
         "fig2 CSV digest moved"
     );
 }
@@ -85,7 +85,7 @@ fn fig2_panels_from_the_suite_match_the_standalone_runs() {
     );
     assert_eq!(
         fnv1a(&[&constant]),
-        2_289_006_574_211_201_770,
+        16_849_249_109_537_129_030,
         "fig2 CSV digest moved"
     );
     assert_eq!(
@@ -112,7 +112,7 @@ fn steady_churn_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csvs(0), "1 vs all-cores auto");
     assert_eq!(
         fnv1a(&sequential),
-        12_340_113_016_511_143_770,
+        6_182_774_575_409_769_950,
         "steady-churn CSV digest moved"
     );
 }
@@ -135,7 +135,7 @@ fn phase_diagram_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csvs(4), "1 vs 4 threads");
     assert_eq!(
         fnv1a(&sequential),
-        12_327_973_703_111_221_238,
+        14_014_104_658_839_963_490,
         "phase CSV digest moved"
     );
 }
@@ -191,7 +191,7 @@ fn scenario_suite_artifacts_identical_across_thread_counts() {
         .collect();
     assert_eq!(
         fnv1a(&rendered),
-        9_967_012_969_076_032_008,
+        10_759_313_601_533_738_777,
         "scenario artifact digest moved"
     );
 }

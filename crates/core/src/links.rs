@@ -8,7 +8,10 @@
 //! 2. taking peers sampled **uniformly within** the chosen partition: first
 //!    from the pool partition estimation left with it (each pooled sample
 //!    is used once, in arrival order), then, for what the pool cannot
-//!    supply, by restricted random walks;
+//!    supply, by restricted random walks. Those walks start at the pool's
+//!    live samples, which are already uniform over the partition, so they
+//!    only decorrelate; a partition with no pool walks from its border
+//!    and must mix first (`oscar-sim::walker`);
 //! 3. with the **power-of-two-choices** technique, taking two candidates
 //!    and probing their current in-degree — at link time, however long ago
 //!    a candidate was sampled — and linking to the less loaded: this is
@@ -57,6 +60,7 @@ pub fn acquire_links(
         p.caps.rho_out.saturating_sub(p.out_degree())
     };
     let mut candidates: Vec<PeerIdx> = Vec::with_capacity(cfg.link_candidates);
+    let mut starts: Vec<PeerIdx> = Vec::new();
     // How much of each partition's pool earlier slots have used up.
     let mut used = vec![0usize; parts.len()];
     'slots: for _ in 0..budget {
@@ -73,8 +77,10 @@ pub fn acquire_links(
             candidates.extend_from_slice(pooled);
             let missing = cfg.link_candidates - pooled.len();
             if missing > 0 {
-                let walked =
-                    sample_peers(net, WalkConfig::default(), entry, Some(&arc), missing, rng)?;
+                starts.clear();
+                starts.extend(parts[i].pool.iter().filter(|&&s| net.is_alive(s)));
+                let walk = WalkConfig::default();
+                let walked = sample_peers(net, walk, entry, Some(&arc), missing, &starts, rng)?;
                 candidates.extend(walked);
             }
             candidates.sort_unstable();

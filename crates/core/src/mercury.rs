@@ -64,7 +64,8 @@ impl OverlayBuilder for MercuryBuilder {
 /// Builds Mercury's density estimate for peer `p`: an empirical CDF over
 /// `CDF_SAMPLE_SIZE` (near-)uniform node-id samples, plus `p`'s own id.
 fn estimate_cdf(net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<EmpiricalCdf> {
-    let samples = sample_peers(net, WalkConfig::default(), p, None, CDF_SAMPLE_SIZE, rng)?;
+    let walk = WalkConfig::default();
+    let samples = sample_peers(net, walk, p, None, CDF_SAMPLE_SIZE, &[], rng)?;
     let mut ids: Vec<Id> = samples.iter().map(|&s| net.peer(s).id).collect();
     ids.push(net.peer(p).id);
     Ok(EmpiricalCdf::new(ids))

@@ -28,8 +28,11 @@ pub fn estimate_partitions(
     while let Some((arc, fresh)) = chain.want() {
         match cfg.median_source {
             MedianSource::Sampled => {
-                let walked =
-                    sample_peers(net, WalkConfig::default(), succ, Some(&arc), fresh, rng)?;
+                // Round 1 walks from the successor; later rounds from the
+                // samples carried over, which are uniform over `arc`.
+                let held: Vec<PeerIdx> = chain.held().collect();
+                let cfg = WalkConfig::default();
+                let walked = sample_peers(net, cfg, succ, Some(&arc), fresh, &held, rng)?;
                 chain.offer(walked.into_iter().map(|s| (net.peer(s).id, s)));
             }
             MedianSource::Oracle => {

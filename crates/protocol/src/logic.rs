@@ -239,6 +239,14 @@ impl<T: Copy + Ord> PartitionChain<T> {
         open.map(|arc| (arc, fresh))
     }
 
+    /// The samples carried over into the next round, in arrival order:
+    /// uniform draws from the arc [`want`](Self::want) names, so a walk
+    /// that starts at one of them needs no mixing. Empty before the first
+    /// round.
+    pub fn held(&self) -> impl Iterator<Item = T> + '_ {
+        self.held.iter().map(|&(_, s)| s)
+    }
+
     /// Answers [`want`](Self::want) with samples `(id, peer)` of its arc,
     /// in the order they arrived, and halves that arc at their median.
     pub fn offer(&mut self, samples: impl IntoIterator<Item = (Id, T)>) {
@@ -256,6 +264,9 @@ impl<T: Copy + Ord> PartitionChain<T> {
     /// Answers [`want`](Self::want) with the arc's exact median instead
     /// of samples, or `None` when the arc holds at most two peers.
     pub fn cut(&mut self, median: Option<(Id, T)>) {
+        // Held samples would land in the wrong partition's pool; a chain
+        // answered by cuts never offers, so it holds none.
+        debug_assert!(self.held.is_empty(), "an offered chain is cut");
         match median {
             Some(border) => self.split_off(border, Vec::new()),
             None => self.collapse(),
@@ -453,12 +464,15 @@ mod tests {
         // Origin 0, successor 1, six samples a round.
         let mut chain = PartitionChain::new(Id::new(0), (Id::new(1), 1), 6);
         assert_eq!(chain.want(), Some((arc(1, 0), 6)));
+        assert_eq!(chain.held().count(), 0);
         // distinct {10, 30, 50, 70, 90} -> border 50; 30, 30, 10 carry over.
         chain.offer(peers(&[70, 30, 90, 50, 30, 10]));
         assert_eq!(chain.want(), Some((arc(1, 50), 3)));
+        assert_eq!(chain.held().collect::<Vec<_>>(), [30, 30, 10]);
         // distinct {10, 20, 30, 40} -> border 20, both its copies dropped.
         chain.offer(peers(&[20, 40, 20]));
         assert_eq!(chain.want(), Some((arc(1, 20), 5)));
+        assert_eq!(chain.held().collect::<Vec<_>>(), [10]);
         // Two distinct samples: collapsed, the rest is the innermost.
         chain.offer(peers(&[5, 10, 5, 10, 5]));
         assert_eq!(chain.want(), None);

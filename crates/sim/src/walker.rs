@@ -17,6 +17,14 @@
 //!   paper). The induced subgraph always contains the arc's ring path, so
 //!   it is connected and the restricted walk converges on the arc.
 //!
+//! How far a sample walks depends on where it starts. The MH walk's
+//! stationary distribution is uniform, so a walk that starts at a peer
+//! already drawn uniformly from the arc stays uniform at any length: its
+//! steps only decorrelate the sample from its start, and
+//! `UNIFORM_START_STEPS` of them do. A walk from a fixed entry (the
+//! successor, a partition border) must first mix, and walks
+//! [`WalkConfig::burn_in`] steps.
+//!
 //! Every step is a simulated message ([`MsgKind::WalkStep`]); rejected MH
 //! moves and forced stays still consume a step, because the probe that
 //! discovered the rejection travelled the wire.
@@ -32,11 +40,17 @@ use rand::Rng;
 /// Random-walk parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct WalkConfig {
-    /// Steps walked before emitting a sample. The graph is an expander
-    /// once long links exist, so a few dozen steps suffice; this is the
-    /// `O(log N)`-ish walk length Mercury uses.
+    /// Steps a walk from a fixed entry takes before emitting a sample:
+    /// the mixing time from a start that is not a uniform draw. The graph
+    /// is an expander once long links exist, so a few dozen steps suffice;
+    /// this is the `O(log N)`-ish walk length Mercury uses.
     pub burn_in: u32,
 }
+
+/// Steps a walk takes from a start already uniform over its arc. Such a
+/// walk needs no mixing, only enough steps that the samples drawn from one
+/// start are not that start over again.
+const UNIFORM_START_STEPS: u32 = 6;
 
 impl Default for WalkConfig {
     fn default() -> Self {
@@ -128,24 +142,46 @@ impl<'a> Walker<'a> {
         arc: Option<&Arc>,
         rng: &mut SmallRng,
     ) -> Result<PeerIdx> {
+        self.walk(start, arc, self.cfg.burn_in, rng)
+    }
+
+    /// A `steps`-step walk from `start`, which must be live and in the arc.
+    fn walk(
+        &mut self,
+        start: PeerIdx,
+        arc: Option<&Arc>,
+        steps: u32,
+        rng: &mut SmallRng,
+    ) -> Result<PeerIdx> {
         self.check_start(start, arc)?;
-        Ok(self.advance(start, arc, self.cfg.burn_in, rng))
+        Ok(self.advance(start, arc, steps, rng))
     }
 }
 
-/// `count` samples from one start, each an independent fresh
-/// `burn_in`-step walk, with the walk steps credited to the network's
-/// metrics (for callers holding `&mut Network`).
+/// `count` samples of `arc` (or of the whole live network when `arc` is
+/// `None`), each a fresh walk, with the walk steps credited to the
+/// network's metrics (for callers holding `&mut Network`).
+///
+/// `uniform` holds peers already drawn uniformly from the same arc. When
+/// it is empty, every sample walks `burn_in` steps from `entry`; otherwise
+/// sample `k` walks `UNIFORM_START_STEPS` from `uniform[k % len]` and
+/// `entry` is not used. Every start must be live and inside the arc.
 pub fn sample_peers(
     net: &mut Network,
     cfg: WalkConfig,
-    start: PeerIdx,
+    entry: PeerIdx,
     arc: Option<&Arc>,
     count: usize,
+    uniform: &[PeerIdx],
     rng: &mut SmallRng,
 ) -> Result<Vec<PeerIdx>> {
     let mut walker = Walker::new(net, cfg);
-    let result = (0..count).map(|_| walker.sample(start, arc, rng)).collect();
+    let result = (0..count)
+        .map(|k| match uniform {
+            [] => walker.sample(entry, arc, rng),
+            _ => walker.walk(uniform[k % uniform.len()], arc, UNIFORM_START_STEPS, rng),
+        })
+        .collect();
     let steps = walker.take_steps();
     net.metrics.add(MsgKind::WalkStep, steps);
     result
@@ -385,6 +421,87 @@ mod tests {
         check(&net, 37);
     }
 
+    /// Total-variation distance from uniform over the half-ring arc's
+    /// members of 6 400 `sample_peers` draws, each a walk of
+    /// `UNIFORM_START_STEPS` steps from a uniformly drawn member or, when
+    /// `uniform_starts` is false, from the arc's first peer.
+    fn half_ring_tv(net: &mut Network, uniform_starts: bool, seed: u64) -> f64 {
+        let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
+        let members: Vec<PeerIdx> = net
+            .live_peers()
+            .filter(|&p| arc.contains(net.peer(p).id))
+            .collect();
+        let entry = net.idx_of(Id::new(0)).unwrap();
+        let mut rng = SeedTree::new(seed).rng();
+        let trials = 6400;
+        let starts: Vec<PeerIdx> = if uniform_starts {
+            let draw = |_| members[rng.gen_range(0..members.len())];
+            (0..trials).map(draw).collect()
+        } else {
+            Vec::new()
+        };
+        let cfg = WalkConfig {
+            burn_in: UNIFORM_START_STEPS,
+        };
+        let got = sample_peers(net, cfg, entry, Some(&arc), trials, &starts, &mut rng).unwrap();
+        let mut counts = std::collections::HashMap::new();
+        for s in got {
+            *counts.entry(s).or_insert(0usize) += 1;
+        }
+        let uniform = 1.0 / members.len() as f64;
+        let tv: f64 = members
+            .iter()
+            .map(|m| (counts.get(m).copied().unwrap_or(0) as f64 / trials as f64 - uniform).abs())
+            .sum();
+        tv / 2.0
+    }
+
+    #[test]
+    fn short_walks_from_uniform_starts_stay_uniform_and_from_an_entry_do_not() {
+        // The rule `sample_peers` rests on: MH's stationary distribution is
+        // uniform, so a walk from a uniform start needs no burn-in. At
+        // 6 400 trials over 33 members the sampling noise alone reads
+        // about 0.03.
+        for seed in [7, 21, 33] {
+            let mut net = test_net(64, 4, seed);
+            let from_uniform = half_ring_tv(&mut net, true, seed + 100);
+            let from_entry = half_ring_tv(&mut net, false, seed + 100);
+            println!("seed {seed}: TV {from_uniform:.3} from uniform starts, {from_entry:.3} from the entry");
+            assert!(
+                from_uniform < 0.05,
+                "seed {seed}: uniform starts read TV {from_uniform:.3}"
+            );
+            assert!(
+                from_entry > 0.05,
+                "seed {seed}: {UNIFORM_START_STEPS} steps from the entry already mix \
+                 (TV {from_entry:.3}), so the check cannot tell"
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_starts_walk_the_short_length_and_are_checked() {
+        let mut net = test_net(16, 2, 25);
+        let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
+        let (inside, outside) = (PeerIdx(1), PeerIdx(12));
+        let mut rng = SeedTree::new(26).rng();
+        let mut from = |net: &mut Network, starts: &[PeerIdx], count| {
+            let cfg = WalkConfig::default();
+            sample_peers(net, cfg, PeerIdx(0), Some(&arc), count, starts, &mut rng)
+        };
+        let got = from(&mut net, &[inside, PeerIdx(3)], 5).unwrap();
+        assert!(got.iter().all(|&s| arc.contains(net.peer(s).id)));
+        assert_eq!(
+            net.metrics.get(MsgKind::WalkStep),
+            5 * UNIFORM_START_STEPS as u64
+        );
+        let far = from(&mut net, &[outside], 2);
+        assert!(matches!(far, Err(Error::SamplingFailed { .. })));
+        net.kill(inside).unwrap();
+        let dead = from(&mut net, &[inside], 2);
+        assert!(matches!(dead, Err(Error::PeerDead(_))));
+    }
+
     #[test]
     fn sample_peers_wrapper_credits_metrics() {
         let mut net = test_net(16, 2, 19);
@@ -395,6 +512,7 @@ mod tests {
             PeerIdx(0),
             None,
             3,
+            &[],
             &mut rng,
         )
         .unwrap();
