@@ -1,16 +1,16 @@
-//! Query storms over a directly bootstrapped [`PeerMachine`] ring: the
-//! fault sweep.
+//! Query storms over a join-grown [`PeerMachine`] fleet: the fault sweep.
 //!
-//! A storm skips the join protocol — every peer is handed its ring
-//! neighbourhood by `Command::Bootstrap` — grows long links through real
-//! MH walk traffic, then fires queries from all peers at once.
-//! [`run_fault_sweep`] does that for every cell of loss {0, 2, 5, 10}%
-//! × jitter {0, 3 ticks} on the virtual-time DES, plus the loss axis on
-//! the runtime (which collapses delay jitter by design — mailboxes are
-//! FIFO), under a blackholing [`FaultPlan`] with duplication at half the
-//! loss rate, and asks whether the timeout/retry machines still deliver
-//! — and at what retry cost. Its loss=0 runtime cell is the reliable
-//! storm: every query terminates exactly once, with no machine fault.
+//! [`run_fault_sweep`] grows one fleet with [`grow_fleet`] — serial joins,
+//! then one link build per peer — on a reliable DES, and hands every cell
+//! clones of those machines. A cell then fires queries from all peers at
+//! once: every cell of loss {0, 2, 5, 10}% × jitter {0, 3 ticks} on the
+//! virtual-time DES, plus the loss axis on the runtime (which collapses
+//! delay jitter by design — mailboxes are FIFO), under a blackholing
+//! [`FaultPlan`] with duplication at half the loss rate, and asks whether
+//! the timeout/retry machines still deliver — and at what retry cost. Its
+//! loss=0 runtime cell is the reliable storm: every query terminates
+//! exactly once, with no machine fault, and it equals the DES's loss=0
+//! cell.
 //!
 //! [`PeerMachine`]: oscar_protocol::PeerMachine
 
@@ -18,51 +18,20 @@ use crate::json::Object;
 use crate::registry::{gate_machine_faults, RunResult};
 use crate::scale::Scale;
 use oscar_protocol::{
-    Command, FaultPlan, OpKind, PeerConfig, ProtocolDriver, ProtocolEvent, QueryReport,
+    Command, FaultPlan, OpKind, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
+    QueryReport, Rounds,
 };
 use oscar_runtime::{Runtime, RuntimeConfig};
-use oscar_sim::{DesDriver, QueryBatchStats};
+use oscar_sim::{grow_fleet, DesDriver, QueryBatchStats};
 use oscar_types::labels::bench_storm::{LBL_IDS, LBL_KEYS};
-use oscar_types::{Id, SeedTree};
+use oscar_types::{Id, Result, SeedTree};
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Successor-list length handed to every bootstrapped peer.
-const SUCC_LEN: usize = 8;
 /// Round budget for each settle phase; the retry state machine converges
 /// in `max_retries + 1` rounds per op, so this is generous headroom.
 const SETTLE_ROUNDS: u64 = 200;
-
-/// The deterministic id population of a storm, sorted for ring
-/// construction.
-fn ring_ids(seed: u64, n: usize) -> Vec<Id> {
-    let mut rng = SeedTree::new(seed).child(LBL_IDS).rng();
-    let mut ids: BTreeSet<Id> = BTreeSet::new();
-    while ids.len() < n {
-        ids.insert(Id::new(rng.gen::<u64>()));
-    }
-    ids.into_iter().collect()
-}
-
-/// Spawns one machine per id, hands each its ring neighbourhood, and asks
-/// each for three long-link walks. The caller settles the driver.
-fn bootstrap_ring(driver: &mut impl ProtocolDriver, ids: &[Id]) {
-    let n = ids.len();
-    for &id in ids {
-        driver.spawn_peer(id);
-    }
-    for (i, &id) in ids.iter().enumerate() {
-        let pred = ids[(i + n - 1) % n];
-        let succs: Vec<Id> = (1..=SUCC_LEN).map(|k| ids[(i + k) % n]).collect();
-        let mut known = succs.clone();
-        known.push(pred);
-        driver.inject(id, Command::Bootstrap { pred, succs, known });
-    }
-    for &id in ids {
-        driver.inject(id, Command::BuildLinks { walks: 3 });
-    }
-}
 
 /// Every peer fires `per_peer` queries to random keys (the same key
 /// stream whatever the driver). Returns the number injected.
@@ -128,10 +97,10 @@ impl StormOutcome {
 
 /// Protocol tunables for the sweep: a much deeper retry budget than the
 /// default 3, because per-issue failure grows with path length. At
-/// n = 2000 a query chain is ~12-25 envelopes, so 5% loss kills an
-/// individual issue ~55% of the time; eleven total issues leave
-/// 0.55^11 < 0.2% of queries dead, comfortably over the 99% delivery
-/// gate, while the *mean* issue count stays near 1/(1-0.55) ~ 2.3 —
+/// n = 2000 the sweep's p95 query costs 11 hops, ~12 envelopes with the
+/// reply, so 5% loss kills such an issue ~46% of the time; eleven issues
+/// leave 0.46^11 < 0.03% of them dead, comfortably over the 99% delivery
+/// gate, while the *mean* issue count stays under 1/(1-0.46) ~ 1.9 —
 /// under the amplification bound of 3.
 fn sweep_peer_cfg() -> PeerConfig {
     PeerConfig {
@@ -178,20 +147,19 @@ pub struct FaultCell {
     pub faults: u64,
 }
 
-/// Runs one cell on `driver`: bootstrap, settle, storm, settle.
+/// Runs one cell on `driver`, which holds clones of the sweep's fleet as
+/// it stood at round `grown_at`: catch the clock up, storm, settle.
 fn run_cell<D: ProtocolDriver>(
     mut driver: D,
     name: &'static str,
     (loss_pct, jitter): (u32, u64),
-    ids: &[Id],
+    grown_at: u64,
     per_peer: usize,
     seed: u64,
 ) -> FaultCell {
-    bootstrap_ring(&mut driver, ids);
-    driver.settle(SETTLE_ROUNDS);
-    driver.drain_events(); // build-phase events are not the storm's metrics
-
-    let total = inject_storm(&mut driver, ids, per_peer, seed);
+    driver.advance_to(grown_at);
+    let sources = driver.peer_ids();
+    let total = inject_storm(&mut driver, &sources, per_peer, seed);
     let round0 = driver.round();
     driver.settle(SETTLE_ROUNDS);
     let outcome = StormOutcome::of(driver.drain_events());
@@ -225,6 +193,8 @@ pub struct FaultSweep {
     pub per_peer: usize,
     /// Worker threads of the runtime cells.
     pub workers: usize,
+    /// Machine faults the one fleet build raised, before any cell.
+    pub build_faults: u64,
     /// DES cells (jitter-major, loss-minor), then the runtime cells.
     pub cells: Vec<FaultCell>,
 }
@@ -258,26 +228,39 @@ impl FaultSweep {
         self.worst_steady(true).1
     }
 
-    /// Machine faults summed over every cell.
+    /// Machine faults summed over the build and every cell.
     pub fn faults(&self) -> u64 {
-        self.cells.iter().map(|c| c.faults).sum()
+        self.build_faults + self.cells.iter().map(|c| c.faults).sum::<u64>()
     }
 }
 
 /// Runs the whole sweep at `scale.target` peers, `per_peer` queries per
-/// peer per cell. Every cell shares one id population, so only the fault
-/// plan varies.
-pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
+/// peer per cell. The fleet is grown once, by [`grow_fleet`] on a
+/// reliable DES, and every cell storms its own clones of those machines,
+/// so only the fault plan varies between cells.
+pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> Result<FaultSweep> {
     let workers = storm_workers(scale);
-    let ids = ring_ids(scale.seed, scale.target);
+    let mut rng = SeedTree::new(scale.seed).child(LBL_IDS).rng();
+    let mut taken = BTreeSet::new();
+    let ids: Vec<Id> = std::iter::repeat_with(|| Id::new(rng.gen::<u64>()))
+        .filter(|&id| taken.insert(id))
+        .take(scale.target)
+        .collect();
+    let mut build = DesDriver::new_with_faults(scale.seed, sweep_peer_cfg(), FaultPlan::reliable());
+    grow_fleet(&mut build, &ids, 3)?;
+    let (grown_at, build_faults) = (build.round(), build.fault_count());
+    let fleet: Vec<PeerMachine> = ids.iter().flat_map(|&id| build.peer(id)).cloned().collect();
     let des_axes = JITTERS
         .iter()
         .flat_map(|&jitter| LOSS_PCT.iter().map(move |&loss| (loss, jitter)));
     let mut cells = Vec::new();
     for axes @ (loss, jitter) in des_axes {
         let plan = plan_for(scale.seed, cells.len(), loss, jitter);
-        let des = DesDriver::new_with_faults(scale.seed, sweep_peer_cfg(), plan);
-        cells.push(run_cell(des, "des", axes, &ids, per_peer, scale.seed));
+        let mut des = DesDriver::new_with_faults(scale.seed, sweep_peer_cfg(), plan);
+        for machine in &fleet {
+            Rounds::spawn_machine(&mut &mut des, machine.clone());
+        }
+        cells.push(run_cell(des, "des", axes, grown_at, per_peer, scale.seed));
     }
     for loss in LOSS_PCT {
         let rt = Runtime::new(
@@ -286,20 +269,24 @@ pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
                 .with_peer_cfg(sweep_peer_cfg())
                 .with_fault_plan(plan_for(scale.seed, cells.len(), loss, 0)),
         );
+        for machine in &fleet {
+            rt.spawn_machine(machine.clone());
+        }
         cells.push(run_cell(
             rt,
             "runtime",
             (loss, 0),
-            &ids,
+            grown_at,
             per_peer,
             scale.seed,
         ));
     }
-    FaultSweep {
+    Ok(FaultSweep {
         per_peer,
         workers,
+        build_faults,
         cells,
-    }
+    })
 }
 
 /// The `faults` experiment: [`run_fault_sweep`] at 2 queries per peer,
@@ -307,9 +294,8 @@ pub fn run_fault_sweep(scale: &Scale, per_peer: usize) -> FaultSweep {
 ///
 /// Self-gating over BOTH drivers' steady cells: delivery below 99% or
 /// amplification above 3.0 fails the run, as does any machine fault. The
-/// runtime cells drift a few tenths of a percent with worker scheduling
-/// (their link tables build under concurrent interleaving), so the JSON
-/// headlines come from the DES cells alone; the 10% cells are reported
+/// JSON headlines come from the DES cells alone, whose every retry
+/// decision is a pure function of the seed; the 10% cells are reported
 /// but never gated.
 pub fn faults(scale: &Scale) -> RunResult {
     let per_peer = 2;
@@ -320,7 +306,7 @@ pub fn faults(scale: &Scale) -> RunResult {
         storm_workers(scale)
     );
     let t0 = Instant::now();
-    let sweep = run_fault_sweep(scale, per_peer);
+    let sweep = run_fault_sweep(scale, per_peer)?;
     eprintln!("  {} cells in {:.1?}", sweep.cells.len(), t0.elapsed());
     for c in &sweep.cells {
         eprintln!(

@@ -29,8 +29,9 @@ use std::ops::DerefMut;
 /// runtime ticks it at quiescent points. The churn engine's machine
 /// world paces itself with [`ProtocolDriver::settle`] alone;
 /// [`ProtocolDriver::advance_to`] and [`ProtocolDriver::round`] are for
-/// callers that slice time themselves (the fault sweep's storm reads the
-/// counter; driver tests and the benchmark's tracing wrapper advance it).
+/// callers that slice time themselves (the fault sweep advances each
+/// cell to its cloned fleet's build round and reads the counter; driver
+/// tests and the benchmark's tracing wrapper advance it too).
 /// Both drivers run `settle` and `advance_to` as [`Rounds`]' loops.
 ///
 /// A join is [`spawn_peer`](ProtocolDriver::spawn_peer), an

@@ -69,7 +69,7 @@ use std::collections::BTreeSet;
 
 /// Timer-round budget for one settle: far above any single membership
 /// event's retry chains, so a hit means a protocol livelock, not churn
-/// — [`MachineWorld::settle`] reports it as [`Error::Livelock`].
+/// — [`settle`] reports it as [`Error::Livelock`].
 const SETTLE_ROUNDS: u64 = 4096;
 
 /// Shape of the machine fleet a churn run is driven against.
@@ -154,8 +154,7 @@ pub struct MachineWorld<'a, D: ProtocolDriver> {
 impl<'a, D: ProtocolDriver> MachineWorld<'a, D> {
     /// Bootstraps the fleet on `driver`, which must be empty so both
     /// drivers (and every run) grow identical overlays from the seed:
-    /// serial joins through the first peer, then one serialized link
-    /// build per peer.
+    /// `initial_peers` fresh ids, grown by [`grow_fleet`] in draw order.
     pub fn bootstrap(
         driver: &'a mut D,
         keys: &'a dyn KeyDistribution,
@@ -168,12 +167,6 @@ impl<'a, D: ProtocolDriver> MachineWorld<'a, D> {
                 "machine churn bootstraps its own fleet: the driver must start empty".into(),
             ));
         }
-        let mut world = MachineWorld {
-            driver,
-            keys,
-            cfg,
-            books: Maintenance::default(),
-        };
         let mut boot = seed.child(LBL_BOOT).rng();
         // Join order is draw order (`ids`); `taken` answers "drawn before?"
         // in O(log n) where searching `ids` made the loop quadratic.
@@ -182,36 +175,13 @@ impl<'a, D: ProtocolDriver> MachineWorld<'a, D> {
         while ids.len() < cfg.initial_peers {
             ids.push(fresh_id(keys, &mut boot, |id| !taken.insert(id))?);
         }
-        world.driver.spawn_peer(ids[0]);
-        for &id in &ids[1..] {
-            world.driver.spawn_peer(id);
-            world.driver.inject(id, Command::Join { contact: ids[0] });
-            world.settle("a bootstrap join")?;
-        }
-        // One settle per peer, here and in the probe/sweep handlers below:
-        // concurrent walks read each other's half-built link tables in
-        // whatever order the driver interleaves them, which would make link
-        // state scheduling-dependent on the threaded runtime. Serialized
-        // injection keeps every link-mutating phase a pure function of the
-        // trace, so both drivers grow identical overlays.
-        for &id in &ids {
-            let walks = cfg.build_walks;
-            world.driver.inject(id, Command::BuildLinks { walks });
-            world.settle("a bootstrap link build")?;
-        }
-        world.driver.drain_events(); // bootstrap milestones are not window data
-        Ok(world)
-    }
-
-    /// Settles the driver after `during`, failing if that took the whole
-    /// [`SETTLE_ROUNDS`] budget: the fleet is then still not idle, and
-    /// whatever the engine measured next would be measured mid-operation.
-    fn settle(&mut self, during: &'static str) -> Result<()> {
-        let rounds = self.driver.settle(SETTLE_ROUNDS);
-        if rounds >= SETTLE_ROUNDS {
-            return Err(Error::Livelock { during, rounds });
-        }
-        Ok(())
+        grow_fleet(driver, &ids, cfg.build_walks)?;
+        Ok(MachineWorld {
+            driver,
+            keys,
+            cfg,
+            books: Maintenance::default(),
+        })
     }
 
     /// Drains the driver's events and books the repairs that fired.
@@ -251,12 +221,12 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
         let contact = live[rng.gen_range(0..live.len())];
         self.driver.spawn_peer(id);
         self.driver.inject(id, Command::Join { contact });
-        self.settle("a join")?;
+        settle(self.driver, "a join")?;
         // Links only after the splice: a walk needs the joiner's ring
         // links to leave from.
         let walks = self.cfg.build_walks;
         self.driver.inject(id, Command::BuildLinks { walks });
-        self.settle("a joiner's link build")?;
+        settle(self.driver, "a joiner's link build")?;
         self.absorb_repairs();
         Ok(())
     }
@@ -279,7 +249,7 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
             return Ok(false);
         };
         self.driver.inject(live[rank], Command::Depart);
-        self.settle("a departure")?;
+        settle(self.driver, "a departure")?;
         self.driver.remove_peer(live[rank]);
         self.absorb_repairs();
         Ok(true)
@@ -291,7 +261,7 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
                 let before = self.driver.sent();
                 for id in self.driver.peer_ids() {
                     self.driver.inject(id, Command::ProbeRing);
-                    self.settle("a ring probe")?;
+                    settle(self.driver, "a ring probe")?;
                 }
                 self.books.repair_cost += self.driver.sent() - before;
                 self.absorb_repairs();
@@ -303,7 +273,7 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
                 let walks = self.cfg.build_walks;
                 for &id in &live {
                     self.driver.inject(id, Command::Rewire { walks });
-                    self.settle("a sweep rewire")?;
+                    settle(self.driver, "a sweep rewire")?;
                 }
                 self.books.rewires += 1;
                 self.books.repairs += live.len() as u64;
@@ -337,7 +307,7 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
             let qid = window | q as u64;
             self.driver.inject(src, Command::StartQuery { qid, key });
         }
-        self.settle("a window's query batch")?;
+        settle(self.driver, "a window's query batch")?;
         let mut outcomes = Vec::with_capacity(issued);
         for e in self.driver.drain_events() {
             match e {
@@ -388,6 +358,43 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
     }
 }
 
+/// Grows a fleet on `driver` in `ids` order: spawns the first id, joins
+/// every later one through it, builds each peer's links with `walks`
+/// walks, and drains the build's events. An empty `ids` does nothing.
+///
+/// One settle per peer, as in [`MachineWorld`]'s probes and sweeps:
+/// concurrent walks would read each other's half-built link tables in
+/// whatever order the driver interleaves them. Serialized, every
+/// link-mutating phase is a pure function of the trace, so both drivers
+/// grow identical fleets.
+pub fn grow_fleet(driver: &mut impl ProtocolDriver, ids: &[Id], walks: u32) -> Result<()> {
+    let Some((&contact, joiners)) = ids.split_first() else {
+        return Ok(());
+    };
+    driver.spawn_peer(contact);
+    for &id in joiners {
+        driver.spawn_peer(id);
+        driver.inject(id, Command::Join { contact });
+        settle(driver, "a bootstrap join")?;
+    }
+    for &id in ids {
+        driver.inject(id, Command::BuildLinks { walks });
+        settle(driver, "a bootstrap link build")?;
+    }
+    driver.drain_events();
+    Ok(())
+}
+
+/// Settles `driver` after `during`; a settle that spent the whole
+/// [`SETTLE_ROUNDS`] budget left the fleet busy, an [`Error::Livelock`].
+fn settle(driver: &mut impl ProtocolDriver, during: &'static str) -> Result<()> {
+    let rounds = driver.settle(SETTLE_ROUNDS);
+    if rounds >= SETTLE_ROUNDS {
+        return Err(Error::Livelock { during, rounds });
+    }
+    Ok(())
+}
+
 /// Runs `windows` measurement windows of continuous churn against the
 /// machines hosted by `driver`, which must be empty: the engine
 /// ([`run_churn`]) over a freshly bootstrapped [`MachineWorld`], measured
@@ -420,7 +427,7 @@ mod tests {
     use super::*;
     use crate::protocol_des::DesDriver;
     use oscar_keydist::UniformKeys;
-    use oscar_protocol::{FaultPlan, PeerConfig};
+    use oscar_protocol::{FaultPlan, PeerConfig, PeerMachine};
 
     fn des_for(schedule: &ChurnSchedule, seed: u64) -> DesDriver {
         let peer_cfg = PeerConfig {
@@ -530,6 +537,22 @@ mod tests {
             rc < sc,
             "reactive maintenance ({rc} msgs) must undercut sweeps ({sc} msgs)"
         );
+    }
+
+    #[test]
+    fn grow_fleet_joins_and_links_every_peer_and_leaves_no_events() {
+        let mut des = des_for(&quiet(), 3);
+        grow_fleet(&mut des, &[], 3).unwrap();
+        assert!(des.peer_ids().is_empty(), "no ids, no fleet");
+        assert_eq!((des.round(), des.sent()), (0, 0), "no ids, no traffic");
+
+        let ids = [Id::new(1 << 62), Id::new(3 << 62), Id::new(2 << 62)];
+        grow_fleet(&mut des, &ids, 3).unwrap();
+        assert_eq!(des.peer_ids(), [ids[0], ids[2], ids[1]]);
+        for id in ids {
+            assert_eq!(des.with_peer(id, PeerMachine::joined), Some(true));
+        }
+        assert!(des.drain_events().is_empty(), "the build drains its events");
     }
 
     /// A DES whose fleet is never seen idle: every settle reports its

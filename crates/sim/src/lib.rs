@@ -90,7 +90,8 @@ pub use churn_engine::{
     RepairPolicy, Shock, ShockReport, Span, VictimPick,
 };
 pub use churn_machine::{
-    machine_repair_policy, run_machine_churn, MachineChurnConfig, MachineUpkeep, MachineWorld,
+    grow_fleet, machine_repair_policy, run_machine_churn, MachineChurnConfig, MachineUpkeep,
+    MachineWorld,
 };
 pub use churn_oracle::{run_continuous_churn, OracleUpkeep, OracleWorld};
 pub use events::{Event, EventQueue, VirtualTime};
