@@ -48,28 +48,85 @@ pub enum QueryWorkload {
 
 impl QueryWorkload {
     /// Draws the rank of the live peer a query targets, in `0..n_live`.
+    /// One draw of [`QueryWorkload::sampler`]; a loop that draws many
+    /// ranks from one live count builds the sampler once instead.
     ///
     /// # Panics
     /// If `n_live == 0`.
     pub fn draw(&self, n_live: usize, rng: &mut dyn RngCore) -> usize {
+        self.sampler(n_live).draw(rng)
+    }
+
+    /// A sampler of live-peer ranks in `0..n_live`, holding what every
+    /// draw at this live count shares: Zipf's exact discrete CDF table
+    /// (n `powf`s) is built here once, not once per draw. Its draws
+    /// consume the RNG exactly as [`QueryWorkload::draw`] does.
+    ///
+    /// # Panics
+    /// If `n_live == 0`.
+    pub fn sampler(&self, n_live: usize) -> RankSampler<'_> {
         assert!(n_live > 0, "cannot query an empty network");
+        // The exact discrete table for n <= ZIPF_TABLE_MAX; beyond it the
+        // continuous approximation, whose small-n bias has faded.
+        let zipf_cdf = match self {
+            QueryWorkload::ZipfPeers { exponent } if n_live <= ZIPF_TABLE_MAX => {
+                zipf_cdf_table(n_live, *exponent)
+            }
+            _ => Vec::new(),
+        };
+        RankSampler {
+            workload: self,
+            n_live,
+            zipf_cdf,
+        }
+    }
+
+    /// Human-readable name for reports.
+    pub fn name(&self) -> String {
         match self {
+            QueryWorkload::UniformPeers => "uniform-peers".into(),
+            QueryWorkload::ZipfPeers { exponent } => format!("zipf-peers(s={exponent})"),
+            QueryWorkload::Hotspot {
+                center,
+                width,
+                hot_fraction,
+            } => format!("hotspot(c={center:.3},w={width},f={hot_fraction})"),
+        }
+    }
+}
+
+/// Live counts up to which a Zipf draw inverts the exact discrete CDF.
+const ZIPF_TABLE_MAX: usize = 4096;
+
+/// Draws live-peer ranks for one [`QueryWorkload`] at one live count; see
+/// [`QueryWorkload::sampler`].
+#[derive(Clone, Debug)]
+pub struct RankSampler<'w> {
+    workload: &'w QueryWorkload,
+    n_live: usize,
+    /// Zipf's discrete CDF over `n_live` ranks; empty for every other
+    /// workload and for live counts above [`ZIPF_TABLE_MAX`].
+    zipf_cdf: Vec<f64>,
+}
+
+impl RankSampler<'_> {
+    /// Draws the rank of the live peer a query targets, in `0..n_live`.
+    pub fn draw(&self, rng: &mut dyn RngCore) -> usize {
+        let n_live = self.n_live;
+        match self.workload {
             QueryWorkload::UniformPeers => rng.gen_range(0..n_live),
             QueryWorkload::ZipfPeers { exponent } => {
-                // Build-per-call would be wasteful for big N; cache-free
-                // approximation: inverse-CDF on the continuous Zipf via
-                // rejection-free power-law approximation is biased for
-                // small N, so use the exact discrete table for n <= 4096
-                // and the continuous approximation beyond.
-                let rank = if n_live <= 4096 {
-                    let cdf = zipf_cdf_table(n_live, *exponent);
+                let rank = if self.zipf_cdf.is_empty() {
+                    continuous_zipf_rank(n_live, *exponent, rng)
+                } else {
                     let u: f64 = rng.gen();
-                    match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
+                    match self
+                        .zipf_cdf
+                        .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN"))
+                    {
                         Ok(i) => i,
                         Err(i) => i.min(n_live - 1),
                     }
-                } else {
-                    continuous_zipf_rank(n_live, *exponent, rng)
                 };
                 // Scatter so Zipf rank is decoupled from ring order.
                 scatter_rank(rank, n_live)
@@ -96,19 +153,6 @@ impl QueryWorkload {
                     rng.gen_range(0..n_live)
                 }
             }
-        }
-    }
-
-    /// Human-readable name for reports.
-    pub fn name(&self) -> String {
-        match self {
-            QueryWorkload::UniformPeers => "uniform-peers".into(),
-            QueryWorkload::ZipfPeers { exponent } => format!("zipf-peers(s={exponent})"),
-            QueryWorkload::Hotspot {
-                center,
-                width,
-                hot_fraction,
-            } => format!("hotspot(c={center:.3},w={width},f={hot_fraction})"),
         }
     }
 }
@@ -168,6 +212,68 @@ mod tests {
     fn empty_network_panics() {
         let mut rng = SeedTree::new(3).rng();
         QueryWorkload::UniformPeers.draw(0, &mut rng);
+    }
+
+    /// `draw` as it was before the sampler: the Zipf table rebuilt on
+    /// every call. The oracle for the sampler's RNG consumption.
+    fn draw_rebuilding_per_call(w: &QueryWorkload, n_live: usize, rng: &mut dyn RngCore) -> usize {
+        match w {
+            QueryWorkload::ZipfPeers { exponent } => {
+                let rank = if n_live <= 4096 {
+                    let cdf = zipf_cdf_table(n_live, *exponent);
+                    let u: f64 = rng.gen();
+                    match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
+                        Ok(i) => i,
+                        Err(i) => i.min(n_live - 1),
+                    }
+                } else {
+                    continuous_zipf_rank(n_live, *exponent, rng)
+                };
+                scatter_rank(rank, n_live)
+            }
+            // Uniform and hotspot draws built nothing per call; the
+            // sampler moved their bodies unchanged.
+            _ => w.draw(n_live, rng),
+        }
+    }
+
+    #[test]
+    fn sampler_draws_are_draws_one_by_one() {
+        let workloads = [
+            QueryWorkload::UniformPeers,
+            QueryWorkload::ZipfPeers { exponent: 1.0 },
+            QueryWorkload::ZipfPeers { exponent: 0.8 },
+            QueryWorkload::Hotspot {
+                center: 0.3,
+                width: 0.05,
+                hot_fraction: 0.7,
+            },
+        ];
+        for w in &workloads {
+            for n in [1, 37, 4096, 4097] {
+                let sampler = w.sampler(n);
+                let (mut a, mut b, mut c) = (
+                    SeedTree::new(n as u64).rng(),
+                    SeedTree::new(n as u64).rng(),
+                    SeedTree::new(n as u64).rng(),
+                );
+                for _ in 0..500 {
+                    let got = sampler.draw(&mut a);
+                    assert!(got < n);
+                    assert_eq!(got, w.draw(n, &mut b), "{} n {n}", w.name());
+                    assert_eq!(
+                        got,
+                        draw_rebuilding_per_call(w, n, &mut c),
+                        "{} n {n}",
+                        w.name()
+                    );
+                }
+                // Same stream consumed: the next raw draws agree.
+                let next = a.next_u64();
+                assert_eq!(next, b.next_u64());
+                assert_eq!(next, c.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -301,11 +301,14 @@ impl<D: ProtocolDriver> ChurnWorld for MachineWorld<'_, D> {
         // The window index in the high half keeps qids unique within the span.
         let window = (span.window as u64) << 32;
         let issued = if live.is_empty() { 0 } else { batch };
-        for q in 0..issued {
-            let src = live[rng.gen_range(0..live.len())];
-            let key = live[workload.draw(live.len(), rng)];
-            let qid = window | q as u64;
-            self.driver.inject(src, Command::StartQuery { qid, key });
+        if issued > 0 {
+            let targets = workload.sampler(live.len());
+            for q in 0..issued {
+                let src = live[rng.gen_range(0..live.len())];
+                let key = live[targets.draw(rng)];
+                let qid = window | q as u64;
+                self.driver.inject(src, Command::StartQuery { qid, key });
+            }
         }
         settle(self.driver, "a window's query batch")?;
         let mut outcomes = Vec::with_capacity(issued);

@@ -35,8 +35,9 @@ impl Default for RoutePolicy {
     }
 }
 
-/// Outcome of routing one query.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Outcome of routing one query; the default is a query that has not
+/// moved (no success, no messages, no destination).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouteOutcome {
     /// Query reached the live owner of the key.
     pub success: bool,
@@ -64,46 +65,63 @@ impl RouteOutcome {
 /// a real peer has: its own neighbour list and the probe results the query
 /// accumulated.
 pub fn route_to_owner(net: &Network, src: PeerIdx, key: Id, policy: &RoutePolicy) -> RouteOutcome {
-    route_observed(net, src, key, policy, None)
+    let Some(owner) = net.live_owner_of(key) else {
+        return RouteOutcome::default(); // empty live ring: nothing to reach
+    };
+    route_observed(net, src, owner, policy, &mut Carried::default(), None)
 }
 
-/// [`route_to_owner`] that additionally reports, into `probers`, every
-/// peer that probed a dead neighbour along the way (possibly repeated) —
-/// the peers that just *detected a failure* and, under a
-/// probe-triggered maintenance policy, would now repair themselves.
+/// What a query learns on its way — the peers it found dead, the peers
+/// it found to be dead ends, its path — plus the neighbour buffer its
+/// hops fill. A batch keeps one and [`route_observed`] clears it per
+/// query, so the buffers are allocated once per batch, not per query.
+#[derive(Default)]
+struct Carried {
+    known_dead: HashSet<PeerIdx>,
+    exhausted: HashSet<PeerIdx>,
+    stack: Vec<PeerIdx>,
+    neighbors: Vec<PeerIdx>,
+}
+
+impl Carried {
+    /// Forgets the last query; keeps the allocations.
+    /// (`neighbors` is refilled by every hop.)
+    fn clear(&mut self) {
+        self.known_dead.clear();
+        self.exhausted.clear();
+        self.stack.clear();
+    }
+}
+
+/// Routes a query from `src` to `owner`, the live owner of its key, and
+/// additionally reports, into `probers`, every peer that probed a dead
+/// neighbour along the way (possibly repeated) — the peers that just
+/// *detected a failure* and, under a probe-triggered maintenance policy,
+/// would now repair themselves.
+///
+/// The caller names the owner: [`route_to_owner`] looks it up once, a
+/// batch already holds it (its key is the id of the live peer it drew).
+/// `carried` is cleared first, so one value serves query after query.
 fn route_observed(
     net: &Network,
     src: PeerIdx,
-    key: Id,
+    owner: PeerIdx,
     policy: &RoutePolicy,
+    carried: &mut Carried,
     mut probers: Option<&mut Vec<PeerIdx>>,
 ) -> RouteOutcome {
-    let mut out = RouteOutcome {
-        success: false,
-        hops: 0,
-        wasted: 0,
-        backtracks: 0,
-        dest: None,
-    };
-    let Some(owner) = net.live_owner_of(key) else {
-        return out; // empty live ring: nothing to reach
-    };
+    let mut out = RouteOutcome::default();
+    carried.clear();
+    let Carried {
+        known_dead,
+        exhausted,
+        stack,
+        neighbors,
+    } = carried;
     let owner_id = net.peer(owner).id;
-    if src == owner {
-        out.success = true;
-        out.dest = Some(owner);
-        return out;
-    }
-
-    // Knowledge carried by the query.
-    let mut known_dead: HashSet<PeerIdx> = HashSet::new();
-    let mut exhausted: HashSet<PeerIdx> = HashSet::new();
-    let mut stack: Vec<PeerIdx> = Vec::new();
     let mut current = src;
-    let mut neighbors: Vec<PeerIdx> = Vec::with_capacity(64);
-    let mut candidates: Vec<(u64, PeerIdx)> = Vec::with_capacity(64);
 
-    loop {
+    'hop: loop {
         // Success check first: arriving at the owner costs no extra
         // message, so a query that lands exactly on the budget succeeds.
         if current == owner {
@@ -115,32 +133,29 @@ fn route_observed(
             return out;
         }
         let cur_potential = net.peer(current).id.cw_dist(owner_id);
+        net.routing_neighbors_into(current, neighbors);
 
-        // Candidates: neighbours making strict clockwise progress toward
-        // the owner.
-        net.routing_neighbors_into(current, &mut neighbors);
-        candidates.clear();
-        for &c in neighbors.iter() {
-            if exhausted.contains(&c) {
-                continue;
+        // The pick: in one pass, the neighbour with the least clockwise
+        // distance to the owner among those that beat the current peer's
+        // (strict progress) and are neither known dead nor exhausted. A
+        // dead pick costs one probe and joins `known_dead`; the rescan
+        // then picks the next best. Distinct peers have distinct
+        // potentials, so the probe order is the sort-then-scan order
+        // exactly, and a healthy hop scans once.
+        loop {
+            let mut best: (u64, Option<PeerIdx>) = (cur_potential, None);
+            for &c in neighbors.iter() {
+                // Shared kernel: the same progress ranking drives the
+                // distributed PeerMachine's per-hop forwarding decision.
+                if let Some(p) = logic::progress_toward(net.peer(c).id, owner_id, best.0) {
+                    if !exhausted.contains(&c) && !known_dead.contains(&c) {
+                        best = (p, Some(c));
+                    }
+                }
             }
-            // Shared kernel: the same progress ranking drives the
-            // distributed PeerMachine's per-hop forwarding decision.
-            if let Some(p) = logic::progress_toward(net.peer(c).id, owner_id, cur_potential) {
-                candidates.push((p, c));
-            }
-        }
-
-        // Best progress first, taken one at a time: a healthy hop
-        // forwards to its first pick, so sorting the rest is waste.
-        // Distinct peers have distinct potentials, so this is the sorted
-        // order exactly.
-        let mut forwarded = false;
-        while let Some(best) = (0..candidates.len()).min_by_key(|&i| candidates[i].0) {
-            let (_, c) = candidates.swap_remove(best);
-            if known_dead.contains(&c) {
-                continue; // the query already knows; skipping is free
-            }
+            let Some(c) = best.1 else {
+                break;
+            };
             if out.cost() >= policy.max_messages {
                 return out; // budget exhausted mid-probe sequence
             }
@@ -157,11 +172,7 @@ fn route_observed(
             out.hops += 1;
             stack.push(current);
             current = c;
-            forwarded = true;
-            break;
-        }
-        if forwarded {
-            continue;
+            continue 'hop;
         }
 
         // Dead end: backtrack (wasted message back along the path).
@@ -303,14 +314,27 @@ fn run_batch_observed(
     rng: &mut SmallRng,
     mut probers: Option<&mut Vec<PeerIdx>>,
 ) -> QueryBatchStats {
+    let n_live = net.live_count();
+    if n_live == 0 {
+        return QueryBatchStats::of(0, []); // nothing can be issued
+    }
+    let targets = workload.sampler(n_live);
+    let mut carried = Carried::default();
     let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         let Some(src) = net.random_live_peer(rng) else {
             break;
         };
-        let rank = workload.draw(net.live_count(), rng);
-        let key = net.peer(net.live_peer_by_rank(rank)).id;
-        let outcome = route_observed(net, src, key, policy, probers.as_deref_mut());
+        // The key is the drawn live peer's own id, so that peer owns it.
+        let owner = net.live_peer_by_rank(targets.draw(rng));
+        let outcome = route_observed(
+            net,
+            src,
+            owner,
+            policy,
+            &mut carried,
+            probers.as_deref_mut(),
+        );
         net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
         net.metrics.add(MsgKind::QueryWasted, outcome.wasted as u64);
         outcomes.push((outcome.success, outcome.hops, outcome.wasted));
@@ -510,13 +534,7 @@ mod tests {
         probers: &mut Vec<PeerIdx>,
         mid_probe: &mut usize,
     ) -> RouteOutcome {
-        let mut out = RouteOutcome {
-            success: false,
-            hops: 0,
-            wasted: 0,
-            backtracks: 0,
-            dest: None,
-        };
+        let mut out = RouteOutcome::default();
         let Some(owner) = net.live_owner_of(key) else {
             return out;
         };
@@ -596,6 +614,8 @@ mod tests {
     fn best_first_hop_loop_matches_the_sort_then_scan_loop() {
         let mut mid_probe = 0usize;
         let mut queries = 0usize;
+        // One `Carried` for every query, as a batch keeps it.
+        let mut carried = Carried::default();
         for fm in [FaultModel::StabilizedRing, FaultModel::UnstabilizedRing] {
             for (dead, seed) in [(0.3, 30u64), (0.5, 50)] {
                 for succ in [1, 8] {
@@ -617,8 +637,15 @@ mod tests {
                                 &mut want_probers,
                                 &mut mid_probe,
                             );
-                            let got =
-                                route_observed(&net, src, key, &policy, Some(&mut got_probers));
+                            let owner = net.live_owner_of(key).unwrap();
+                            let got = route_observed(
+                                &net,
+                                src,
+                                owner,
+                                &policy,
+                                &mut carried,
+                                Some(&mut got_probers),
+                            );
                             assert_eq!(got, want, "{fm:?} dead {dead} succ {succ} budget {max_messages} src {src:?} key {key:?}");
                             assert_eq!(got_probers, want_probers);
                             queries += 1;
@@ -629,6 +656,95 @@ mod tests {
         }
         assert_eq!(queries, 2 * 2 * 2 * 5 * 200);
         assert!(mid_probe > 0, "no budget ran out inside a probe sequence");
+    }
+
+    #[test]
+    fn a_batch_is_its_queries_one_by_one() {
+        let workloads = [
+            QueryWorkload::UniformPeers,
+            QueryWorkload::ZipfPeers { exponent: 1.0 },
+            QueryWorkload::Hotspot {
+                center: 0.4,
+                width: 0.1,
+                hot_fraction: 0.8,
+            },
+        ];
+        let mut batches = 0usize;
+        for fm in [FaultModel::StabilizedRing, FaultModel::UnstabilizedRing] {
+            for succ in [1, 8] {
+                for (dead, seed) in [(0.3, 60u64), (0.5, 70)] {
+                    let mut net = test_net(300, 4, seed, fm);
+                    net.set_succ_list_len(succ);
+                    let mut rng = SeedTree::new(seed + 1).rng();
+                    crate::churn::kill_fraction(&mut net, dead, &mut rng).unwrap();
+                    for max_messages in [3, 8, 4096] {
+                        let policy = RoutePolicy { max_messages };
+                        for (wi, workload) in workloads.iter().enumerate() {
+                            let stream = seed * 100 + max_messages as u64 + wi as u64;
+                            let (hop0, waste0) = (
+                                net.metrics.get(MsgKind::QueryHop),
+                                net.metrics.get(MsgKind::QueryWasted),
+                            );
+                            let mut probers = Vec::new();
+                            let batch = run_query_batch_observed(
+                                &mut net,
+                                workload,
+                                150,
+                                &policy,
+                                &mut SeedTree::new(stream).rng(),
+                                &mut probers,
+                            );
+                            let hops = net.metrics.get(MsgKind::QueryHop) - hop0;
+                            let wasted = net.metrics.get(MsgKind::QueryWasted) - waste0;
+
+                            // The same draws, each query routed by a fresh
+                            // call that shares nothing with the others.
+                            let mut rng = SeedTree::new(stream).rng();
+                            let (mut want_probers, mut outcomes) = (Vec::new(), Vec::new());
+                            for _ in 0..150 {
+                                let src = net.random_live_peer(&mut rng).unwrap();
+                                let rank = workload.draw(net.live_count(), &mut rng);
+                                let key = net.peer(net.live_peer_by_rank(rank)).id;
+                                let o = route_to_owner(&net, src, key, &policy);
+                                let owner = net.live_owner_of(key).unwrap();
+                                let observed = route_observed(
+                                    &net,
+                                    src,
+                                    owner,
+                                    &policy,
+                                    &mut Carried::default(),
+                                    Some(&mut want_probers),
+                                );
+                                assert_eq!(observed, o);
+                                outcomes.push(o);
+                            }
+                            want_probers.sort_unstable();
+                            want_probers.dedup();
+                            let want = QueryBatchStats::of(
+                                outcomes.len(),
+                                outcomes.iter().map(|o| (o.success, o.hops, o.wasted)),
+                            );
+                            let case = format!(
+                                "{fm:?} succ {succ} dead {dead} budget {max_messages} {}",
+                                workload.name()
+                            );
+                            assert_eq!(batch, want, "{case}");
+                            assert_eq!(
+                                (hops, wasted),
+                                (
+                                    outcomes.iter().map(|o| o.hops as u64).sum(),
+                                    outcomes.iter().map(|o| o.wasted as u64).sum()
+                                ),
+                                "{case}"
+                            );
+                            assert_eq!(probers, want_probers, "{case}");
+                            batches += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(batches, 2 * 2 * 2 * 3 * 3);
     }
 
     #[test]

@@ -23,9 +23,10 @@ fn per_peer_delivery_load(
     let net = overlay.network();
     let mut rng = SeedTree::new(seed).rng();
     let mut deliveries = vec![0u64; net.len()];
+    let targets = workload.sampler(net.live_count());
     for _ in 0..queries {
         let src = net.random_live_peer(&mut rng).expect("live peers exist");
-        let rank = workload.draw(net.live_count(), &mut rng);
+        let rank = targets.draw(&mut rng);
         let key = net.peer(net.live_peer_by_rank(rank)).id;
         let outcome = route_to_owner(net, src, key, &RoutePolicy::default());
         if let Some(dest) = outcome.dest {
