@@ -65,7 +65,7 @@ fn fig2_churn_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csv(4));
     assert_eq!(
         fnv1a(&[&sequential]),
-        16_849_249_109_537_129_030,
+        2_231_046_770_461_770_923,
         "fig2 CSV digest moved"
     );
 }
@@ -85,7 +85,7 @@ fn fig2_panels_from_the_suite_match_the_standalone_runs() {
     );
     assert_eq!(
         fnv1a(&[&constant]),
-        16_849_249_109_537_129_030,
+        2_231_046_770_461_770_923,
         "fig2 CSV digest moved"
     );
     assert_eq!(
@@ -112,7 +112,7 @@ fn steady_churn_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csvs(0), "1 vs all-cores auto");
     assert_eq!(
         fnv1a(&sequential),
-        6_182_774_575_409_769_950,
+        4_518_135_704_319_992_958,
         "steady-churn CSV digest moved"
     );
 }
@@ -135,7 +135,7 @@ fn phase_diagram_csvs_identical_across_thread_counts() {
     assert_eq!(sequential, csvs(4), "1 vs 4 threads");
     assert_eq!(
         fnv1a(&sequential),
-        14_014_104_658_839_963_490,
+        12_073_951_030_862_955_110,
         "phase CSV digest moved"
     );
 }
@@ -191,7 +191,7 @@ fn scenario_suite_artifacts_identical_across_thread_counts() {
         .collect();
     assert_eq!(
         fnv1a(&rendered),
-        10_759_313_601_533_738_777,
+        14_415_204_476_022_530_323,
         "scenario artifact digest moved"
     );
 }

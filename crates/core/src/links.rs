@@ -59,6 +59,10 @@ pub fn acquire_links(
         let p = net.peer(u);
         p.caps.rho_out.saturating_sub(p.out_degree())
     };
+    // `u`'s out-links, sorted for `admits_link`: only this loop's own
+    // `try_link`s change them, and each `Ok` goes in at its place.
+    let mut existing = net.peer(u).long_out.clone();
+    existing.sort_unstable();
     let mut candidates: Vec<PeerIdx> = Vec::with_capacity(cfg.link_candidates);
     let mut starts: Vec<PeerIdx> = Vec::new();
     // How much of each partition's pool earlier slots have used up.
@@ -88,8 +92,6 @@ pub fn acquire_links(
             // Admission and least-loaded selection both go through the
             // shared protocol kernels (one implementation for the oracle
             // simulator and the distributed machine).
-            let mut existing = net.peer(u).long_out.clone();
-            existing.sort_unstable();
             // Probe in-degrees; pick the least-loaded candidate
             // (power-of-two choices when link_candidates == 2).
             let mut best = None;
@@ -107,6 +109,8 @@ pub fn acquire_links(
             };
             match net.try_link(u, target) {
                 Ok(()) => {
+                    let at = existing.partition_point(|&e| e < target);
+                    existing.insert(at, target);
                     stats.established += 1;
                     continue 'slots;
                 }
@@ -299,9 +303,11 @@ mod tests {
     #[test]
     fn oracle_medians_link_exactly_as_before_there_was_a_pool() {
         // Oracle medians sample nothing, so nothing is pooled and every
-        // candidate is walked for, draw for draw as it always was: the
-        // digest is the one this overlay had before pools existed
-        // (ablation A3's oracle column rests on it).
+        // candidate is walked for from its partition's border: adding the
+        // pool left this digest as it was, and only a change to those
+        // walks' draws moves it. It moved once since, when the samples of
+        // one call became lanes on streams of their own (ROADMAP item
+        // 17(a)). Ablation A3's oracle column rests on it.
         let cfg = OscarConfig::default().with_oracle_medians();
         let builder = crate::OscarBuilder::new(cfg);
         let mut ov = oscar_sim::Overlay::new(builder, FaultModel::StabilizedRing, 42);
@@ -316,7 +322,7 @@ mod tests {
             }
         }
         println!("oracle-median overlay digest: {digest:#018x}");
-        assert_eq!(digest, 0x1e08b7b256236f5c, "oracle-median overlay moved");
+        assert_eq!(digest, 0x400fda8033b658da, "oracle-median overlay moved");
     }
 
     #[test]

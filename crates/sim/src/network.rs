@@ -4,8 +4,10 @@ use crate::churn::FaultModel;
 use crate::metrics::{Metrics, MsgKind};
 use crate::peer::{LinkError, Peer, PeerIdx};
 use oscar_degree::DegreeCaps;
+use oscar_protocol::logic;
 use oscar_ring::Ring;
 use oscar_types::{Arc, Error, Id, Result};
+use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -33,12 +35,23 @@ struct WalkCacheEntry {
 /// How many of the sorted `ids` are strictly below `x` — what
 /// `ids.partition_point(|&k| k < x)` returns — as a block count with no
 /// data-dependent branch: count the block heads (every 8th key) below
-/// `x`, then the keys below `x` inside the one 8-key block that straddles
-/// it. Every earlier block lies wholly below `x` and every later one
-/// wholly at or above it. The loads within each phase are independent,
-/// where a binary search's are a chain of dependent misses.
+/// `x` ([`heads_below`]), then the keys below `x` inside the one 8-key
+/// block that straddles it ([`count_below_from`]). Every earlier block
+/// lies wholly below `x` and every later one wholly at or above it. The
+/// loads within each phase are independent, where a binary search's are
+/// a chain of dependent misses.
 fn count_below(ids: &[Id], x: Id) -> usize {
-    let heads: usize = ids.iter().step_by(8).map(|&k| usize::from(k < x)).sum();
+    count_below_from(ids, x, heads_below(ids, x))
+}
+
+/// The first phase of [`count_below`]: block heads below `x`. It reads one
+/// key per 8, so it touches every cache line of `ids`.
+fn heads_below(ids: &[Id], x: Id) -> usize {
+    ids.iter().step_by(8).map(|&k| usize::from(k < x)).sum()
+}
+
+/// The second phase of [`count_below`], from the first phase's `heads`.
+fn count_below_from(ids: &[Id], x: Id, heads: usize) -> usize {
     let block = heads.saturating_sub(1) * 8;
     let straddle = &ids[block..ids.len().min(block + 8)];
     block + straddle.iter().map(|&k| usize::from(k < x)).sum::<usize>()
@@ -52,70 +65,93 @@ impl WalkCacheEntry {
         self.idxs.insert(at, idx);
     }
 
-    /// `(first_run_start, first_run_len, second_run_len)` of the arc's
-    /// members within the sorted keys: one run for a non-wrapping arc,
-    /// two (tail ∪ head) for a wrapping one.
-    fn arc_runs(&self, arc: &Arc) -> (usize, usize, usize) {
-        if arc.is_full() {
-            return (0, self.ids.len(), 0);
-        }
-        if arc.is_empty() {
-            return (0, 0, 0);
-        }
-        let (s, e) = (arc.start(), arc.end());
-        let lo = count_below(&self.ids, s);
-        let hi = count_below(&self.ids, e);
-        if s < e {
-            (lo, hi - lo, 0)
-        } else {
-            (lo, self.ids.len() - lo, hi)
-        }
+    /// [`heads_below`] of the arc's start and end: the keys
+    /// [`WalkCacheEntry::runs`] compares first.
+    fn arc_heads(&self, arc: &Arc) -> [usize; 2] {
+        [
+            heads_below(&self.ids, arc.start()),
+            heads_below(&self.ids, arc.end()),
+        ]
     }
 
-    /// Number of neighbours inside `arc`.
-    fn restricted_degree(&self, arc: Option<&Arc>) -> usize {
-        match arc {
-            None => self.ids.len(),
-            Some(a) => {
-                let (_, first, second) = self.arc_runs(a);
-                first + second
-            }
-        }
-    }
-
-    /// The `k`-th neighbour inside `arc`, in sorted order (test oracle
-    /// for the runs arithmetic; production composes
-    /// [`Network::walk_runs`] + [`Network::walk_neighbor_at`]).
-    ///
-    /// # Panics
-    /// If `k >= restricted_degree(arc)`.
-    #[cfg(test)]
-    fn restricted_pick(&self, arc: Option<&Arc>, k: usize) -> PeerIdx {
-        match arc {
-            None => self.idxs[k],
-            Some(a) => {
-                let (lo, first, _) = self.arc_runs(a);
-                if k < first {
-                    self.idxs[lo + k]
+    /// The arc's members within the sorted keys, from its ends' `heads`
+    /// ([`WalkCacheEntry::arc_heads`]; unread without an arc): one run
+    /// for a non-wrapping arc, two (tail ∪ head) for a wrapping one.
+    fn runs(&self, arc: Option<&Arc>, heads: [usize; 2]) -> WalkRuns {
+        let len = self.ids.len();
+        let (lo, first, second) = match arc {
+            Some(a) if a.is_empty() => (0, 0, 0),
+            Some(a) if !a.is_full() => {
+                let (s, e) = (a.start(), a.end());
+                let lo = count_below_from(&self.ids, s, heads[0]);
+                let hi = count_below_from(&self.ids, e, heads[1]);
+                if s < e {
+                    (lo, hi - lo, 0)
                 } else {
-                    self.idxs[k - first]
+                    (lo, len - lo, hi)
                 }
             }
+            _ => (0, len, 0),
+        };
+        WalkRuns {
+            lo,
+            first,
+            count: first + second,
         }
+    }
+
+    /// [`WalkCacheEntry::runs`] with its heads counted here.
+    fn arc_runs(&self, arc: Option<&Arc>) -> WalkRuns {
+        let heads = arc.map_or([0, 0], |a| self.arc_heads(a));
+        self.runs(arc, heads)
+    }
+
+    /// The `k`-th restricted neighbour under `runs`, in clockwise order
+    /// from the arc's start — a direct index, no search.
+    ///
+    /// # Panics
+    /// If `k >= runs.count`.
+    fn pick(&self, runs: WalkRuns, k: usize) -> PeerIdx {
+        let i = if k < runs.first {
+            runs.lo + k
+        } else {
+            k - runs.first
+        };
+        self.idxs[i]
     }
 }
 
 /// Position of an arc restriction within one peer's sorted cached walk
-/// adjacency (see [`Network::walk_runs`]): the restricted neighbours are
-/// `idxs[lo..lo + first]` followed by `idxs[..count - first]` (the
-/// wrapped head), `count` in total. Valid until the peer's cache entry
-/// is marked stale by a mutation.
-#[derive(Copy, Clone, Debug)]
-pub struct WalkRuns {
+/// adjacency: the restricted neighbours are `idxs[lo..lo + first]`
+/// followed by `idxs[..count - first]` (the wrapped head), `count` in
+/// total. Valid until the peer's cache entry is marked stale by a
+/// mutation.
+#[derive(Copy, Clone, Debug, Default)]
+struct WalkRuns {
     lo: usize,
     first: usize,
     /// Restricted degree: total neighbours inside the arc.
-    pub count: usize,
+    count: usize,
+}
+
+/// Lanes [`Network::walk_lanes`] steps together, on the stack: a
+/// partition round's 12 samples and a Mercury CDF's 24 each fit in one
+/// chunk. Lane state on the heap, allocated beside the cache entries a
+/// call rebuilds, raised `grow`'s peak RSS at n = 10⁴ from 16.9 to 17.6 MB.
+const LANES: usize = 32;
+
+/// One walk of [`Network::walk_lanes`] between its passes: the runs of
+/// the arc at its position, and this step's proposal.
+#[derive(Copy, Clone, Debug, Default)]
+struct Lane {
+    runs: WalkRuns,
+    /// The proposed neighbour; `None` while the walk is isolated within
+    /// the restriction.
+    cand: Option<PeerIdx>,
+    /// Whether the candidate's cache entry was current when proposed.
+    fresh: bool,
+    /// The candidate's [`WalkCacheEntry::arc_heads`], read while fresh.
+    heads: [usize; 2],
 }
 
 /// The whole simulated network.
@@ -669,80 +705,131 @@ impl Network {
         }
     }
 
-    /// Runs `f` on `idx`'s walk-cache entry, lazily (re)building it first
-    /// if a mutation marked it stale or the view epoch moved on.
-    fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(&WalkCacheEntry) -> R) -> R {
-        let mut cache = self.walk_cache.borrow_mut();
+    /// `idx`'s entry in the borrowed walk cache, lazily (re)built first if
+    /// a mutation marked it stale or the view epoch moved on.
+    fn current_entry<'c>(
+        &self,
+        cache: &'c mut [WalkCacheEntry],
+        idx: PeerIdx,
+    ) -> &'c mut WalkCacheEntry {
         let entry = &mut cache[idx.as_usize()];
         if entry.epoch != self.walk_epoch {
             self.collect_walk_adjacency(idx, entry);
             entry.epoch = self.walk_epoch;
         }
-        f(entry)
+        entry
+    }
+
+    /// Runs `f` on `idx`'s current walk-cache entry.
+    fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(&WalkCacheEntry) -> R) -> R {
+        f(self.current_entry(&mut self.walk_cache.borrow_mut(), idx))
     }
 
     /// The number of walk neighbours of `idx` that are alive and (when
     /// `arc` is given) inside the arc — two block counts over the sorted
     /// cached keys, no list materialised.
     pub fn walk_degree(&self, idx: PeerIdx, arc: Option<&Arc>) -> usize {
-        self.with_walk_entry(idx, |e| e.restricted_degree(arc))
+        self.with_walk_entry(idx, |e| e.arc_runs(arc).count)
     }
 
-    /// The arc's position in `idx`'s sorted cached adjacency, for callers
-    /// that hold a walk position across steps: resolve the runs once per
-    /// position change, then map proposals through
-    /// [`Network::walk_neighbor_at`] with no further searches.
-    pub fn walk_runs(&self, idx: PeerIdx, arc: Option<&Arc>) -> WalkRuns {
-        self.with_walk_entry(idx, |e| match arc {
-            None => WalkRuns {
-                lo: 0,
-                first: e.ids.len(),
-                count: e.ids.len(),
-            },
-            Some(a) => {
-                let (lo, first, second) = e.arc_runs(a);
-                WalkRuns {
-                    lo,
-                    first,
-                    count: first + second,
-                }
-            }
-        })
-    }
-
-    /// The `k`-th (0-based) restricted walk neighbour of `idx` under
-    /// `runs` (obtained from [`Network::walk_runs`] for the same peer and
-    /// arc, with no intervening mutation) — a direct index, no search.
+    /// Advances one Metropolis–Hastings walk per lane by `steps` steps
+    /// inside `arc` (the whole live network when `None`): lane `j` starts
+    /// at `at[j]`, which must be live and inside the arc, draws from
+    /// `rngs[j]` alone, and ends at `at[j]`. A lane's draws and moves are
+    /// those of the same walk run alone, so one lane is one walk.
+    ///
+    /// The lanes step together so that their cache misses overlap. The
+    /// walk cache is borrowed once per call, and each step is three passes
+    /// over the lanes, each issuing every lane's loads before any lane
+    /// consumes them:
+    /// 1. *propose*: draw `k`, read the pick from the current entry's
+    ///    `idxs`, and load the candidate entry's `epoch`;
+    /// 2. *load* (only with an arc): count the block heads of each current
+    ///    candidate's sorted `ids` below the arc's two ends, the keys
+    ///    [`count_below`] compares first;
+    /// 3. *decide*: rebuild a stale entry, finish the candidate's arc runs,
+    ///    and run [`logic::mh_accept`] on the lane's stream.
+    ///
+    /// A lane isolated within the restriction (a single-member arc) stays
+    /// put, and a rejected move or an isolated candidate consumes its step
+    /// as well: every lane takes exactly `steps` steps. At most [`LANES`]
+    /// step together; a longer call steps its lanes in chunks of that
+    /// many, which changes no lane's walk.
     ///
     /// # Panics
-    /// If `k >= runs.count`.
-    pub fn walk_neighbor_at(&self, idx: PeerIdx, runs: WalkRuns, k: usize) -> PeerIdx {
-        let i = if k < runs.first {
-            runs.lo + k
-        } else {
-            k - runs.first
-        };
-        self.with_walk_entry(idx, |e| e.idxs[i])
+    /// If `at` and `rngs` differ in length.
+    pub(crate) fn walk_lanes(
+        &self,
+        arc: Option<&Arc>,
+        steps: u32,
+        at: &mut [PeerIdx],
+        rngs: &mut [SmallRng],
+    ) {
+        assert_eq!(at.len(), rngs.len(), "one stream per lane");
+        let mut cache = self.walk_cache.borrow_mut();
+        for (at, rngs) in at.chunks_mut(LANES).zip(rngs.chunks_mut(LANES)) {
+            let mut lanes = [Lane::default(); LANES];
+            let lanes = &mut lanes[..at.len()];
+            for (lane, &p) in lanes.iter_mut().zip(at.iter()) {
+                lane.runs = self.current_entry(&mut cache, p).arc_runs(arc);
+            }
+            for _ in 0..steps {
+                for ((lane, &p), rng) in lanes.iter_mut().zip(at.iter()).zip(rngs.iter_mut()) {
+                    lane.cand = (lane.runs.count > 0).then(|| {
+                        let k = logic::uniform_index(lane.runs.count, rng);
+                        cache[p.as_usize()].pick(lane.runs, k)
+                    });
+                    if let Some(c) = lane.cand {
+                        lane.fresh = cache[c.as_usize()].epoch == self.walk_epoch;
+                    }
+                }
+                if let Some(a) = arc {
+                    for lane in lanes.iter_mut().filter(|l| l.fresh) {
+                        if let Some(c) = lane.cand {
+                            lane.heads = cache[c.as_usize()].arc_heads(a);
+                        }
+                    }
+                }
+                for ((lane, p), rng) in lanes.iter_mut().zip(at.iter_mut()).zip(rngs.iter_mut()) {
+                    let Some(c) = lane.cand else { continue };
+                    // A stale candidate is rebuilt here, unless an earlier
+                    // lane proposed it too and has rebuilt it already.
+                    let entry = self.current_entry(&mut cache, c);
+                    let cand_runs = if lane.fresh {
+                        entry.runs(arc, lane.heads)
+                    } else {
+                        entry.arc_runs(arc)
+                    };
+                    // min(1, deg(u)/deg(v)) — uniform stationary
+                    // distribution. Shared kernel: the protocol crate's
+                    // PeerMachine applies the same rule to its token walks.
+                    let accept =
+                        logic::mh_accept(lane.runs.count, cand_runs.count, || rng.gen::<f64>());
+                    if accept && cand_runs.count > 0 {
+                        *p = c;
+                        lane.runs = cand_runs;
+                    }
+                }
+            }
+        }
     }
 
-    /// The `k`-th (0-based, identifier-sorted) live walk neighbour of
-    /// `idx` inside `arc` — a one-shot convenience over
-    /// [`Network::walk_runs`] + [`Network::walk_neighbor_at`] (what the
-    /// walker composes itself), kept test-only so the panicky indexed
-    /// form is not public API.
+    /// The `k`-th (0-based) live walk neighbour of `idx` inside `arc`, in
+    /// clockwise order from the arc's start: the walk's own runs and pick.
     ///
     /// # Panics
     /// If `k >= walk_degree(idx, arc)`.
     #[cfg(test)]
     pub(crate) fn walk_pick(&self, idx: PeerIdx, arc: Option<&Arc>, k: usize) -> PeerIdx {
-        self.with_walk_entry(idx, |e| e.restricted_pick(arc, k))
+        self.with_walk_entry(idx, |e| e.pick(e.arc_runs(arc), k))
     }
 
     /// The walk neighbours of `idx` that are alive and (when `arc` is
     /// given) inside the arc, collected into `buf` (cleared first) in
-    /// identifier-sorted order; returns the restricted degree. Same
-    /// multiset as `Network::walk_neighbors_into` followed by an
-    /// alive+arc `retain`, served from the cache.
+    /// clockwise order from the arc's start; returns the restricted
+    /// degree. Same multiset as `Network::walk_neighbors_into` followed by
+    /// an alive+arc `retain`, served from the cache by slicing, not by
+    /// [`Network::walk_pick`].
     #[cfg(test)]
     pub(crate) fn walk_neighbors_restricted(
         &self,
@@ -751,15 +838,10 @@ impl Network {
         buf: &mut Vec<PeerIdx>,
     ) -> usize {
         self.with_walk_entry(idx, |e| {
+            let WalkRuns { lo, first, count } = e.arc_runs(arc);
             buf.clear();
-            match arc {
-                Some(a) => {
-                    let (lo, first, second) = e.arc_runs(a);
-                    buf.extend_from_slice(&e.idxs[lo..lo + first]);
-                    buf.extend_from_slice(&e.idxs[..second]);
-                }
-                None => buf.extend_from_slice(&e.idxs),
-            }
+            buf.extend_from_slice(&e.idxs[lo..lo + first]);
+            buf.extend_from_slice(&e.idxs[..count - first]);
             buf.len()
         })
     }
@@ -1414,11 +1496,11 @@ mod tests {
                 }
             }
 
-            /// `walk_runs` + `walk_neighbor_at` list exactly what a
-            /// collect-and-filter finds, in clockwise order from the arc's
-            /// start, for the full and the empty arc and for arcs with
-            /// free ends and with ends on peer identifiers, wrapping or
-            /// not.
+            /// The walk's runs and pick (`walk_degree` + `walk_pick`) list
+            /// exactly what a collect-and-filter finds, in clockwise order
+            /// from the arc's start, for the full and the empty arc and for
+            /// arcs with free ends and with ends on peer identifiers,
+            /// wrapping or not.
             #[test]
             fn walk_runs_match_collect_and_filter(
                 ids in prop::collection::vec(any::<u64>(), 2..40),
@@ -1450,9 +1532,9 @@ mod tests {
                         net.walk_neighbors_into(p, &mut want);
                         want.retain(|&c| net.is_alive(c) && arc.contains(net.peer(c).id));
                         want.sort_by_key(|&c| arc.start().cw_dist(net.peer(c).id));
-                        let runs = net.walk_runs(p, Some(arc));
+                        let deg = net.walk_degree(p, Some(arc));
                         let got: Vec<PeerIdx> =
-                            (0..runs.count).map(|k| net.walk_neighbor_at(p, runs, k)).collect();
+                            (0..deg).map(|k| net.walk_pick(p, Some(arc), k)).collect();
                         prop_assert_eq!(got, want, "peer {:?} arc {:?}", p, arc);
                     }
                 }

@@ -25,6 +25,14 @@
 //! successor, a partition border) must first mix, and walks
 //! [`WalkConfig::burn_in`] steps.
 //!
+//! The `count` walks of one [`sample_peers`] call advance together, as
+//! the lanes of `Network::walk_lanes`, so that their cache misses
+//! overlap. Each lane draws from its own `SmallRng`, seeded from one draw
+//! of the caller's stream, in lane order: the caller's stream pays
+//! exactly `count` draws per call, and a lane's walk does not depend on
+//! how many lanes step beside it. [`Walker::sample`] is the one-lane
+//! call, drawing from the caller's stream itself.
+//!
 //! Every step is a simulated message ([`MsgKind::WalkStep`]); rejected MH
 //! moves and forced stays still consume a step, because the probe that
 //! discovered the rejection travelled the wire.
@@ -32,10 +40,9 @@
 use crate::metrics::MsgKind;
 use crate::network::Network;
 use crate::peer::PeerIdx;
-use oscar_protocol::logic;
 use oscar_types::{Arc, Error, Result};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Random-walk parameters.
 #[derive(Copy, Clone, Debug)]
@@ -79,60 +86,9 @@ impl<'a> Walker<'a> {
         std::mem::take(&mut self.steps)
     }
 
-    /// Advances the walk by `steps` Metropolis–Hastings steps from
-    /// `current`, proposing straight off the network's sorted
-    /// walk-adjacency cache: the current position's arc runs are resolved
-    /// once per move, every proposal is a direct index into the cached
-    /// adjacency, and the candidate's runs — computed for the MH ratio —
-    /// are promoted wholesale on acceptance. Two block counts over the
-    /// candidate's sorted keys per step.
-    fn advance(
-        &mut self,
-        mut current: PeerIdx,
-        arc: Option<&Arc>,
-        steps: u32,
-        rng: &mut SmallRng,
-    ) -> PeerIdx {
-        let mut runs = self.net.walk_runs(current, arc);
-        for _ in 0..steps {
-            self.steps += 1;
-            if runs.count == 0 {
-                // Isolated within the restriction (single-member arc):
-                // the walk stays put; the sample is `current` itself.
-                continue;
-            }
-            let k = logic::uniform_index(runs.count, rng);
-            let cand = self.net.walk_neighbor_at(current, runs, k);
-            let cand_runs = self.net.walk_runs(cand, arc);
-            // min(1, deg(u)/deg(v)) — uniform stationary distribution.
-            // Shared kernel: the protocol crate's PeerMachine applies
-            // the same rule to its token walks.
-            let accept = logic::mh_accept(runs.count, cand_runs.count, || rng.gen::<f64>());
-            if accept && cand_runs.count > 0 {
-                current = cand;
-                runs = cand_runs;
-            }
-        }
-        current
-    }
-
-    /// Validates the walk start: live, and inside the arc.
-    fn check_start(&self, start: PeerIdx, arc: Option<&Arc>) -> Result<()> {
-        if !self.net.is_alive(start) {
-            return Err(Error::PeerDead(start.as_usize()));
-        }
-        if let Some(a) = arc {
-            if !a.contains(self.net.peer(start).id) {
-                return Err(Error::SamplingFailed {
-                    reason: "walk start outside the restricted arc",
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// One (near-)uniform sample from the peers of `arc` (or the whole
-    /// live network when `arc` is `None`), starting the walk at `start`.
+    /// live network when `arc` is `None`): a walk of
+    /// [`WalkConfig::burn_in`] steps from `start`, drawing from `rng`.
     ///
     /// `start` must be live and inside the arc — callers reach an entry
     /// point by ring routing first (counted separately).
@@ -142,20 +98,28 @@ impl<'a> Walker<'a> {
         arc: Option<&Arc>,
         rng: &mut SmallRng,
     ) -> Result<PeerIdx> {
-        self.walk(start, arc, self.cfg.burn_in, rng)
+        check_start(self.net, start, arc)?;
+        let (mut at, steps) = ([start], self.cfg.burn_in);
+        self.net
+            .walk_lanes(arc, steps, &mut at, std::slice::from_mut(rng));
+        self.steps += u64::from(steps);
+        Ok(at[0])
     }
+}
 
-    /// A `steps`-step walk from `start`, which must be live and in the arc.
-    fn walk(
-        &mut self,
-        start: PeerIdx,
-        arc: Option<&Arc>,
-        steps: u32,
-        rng: &mut SmallRng,
-    ) -> Result<PeerIdx> {
-        self.check_start(start, arc)?;
-        Ok(self.advance(start, arc, steps, rng))
+/// Validates a walk start: live, and inside the arc.
+fn check_start(net: &Network, start: PeerIdx, arc: Option<&Arc>) -> Result<()> {
+    if !net.is_alive(start) {
+        return Err(Error::PeerDead(start.as_usize()));
     }
+    if let Some(a) = arc {
+        if !a.contains(net.peer(start).id) {
+            return Err(Error::SamplingFailed {
+                reason: "walk start outside the restricted arc",
+            });
+        }
+    }
+    Ok(())
 }
 
 /// `count` samples of `arc` (or of the whole live network when `arc` is
@@ -165,7 +129,13 @@ impl<'a> Walker<'a> {
 /// `uniform` holds peers already drawn uniformly from the same arc. When
 /// it is empty, every sample walks `burn_in` steps from `entry`; otherwise
 /// sample `k` walks `UNIFORM_START_STEPS` from `uniform[k % len]` and
-/// `entry` is not used. Every start must be live and inside the arc.
+/// `entry` is not used. Sample `k` is lane `k` of one
+/// `Network::walk_lanes` call, on a stream seeded from the `k`-th of
+/// `count` draws from `rng`.
+///
+/// Every start must be live and inside the arc. All starts are checked
+/// before any lane steps: if one is not, the first such start's `Err` is
+/// returned, no step is taken or credited, and `rng` is not drawn from.
 pub fn sample_peers(
     net: &mut Network,
     cfg: WalkConfig,
@@ -175,16 +145,23 @@ pub fn sample_peers(
     uniform: &[PeerIdx],
     rng: &mut SmallRng,
 ) -> Result<Vec<PeerIdx>> {
-    let mut walker = Walker::new(net, cfg);
-    let result = (0..count)
-        .map(|k| match uniform {
-            [] => walker.sample(entry, arc, rng),
-            _ => walker.walk(uniform[k % uniform.len()], arc, UNIFORM_START_STEPS, rng),
-        })
+    let (steps, mut at) = match uniform {
+        [] => (cfg.burn_in, vec![entry; count]),
+        _ => {
+            let starts = uniform.iter().cycle().take(count).copied();
+            (UNIFORM_START_STEPS, starts.collect())
+        }
+    };
+    for &start in &at {
+        check_start(net, start, arc)?;
+    }
+    let mut rngs: Vec<SmallRng> = (0..count)
+        .map(|_| SmallRng::seed_from_u64(rng.gen()))
         .collect();
-    let steps = walker.take_steps();
-    net.metrics.add(MsgKind::WalkStep, steps);
-    result
+    net.walk_lanes(arc, steps, &mut at, &mut rngs);
+    net.metrics
+        .add(MsgKind::WalkStep, count as u64 * u64::from(steps));
+    Ok(at)
 }
 
 #[cfg(test)]
@@ -422,10 +399,10 @@ mod tests {
     }
 
     /// Total-variation distance from uniform over the half-ring arc's
-    /// members of 6 400 `sample_peers` draws, each a walk of
-    /// `UNIFORM_START_STEPS` steps from a uniformly drawn member or, when
-    /// `uniform_starts` is false, from the arc's first peer.
-    fn half_ring_tv(net: &mut Network, uniform_starts: bool, seed: u64) -> f64 {
+    /// members of 6 400 `sample_peers` draws, `lanes` to a call, each a
+    /// walk of `UNIFORM_START_STEPS` steps from a uniformly drawn member
+    /// or, when `uniform_starts` is false, from the arc's first peer.
+    fn half_ring_tv(net: &mut Network, uniform_starts: bool, lanes: usize, seed: u64) -> f64 {
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let members: Vec<PeerIdx> = net
             .live_peers()
@@ -433,20 +410,23 @@ mod tests {
             .collect();
         let entry = net.idx_of(Id::new(0)).unwrap();
         let mut rng = SeedTree::new(seed).rng();
-        let trials = 6400;
-        let starts: Vec<PeerIdx> = if uniform_starts {
-            let draw = |_| members[rng.gen_range(0..members.len())];
-            (0..trials).map(draw).collect()
-        } else {
-            Vec::new()
-        };
+        let trials: usize = 6400;
         let cfg = WalkConfig {
             burn_in: UNIFORM_START_STEPS,
         };
-        let got = sample_peers(net, cfg, entry, Some(&arc), trials, &starts, &mut rng).unwrap();
         let mut counts = std::collections::HashMap::new();
-        for s in got {
-            *counts.entry(s).or_insert(0usize) += 1;
+        for call in 0..trials.div_ceil(lanes) {
+            let count = lanes.min(trials - call * lanes);
+            let starts: Vec<PeerIdx> = if uniform_starts {
+                let draw = |_| members[rng.gen_range(0..members.len())];
+                (0..count).map(draw).collect()
+            } else {
+                Vec::new()
+            };
+            let got = sample_peers(net, cfg, entry, Some(&arc), count, &starts, &mut rng).unwrap();
+            for s in got {
+                *counts.entry(s).or_insert(0usize) += 1;
+            }
         }
         let uniform = 1.0 / members.len() as f64;
         let tv: f64 = members
@@ -461,22 +441,143 @@ mod tests {
         // The rule `sample_peers` rests on: MH's stationary distribution is
         // uniform, so a walk from a uniform start needs no burn-in. At
         // 6 400 trials over 33 members the sampling noise alone reads
-        // about 0.03.
+        // about 0.03. It holds however many lanes step together: one, a
+        // partition round's 12, and a count that is neither.
         for seed in [7, 21, 33] {
             let mut net = test_net(64, 4, seed);
-            let from_uniform = half_ring_tv(&mut net, true, seed + 100);
-            let from_entry = half_ring_tv(&mut net, false, seed + 100);
-            println!("seed {seed}: TV {from_uniform:.3} from uniform starts, {from_entry:.3} from the entry");
-            assert!(
-                from_uniform < 0.05,
-                "seed {seed}: uniform starts read TV {from_uniform:.3}"
-            );
-            assert!(
-                from_entry > 0.05,
-                "seed {seed}: {UNIFORM_START_STEPS} steps from the entry already mix \
-                 (TV {from_entry:.3}), so the check cannot tell"
-            );
+            for lanes in [1, 7, 12] {
+                let from_uniform = half_ring_tv(&mut net, true, lanes, seed + 100);
+                let from_entry = half_ring_tv(&mut net, false, lanes, seed + 100);
+                println!(
+                    "seed {seed}, {lanes} lanes: TV {from_uniform:.3} from uniform starts, \
+                     {from_entry:.3} from the entry"
+                );
+                assert!(
+                    from_uniform < 0.05,
+                    "seed {seed}, {lanes} lanes: uniform starts read TV {from_uniform:.3}"
+                );
+                assert!(
+                    from_entry > 0.05,
+                    "seed {seed}, {lanes} lanes: {UNIFORM_START_STEPS} steps from the entry \
+                     already mix (TV {from_entry:.3}), so the check cannot tell"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn the_lanes_of_one_call_are_independent() {
+        // Twelve lanes from one entry: were their streams related, their
+        // samples would coincide more often than independent draws from
+        // the samples' own distribution do, Σ p². With 33 members that is
+        // about 0.03, over 33 000 lane pairs; all lanes on one stream read 1.
+        let mut net = test_net(64, 4, 41);
+        let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
+        let entry = net.idx_of(Id::new(0)).unwrap();
+        let mut rng = SeedTree::new(42).rng();
+        let (calls, lanes) = (500, 12);
+        let (mut pairs, mut equal) = (0usize, 0usize);
+        let mut counts = std::collections::BTreeMap::new();
+        for _ in 0..calls {
+            let cfg = WalkConfig::default();
+            let got = sample_peers(&mut net, cfg, entry, Some(&arc), lanes, &[], &mut rng).unwrap();
+            for (i, a) in got.iter().enumerate() {
+                *counts.entry(*a).or_insert(0usize) += 1;
+                for b in &got[i + 1..] {
+                    pairs += 1;
+                    equal += usize::from(a == b);
+                }
+            }
+        }
+        let total = (calls * lanes) as f64;
+        let independent: f64 = counts.values().map(|&c| (c as f64 / total).powi(2)).sum();
+        let observed = equal as f64 / pairs as f64;
+        println!("equal lane pairs {observed:.4}, independent draws {independent:.4}");
+        assert!(
+            (observed / independent - 1.0).abs() < 0.2,
+            "{observed:.4} of lane pairs agree; independent draws would agree {independent:.4}"
+        );
+    }
+
+    #[test]
+    fn lanes_walk_as_each_walk_would_alone() {
+        // Lock-step changes when a lane's loads are issued, never what it
+        // draws or where it moves: 40 lanes stepped together (two chunks)
+        // end where each ends walked alone on a copy of its stream, with
+        // their streams left alike. Every entry is stale when the lanes
+        // set out, so they meet stale candidates, some of them proposed
+        // by two lanes in one step, some of them neighbours of a peer
+        // killed since they were cached. About 26 neighbours a peer, so
+        // the arc counts cross block edges; the second arc wraps.
+        let mut net = test_net(96, 12, 45);
+        let mut rng = SeedTree::new(46).rng();
+        let (q1, q3) = (Id::new(u64::MAX / 4), Id::new(u64::MAX / 4 * 3));
+        let arcs = [Arc::between(q1, q3), Arc::between(q3, q1)];
+        for (round, arc) in [None, Some(&arcs[0]), Some(&arcs[1])]
+            .into_iter()
+            .enumerate()
+        {
+            // A stale entry's old contents name a corpse until rebuilt.
+            net.kill(PeerIdx(10 * round as u32 + 5)).unwrap();
+            let members: Vec<PeerIdx> = net
+                .live_peers()
+                .filter(|&p| arc.is_none_or(|a| a.contains(net.peer(p).id)))
+                .collect();
+            let starts: Vec<PeerIdx> = (0..40)
+                .map(|_| members[rng.gen_range(0..members.len())])
+                .collect();
+            let rngs: Vec<SmallRng> = (0..40)
+                .map(|_| SmallRng::seed_from_u64(rng.gen()))
+                .collect();
+            net.set_fault_model(net.fault_model()); // every entry stale
+            let (mut together, mut streams) = (starts.clone(), rngs.clone());
+            net.walk_lanes(arc, 24, &mut together, &mut streams);
+            let mut walker = Walker::new(&net, WalkConfig { burn_in: 24 });
+            for (j, (&start, lane_rng)) in starts.iter().zip(&rngs).enumerate() {
+                let mut alone = lane_rng.clone();
+                let sample = walker.sample(start, arc, &mut alone).unwrap();
+                assert_eq!(together[j], sample, "lane {j}, arc {arc:?}");
+                assert_eq!(streams[j].gen::<u64>(), alone.gen::<u64>(), "lane {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_start_in_any_lane_fails_the_call_before_any_step() {
+        let mut net = test_net(16, 2, 43);
+        let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
+        let (inside, other, outside, dead) = (PeerIdx(1), PeerIdx(3), PeerIdx(12), PeerIdx(5));
+        net.kill(dead).unwrap();
+        let cfg = WalkConfig::default();
+        let rng = SeedTree::new(44).rng();
+        for (starts, far) in [
+            (vec![inside, other, outside], true),
+            (vec![outside, inside], true),
+            (vec![inside, dead, other], false),
+        ] {
+            let mut drawn = rng.clone();
+            let count = starts.len();
+            let got = sample_peers(
+                &mut net,
+                cfg,
+                inside,
+                Some(&arc),
+                count,
+                &starts,
+                &mut drawn,
+            );
+            match got {
+                Err(Error::SamplingFailed { .. }) => assert!(far, "{starts:?}"),
+                Err(Error::PeerDead(p)) => assert_eq!((far, p), (false, dead.as_usize())),
+                other => panic!("{starts:?}: {other:?}"),
+            }
+            assert_eq!(net.metrics.get(MsgKind::WalkStep), 0, "{starts:?}");
+            assert_eq!(drawn.gen::<u64>(), rng.clone().gen::<u64>(), "{starts:?}");
+        }
+        // A bad entry fails the same way when every lane starts from it.
+        let got = sample_peers(&mut net, cfg, outside, Some(&arc), 4, &[], &mut rng.clone());
+        assert!(matches!(got, Err(Error::SamplingFailed { .. })));
+        assert_eq!(net.metrics.get(MsgKind::WalkStep), 0);
     }
 
     #[test]

@@ -58,15 +58,15 @@ fn sim_growth_digest_is_pinned() {
     let stats = ov.run_queries(&QueryWorkload::UniformPeers, 300);
     let outcome = digest([ids, stats.mean_cost.to_bits(), stats.mean_wasted.to_bits()]);
     println!("sim digest: {outcome:#018x}");
-    assert_eq!(outcome, 0x9ae10998b84940cf, "seeded sim artifact drifted");
+    assert_eq!(outcome, 0x40ac1ce88f890a96, "seeded sim artifact drifted");
     // Construction cost is a message count, and this is the run's: a
     // change to what sampling costs shows here as an integer, not as a
     // timing somewhere else. Walks that start at samples already uniform
-    // over their arc take 6 steps instead of 24: 674 790 steps where
+    // over their arc take 6 steps instead of 24: 674 202 steps where
     // fixed-entry walks took 2 183 616, a ratio of 0.309.
     let walk_steps = ov.network().metrics.get(oscar::sim::MsgKind::WalkStep);
     println!("sim walk steps: {walk_steps}");
-    assert_eq!(walk_steps, 674_790, "seeded sim construction cost moved");
+    assert_eq!(walk_steps, 674_202, "seeded sim construction cost moved");
 }
 
 /// Simulator path under churn: the grown overlay's link tables, then a
@@ -111,7 +111,7 @@ fn sim_churned_routing_digest_is_pinned() {
     ]);
     println!("sim churned routing digest: {outcome:#018x}");
     assert_eq!(
-        outcome, 0x91db437c2699cd62,
+        outcome, 0xac81c5efa50f5ba8,
         "seeded churned-routing artifact drifted"
     );
 }
@@ -146,7 +146,7 @@ fn baseline_overlays_digest_is_pinned() {
     let outcome = digest([fold(MercuryBuilder::new()), fold(ChordBuilder::new())]);
     println!("baseline overlays digest: {outcome:#018x}");
     assert_eq!(
-        outcome, 0x7c53700cdcb91f46,
+        outcome, 0x76ff25d64fa404d2,
         "seeded baseline overlays drifted"
     );
 }
