@@ -19,6 +19,7 @@ use oscar_keydist::QueryWorkload;
 use oscar_protocol::logic;
 use oscar_types::Id;
 use rand::rngs::SmallRng;
+use rand::Rng;
 use std::collections::HashSet;
 
 /// Routing parameters.
@@ -194,8 +195,8 @@ fn route_observed(
 /// Aggregate statistics over a batch of queries (one figure data point).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryBatchStats {
-    /// Number of queries actually issued (less than requested when the
-    /// network runs out of live peers).
+    /// Number of queries issued: all that were asked for, or none when
+    /// no peer is live.
     pub queries: usize,
     /// Mean search cost (hops + wasted), successful queries only.
     pub mean_cost: f64,
@@ -319,14 +320,15 @@ fn run_batch_observed(
         return QueryBatchStats::of(0, []); // nothing can be issued
     }
     let targets = workload.sampler(n_live);
+    // The draws of `random_live_peer` and `live_peer_by_rank`, from the
+    // same stream, read off one rank table instead of two treap descents.
+    let by_rank = net.live_rank_table();
     let mut carried = Carried::default();
     let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
-        let Some(src) = net.random_live_peer(rng) else {
-            break;
-        };
+        let src = by_rank[rng.gen_range(0..n_live)];
         // The key is the drawn live peer's own id, so that peer owns it.
-        let owner = net.live_peer_by_rank(targets.draw(rng));
+        let owner = by_rank[targets.draw(rng)];
         let outcome = route_observed(
             net,
             src,
