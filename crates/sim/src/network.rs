@@ -154,6 +154,20 @@ struct Lane {
     heads: [usize; 2],
 }
 
+/// The live ring by rank, both ways, as one query batch reads it:
+/// `by_rank[r]` is [`Network::live_peer_by_rank`]`(r)`, and
+/// `rank_of[p]` is live peer `p`'s rank, or [`LiveRanks::NOT_LIVE`].
+/// Built by [`Network::live_ranks`]; valid until the next membership change.
+pub(crate) struct LiveRanks {
+    pub(crate) by_rank: Vec<PeerIdx>,
+    pub(crate) rank_of: Vec<u32>,
+}
+
+impl LiveRanks {
+    /// The `rank_of` entry of a dead or departed peer.
+    pub(crate) const NOT_LIVE: u32 = u32::MAX;
+}
+
 /// The whole simulated network.
 ///
 /// Two ring views coexist:
@@ -406,37 +420,49 @@ impl Network {
     }
 
     /// The live peers in rank order: `table[r] == live_peer_by_rank(r)`
-    /// for every rank. One `select` finds rank 0, then the live ring's
-    /// successor list (`next_live`, spliced on every kill and depart
-    /// under both fault models) is followed `live_count() − 1` times.
-    ///
-    /// A query batch builds it once and indexes it per draw. A `select`
-    /// descends about 2 ln n boxed treap nodes, each a dependent cache
-    /// miss; the build follows one 4n-byte array. Measured at 10⁴ peers,
-    /// the build costs what 90 `select` draws cost (2.8 ns a peer against
-    /// 310 ns a draw), at 10⁵ what 560 do: it pays off once a batch makes
-    /// more than about n/200 queries. The in-tree batches do: the figures
-    /// issue n queries, the churn windows n/4, and A4 and A5 2000 and 4000
-    /// at the ablations' n ≤ 4000. The smallest batch relative to n is
-    /// `QueryBudget::SqrtLive`'s √n, in the churn tests at n ≤ 300, still
-    /// ten times n/200.
-    ///
-    /// Single draws keep [`Network::live_peer_by_rank`], and the table
-    /// lives for one batch, so the network holds no cache to invalidate.
+    /// for every rank, built by following the live successor pointers
+    /// from rank 0 (the `by_rank` half of the table a query batch builds).
     pub fn live_rank_table(&self) -> Vec<PeerIdx> {
+        self.live_ranks().by_rank
+    }
+
+    /// The live ring by rank, both ways: the peers in rank order and each
+    /// peer's rank. One `select` finds rank 0, then the live ring's
+    /// successor list (`next_live`, spliced on every kill and depart
+    /// under both fault models) is followed `live_count() − 1` times,
+    /// filling both tables in the one pass.
+    ///
+    /// A query batch builds it once and indexes it per draw and per hop.
+    /// A `select` descends about 2 ln n boxed treap nodes, each a
+    /// dependent cache miss; the build follows one 4n-byte array. Measured
+    /// at 10⁴ peers, the build costs what 90 `select` draws cost (2.8 ns a
+    /// peer against 310 ns a draw), at 10⁵ what 560 do: it pays off once a
+    /// batch makes more than about n/200 queries. The in-tree batches do:
+    /// the figures issue n queries, the churn windows n/4, and A4 and A5
+    /// 2000 and 4000 at the ablations' n ≤ 4000. The smallest batch
+    /// relative to n is `QueryBudget::SqrtLive`'s √n, in the churn tests
+    /// at n ≤ 300, still ten times n/200.
+    ///
+    /// Single draws keep [`Network::live_peer_by_rank`], and the tables
+    /// live for one batch, so the network holds no cache to invalidate.
+    pub(crate) fn live_ranks(&self) -> LiveRanks {
         let n = self.live_count();
-        let mut table = Vec::with_capacity(n);
+        let mut ranks = LiveRanks {
+            by_rank: Vec::with_capacity(n),
+            rank_of: vec![LiveRanks::NOT_LIVE; self.peers.len()],
+        };
         if n == 0 {
-            return table;
+            return ranks;
         }
         let first = self.live_peer_by_rank(0);
         let mut cur = first;
-        for _ in 0..n {
-            table.push(cur);
+        for rank in 0..n as u32 {
+            ranks.by_rank.push(cur);
+            ranks.rank_of[cur.as_usize()] = rank;
             cur = self.next_live[cur.as_usize()];
         }
         debug_assert_eq!(cur, first, "the live successor chain is not one ring");
-        table
+        ranks
     }
 
     /// Ring successor of peer `idx` under the current fault-model view
@@ -656,22 +682,18 @@ impl Network {
         Ok(())
     }
 
-    /// Collects the **routing** neighbours of `idx` into `buf` (cleared
-    /// first): the successor list and predecessor under the fault-model
-    /// view plus all outgoing long-range links (possibly dangling).
+    /// Visits the **routing** neighbours of `idx` in place, in order: the
+    /// successor list and predecessor under the fault-model view, then all
+    /// outgoing long-range links (possibly dangling).
     ///
     /// Both views expose the same-length successor list (peers maintain it
     /// regardless of fault state); they differ in *which ring* it is read
     /// from — the stabilised list contains live peers only, the
-    /// unstabilised one may contain corpses.
-    ///
-    /// `buf` is a caller-owned workhorse buffer to keep the routing hot
-    /// path allocation-free.
-    pub fn routing_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
-        buf.clear();
-        // Successor list: follow the view's next pointers. Duplicates with
-        // long links are tolerated (routing treats candidates in order and
-        // skips repeats for free), which keeps this hot path scan-free.
+    /// unstabilised one may contain corpses. Duplicates between the ring
+    /// and the long links are tolerated (routing keeps the least potential,
+    /// and a repeat ties with itself), which keeps this hot path scan-free.
+    #[inline]
+    pub(crate) fn for_each_routing_neighbor(&self, idx: PeerIdx, mut visit: impl FnMut(PeerIdx)) {
         let next: &[PeerIdx] = match self.fault_model {
             FaultModel::StabilizedRing => &self.next_live,
             FaultModel::UnstabilizedRing => &self.next_all,
@@ -682,14 +704,26 @@ impl Network {
             if cur == idx {
                 break; // wrapped all the way around
             }
-            buf.push(cur);
+            visit(cur);
         }
         if let Some(p) = self.ring_predecessor(idx) {
             if p != idx {
-                buf.push(p);
+                visit(p);
             }
         }
-        buf.extend_from_slice(&self.peers[idx.as_usize()].long_out);
+        for &c in &self.peers[idx.as_usize()].long_out {
+            visit(c);
+        }
+    }
+
+    /// Collects the routing neighbours of `idx` into `buf` (cleared
+    /// first): the successor list and predecessor under the fault-model
+    /// view, then all outgoing long-range links (possibly dangling). The
+    /// router reads the same relation in place, through the visitor this
+    /// collects from; the list is what tests inspect.
+    pub fn routing_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
+        buf.clear();
+        self.for_each_routing_neighbor(idx, |c| buf.push(c));
     }
 
     /// Collects the **walk** neighbours of `idx` into `buf` (cleared
@@ -1257,6 +1291,12 @@ mod tests {
                 .map(|r| net.live_peer_by_rank(r))
                 .collect();
             assert_eq!(net.live_rank_table(), select);
+            let ranks = net.live_ranks();
+            for p in (0..net.len() as u32).map(PeerIdx) {
+                let want = select.iter().position(|&q| q == p);
+                let want = want.map_or(LiveRanks::NOT_LIVE, |r| r as u32);
+                assert_eq!(ranks.rank_of[p.as_usize()], want, "{p:?}");
+            }
         }
         for fm in [FaultModel::StabilizedRing, FaultModel::UnstabilizedRing] {
             // n = 0, 1 and 2, and a ring emptied by a kill and a departure.

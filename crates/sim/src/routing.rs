@@ -12,8 +12,9 @@
 //! makes progress the query **backtracks** to the previous peer — also
 //! wasted traffic. Search cost = productive hops + wasted messages.
 
+use crate::churn::FaultModel;
 use crate::metrics::MsgKind;
-use crate::network::Network;
+use crate::network::{LiveRanks, Network};
 use crate::peer::PeerIdx;
 use oscar_keydist::QueryWorkload;
 use oscar_protocol::logic;
@@ -69,28 +70,32 @@ pub fn route_to_owner(net: &Network, src: PeerIdx, key: Id, policy: &RoutePolicy
     let Some(owner) = net.live_owner_of(key) else {
         return RouteOutcome::default(); // empty live ring: nothing to reach
     };
-    route_observed(net, src, owner, policy, &mut Carried::default(), None)
+    route_observed(net, src, owner, policy, &mut Carried::default(), None, None)
 }
 
 /// What a query learns on its way — the peers it found dead, the peers
-/// it found to be dead ends, its path — plus the neighbour buffer its
-/// hops fill. A batch keeps one and [`route_observed`] clears it per
-/// query, so the buffers are allocated once per batch, not per query.
+/// it found to be dead ends, its path. A batch keeps one and
+/// [`route_observed`] clears it per query, so the sets are allocated once
+/// per batch, not per query.
 #[derive(Default)]
 struct Carried {
     known_dead: HashSet<PeerIdx>,
     exhausted: HashSet<PeerIdx>,
     stack: Vec<PeerIdx>,
-    neighbors: Vec<PeerIdx>,
 }
 
 impl Carried {
     /// Forgets the last query; keeps the allocations.
-    /// (`neighbors` is refilled by every hop.)
     fn clear(&mut self) {
         self.known_dead.clear();
         self.exhausted.clear();
         self.stack.clear();
+    }
+
+    /// Whether the query may no longer pick `c`: it probed `c` dead, or
+    /// backtracked out of `c` as a dead end.
+    fn excludes(&self, c: PeerIdx) -> bool {
+        self.exhausted.contains(&c) || self.known_dead.contains(&c)
     }
 }
 
@@ -102,24 +107,27 @@ impl Carried {
 ///
 /// The caller names the owner: [`route_to_owner`] looks it up once, a
 /// batch already holds it (its key is the id of the live peer it drew).
-/// `carried` is cleared first, so one value serves query after query.
+/// A batch also passes its [`LiveRanks`], which turn a stabilised hop's
+/// successor list into rank arithmetic ([`rank_best`]); the picks are
+/// those of the scan without them. `carried` is cleared first, so one
+/// value serves query after query.
 fn route_observed(
     net: &Network,
     src: PeerIdx,
     owner: PeerIdx,
     policy: &RoutePolicy,
     carried: &mut Carried,
+    ranks: Option<&LiveRanks>,
     mut probers: Option<&mut Vec<PeerIdx>>,
 ) -> RouteOutcome {
     let mut out = RouteOutcome::default();
     carried.clear();
-    let Carried {
-        known_dead,
-        exhausted,
-        stack,
-        neighbors,
-    } = carried;
     let owner_id = net.peer(owner).id;
+    // Only the stabilised successor lists are runs of the live ring; the
+    // unstabilised ones hold corpses, and are read in place.
+    let ring = ranks
+        .filter(|_| net.fault_model() == FaultModel::StabilizedRing)
+        .map(|r| (r, r.rank_of[owner.as_usize()] as usize));
     let mut current = src;
 
     'hop: loop {
@@ -134,51 +142,56 @@ fn route_observed(
             return out;
         }
         let cur_potential = net.peer(current).id.cw_dist(owner_id);
-        net.routing_neighbors_into(current, neighbors);
 
-        // The pick: in one pass, the neighbour with the least clockwise
-        // distance to the owner among those that beat the current peer's
-        // (strict progress) and are neither known dead nor exhausted. A
-        // dead pick costs one probe and joins `known_dead`; the rescan
-        // then picks the next best. Distinct peers have distinct
-        // potentials, so the probe order is the sort-then-scan order
-        // exactly, and a healthy hop scans once.
-        loop {
-            let mut best: (u64, Option<PeerIdx>) = (cur_potential, None);
-            for &c in neighbors.iter() {
-                // Shared kernel: the same progress ranking drives the
-                // distributed PeerMachine's per-hop forwarding decision.
-                if let Some(p) = logic::progress_toward(net.peer(c).id, owner_id, best.0) {
-                    if !exhausted.contains(&c) && !known_dead.contains(&c) {
-                        best = (p, Some(c));
-                    }
-                }
+        // The pick: the neighbour with the least clockwise distance to the
+        // owner among those that beat the current peer's (strict progress)
+        // and are neither known dead nor exhausted. The unconstrained best
+        // is found first, without reading the exclusions; distinct peers
+        // have distinct potentials, so when it is allowed it is the pick.
+        // Otherwise the constrained scan, the reference, picks.
+        let best = match ring {
+            Some((ranks, owner_rank)) => {
+                rank_best(net, ranks, current, owner, owner_rank, owner_id)
             }
-            let Some(c) = best.1 else {
-                break;
-            };
+            None => scan_best(net, current, owner_id, cur_potential),
+        };
+        let mut pick = (best != current).then_some(best);
+        if pick.is_some_and(|c| carried.excludes(c)) {
+            pick = constrained_pick(net, current, owner_id, cur_potential, carried);
+        }
+        debug_assert_eq!(
+            pick,
+            constrained_pick(net, current, owner_id, cur_potential, carried),
+            "the hop's pick from {current:?} toward {owner:?} is not the scan's"
+        );
+        // A dead pick costs one probe and joins `known_dead`; the rescan
+        // then picks the next best, so the probe order is the
+        // sort-then-scan order exactly, and a healthy hop reads no
+        // exclusion but its pick's.
+        while let Some(c) = pick {
             if out.cost() >= policy.max_messages {
                 return out; // budget exhausted mid-probe sequence
             }
             if !net.is_alive(c) {
                 // Probe timed out: wasted traffic, remember the corpse.
                 out.wasted += 1;
-                known_dead.insert(c);
+                carried.known_dead.insert(c);
                 if let Some(obs) = probers.as_deref_mut() {
                     obs.push(current);
                 }
+                pick = constrained_pick(net, current, owner_id, cur_potential, carried);
                 continue;
             }
             // Forward.
             out.hops += 1;
-            stack.push(current);
+            carried.stack.push(current);
             current = c;
             continue 'hop;
         }
 
         // Dead end: backtrack (wasted message back along the path).
-        exhausted.insert(current);
-        match stack.pop() {
+        carried.exhausted.insert(current);
+        match carried.stack.pop() {
             Some(prev) => {
                 if out.cost() >= policy.max_messages {
                     return out; // no budget left for the backtrack message
@@ -190,6 +203,85 @@ fn route_observed(
             None => return out, // nowhere left to go
         }
     }
+}
+
+/// Folds candidate `c` into `best`, a (potential, peer) pair, keeping the
+/// one nearer the owner — with a select, not a branch: which candidate is
+/// nearer is close to a coin flip per long link.
+#[inline(always)]
+fn fold_nearer(net: &Network, owner_id: Id, best: &mut (u64, PeerIdx), c: PeerIdx) {
+    let p = net.peer(c).id.cw_dist(owner_id);
+    *best = std::hint::select_unpredictable(p < best.0, (p, c), *best);
+}
+
+/// The unconstrained best of `current`'s routing neighbours, read in
+/// place: the one nearest the owner, or `current` itself when none makes
+/// progress. Exclusions are not read.
+fn scan_best(net: &Network, current: PeerIdx, owner_id: Id, cur_potential: u64) -> PeerIdx {
+    let mut best = (cur_potential, current);
+    net.for_each_routing_neighbor(current, |c| fold_nearer(net, owner_id, &mut best, c));
+    best.1
+}
+
+/// [`scan_best`] on the stabilised ring, with the batch's ranks. With r
+/// the rank of `current`, o the owner's, n live peers, d = (o − r) mod n
+/// and L = min(`succ_list_len`, n − 1), the successor list is ranks
+/// r + 1 ..= r + L, the predecessor rank r − 1, and a peer makes progress
+/// iff it lies in ranks r + 1 ..= o. So the owner is the best when d ≤ L
+/// (a successor) or d = n − 1 (the predecessor, which makes progress in no
+/// other case). Otherwise the ring's best is rank r + L, and the long
+/// links are folded in. `current` must be live: sources are drawn live,
+/// forwards go to live peers only, and a backtrack returns to a peer the
+/// query already left.
+fn rank_best(
+    net: &Network,
+    ranks: &LiveRanks,
+    current: PeerIdx,
+    owner: PeerIdx,
+    owner_rank: usize,
+    owner_id: Id,
+) -> PeerIdx {
+    let n = ranks.by_rank.len();
+    let r = ranks.rank_of[current.as_usize()] as usize;
+    debug_assert!(r < n && owner_rank < n, "only live peers route");
+    let d = if owner_rank >= r {
+        owner_rank - r
+    } else {
+        owner_rank + n - r
+    };
+    let l = net.succ_list_len().min(n - 1);
+    if d <= l || d == n - 1 {
+        return owner;
+    }
+    let ring = ranks.by_rank[if r + l >= n { r + l - n } else { r + l }];
+    let mut best = (net.peer(ring).id.cw_dist(owner_id), ring);
+    for &c in &net.peer(current).long_out {
+        fold_nearer(net, owner_id, &mut best, c);
+    }
+    best.1
+}
+
+/// The reference pick, in one in-place pass: the neighbour nearest the
+/// owner among those that make strict progress and that `carried` does
+/// not exclude.
+fn constrained_pick(
+    net: &Network,
+    current: PeerIdx,
+    owner_id: Id,
+    cur_potential: u64,
+    carried: &Carried,
+) -> Option<PeerIdx> {
+    let mut best: (u64, Option<PeerIdx>) = (cur_potential, None);
+    net.for_each_routing_neighbor(current, |c| {
+        // Shared kernel: the same progress ranking drives the distributed
+        // PeerMachine's per-hop forwarding decision.
+        if let Some(p) = logic::progress_toward(net.peer(c).id, owner_id, best.0) {
+            if !carried.excludes(c) {
+                best = (p, Some(c));
+            }
+        }
+    });
+    best.1
 }
 
 /// Aggregate statistics over a batch of queries (one figure data point).
@@ -321,8 +413,10 @@ fn run_batch_observed(
     }
     let targets = workload.sampler(n_live);
     // The draws of `random_live_peer` and `live_peer_by_rank`, from the
-    // same stream, read off one rank table instead of two treap descents.
-    let by_rank = net.live_rank_table();
+    // same stream, read off one rank table instead of two treap descents;
+    // the hops read the same tables.
+    let ranks = net.live_ranks();
+    let by_rank = &ranks.by_rank;
     let mut carried = Carried::default();
     let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -335,6 +429,7 @@ fn run_batch_observed(
             owner,
             policy,
             &mut carried,
+            Some(&ranks),
             probers.as_deref_mut(),
         );
         net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
@@ -347,7 +442,6 @@ fn run_batch_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::FaultModel;
     use oscar_degree::DegreeCaps;
     use oscar_types::SeedTree;
     use rand::Rng;
@@ -646,6 +740,7 @@ mod tests {
                                 owner,
                                 &policy,
                                 &mut carried,
+                                None,
                                 Some(&mut got_probers),
                             );
                             assert_eq!(got, want, "{fm:?} dead {dead} succ {succ} budget {max_messages} src {src:?} key {key:?}");
@@ -715,6 +810,7 @@ mod tests {
                                     owner,
                                     &policy,
                                     &mut Carried::default(),
+                                    None,
                                     Some(&mut want_probers),
                                 );
                                 assert_eq!(observed, o);
@@ -747,6 +843,63 @@ mod tests {
             }
         }
         assert_eq!(batches, 2 * 2 * 2 * 3 * 3);
+    }
+
+    #[test]
+    fn the_rank_hop_is_the_scan_hop() {
+        // Small rings around the successor-list wrap (n − 1 against L),
+        // with and without long links, before and after a kill and a
+        // departure: every (src, owner) pair routes alike with the batch's
+        // rank context and without it.
+        let mut pairs = 0usize;
+        for n in 2..=10u64 {
+            for fm in [FaultModel::StabilizedRing, FaultModel::UnstabilizedRing] {
+                for succ in [1, 8] {
+                    for extra in [0, 2] {
+                        let mut net = test_net(n, extra, n * 10 + extra as u64, fm);
+                        net.set_succ_list_len(succ);
+                        for faults in 0..=2 {
+                            match faults {
+                                0 => {}
+                                1 => net.kill(PeerIdx(1)).unwrap(),
+                                _ => net.depart(PeerIdx(0)).unwrap(),
+                            }
+                            if net.live_count() == 0 {
+                                continue;
+                            }
+                            let ranks = net.live_ranks();
+                            for max_messages in [1, 2, 4096] {
+                                let policy = RoutePolicy { max_messages };
+                                for &src in &ranks.by_rank {
+                                    for &owner in &ranks.by_rank {
+                                        let route = |ranks| {
+                                            let mut probers = Vec::new();
+                                            let o = route_observed(
+                                                &net,
+                                                src,
+                                                owner,
+                                                &policy,
+                                                &mut Carried::default(),
+                                                ranks,
+                                                Some(&mut probers),
+                                            );
+                                            (o, probers)
+                                        };
+                                        assert_eq!(
+                                            route(Some(&ranks)),
+                                            route(None),
+                                            "n {n} {fm:?} succ {succ} extra {extra} faults {faults} budget {max_messages} {src:?} → {owner:?}"
+                                        );
+                                        pairs += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pairs > 10_000, "{pairs} pairs");
     }
 
     #[test]
