@@ -422,6 +422,10 @@ impl Network {
     /// The live peers in rank order: `table[r] == live_peer_by_rank(r)`
     /// for every rank, built by following the live successor pointers
     /// from rank 0 (the `by_rank` half of the table a query batch builds).
+    ///
+    /// Nothing in the workspace calls it: batches build the crate-private
+    /// `live_ranks` directly. It is kept only as public API, and builds and
+    /// drops a `rank_of` table per call; ROADMAP lists it for removal.
     pub fn live_rank_table(&self) -> Vec<PeerIdx> {
         self.live_ranks().by_rank
     }
@@ -1290,8 +1294,8 @@ mod tests {
             let select: Vec<PeerIdx> = (0..net.live_count())
                 .map(|r| net.live_peer_by_rank(r))
                 .collect();
-            assert_eq!(net.live_rank_table(), select);
             let ranks = net.live_ranks();
+            assert_eq!(ranks.by_rank, select);
             for p in (0..net.len() as u32).map(PeerIdx) {
                 let want = select.iter().position(|&q| q == p);
                 let want = want.map_or(LiveRanks::NOT_LIVE, |r| r as u32);

@@ -124,7 +124,7 @@ fn route_observed(
     carried.clear();
     let owner_id = net.peer(owner).id;
     // Only the stabilised successor lists are runs of the live ring; the
-    // unstabilised ones hold corpses, and are read in place.
+    // unstabilised ones hold corpses, and are left to the scan.
     let ring = ranks
         .filter(|_| net.fault_model() == FaultModel::StabilizedRing)
         .map(|r| (r, r.rank_of[owner.as_usize()] as usize));
@@ -145,25 +145,30 @@ fn route_observed(
 
         // The pick: the neighbour with the least clockwise distance to the
         // owner among those that beat the current peer's (strict progress)
-        // and are neither known dead nor exhausted. The unconstrained best
-        // is found first, without reading the exclusions; distinct peers
-        // have distinct potentials, so when it is allowed it is the pick.
-        // Otherwise the constrained scan, the reference, picks.
-        let best = match ring {
+        // and are neither known dead nor exhausted. With the batch's ranks
+        // the unconstrained best is found first, without reading the
+        // exclusions; distinct peers have distinct potentials, so when it
+        // is allowed it is the pick. Otherwise the constrained scan, the
+        // reference, picks.
+        let mut pick = match ring {
             Some((ranks, owner_rank)) => {
-                rank_best(net, ranks, current, owner, owner_rank, owner_id)
+                let best = rank_best(net, ranks, current, owner, owner_rank, owner_id);
+                let pick = if best == current {
+                    None // nothing makes progress: a dead end
+                } else if carried.excludes(best) {
+                    constrained_pick(net, current, owner_id, cur_potential, carried)
+                } else {
+                    Some(best)
+                };
+                debug_assert_eq!(
+                    pick,
+                    constrained_pick(net, current, owner_id, cur_potential, carried),
+                    "the hop's pick from {current:?} toward {owner:?} is not the scan's"
+                );
+                pick
             }
-            None => scan_best(net, current, owner_id, cur_potential),
+            None => constrained_pick(net, current, owner_id, cur_potential, carried),
         };
-        let mut pick = (best != current).then_some(best);
-        if pick.is_some_and(|c| carried.excludes(c)) {
-            pick = constrained_pick(net, current, owner_id, cur_potential, carried);
-        }
-        debug_assert_eq!(
-            pick,
-            constrained_pick(net, current, owner_id, cur_potential, carried),
-            "the hop's pick from {current:?} toward {owner:?} is not the scan's"
-        );
         // A dead pick costs one probe and joins `known_dead`; the rescan
         // then picks the next best, so the probe order is the
         // sort-then-scan order exactly, and a healthy hop reads no
@@ -205,27 +210,12 @@ fn route_observed(
     }
 }
 
-/// Folds candidate `c` into `best`, a (potential, peer) pair, keeping the
-/// one nearer the owner — with a select, not a branch: which candidate is
-/// nearer is close to a coin flip per long link.
-#[inline(always)]
-fn fold_nearer(net: &Network, owner_id: Id, best: &mut (u64, PeerIdx), c: PeerIdx) {
-    let p = net.peer(c).id.cw_dist(owner_id);
-    *best = std::hint::select_unpredictable(p < best.0, (p, c), *best);
-}
-
-/// The unconstrained best of `current`'s routing neighbours, read in
-/// place: the one nearest the owner, or `current` itself when none makes
-/// progress. Exclusions are not read.
-fn scan_best(net: &Network, current: PeerIdx, owner_id: Id, cur_potential: u64) -> PeerIdx {
-    let mut best = (cur_potential, current);
-    net.for_each_routing_neighbor(current, |c| fold_nearer(net, owner_id, &mut best, c));
-    best.1
-}
-
-/// [`scan_best`] on the stabilised ring, with the batch's ranks. With r
-/// the rank of `current`, o the owner's, n live peers, d = (o − r) mod n
-/// and L = min(`succ_list_len`, n − 1), the successor list is ranks
+/// The unconstrained best of `current`'s routing neighbours on the
+/// stabilised ring, from the batch's ranks: the one nearest the owner, or
+/// `current` itself when none makes progress; exclusions are not read.
+/// With r the rank of `current`, o the owner's, n live peers,
+/// d = (o − r) mod n and L = min(`succ_list_len`, n − 1), the successor
+/// list is ranks
 /// r + 1 ..= r + L, the predecessor rank r − 1, and a peer makes progress
 /// iff it lies in ranks r + 1 ..= o. So the owner is the best when d ≤ L
 /// (a successor) or d = n − 1 (the predecessor, which makes progress in no
@@ -256,7 +246,10 @@ fn rank_best(
     let ring = ranks.by_rank[if r + l >= n { r + l - n } else { r + l }];
     let mut best = (net.peer(ring).id.cw_dist(owner_id), ring);
     for &c in &net.peer(current).long_out {
-        fold_nearer(net, owner_id, &mut best, c);
+        // A select, not a branch: which link is nearer is close to a coin
+        // flip per link.
+        let p = net.peer(c).id.cw_dist(owner_id);
+        best = std::hint::select_unpredictable(p < best.0, (p, c), best);
     }
     best.1
 }
