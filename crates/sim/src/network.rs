@@ -2,7 +2,7 @@
 
 use crate::churn::FaultModel;
 use crate::metrics::{Metrics, MsgKind};
-use crate::peer::{LinkError, Peer, PeerIdx};
+use crate::peer::{LinkError, Peer, PeerIdx, RESERVED_LINKS};
 use oscar_degree::DegreeCaps;
 use oscar_protocol::logic;
 use oscar_ring::Ring;
@@ -12,24 +12,161 @@ use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// One peer's cached walk adjacency: the live walk neighbours **sorted by
-/// identifier** (multiset — a neighbour reachable by ring and long link
-/// appears once per role, exactly like the uncached collection), split
-/// into the 8-byte keys the arc arithmetic reads (`ids`) and the 4-byte
+/// Per-peer runs of `(Id, PeerIdx)` pairs in two network-wide arenas:
+/// peer `p`'s run is `ids[start..start + len]` beside
+/// `idxs[start..start + len]`, at the front of a slab of `cap` slots
+/// reserved when the peer was added ([`Slabs::add`]). A reader of one
+/// peer's run touches one `Slab` and one contiguous stretch of each
+/// arena, not a heap allocation per peer.
+///
+/// The network sizes each slab from the peer's [`DegreeCaps`], so a run
+/// the caps bound always fits. The reservation is clamped
+/// ([`RESERVED_LINKS`]), though, and a run that outgrows its slab moves
+/// to the arenas' end at twice the size, leaving its old slots unused.
+#[derive(Clone, Debug, Default)]
+struct Slabs {
+    per_peer: Vec<Slab>,
+    ids: Vec<Id>,
+    idxs: Vec<PeerIdx>,
+}
+
+/// One peer's place in the [`Slabs`] arenas.
+#[derive(Copy, Clone, Debug)]
+struct Slab {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Slab {
+    /// The arena positions of the run.
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+impl Slabs {
+    /// Reserves the next peer's slab, of `cap` slots, at the arenas' end.
+    fn add(&mut self, cap: usize) {
+        let start = self.ids.len();
+        self.ids.resize(start + cap, Id::default());
+        self.idxs.resize(start + cap, PeerIdx(0));
+        self.per_peer.push(Slab {
+            start: start as u32,
+            len: 0,
+            cap: cap as u32,
+        });
+    }
+
+    /// `p`'s run: its identifiers and, position for position, its peers.
+    fn run(&self, p: PeerIdx) -> (&[Id], &[PeerIdx]) {
+        let r = self.per_peer[p.as_usize()].range();
+        (&self.ids[r.clone()], &self.idxs[r])
+    }
+
+    /// Makes room for one more pair in `p`'s slab and returns the slab: a
+    /// full one moves to the arenas' end at twice its size.
+    fn room_for_one(&mut self, p: PeerIdx) -> Slab {
+        let slab = &mut self.per_peer[p.as_usize()];
+        if slab.len < slab.cap {
+            return *slab;
+        }
+        let start = self.ids.len();
+        let cap = (2 * slab.cap).max(1) as usize;
+        self.ids.extend_from_within(slab.range());
+        self.idxs.extend_from_within(slab.range());
+        self.ids.resize(start + cap, Id::default());
+        self.idxs.resize(start + cap, PeerIdx(0));
+        slab.start = start as u32;
+        slab.cap = cap as u32;
+        *slab
+    }
+
+    /// Appends a pair to `p`'s run.
+    fn push(&mut self, p: PeerIdx, id: Id, idx: PeerIdx) {
+        let end = self.room_for_one(p).range().end;
+        self.ids[end] = id;
+        self.idxs[end] = idx;
+        self.per_peer[p.as_usize()].len += 1;
+    }
+
+    /// Removes the pair at position `pos` of `p`'s run; the run's last
+    /// pair takes its place (`Vec::swap_remove`).
+    fn swap_remove(&mut self, p: PeerIdx, pos: usize) {
+        let slab = &mut self.per_peer[p.as_usize()];
+        slab.len -= 1;
+        let (at, last) = (slab.start as usize + pos, slab.range().end);
+        self.ids[at] = self.ids[last];
+        self.idxs[at] = self.idxs[last];
+    }
+
+    /// Empties `p`'s run; its slab stays reserved.
+    fn clear(&mut self, p: PeerIdx) {
+        self.per_peer[p.as_usize()].len = 0;
+    }
+
+    /// Inserts a pair into `p`'s run, kept sorted by identifier, before
+    /// any equal key.
+    fn insert_sorted(&mut self, p: PeerIdx, id: Id, idx: PeerIdx) {
+        let r = self.room_for_one(p).range();
+        let at = r.start + count_below(&self.ids[r.clone()], id);
+        self.ids.copy_within(at..r.end, at + 1);
+        self.idxs.copy_within(at..r.end, at + 1);
+        self.ids[at] = id;
+        self.idxs[at] = idx;
+        self.per_peer[p.as_usize()].len += 1;
+    }
+
+    /// Takes one copy of the pair out of `p`'s sorted run; a run without
+    /// it is left as it is.
+    fn remove_sorted(&mut self, p: PeerIdx, id: Id, idx: PeerIdx) {
+        let r = self.per_peer[p.as_usize()].range();
+        let at = r.start + count_below(&self.ids[r.clone()], id);
+        if at < r.end && self.ids[at] == id && self.idxs[at] == idx {
+            self.ids.copy_within(at + 1..r.end, at);
+            self.idxs.copy_within(at + 1..r.end, at);
+            self.per_peer[p.as_usize()].len -= 1;
+        }
+    }
+}
+
+/// The walk-adjacency cache: per peer, the live walk neighbours **sorted
+/// by identifier** (multiset — a neighbour reachable by ring and long
+/// link appears once per role, exactly like the uncached collection),
+/// one run of [`Slabs`] each, and the view epoch the run was built in.
+/// A run is valid iff its epoch equals the network's view epoch; a
+/// mutation marks it stale by zeroing the epoch (view epochs start at 1).
+///
+/// A peer's slab holds `2 + ρ_out + ρ_in` pairs: [`Network::try_link`]
+/// enforces both caps and the ring adds at most a successor and a
+/// predecessor, so a live multiset fits unless a cap exceeds the clamped
+/// reservation.
+#[derive(Clone, Debug, Default)]
+struct WalkCache {
+    epochs: Vec<u32>,
+    slabs: Slabs,
+}
+
+impl WalkCache {
+    /// `p`'s run, current or not.
+    fn entry(&self, p: PeerIdx) -> WalkCacheEntry<'_> {
+        let (ids, idxs) = self.slabs.run(p);
+        WalkCacheEntry { ids, idxs }
+    }
+}
+
+/// One peer's cached walk adjacency, borrowed from the [`WalkCache`]:
+/// the 8-byte keys the arc arithmetic reads (`ids`) and the 4-byte
 /// indices a proposal reads (`idxs[i]` is the peer whose id is
 /// `ids[i]`). Sorting is the fast path's trick: an [`Arc`] restriction
 /// selects at most two contiguous runs of the sorted keys, so the
 /// restricted degree and a uniform restricted pick are two
 /// [`count_below`]s instead of an O(deg) filter pass per
 /// Metropolis–Hastings step.
-///
-/// Valid iff `epoch` equals the network's view epoch; a mutation marks
-/// the entry stale by zeroing it (view epochs start at 1).
-#[derive(Clone, Debug, Default)]
-struct WalkCacheEntry {
-    epoch: u32,
-    ids: Vec<Id>,
-    idxs: Vec<PeerIdx>,
+#[derive(Copy, Clone, Debug)]
+struct WalkCacheEntry<'a> {
+    ids: &'a [Id],
+    idxs: &'a [PeerIdx],
 }
 
 /// How many of the sorted `ids` are strictly below `x` — what
@@ -57,20 +194,13 @@ fn count_below_from(ids: &[Id], x: Id, heads: usize) -> usize {
     block + straddle.iter().map(|&k| usize::from(k < x)).sum::<usize>()
 }
 
-impl WalkCacheEntry {
-    /// Inserts one neighbour at its sorted position.
-    fn insert(&mut self, id: Id, idx: PeerIdx) {
-        let at = count_below(&self.ids, id);
-        self.ids.insert(at, id);
-        self.idxs.insert(at, idx);
-    }
-
+impl WalkCacheEntry<'_> {
     /// [`heads_below`] of the arc's start and end: the keys
     /// [`WalkCacheEntry::runs`] compares first.
     fn arc_heads(&self, arc: &Arc) -> [usize; 2] {
         [
-            heads_below(&self.ids, arc.start()),
-            heads_below(&self.ids, arc.end()),
+            heads_below(self.ids, arc.start()),
+            heads_below(self.ids, arc.end()),
         ]
     }
 
@@ -83,8 +213,8 @@ impl WalkCacheEntry {
             Some(a) if a.is_empty() => (0, 0, 0),
             Some(a) if !a.is_full() => {
                 let (s, e) = (a.start(), a.end());
-                let lo = count_below_from(&self.ids, s, heads[0]);
-                let hi = count_below_from(&self.ids, e, heads[1]);
+                let lo = count_below_from(self.ids, s, heads[0]);
+                let hi = count_below_from(self.ids, e, heads[1]);
                 if s < e {
                     (lo, hi - lo, 0)
                 } else {
@@ -220,7 +350,14 @@ pub struct Network {
     // `Send` but not `Sync` — parallel experiment drivers hand each
     // thread its own network, they never share one.
     walk_epoch: u32,
-    walk_cache: RefCell<Vec<WalkCacheEntry>>,
+    walk_cache: RefCell<WalkCache>,
+    // A mirror of every peer's `long_out`, in `long_out` order, with each
+    // target's identifier beside it, in a slab of `ρ_out` pairs: the
+    // greedy hop reads it instead of `long_out` and the targets' `Peer`
+    // lines. `long_out` stays the source of truth; every change to it
+    // goes through `try_link`, `drop_long_out` or `take_long_out`, which
+    // keep the mirror in step.
+    out_links: Slabs,
     /// Message accounting for the whole simulation.
     pub metrics: Metrics,
 }
@@ -240,7 +377,8 @@ impl Network {
             fault_model,
             succ_list_len: 8,
             walk_epoch: 1,
-            walk_cache: RefCell::new(Vec::new()),
+            walk_cache: RefCell::new(WalkCache::default()),
+            out_links: Slabs::default(),
             metrics: Metrics::new(),
         }
     }
@@ -251,7 +389,7 @@ impl Network {
     /// merely hold a now-dead neighbour.
     #[inline]
     fn touch_walk(&mut self, idx: PeerIdx) {
-        self.walk_cache.get_mut()[idx.as_usize()].epoch = 0;
+        self.walk_cache.get_mut().epochs[idx.as_usize()] = 0;
     }
 
     /// A long link between `idx` and `other` was made (`linked`) or torn
@@ -262,18 +400,14 @@ impl Network {
     /// adjacency, so removing it finds nothing.
     fn edit_walk(&mut self, idx: PeerIdx, other: PeerIdx, linked: bool) {
         let id = self.peers[other.as_usize()].id;
-        let entry = &mut self.walk_cache.get_mut()[idx.as_usize()];
-        if entry.epoch != self.walk_epoch {
+        let cache = self.walk_cache.get_mut();
+        if cache.epochs[idx.as_usize()] != self.walk_epoch {
             return;
         }
         if linked {
-            entry.insert(id, other);
-            return;
-        }
-        let at = count_below(&entry.ids, id);
-        if entry.ids.get(at) == Some(&id) && entry.idxs[at] == other {
-            entry.ids.remove(at);
-            entry.idxs.remove(at);
+            cache.slabs.insert_sorted(idx, id, other);
+        } else {
+            cache.slabs.remove_sorted(idx, id, other);
         }
     }
 
@@ -357,10 +491,18 @@ impl Network {
         self.by_id.insert(id.raw(), idx);
         self.ring_all.insert(id);
         self.ring_live.insert(id);
-        // The splice changed the ring adjacency of the new peer (whose
-        // entry starts stale) and of its (up to four) new ring neighbours
-        // — nobody else's.
-        self.walk_cache.get_mut().push(WalkCacheEntry::default());
+        // The peer's slabs, sized from its caps and clamped as
+        // `Peer::new` clamps its vectors; its walk entry starts stale.
+        let (rho_in, rho_out) = (
+            caps.rho_in.min(RESERVED_LINKS) as usize,
+            caps.rho_out.min(RESERVED_LINKS) as usize,
+        );
+        let cache = self.walk_cache.get_mut();
+        cache.epochs.push(0);
+        cache.slabs.add(2 + rho_out + rho_in);
+        self.out_links.add(rho_out);
+        // The splice changed the ring adjacency of the new peer and of its
+        // (up to four) new ring neighbours — nobody else's.
         for n in [prev_a, next_a, prev_l, next_l] {
             self.touch_walk(n);
         }
@@ -417,17 +559,6 @@ impl Network {
             return None;
         }
         Some(self.live_peer_by_rank(rng.gen_range(0..self.ring_live.len())))
-    }
-
-    /// The live peers in rank order: `table[r] == live_peer_by_rank(r)`
-    /// for every rank, built by following the live successor pointers
-    /// from rank 0 (the `by_rank` half of the table a query batch builds).
-    ///
-    /// Nothing in the workspace calls it: batches build the crate-private
-    /// `live_ranks` directly. It is kept only as public API, and builds and
-    /// drops a `rank_of` table per call; ROADMAP lists it for removal.
-    pub fn live_rank_table(&self) -> Vec<PeerIdx> {
-        self.live_ranks().by_rank
     }
 
     /// The live ring by rank, both ways: the peers in rank order and each
@@ -555,6 +686,7 @@ impl Network {
         }
         self.metrics.inc(MsgKind::LinkAccept);
         self.peers[fi].long_out.push(to);
+        self.out_links.push(from, self.peers[ti].id, to);
         self.peers[ti].long_in.push(from);
         self.edit_walk(from, to, true);
         self.edit_walk(to, from, true);
@@ -567,14 +699,31 @@ impl Network {
     /// links that cross a cut, leaving the rest of both peers' link
     /// tables intact.
     pub fn unlink(&mut self, from: PeerIdx, to: PeerIdx) -> bool {
+        if !self.drop_long_out(from, to) {
+            return false;
+        }
+        self.drop_long_in(to, from);
+        self.edit_walk(from, to, false);
+        true
+    }
+
+    /// The source's half of tearing down `from -> to`: `to` leaves
+    /// `from`'s `long_out` and its mirror, at the same position. Returns
+    /// whether it was there.
+    fn drop_long_out(&mut self, from: PeerIdx, to: PeerIdx) -> bool {
         let fp = &mut self.peers[from.as_usize()];
         let Some(pos) = fp.long_out.iter().position(|&t| t == to) else {
             return false;
         };
         fp.long_out.swap_remove(pos);
-        self.drop_long_in(to, from);
-        self.edit_walk(from, to, false);
+        self.out_links.swap_remove(from, pos);
         true
+    }
+
+    /// Takes all of `from`'s `long_out` and empties its mirror.
+    fn take_long_out(&mut self, from: PeerIdx) -> Vec<PeerIdx> {
+        self.out_links.clear(from);
+        std::mem::take(&mut self.peers[from.as_usize()].long_out)
     }
 
     /// The target's half of tearing down `from -> to`. A crashed target
@@ -590,8 +739,7 @@ impl Network {
     /// Tears down all outgoing long-range links of `from` (rewiring step),
     /// releasing the corresponding in-degree budget at the targets.
     pub fn unlink_long_out(&mut self, from: PeerIdx) {
-        let targets = std::mem::take(&mut self.peers[from.as_usize()].long_out);
-        for t in targets {
+        for t in self.take_long_out(from) {
             self.drop_long_in(t, from);
             self.edit_walk(from, t, false);
         }
@@ -612,10 +760,7 @@ impl Network {
         // Notify in-link sources: they drop their links to us.
         let sources = std::mem::take(&mut self.peers[i].long_in);
         for s in sources {
-            let sp = &mut self.peers[s.as_usize()];
-            if let Some(pos) = sp.long_out.iter().position(|&t| t == idx) {
-                sp.long_out.swap_remove(pos);
-            }
+            self.drop_long_out(s, idx);
             self.touch_walk(s);
         }
         // Tear down our own out-links (releases budget at targets).
@@ -661,8 +806,7 @@ impl Network {
         self.next_live[lp.as_usize()] = ln;
         self.prev_live[ln.as_usize()] = lp;
         // Outgoing links vanish with the peer.
-        let targets = std::mem::take(&mut self.peers[i].long_out);
-        for t in targets {
+        for t in self.take_long_out(idx) {
             let tp = &mut self.peers[t.as_usize()];
             if let Some(pos) = tp.long_in.iter().position(|&s| s == idx) {
                 tp.long_in.swap_remove(pos);
@@ -720,6 +864,14 @@ impl Network {
         }
     }
 
+    /// `idx`'s `long_out` targets with their identifiers, in `long_out`
+    /// order: one contiguous run of each, read without touching
+    /// `long_out` or any target's `Peer`.
+    #[inline]
+    pub(crate) fn long_out_links(&self, idx: PeerIdx) -> (&[Id], &[PeerIdx]) {
+        self.out_links.run(idx)
+    }
+
     /// Collects the routing neighbours of `idx` into `buf` (cleared
     /// first): the successor list and predecessor under the fault-model
     /// view, then all outgoing long-range links (possibly dangling). The
@@ -759,41 +911,34 @@ impl Network {
         buf.extend_from_slice(&peer.long_in);
     }
 
-    /// What a cache entry holds: the live members of
-    /// `Network::walk_neighbors_into`'s multiset with their identifiers,
-    /// sorted, into `out`'s own vectors (cleared first; their capacity is
-    /// reused).
-    fn collect_walk_adjacency(&self, idx: PeerIdx, out: &mut WalkCacheEntry) {
-        out.ids.clear();
-        out.idxs.clear();
+    /// What a cache entry holds, unsorted: the live members of
+    /// `Network::walk_neighbors_into`'s multiset with their identifiers.
+    fn live_walk_adjacency(&self, idx: PeerIdx) -> impl Iterator<Item = (Id, PeerIdx)> + '_ {
         let peer = &self.peers[idx.as_usize()];
         let ring = [self.ring_successor(idx), self.ring_predecessor(idx)];
-        let ring = ring.into_iter().flatten().filter(|&n| n != idx);
-        for c in ring.chain(peer.long_out.iter().chain(&peer.long_in).copied()) {
+        let ring = ring.into_iter().flatten().filter(move |&n| n != idx);
+        let links = peer.long_out.iter().chain(&peer.long_in).copied();
+        ring.chain(links).filter_map(|c| {
             let p = &self.peers[c.as_usize()];
-            if p.alive {
-                out.insert(p.id, c);
-            }
-        }
+            p.alive.then_some((p.id, c))
+        })
     }
 
-    /// `idx`'s entry in the borrowed walk cache, lazily (re)built first if
-    /// a mutation marked it stale or the view epoch moved on.
-    fn current_entry<'c>(
-        &self,
-        cache: &'c mut [WalkCacheEntry],
-        idx: PeerIdx,
-    ) -> &'c mut WalkCacheEntry {
-        let entry = &mut cache[idx.as_usize()];
-        if entry.epoch != self.walk_epoch {
-            self.collect_walk_adjacency(idx, entry);
-            entry.epoch = self.walk_epoch;
+    /// `idx`'s entry in the borrowed walk cache, lazily (re)built in its
+    /// slab first if a mutation marked it stale or the view epoch moved on.
+    fn current_entry<'c>(&self, cache: &'c mut WalkCache, idx: PeerIdx) -> WalkCacheEntry<'c> {
+        if cache.epochs[idx.as_usize()] != self.walk_epoch {
+            cache.slabs.clear(idx);
+            for (id, c) in self.live_walk_adjacency(idx) {
+                cache.slabs.insert_sorted(idx, id, c);
+            }
+            cache.epochs[idx.as_usize()] = self.walk_epoch;
         }
-        entry
+        cache.entry(idx)
     }
 
     /// Runs `f` on `idx`'s current walk-cache entry.
-    fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(&WalkCacheEntry) -> R) -> R {
+    fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(WalkCacheEntry<'_>) -> R) -> R {
         f(self.current_entry(&mut self.walk_cache.borrow_mut(), idx))
     }
 
@@ -849,16 +994,16 @@ impl Network {
                 for ((lane, &p), rng) in lanes.iter_mut().zip(at.iter()).zip(rngs.iter_mut()) {
                     lane.cand = (lane.runs.count > 0).then(|| {
                         let k = logic::uniform_index(lane.runs.count, rng);
-                        cache[p.as_usize()].pick(lane.runs, k)
+                        cache.entry(p).pick(lane.runs, k)
                     });
                     if let Some(c) = lane.cand {
-                        lane.fresh = cache[c.as_usize()].epoch == self.walk_epoch;
+                        lane.fresh = cache.epochs[c.as_usize()] == self.walk_epoch;
                     }
                 }
                 if let Some(a) = arc {
                     for lane in lanes.iter_mut().filter(|l| l.fresh) {
                         if let Some(c) = lane.cand {
-                            lane.heads = cache[c.as_usize()].arc_heads(a);
+                            lane.heads = cache.entry(c).arc_heads(a);
                         }
                     }
                 }
@@ -957,11 +1102,12 @@ impl Network {
     /// every peer ever added: degree caps respected, no self-link, no
     /// duplicate out-link, each out-link to a live target has its reverse
     /// `long_in` entry (a dangling link to a corpse is legal — it is the
-    /// wasted-traffic source) and each in-link its forward one, and the
-    /// live ring holds exactly the peers flagged alive, and every live
-    /// peer's walk-cache entry that claims validity is what a rebuild
-    /// gives. `Err` names the first violation. The one oracle the
-    /// snapshot-world tests share.
+    /// wasted-traffic source) and each in-link its forward one, the
+    /// long-out mirror the hop reads is `long_out` with each target's
+    /// identifier, the live ring holds exactly the peers flagged alive,
+    /// and every live peer's walk-cache entry that claims validity is
+    /// what a rebuild gives. `Err` names the first violation. The one
+    /// oracle the snapshot-world tests share.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for p in self.all_peers() {
             let peer = self.peer(p);
@@ -992,29 +1138,37 @@ impl Network {
             {
                 return Err(format!("in-link {s:?}->{p:?} has no forward entry"));
             }
+            let (ids, targets) = self.out_links.run(p);
+            let ids_match = ids
+                .iter()
+                .zip(targets)
+                .all(|(&id, &t)| id == self.peer(t).id);
+            if targets != peer.long_out.as_slice() || !ids_match {
+                return Err(format!("{p:?}'s long-out mirror is out of step"));
+            }
             if peer.alive && !self.ring_live.contains(peer.id) {
                 return Err(format!("{p:?} is alive but not on the live ring"));
             }
         }
         // The walk cache is edited in place by link changes: an entry that
         // claims to be current must be what a rebuild would produce.
-        let mut rebuilt = WalkCacheEntry::default();
-        for (p, entry) in self.all_peers().zip(self.walk_cache.borrow().iter()) {
-            if !self.is_alive(p) || entry.epoch != self.walk_epoch {
+        let cache = self.walk_cache.borrow();
+        for p in self.live_peers() {
+            if cache.epochs[p.as_usize()] != self.walk_epoch {
                 continue;
             }
-            if entry.ids.len() != entry.idxs.len() {
-                return Err(format!(
-                    "{p:?}'s cached walk adjacency has {} keys for {} indices",
-                    entry.ids.len(),
-                    entry.idxs.len()
-                ));
-            }
+            let entry = cache.entry(p);
             if !entry.ids.is_sorted() {
                 return Err(format!("{p:?}'s cached walk keys are not sorted"));
             }
-            self.collect_walk_adjacency(p, &mut rebuilt);
-            if (&entry.ids, &entry.idxs) != (&rebuilt.ids, &rebuilt.idxs) {
+            let mut rebuilt: Vec<(Id, PeerIdx)> = self.live_walk_adjacency(p).collect();
+            rebuilt.sort_unstable();
+            if !rebuilt.iter().copied().eq(entry
+                .ids
+                .iter()
+                .copied()
+                .zip(entry.idxs.iter().copied()))
+            {
                 return Err(format!("{p:?}'s cached walk adjacency is out of date"));
             }
         }
@@ -1435,30 +1589,86 @@ mod tests {
         );
         // The departed peer's id is back on the ring under a new index.
         broken(|n| n.peers[4].alive = true, "flagged alive");
+        // Peer 0's long links: to 30 (dangling) and to 40.
+        broken(
+            |n| run_mut(&mut n.out_links, 0).0[1] = Id::new(41),
+            "mirror",
+        );
+        broken(|n| n.out_links.swap_remove(PeerIdx(0), 0), "mirror");
         // Peer 3's entry is valid: keys [10, 10, 20, 50] (peer 0 by its
         // in- and out-link, the ring neighbours 20 and the new 50).
         broken(
-            |n| {
-                n.walk_cache.get_mut()[3].idxs.pop();
-            },
-            "4 keys for 3 indices",
-        );
-        broken(
-            |n| n.walk_cache.get_mut()[3].ids.reverse(),
+            |n| run_mut(&mut n.walk_cache.get_mut().slabs, 3).0.reverse(),
             "keys are not sorted",
         );
         broken(
-            |n| n.walk_cache.get_mut()[3].idxs[0] = PeerIdx(1),
+            |n| run_mut(&mut n.walk_cache.get_mut().slabs, 3).1[0] = PeerIdx(1),
             "adjacency is out of date",
         );
         broken(
-            |n| {
-                let e = &mut n.walk_cache.get_mut()[3];
-                e.ids.clear();
-                e.idxs.clear();
-            },
+            |n| n.walk_cache.get_mut().slabs.clear(PeerIdx(3)),
             "adjacency is out of date",
         );
+    }
+
+    #[test]
+    fn a_hub_outgrows_its_slabs_and_every_table_stays_in_step() {
+        // Caps of 200 reserve 2 + 64 + 64 walk slots and 64 mirror slots,
+        // so everyone linking to the hub and the hub to everyone move both
+        // of its slabs to the arenas' end, more than once.
+        let mut net = Network::new(FaultModel::StabilizedRing);
+        let peers: Vec<PeerIdx> = (1..=250u64)
+            .map(|i| net.add_peer(Id::new(i << 50), caps(200)).unwrap())
+            .collect();
+        let hub = peers[0];
+        net.walk_degree(hub, None); // warm: the links edit it in place
+        for &p in &peers[1..] {
+            let _ = net.try_link(p, hub);
+            let _ = net.try_link(hub, p);
+        }
+        assert_eq!(
+            (net.peer(hub).in_degree(), net.peer(hub).out_degree()),
+            (200, 200)
+        );
+        assert!(net.out_links.per_peer[0].cap >= 200);
+        assert!(net.walk_cache.get_mut().slabs.per_peer[0].cap >= 402);
+        assert_eq!(net.walk_degree(hub, None), 402);
+        assert_eq!(net.check_invariants(), Ok(()));
+        // A debug build holds every hop, the hub's relocated mirror
+        // included, to the constrained scan over `long_out`.
+        let mut rng = oscar_types::SeedTree::new(3).rng();
+        let workload = oscar_keydist::QueryWorkload::UniformPeers;
+        let policy = crate::routing::RoutePolicy::default();
+        let stats = crate::routing::run_query_batch(&mut net, &workload, 300, &policy, &mut rng);
+        assert_eq!(stats.success_rate, 1.0);
+        // Tearing down after the moves.
+        for &p in &peers[1..40] {
+            net.unlink(hub, p);
+        }
+        net.kill(peers[60]).unwrap();
+        net.depart(peers[70]).unwrap();
+        net.unlink_long_out(peers[80]);
+        assert_eq!(net.check_invariants(), Ok(()));
+        net.kill(hub).unwrap();
+        assert_eq!(net.check_invariants(), Ok(()));
+
+        // Unbounded caps reserve the clamped slabs, not gigabytes.
+        let before = (
+            net.walk_cache.get_mut().slabs.ids.len(),
+            net.out_links.ids.len(),
+        );
+        net.add_peer(Id::new(7), caps(u32::MAX)).unwrap();
+        let after = (
+            net.walk_cache.get_mut().slabs.ids.len(),
+            net.out_links.ids.len(),
+        );
+        assert_eq!((after.0 - before.0, after.1 - before.1), (130, 64));
+    }
+
+    /// Peer `p`'s run in `slabs`, for writing a broken state.
+    fn run_mut(slabs: &mut Slabs, p: u32) -> (&mut [Id], &mut [PeerIdx]) {
+        let r = slabs.per_peer[p as usize].range();
+        (&mut slabs.ids[r.clone()], &mut slabs.idxs[r])
     }
 
     #[test]

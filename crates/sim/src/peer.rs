@@ -36,6 +36,12 @@ pub enum LinkError {
     Dead,
 }
 
+/// The most link slots reserved up front for one direction of a peer's
+/// long-range adjacency. A cap is a budget, not a promise, and
+/// `DegreeCaps::symmetric(u32::MAX)` must not reserve gigabytes; a table
+/// that fills its reservation grows on demand.
+pub(crate) const RESERVED_LINKS: u32 = 64;
+
 /// Simulator state of one peer.
 #[derive(Clone, Debug)]
 pub struct Peer {
@@ -59,8 +65,8 @@ impl Peer {
             id,
             caps,
             alive: true,
-            long_out: Vec::with_capacity(caps.rho_out.min(64) as usize),
-            long_in: Vec::with_capacity(caps.rho_in.min(64) as usize),
+            long_out: Vec::with_capacity(caps.rho_out.min(RESERVED_LINKS) as usize),
+            long_in: Vec::with_capacity(caps.rho_in.min(RESERVED_LINKS) as usize),
         }
     }
 

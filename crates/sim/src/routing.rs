@@ -220,7 +220,9 @@ fn route_observed(
 /// iff it lies in ranks r + 1 ..= o. So the owner is the best when d ≤ L
 /// (a successor) or d = n − 1 (the predecessor, which makes progress in no
 /// other case). Otherwise the ring's best is rank r + L, and the long
-/// links are folded in. `current` must be live: sources are drawn live,
+/// links are folded in from [`Network::long_out_links`], which hold each
+/// target's id beside it: the hop reads neither `long_out` nor a
+/// target's `Peer`. `current` must be live: sources are drawn live,
 /// forwards go to live peers only, and a backtrack returns to a peer the
 /// query already left.
 fn rank_best(
@@ -245,10 +247,11 @@ fn rank_best(
     }
     let ring = ranks.by_rank[if r + l >= n { r + l - n } else { r + l }];
     let mut best = (net.peer(ring).id.cw_dist(owner_id), ring);
-    for &c in &net.peer(current).long_out {
+    let (ids, targets) = net.long_out_links(current);
+    for (&id, &c) in ids.iter().zip(targets) {
         // A select, not a branch: which link is nearer is close to a coin
         // flip per link.
-        let p = net.peer(c).id.cw_dist(owner_id);
+        let p = id.cw_dist(owner_id);
         best = std::hint::select_unpredictable(p < best.0, (p, c), best);
     }
     best.1
