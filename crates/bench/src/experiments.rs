@@ -100,15 +100,16 @@ pub fn run_growth_experiment(
                 &mut rng,
             );
             cost_by_size.push((cp.size, stats));
-            // Clones are taken sequentially (cheap relative to the query
-            // batches); each measurement task then owns its crashed copy.
+            // Each measurement task clones the network into its own
+            // crashed copy.
+            let net: &Network = net;
             let tasks: Vec<Task<Result<QueryBatchStats>>> = crash_fractions
                 .iter()
                 .enumerate()
                 .map(|(fi, &fraction)| {
-                    let mut clone = net.clone();
                     let churn_seed = seed.child2(LBL_CHURN, (cp.index * 16 + fi) as u64);
                     Box::new(move || {
+                        let mut clone = net.clone();
                         if fraction > 0.0 {
                             kill_fraction(&mut clone, fraction, &mut churn_seed.rng())?;
                         }
@@ -236,13 +237,9 @@ pub fn grow_substrate<B: OverlayBuilder + ?Sized>(
 /// own seed — so they fan out over [`Scale::thread_count`] workers with
 /// byte-identical results at any thread count
 /// (`tests/parallel_determinism.rs` pins the rendered CSVs). Clones are
-/// what dominates memory (a full `Network` per cell), and `Network` is
-/// not `Sync`, so workers cannot clone the substrate themselves: the
-/// calling thread clones one thread-budget-sized wave at a time, which
-/// keeps at most `threads` clones alive instead of every cell's — the
-/// difference between feasible and not at 10⁵ peers × 48 cells. Waves
-/// cost a join barrier each; cells inside a wave still spread over all
-/// workers.
+/// what dominates memory (a full `Network` per cell), so each task clones
+/// the substrate itself when a worker picks it up: at most `threads`
+/// clones are alive at once, not every cell's.
 pub fn run_churn_cells<B: OverlayBuilder + Sync + ?Sized>(
     net: &Network,
     builder: &B,
@@ -252,35 +249,28 @@ pub fn run_churn_cells<B: OverlayBuilder + Sync + ?Sized>(
     cells: &[(ChurnSchedule, Option<usize>, SeedTree)],
     windows: usize,
 ) -> Result<Vec<Vec<ChurnWindowStats>>> {
-    let threads = scale.thread_count().max(1);
-    let mut runs = Vec::with_capacity(cells.len());
-    for wave in cells.chunks(threads) {
-        let tasks: Vec<Task<Result<Vec<ChurnWindowStats>>>> = wave
-            .iter()
-            .map(|(schedule, succ_list_len, seed)| {
+    let tasks: Vec<Task<Result<Vec<ChurnWindowStats>>>> = cells
+        .iter()
+        .map(|(schedule, succ_list_len, seed)| {
+            Box::new(move || {
                 let mut cell_net = net.clone();
-                Box::new(move || {
-                    if let Some(k) = *succ_list_len {
-                        cell_net.set_fault_model(FaultModel::UnstabilizedRing);
-                        cell_net.set_succ_list_len(k);
-                    }
-                    run_continuous_churn(
-                        &mut cell_net,
-                        builder,
-                        keys,
-                        degrees,
-                        schedule,
-                        windows,
-                        *seed,
-                    )
-                }) as Task<Result<Vec<ChurnWindowStats>>>
-            })
-            .collect();
-        for run in run_tasks(threads, tasks) {
-            runs.push(run?);
-        }
-    }
-    Ok(runs)
+                if let Some(k) = *succ_list_len {
+                    cell_net.set_fault_model(FaultModel::UnstabilizedRing);
+                    cell_net.set_succ_list_len(k);
+                }
+                run_continuous_churn(
+                    &mut cell_net,
+                    builder,
+                    keys,
+                    degrees,
+                    schedule,
+                    windows,
+                    *seed,
+                )
+            }) as Task<Result<Vec<ChurnWindowStats>>>
+        })
+        .collect();
+    run_tasks(scale.thread_count(), tasks).into_iter().collect()
 }
 
 /// The steady-state churn protocol through the **machine world**: every

@@ -44,10 +44,10 @@
 //! Each `Network` is single-threaded and allocation-conscious: a full
 //! paper-scale run (10⁴ peers, nine rewiring checkpoints) performs on the
 //! order of 10⁸ walk steps, served from a per-peer walk-adjacency cache
-//! with per-entry stale-marking (see [`network`]). `Network` is `Send`
-//! but — deliberately, because that cache uses interior mutability — not
-//! `Sync`: the parallel experiment drivers in `oscar-bench` give every
-//! worker thread its own network and never share one.
+//! that every mutation keeps current (see [`network`]). `Network` is
+//! `Send + Sync`: walkers read the cache through `&Network`, and the
+//! parallel experiment drivers in `oscar-bench` let each task clone a
+//! shared network for itself.
 
 // The determinism rules in force in this crate's library code; `clippy.toml`
 // lists the disallowed methods (ARCHITECTURE.md § "Static analysis &

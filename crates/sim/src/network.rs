@@ -9,7 +9,6 @@ use oscar_ring::Ring;
 use oscar_types::{Arc, Error, Id, Result};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Per-peer runs of `(Id, PeerIdx)` pairs in two network-wide arenas:
@@ -130,32 +129,7 @@ impl Slabs {
     }
 }
 
-/// The walk-adjacency cache: per peer, the live walk neighbours **sorted
-/// by identifier** (multiset — a neighbour reachable by ring and long
-/// link appears once per role, exactly like the uncached collection),
-/// one run of [`Slabs`] each, and the view epoch the run was built in.
-/// A run is valid iff its epoch equals the network's view epoch; a
-/// mutation marks it stale by zeroing the epoch (view epochs start at 1).
-///
-/// A peer's slab holds `2 + ρ_out + ρ_in` pairs: [`Network::try_link`]
-/// enforces both caps and the ring adds at most a successor and a
-/// predecessor, so a live multiset fits unless a cap exceeds the clamped
-/// reservation.
-#[derive(Clone, Debug, Default)]
-struct WalkCache {
-    epochs: Vec<u32>,
-    slabs: Slabs,
-}
-
-impl WalkCache {
-    /// `p`'s run, current or not.
-    fn entry(&self, p: PeerIdx) -> WalkCacheEntry<'_> {
-        let (ids, idxs) = self.slabs.run(p);
-        WalkCacheEntry { ids, idxs }
-    }
-}
-
-/// One peer's cached walk adjacency, borrowed from the [`WalkCache`]:
+/// One peer's cached walk adjacency, borrowed from `Network::walk`:
 /// the 8-byte keys the arc arithmetic reads (`ids`) and the 4-byte
 /// indices a proposal reads (`idxs[i]` is the peer whose id is
 /// `ids[i]`). Sorting is the fast path's trick: an [`Arc`] restriction
@@ -254,8 +228,7 @@ impl WalkCacheEntry<'_> {
 /// Position of an arc restriction within one peer's sorted cached walk
 /// adjacency: the restricted neighbours are `idxs[lo..lo + first]`
 /// followed by `idxs[..count - first]` (the wrapped head), `count` in
-/// total. Valid until the peer's cache entry is marked stale by a
-/// mutation.
+/// total. Valid until the next mutation of the peer's run.
 #[derive(Copy, Clone, Debug, Default)]
 struct WalkRuns {
     lo: usize,
@@ -266,8 +239,8 @@ struct WalkRuns {
 
 /// Lanes [`Network::walk_lanes`] steps together, on the stack: a
 /// partition round's 12 samples and a Mercury CDF's 24 each fit in one
-/// chunk. Lane state on the heap, allocated beside the cache entries a
-/// call rebuilds, raised `grow`'s peak RSS at n = 10⁴ from 16.9 to 17.6 MB.
+/// chunk. Lane state on the heap, allocated per call, raised `grow`'s
+/// peak RSS at n = 10⁴ from 16.9 to 17.6 MB.
 const LANES: usize = 32;
 
 /// One walk of [`Network::walk_lanes`] between its passes: the runs of
@@ -278,9 +251,7 @@ struct Lane {
     /// The proposed neighbour; `None` while the walk is isolated within
     /// the restriction.
     cand: Option<PeerIdx>,
-    /// Whether the candidate's cache entry was current when proposed.
-    fresh: bool,
-    /// The candidate's [`WalkCacheEntry::arc_heads`], read while fresh.
+    /// The candidate's [`WalkCacheEntry::arc_heads`].
     heads: [usize; 2],
 }
 
@@ -314,7 +285,8 @@ impl LiveRanks {
 ///
 /// `Network` is `Clone`, deliberately: churn experiments snapshot the grown
 /// network, crash the clone, and measure it, so one growth run feeds many
-/// failure scenarios.
+/// failure scenarios. It is `Send + Sync` (plain tables, no interior
+/// mutability), so parallel tasks clone it from a shared borrow.
 #[derive(Clone)]
 pub struct Network {
     peers: Vec<Peer>,
@@ -335,22 +307,19 @@ pub struct Network {
     prev_live: Vec<PeerIdx>,
     fault_model: FaultModel,
     succ_list_len: usize,
-    // Per-peer walk-adjacency cache, one entry per peer ever added,
-    // rebuilt lazily per peer. Every membership mutation marks stale
-    // exactly the entries of the peers whose walk neighbourhood it
-    // changes (a splice's ring neighbours, a crash's dangling-link
-    // owners), so entries persist across unrelated mutations — that is
-    // what amortises the rebuilds over the join hot loop; a long link,
-    // the one mutation that hot loop makes, edits its two endpoints'
-    // entries in place (`edit_walk`) and invalidates nothing.
-    // `walk_epoch` is the one whole-cache hammer, for fault-model flips
-    // that change every adjacency at once.
-    // Interior mutability keeps the samplers on `&Network` (to a reader
-    // the cache is pure memoisation); the cost is that `Network` is
-    // `Send` but not `Sync` — parallel experiment drivers hand each
-    // thread its own network, they never share one.
-    walk_epoch: u32,
-    walk_cache: RefCell<WalkCache>,
+    // The walk-adjacency cache: per peer, the live walk neighbours
+    // **sorted by identifier** (a multiset — a neighbour reachable by
+    // ring and long link appears once per role, exactly like the uncached
+    // collection), in a slab of `2 + ρ_out + ρ_in` pairs (`try_link`
+    // enforces both caps and the ring adds at most a successor and a
+    // predecessor). Every mutation leaves every live peer's run current:
+    // a long link, the one mutation the join hot loop makes, edits its
+    // two endpoints' runs in place (`edit_walk`), and so does each link
+    // a leaving peer takes with it; a membership change rebuilds the
+    // runs of the ring neighbours its splice changed (`rebuild_walks`)
+    // and empties the leaver's; a fault-model flip rebuilds every run.
+    // Walkers read it through `&self`.
+    walk: Slabs,
     // A mirror of every peer's `long_out`, in `long_out` order, with each
     // target's identifier beside it, in a slab of `ρ_out` pairs: the
     // greedy hop reads it instead of `long_out` and the targets' `Peer`
@@ -376,38 +345,45 @@ impl Network {
             prev_live: Vec::new(),
             fault_model,
             succ_list_len: 8,
-            walk_epoch: 1,
-            walk_cache: RefCell::new(WalkCache::default()),
+            walk: Slabs::default(),
             out_links: Slabs::default(),
             metrics: Metrics::new(),
         }
     }
 
-    /// Marks one peer's cached walk adjacency stale; it is rebuilt lazily
-    /// on its next walk visit. Callers must touch every peer whose
-    /// *filtered* neighbour list a mutation changes — including peers that
-    /// merely hold a now-dead neighbour.
-    #[inline]
-    fn touch_walk(&mut self, idx: PeerIdx) {
-        self.walk_cache.get_mut().epochs[idx.as_usize()] = 0;
-    }
-
     /// A long link between `idx` and `other` was made (`linked`) or torn
-    /// down: if `idx`'s cached adjacency is valid, the one entry moves in
-    /// or out at its sorted position and the cache stays valid — a link
-    /// changes one neighbour, and a rebuild re-reads all ~56. A stale
-    /// entry stays stale. A dead `other` was never in the live-filtered
-    /// adjacency, so removing it finds nothing.
+    /// down, or `other` crashed with it: the one pair moves in or out of
+    /// `idx`'s walk run at its sorted position — a link changes one
+    /// neighbour, and a rebuild re-reads all ~56. An `other` dead before
+    /// was never in the live-filtered run, so removing it finds nothing.
     fn edit_walk(&mut self, idx: PeerIdx, other: PeerIdx, linked: bool) {
         let id = self.peers[other.as_usize()].id;
-        let cache = self.walk_cache.get_mut();
-        if cache.epochs[idx.as_usize()] != self.walk_epoch {
-            return;
-        }
         if linked {
-            cache.slabs.insert_sorted(idx, id, other);
+            self.walk.insert_sorted(idx, id, other);
         } else {
-            cache.slabs.remove_sorted(idx, id, other);
+            self.walk.remove_sorted(idx, id, other);
+        }
+    }
+
+    /// Rebuilds the walk runs of `peers` from their live walk adjacency,
+    /// at the end of a membership change or a view flip; a dead peer's
+    /// run is emptied. A peer named more than once is rebuilt once: the
+    /// two views usually give a splice the same neighbours.
+    fn rebuild_walks(&mut self, peers: impl IntoIterator<Item = PeerIdx>) {
+        let mut peers: Vec<PeerIdx> = peers.into_iter().collect();
+        peers.sort_unstable();
+        peers.dedup();
+        let mut pairs = Vec::new();
+        for p in peers {
+            pairs.clear();
+            if self.is_alive(p) {
+                pairs.extend(self.live_walk_adjacency(p));
+                pairs.sort_unstable();
+            }
+            self.walk.clear(p);
+            for &(id, c) in &pairs {
+                self.walk.push(p, id, c);
+            }
         }
     }
 
@@ -431,13 +407,14 @@ impl Network {
         self.fault_model
     }
 
-    /// Changes the fault model (used by ablations; cheap — the views are
-    /// both maintained continuously).
+    /// Changes the fault model (used by ablations and the unstabilised
+    /// churn cells). Both ring views are maintained continuously, but
+    /// every walk run is rebuilt, O(n · degree).
     pub fn set_fault_model(&mut self, fm: FaultModel) {
         self.fault_model = fm;
         // Every walk adjacency reads ring pointers through the view, so a
-        // view flip invalidates the whole cache at once.
-        self.walk_epoch += 1;
+        // view flip rebuilds every run.
+        self.rebuild_walks(self.all_peers());
     }
 
     /// Total peers ever added (live + dead).
@@ -492,20 +469,16 @@ impl Network {
         self.ring_all.insert(id);
         self.ring_live.insert(id);
         // The peer's slabs, sized from its caps and clamped as
-        // `Peer::new` clamps its vectors; its walk entry starts stale.
+        // `Peer::new` clamps its vectors.
         let (rho_in, rho_out) = (
             caps.rho_in.min(RESERVED_LINKS) as usize,
             caps.rho_out.min(RESERVED_LINKS) as usize,
         );
-        let cache = self.walk_cache.get_mut();
-        cache.epochs.push(0);
-        cache.slabs.add(2 + rho_out + rho_in);
+        self.walk.add(2 + rho_out + rho_in);
         self.out_links.add(rho_out);
         // The splice changed the ring adjacency of the new peer and of its
         // (up to four) new ring neighbours — nobody else's.
-        for n in [prev_a, next_a, prev_l, next_l] {
-            self.touch_walk(n);
-        }
+        self.rebuild_walks([idx, prev_a, next_a, prev_l, next_l]);
         Ok(idx)
     }
 
@@ -758,10 +731,9 @@ impl Network {
             return Err(Error::PeerDead(i));
         }
         // Notify in-link sources: they drop their links to us.
-        let sources = std::mem::take(&mut self.peers[i].long_in);
-        for s in sources {
+        for s in std::mem::take(&mut self.peers[i].long_in) {
             self.drop_long_out(s, idx);
-            self.touch_walk(s);
+            self.edit_walk(s, idx, false);
         }
         // Tear down our own out-links (releases budget at targets).
         self.unlink_long_out(idx);
@@ -777,9 +749,8 @@ impl Network {
         self.next_all[ap.as_usize()] = an;
         self.prev_all[an.as_usize()] = ap;
         self.by_id.remove(&id.raw());
-        for n in [ln, lp, an, ap, idx] {
-            self.touch_walk(n);
-        }
+        // The ring neighbours in both views were spliced.
+        self.rebuild_walks([ln, lp, an, ap, idx]);
         Ok(())
     }
 
@@ -807,26 +778,21 @@ impl Network {
         self.prev_live[ln.as_usize()] = lp;
         // Outgoing links vanish with the peer.
         for t in self.take_long_out(idx) {
-            let tp = &mut self.peers[t.as_usize()];
-            if let Some(pos) = tp.long_in.iter().position(|&s| s == idx) {
-                tp.long_in.swap_remove(pos);
-            }
-            self.touch_walk(t);
+            self.drop_long_in(t, idx);
         }
         // Incoming bookkeeping is cleared; the sources keep dangling
         // `long_out` entries pointing here until they rewire — their
-        // live-filtered walk adjacency just lost this peer, so touch them.
-        let sources = std::mem::take(&mut self.peers[i].long_in);
-        for s in sources {
-            self.touch_walk(s);
+        // live-filtered walk adjacency just lost this peer, one copy per
+        // link, taken out in place.
+        for s in std::mem::take(&mut self.peers[i].long_in) {
+            self.edit_walk(s, idx, false);
         }
         // Ring neighbours in *both* views see the corpse disappear from
         // their filtered adjacency (the "all" pointers still aim at it,
-        // but the liveness filter now drops it).
+        // but the liveness filter now drops it), and the live splice
+        // gives two of them a new neighbour.
         let (an, ap) = (self.next_all[i], self.prev_all[i]);
-        for n in [ln, lp, an, ap, idx] {
-            self.touch_walk(n);
-        }
+        self.rebuild_walks([ln, lp, an, ap, idx]);
         Ok(())
     }
 
@@ -924,29 +890,17 @@ impl Network {
         })
     }
 
-    /// `idx`'s entry in the borrowed walk cache, lazily (re)built in its
-    /// slab first if a mutation marked it stale or the view epoch moved on.
-    fn current_entry<'c>(&self, cache: &'c mut WalkCache, idx: PeerIdx) -> WalkCacheEntry<'c> {
-        if cache.epochs[idx.as_usize()] != self.walk_epoch {
-            cache.slabs.clear(idx);
-            for (id, c) in self.live_walk_adjacency(idx) {
-                cache.slabs.insert_sorted(idx, id, c);
-            }
-            cache.epochs[idx.as_usize()] = self.walk_epoch;
-        }
-        cache.entry(idx)
-    }
-
-    /// Runs `f` on `idx`'s current walk-cache entry.
-    fn with_walk_entry<R>(&self, idx: PeerIdx, f: impl FnOnce(WalkCacheEntry<'_>) -> R) -> R {
-        f(self.current_entry(&mut self.walk_cache.borrow_mut(), idx))
+    /// `idx`'s walk-cache entry.
+    fn walk_entry(&self, idx: PeerIdx) -> WalkCacheEntry<'_> {
+        let (ids, idxs) = self.walk.run(idx);
+        WalkCacheEntry { ids, idxs }
     }
 
     /// The number of walk neighbours of `idx` that are alive and (when
     /// `arc` is given) inside the arc — two block counts over the sorted
     /// cached keys, no list materialised.
     pub fn walk_degree(&self, idx: PeerIdx, arc: Option<&Arc>) -> usize {
-        self.with_walk_entry(idx, |e| e.arc_runs(arc).count)
+        self.walk_entry(idx).arc_runs(arc).count
     }
 
     /// Advances one Metropolis–Hastings walk per lane by `steps` steps
@@ -955,17 +909,16 @@ impl Network {
     /// `rngs[j]` alone, and ends at `at[j]`. A lane's draws and moves are
     /// those of the same walk run alone, so one lane is one walk.
     ///
-    /// The lanes step together so that their cache misses overlap. The
-    /// walk cache is borrowed once per call, and each step is three passes
-    /// over the lanes, each issuing every lane's loads before any lane
-    /// consumes them:
-    /// 1. *propose*: draw `k`, read the pick from the current entry's
-    ///    `idxs`, and load the candidate entry's `epoch`;
-    /// 2. *load* (only with an arc): count the block heads of each current
+    /// The lanes step together so that their cache misses overlap. Each
+    /// step is three passes over the lanes, each issuing every lane's
+    /// loads before any lane consumes them:
+    /// 1. *propose*: draw `k` and read the pick from the current entry's
+    ///    `idxs`;
+    /// 2. *load* (only with an arc): count the block heads of each
     ///    candidate's sorted `ids` below the arc's two ends, the keys
     ///    [`count_below`] compares first;
-    /// 3. *decide*: rebuild a stale entry, finish the candidate's arc runs,
-    ///    and run [`logic::mh_accept`] on the lane's stream.
+    /// 3. *decide*: finish the candidate's arc runs and run
+    ///    [`logic::mh_accept`] on the lane's stream.
     ///
     /// A lane isolated within the restriction (a single-member arc) stays
     /// put, and a rejected move or an isolated candidate consumes its step
@@ -983,40 +936,29 @@ impl Network {
         rngs: &mut [SmallRng],
     ) {
         assert_eq!(at.len(), rngs.len(), "one stream per lane");
-        let mut cache = self.walk_cache.borrow_mut();
         for (at, rngs) in at.chunks_mut(LANES).zip(rngs.chunks_mut(LANES)) {
             let mut lanes = [Lane::default(); LANES];
             let lanes = &mut lanes[..at.len()];
             for (lane, &p) in lanes.iter_mut().zip(at.iter()) {
-                lane.runs = self.current_entry(&mut cache, p).arc_runs(arc);
+                lane.runs = self.walk_entry(p).arc_runs(arc);
             }
             for _ in 0..steps {
                 for ((lane, &p), rng) in lanes.iter_mut().zip(at.iter()).zip(rngs.iter_mut()) {
                     lane.cand = (lane.runs.count > 0).then(|| {
                         let k = logic::uniform_index(lane.runs.count, rng);
-                        cache.entry(p).pick(lane.runs, k)
+                        self.walk_entry(p).pick(lane.runs, k)
                     });
-                    if let Some(c) = lane.cand {
-                        lane.fresh = cache.epochs[c.as_usize()] == self.walk_epoch;
-                    }
                 }
                 if let Some(a) = arc {
-                    for lane in lanes.iter_mut().filter(|l| l.fresh) {
+                    for lane in lanes.iter_mut() {
                         if let Some(c) = lane.cand {
-                            lane.heads = cache.entry(c).arc_heads(a);
+                            lane.heads = self.walk_entry(c).arc_heads(a);
                         }
                     }
                 }
                 for ((lane, p), rng) in lanes.iter_mut().zip(at.iter_mut()).zip(rngs.iter_mut()) {
                     let Some(c) = lane.cand else { continue };
-                    // A stale candidate is rebuilt here, unless an earlier
-                    // lane proposed it too and has rebuilt it already.
-                    let entry = self.current_entry(&mut cache, c);
-                    let cand_runs = if lane.fresh {
-                        entry.runs(arc, lane.heads)
-                    } else {
-                        entry.arc_runs(arc)
-                    };
+                    let cand_runs = self.walk_entry(c).runs(arc, lane.heads);
                     // min(1, deg(u)/deg(v)) — uniform stationary
                     // distribution. Shared kernel: the protocol crate's
                     // PeerMachine applies the same rule to its token walks.
@@ -1038,7 +980,8 @@ impl Network {
     /// If `k >= walk_degree(idx, arc)`.
     #[cfg(test)]
     pub(crate) fn walk_pick(&self, idx: PeerIdx, arc: Option<&Arc>, k: usize) -> PeerIdx {
-        self.with_walk_entry(idx, |e| e.pick(e.arc_runs(arc), k))
+        let e = self.walk_entry(idx);
+        e.pick(e.arc_runs(arc), k)
     }
 
     /// The walk neighbours of `idx` that are alive and (when `arc` is
@@ -1054,13 +997,12 @@ impl Network {
         arc: Option<&Arc>,
         buf: &mut Vec<PeerIdx>,
     ) -> usize {
-        self.with_walk_entry(idx, |e| {
-            let WalkRuns { lo, first, count } = e.arc_runs(arc);
-            buf.clear();
-            buf.extend_from_slice(&e.idxs[lo..lo + first]);
-            buf.extend_from_slice(&e.idxs[..count - first]);
-            buf.len()
-        })
+        let e = self.walk_entry(idx);
+        let WalkRuns { lo, first, count } = e.arc_runs(arc);
+        buf.clear();
+        buf.extend_from_slice(&e.idxs[lo..lo + first]);
+        buf.extend_from_slice(&e.idxs[..count - first]);
+        buf.len()
     }
 
     /// Figure 1(b)'s curve: every **live** peer's relative degree load
@@ -1105,8 +1047,7 @@ impl Network {
     /// wasted-traffic source) and each in-link its forward one, the
     /// long-out mirror the hop reads is `long_out` with each target's
     /// identifier, the live ring holds exactly the peers flagged alive,
-    /// and every live peer's walk-cache entry that claims validity is
-    /// what a rebuild gives. `Err` names the first violation. The one
+    /// and every live peer's walk-cache entry is what a rebuild gives. `Err` names the first violation. The one
     /// oracle the snapshot-world tests share.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for p in self.all_peers() {
@@ -1150,14 +1091,17 @@ impl Network {
                 return Err(format!("{p:?} is alive but not on the live ring"));
             }
         }
-        // The walk cache is edited in place by link changes: an entry that
-        // claims to be current must be what a rebuild would produce.
-        let cache = self.walk_cache.borrow();
+        // Every live peer is on the ring; equal counts make it exactly them.
+        let flagged = self.live_peers().count();
+        if flagged != self.ring_live.len() {
+            return Err(format!(
+                "{flagged} peers flagged alive, {} on the live ring",
+                self.ring_live.len()
+            ));
+        }
+        // Every mutation keeps every live peer's walk run current.
         for p in self.live_peers() {
-            if cache.epochs[p.as_usize()] != self.walk_epoch {
-                continue;
-            }
-            let entry = cache.entry(p);
+            let entry = self.walk_entry(p);
             if !entry.ids.is_sorted() {
                 return Err(format!("{p:?}'s cached walk keys are not sorted"));
             }
@@ -1171,14 +1115,6 @@ impl Network {
             {
                 return Err(format!("{p:?}'s cached walk adjacency is out of date"));
             }
-        }
-        // Every live peer is on the ring; equal counts make it exactly them.
-        let flagged = self.live_peers().count();
-        if flagged != self.ring_live.len() {
-            return Err(format!(
-                "{flagged} peers flagged alive, {} on the live ring",
-                self.ring_live.len()
-            ));
         }
         Ok(())
     }
@@ -1562,11 +1498,7 @@ mod tests {
         net.kill(idxs[2]).unwrap(); // 10 and 20 keep dangling links to it
         net.depart(idxs[4]).unwrap();
         net.add_peer(Id::new(50), caps(4)).unwrap();
-        // Warm the walk cache, then change links under it: in-place edits.
-        let live: Vec<PeerIdx> = net.live_peers().collect();
-        for &p in &live {
-            net.walk_degree(p, None);
-        }
+        // Link changes edit the walk cache in place.
         net.try_link(idxs[3], idxs[0]).unwrap();
         net.try_link(idxs[1], idxs[0]).unwrap();
         assert!(net.unlink(idxs[1], idxs[0]));
@@ -1595,20 +1527,17 @@ mod tests {
             "mirror",
         );
         broken(|n| n.out_links.swap_remove(PeerIdx(0), 0), "mirror");
-        // Peer 3's entry is valid: keys [10, 10, 20, 50] (peer 0 by its
-        // in- and out-link, the ring neighbours 20 and the new 50).
+        // Peer 3's entry: keys [10, 10, 20, 50] (peer 0 by its in- and
+        // out-link, the ring neighbours 20 and the new 50).
         broken(
-            |n| run_mut(&mut n.walk_cache.get_mut().slabs, 3).0.reverse(),
+            |n| run_mut(&mut n.walk, 3).0.reverse(),
             "keys are not sorted",
         );
         broken(
-            |n| run_mut(&mut n.walk_cache.get_mut().slabs, 3).1[0] = PeerIdx(1),
+            |n| run_mut(&mut n.walk, 3).1[0] = PeerIdx(1),
             "adjacency is out of date",
         );
-        broken(
-            |n| n.walk_cache.get_mut().slabs.clear(PeerIdx(3)),
-            "adjacency is out of date",
-        );
+        broken(|n| n.walk.clear(PeerIdx(3)), "adjacency is out of date");
     }
 
     #[test]
@@ -1621,7 +1550,6 @@ mod tests {
             .map(|i| net.add_peer(Id::new(i << 50), caps(200)).unwrap())
             .collect();
         let hub = peers[0];
-        net.walk_degree(hub, None); // warm: the links edit it in place
         for &p in &peers[1..] {
             let _ = net.try_link(p, hub);
             let _ = net.try_link(hub, p);
@@ -1631,7 +1559,7 @@ mod tests {
             (200, 200)
         );
         assert!(net.out_links.per_peer[0].cap >= 200);
-        assert!(net.walk_cache.get_mut().slabs.per_peer[0].cap >= 402);
+        assert!(net.walk.per_peer[0].cap >= 402);
         assert_eq!(net.walk_degree(hub, None), 402);
         assert_eq!(net.check_invariants(), Ok(()));
         // A debug build holds every hop, the hub's relocated mirror
@@ -1653,15 +1581,9 @@ mod tests {
         assert_eq!(net.check_invariants(), Ok(()));
 
         // Unbounded caps reserve the clamped slabs, not gigabytes.
-        let before = (
-            net.walk_cache.get_mut().slabs.ids.len(),
-            net.out_links.ids.len(),
-        );
+        let before = (net.walk.ids.len(), net.out_links.ids.len());
         net.add_peer(Id::new(7), caps(u32::MAX)).unwrap();
-        let after = (
-            net.walk_cache.get_mut().slabs.ids.len(),
-            net.out_links.ids.len(),
-        );
+        let after = (net.walk.ids.len(), net.out_links.ids.len());
         assert_eq!((after.0 - before.0, after.1 - before.1), (130, 64));
     }
 
@@ -1669,6 +1591,14 @@ mod tests {
     fn run_mut(slabs: &mut Slabs, p: u32) -> (&mut [Id], &mut [PeerIdx]) {
         let r = slabs.per_peer[p as usize].range();
         (&mut slabs.ids[r.clone()], &mut slabs.idxs[r])
+    }
+
+    #[test]
+    fn network_is_send_and_sync() {
+        // Parallel experiment tasks clone one shared network; interior
+        // mutability would take that away, and this stops compiling.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Network>();
     }
 
     #[test]
@@ -1725,7 +1655,7 @@ mod tests {
         let (a, b) = (idxs[0], idxs[1]);
         net.try_link(a, b).unwrap();
         let mut buf = Vec::new();
-        net.walk_neighbors_restricted(a, None, &mut buf); // warm: [20, 20, 40]
+        net.walk_neighbors_restricted(a, None, &mut buf);
         assert_eq!(buf, vec![b, b, idxs[3]]);
         assert!(net.unlink(a, b));
         net.walk_neighbors_restricted(a, None, &mut buf);
@@ -1772,12 +1702,12 @@ mod tests {
         }
 
         proptest! {
-            /// The stale-marking invalidation and the in-place link edits
-            /// must keep every cached entry coherent through arbitrary
-            /// interleavings of joins, crashes, departures, links,
-            /// unlinks and view flips. Queries after every op warm the
-            /// cache, so a missed `touch_walk` or a wrong edit on a later
-            /// op would serve a stale entry and fail the comparison.
+            /// The membership rebuilds and the in-place link edits must
+            /// keep every live peer's cached entry current through
+            /// arbitrary interleavings of joins, crashes, departures,
+            /// links, unlinks and view flips: a run a mutation should have
+            /// rebuilt, or a wrong edit, fails the comparison after that
+            /// op.
             #[test]
             fn cache_matches_uncached_under_random_ops(
                 ops in prop::collection::vec((any::<u64>(), 0u8..10), 1..80),

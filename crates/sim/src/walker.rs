@@ -358,10 +358,9 @@ mod tests {
 
     #[test]
     fn cache_sees_membership_and_link_changes() {
-        // Mutations between walks must invalidate the cache: after each
-        // mutation kind, the cached degree/pick view must agree with a
-        // fresh `walk_neighbors_into` collection for every live peer (walks
-        // in between warm the cache so staleness would be visible).
+        // After each mutation kind, and walks in between, the cached
+        // degree/pick view must agree with a fresh `walk_neighbors_into`
+        // collection for every live peer.
         let mut net = test_net(32, 3, 23);
         let check = |net: &Network, seed: u64| {
             let mut walker = Walker::new(net, WalkConfig::default());
@@ -382,7 +381,7 @@ mod tests {
                 assert_eq!(picks, plain, "peer {p:?}");
             }
         };
-        check(&net, 31); // populate the cache
+        check(&net, 31);
         net.kill(PeerIdx(5)).unwrap();
         check(&net, 32);
         net.try_link(PeerIdx(1), PeerIdx(9)).unwrap();
@@ -504,11 +503,10 @@ mod tests {
         // Lock-step changes when a lane's loads are issued, never what it
         // draws or where it moves: 40 lanes stepped together (two chunks)
         // end where each ends walked alone on a copy of its stream, with
-        // their streams left alike. Every entry is stale when the lanes
-        // set out, so they meet stale candidates, some of them proposed
-        // by two lanes in one step, some of them neighbours of a peer
-        // killed since they were cached. About 26 neighbours a peer, so
-        // the arc counts cross block edges; the second arc wraps.
+        // their streams left alike. Some candidates are proposed by two
+        // lanes in one step, some are neighbours of a peer killed just
+        // before. About 26 neighbours a peer, so the arc counts cross
+        // block edges; the second arc wraps.
         let mut net = test_net(96, 12, 45);
         let mut rng = SeedTree::new(46).rng();
         let (q1, q3) = (Id::new(u64::MAX / 4), Id::new(u64::MAX / 4 * 3));
@@ -517,7 +515,6 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            // A stale entry's old contents name a corpse until rebuilt.
             net.kill(PeerIdx(10 * round as u32 + 5)).unwrap();
             let members: Vec<PeerIdx> = net
                 .live_peers()
@@ -529,7 +526,6 @@ mod tests {
             let rngs: Vec<SmallRng> = (0..40)
                 .map(|_| SmallRng::seed_from_u64(rng.gen()))
                 .collect();
-            net.set_fault_model(net.fault_model()); // every entry stale
             let (mut together, mut streams) = (starts.clone(), rngs.clone());
             net.walk_lanes(arc, 24, &mut together, &mut streams);
             let mut walker = Walker::new(&net, WalkConfig { burn_in: 24 });
