@@ -209,6 +209,16 @@ impl PeerMachine {
         self.ops.next_deadline()
     }
 
+    /// Hands the machine an empty buffer for its sends: the next
+    /// [`Self::on_command`], [`Self::on_message`] or
+    /// [`Self::on_delivery_failure`] returns it, so a driver that lends
+    /// the buffer it got back sends without allocating.
+    pub fn lend_outbox(&mut self, buf: Vec<Outbound>) {
+        debug_assert!(buf.is_empty(), "a lent outbox must be empty");
+        debug_assert!(self.outbox.is_empty(), "no call is running");
+        self.outbox = buf;
+    }
+
     /// Handles a local driver command.
     pub fn on_command(&mut self, cmd: Command, rng: &mut dyn RngCore) -> Vec<Outbound> {
         match cmd {
@@ -236,7 +246,7 @@ impl PeerMachine {
         // *legitimate* steps of the same token never collide.
         if let Some(key) = msg.dedup_key() {
             if self.seen.contains(&key) {
-                return Vec::new();
+                return std::mem::take(&mut self.outbox);
             }
             self.seen.push(key);
         }

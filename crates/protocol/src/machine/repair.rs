@@ -2,7 +2,8 @@
 //! verdict and what it triggers, stabilisation ride-alongs on pings and
 //! pongs, and graceful departure.
 
-use super::tables::Op;
+use super::join::SUCC_LEN;
+use super::tables::{Bounded, Op};
 use super::{PeerMachine, RepairPolicy};
 use crate::logic;
 use crate::message::{Message, OpKind, ProtocolEvent, RepairTrigger};
@@ -17,8 +18,9 @@ pub(super) const SUSPECT_CAP: usize = 32;
 impl PeerMachine {
     /// The ring neighbours maintenance talks to: the predecessor, then
     /// the leading `depth` successors, distinct.
-    fn ring_targets(&self, depth: usize) -> Vec<Id> {
-        let mut targets: Vec<Id> = Vec::new();
+    fn ring_targets(&self, depth: usize) -> Bounded<{ 1 + SUCC_LEN }> {
+        // Never full: one predecessor and at most `SUCC_LEN` successors.
+        let mut targets = Bounded::new();
         if self.pred != self.id {
             targets.push(self.pred);
         }
@@ -41,7 +43,7 @@ impl PeerMachine {
             RepairPolicy::ReactiveK { k } => k.max(1),
             _ => 1,
         };
-        for target in self.ring_targets(depth) {
+        for &target in self.ring_targets(depth).iter() {
             if self.ops.has(OpKind::Probe, target.raw()) {
                 continue;
             }
@@ -80,7 +82,7 @@ impl PeerMachine {
             pred: self.pred,
             succs: self.succs.to_vec(),
         };
-        for t in self.ring_targets(usize::MAX) {
+        for &t in self.ring_targets(usize::MAX).iter() {
             self.send(t, farewell.clone());
         }
         let (long_out, long_in) = (

@@ -119,11 +119,11 @@ use oscar_protocol::{
     ProtocolDriver, ProtocolEvent, Rounds, TimerIndex,
 };
 use oscar_types::labels::runtime::LBL_WORKER;
-use oscar_types::{mix64, Id, SeedTree};
+use oscar_types::{Id, IdHasher, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, RwLock};
@@ -231,26 +231,6 @@ struct Executor {
 struct ActorView {
     epoch: u64,
     actors: HashMap<Id, Arc<Actor>, BuildHasherDefault<IdHasher>>,
-}
-
-/// Hashes an [`Id`] as one [`mix64`] of its raw value.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = mix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, raw: u64) {
-        self.0 = mix64(self.0 ^ raw);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// One executor slot's books, written once a message. Aligned to 128

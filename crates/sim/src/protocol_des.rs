@@ -1,27 +1,33 @@
 //! Discrete-event driver for the `oscar-protocol` peer machines.
 //!
 //! The thin adapter that runs [`PeerMachine`]s in virtual time: every
-//! [`Outbound`] becomes an envelope on the simulator's [`EventQueue`]
-//! with one tick of delivery latency, and a delivery to a missing peer
-//! bounces back to the sender as `on_delivery_failure` — the identical
-//! failure surface the threaded actor runtime (`oscar-runtime`)
-//! presents, which is what makes the two drivers interchangeable.
+//! [`Outbound`] becomes an envelope in the driver's tick mail with one
+//! tick of delivery latency, and a delivery to a missing peer bounces
+//! back to the sender as `on_delivery_failure` — the identical failure
+//! surface the threaded actor runtime (`oscar-runtime`) presents, which
+//! is what makes the two drivers interchangeable.
 //!
 //! This driver is intentionally sequential and deterministic: it is the
 //! reference world for the cross-driver equivalence test, and doubles
 //! as a protocol debugging harness (single-stepped, inspectable,
 //! reproducible).
+//!
+//! An envelope costs O(1) and, once the buffers have grown, no
+//! allocation: machines sit in a slab found through an `Id` hash index,
+//! mail waits in one FIFO per pending tick, and every call into a
+//! machine is lent the driver's one outbound buffer.
 
-use crate::events::EventQueue;
 use oscar_protocol::machine::peer_seed;
 use oscar_protocol::{
     Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
     Rounds, TimerIndex,
 };
 use oscar_types::labels::sim_protocol_des::LBL_CMD;
-use oscar_types::{Id, SeedTree};
+use oscar_types::{Id, IdHasher, SeedTree};
 use rand::rngs::SmallRng;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::ops::DerefMut;
 
 /// A protocol message in flight through virtual time.
@@ -33,6 +39,56 @@ pub struct Envelope {
     pub to: Id,
     /// Payload.
     pub msg: Message,
+}
+
+/// Mail in flight: one FIFO per pending tick, ticks ascending. A pop takes
+/// the head of the earliest tick, so envelopes leave in (tick, send order)
+/// — the `(time, FIFO)` order an [`crate::EventQueue`] gives the same
+/// sends, with no heap and no sequence number. An emptied FIFO is kept for
+/// the next new tick, so memory follows the envelopes in flight, never the
+/// longest delay.
+struct Mail<T = Envelope> {
+    /// The tick of the last pop; every push lands at least one past it.
+    now: u64,
+    ticks: VecDeque<(u64, VecDeque<T>)>,
+    spare: Option<VecDeque<T>>,
+}
+
+impl<T> Mail<T> {
+    fn new() -> Self {
+        Mail {
+            now: 0,
+            ticks: VecDeque::new(),
+            spare: None,
+        }
+    }
+
+    /// Queues `item` `delay` ticks from now; `delay` is at least 1, so the
+    /// tick being drained never grows.
+    fn push(&mut self, delay: u64, item: T) {
+        debug_assert!(delay >= 1, "mail is delivered in a later tick");
+        let at = self.now + delay;
+        let k = self.ticks.partition_point(|&(t, _)| t < at);
+        match self.ticks.get_mut(k) {
+            Some((t, fifo)) if *t == at => fifo.push_back(item),
+            _ => {
+                let mut fifo = self.spare.take().unwrap_or_default();
+                fifo.push_back(item);
+                self.ticks.insert(k, (at, fifo));
+            }
+        }
+    }
+
+    /// Takes the earliest envelope and moves the clock to its tick.
+    fn pop(&mut self) -> Option<T> {
+        let (at, fifo) = self.ticks.front_mut()?;
+        self.now = *at;
+        let item = fifo.pop_front();
+        if fifo.is_empty() {
+            self.spare = self.ticks.pop_front().map(|(_, fifo)| fifo);
+        }
+        item
+    }
 }
 
 /// One hosted machine and the deadline `DesDriver::timers` holds for it:
@@ -53,14 +109,21 @@ impl Slot {
     }
 }
 
-/// The DES world: peer machines plus one event queue of envelopes.
+/// The DES world: peer machines plus the mail in flight between them.
 pub struct DesDriver {
-    peers: BTreeMap<Id, Slot>,
+    /// The hosted machines, in no order: `index` finds a peer's slot.
+    slots: Vec<Slot>,
+    /// Peer id → its position in `slots`. Looked up, never iterated.
+    index: HashMap<Id, u32, BuildHasherDefault<IdHasher>>,
+    /// The live ids, sorted: what `peer_ids` copies.
+    ids: Vec<Id>,
     /// The clock: the timer round, and every machine's earliest deadline,
     /// re-indexed after each call into a machine and on spawn/remove.
     /// Timer rounds read this, never the fleet.
     timers: TimerIndex,
-    queue: EventQueue<Envelope>,
+    mail: Mail,
+    /// The buffer lent to every call into a machine, empty between calls.
+    outbox: Vec<Outbound>,
     seed: u64,
     peer_cfg: PeerConfig,
     plan: FaultPlan,
@@ -91,9 +154,12 @@ impl DesDriver {
     /// driver's single routing point (`DesDriver::enqueue_all`).
     pub fn new_with_faults(seed: u64, peer_cfg: PeerConfig, plan: FaultPlan) -> Self {
         DesDriver {
-            peers: BTreeMap::new(),
+            slots: Vec::new(),
+            index: HashMap::default(),
+            ids: Vec::new(),
             timers: TimerIndex::new(),
-            queue: EventQueue::new(),
+            mail: Mail::new(),
+            outbox: Vec::new(),
             seed,
             peer_cfg,
             plan,
@@ -121,21 +187,34 @@ impl DesDriver {
     /// Removes a peer outright (a crash). Mail already queued to it will
     /// bounce at delivery time, and its armed timers die with it.
     pub fn remove_peer(&mut self, id: Id) -> bool {
-        let Some(slot) = self.peers.remove(&id) else {
+        let Some(k) = self.index.remove(&id) else {
             return false;
         };
+        let slot = self.slots.swap_remove(k as usize);
+        if let Some(moved) = self.slots.get(k as usize) {
+            self.index.insert(moved.machine.id(), k);
+        }
+        if let Ok(pos) = self.ids.binary_search(&id) {
+            self.ids.remove(pos);
+        }
         self.timers.set(id, slot.indexed, None);
         true
     }
 
     /// Live peer ids, sorted.
     pub fn peer_ids(&self) -> Vec<Id> {
-        self.peers.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Read access to one peer's machine.
     pub fn peer(&self, id: Id) -> Option<&PeerMachine> {
-        self.peers.get(&id).map(|slot| &slot.machine)
+        let k = self.slot_of(id)?;
+        self.slots.get(k).map(|slot| &slot.machine)
+    }
+
+    /// `id`'s position in `slots`.
+    fn slot_of(&self, id: Id) -> Option<usize> {
+        self.index.get(&id).map(|&k| k as usize)
     }
 
     /// Envelopes handed to the transport so far (fault copies included).
@@ -190,14 +269,29 @@ impl DesDriver {
         self.enqueue_all(id, outs);
     }
 
+    /// Runs one call into the machine in slot `k`, lent the driver's
+    /// outbound buffer, then re-indexes it and books what it left.
+    fn step(
+        &mut self,
+        k: usize,
+        call: impl FnOnce(&mut PeerMachine, &mut SmallRng) -> Vec<Outbound>,
+    ) {
+        let Some(slot) = self.slots.get_mut(k) else {
+            return;
+        };
+        let id = slot.machine.id();
+        slot.machine.lend_outbox(std::mem::take(&mut self.outbox));
+        let outs = call(&mut slot.machine, &mut self.gossip_rng);
+        let evs = slot.after_step(id, &mut self.timers);
+        self.book(id, evs, outs);
+    }
+
     /// Hands a command to one peer and queues its replies.
     pub fn inject(&mut self, id: Id, cmd: Command) -> bool {
-        let Some(peer) = self.peers.get_mut(&id) else {
+        let Some(k) = self.slot_of(id) else {
             return false;
         };
-        let outs = peer.machine.on_command(cmd, &mut self.gossip_rng);
-        let evs = peer.after_step(id, &mut self.timers);
-        self.book(id, evs, outs);
+        self.step(k, |machine, rng| machine.on_command(cmd, rng));
         true
     }
 
@@ -213,8 +307,9 @@ impl DesDriver {
 
     /// The driver's single routing point: every outbound passes through
     /// the fault plan here (the runtime's analogue is `Shared::send`).
-    fn enqueue_all(&mut self, from: Id, outs: Vec<Outbound>) {
-        for o in outs {
+    /// `outs` is emptied and kept as the buffer the next call is lent.
+    fn enqueue_all(&mut self, from: Id, mut outs: Vec<Outbound>) {
+        for o in outs.drain(..) {
             self.sent += 1;
             let fate = self.plan.decide(from, o.to, &o.msg);
             if fate.drop {
@@ -225,7 +320,7 @@ impl DesDriver {
                 self.sent += 1;
                 self.duplicated += 1;
                 // The copy trails the original by one extra tick.
-                self.queue.schedule_in(
+                self.mail.push(
                     2 + fate.extra_delay,
                     Envelope {
                         from,
@@ -235,7 +330,7 @@ impl DesDriver {
                 );
             }
             // One tick of delivery latency per message, plus jitter.
-            self.queue.schedule_in(
+            self.mail.push(
                 1 + fate.extra_delay,
                 Envelope {
                     from,
@@ -244,30 +339,26 @@ impl DesDriver {
                 },
             );
         }
+        self.outbox = outs;
     }
 
     fn deliver(&mut self, env: Envelope) {
-        if let Some(peer) = self.peers.get_mut(&env.to) {
+        let Envelope { from, to, msg } = env;
+        if let Some(k) = self.slot_of(to) {
             self.delivered += 1;
-            let outs = peer
-                .machine
-                .on_message(env.from, env.msg, &mut self.gossip_rng);
-            let evs = peer.after_step(env.to, &mut self.timers);
-            self.book(env.to, evs, outs);
+            self.step(k, |machine, rng| machine.on_message(from, msg, rng));
         } else if self.plan.blackhole_on_crash() {
             // The realistic crash model: the send vanishes; only the
             // sender's timers can notice.
             self.dropped += 1;
         } else {
             // Bounce: the sender learns about the corpse, exactly like the
-            // actor runtime's failed send.
+            // actor runtime's failed send. With both ends gone the message
+            // evaporates.
             self.bounced += 1;
-            let Some(sender) = self.peers.get_mut(&env.from) else {
-                return; // both ends gone; the message evaporates
-            };
-            let outs = sender.machine.on_delivery_failure(env.to, env.msg);
-            let evs = sender.after_step(env.from, &mut self.timers);
-            self.book(env.from, evs, outs);
+            if let Some(k) = self.slot_of(from) {
+                self.step(k, |machine, _| machine.on_delivery_failure(to, msg));
+            }
         }
     }
 }
@@ -329,7 +420,7 @@ impl Rounds for &mut DesDriver {
 
     /// Delivers queued envelopes until the world goes silent.
     fn quiesce(&mut self) {
-        while let Some((_, env)) = self.queue.pop() {
+        while let Some(env) = self.mail.pop() {
             self.deliver(env);
         }
     }
@@ -338,11 +429,24 @@ impl Rounds for &mut DesDriver {
         &mut self.timers
     }
 
+    /// A machine whose id is live replaces the hosted one in its slot.
     fn spawn_machine(&mut self, machine: PeerMachine) {
         let (id, indexed) = (machine.id(), machine.next_deadline());
-        let replaced = self.peers.insert(id, Slot { machine, indexed });
-        self.timers
-            .set(id, replaced.and_then(|slot| slot.indexed), indexed);
+        let slot = Slot { machine, indexed };
+        let replaced = match self.index.entry(id) {
+            Entry::Occupied(k) => self
+                .slots
+                .get_mut(*k.get() as usize)
+                .and_then(|old| std::mem::replace(old, slot).indexed),
+            Entry::Vacant(k) => {
+                k.insert(self.slots.len() as u32);
+                self.slots.push(slot);
+                let pos = self.ids.partition_point(|&x| x < id);
+                self.ids.insert(pos, id);
+                None
+            }
+        };
+        self.timers.set(id, replaced, indexed);
     }
 
     fn tick(&mut self, due: Vec<Id>, now: u64) {
@@ -501,5 +605,127 @@ mod tests {
         assert!(dup_dup > 0, "the faulty run must actually duplicate");
         assert_eq!(p_rel, p_dup, "fingerprints diverged under duplication");
         assert_eq!(r_rel, r_dup, "reports diverged under duplication");
+    }
+
+    mod mail_props {
+        use super::*;
+        use crate::events::EventQueue;
+        use proptest::prelude::*;
+
+        /// Queues `tag` on both sides `delay` ticks out.
+        fn push_both(
+            mail: &mut Mail<usize>,
+            model: &mut EventQueue<usize>,
+            delay: u64,
+            tag: usize,
+        ) {
+            mail.push(delay, tag);
+            model.schedule_in(delay, tag);
+        }
+
+        proptest! {
+            /// The mail is the event queue with one FIFO per tick: under
+            /// any interleaving of sends (each maybe trailed by a
+            /// duplicate-style copy one tick later, queued first as
+            /// `enqueue_all` queues it) and pops, every pop is the model's.
+            #[test]
+            fn pops_follow_the_event_queue(
+                ops in prop::collection::vec((0u8..4, 1u64..=6), 1..300),
+            ) {
+                let mut mail = Mail::new();
+                let mut model = EventQueue::new();
+                let mut tag = 0;
+                for (op, delay) in ops {
+                    match op {
+                        0 | 1 => {
+                            if op == 1 {
+                                push_both(&mut mail, &mut model, delay + 1, tag);
+                                tag += 1;
+                            }
+                            push_both(&mut mail, &mut model, delay, tag);
+                            tag += 1;
+                        }
+                        _ => {
+                            prop_assert_eq!(mail.pop(), model.pop().map(|(_, t)| t));
+                            prop_assert_eq!(mail.now, model.now().0);
+                        }
+                    }
+                }
+                let drained: Vec<usize> = std::iter::from_fn(|| mail.pop()).collect();
+                let expected: Vec<usize> =
+                    std::iter::from_fn(|| model.pop().map(|(_, t)| t)).collect();
+                prop_assert_eq!(drained, expected);
+            }
+
+            /// Under a jitter of 10^4 ticks the mail holds at most one FIFO
+            /// per envelope in flight, plus the one spare: memory follows
+            /// the mail, not the delay.
+            #[test]
+            fn buckets_follow_the_mail_not_the_delay(
+                ops in prop::collection::vec((any::<bool>(), 0u64..=10_000), 1..300),
+            ) {
+                let mut mail = Mail::new();
+                let mut in_flight = 0usize;
+                for (push, jitter) in ops {
+                    if push {
+                        mail.push(1 + jitter, ());
+                        in_flight += 1;
+                    } else if mail.pop().is_some() {
+                        in_flight -= 1;
+                    }
+                    let buckets = mail.ticks.len() + usize::from(mail.spare.is_some());
+                    prop_assert!(buckets <= in_flight + 1, "{} buckets for {} envelopes", buckets, in_flight);
+                }
+            }
+        }
+    }
+
+    mod slab_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// The slab and its index against a `BTreeMap` of live ids
+            /// (true where the hosted machine is a pre-built one waiting
+            /// on a join): spawns, in-place replacements and removes,
+            /// absent ids included, leave the same fleet, and a settle
+            /// afterwards finds the clock in step with the machines.
+            #[test]
+            fn the_slab_is_a_sorted_map(
+                ops in prop::collection::vec((0u8..3, 0u64..12, 0u64..12), 1..80),
+            ) {
+                let mut des = driver(5);
+                let mut model: BTreeMap<Id, bool> = BTreeMap::new();
+                let mut rng = SeedTree::new(5).rng();
+                let id = |k: u64| Id::new((k + 1) * 0x1000_0000_0000);
+                for (op, k, contact) in ops {
+                    match op {
+                        0 => {
+                            des.spawn_peer(id(k));
+                            model.insert(id(k), false);
+                        }
+                        1 => {
+                            let mut machine =
+                                PeerMachine::new(id(k), peer_seed(5, id(k)), PeerConfig::default());
+                            machine.on_command(Command::Join { contact: id(contact) }, &mut rng);
+                            Rounds::spawn_machine(&mut &mut des, machine);
+                            model.insert(id(k), true);
+                        }
+                        _ => prop_assert_eq!(des.remove_peer(id(k)), model.remove(&id(k)).is_some()),
+                    }
+                }
+                let ids: Vec<Id> = model.keys().copied().collect();
+                prop_assert_eq!(des.peer_ids(), ids);
+                for (&id, &waiting) in &model {
+                    let machine = des.peer(id).expect("a live id has a machine");
+                    prop_assert_eq!(machine.id(), id);
+                    prop_assert_eq!(machine.next_deadline().is_some(), waiting);
+                }
+                // Both read the clock against a scan of the machines.
+                Rounds::next_timer_round(&mut &mut des);
+                des.run_until_settled(256);
+            }
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! (wrapping) until `b` is reached. Oscar's partitions and greedy routing
 //! are defined clockwise, exactly like Chord's finger geometry.
 
+use crate::seed::mix64;
 use std::fmt;
+use std::hash::Hasher;
 
 /// A position on the identifier ring `[0, 2^64)`.
 ///
@@ -139,6 +141,28 @@ impl From<u64> for Id {
 impl From<Id> for u64 {
     fn from(id: Id) -> Self {
         id.0
+    }
+}
+
+/// Hashes an [`Id`] as one [`mix64`] of its raw value: the hasher of the
+/// drivers' `Id`-keyed tables, whose keys are ring positions the program
+/// drew itself, never outside input.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, raw: u64) {
+        self.0 = mix64(self.0 ^ raw);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

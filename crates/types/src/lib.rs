@@ -37,7 +37,7 @@ pub mod seed;
 
 pub use arc::Arc;
 pub use error::{Error, Result};
-pub use id::Id;
+pub use id::{Id, IdHasher};
 pub use seed::{mix64, SeedTree};
 
 /// Number of distinct positions on the identifier ring (`2^64`), as `u128`.
