@@ -15,7 +15,7 @@
 //!   delegates its hot loops to these functions *without changing a
 //!   single RNG draw*, so all committed baselines stay byte-identical.
 //! * [`machine`] — the full message-driven peer. Driven by two worlds:
-//!   the DES adapter in `oscar-sim` (virtual time, mail in tick order) and
+//!   the DES adapter in `oscar-sim` (virtual time, one event queue) and
 //!   the threaded actor runtime in `oscar-runtime` (wall-clock, one
 //!   mailbox per peer, all cores busy).
 //!

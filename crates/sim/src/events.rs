@@ -2,12 +2,12 @@
 //!
 //! The growth driver's checkpointed loop covers the paper's experiments,
 //! but continuous-churn scenarios (peers joining and crashing concurrently,
-//! extension experiment A6 and the `churn_resilience` example) need events
-//! interleaved on a virtual clock. This queue is deliberately tiny:
-//! monotonically increasing virtual time, FIFO tie-breaking, no cancellation.
+//! extension experiment A6 and the `churn_resilience` example) and the DES
+//! driver's mail need events interleaved on a virtual clock. This queue is
+//! deliberately tiny: monotonically increasing virtual time, FIFO
+//! tie-breaking, no cancellation.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Virtual simulation time (opaque ticks).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -20,39 +20,20 @@ impl VirtualTime {
     }
 }
 
-/// A scheduled event.
-#[derive(Clone, Debug)]
-pub struct Event<E> {
-    /// When the event fires.
-    pub at: VirtualTime,
-    seq: u64,
-    /// The payload.
-    pub payload: E,
-}
-
-impl<E> PartialEq for Event<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Event<E> {}
-impl<E> PartialOrd for Event<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Event<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Earliest-first event queue with FIFO tie-breaking.
+///
+/// One FIFO per pending time, times ascending: a pop takes the head of the
+/// earliest, so events leave in (time, scheduling order) with no heap and
+/// no sequence number. A schedule binary-searches the pending times; one
+/// that opens a new time before the latest also shifts the later ones,
+/// O(pending times). An emptied FIFO is kept for the next new time, so memory follows the
+/// events pending, never the longest delay.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Event<E>>,
-    next_seq: u64,
+    /// Pending times, ascending, each with its events; none is empty.
+    times: VecDeque<(VirtualTime, VecDeque<E>)>,
+    spare: Option<VecDeque<E>>,
+    len: usize,
     now: VirtualTime,
 }
 
@@ -66,8 +47,9 @@ impl<E> EventQueue<E> {
     /// Empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            times: VecDeque::new(),
+            spare: None,
+            len: 0,
             now: VirtualTime(0),
         }
     }
@@ -79,12 +61,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True iff nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -94,9 +76,16 @@ impl<E> EventQueue<E> {
     /// simulation would no longer be causal.
     pub fn schedule(&mut self, at: VirtualTime, payload: E) {
         assert!(at >= self.now, "scheduling into the past breaks causality");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { at, seq, payload });
+        let k = self.times.partition_point(|&(t, _)| t < at);
+        match self.times.get_mut(k) {
+            Some((t, fifo)) if *t == at => fifo.push_back(payload),
+            _ => {
+                let mut fifo = self.spare.take().unwrap_or_default();
+                fifo.push_back(payload);
+                self.times.insert(k, (at, fifo));
+            }
+        }
+        self.len += 1;
     }
 
     /// Schedules `payload` `delay` ticks from now.
@@ -106,9 +95,15 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event and advances the clock to it.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
-        let ev = self.heap.pop()?;
-        self.now = ev.at;
-        Some((ev.at, ev.payload))
+        let (at, fifo) = self.times.front_mut()?;
+        let at = *at;
+        let payload = fifo.pop_front()?;
+        if fifo.is_empty() {
+            self.spare = self.times.pop_front().map(|(_, fifo)| fifo);
+        }
+        self.len -= 1;
+        self.now = at;
+        Some((at, payload))
     }
 }
 
@@ -221,6 +216,32 @@ mod tests {
                 let drained: Vec<(u64, usize)> =
                     std::iter::from_fn(|| q.pop().map(|(t, tag)| (t.0, tag))).collect();
                 prop_assert_eq!(drained, pending);
+            }
+        }
+    }
+
+    mod bucket_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Under a jitter of 10^4 ticks the queue holds at most one
+            /// FIFO per pending event, plus the one spare: memory follows
+            /// the events, not the delay.
+            #[test]
+            fn fifos_follow_the_events_not_the_delay(
+                ops in prop::collection::vec((any::<bool>(), 0u64..=10_000), 1..300),
+            ) {
+                let mut q = EventQueue::new();
+                for (push, jitter) in ops {
+                    if push {
+                        q.schedule_in(1 + jitter, ());
+                    } else {
+                        q.pop();
+                    }
+                    let fifos = q.times.len() + usize::from(q.spare.is_some());
+                    prop_assert!(fifos <= q.len() + 1, "{} FIFOs for {} events", fifos, q.len());
+                }
             }
         }
     }

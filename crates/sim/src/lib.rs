@@ -94,7 +94,7 @@ pub use churn_machine::{
     MachineWorld,
 };
 pub use churn_oracle::{run_continuous_churn, OracleUpkeep, OracleWorld};
-pub use events::{Event, EventQueue, VirtualTime};
+pub use events::{EventQueue, VirtualTime};
 pub use growth::{rewire_all_peers, wire_directly, Checkpoint, GrowthConfig, OverlayBuilder};
 pub use metrics::{Metrics, MsgKind};
 pub use network::Network;

@@ -1,22 +1,25 @@
 //! Discrete-event driver for the `oscar-protocol` peer machines.
 //!
 //! The thin adapter that runs [`PeerMachine`]s in virtual time: every
-//! [`Outbound`] becomes an envelope in the driver's tick mail with one
-//! tick of delivery latency, and a delivery to a missing peer bounces
-//! back to the sender as `on_delivery_failure` — the identical failure
-//! surface the threaded actor runtime (`oscar-runtime`) presents, which
-//! is what makes the two drivers interchangeable.
+//! [`Outbound`] becomes an envelope on the simulator's [`EventQueue`]
+//! with one tick of delivery latency, and a delivery to a missing peer
+//! bounces back to the sender as `on_delivery_failure` — the identical
+//! failure surface the threaded actor runtime (`oscar-runtime`)
+//! presents, which is what makes the two drivers interchangeable.
 //!
 //! This driver is intentionally sequential and deterministic: it is the
 //! reference world for the cross-driver equivalence test, and doubles
 //! as a protocol debugging harness (single-stepped, inspectable,
 //! reproducible).
 //!
-//! An envelope costs O(1) and, once the buffers have grown, no
-//! allocation: machines sit in a slab found through an `Id` hash index,
-//! mail waits in one FIFO per pending tick, and every call into a
-//! machine is lent the driver's one outbound buffer.
+//! Once the buffers have grown, an envelope costs no allocation and no
+//! tree walk: machines sit in a slab found through an `Id` hash index,
+//! the queue keeps one FIFO per pending tick (with one tick of latency
+//! and a jitter of a few ticks, every push lands on one of a few pending
+//! ticks or opens the newest), and every call into a machine is lent the
+//! driver's one outbound buffer.
 
+use crate::events::EventQueue;
 use oscar_protocol::machine::peer_seed;
 use oscar_protocol::{
     Command, FaultPlan, Message, Outbound, PeerConfig, PeerMachine, ProtocolDriver, ProtocolEvent,
@@ -26,7 +29,7 @@ use oscar_types::labels::sim_protocol_des::LBL_CMD;
 use oscar_types::{Id, IdHasher, SeedTree};
 use rand::rngs::SmallRng;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::ops::DerefMut;
 
@@ -39,56 +42,6 @@ pub struct Envelope {
     pub to: Id,
     /// Payload.
     pub msg: Message,
-}
-
-/// Mail in flight: one FIFO per pending tick, ticks ascending. A pop takes
-/// the head of the earliest tick, so envelopes leave in (tick, send order)
-/// — the `(time, FIFO)` order an [`crate::EventQueue`] gives the same
-/// sends, with no heap and no sequence number. An emptied FIFO is kept for
-/// the next new tick, so memory follows the envelopes in flight, never the
-/// longest delay.
-struct Mail<T = Envelope> {
-    /// The tick of the last pop; every push lands at least one past it.
-    now: u64,
-    ticks: VecDeque<(u64, VecDeque<T>)>,
-    spare: Option<VecDeque<T>>,
-}
-
-impl<T> Mail<T> {
-    fn new() -> Self {
-        Mail {
-            now: 0,
-            ticks: VecDeque::new(),
-            spare: None,
-        }
-    }
-
-    /// Queues `item` `delay` ticks from now; `delay` is at least 1, so the
-    /// tick being drained never grows.
-    fn push(&mut self, delay: u64, item: T) {
-        debug_assert!(delay >= 1, "mail is delivered in a later tick");
-        let at = self.now + delay;
-        let k = self.ticks.partition_point(|&(t, _)| t < at);
-        match self.ticks.get_mut(k) {
-            Some((t, fifo)) if *t == at => fifo.push_back(item),
-            _ => {
-                let mut fifo = self.spare.take().unwrap_or_default();
-                fifo.push_back(item);
-                self.ticks.insert(k, (at, fifo));
-            }
-        }
-    }
-
-    /// Takes the earliest envelope and moves the clock to its tick.
-    fn pop(&mut self) -> Option<T> {
-        let (at, fifo) = self.ticks.front_mut()?;
-        self.now = *at;
-        let item = fifo.pop_front();
-        if fifo.is_empty() {
-            self.spare = self.ticks.pop_front().map(|(_, fifo)| fifo);
-        }
-        item
-    }
 }
 
 /// One hosted machine and the deadline `DesDriver::timers` holds for it:
@@ -109,7 +62,7 @@ impl Slot {
     }
 }
 
-/// The DES world: peer machines plus the mail in flight between them.
+/// The DES world: peer machines plus one event queue of envelopes.
 pub struct DesDriver {
     /// The hosted machines, in no order: `index` finds a peer's slot.
     slots: Vec<Slot>,
@@ -121,7 +74,7 @@ pub struct DesDriver {
     /// re-indexed after each call into a machine and on spawn/remove.
     /// Timer rounds read this, never the fleet.
     timers: TimerIndex,
-    mail: Mail,
+    queue: EventQueue<Envelope>,
     /// The buffer lent to every call into a machine, empty between calls.
     outbox: Vec<Outbound>,
     seed: u64,
@@ -158,7 +111,7 @@ impl DesDriver {
             index: HashMap::default(),
             ids: Vec::new(),
             timers: TimerIndex::new(),
-            mail: Mail::new(),
+            queue: EventQueue::new(),
             outbox: Vec::new(),
             seed,
             peer_cfg,
@@ -320,7 +273,7 @@ impl DesDriver {
                 self.sent += 1;
                 self.duplicated += 1;
                 // The copy trails the original by one extra tick.
-                self.mail.push(
+                self.queue.schedule_in(
                     2 + fate.extra_delay,
                     Envelope {
                         from,
@@ -330,7 +283,7 @@ impl DesDriver {
                 );
             }
             // One tick of delivery latency per message, plus jitter.
-            self.mail.push(
+            self.queue.schedule_in(
                 1 + fate.extra_delay,
                 Envelope {
                     from,
@@ -420,7 +373,7 @@ impl Rounds for &mut DesDriver {
 
     /// Delivers queued envelopes until the world goes silent.
     fn quiesce(&mut self) {
-        while let Some(env) = self.mail.pop() {
+        while let Some((_, env)) = self.queue.pop() {
             self.deliver(env);
         }
     }
@@ -605,79 +558,6 @@ mod tests {
         assert!(dup_dup > 0, "the faulty run must actually duplicate");
         assert_eq!(p_rel, p_dup, "fingerprints diverged under duplication");
         assert_eq!(r_rel, r_dup, "reports diverged under duplication");
-    }
-
-    mod mail_props {
-        use super::*;
-        use crate::events::EventQueue;
-        use proptest::prelude::*;
-
-        /// Queues `tag` on both sides `delay` ticks out.
-        fn push_both(
-            mail: &mut Mail<usize>,
-            model: &mut EventQueue<usize>,
-            delay: u64,
-            tag: usize,
-        ) {
-            mail.push(delay, tag);
-            model.schedule_in(delay, tag);
-        }
-
-        proptest! {
-            /// The mail is the event queue with one FIFO per tick: under
-            /// any interleaving of sends (each maybe trailed by a
-            /// duplicate-style copy one tick later, queued first as
-            /// `enqueue_all` queues it) and pops, every pop is the model's.
-            #[test]
-            fn pops_follow_the_event_queue(
-                ops in prop::collection::vec((0u8..4, 1u64..=6), 1..300),
-            ) {
-                let mut mail = Mail::new();
-                let mut model = EventQueue::new();
-                let mut tag = 0;
-                for (op, delay) in ops {
-                    match op {
-                        0 | 1 => {
-                            if op == 1 {
-                                push_both(&mut mail, &mut model, delay + 1, tag);
-                                tag += 1;
-                            }
-                            push_both(&mut mail, &mut model, delay, tag);
-                            tag += 1;
-                        }
-                        _ => {
-                            prop_assert_eq!(mail.pop(), model.pop().map(|(_, t)| t));
-                            prop_assert_eq!(mail.now, model.now().0);
-                        }
-                    }
-                }
-                let drained: Vec<usize> = std::iter::from_fn(|| mail.pop()).collect();
-                let expected: Vec<usize> =
-                    std::iter::from_fn(|| model.pop().map(|(_, t)| t)).collect();
-                prop_assert_eq!(drained, expected);
-            }
-
-            /// Under a jitter of 10^4 ticks the mail holds at most one FIFO
-            /// per envelope in flight, plus the one spare: memory follows
-            /// the mail, not the delay.
-            #[test]
-            fn buckets_follow_the_mail_not_the_delay(
-                ops in prop::collection::vec((any::<bool>(), 0u64..=10_000), 1..300),
-            ) {
-                let mut mail = Mail::new();
-                let mut in_flight = 0usize;
-                for (push, jitter) in ops {
-                    if push {
-                        mail.push(1 + jitter, ());
-                        in_flight += 1;
-                    } else if mail.pop().is_some() {
-                        in_flight -= 1;
-                    }
-                    let buckets = mail.ticks.len() + usize::from(mail.spare.is_some());
-                    prop_assert!(buckets <= in_flight + 1, "{} buckets for {} envelopes", buckets, in_flight);
-                }
-            }
-        }
     }
 
     mod slab_props {
