@@ -175,10 +175,18 @@ impl PeerMachine {
     /// [`Self::neighbors`] without an allocation: built on the stack, once
     /// per walk step.
     fn neighbor_table(&self) -> Bounded<{ walk::NEIGHBOR_CAP }> {
+        // Never full: the capacity is the sum of the four tables' caps.
+        // Plain loops, not a `flatten`: the order of filling is moot, since
+        // the table is sorted next.
         let mut t = Bounded::new();
-        let links = [&[self.pred][..], &self.succs, &self.long_out, &self.long_in];
-        for &x in links.into_iter().flatten() {
-            // Never full: the capacity is the sum of the four tables' caps.
+        t.push(self.pred);
+        for &x in self.succs.iter() {
+            t.push(x);
+        }
+        for &x in self.long_out.iter() {
+            t.push(x);
+        }
+        for &x in self.long_in.iter() {
             t.push(x);
         }
         t.sort_dedup();

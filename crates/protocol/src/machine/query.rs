@@ -79,12 +79,46 @@ impl PeerMachine {
     /// first successor whose arc covers the key (the final overshoot hop
     /// to the owner), skipping `exclude`d peers.
     ///
-    /// Ranks the link tables as they lie, without building the canonical
-    /// [`PeerMachine::neighbors`] table: the remaining distance is
-    /// injective in the candidate, so a peer listed twice can only tie
-    /// with itself and the minimum is the sorted table's (this peer's own
-    /// id, at distance `span`, never counts as progress).
+    /// Folds the four link tables as they lie, without a filter, for the
+    /// neighbour nearest the key. The remaining distance is injective in
+    /// the candidate, so when that neighbour makes progress and is not
+    /// excluded it is also the constrained minimum; only an excluded best,
+    /// or none that makes progress, pays for [`Self::constrained_step`].
+    /// Debug builds check every pick against that scan.
     pub(super) fn best_step_toward(&self, key: Id, exclude: impl Fn(Id) -> bool) -> Option<Id> {
+        let mut best = (self.pred.cw_dist(key), self.pred);
+        let mut fold = |table: &[Id]| {
+            for &c in table {
+                // A select, not a branch: which link is nearer is close to
+                // a coin flip per link.
+                let p = c.cw_dist(key);
+                best = std::hint::select_unpredictable(p < best.0, (p, c), best);
+            }
+        };
+        fold(&self.succs);
+        fold(&self.long_out);
+        fold(&self.long_in);
+        let pick = if best.0 < self.id.cw_dist(key) && !exclude(best.1) {
+            Some(best.1)
+        } else {
+            self.constrained_step(key, &exclude)
+        };
+        debug_assert_eq!(
+            pick,
+            self.constrained_step(key, &exclude),
+            "the fold's pick from {:?} toward {key:?} is not the scan's",
+            self.id
+        );
+        pick
+    }
+
+    /// [`Self::best_step_toward`] by a filtered scan: the allowed
+    /// neighbour that makes the most progress, else the covering
+    /// successor. Ranks the link tables as they lie, without building the
+    /// canonical [`PeerMachine::neighbors`] table: a peer listed twice can
+    /// only tie with itself, so the minimum is the sorted table's (this
+    /// peer's own id, at distance `span`, never counts as progress).
+    fn constrained_step(&self, key: Id, exclude: &impl Fn(Id) -> bool) -> Option<Id> {
         let span = self.id.cw_dist(key);
         let best = [&[self.pred], &self.succs[..], &self.long_out, &self.long_in]
             .into_iter()
@@ -391,6 +425,7 @@ mod tests {
             me: u64,
             links in prop::collection::vec((0u8..4, 0u64..48), 0..32),
             excluded in prop::collection::vec(0u64..48, 0..8),
+            exclude_best: bool,
             far_key: bool,
             key: u64,
         ) {
@@ -408,9 +443,15 @@ mod tests {
                     _ => _ = m.long_in.push(near(offset)),
                 }
             }
-            let excluded: Vec<Id> = excluded.into_iter().map(near).collect();
-            let exclude = |c: Id| excluded.contains(&c);
             let key = if far_key { Id::new(key) } else { near(key % 64) };
+            let mut excluded: Vec<Id> = excluded.into_iter().map(near).collect();
+            if exclude_best {
+                // The unconstrained best out, so the fold falls back to
+                // the filtered scan.
+                let best = m.neighbors().into_iter().min_by_key(|c| c.cw_dist(key));
+                excluded.extend(best);
+            }
+            let exclude = |c: Id| excluded.contains(&c);
             prop_assert_eq!(
                 m.best_step_toward(key, exclude),
                 sorted_table_step(&m, key, exclude)

@@ -18,19 +18,28 @@
 //! * the first actor an executor's sends make ready goes into that
 //!   executor's run-next slot, and the executor runs it as soon as it is
 //!   done with the current one: a query hop stays on the executor that
-//!   sent it and never touches the run queue. Any further actor made ready
-//!   in the same run, and every actor [`Runtime::inject`] makes ready, goes
-//!   to the shared run queue;
+//!   sent it and never touches the run queue. When the send found the
+//!   actor idle (mailbox empty, not scheduled) and the fault plan made no
+//!   copy, the envelope rides in the slot too and never enters the
+//!   mailbox: the send sets `scheduled` under the mailbox lock, so later
+//!   mail queues behind the handed envelope, which is handled first. Any
+//!   further actor made ready in the same run goes to the shared run
+//!   queue. [`Runtime::inject`] runs no actor: it puts a handed envelope
+//!   back at the head of its mailbox and queues every actor it made ready;
 //! * the run queue is one mutex over the ready actors and two counts —
 //!   pool workers parked on the `work` condvar, [`Runtime::quiesce`]
 //!   callers parked on `quiet`. A push wakes a worker only if one is
 //!   parked, else a waiting quiescer, else nobody;
 //! * an executor — a pool worker, or one a `quiesce` or `inject` caller
-//!   borrows from `Runtime::helpers` for the call — runs its run-next
-//!   actor, else pops one, moves the actor's mail into a buffer it owns
-//!   and handles it (an `inject` caller runs only its command's step); a
+//!   borrows from `Runtime::helpers` for the call — pops an actor and runs
+//!   a chain: that actor, then every actor its run-next slot hands on,
+//!   until the slot stays empty (an `inject` caller runs only its
+//!   command's step). Running an actor handles its handed envelope, then
+//!   moves its mail into a buffer the executor owns and handles that. A
 //!   message moves from the sender's outbox to the machine without being
-//!   copied (a fault-plan duplicate is the one clone);
+//!   copied (a fault-plan duplicate is the one clone), and each
+//!   `on_message` fills the executor's one outbound buffer, lent through
+//!   `PeerMachine::lend_outbox` and taken back empty after the routing;
 //! * an atomic in-flight message counter backs `quiesce`, which does not
 //!   sleep while there is work: it runs ready actors on the calling thread
 //!   and parks only when the queue is empty while other threads still hold
@@ -53,14 +62,17 @@
 //!   `on_delivery_failure` — the same failure surface the DES presents.
 //!   A send issued after `remove_peer` returned sees the new epoch, so it
 //!   bounces. Mail that reaches a removed actor anyway (queued before the
-//!   removal, or pushed by a sender that already held it — through a view
-//!   that had not yet seen the epoch move, say) is booked `dropped` by
-//!   whoever finds it, exactly once, never handled;
+//!   removal, handed to a run-next slot, or pushed by a sender that
+//!   already held it — through a view that had not yet seen the epoch
+//!   move, say) is booked `dropped` by whoever finds it, exactly once,
+//!   never handled;
 //! * a shared [`TimerIndex`] is the clock: the round and every machine's
 //!   earliest deadline. Whichever thread ran a machine re-indexes it, under
 //!   that machine's lock and only when the deadline moved, so the timer
 //!   rounds — [`Rounds`]', as on the DES — find who is due without
-//!   visiting a single actor.
+//!   visiting a single actor;
+//! * busy time is read off the clock once per chain, not per actor: the
+//!   time from popping an actor to the chain's end, booked when it ends.
 //!
 //! No wake-up is lost. `parked` and `quiescers` are read and written only
 //! under the run-queue lock, which a thread holds from its last look at
@@ -78,13 +90,14 @@
 //! books a corpse's queued mail `dropped` without releasing it from the
 //! count a second time.
 //!
-//! The count cannot reach zero early under the hand-off. An executor keeps
-//! the slot of the envelope it handles until the step's last push; every
-//! earlier push adds its copies to the count before they land in a
-//! mailbox; the envelope's books (the executor's message count, which
-//! `delivered` sums) are written before the first push, and each send
-//! books `sent` to its executor's slot before its own push. After the
-//! hand-off the executor books nothing but its busy time, and every other
+//! The count cannot reach zero early while in-flight slots are lent on. An
+//! executor keeps the slot of the envelope it handles until the step's
+//! last push; every earlier push adds its copies to the count before they
+//! land in a mailbox or a run-next slot; the envelope's books (the
+//! executor's message count, which `delivered` sums) are written before
+//! the first push, and each send books `sent` to its executor's slot
+//! before its own push. After the last push the executor books nothing
+//! for that envelope, and every other
 //! outcome — a drop, a bounce, a duplicate — is booked before the slot it
 //! ends moves on, so by the time the count reaches zero every envelope it
 //! covered is in the ledger: the whole ledger is exact at a quiescent point
@@ -181,10 +194,13 @@ struct Actor {
     mailbox: Mutex<Mailbox>,
 }
 
+/// A message and its sender.
+type Envelope = (Id, Message);
+
 /// An actor's mail, and whether an executor is due to look at it.
 #[derive(Default)]
 struct Mailbox {
-    queue: VecDeque<(Id, Message)>,
+    queue: VecDeque<Envelope>,
     /// Set by the push that finds it clear — which then hands the actor to
     /// a run-next slot or the run queue — and cleared by the executor that
     /// finds `queue` empty: true exactly while the actor is queued or
@@ -215,12 +231,18 @@ struct Executor {
     /// A mailbox's queue is moved into this buffer to drain it; empty
     /// between runs. Each mailbox keeps its own buffer, so grown buffers
     /// do not circulate from busy actors to idle ones.
-    batch: VecDeque<(Id, Message)>,
+    batch: VecDeque<Envelope>,
+    /// Lent to each machine it runs before `on_message`, and taken back
+    /// empty once the step's sends are routed: a hop sends without
+    /// allocating.
+    outbox: Vec<Outbound>,
     /// Where its sends find their targets.
     view: ActorView,
     /// The run-next slot: the first actor this executor's sends made
-    /// ready, run as soon as the current one is done.
-    next: Option<Arc<Actor>>,
+    /// ready, run as soon as the current one is done. When that send
+    /// found the actor idle, the envelope rides here too, not through the
+    /// mailbox.
+    next: Option<(Arc<Actor>, Option<Envelope>)>,
 }
 
 /// The actors one executor has sent to, as the actor table held them at
@@ -342,9 +364,9 @@ pub struct RuntimeStats {
     pub faults: u64,
     /// Busy time in nanoseconds: one slot per pool worker, then one
     /// trailing slot shared by every executor a [`Runtime::quiesce`] or
-    /// [`Runtime::inject`] caller borrowed. A run's time is booked when
-    /// the run ends, so a read at a quiescent point may miss the tail of
-    /// one still closing.
+    /// [`Runtime::inject`] caller borrowed. A run-next chain's time is
+    /// booked when the chain ends, so a read at a quiescent point may miss
+    /// the tail of one still closing.
     pub busy_ns: Vec<u64>,
     /// Delivered-message counts, slot for slot with `busy_ns`.
     pub per_worker_msgs: Vec<u64>,
@@ -474,10 +496,11 @@ impl Runtime {
             return false;
         };
         // Mail queued to the corpse is taken out and counted as dropped
-        // here. Mail an executor took before this, or that a sender
-        // already holding the actor pushes after it — through an actor
-        // view that has not yet seen the epoch move — `run_actor` drops
-        // when it finds the slot retired: each envelope exactly once.
+        // here. Mail an executor took before this or holds in its run-next
+        // slot, or that a sender already holding the actor pushes after it
+        // — through an actor view that has not yet seen the epoch move —
+        // `deliver` drops when it finds the slot retired: each envelope
+        // exactly once.
         let queued = std::mem::take(&mut held(actor.mailbox.lock()).queue).len();
         self.shared.books[self.shared.trailing()]
             .dropped
@@ -504,7 +527,7 @@ impl Runtime {
         let mut me = self.take_helper();
         let actor = me.view.resolve(&self.shared, id).cloned();
         if let Some(actor) = &actor {
-            let outs = {
+            let mut outs = {
                 let mut slot = held(actor.slot.lock());
                 let outs = slot.machine.on_command(cmd, &mut me.rng);
                 self.shared.after_step(id, &mut slot, me.slot);
@@ -516,9 +539,14 @@ impl Runtime {
                 books.dropped.fetch_add(closed, Ordering::Relaxed);
             } else {
                 // The caller runs no actor: what it made ready goes to the
-                // shared run queue, with a wake.
-                self.shared.send_all(actor, outs, false, &mut me);
-                if let Some(first) = me.next.take() {
+                // shared run queue, with a wake. An envelope handed to the
+                // run-next slot goes back to the head of its mailbox, ahead
+                // of whatever the same step sent there after it.
+                self.shared.send_all(actor, &mut outs, false, &mut me);
+                if let Some((first, handed)) = me.next.take() {
+                    if let Some(envelope) = handed {
+                        held(first.mailbox.lock()).queue.push_front(envelope);
+                    }
                     self.shared.schedule(first);
                 }
             }
@@ -534,24 +562,20 @@ impl Runtime {
     /// thread.
     pub fn quiesce(&self) {
         let mut helper: Option<Executor> = None;
-        while let Some(actor) = self.next_to_help(&mut helper) {
+        while let Some(actor) = self.next_to_help() {
             let me = helper.get_or_insert_with(|| self.take_helper());
-            run_actor(&self.shared, &actor, me);
+            run_chain(&self.shared, actor, me);
         }
-        // Nothing is in flight, so its run-next slot is empty.
+        // A chain ends with its run-next slot empty.
         if let Some(me) = helper {
             held(self.helpers.lock()).idle.push(me);
         }
     }
 
-    /// The actor a [`Runtime::quiesce`] caller runs next: its own run-next
-    /// actor, else one from the run queue, parking while there is none
-    /// and other threads still hold messages; `None` once none is in
-    /// flight.
-    fn next_to_help(&self, helper: &mut Option<Executor>) -> Option<Arc<Actor>> {
-        if let Some(actor) = helper.as_mut().and_then(|me| me.next.take()) {
-            return Some(actor);
-        }
+    /// The actor a [`Runtime::quiesce`] caller runs next, from the run
+    /// queue, parking while there is none and other threads still hold
+    /// messages; `None` once none is in flight.
+    fn next_to_help(&self) -> Option<Arc<Actor>> {
         let shared = &*self.shared;
         let mut q = held(shared.runq.lock());
         loop {
@@ -756,7 +780,9 @@ impl Shared {
     /// the last output of the sender's last failure step. The envelope and
     /// its fate are booked to `at`'s slot and its target found through
     /// `at`'s actor view; an actor the push makes ready goes into `at`'s
-    /// run-next slot if that is empty, else to the shared run queue.
+    /// run-next slot if that is empty, else to the shared run queue. A
+    /// single copy to an idle actor, bound for an empty run-next slot,
+    /// skips the mailbox: it rides in the slot beside its actor.
     fn send(&self, from: &Actor, out: Outbound, lent: bool, at: &mut Executor) -> bool {
         let books = &self.books[at.slot];
         books.sent.fetch_add(1, Ordering::Relaxed);
@@ -784,15 +810,19 @@ impl Shared {
                 if fresh > 0 {
                     self.pending.fetch_add(fresh, Ordering::SeqCst);
                 }
-                let went_non_empty = {
-                    let mut mb = held(target.mailbox.lock());
-                    mb.queue.extend(extra.map(|m| (from.id, m)));
-                    mb.queue.push_back((from.id, msg));
-                    !std::mem::replace(&mut mb.scheduled, true)
-                };
-                if went_non_empty {
+                let mut mb = held(target.mailbox.lock());
+                let idle = !std::mem::replace(&mut mb.scheduled, true);
+                if idle && mb.queue.is_empty() && extra.is_none() && at.next.is_none() {
+                    drop(mb);
+                    at.next = Some((Arc::clone(target), Some((from.id, msg))));
+                    return lent;
+                }
+                mb.queue.extend(extra.map(|m| (from.id, m)));
+                mb.queue.push_back((from.id, msg));
+                drop(mb);
+                if idle {
                     if at.next.is_none() {
-                        at.next = Some(Arc::clone(target));
+                        at.next = Some((Arc::clone(target), None));
                     } else {
                         self.schedule(Arc::clone(target));
                     }
@@ -807,13 +837,13 @@ impl Shared {
                 books.bounced.fetch_add(copies as u64, Ordering::Relaxed);
                 let mut handed = false;
                 for (k, msg) in extra.into_iter().chain([msg]).enumerate() {
-                    let outs = {
+                    let mut outs = {
                         let mut slot = held(from.slot.lock());
                         let outs = slot.machine.on_delivery_failure(to, msg);
                         self.after_step(from.id, &mut slot, at.slot);
                         outs
                     };
-                    handed |= self.send_all(from, outs, lent && k + 1 == copies, at);
+                    handed |= self.send_all(from, &mut outs, lent && k + 1 == copies, at);
                 }
                 handed
             }
@@ -823,11 +853,18 @@ impl Shared {
     /// Routes one step's outputs in order. With `lent`, the step's own
     /// in-flight slot goes to its last output, so every earlier push is
     /// counted while the caller still holds that slot (the module doc's
-    /// hand-off argument). Returns whether the slot was passed on.
-    fn send_all(&self, from: &Actor, outs: Vec<Outbound>, lent: bool, at: &mut Executor) -> bool {
+    /// hand-off argument). Returns whether the slot was passed on; `outs`
+    /// is left empty, its capacity kept.
+    fn send_all(
+        &self,
+        from: &Actor,
+        outs: &mut Vec<Outbound>,
+        lent: bool,
+        at: &mut Executor,
+    ) -> bool {
         let last = outs.len().saturating_sub(1);
         let mut handed = false;
-        for (k, o) in outs.into_iter().enumerate() {
+        for (k, o) in outs.drain(..).enumerate() {
             handed |= self.send(from, o, lent && k == last, at);
         }
         handed
@@ -918,6 +955,7 @@ impl Executor {
             slot,
             rng,
             batch: VecDeque::new(),
+            outbox: Vec::new(),
             view: ActorView::default(),
             next: None,
         }
@@ -945,45 +983,62 @@ impl ActorView {
     }
 }
 
-/// The worker thread body: run the run-next actor, else pop one, and park
-/// when there is none.
+/// The worker thread body: pop an actor and run its chain, parking when
+/// there is none.
 fn worker_loop(shared: Arc<Shared>, mut me: Executor) {
     loop {
-        let actor = match me.next.take() {
-            Some(actor) => actor,
-            None => {
-                let mut q = held(shared.runq.lock());
-                loop {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if let Some(actor) = q.ready.pop_front() {
-                        break actor;
-                    }
-                    q.parked += 1;
-                    q = held(shared.work.wait(q));
-                    q.parked -= 1;
+        let actor = {
+            let mut q = held(shared.runq.lock());
+            loop {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
                 }
+                if let Some(actor) = q.ready.pop_front() {
+                    break actor;
+                }
+                q.parked += 1;
+                q = held(shared.work.wait(q));
+                q.parked -= 1;
             }
         };
-        run_actor(&shared, &actor, &mut me);
+        run_chain(&shared, actor, &mut me);
     }
 }
 
-/// Runs one scheduled actor until its mailbox is empty: take the mail,
-/// hand it to the machine message by message, route the replies. The
-/// one delivery path — pool workers and [`Runtime::quiesce`] both call
-/// it.
-fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
+/// Runs `first`, popped from the run queue, then every actor the
+/// executor's run-next slot hands on, until the slot stays empty. The
+/// chain's busy time is one clock read at each end.
+fn run_chain(shared: &Shared, first: Arc<Actor>, me: &mut Executor) {
     #[expect(
         clippy::disallowed_methods,
-        reason = "the runtime's one clock read: busy time per executor, a RuntimeStats field no seeded artifact includes"
+        reason = "the runtime's one clock read: busy time per run-next chain, a RuntimeStats field no seeded artifact includes"
     )]
     let t0 = Instant::now();
-    let books = &shared.books[me.slot];
+    let mut handled = run_actor(shared, &first, None, me);
+    while let Some((actor, handed)) = me.next.take() {
+        handled |= run_actor(shared, &actor, handed, me);
+    }
+    if handled {
+        shared.books[me.slot]
+            .busy_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
+/// Runs one scheduled actor: the envelope `handed` to it through a run-next
+/// slot first, then its mailbox until that is empty — take the mail, hand
+/// it to the machine message by message, route the replies. The one
+/// delivery path, under [`run_chain`]. Returns whether it handled any
+/// message.
+fn run_actor(
+    shared: &Shared,
+    actor: &Actor,
+    mut handed: Option<Envelope>,
+    me: &mut Executor,
+) -> bool {
     let mut handled = false;
     while !shared.stop.load(Ordering::SeqCst) {
-        {
+        if handed.is_none() {
             let mut mb = held(actor.mailbox.lock());
             if mb.queue.is_empty() {
                 mb.scheduled = false;
@@ -991,41 +1046,47 @@ fn run_actor(shared: &Shared, actor: &Actor, me: &mut Executor) {
             }
             me.batch.append(&mut mb.queue);
         }
-        while let Some((from, msg)) = me.batch.pop_front() {
-            let outs = {
-                let mut slot = held(actor.slot.lock());
-                if slot.retired {
-                    None
-                } else {
-                    let outs = slot.machine.on_message(from, msg, &mut me.rng);
-                    shared.after_step(actor.id, &mut slot, me.slot);
-                    Some(outs)
-                }
-            };
-            // Book the envelope before its in-flight slot is passed on or
-            // released: once `pending` hits zero a quiescent observer
-            // must see sent == delivered + dropped + bounced already
-            // settled.
-            match outs {
-                Some(outs) => {
-                    books.msgs.fetch_add(1, Ordering::Relaxed);
-                    handled = true;
-                    if !shared.send_all(actor, outs, true, me) {
-                        shared.release(1);
-                    }
-                }
-                // Mail for a removed peer: see `Runtime::remove_peer`.
-                None => {
-                    books.dropped.fetch_add(1, Ordering::Relaxed);
-                    shared.release(1);
-                }
-            }
+        while let Some((from, msg)) = handed.take().or_else(|| me.batch.pop_front()) {
+            handled |= deliver(shared, actor, from, msg, me);
         }
     }
-    if handled {
-        books
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    handled
+}
+
+/// Hands one envelope to `actor`'s machine on the executor's lent
+/// buffer and routes the step's sends; a retired actor's mail is booked
+/// `dropped` instead (see [`Runtime::remove_peer`]). Returns whether the
+/// machine handled it.
+fn deliver(shared: &Shared, actor: &Actor, from: Id, msg: Message, me: &mut Executor) -> bool {
+    let books = &shared.books[me.slot];
+    let outs = {
+        let mut slot = held(actor.slot.lock());
+        if slot.retired {
+            None
+        } else {
+            slot.machine.lend_outbox(std::mem::take(&mut me.outbox));
+            let outs = slot.machine.on_message(from, msg, &mut me.rng);
+            shared.after_step(actor.id, &mut slot, me.slot);
+            Some(outs)
+        }
+    };
+    // Book the envelope before its in-flight slot is passed on or
+    // released: once `pending` hits zero a quiescent observer must see
+    // sent == delivered + dropped + bounced already settled.
+    match outs {
+        Some(mut outs) => {
+            books.msgs.fetch_add(1, Ordering::Relaxed);
+            if !shared.send_all(actor, &mut outs, true, me) {
+                shared.release(1);
+            }
+            me.outbox = outs;
+            true
+        }
+        None => {
+            books.dropped.fetch_add(1, Ordering::Relaxed);
+            shared.release(1);
+            false
+        }
     }
 }
 

@@ -601,3 +601,177 @@ fn drop_without_explicit_shutdown_joins_the_pool() {
         }
     });
 }
+
+#[test]
+fn removing_peers_under_hopping_queries_drops_mail_in_hand_once() {
+    // A send to an idle peer hands its envelope to the sender's run-next
+    // slot instead of the peer's mailbox, so `remove_peer` cannot see it.
+    // Remove a third of the ring, a peer at a time, while query waves
+    // hop through it: an envelope in hand for a corpse must be booked
+    // `dropped` once by the executor that finds the corpse, never handled
+    // and never counted by `remove_peer`. A double booking unbalances the
+    // ledger; a missed one strands the in-flight count and `settle`
+    // hangs; a handled one would complete a query at a corpse twice.
+    must_finish_within("removal under hopping queries", 120, || {
+        let mut dropped = 0;
+        for iter in 0..40u64 {
+            let cfg = PeerConfig {
+                query_budget: 64,
+                ..PeerConfig::default()
+            };
+            let mut rt = Runtime::new(
+                RuntimeConfig::new(13_000 + iter)
+                    .with_workers(1 + (iter as usize % 4))
+                    .with_peer_cfg(cfg),
+            );
+            let ids = settled_ring(&rt, 30);
+            const PER_PEER: u64 = 8;
+            let mut qid = 0;
+            for &corpse in ids.iter().step_by(3) {
+                let live = rt.peer_ids();
+                inject_storm(&rt, &live, PER_PEER, qid);
+                qid += live.len() as u64 * PER_PEER;
+                assert!(rt.remove_peer(corpse));
+            }
+            rt.settle(256);
+            let s = rt.stats();
+            assert_eq!(
+                s.sent,
+                s.delivered + s.dropped + s.bounced,
+                "iteration {iter}: every envelope must land in exactly one bucket"
+            );
+            // A query whose origin was removed later has nobody to report
+            // to; every other query reports exactly once.
+            let reported: Vec<u64> = drain_query_reports(&rt)
+                .into_iter()
+                .map(|(q, _)| q)
+                .collect();
+            assert!(
+                reported.windows(2).all(|w| w[0] < w[1]),
+                "iteration {iter}: a query reported twice"
+            );
+            assert!(reported.iter().all(|&q| q < qid));
+            dropped += s.dropped;
+            rt.shutdown();
+        }
+        assert!(dropped > 0, "no mail for a corpse was ever dropped");
+    });
+}
+
+/// Two peers on one ring: `a` at 100 and `b` at 200, each the other's
+/// predecessor and successor, so `b` owns the keys in (100, 200].
+/// Installed by `Bootstrap`, which sends nothing.
+fn two_peer_ring(rt: &Runtime) -> (Id, Id) {
+    let (a, b) = (Id::new(100), Id::new(200));
+    for (id, other) in [(a, b), (b, a)] {
+        rt.spawn_peer(id);
+        rt.inject(
+            id,
+            Command::Bootstrap {
+                pred: other,
+                succs: vec![other],
+                known: vec![other],
+            },
+        );
+    }
+    (a, b)
+}
+
+#[test]
+fn one_step_sends_to_an_idle_peer_are_handled_in_send_order() {
+    // One timer step of `a` retries two queries, and both go to `b`,
+    // which is idle: the first send finds `b` idle and hands the envelope
+    // on, the second queues in `b`'s mailbox. The tick is injected, and
+    // `inject` runs no actor, so it must put the handed envelope back at
+    // the head of `b`'s mailbox, not behind the second. `b` owns both
+    // keys and reports each to `a` in the order it handled them. That is
+    // the same pattern inside a run: `b`'s run sends both reports to idle
+    // `a`, the first handed to its executor's run-next slot and the
+    // second queued, and `a` must handle the handed one first. So `a`
+    // completes query 1 before query 2 only if both hand-offs keep send
+    // order.
+    must_finish_within("send order through the hand-off", 60, || {
+        for workers in 1..=4 {
+            // Blackholed: the first attempts vanish while `b` is away, so
+            // both queries wait on one retry deadline.
+            let plan = FaultPlan::new(14_000).with_blackhole(true);
+            let rt = Runtime::new(
+                RuntimeConfig::new(14_000 + workers as u64)
+                    .with_workers(workers)
+                    .with_fault_plan(plan),
+            );
+            let (a, b) = two_peer_ring(&rt);
+            let away = rt.with_peer(b, PeerMachine::clone).unwrap();
+            assert!(rt.remove_peer(b));
+            for (qid, key) in [(1, 150), (2, 160)] {
+                let key = Id::new(key);
+                rt.inject(a, Command::StartQuery { qid, key });
+            }
+            rt.quiesce();
+            assert!(drain_query_reports(&rt).is_empty());
+            rt.spawn_machine(away);
+            rt.settle(64);
+            let done: Vec<u64> = rt
+                .drain_events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    ProtocolEvent::QueryCompleted(r) => {
+                        assert_eq!(r.dest, Some(b), "{workers} workers");
+                        Some(r.qid)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(done, [1, 2], "{workers} workers: handled out of send order");
+        }
+    });
+}
+
+#[test]
+fn duplicated_sends_keep_the_mailbox_and_both_copies_are_handled() {
+    // A fault-plan duplicate never takes the hand-off: both copies go
+    // through the target's mailbox, back to back, and both are handled
+    // (the second only to be suppressed by the machine's dedup window).
+    // Duplicating every send, nothing may be lost: each envelope is
+    // delivered, and each query reported once.
+    must_finish_within("duplicates through the mailbox", 60, || {
+        for workers in 1..=4 {
+            let plan = FaultPlan::new(15_000).with_duplication(1.0);
+            let rt = Runtime::new(
+                RuntimeConfig::new(15_000 + workers as u64)
+                    .with_workers(workers)
+                    .with_fault_plan(plan),
+            );
+            let (a, b) = two_peer_ring(&rt);
+            rt.quiesce();
+            for qid in 0..64u64 {
+                let (origin, key) = if qid % 2 == 0 { (a, 150) } else { (b, 50) };
+                rt.inject(
+                    origin,
+                    Command::StartQuery {
+                        qid,
+                        key: Id::new(key),
+                    },
+                );
+            }
+            rt.quiesce();
+            let s = rt.stats();
+            assert!(s.duplicated > 0, "{workers} workers: plan must duplicate");
+            assert_eq!(
+                s.sent,
+                2 * s.duplicated,
+                "{workers} workers: every send doubled"
+            );
+            assert_eq!(
+                (s.delivered, s.dropped, s.bounced),
+                (s.sent, 0, 0),
+                "{workers} workers: both copies of every send handled"
+            );
+            let reported: Vec<u64> = drain_query_reports(&rt)
+                .into_iter()
+                .map(|(q, _)| q)
+                .collect();
+            assert_eq!(reported, (0..64).collect::<Vec<u64>>(), "{workers} workers");
+        }
+    });
+}
