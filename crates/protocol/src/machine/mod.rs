@@ -12,7 +12,7 @@
 //! the timer tick; the handlers live in five sub-machines — `join`,
 //! `walk` (sampling walks and the link handshake), `query`, `repair`
 //! (probes, the dead-neighbour verdict, departure) and `view` (membership
-//! and gossip) — over the three shared `tables`.
+//! and gossip) — over the shared `tables`.
 //!
 //! Determinism boundary: every stochastic protocol decision (walk
 //! proposals, MH acceptances) draws from the RNG *carried inside the
@@ -35,11 +35,7 @@ use crate::message::{Command, Message, OpKind, Outbound, ProtocolEvent, RepairTr
 use oscar_types::labels::protocol_machine::LBL_PEER;
 use oscar_types::{mix64, Id, SeedTree};
 use rand::RngCore;
-use tables::{Bounded, NearSet, Op, OpTable, Recent};
-
-/// Recently-seen message instance keys kept for duplicate suppression
-/// (a ring buffer per peer).
-const DEDUP_WINDOW: usize = 128;
+use tables::{Bounded, KeyWindow, NearSet, Op, OpTable, Recent};
 
 /// The canonical per-peer machine seed for a deployment rooted at
 /// `root_seed`. Every driver must use this derivation so that the same
@@ -82,7 +78,7 @@ pub struct PeerMachine {
     /// clock their deadlines run on.
     ops: OpTable,
     /// Recent message instance keys (dedup window).
-    seen: Recent<u64>,
+    seen: KeyWindow,
     /// Recent ring splices `(joiner, old_pred)` this peer served, so a
     /// retried `JoinRequest` whose welcome was lost can be re-welcomed.
     recent_splices: Recent<(Id, Id)>,
@@ -116,7 +112,7 @@ impl PeerMachine {
             events: Vec::new(),
             outbox: Vec::new(),
             ops: OpTable::new(seed),
-            seen: Recent::new(DEDUP_WINDOW),
+            seen: KeyWindow::new(),
             recent_splices: Recent::new(join::SPLICE_MEMORY),
             suspects: NearSet::new(id, repair::SUSPECT_CAP),
             probe_epoch: 0,
@@ -253,7 +249,7 @@ impl PeerMachine {
         // message content (see `Message::instance_key`), so consecutive
         // *legitimate* steps of the same token never collide.
         if let Some(key) = msg.dedup_key() {
-            if self.seen.contains(&key) {
+            if self.seen.contains(key) {
                 return std::mem::take(&mut self.outbox);
             }
             self.seen.push(key);

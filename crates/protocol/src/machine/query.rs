@@ -188,7 +188,7 @@ mod tests {
     use super::super::tests::{machines, Pump};
     use super::super::{PeerConfig, PeerMachine};
     use crate::logic;
-    use crate::message::{Command, OpKind, Outbound, ProtocolEvent};
+    use crate::message::{Command, Message, OpKind, Outbound, ProtocolEvent, QueryReport};
     use oscar_types::{Id, SeedTree};
     use proptest::prelude::*;
 
@@ -331,6 +331,57 @@ mod tests {
             .unwrap()
             .on_message(origin, msg, &mut rng);
         assert!(second.is_empty(), "duplicated delivery must be suppressed");
+    }
+
+    #[test]
+    fn a_query_envelope_is_remembered_for_127_later_steps_and_no_more() {
+        let ids = [100u64, 300, 500, 700];
+        let mut pump = Pump::new(machines(&ids));
+        for &i in &ids[1..] {
+            pump.command(
+                Id::new(i),
+                Command::Join {
+                    contact: Id::new(100),
+                },
+            );
+        }
+        let mut rng = SeedTree::new(2).rng();
+        let origin = Id::new(100);
+        let outs = pump.peers.get_mut(&origin).unwrap().on_command(
+            Command::StartQuery {
+                qid: 7,
+                key: Id::new(650),
+            },
+            &mut rng,
+        );
+        let Outbound { to, msg } = outs[0].clone();
+        let mut peer = pump.peers.remove(&to).unwrap();
+        assert!(!peer.on_message(origin, msg.clone(), &mut rng).is_empty());
+        // `later` other deduplicated steps at the same peer: reports for
+        // queries it never issued, each content-distinct and inert.
+        let replay_after = |later: u64| {
+            let mut peer = peer.clone();
+            let mut rng = SeedTree::new(3).rng();
+            for qid in 0..later {
+                let report = QueryReport {
+                    qid: 1000 + qid,
+                    origin: to,
+                    key: Id::new(650),
+                    success: true,
+                    hops: 1,
+                    wasted: 0,
+                    backtracks: 0,
+                    attempt: 0,
+                    dest: Some(Id::new(700)),
+                };
+                let done = Message::QueryDone(report);
+                assert!(done.dedup_key().is_some());
+                assert!(peer.on_message(origin, done, &mut rng).is_empty());
+            }
+            peer.on_message(origin, msg.clone(), &mut rng)
+        };
+        assert!(replay_after(127).is_empty(), "still in the window");
+        assert!(!replay_after(128).is_empty(), "forgotten: handled again");
     }
 
     #[test]

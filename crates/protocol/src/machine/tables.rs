@@ -1,6 +1,7 @@
 //! The tables the sub-machines share, each defined once: pending
 //! operations with their deadlines and retry streams ([`OpTable`]), a
-//! FIFO window ([`Recent`]), a sorted peer set that sheds its
+//! FIFO window ([`Recent`]), the duplicate-suppression window of message
+//! keys behind a tag index ([`KeyWindow`]), a sorted peer set that sheds its
 //! clockwise-farthest member ([`NearSet`]) and an inline list of at most
 //! `N` peers ([`Bounded`]) that holds each link table.
 
@@ -216,6 +217,86 @@ impl<T> Recent<T> {
             self.items.pop_front();
         }
         self.items.push_back(item);
+    }
+}
+
+/// Message instance keys kept for duplicate suppression.
+const DEDUP_WINDOW: usize = 128;
+
+const _: () = assert!(DEDUP_WINDOW > 0 && DEDUP_WINDOW.is_multiple_of(8));
+
+/// `0x01` in every byte of a word.
+const LOW_BYTES: u64 = u64::MAX / 0xFF;
+
+/// `0x80` in every byte of a word.
+const HIGH_BITS: u64 = LOW_BYTES << 7;
+
+/// The last [`DEDUP_WINDOW`] message keys pushed: the same set a
+/// [`Recent<u64>`] of that capacity holds, in a ring whose keys are
+/// indexed by their top byte. A lookup reads the packed tags a word at a
+/// time and compares only the keys whose tag matches, so a miss reads the
+/// tags' two cache lines and rarely a key.
+#[derive(Clone, Debug)]
+pub(super) struct KeyWindow {
+    /// The oldest slot once the ring is full; 0 until then.
+    head: usize,
+    /// Slot `i`'s tag — its key's top byte — is byte `i % 8` of word
+    /// `i / 8`. A slot not yet filled reads 0.
+    tags: [u64; DEDUP_WINDOW / 8],
+    /// The keys by slot: grows to [`DEDUP_WINDOW`], then each push
+    /// overwrites the oldest in place.
+    keys: Vec<u64>,
+}
+
+impl KeyWindow {
+    pub(super) fn new() -> Self {
+        KeyWindow {
+            head: 0,
+            tags: [0; DEDUP_WINDOW / 8],
+            keys: Vec::new(),
+        }
+    }
+
+    fn tag(key: u64) -> u64 {
+        key >> 56
+    }
+
+    /// Remembers `key`, forgetting the oldest one once full.
+    pub(super) fn push(&mut self, key: u64) {
+        let slot = if self.keys.len() < DEDUP_WINDOW {
+            self.keys.push(key);
+            self.keys.len() - 1
+        } else {
+            let slot = self.head;
+            self.keys[slot] = key;
+            self.head = (slot + 1) % DEDUP_WINDOW;
+            slot
+        };
+        let shift = (slot % 8) * 8;
+        let word = &mut self.tags[slot / 8];
+        *word = (*word & !(0xFF << shift)) | (Self::tag(key) << shift);
+    }
+
+    /// Whether `key` is among the keys held. Exact: a tag match only
+    /// nominates a slot, whose key is then compared.
+    pub(super) fn contains(&self, key: u64) -> bool {
+        let probe = Self::tag(key) * LOW_BYTES;
+        for (w, &word) in self.tags.iter().enumerate() {
+            // A zero byte of `x` is a slot whose tag matches. The mask
+            // flags every one of them; a borrow may also flag the byte
+            // above one, which the key comparison then rejects.
+            let x = word ^ probe;
+            let mut hits = x.wrapping_sub(LOW_BYTES) & !x & HIGH_BITS;
+            while hits != 0 {
+                let slot = w * 8 + hits.trailing_zeros() as usize / 8;
+                // An unfilled slot is past the end: `get` answers `None`.
+                if self.keys.get(slot) == Some(&key) {
+                    return true;
+                }
+                hits &= hits - 1;
+            }
+        }
+        false
     }
 }
 
@@ -437,7 +518,50 @@ mod tests {
         assert_eq!(table.next_deadline(), Some(RETRY_TIMEOUT));
     }
 
+    #[test]
+    fn a_key_is_found_for_127_later_pushes_and_forgotten_after_128() {
+        let first = 0xAB00_0000_0000_0001;
+        let mut window = KeyWindow::new();
+        window.push(first);
+        // Same tag as `first`, so each later key is a candidate slot the
+        // lookup must reject by comparing keys.
+        for k in 2..=DEDUP_WINDOW as u64 {
+            window.push(first + k);
+        }
+        assert!(window.contains(first));
+        window.push(first + 1000);
+        assert!(!window.contains(first));
+        assert!(window.contains(first + 1000) && window.contains(first + 2));
+    }
+
     proptest! {
+        #[test]
+        fn key_window_holds_what_a_fifo_of_its_capacity_holds(
+            ops in prop::collection::vec((0u8..3, 0usize..3, 0u64..200), 0..1200),
+        ) {
+            // Top bytes from three values, 0 among them, so tags collide
+            // and keys tagged 0 meet the unfilled slots; low bits from a
+            // small range, so keys repeat. Two ops in three push: the
+            // longer cases wrap the ring several times.
+            let mut window = KeyWindow::new();
+            let mut model: VecDeque<u64> = VecDeque::new();
+            for (op, top, low) in ops {
+                let key = ([0u64, 0x7F, 0xFF][top] << 56) | low;
+                if op < 2 {
+                    window.push(key);
+                    if model.len() == DEDUP_WINDOW {
+                        model.pop_front();
+                    }
+                    model.push_back(key);
+                } else {
+                    prop_assert_eq!(window.contains(key), model.contains(&key));
+                }
+            }
+            for &key in &model {
+                prop_assert!(window.contains(key));
+            }
+        }
+
         #[test]
         fn recent_is_a_bounded_fifo(cap in 0usize..9, items in prop::collection::vec(0u8..16, 0..64)) {
             let mut recent = Recent::new(cap);

@@ -79,6 +79,11 @@ pub struct WalkToken {
     pub attempt: u32,
 }
 
+/// Backtrack-stack entries a fresh [`QueryToken`] reserves (fewer when its
+/// budget is smaller), so the stack of a long query grows by a couple of
+/// reallocations, not by doubling its way up from a few entries.
+const QUERY_STACK_HINT: usize = 32;
+
 /// A greedy-routed query in flight.
 ///
 /// Mirrors the simulator's observed-routing bookkeeping, but distributed:
@@ -126,7 +131,7 @@ impl QueryToken {
             attempt: 0,
             known_dead: Vec::new(),
             exhausted: Vec::new(),
-            stack: Vec::new(),
+            stack: Vec::with_capacity((budget as usize).min(QUERY_STACK_HINT)),
         }
     }
 

@@ -38,7 +38,8 @@
 //!   moves its mail into a buffer the executor owns and handles that. A
 //!   message moves from the sender's outbox to the machine without being
 //!   copied (a fault-plan duplicate is the one clone), and each
-//!   `on_message` fills the executor's one outbound buffer, lent through
+//!   `on_message`, like an `inject` caller's `on_command`, fills the
+//!   executor's one outbound buffer, lent through
 //!   `PeerMachine::lend_outbox` and taken back empty after the routing;
 //! * an atomic in-flight message counter backs `quiesce`, which does not
 //!   sleep while there is work: it runs ready actors on the calling thread
@@ -232,7 +233,8 @@ struct Executor {
     /// between runs. Each mailbox keeps its own buffer, so grown buffers
     /// do not circulate from busy actors to idle ones.
     batch: VecDeque<Envelope>,
-    /// Lent to each machine it runs before `on_message`, and taken back
+    /// Lent to each machine it runs before `on_message` (or, borrowed by
+    /// an `inject` caller, before `on_command`), and taken back
     /// empty once the step's sends are routed: a hop sends without
     /// allocating.
     outbox: Vec<Outbound>,
@@ -529,6 +531,7 @@ impl Runtime {
         if let Some(actor) = &actor {
             let mut outs = {
                 let mut slot = held(actor.slot.lock());
+                slot.machine.lend_outbox(std::mem::take(&mut me.outbox));
                 let outs = slot.machine.on_command(cmd, &mut me.rng);
                 self.shared.after_step(id, &mut slot, me.slot);
                 outs
@@ -537,6 +540,7 @@ impl Runtime {
                 let (books, closed) = (&self.shared.books[me.slot], outs.len() as u64);
                 books.sent.fetch_add(closed, Ordering::Relaxed);
                 books.dropped.fetch_add(closed, Ordering::Relaxed);
+                outs.clear();
             } else {
                 // The caller runs no actor: what it made ready goes to the
                 // shared run queue, with a wake. An envelope handed to the
@@ -550,6 +554,7 @@ impl Runtime {
                     self.shared.schedule(first);
                 }
             }
+            me.outbox = outs;
         }
         held(self.helpers.lock()).idle.push(me);
         actor.is_some()
