@@ -139,7 +139,7 @@ fn a4_ring_stabilization(scale: &Scale, base: &GrowthRunResult) -> std::io::Resu
     );
     let mut cost = Series::new("mean cost (unstabilised)");
     let mut success = Series::new("success rate (unstabilised)");
-    let measure = |net: &mut Network, seed: u64| {
+    let measure = |net: &Network, seed: u64| {
         let mut qrng = SeedTree::new(seed).rng();
         run_query_batch(
             net,
@@ -150,11 +150,11 @@ fn a4_ring_stabilization(scale: &Scale, base: &GrowthRunResult) -> std::io::Resu
         )
     };
     crashed.set_fault_model(FaultModel::StabilizedRing);
-    let stabilized = measure(&mut crashed, 1);
+    let stabilized = measure(&crashed, 1);
     for sl in [1usize, 2, 4, 8, 16] {
         crashed.set_fault_model(FaultModel::UnstabilizedRing);
         crashed.set_succ_list_len(sl);
-        let stats = measure(&mut crashed, 100 + sl as u64);
+        let stats = measure(&crashed, 100 + sl as u64);
         cost.push(sl as f64, stats.mean_cost);
         success.push(sl as f64, stats.success_rate);
     }
@@ -175,7 +175,7 @@ fn a4_ring_stabilization(scale: &Scale, base: &GrowthRunResult) -> std::io::Resu
 
 fn a5_skewed_access(scale: &Scale, base: &GrowthRunResult) -> std::io::Result<()> {
     eprintln!("[A5] skewed access load...");
-    let mut net = base.network.clone();
+    let net = &base.network;
     let mut report = Report::new("A5: skewed (Zipf) access load", "zipf exponent");
     let mut cost = Series::new("mean search cost");
     for (x, workload) in [
@@ -188,13 +188,7 @@ fn a5_skewed_access(scale: &Scale, base: &GrowthRunResult) -> std::io::Result<()
             .child(0xA5)
             .child((x * 10.0) as u64)
             .rng();
-        let stats = run_query_batch(
-            &mut net,
-            &workload,
-            4000,
-            &RoutePolicy::default(),
-            &mut qrng,
-        );
+        let stats = run_query_batch(net, &workload, 4000, &RoutePolicy::default(), &mut qrng);
         cost.push(x, stats.mean_cost);
     }
     report.add_series(cost);

@@ -58,9 +58,9 @@ pub const FIG2_CRASHES: [f64; 3] = [0.0, 0.10, 0.33];
 /// The growth itself is inherently sequential, but the per-checkpoint
 /// fraction measurements are independent (each owns a clone and its own
 /// seed-tree child), so they fan out over [`Scale::thread_count`] workers;
-/// results are byte-identical to the sequential order. The in-place batch
-/// touches only the network's metrics, which no builder reads, so the
-/// grown topology does not depend on `crash_fractions`.
+/// results are byte-identical to the sequential order. A checkpoint gets
+/// `&Network`, so it cannot change the overlay it measures: the grown
+/// topology does not depend on `crash_fractions`.
 pub fn run_growth_experiment(
     builder: &dyn OverlayBuilder,
     keys: &dyn KeyDistribution,
@@ -100,9 +100,8 @@ pub fn run_growth_experiment(
                 &mut rng,
             );
             cost_by_size.push((cp.size, stats));
-            // Each measurement task clones the network into its own
-            // crashed copy.
-            let net: &Network = net;
+            // Each task crashes its own clone; the 0 % task clones too,
+            // as none may credit `net` while another clones it.
             let tasks: Vec<Task<Result<QueryBatchStats>>> = crash_fractions
                 .iter()
                 .enumerate()
@@ -114,7 +113,7 @@ pub fn run_growth_experiment(
                             kill_fraction(&mut clone, fraction, &mut churn_seed.rng())?;
                         }
                         Ok(run_query_batch(
-                            &mut clone,
+                            &clone,
                             &QueryWorkload::UniformPeers,
                             cp.size,
                             &RoutePolicy::default(),

@@ -165,7 +165,7 @@ mod tests {
             let mut rng = SeedTree::new(rank as u64).rng();
             let mut rng_halves = rng.clone();
             builder.build_links(&mut whole, p, &mut rng).unwrap();
-            let parts = estimate_partitions(&mut halves, p, &cfg, &mut rng_halves).unwrap();
+            let parts = estimate_partitions(&halves, p, &cfg, &mut rng_halves).unwrap();
             acquire_links(&mut halves, p, &parts, &cfg, &mut rng_halves).unwrap();
             assert!(whole.peer(p).out_degree() > 0);
             for q in whole.all_peers() {

@@ -23,7 +23,7 @@
 
 use crate::config::OscarConfig;
 use oscar_protocol::logic::{self, Partition};
-use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx, WalkConfig};
+use oscar_sim::{sample_peers, LinkError, MsgKind, Network, PeerIdx};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -43,7 +43,8 @@ pub struct LinkStats {
     pub probed: u64,
 }
 
-/// Fills `u`'s remaining out-link budget using its partitions.
+/// Fills `u`'s remaining out-link budget using its partitions. The
+/// probes are credited to [`MsgKind::Probe`] once, when the call returns.
 pub fn acquire_links(
     net: &mut Network,
     u: PeerIdx,
@@ -83,8 +84,8 @@ pub fn acquire_links(
             if missing > 0 {
                 starts.clear();
                 starts.extend(parts[i].pool.iter().filter(|&&s| net.is_alive(s)));
-                let walk = WalkConfig::default();
-                let walked = sample_peers(net, walk, entry, Some(&arc), missing, &starts, rng)?;
+                let walked = sample_peers(net, entry, Some(&arc), missing, &starts, rng)
+                    .inspect_err(|_| net.metrics.add(MsgKind::Probe, stats.probed))?;
                 candidates.extend(walked);
             }
             candidates.sort_unstable();
@@ -99,7 +100,6 @@ pub fn acquire_links(
                 if !net.is_alive(c) || !logic::admits_link(u, c, &[], &existing) {
                     continue;
                 }
-                net.metrics.inc(MsgKind::Probe);
                 stats.probed += 1;
                 let load = net.peer(c).in_degree() as usize;
                 best = logic::pick_least_loaded(best, load, c);
@@ -123,6 +123,7 @@ pub fn acquire_links(
         }
         stats.unfilled += 1;
     }
+    net.metrics.add(MsgKind::Probe, stats.probed);
     Ok(stats)
 }
 
@@ -141,7 +142,7 @@ mod tests {
 
     type Parts = Vec<Partition<PeerIdx>>;
 
-    fn parts_for(net: &mut Network, u: PeerIdx, cfg: &OscarConfig, seed: u64) -> Parts {
+    fn parts_for(net: &Network, u: PeerIdx, cfg: &OscarConfig, seed: u64) -> Parts {
         let mut rng = SeedTree::new(seed).rng();
         estimate_partitions(net, u, cfg, &mut rng).unwrap()
     }
@@ -151,7 +152,7 @@ mod tests {
         let mut net = test_net(256, DegreeCaps::symmetric(64), 1);
         let u = net.live_peer_by_rank(0);
         let cfg = OscarConfig::default();
-        let parts = parts_for(&mut net, u, &cfg, 2);
+        let parts = parts_for(&net, u, &cfg, 2);
         let before = net.peer(u).out_degree();
         let mut rng = SeedTree::new(3).rng();
         let stats = acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();
@@ -173,7 +174,7 @@ mod tests {
         let mut net = test_net(512, DegreeCaps::symmetric(64), 4);
         let u = net.live_peer_by_rank(0);
         let cfg = OscarConfig::default();
-        let parts = parts_for(&mut net, u, &cfg, 5);
+        let parts = parts_for(&net, u, &cfg, 5);
         net.unlink_long_out(u); // drop bootstrap links; rebuild via Oscar
         let mut rng = SeedTree::new(6).rng();
         acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();
@@ -208,7 +209,7 @@ mod tests {
         let cfg = OscarConfig::default();
         for rank in 0..64 {
             let u = net.live_peer_by_rank(rank);
-            let parts = parts_for(&mut net, u, &cfg, 100 + rank as u64);
+            let parts = parts_for(&net, u, &cfg, 100 + rank as u64);
             let mut rng = SeedTree::new(200 + rank as u64).rng();
             let _ = acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();
         }
@@ -245,7 +246,7 @@ mod tests {
             let parts: Vec<Parts> = peers
                 .iter()
                 .enumerate()
-                .map(|(i, &u)| parts_for(&mut net, u, &cfg, seed + 1000 + i as u64))
+                .map(|(i, &u)| parts_for(&net, u, &cfg, seed + 1000 + i as u64))
                 .collect();
             for &p in &peers {
                 net.unlink_long_out(p);
@@ -287,7 +288,7 @@ mod tests {
         let cfg = OscarConfig::default();
         let mut total_unfilled = 0;
         for (i, &u) in peers.iter().enumerate() {
-            let parts = parts_for(&mut net, u, &cfg, 300 + i as u64);
+            let parts = parts_for(&net, u, &cfg, 300 + i as u64);
             let mut rng = SeedTree::new(400 + i as u64).rng();
             let stats = acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();
             total_unfilled += stats.unfilled;
@@ -339,7 +340,7 @@ mod tests {
         let mut net = test_net(128, DegreeCaps::symmetric(32), 17);
         let u = net.live_peer_by_rank(0);
         let cfg = OscarConfig::default();
-        let parts = parts_for(&mut net, u, &cfg, 18);
+        let parts = parts_for(&net, u, &cfg, 18);
         let before = net.metrics.get(MsgKind::Probe);
         let mut rng = SeedTree::new(19).rng();
         let stats = acquire_links(&mut net, u, &parts, &cfg, &mut rng).unwrap();

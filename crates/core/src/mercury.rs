@@ -24,7 +24,7 @@
 use oscar_keydist::EmpiricalCdf;
 use oscar_sim::{
     route_to_owner, sample_peers, wire_directly, LinkError, MsgKind, Network, OverlayBuilder,
-    PeerIdx, RoutePolicy, WalkConfig,
+    PeerIdx, RoutePolicy,
 };
 use oscar_types::{Id, Result};
 use rand::rngs::SmallRng;
@@ -63,9 +63,8 @@ impl OverlayBuilder for MercuryBuilder {
 
 /// Builds Mercury's density estimate for peer `p`: an empirical CDF over
 /// `CDF_SAMPLE_SIZE` (near-)uniform node-id samples, plus `p`'s own id.
-fn estimate_cdf(net: &mut Network, p: PeerIdx, rng: &mut SmallRng) -> Result<EmpiricalCdf> {
-    let walk = WalkConfig::default();
-    let samples = sample_peers(net, walk, p, None, CDF_SAMPLE_SIZE, &[], rng)?;
+fn estimate_cdf(net: &Network, p: PeerIdx, rng: &mut SmallRng) -> Result<EmpiricalCdf> {
+    let samples = sample_peers(net, p, None, CDF_SAMPLE_SIZE, &[], rng)?;
     let mut ids: Vec<Id> = samples.iter().map(|&s| net.peer(s).id).collect();
     ids.push(net.peer(p).id);
     Ok(EmpiricalCdf::new(ids))
@@ -178,10 +177,10 @@ mod tests {
 
     #[test]
     fn cdf_estimate_covers_the_ring() {
-        let mut net = test_net(256, DegreeCaps::symmetric(64), 3);
+        let net = test_net(256, DegreeCaps::symmetric(64), 3);
         let p = net.live_peer_by_rank(0);
         let mut rng = SeedTree::new(4).rng();
-        let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+        let cdf = estimate_cdf(&net, p, &mut rng).unwrap();
         assert_eq!(cdf.len(), 25, "24 samples + own id");
         // Quantiles should span a decent portion of the (uniform) ring.
         let spread = cdf.quantile(0.95).to_unit() - cdf.quantile(0.05).to_unit();
@@ -193,7 +192,7 @@ mod tests {
         let mut net = test_net(256, DegreeCaps::symmetric(64), 5);
         let p = net.live_peer_by_rank(0);
         let mut rng = SeedTree::new(6).rng();
-        let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+        let cdf = estimate_cdf(&net, p, &mut rng).unwrap();
         let before = net.peer(p).out_degree();
         acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
         let (budget, established) = (64 - before, net.peer(p).out_degree() - before);
@@ -231,7 +230,7 @@ mod tests {
             let p = net.live_peer_by_rank(rank);
             let own = net.peer(p).id;
             let mut rng = SeedTree::new(21 + i as u64).rng();
-            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+            let cdf = estimate_cdf(&net, p, &mut rng).unwrap();
             net.unlink_long_out(p);
             acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
             let r_own = net.ring_live().rank_of(own).unwrap();
@@ -265,7 +264,7 @@ mod tests {
         let peers: Vec<PeerIdx> = net.live_peers().collect();
         for (i, &p) in peers.iter().enumerate() {
             let mut rng = SeedTree::new(100 + i as u64).rng();
-            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+            let cdf = estimate_cdf(&net, p, &mut rng).unwrap();
             acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
         }
         for &p in &peers {
@@ -279,7 +278,7 @@ mod tests {
             let mut net = test_net(128, DegreeCaps::symmetric(16), 11);
             let p = net.live_peer_by_rank(3);
             let mut rng = SeedTree::new(12).rng();
-            let cdf = estimate_cdf(&mut net, p, &mut rng).unwrap();
+            let cdf = estimate_cdf(&net, p, &mut rng).unwrap();
             acquire_links(&mut net, p, &cdf, &mut rng).unwrap();
             net.peer(p).long_out.clone()
         };

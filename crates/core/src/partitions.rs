@@ -5,7 +5,7 @@
 
 use crate::config::{MedianSource, OscarConfig};
 use oscar_protocol::logic::{Partition, PartitionChain};
-use oscar_sim::{sample_peers, Network, PeerIdx, WalkConfig};
+use oscar_sim::{sample_peers, Network, PeerIdx};
 use oscar_types::Result;
 use rand::rngs::SmallRng;
 
@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 /// near; none when `u` is the only live peer. Walk steps are credited to
 /// the network's metrics.
 pub fn estimate_partitions(
-    net: &mut Network,
+    net: &Network,
     u: PeerIdx,
     cfg: &OscarConfig,
     rng: &mut SmallRng,
@@ -31,8 +31,7 @@ pub fn estimate_partitions(
                 // Round 1 walks from the successor; later rounds from the
                 // samples carried over, which are uniform over `arc`.
                 let held: Vec<PeerIdx> = chain.held().collect();
-                let cfg = WalkConfig::default();
-                let walked = sample_peers(net, cfg, succ, Some(&arc), fresh, &held, rng)?;
+                let walked = sample_peers(net, succ, Some(&arc), fresh, &held, rng)?;
                 chain.offer(walked.into_iter().map(|s| (net.peer(s).id, s)));
             }
             MedianSource::Oracle => {
@@ -52,9 +51,9 @@ pub fn estimate_partitions(
 mod tests {
     use super::*;
     use crate::spaced_ids;
-    use oscar_degree::DegreeCaps;
-    use oscar_keydist::{sample_n, ClusteredKeys};
-    use oscar_sim::MsgKind;
+    use oscar_degree::{ConstantDegrees, DegreeCaps};
+    use oscar_keydist::{sample_n, ClusteredKeys, GnutellaKeys};
+    use oscar_sim::{FaultModel, MsgKind, Overlay};
     use oscar_types::{Arc, Id, SeedTree, RING_SIZE};
     use rand::Rng;
 
@@ -70,11 +69,11 @@ mod tests {
         let mut net = test_net(vec![Id::new(10)], 0, 3);
         let u = net.idx_of(Id::new(10)).unwrap();
         let mut rng = SeedTree::new(4).rng();
-        assert!(estimate_partitions(&mut net, u, &cfg, &mut rng)
+        assert!(estimate_partitions(&net, u, &cfg, &mut rng)
             .unwrap()
             .is_empty());
         net.add_peer(far, DegreeCaps::symmetric(64)).unwrap();
-        let p = estimate_partitions(&mut net, u, &cfg, &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &cfg, &mut rng).unwrap();
         assert_eq!(p.len(), 1);
         assert!(p[0].arc.contains(far));
         assert_eq!(net.peer(p[0].entry).id, far);
@@ -82,10 +81,10 @@ mod tests {
 
     #[test]
     fn partitions_tile_the_ring_minus_origin() {
-        let mut net = test_net(spaced_ids(256, 7), 5, 5);
+        let net = test_net(spaced_ids(256, 7), 5, 5);
         let u = net.idx_of(Id::new(7)).unwrap();
         let mut rng = SeedTree::new(6).rng();
-        let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
         assert!(!p.is_empty());
         // Total coverage: everything except the origin position.
         let total: u128 = p.iter().map(|q| q.arc.len()).sum();
@@ -102,10 +101,10 @@ mod tests {
     #[test]
     fn partition_count_is_logarithmic() {
         for (n, seed) in [(64u64, 8u64), (256, 9), (1024, 10)] {
-            let mut net = test_net(spaced_ids(n, 7), 5, seed);
+            let net = test_net(spaced_ids(n, 7), 5, seed);
             let u = net.idx_of(Id::new(7)).unwrap();
             let mut rng = SeedTree::new(seed + 100).rng();
-            let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+            let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
             let expect = (n as f64).log2();
             assert!(
                 (p.len() as f64) > expect * 0.5 && (p.len() as f64) < expect * 1.8,
@@ -117,11 +116,11 @@ mod tests {
 
     #[test]
     fn oracle_partitions_halve_population_exactly() {
-        let mut net = test_net(spaced_ids(512, 7), 5, 11);
+        let net = test_net(spaced_ids(512, 7), 5, 11);
         let u = net.idx_of(Id::new(7)).unwrap();
         let mut rng = SeedTree::new(12).rng();
         let cfg = OscarConfig::default().with_oracle_medians();
-        let p = estimate_partitions(&mut net, u, &cfg, &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &cfg, &mut rng).unwrap();
         // |A_1| must be exactly ⌈(N-1)/2⌉ + (0 or 1): the far half of the
         // 511 other peers under the lower-median convention.
         let far_count = net.ring_live().count_in_arc(&p[0].arc);
@@ -151,14 +150,14 @@ mod tests {
         // out-of-band share at most 0.20. A sampler whose 12 samples are
         // one sample fails both: with no median to cut at, one partition
         // holds every peer, a share of 1.
-        let mut net = test_net(spaced_ids(512, 7), 5, 13);
+        let net = test_net(spaced_ids(512, 7), 5, 13);
         let u = net.idx_of(Id::new(7)).unwrap();
         let n = net.ring_live().len() - 1;
         let seeds = 1000;
         let (mut sum, mut out_of_band) = (0.0, 0);
         for seed in 0..seeds {
             let mut rng = SeedTree::new(14 + seed).rng();
-            let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+            let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
             let frac = net.ring_live().count_in_arc(&p[0].arc) as f64 / n as f64;
             sum += frac;
             out_of_band += usize::from(!(0.30..=0.70).contains(&frac));
@@ -180,12 +179,12 @@ mod tests {
         // excluded) averages one half. Were the pool kept sorted by
         // distance, that sample would be the nearest of about six and
         // the mean rank would sit near one seventh.
-        let mut net = test_net(spaced_ids(256, 7), 5, 24);
+        let net = test_net(spaced_ids(256, 7), 5, 24);
         let u = net.idx_of(Id::new(7)).unwrap();
         let (mut sum, mut seen) = (0.0, 0);
         for seed in 0..300 {
             let mut rng = SeedTree::new(1000 + seed).rng();
-            let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+            let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
             let arc = p[0].arc;
             let Some(&first) = p[0].pool.first() else {
                 continue;
@@ -208,11 +207,11 @@ mod tests {
 
     #[test]
     fn oracle_medians_pool_nothing() {
-        let mut net = test_net(spaced_ids(256, 7), 5, 26);
+        let net = test_net(spaced_ids(256, 7), 5, 26);
         let u = net.idx_of(Id::new(7)).unwrap();
         let mut rng = SeedTree::new(27).rng();
         let cfg = OscarConfig::default().with_oracle_medians();
-        let p = estimate_partitions(&mut net, u, &cfg, &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &cfg, &mut rng).unwrap();
         assert!(p.iter().all(|q| q.pool.is_empty()));
         assert_eq!(net.metrics.get(MsgKind::WalkStep), 0);
     }
@@ -220,12 +219,52 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let build = || {
-            let mut net = test_net(spaced_ids(128, 7), 4, 21);
+            let net = test_net(spaced_ids(128, 7), 4, 21);
             let u = net.live_peer_by_rank(5);
             let mut rng = SeedTree::new(22).rng();
-            estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap()
+            estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn two_threads_on_one_network_estimate_as_one_thread_does() {
+        // Estimation reads the overlay and credits its atomic counters,
+        // so two threads may share one `&Network`: each peer, on its own
+        // stream, gets the partitions a serial run gives it, and the walk
+        // steps credited add up to the serial run's.
+        let cfg = OscarConfig::default();
+        let builder = crate::OscarBuilder::new(cfg);
+        let mut ov = Overlay::new(builder, FaultModel::StabilizedRing, 58);
+        ov.grow_to(2000, &GnutellaKeys::default(), &ConstantDegrees::paper())
+            .unwrap();
+        let net = ov.network();
+        let peers: Vec<PeerIdx> = (0..8).map(|k| net.live_peer_by_rank(k * 250)).collect();
+        let (seed, gate) = (SeedTree::new(59), std::sync::Barrier::new(2));
+        let estimate = |k: usize| {
+            let mut rng = seed.child(k as u64).rng();
+            estimate_partitions(net, peers[k], &cfg, &mut rng).unwrap()
+        };
+        let steps = || net.metrics.get(MsgKind::WalkStep);
+        let start = steps();
+        let serial: Vec<_> = (0..8).map(estimate).collect();
+        let mid = steps();
+        let run = |ks: std::ops::Range<usize>| {
+            gate.wait();
+            ks.map(estimate).collect::<Vec<_>>()
+        };
+        let threaded: Vec<_> = std::thread::scope(|s| {
+            let (first, second) = (s.spawn(|| run(0..4)), s.spawn(|| run(4..8)));
+            let mut all = first.join().unwrap();
+            all.extend(second.join().unwrap());
+            all
+        });
+        assert!(mid > start);
+        assert_eq!(steps() - mid, mid - start, "walk steps credited");
+        for (k, (a, b)) in serial.iter().zip(&threaded).enumerate() {
+            assert!(!a.is_empty());
+            assert_eq!(a, b, "peer {k}'s partitions");
+        }
     }
 
     #[test]
@@ -238,10 +277,10 @@ mod tests {
         let mut ids = sample_n(&keys, 512, &mut id_rng);
         ids.sort_unstable();
         ids.dedup();
-        let mut net = test_net(ids, 5, 17);
+        let net = test_net(ids, 5, 17);
         let u = net.live_peer_by_rank(3);
         let mut rng = SeedTree::new(18).rng();
-        let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
         let n = net.ring_live().len() - 1;
         let far = net.ring_live().count_in_arc(&p[0].arc);
         let frac = far as f64 / n as f64;
@@ -257,10 +296,10 @@ mod tests {
 
     #[test]
     fn entry_points_are_members_of_their_partitions() {
-        let mut net = test_net(spaced_ids(128, 7), 4, 19);
+        let net = test_net(spaced_ids(128, 7), 4, 19);
         let u = net.live_peer_by_rank(0);
         let mut rng = SeedTree::new(20).rng();
-        let p = estimate_partitions(&mut net, u, &OscarConfig::default(), &mut rng).unwrap();
+        let p = estimate_partitions(&net, u, &OscarConfig::default(), &mut rng).unwrap();
         for (i, q) in p.iter().enumerate() {
             assert!(
                 q.arc.contains(net.peer(q.entry).id),

@@ -138,7 +138,7 @@ impl GrowthConfig {
     ) -> Result<()>
     where
         B: OverlayBuilder + ?Sized,
-        F: FnMut(&mut Network, Checkpoint) -> Result<()>,
+        F: FnMut(&Network, Checkpoint) -> Result<()>,
     {
         self.validate()?;
         let mut id_rng = seed.child(LBL_IDS).rng();
@@ -187,7 +187,7 @@ impl GrowthConfig {
     ) -> Result<()>
     where
         B: OverlayBuilder + ?Sized,
-        F: FnMut(&mut Network, Checkpoint) -> Result<()>,
+        F: FnMut(&Network, Checkpoint) -> Result<()>,
     {
         while *next_checkpoint < self.checkpoints.len()
             && net.len() >= self.checkpoints[*next_checkpoint]

@@ -41,13 +41,14 @@
 //!   item 14).
 //! * [`metrics`] — message accounting by category.
 //!
-//! Each `Network` is single-threaded and allocation-conscious: a full
-//! paper-scale run (10⁴ peers, nine rewiring checkpoints) performs on the
-//! order of 10⁸ walk steps, served from a per-peer walk-adjacency cache
-//! that every mutation keeps current (see [`network`]). `Network` is
-//! `Send + Sync`: walkers read the cache through `&Network`, and the
-//! parallel experiment drivers in `oscar-bench` let each task clone a
-//! shared network for itself.
+//! Each `Network` is allocation-conscious: a full paper-scale run (10⁴
+//! peers, nine rewiring checkpoints) performs on the order of 10⁸ walk
+//! steps, served from a per-peer walk-adjacency cache that every
+//! mutation keeps current (see [`network`]). `Network` is
+//! `Send + Sync`, and only what changes links or membership takes
+//! `&mut Network`: walks, partition estimates and query batches credit
+//! the atomic message counters through `&Network`, so several may share
+//! one network.
 
 // The determinism rules in force in this crate's library code; `clippy.toml`
 // lists the disallowed methods (ARCHITECTURE.md § "Static analysis &

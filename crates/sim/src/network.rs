@@ -285,8 +285,9 @@ impl LiveRanks {
 ///
 /// `Network` is `Clone`, deliberately: churn experiments snapshot the grown
 /// network, crash the clone, and measure it, so one growth run feeds many
-/// failure scenarios. It is `Send + Sync` (plain tables, no interior
-/// mutability), so parallel tasks clone it from a shared borrow.
+/// failure scenarios. It is `Send + Sync` (plain tables, and atomic
+/// [`Network::metrics`] that readers credit through `&Network`), so
+/// parallel tasks share one borrow, or clone their own from it.
 #[derive(Clone)]
 pub struct Network {
     peers: Vec<Peer>,
@@ -843,7 +844,8 @@ impl Network {
     /// view, then all outgoing long-range links (possibly dangling). The
     /// router reads the same relation in place, through the visitor this
     /// collects from; the list is what tests inspect.
-    pub fn routing_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
+    #[cfg(test)]
+    pub(crate) fn routing_neighbors_into(&self, idx: PeerIdx, buf: &mut Vec<PeerIdx>) {
         buf.clear();
         self.for_each_routing_neighbor(idx, |c| buf.push(c));
     }
@@ -1567,7 +1569,7 @@ mod tests {
         let mut rng = oscar_types::SeedTree::new(3).rng();
         let workload = oscar_keydist::QueryWorkload::UniformPeers;
         let policy = crate::routing::RoutePolicy::default();
-        let stats = crate::routing::run_query_batch(&mut net, &workload, 300, &policy, &mut rng);
+        let stats = crate::routing::run_query_batch(&net, &workload, 300, &policy, &mut rng);
         assert_eq!(stats.success_rate, 1.0);
         // Tearing down after the moves.
         for &p in &peers[1..40] {
@@ -1595,8 +1597,9 @@ mod tests {
 
     #[test]
     fn network_is_send_and_sync() {
-        // Parallel experiment tasks clone one shared network; interior
-        // mutability would take that away, and this stops compiling.
+        // Parallel tasks read one shared network, crediting its atomic
+        // counters, or clone it; a field that is not `Sync` (a `Cell`
+        // counter, say) would take that away, and this stops compiling.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Network>();
     }

@@ -74,7 +74,7 @@ impl<B: OverlayBuilder> Overlay<B> {
         on_checkpoint: F,
     ) -> Result<()>
     where
-        F: FnMut(&mut Network, Checkpoint) -> Result<()>,
+        F: FnMut(&Network, Checkpoint) -> Result<()>,
     {
         config.run(
             &mut self.net,
@@ -120,13 +120,7 @@ impl<B: OverlayBuilder> Overlay<B> {
     pub fn run_queries(&mut self, workload: &QueryWorkload, n: usize) -> QueryBatchStats {
         self.query_batches += 1;
         let mut rng = self.seed.child2(LBL_QUERY, self.query_batches).rng();
-        run_query_batch(
-            &mut self.net,
-            workload,
-            n,
-            &RoutePolicy::default(),
-            &mut rng,
-        )
+        run_query_batch(&self.net, workload, n, &RoutePolicy::default(), &mut rng)
     }
 
     /// Crashes a uniform fraction of live peers. Each wave draws from its

@@ -365,9 +365,9 @@ impl QueryBatchStats {
 /// drawn from `workload`, and aggregates the costs.
 ///
 /// Metrics are credited to the network ([`MsgKind::QueryHop`] /
-/// [`MsgKind::QueryWasted`]).
+/// [`MsgKind::QueryWasted`]) once, when the batch ends.
 pub fn run_query_batch(
-    net: &mut Network,
+    net: &Network,
     workload: &QueryWorkload,
     n: usize,
     policy: &RoutePolicy,
@@ -382,7 +382,7 @@ pub fn run_query_batch(
 /// and RNG stream. The continuous-churn engine's `OnProbe` repair policy
 /// turns each of them into a scheduled rewire.
 pub fn run_query_batch_observed(
-    net: &mut Network,
+    net: &Network,
     workload: &QueryWorkload,
     n: usize,
     policy: &RoutePolicy,
@@ -396,7 +396,7 @@ pub fn run_query_batch_observed(
 }
 
 fn run_batch_observed(
-    net: &mut Network,
+    net: &Network,
     workload: &QueryWorkload,
     n: usize,
     policy: &RoutePolicy,
@@ -415,6 +415,7 @@ fn run_batch_observed(
     let by_rank = &ranks.by_rank;
     let mut carried = Carried::default();
     let mut outcomes = Vec::with_capacity(n);
+    let (mut hops, mut wasted) = (0, 0);
     for _ in 0..n {
         let src = by_rank[rng.gen_range(0..n_live)];
         // The key is the drawn live peer's own id, so that peer owns it.
@@ -428,10 +429,12 @@ fn run_batch_observed(
             Some(&ranks),
             probers.as_deref_mut(),
         );
-        net.metrics.add(MsgKind::QueryHop, outcome.hops as u64);
-        net.metrics.add(MsgKind::QueryWasted, outcome.wasted as u64);
+        hops += u64::from(outcome.hops);
+        wasted += u64::from(outcome.wasted);
         outcomes.push((outcome.success, outcome.hops, outcome.wasted));
     }
+    net.metrics.add(MsgKind::QueryHop, hops);
+    net.metrics.add(MsgKind::QueryWasted, wasted);
     QueryBatchStats::of(outcomes.len(), outcomes)
 }
 
@@ -572,17 +575,11 @@ mod tests {
         // Same derived stream for both batches: the observer must be a
         // pure tap, not a behaviour change.
         let mut plain_rng = SeedTree::new(77).rng();
-        let plain = run_query_batch(&mut net, &workload, 200, &policy, &mut plain_rng);
+        let plain = run_query_batch(&net, &workload, 200, &policy, &mut plain_rng);
         let mut obs_rng = SeedTree::new(77).rng();
         let mut probers = Vec::new();
-        let observed = run_query_batch_observed(
-            &mut net,
-            &workload,
-            200,
-            &policy,
-            &mut obs_rng,
-            &mut probers,
-        );
+        let observed =
+            run_query_batch_observed(&net, &workload, 200, &policy, &mut obs_rng, &mut probers);
         assert_eq!(plain, observed);
 
         // Waste happened, so somebody probed a corpse; each reported
@@ -606,10 +603,10 @@ mod tests {
 
         // A fault-free network never reports probers.
         let clean = test_net(64, 4, 12, FaultModel::StabilizedRing);
-        let mut net = clean;
+        let net = clean;
         let mut rng = SeedTree::new(13).rng();
         let mut none = Vec::new();
-        run_query_batch_observed(&mut net, &workload, 100, &policy, &mut rng, &mut none);
+        run_query_batch_observed(&net, &workload, 100, &policy, &mut rng, &mut none);
         assert!(none.is_empty());
     }
 
@@ -780,7 +777,7 @@ mod tests {
                             );
                             let mut probers = Vec::new();
                             let batch = run_query_batch_observed(
-                                &mut net,
+                                &net,
                                 workload,
                                 150,
                                 &policy,
@@ -964,10 +961,10 @@ mod tests {
 
     #[test]
     fn batch_stats_are_consistent() {
-        let mut net = test_net(128, 5, 14, FaultModel::StabilizedRing);
+        let net = test_net(128, 5, 14, FaultModel::StabilizedRing);
         let mut rng = SeedTree::new(15).rng();
         let stats = run_query_batch(
-            &mut net,
+            &net,
             &QueryWorkload::UniformPeers,
             200,
             &RoutePolicy::default(),
@@ -984,10 +981,10 @@ mod tests {
 
     #[test]
     fn batch_on_empty_network_is_safe() {
-        let mut net = Network::new(FaultModel::StabilizedRing);
+        let net = Network::new(FaultModel::StabilizedRing);
         let mut rng = SeedTree::new(16).rng();
         let stats = run_query_batch(
-            &mut net,
+            &net,
             &QueryWorkload::UniformPeers,
             10,
             &RoutePolicy::default(),
@@ -1016,7 +1013,7 @@ mod tests {
         net.kill(net.idx_of(Id::new(20)).unwrap()).unwrap();
         let mut rng = SeedTree::new(17).rng();
         let stats = run_query_batch(
-            &mut net,
+            &net,
             &QueryWorkload::UniformPeers,
             200,
             &RoutePolicy::default(),
@@ -1059,10 +1056,10 @@ mod tests {
 
     #[test]
     fn se_cost_reports_the_batch_standard_error() {
-        let mut net = test_net(128, 5, 14, FaultModel::StabilizedRing);
+        let net = test_net(128, 5, 14, FaultModel::StabilizedRing);
         let mut rng = SeedTree::new(23).rng();
         let stats = run_query_batch(
-            &mut net,
+            &net,
             &QueryWorkload::UniformPeers,
             200,
             &RoutePolicy::default(),

@@ -22,8 +22,7 @@
 //! already drawn uniformly from the arc stays uniform at any length: its
 //! steps only decorrelate the sample from its start, and
 //! `UNIFORM_START_STEPS` of them do. A walk from a fixed entry (the
-//! successor, a partition border) must first mix, and walks
-//! [`WalkConfig::burn_in`] steps.
+//! successor, a partition border) must first mix, and walks `BURN_IN` steps.
 //!
 //! The `count` walks of one [`sample_peers`] call advance together, as
 //! the lanes of `Network::walk_lanes`, so that their cache misses
@@ -44,15 +43,18 @@ use oscar_types::{Arc, Error, Result};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Random-walk parameters.
+/// Random-walk parameters of a [`Walker`].
 #[derive(Copy, Clone, Debug)]
 pub struct WalkConfig {
-    /// Steps a walk from a fixed entry takes before emitting a sample:
-    /// the mixing time from a start that is not a uniform draw. The graph
-    /// is an expander once long links exist, so a few dozen steps suffice;
-    /// this is the `O(log N)`-ish walk length Mercury uses.
+    /// Steps a walk takes before emitting a sample (`BURN_IN` by default).
     pub burn_in: u32,
 }
+
+/// Steps a walk from a fixed entry takes before emitting a sample: the
+/// mixing time from a start that is not a uniform draw. The graph is an
+/// expander once long links exist, so a few dozen steps suffice; this is
+/// the `O(log N)`-ish walk length Mercury uses.
+const BURN_IN: u32 = 24;
 
 /// Steps a walk takes from a start already uniform over its arc. Such a
 /// walk needs no mixing, only enough steps that the samples drawn from one
@@ -61,7 +63,7 @@ const UNIFORM_START_STEPS: u32 = 6;
 
 impl Default for WalkConfig {
     fn default() -> Self {
-        WalkConfig { burn_in: 24 }
+        WalkConfig { burn_in: BURN_IN }
     }
 }
 
@@ -80,8 +82,8 @@ impl<'a> Walker<'a> {
     }
 
     /// Steps consumed since last drained; the caller credits them to
-    /// [`MsgKind::WalkStep`] (the walker holds `&Network`, so it cannot
-    /// write metrics itself).
+    /// [`MsgKind::WalkStep`] if it wants them counted (a walker leaves
+    /// the network's metrics alone).
     pub fn take_steps(&mut self) -> u64 {
         std::mem::take(&mut self.steps)
     }
@@ -124,10 +126,10 @@ fn check_start(net: &Network, start: PeerIdx, arc: Option<&Arc>) -> Result<()> {
 
 /// `count` samples of `arc` (or of the whole live network when `arc` is
 /// `None`), each a fresh walk, with the walk steps credited to the
-/// network's metrics (for callers holding `&mut Network`).
+/// network's metrics.
 ///
 /// `uniform` holds peers already drawn uniformly from the same arc. When
-/// it is empty, every sample walks `burn_in` steps from `entry`; otherwise
+/// it is empty, every sample walks `BURN_IN` steps from `entry`; otherwise
 /// sample `k` walks `UNIFORM_START_STEPS` from `uniform[k % len]` and
 /// `entry` is not used. Sample `k` is lane `k` of one
 /// `Network::walk_lanes` call, on a stream seeded from the `k`-th of
@@ -137,8 +139,7 @@ fn check_start(net: &Network, start: PeerIdx, arc: Option<&Arc>) -> Result<()> {
 /// before any lane steps: if one is not, the first such start's `Err` is
 /// returned, no step is taken or credited, and `rng` is not drawn from.
 pub fn sample_peers(
-    net: &mut Network,
-    cfg: WalkConfig,
+    net: &Network,
     entry: PeerIdx,
     arc: Option<&Arc>,
     count: usize,
@@ -146,7 +147,7 @@ pub fn sample_peers(
     rng: &mut SmallRng,
 ) -> Result<Vec<PeerIdx>> {
     let (steps, mut at) = match uniform {
-        [] => (cfg.burn_in, vec![entry; count]),
+        [] => (BURN_IN, vec![entry; count]),
         _ => {
             let starts = uniform.iter().cycle().take(count).copied();
             (UNIFORM_START_STEPS, starts.collect())
@@ -398,10 +399,11 @@ mod tests {
     }
 
     /// Total-variation distance from uniform over the half-ring arc's
-    /// members of 6 400 `sample_peers` draws, `lanes` to a call, each a
-    /// walk of `UNIFORM_START_STEPS` steps from a uniformly drawn member
-    /// or, when `uniform_starts` is false, from the arc's first peer.
-    fn half_ring_tv(net: &mut Network, uniform_starts: bool, lanes: usize, seed: u64) -> f64 {
+    /// members of 6 400 walks of `UNIFORM_START_STEPS` steps, `lanes` to
+    /// a call: `sample_peers` draws from uniformly drawn members or, when
+    /// `uniform_starts` is false, `Network::walk_lanes` calls from the
+    /// arc's first peer, seeded as `sample_peers` seeds its lanes.
+    fn half_ring_tv(net: &Network, uniform_starts: bool, lanes: usize, seed: u64) -> f64 {
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let members: Vec<PeerIdx> = net
             .live_peers()
@@ -410,19 +412,21 @@ mod tests {
         let entry = net.idx_of(Id::new(0)).unwrap();
         let mut rng = SeedTree::new(seed).rng();
         let trials: usize = 6400;
-        let cfg = WalkConfig {
-            burn_in: UNIFORM_START_STEPS,
-        };
         let mut counts = std::collections::HashMap::new();
         for call in 0..trials.div_ceil(lanes) {
             let count = lanes.min(trials - call * lanes);
-            let starts: Vec<PeerIdx> = if uniform_starts {
+            let got = if uniform_starts {
                 let draw = |_| members[rng.gen_range(0..members.len())];
-                (0..count).map(draw).collect()
+                let starts: Vec<PeerIdx> = (0..count).map(draw).collect();
+                sample_peers(net, entry, Some(&arc), count, &starts, &mut rng).unwrap()
             } else {
-                Vec::new()
+                let mut at = vec![entry; count];
+                let mut rngs: Vec<SmallRng> = (0..count)
+                    .map(|_| SmallRng::seed_from_u64(rng.gen()))
+                    .collect();
+                net.walk_lanes(Some(&arc), UNIFORM_START_STEPS, &mut at, &mut rngs);
+                at
             };
-            let got = sample_peers(net, cfg, entry, Some(&arc), count, &starts, &mut rng).unwrap();
             for s in got {
                 *counts.entry(s).or_insert(0usize) += 1;
             }
@@ -443,10 +447,10 @@ mod tests {
         // about 0.03. It holds however many lanes step together: one, a
         // partition round's 12, and a count that is neither.
         for seed in [7, 21, 33] {
-            let mut net = test_net(64, 4, seed);
+            let net = test_net(64, 4, seed);
             for lanes in [1, 7, 12] {
-                let from_uniform = half_ring_tv(&mut net, true, lanes, seed + 100);
-                let from_entry = half_ring_tv(&mut net, false, lanes, seed + 100);
+                let from_uniform = half_ring_tv(&net, true, lanes, seed + 100);
+                let from_entry = half_ring_tv(&net, false, lanes, seed + 100);
                 println!(
                     "seed {seed}, {lanes} lanes: TV {from_uniform:.3} from uniform starts, \
                      {from_entry:.3} from the entry"
@@ -470,7 +474,7 @@ mod tests {
         // samples would coincide more often than independent draws from
         // the samples' own distribution do, Σ p². With 33 members that is
         // about 0.03, over 33 000 lane pairs; all lanes on one stream read 1.
-        let mut net = test_net(64, 4, 41);
+        let net = test_net(64, 4, 41);
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let entry = net.idx_of(Id::new(0)).unwrap();
         let mut rng = SeedTree::new(42).rng();
@@ -478,8 +482,7 @@ mod tests {
         let (mut pairs, mut equal) = (0usize, 0usize);
         let mut counts = std::collections::BTreeMap::new();
         for _ in 0..calls {
-            let cfg = WalkConfig::default();
-            let got = sample_peers(&mut net, cfg, entry, Some(&arc), lanes, &[], &mut rng).unwrap();
+            let got = sample_peers(&net, entry, Some(&arc), lanes, &[], &mut rng).unwrap();
             for (i, a) in got.iter().enumerate() {
                 *counts.entry(*a).or_insert(0usize) += 1;
                 for b in &got[i + 1..] {
@@ -544,7 +547,6 @@ mod tests {
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let (inside, other, outside, dead) = (PeerIdx(1), PeerIdx(3), PeerIdx(12), PeerIdx(5));
         net.kill(dead).unwrap();
-        let cfg = WalkConfig::default();
         let rng = SeedTree::new(44).rng();
         for (starts, far) in [
             (vec![inside, other, outside], true),
@@ -553,15 +555,7 @@ mod tests {
         ] {
             let mut drawn = rng.clone();
             let count = starts.len();
-            let got = sample_peers(
-                &mut net,
-                cfg,
-                inside,
-                Some(&arc),
-                count,
-                &starts,
-                &mut drawn,
-            );
+            let got = sample_peers(&net, inside, Some(&arc), count, &starts, &mut drawn);
             match got {
                 Err(Error::SamplingFailed { .. }) => assert!(far, "{starts:?}"),
                 Err(Error::PeerDead(p)) => assert_eq!((far, p), (false, dead.as_usize())),
@@ -571,7 +565,7 @@ mod tests {
             assert_eq!(drawn.gen::<u64>(), rng.clone().gen::<u64>(), "{starts:?}");
         }
         // A bad entry fails the same way when every lane starts from it.
-        let got = sample_peers(&mut net, cfg, outside, Some(&arc), 4, &[], &mut rng.clone());
+        let got = sample_peers(&net, outside, Some(&arc), 4, &[], &mut rng.clone());
         assert!(matches!(got, Err(Error::SamplingFailed { .. })));
         assert_eq!(net.metrics.get(MsgKind::WalkStep), 0);
     }
@@ -582,40 +576,27 @@ mod tests {
         let arc = Arc::between(Id::new(0), Id::new(u64::MAX / 2));
         let (inside, outside) = (PeerIdx(1), PeerIdx(12));
         let mut rng = SeedTree::new(26).rng();
-        let mut from = |net: &mut Network, starts: &[PeerIdx], count| {
-            let cfg = WalkConfig::default();
-            sample_peers(net, cfg, PeerIdx(0), Some(&arc), count, starts, &mut rng)
+        let mut from = |net: &Network, starts: &[PeerIdx], count| {
+            sample_peers(net, PeerIdx(0), Some(&arc), count, starts, &mut rng)
         };
-        let got = from(&mut net, &[inside, PeerIdx(3)], 5).unwrap();
+        let got = from(&net, &[inside, PeerIdx(3)], 5).unwrap();
         assert!(got.iter().all(|&s| arc.contains(net.peer(s).id)));
         assert_eq!(
             net.metrics.get(MsgKind::WalkStep),
             5 * UNIFORM_START_STEPS as u64
         );
-        let far = from(&mut net, &[outside], 2);
+        let far = from(&net, &[outside], 2);
         assert!(matches!(far, Err(Error::SamplingFailed { .. })));
         net.kill(inside).unwrap();
-        let dead = from(&mut net, &[inside], 2);
+        let dead = from(&net, &[inside], 2);
         assert!(matches!(dead, Err(Error::PeerDead(_))));
     }
 
     #[test]
     fn sample_peers_wrapper_credits_metrics() {
-        let mut net = test_net(16, 2, 19);
+        let net = test_net(16, 2, 19);
         let mut rng = SeedTree::new(20).rng();
-        sample_peers(
-            &mut net,
-            WalkConfig::default(),
-            PeerIdx(0),
-            None,
-            3,
-            &[],
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(
-            net.metrics.get(MsgKind::WalkStep),
-            3 * WalkConfig::default().burn_in as u64
-        );
+        sample_peers(&net, PeerIdx(0), None, 3, &[], &mut rng).unwrap();
+        assert_eq!(net.metrics.get(MsgKind::WalkStep), 3 * BURN_IN as u64);
     }
 }

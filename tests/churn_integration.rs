@@ -92,7 +92,7 @@ fn unstabilized_ring_is_strictly_worse() {
         net.set_fault_model(fm);
         let mut qrng = SeedTree::new(seed).rng();
         oscar::sim::run_query_batch(
-            &mut net,
+            &net,
             &QueryWorkload::UniformPeers,
             500,
             &RoutePolicy::default(),
